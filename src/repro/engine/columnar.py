@@ -65,7 +65,7 @@ from repro.plan.logical import (
     combine_set_rows,
     unique_output_names,
 )
-from repro.plan.operators import _invert
+from repro.plan.operators import Descending
 from repro.sqlvalue.casts import (
     cast_for_domain,
     comparison_domain,
@@ -468,10 +468,7 @@ class ColumnarExecutor(ExecutorBackend):
         for item in order_by:
             values = self._eval(item.expression, frame, subquery_rows)
             if item.descending:
-                key_lists.append([
-                    (-key[0], _invert(key[1]))
-                    for key in (value_sort_key(value) for value in values)
-                ])
+                key_lists.append([Descending(value_sort_key(value)) for value in values])
             else:
                 key_lists.append([value_sort_key(value) for value in values])
         # sorted() is stable over ascending positions, matching the row

@@ -215,6 +215,13 @@ class ActiveFaults(ExecutionHooks):
     def __init__(self, bugs: Sequence[BugSpec] = ()) -> None:
         self.bugs: Tuple[BugSpec, ...] = tuple(bugs)
         self.fired: Set[int] = set()
+        # The bugs matching the most recent trigger, by seam.  A join builds
+        # one TriggerContext and consults the seams with it for every row, so
+        # resolving the triggers once per TriggerContext takes the matching
+        # out of the per-row loops.  The pair is replaced in one assignment
+        # and read once per call, so concurrent executions never see another
+        # trigger's matches.
+        self._memo: Optional[Tuple[TriggerContext, Dict[str, List[BugSpec]]]] = None
 
     # -------------------------------------------------------------- bookkeeping
 
@@ -223,11 +230,16 @@ class ActiveFaults(ExecutionHooks):
         self.fired.clear()
 
     def _matching(self, seam: str, trigger: TriggerContext) -> List[BugSpec]:
-        return [
-            bug
-            for bug in self.bugs
-            if bug.seam == seam and bug.trigger.matches(trigger)
-        ]
+        """The bugs of *seam* whose trigger matches, in declaration order."""
+        memo = self._memo
+        if memo is None or memo[0] is not trigger:
+            by_seam: Dict[str, List[BugSpec]] = {"flag": [], "join_key": [], "null_pad": []}
+            for bug in self.bugs:
+                if bug.trigger.matches(trigger):
+                    by_seam[bug.seam].append(bug)
+            memo = (trigger, by_seam)
+            self._memo = memo
+        return memo[1][seam]
 
     # ------------------------------------------------------------------- seams
 
@@ -250,8 +262,8 @@ class ActiveFaults(ExecutionHooks):
         return PAD_BEHAVIORS[bug.behavior]
 
     def flag(self, effect: str, trigger: TriggerContext) -> bool:
-        for bug in self.bugs:
-            if bug.seam == "flag" and bug.behavior == effect and bug.trigger.matches(trigger):
+        for bug in self._matching("flag", trigger):
+            if bug.behavior == effect:
                 self.fired.add(bug.bug_id)
                 return True
         return False

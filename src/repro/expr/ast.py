@@ -110,8 +110,17 @@ class ColumnRef(Expression):
     table: Optional[str]
     column: str
 
+    def __post_init__(self) -> None:
+        # The row key this reference usually resolves to, built once here
+        # rather than on every evaluation; not a dataclass field.
+        qualified = self.column if self.table is None else f"{self.table}.{self.column}"
+        object.__setattr__(self, "_row_key", qualified)
+
     def eval(self, ctx: EvalContext) -> Any:
-        return ctx.lookup(self.table, self.column)
+        try:
+            return ctx.row[self._row_key]
+        except KeyError:
+            return ctx.lookup(self.table, self.column)
 
     def render(self) -> str:
         return f"{self.table}.{self.column}" if self.table else self.column

@@ -57,6 +57,20 @@ EFFECT_NAMES = (
 """Boolean fault seams consulted by the join operator."""
 
 
+def _plain_kind(value: Any) -> Optional[type]:
+    """The bucketable kind of a normalized join key, or None.
+
+    ``str`` keys form one kind and ``int`` / non-NaN ``float`` keys another.
+    Within a kind, ``==`` and ``hash`` agree with ``sql_compare(...) == 0``.
+    """
+    kind = type(value)
+    if kind is str:
+        return str
+    if kind is int or (kind is float and value == value):
+        return float
+    return None
+
+
 @dataclass(frozen=True)
 class JoinKeySpec:
     """Resolved equi-join key information for one join step."""
@@ -125,14 +139,6 @@ class Join(PhysicalOperator):
 
     # ------------------------------------------------------------------ matching
 
-    def _residual_ok(self, merged: ExecRow, trigger: TriggerContext) -> bool:
-        if self.extra_condition is None:
-            return True
-        if self.hooks.flag("residual_condition_skipped", trigger):
-            return True
-        ctx = EvalContext(merged, self.subquery_executor)
-        return truth_value(self.extra_condition.eval(ctx)) is True
-
     def _matches_by_hash(
         self, left_rows: List[ExecRow], right_rows: List[ExecRow], trigger: TriggerContext
     ) -> List[List[int]]:
@@ -171,15 +177,30 @@ class Join(PhysicalOperator):
         Keys still pass through the ``join_key`` seam so that plan-independent
         conversion bugs (e.g. the cached-constant bug) corrupt every algorithm,
         while hash-specific triggers simply do not match here.
+
+        When every non-NULL right key is of one plain kind (see
+        :func:`_plain_kind`), a probe of that same kind is looked up in buckets
+        of equal keys: for those kinds Python ``==`` and ``hash`` agree exactly
+        with ``sql_compare(...) == 0``.  Any other probe compares against every
+        right key, so mixed kinds, ``Decimal``, ``bool`` and NaN keep the exact
+        semantics.  Either way a match list is in ascending right-row order.
         """
         assert self.key is not None
         domain = self.key.domain
-        right_cast = [
-            None
-            if is_null(row[self.key.right_column])
-            else self.hooks.join_key(row[self.key.right_column], domain, trigger)
-            for row in right_rows
-        ]
+        candidates: List[Tuple[int, Any]] = []
+        for index, row in enumerate(right_rows):
+            raw = row[self.key.right_column]
+            if is_null(raw):
+                continue
+            candidate = self.hooks.join_key(raw, domain, trigger)
+            if not is_null(candidate):
+                candidates.append((index, candidate))
+        kinds = {_plain_kind(candidate) for _, candidate in candidates}
+        bucket_kind = kinds.pop() if len(kinds) == 1 else None
+        buckets: Dict[Any, List[int]] = {}
+        if bucket_kind is not None:
+            for index, candidate in candidates:
+                buckets.setdefault(candidate, []).append(index)
         matches: List[List[int]] = []
         for row in left_rows:
             raw = row[self.key.left_column]
@@ -187,13 +208,14 @@ class Join(PhysicalOperator):
                 matches.append([])
                 continue
             value = self.hooks.join_key(raw, domain, trigger)
-            found = [
-                index
-                for index, candidate in enumerate(right_cast)
-                if candidate is not None and not is_null(candidate)
-                and sql_compare(value, candidate) == 0
-            ]
-            matches.append(found)
+            if bucket_kind is not None and _plain_kind(value) is bucket_kind:
+                matches.append(list(buckets.get(value, ())))
+            else:
+                matches.append([
+                    index
+                    for index, candidate in candidates
+                    if sql_compare(value, candidate) == 0
+                ])
         return matches
 
     def _matches_by_merge(
@@ -256,12 +278,18 @@ class Join(PhysicalOperator):
             raw = self._matches_by_scan(left_rows, right_rows, trigger)
         if self.extra_condition is None:
             return raw
+        # The residual seam is consulted once, at the first candidate pair, so
+        # a join without candidates never fires it.
+        if any(raw) and self.hooks.flag("residual_condition_skipped", trigger):
+            return raw
+        condition = self.extra_condition
         filtered: List[List[int]] = []
         for left_index, candidates in enumerate(raw):
             kept = []
             for right_index in candidates:
                 merged = merge_rows(left_rows[left_index], right_rows[right_index])
-                if self._residual_ok(merged, trigger):
+                ctx = EvalContext(merged, self.subquery_executor)
+                if truth_value(condition.eval(ctx)) is True:
                     kept.append(right_index)
             filtered.append(kept)
         return filtered

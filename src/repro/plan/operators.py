@@ -31,9 +31,9 @@ class TableScan(PhysicalOperator):
         self._schema = database.table_schema(table)
 
     def rows(self) -> Iterator[ExecRow]:
-        prefix = self.alias
+        names = [(f"{self.alias}.{name}", name) for name in self._schema.column_names]
         for stored in self.database.table(self.table).rows:
-            yield {f"{prefix}.{name}": stored[name] for name in self._schema.column_names}
+            yield {qualified: stored[name] for qualified, name in names}
 
     def output_columns(self) -> List[str]:
         return [f"{self.alias}.{name}" for name in self._schema.column_names]
@@ -188,10 +188,7 @@ class Sort(PhysicalOperator):
             keys = []
             for item in self.order_by:
                 key = value_sort_key(item.expression.eval(ctx))
-                if item.descending:
-                    keys.append((-key[0], _invert(key[1])))
-                else:
-                    keys.append(key)
+                keys.append(Descending(key) if item.descending else key)
             return tuple(keys)
 
         materialized.sort(key=sort_key)
@@ -207,13 +204,19 @@ class Sort(PhysicalOperator):
         return f"Sort({', '.join(i.render() for i in self.order_by)})"
 
 
-def _invert(value: Any) -> Any:
-    """Best-effort inversion for descending sort keys."""
-    if isinstance(value, (int, float)):
-        return -value
-    if isinstance(value, str):
-        return tuple(-ord(ch) for ch in value)
-    return value
+class Descending:
+    """Sort-key wrapper that reverses the order of the key it wraps."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: Any) -> None:
+        self.key = key
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Descending) and self.key == other.key
+
+    def __lt__(self, other: "Descending") -> bool:
+        return other.key < self.key
 
 
 class Limit(PhysicalOperator):

@@ -32,8 +32,19 @@ def _coerce_pair(left: Any, right: Any) -> tuple:
     return left, right
 
 
+_PLAIN_TYPES = (str, int, float)
+"""Types whose same-type pairs compare natively, without coercion."""
+
+
 def sql_compare(left: Any, right: Any) -> Optional[int]:
     """Compare two values, returning -1/0/1 or UNKNOWN when either is NULL."""
+    kind = type(left)
+    if kind is type(right) and kind in _PLAIN_TYPES:
+        if left < right:
+            return -1
+        if left > right:
+            return 1
+        return 0
     if is_null(left) or is_null(right):
         return UNKNOWN
     a, b = _coerce_pair(left, right)

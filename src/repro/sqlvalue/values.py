@@ -114,6 +114,10 @@ def row_sort_key(row: Iterable[Any]) -> Tuple[Tuple[int, Any], ...]:
     return tuple(value_sort_key(v) for v in row)
 
 
+_CANONICAL_TYPES = (str, int)
+"""Types that :func:`canonical_numeric` returns unchanged (``bool`` is not one)."""
+
+
 def normalize_row(row: Iterable[Any]) -> Tuple[Any, ...]:
     """Normalize a row for set-based result comparison.
 
@@ -121,7 +125,11 @@ def normalize_row(row: Iterable[Any]) -> Tuple[Any, ...]:
     mismatch between the wide-table oracle and an engine) and NULL is kept as the
     singleton marker.
     """
-    return tuple(canonical_numeric(v) if not is_null(v) else NULL for v in row)
+    return tuple(
+        v if type(v) in _CANONICAL_TYPES
+        else NULL if is_null(v) else canonical_numeric(v)
+        for v in row
+    )
 
 
 def render_literal(value: Any) -> str:

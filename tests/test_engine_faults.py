@@ -198,3 +198,85 @@ class TestEngineExecution:
         hint_sets = standard_hint_sets()[:5]
         reports = engine.execute_all_hints(left_join_query(), hint_sets)
         assert [r.hints.name for r in reports] == [h.name for h in hint_sets]
+
+
+def anti_join_query() -> QuerySpec:
+    return QuerySpec(
+        base=TableRef("goods", "goods"),
+        joins=[JoinStep(TableRef("orders", "orders"), JoinType.ANTI,
+                        left_key=ColumnRef("goods", "goodsId"),
+                        right_key=ColumnRef("orders", "goodsId"))],
+        select=[SelectItem(column("goods", "goodsName"))],
+    )
+
+
+class TestTriggerResolutionMemo:
+    """ActiveFaults resolves a trigger's matching bugs once and reuses them;
+    the reuse must never leak one trigger's matches into another."""
+
+    def test_interleaved_queries_match_fresh_engines(self, orders_db):
+        hint_sets = standard_hint_sets()
+        fired = set()
+        for dialect in ALL_DIALECTS:
+            shared = Engine(orders_db, dialect)
+            for position, x in enumerate(hint_sets):
+                y = hint_sets[(position + 1) % len(hint_sets)]
+                for query, hints in ((left_join_query(), x), (anti_join_query(), y),
+                                     (left_join_query(), x)):
+                    got = shared.execute_with_report(query, hints)
+                    fresh = Engine(orders_db, dialect).execute_with_report(query, hints)
+                    assert got.result.rows == fresh.result.rows
+                    assert got.fired_bug_ids == fresh.fired_bug_ids
+                    fired.update(got.fired_bug_ids)
+        assert fired  # the interleaving exercised seeded bugs, not only clean runs
+
+    def test_threads_sharing_faults_see_their_own_trigger(self):
+        import sys
+        import threading
+
+        bugs = [bug for profile in ALL_DIALECTS for bug in profile.bugs]
+        faults = ActiveFaults(bugs)
+        triggers = [
+            TriggerContext(algorithm=JoinAlgorithm.HASH, join_type=JoinType.SEMI,
+                           materialization=True),
+            TriggerContext(algorithm=JoinAlgorithm.NESTED_LOOP,
+                           join_type=JoinType.LEFT_OUTER, join_cache_level=0,
+                           has_null_keys=True),
+            TriggerContext(algorithm=JoinAlgorithm.SORT_MERGE,
+                           join_type=JoinType.INNER),
+            TriggerContext(algorithm=JoinAlgorithm.BLOCK_NESTED_LOOP_HASH,
+                           join_type=JoinType.ANTI, has_null_keys=True),
+        ]
+        seams = ("flag", "join_key", "null_pad")
+        expected = {
+            (seam, index): [bug for bug in bugs
+                            if bug.seam == seam and bug.trigger.matches(trigger)]
+            for seam in seams
+            for index, trigger in enumerate(triggers)
+        }
+        assert len({tuple(expected[("flag", i)]) for i in range(len(triggers))}) > 1
+        mismatches = []
+        # More threads than cores, so they preempt one another mid-lookup.
+        workers = 2 * len(triggers)
+        start = threading.Barrier(workers)
+
+        def worker(index):
+            start.wait()
+            for _ in range(1000):
+                for seam in seams:
+                    if faults._matching(seam, triggers[index]) != expected[(seam, index)]:
+                        mismatches.append((seam, index))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n % len(triggers),))
+                       for n in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []

@@ -1,5 +1,8 @@
 """Property-based tests for join semantics on randomly generated tables."""
-from hypothesis import given, settings, strategies as st
+from decimal import Decimal, InvalidOperation
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.catalog import Column, DatabaseSchema, ForeignKey, TableSchema
 from repro.plan import (
@@ -8,10 +11,12 @@ from repro.plan import (
     JoinAlgorithm,
     JoinKeySpec,
     JoinType,
+    PhysicalOperator,
     TableScan,
+    TriggerContext,
 )
 from repro.sqlvalue import NULL, TypeCategory, bigint, integer, varchar
-from repro.sqlvalue.comparison import sql_equal
+from repro.sqlvalue.comparison import sql_compare, sql_equal
 from repro.sqlvalue.values import is_null, normalize_row, row_sort_key
 from repro.storage import Database
 
@@ -117,3 +122,77 @@ def test_full_outer_is_union_of_left_and_right_outer(left_keys, right_keys):
     assert set(left) <= set(full)
     assert set(right) <= set(full)
     assert set(full) == set(left) | set(right)
+
+
+class RawKeyHooks(ExecutionHooks):
+    """Bug-free hooks that hand join keys to the matcher unnormalized."""
+
+    def join_key(self, value, domain, trigger):
+        return value
+
+
+class RowsOf(PhysicalOperator):
+    """A fixed list of one-column rows."""
+
+    def __init__(self, column, values):
+        self.column = column
+        self.values = values
+
+    def rows(self):
+        return iter([{self.column: value} for value in self.values])
+
+    def output_columns(self):
+        return [self.column]
+
+
+mixed_keys = st.sampled_from(
+    ["1", "a", "", 1, 1.0, 2, 2.5, 0.1, Decimal("1.0"), Decimal("0.1"),
+     Decimal("0"), True, False, -0.0, 0, 0.0, float("nan"), float("inf"), NULL]
+)
+numeric_keys = st.one_of(
+    st.integers(-2, 2), st.sampled_from([-0.0, 0.0, 0.1, 1.0, 1.5, 2.0, float("inf")]),
+    st.just(NULL),
+)
+string_keys = st.sampled_from(["", "1", "a", "ab", "b", NULL])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.one_of(mixed_keys, numeric_keys, string_keys), max_size=8),
+    st.one_of(
+        st.lists(mixed_keys, max_size=8),
+        st.lists(numeric_keys, max_size=8),
+        st.lists(string_keys, max_size=8),
+    ),
+)
+@example([Decimal("0.1"), "1", True, 1.0], [0.1, 1, 2.0, 1])
+@example(["1", "b", -0.0, 0], ["1", "a", NULL, "1", "0"])
+@example([1, 0.0], [float("nan"), 1, 0])
+def test_nested_loop_matches_equal_brute_force_sql_compare(left_keys, right_keys):
+    """Bucketed or scanned, every probe matches exactly the right rows that
+    ``sql_compare`` calls equal, in ascending right-row order."""
+    join = Join(
+        RowsOf("l.k", left_keys),
+        RowsOf("r.k", right_keys),
+        JoinType.INNER,
+        JoinAlgorithm.NESTED_LOOP,
+        JoinKeySpec("l.k", "r.k", TypeCategory.DECIMAL),
+        hooks=RawKeyHooks(),
+    )
+    left_rows = list(join.left.rows())
+    right_rows = list(join.right.rows())
+    try:
+        expected = [
+            [] if is_null(value) else [
+                index for index, candidate in enumerate(right_keys)
+                if not is_null(candidate) and sql_compare(value, candidate) == 0
+            ]
+            for value in left_keys
+        ]
+    except InvalidOperation:
+        # NaN against a string or Decimal has no exact comparison; the join
+        # must fail the same way rather than guess.
+        with pytest.raises(InvalidOperation):
+            join._find_matches(left_rows, right_rows, TriggerContext())
+        return
+    assert join._find_matches(left_rows, right_rows, TriggerContext()) == expected

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.backends import SQLiteBackend
+from repro.engine import reference_engine
 from repro.expr import ColumnRef, column, eq, lit
 from repro.plan import (
     AggregateFunction,
@@ -10,8 +12,10 @@ from repro.plan import (
     Materialize,
     OrderItem,
     Project,
+    QuerySpec,
     SelectItem,
     Sort,
+    TableRef,
     TableScan,
 )
 from repro.errors import ExecutionError
@@ -118,6 +122,27 @@ class TestSortAndLimit:
         scan = TableScan(orders_db, "goods", "g")
         ordered = Sort(scan, [OrderItem(column("g", "price"), descending=True)]).execute()
         assert [row["g.price"] for row in ordered] == [15, 10, 5]
+
+        # Strings sharing a prefix: the longer one is the larger.
+        for index, name in enumerate(["a", "ab", "abc", "b"]):
+            orders_db.insert("users", {"RowID": 10 + index, "userId": f"p{index}",
+                                       "userName": name})
+        query = QuerySpec(
+            base=TableRef("users", "users"),
+            select=[SelectItem(column("users", "userName"))],
+            order_by=[OrderItem(column("users", "userName"), descending=True)],
+            distinct=False,
+        )
+        expected = [("b",), ("abc",), ("ab",), ("a",), ("Tom",), ("Peter",), ("Bob",)]
+        assert list(reference_engine(orders_db).execute(query).rows) == expected
+        columnar = reference_engine(orders_db, executor="columnar")
+        assert list(columnar.execute(query).rows) == expected
+        backend = SQLiteBackend()
+        try:
+            backend.deploy(orders_db)
+            assert list(backend.execute(query).result.rows) == expected
+        finally:
+            backend.close()
 
     def test_limit(self, orders_db):
         scan = TableScan(orders_db, "orders", "o")
