@@ -350,7 +350,7 @@ class DifferentialTester:
             label = self.graph_builder.build(query).canonical_label()
             self.diversity.add_label(label)
             if self.kqe is not None:
-                self.kqe.register(query)
+                self.kqe.register(query, label)
         if self.pipeline is None:
             outcome = self.oracle.check(query, label)
             self.outcomes.append(outcome)

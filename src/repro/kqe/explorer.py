@@ -108,8 +108,6 @@ class KQE:
         """The adaptive random-walk step (Algorithm 2, lines 5-14)."""
         if not candidates:
             return None
-        current_graph = self.builder.build_partial(base.alias, steps)
-        current_probability = self.transition_probability(current_graph)
         weights: List[float] = []
         for candidate in candidates:
             extended = self.builder.build_partial(base.alias, steps, candidate)
@@ -117,10 +115,12 @@ class KQE:
         best = max(weights)
         # Termination: when every possible extension is less promising than the
         # current graph, stop growing it (with some probability so the walk does
-        # not always stop at the first plateau).
+        # not always stop at the first plateau).  The current graph is only
+        # scored when the walk is long enough to stop.
         if (
             len(steps) >= self.config.min_steps_before_termination
-            and best < current_probability
+            and best < self.transition_probability(
+                self.builder.build_partial(base.alias, steps))
             and self.rng.random() < self.config.termination_probability
         ):
             return None
@@ -129,20 +129,24 @@ class KQE:
 
     # -------------------------------------------------------------- registering
 
-    def register(self, query: QuerySpec) -> Tuple[QueryGraph, bool]:
+    def register(self, query: QuerySpec,
+                 label: Optional[str] = None) -> Tuple[QueryGraph, bool]:
         """Add a generated query's graph to the index.
 
         The full query graph feeds the isomorphic-set counter (the diversity
         axis of Figure 8); the index itself stores the join *skeleton* of the
         query, because that is what the adaptive walk compares its partial
         graphs against when scoring candidate extensions (Algorithm 2).
+        *label* is the full graph's canonical label when the caller has
+        already computed it; it is computed here otherwise.
 
         Returns the query graph and whether it opened a new isomorphic set.
         """
         graph = self.builder.build(query)
         skeleton = self.builder.build_partial(query.base.alias, query.joins)
         self.index.add(skeleton)
-        novel = self.counter.add(graph)
+        novel = self.counter.add_label(
+            graph.canonical_label() if label is None else label)
         return graph, novel
 
     @property

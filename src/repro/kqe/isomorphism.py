@@ -44,9 +44,11 @@ def is_subgraph_isomorphic(small: QueryGraph, large: QueryGraph) -> bool:
 class IsomorphicSetCounter:
     """Counts the number of distinct isomorphic sets seen so far (Def. 4.2).
 
-    Graphs are grouped by their Weisfeiler–Lehman canonical label, which is exact
-    for the small labelled graphs generated by the random walk; the counter is
-    what produces the "diverse graphs" series of Figure 8.
+    Graphs are grouped by their Weisfeiler–Lehman canonical label
+    (:meth:`QueryGraph.canonical_label`): isomorphic graphs always share a set,
+    but that non-isomorphic graphs never do is not yet proven for the graphs
+    the random walk generates (see the label-digest item in ROADMAP.md).  The
+    counter is what produces the "diverse graphs" series of Figure 8.
     """
 
     def __init__(self) -> None:
@@ -55,12 +57,7 @@ class IsomorphicSetCounter:
 
     def add(self, graph: QueryGraph) -> bool:
         """Register a query graph; returns True when it opens a new isomorphic set."""
-        label = graph.canonical_label()
-        self._per_label_counts[label] = self._per_label_counts.get(label, 0) + 1
-        if label in self._labels:
-            return False
-        self._labels.add(label)
-        return True
+        return self.add_label(graph.canonical_label())
 
     def add_label(self, label: str) -> bool:
         """Register a pre-computed canonical label."""

@@ -5,6 +5,10 @@ generated query: table vertices labelled ``table``, column vertices labelled wit
 their data type, table–table edges labelled with the join type and table–column
 edges labelled with the relational operation applied to the column (join column,
 filter, projection, group by, aggregate).
+
+Colour refinement (:meth:`QueryGraph.canonical_label`, and the embeddings of
+:mod:`repro.kqe.embedding`) runs directly over :meth:`QueryGraph.adjacency`;
+networkx is used only for the exact VF2 checks of :mod:`repro.kqe.isomorphism`.
 """
 
 from __future__ import annotations
@@ -40,24 +44,36 @@ class QueryGraph:
         """Mapping vertex id -> label."""
         return dict(self.vertices)
 
-    def to_networkx(self) -> nx.Graph:
-        """Convert to a networkx graph (used by exact isomorphism checks).
+    def adjacency(self) -> Dict[str, Dict[str, str]]:
+        """Mapping vertex id -> {neighbour id: edge label}.
 
         Several plan-iterative edges can connect the same vertex pair (e.g. a
         column that is both filtered and projected); they are merged into one
-        edge whose label is the sorted union, so no information is lost in the
-        simple-graph representation.
+        edge whose label is the sorted union of their labels joined by ``+``,
+        so no information is lost in the simple-graph representation.
+        """
+        adjacency: Dict[str, Dict[str, str]] = {
+            vertex: {} for vertex, _ in self.vertices
+        }
+        for left, right, label in self.edges:
+            existing = adjacency.setdefault(left, {}).get(right)
+            if existing is not None:
+                label = "+".join(sorted(set(existing.split("+")) | {label}))
+            adjacency[left][right] = label
+            adjacency.setdefault(right, {})[left] = label
+        return adjacency
+
+    def to_networkx(self) -> nx.Graph:
+        """Convert to a networkx graph (used by exact isomorphism checks).
+
+        Parallel edges are merged as in :meth:`adjacency`.
         """
         graph = nx.Graph()
         for vertex, label in self.vertices:
             graph.add_node(vertex, label=label)
-        for left, right, label in self.edges:
-            if graph.has_edge(left, right):
-                existing = set(graph.edges[left, right]["label"].split("+"))
-                existing.add(label)
-                graph.edges[left, right]["label"] = "+".join(sorted(existing))
-            else:
-                graph.add_edge(left, right, label=label)
+        for vertex, neighbours in self.adjacency().items():
+            for other, label in neighbours.items():
+                graph.add_edge(vertex, other, label=label)
         return graph
 
     def size(self) -> Tuple[int, int]:
@@ -67,21 +83,21 @@ class QueryGraph:
     def canonical_label(self) -> str:
         """A label string invariant under vertex renaming.
 
-        Uses a Weisfeiler–Lehman style colour refinement over vertex/edge labels;
-        two isomorphic query graphs always share the same canonical label, and
-        collisions between non-isomorphic graphs are rare enough for the
-        isomorphic-set counting of Figure 8.
+        Three rounds of Weisfeiler–Lehman colour refinement over vertex and
+        edge labels.  Isomorphic query graphs always share a label; that
+        non-isomorphic graphs never do is not yet proven for the graphs the
+        generator builds (see the label-digest item in ROADMAP.md).
         """
-        graph = self.to_networkx()
-        colors = {node: graph.nodes[node]["label"] for node in graph.nodes}
+        adjacency = self.adjacency()
+        colors = dict(self.vertices)
         for _ in range(3):
             new_colors = {}
-            for node in graph.nodes:
+            for node, color in colors.items():
                 neighbourhood = sorted(
-                    f"{graph.edges[node, other]['label']}|{colors[other]}"
-                    for other in graph.neighbors(node)
+                    f"{label}|{colors[other]}"
+                    for other, label in adjacency[node].items()
                 )
-                new_colors[node] = f"{colors[node]}({','.join(neighbourhood)})"
+                new_colors[node] = f"{color}({','.join(neighbourhood)})"
             colors = new_colors
         return "|".join(sorted(colors.values()))
 

@@ -1,11 +1,15 @@
 """Tests for KQE: query graphs, embeddings, the graph index and the adaptive walk."""
 
+import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dsg import DSG, DSGConfig
+from repro.dsg.query_gen import GenerationConfig
+from repro.errors import GenerationError
 from repro.expr import ColumnRef, column, eq, lit
 from repro.kqe import (
     KQE,
@@ -255,6 +259,16 @@ class TestKQEExplorer:
         assert kqe.explored_isomorphic_sets == 1
         assert kqe.explored_graphs == 2
 
+    def test_register_counts_the_callers_label(self, shopping_dsg):
+        kqe = KQE(shopping_dsg.ndb.schema, rng=random.Random(4))
+        query = make_query(shopping_dsg)
+        label = kqe.builder.build(query).canonical_label()
+        assert kqe.register(query, label)[1] is True
+        assert kqe.register(query)[1] is False
+        assert kqe.register(query, "another label")[1] is True
+        assert kqe.counter.labels == {label, "another label"}
+        assert len(kqe.index) == 3
+
     def test_chooser_penalizes_already_explored_structures(self, shopping_dsg):
         """The mechanism of Eq. 2/3: repeated structures get lower probability."""
         kqe = KQE(shopping_dsg.ndb.schema, rng=random.Random(5))
@@ -298,3 +312,181 @@ class TestKQEExplorer:
                     kqe.register(query)
             results[use_kqe] = counter.distinct_sets
         assert results[True] >= 0.8 * results[False]
+
+
+#: Set operations, scalar subqueries and CTEs at the diff-widened campaign's
+#: probabilities, so the corpus holds compound and CTE graphs too.
+WIDENED_GRAMMAR = dict(
+    setop_probability=0.4, scalar_subquery_probability=0.3, cte_probability=0.25
+)
+
+#: sha256 of the corpus below.  Labels, embeddings and KQE draws feed campaign
+#: fingerprints and snapshots, so a speed-up must leave this unchanged; a
+#: deliberate format change re-pins it.
+PINNED_CORPUS_DIGEST = (
+    "0269ee3c1e882cef30a4c88e36796cc218c75427aa576feb73fd79f32f34c6bf"
+)
+
+
+def kqe_corpus_digest():
+    """Digest of seeded KQE-guided generation and everything it labels.
+
+    Four runs (shopping and tpch, plain and widened grammar), each with its
+    own DSG and KQE.  Every walk step adds the index of the candidate the
+    chooser picked (-1 when it stopped the walk); every generated query adds
+    the canonical label and embedding bytes of its full graph and of its join
+    skeleton, then is registered so later draws see it.
+    """
+    digest = hashlib.sha256()
+    graphs = 0
+    for dataset in ("shopping", "tpch"):
+        for grammar in ({}, WIDENED_GRAMMAR):
+            dsg = DSG(DSGConfig(dataset=dataset, dataset_rows=30, seed=5,
+                                generation=GenerationConfig(**grammar)))
+            kqe = KQE(dsg.ndb.schema, rng=random.Random(19))
+
+            def chooser(base, steps, candidates, kqe=kqe):
+                choice = kqe.extension_chooser(base, steps, candidates)
+                index = -1 if choice is None else next(
+                    i for i, candidate in enumerate(candidates)
+                    if candidate is choice)
+                digest.update(f"choice:{index};".encode())
+                return choice
+
+            for _ in range(150):
+                try:
+                    query = dsg.generate_statement(extension_chooser=chooser)
+                except GenerationError as error:
+                    digest.update(f"error:{type(error).__name__};".encode())
+                    continue
+                skeleton = kqe.builder.build_partial(query.base.alias, query.joins)
+                for graph in (kqe.builder.build(query), skeleton):
+                    digest.update(graph.canonical_label().encode())
+                    digest.update(kqe.embedder.embed(graph).tobytes())
+                    graphs += 1
+                kqe.register(query)
+    return digest.hexdigest(), graphs
+
+
+def renamed(graph, mapping):
+    """A copy of *graph* with every vertex id passed through *mapping*."""
+    return QueryGraph(
+        tuple((mapping[vertex], label) for vertex, label in graph.vertices),
+        tuple((mapping[left], mapping[right], label)
+              for left, right, label in graph.edges),
+    )
+
+
+def guided_draws(dataset, kqe_seed):
+    """Chooser draws and labels of a seeded KQE-guided generation run."""
+    dsg = DSG(DSGConfig(dataset=dataset, dataset_rows=30, seed=3))
+    kqe = KQE(dsg.ndb.schema, rng=random.Random(kqe_seed))
+    draws = []
+
+    def chooser(base, steps, candidates):
+        choice = kqe.extension_chooser(base, steps, candidates)
+        draws.append(None if choice is None else candidates.index(choice))
+        return choice
+
+    for _ in range(40):
+        try:
+            query = dsg.generate_query(extension_chooser=chooser)
+        except GenerationError:
+            draws.append("rejected")
+            continue
+        graph, _ = kqe.register(query)
+        draws.append(graph.canonical_label())
+    return draws, kqe
+
+
+class TestRefinementWithoutNetworkx:
+    def test_parallel_edges_merge_like_networkx(self, shopping_dsg):
+        """A column both filtered and projected gives two plan-iterative edges
+        between one vertex pair; adjacency() merges them like to_networkx()."""
+        builder = QueryGraphBuilder(shopping_dsg.ndb.schema)
+        graph = builder.build(make_query(shopping_dsg, with_filter=True))
+        adjacency = graph.adjacency()
+        nx_graph = graph.to_networkx()
+        merged = {
+            frozenset((left, right)): data["label"]
+            for left, right, data in nx_graph.edges(data=True)
+        }
+        assert merged == {
+            frozenset((vertex, other)): label
+            for vertex, neighbours in adjacency.items()
+            for other, label in neighbours.items()
+        }
+        assert "filter+projection" in merged.values()
+        assert len(merged) < len(graph.edges)
+        assert set(adjacency) == set(nx_graph.nodes)
+
+    def test_label_and_embedding_survive_renaming(self, shopping_dsg):
+        builder = QueryGraphBuilder(shopping_dsg.ndb.schema)
+        graph = builder.build(make_query(shopping_dsg, with_filter=True))
+        vertices = [vertex for vertex, _ in graph.vertices]
+        copy = renamed(graph, {
+            vertex: f"v{index}"
+            for index, vertex in enumerate(reversed(vertices))
+        })
+        assert copy != graph
+        assert copy.canonical_label() == graph.canonical_label()
+        assert (GraphEmbedder().embed(copy).tobytes()
+                == GraphEmbedder().embed(graph).tobytes())
+        assert are_isomorphic(copy, graph)
+
+
+class TestEmbeddingMemo:
+    def test_equal_graphs_share_one_read_only_array(self):
+        embedder = GraphEmbedder()
+        first = QueryGraph((("a", "table"), ("b", "table")), (("a", "b", "inner"),))
+        second = QueryGraph(tuple(list(first.vertices)), tuple(list(first.edges)))
+        assert first == second and first is not second
+        vector = embedder.embed(first)
+        assert embedder.embed(second) is vector
+        with pytest.raises(ValueError):
+            vector[0] = 1.0
+        assert np.isclose(np.linalg.norm(vector), 1.0)
+
+    def test_memo_stops_growing_at_its_limit(self, monkeypatch):
+        from repro.kqe import embedding
+
+        monkeypatch.setattr(embedding, "EMBED_MEMO_LIMIT", 3)
+        embedder = GraphEmbedder()
+        graphs = [
+            QueryGraph(tuple((f"t{i}", "table") for i in range(size)),
+                       tuple((f"t{i}", f"t{i + 1}", "inner")
+                             for i in range(size - 1)))
+            for size in range(1, 6)
+        ]
+        vectors = [embedder.embed(graph) for graph in graphs]
+        assert len(embedder._memo) == 3
+        # Past the limit a graph is embedded afresh each time: equal bytes,
+        # a new (still read-only) array.
+        again = embedder.embed(graphs[-1])
+        assert again is not vectors[-1]
+        assert again.tobytes() == vectors[-1].tobytes()
+        assert not again.flags.writeable
+        assert embedder.embed(graphs[0]) is vectors[0]
+        for graph, vector in zip(graphs, vectors):
+            assert GraphEmbedder().embed(graph).tobytes() == vector.tobytes()
+
+    def test_draws_do_not_depend_on_another_instance(self):
+        """Each KQE memoizes in its own embedder, so a seeded run draws the
+        same whether or not another KQE ran first in the process."""
+        alone, first = guided_draws("shopping", kqe_seed=23)
+        guided_draws("tpch", kqe_seed=5)
+        guided_draws("shopping", kqe_seed=29)
+        after_others, second = guided_draws("shopping", kqe_seed=23)
+        assert after_others == alone
+        assert any(isinstance(draw, int) for draw in alone)
+        assert first.embedder._memo is not second.embedder._memo
+        assert list(first.embedder._memo) == list(second.embedder._memo)
+
+
+class TestPinnedCorpus:
+    def test_labels_embeddings_and_draws_are_pinned(self):
+        """1200 labels and embeddings plus every chooser draw, byte-identical
+        to the recorded corpus."""
+        digest, graphs = kqe_corpus_digest()
+        assert graphs == 1200
+        assert digest == PINNED_CORPUS_DIGEST
