@@ -253,17 +253,17 @@ def _campaign_fingerprint(result) -> tuple:
     )
 
 
-@pytest.mark.benchmark(group="backend-differential-executor")
-def test_vectorized_cache_reference_speedup(benchmark):
-    """Columnar executor + query cache >= 2x on ``execute.reference``.
+@pytest.mark.benchmark(group="backend-differential-cache")
+def test_query_cache_reference_speedup(benchmark):
+    """Query cache >= 2x on ``execute.reference``, row executor on both sides.
 
     The workload is two *identical* campaigns back to back — a repeat
     campaign (rerun benches, re-sharded seeds) is exactly what the
     content-addressed cache exists for.  The baseline pays the row
-    interpreter twice; the candidate pays the columnar executor once and
-    serves the second run from the cache.  Speedup is compared on the
-    ``execute.reference`` phase itself (``phase.seconds``), the share the
-    ROADMAP names as the dominant cost, and verdicts must be bit-identical.
+    interpreter twice; the candidate pays it once and serves the second run
+    from the cache.  Speedup is compared on the ``execute.reference`` phase
+    itself (``phase.seconds``), the share the ROADMAP names as the dominant
+    cost, and verdicts must be bit-identical.
 
     Set ``TQS_BENCH_ARTIFACT`` to a path to dump the before/after phase
     breakdown (the CI bench smoke uploads it).
@@ -271,29 +271,28 @@ def test_vectorized_cache_reference_speedup(benchmark):
     config = CampaignConfig(dataset="shopping", dataset_rows=110, hours=6,
                             queries_per_hour=20, seed=5)
 
-    def drive(executor, cache):
-        cfg = CampaignConfig(**{**config.__dict__,
-                                "reference_executor": executor})
-        tester = build_differential_tester(SQLiteBackend(), cfg,
+    def drive(cache):
+        tester = build_differential_tester(SQLiteBackend(), config,
                                            query_cache=cache)
         result = CampaignResult(tool="TQS-differential",
-                                dbms=tester.backend.name, dataset=cfg.dataset)
+                                dbms=tester.backend.name,
+                                dataset=config.dataset)
         try:
-            return run_campaign_loop(tester, result, cfg.hours,
-                                     cfg.queries_per_hour)
+            return run_campaign_loop(tester, result, config.hours,
+                                     config.queries_per_hour)
         finally:
             tester.close()
 
-    def measure(executor, with_cache):
+    def measure(with_cache):
         obs.reset_registry()
         cache = QueryCache() if with_cache else None
-        results = [drive(executor, cache) for _ in range(2)]
+        results = [drive(cache) for _ in range(2)]
         return results, obs.get_registry().snapshot()
 
-    baseline_results, baseline_snapshot = measure("row", False)
+    baseline_results, baseline_snapshot = measure(False)
 
     def run_candidate():
-        return measure("columnar", True)
+        return measure(True)
 
     candidate_results, candidate_snapshot = benchmark.pedantic(
         run_candidate, rounds=1, iterations=1
@@ -301,7 +300,7 @@ def test_vectorized_cache_reference_speedup(benchmark):
 
     for base, cand in zip(baseline_results, candidate_results):
         assert _campaign_fingerprint(base) == _campaign_fingerprint(cand), (
-            "columnar+cache campaign must be bit-identical to the row baseline"
+            "cached campaign must be bit-identical to the uncached baseline"
         )
 
     baseline_ref = _reference_seconds(baseline_snapshot)
@@ -310,9 +309,9 @@ def test_vectorized_cache_reference_speedup(benchmark):
     before = obs.render_phase_breakdown(baseline_snapshot)
     after = obs.render_phase_breakdown(candidate_snapshot)
     print()
-    print("--- row executor, no cache (2 identical campaigns) ---")
+    print("--- no cache (2 identical campaigns) ---")
     print(before)
-    print("--- columnar executor + shared query cache ---")
+    print("--- shared query cache ---")
     print(after)
     print(f"execute.reference: {baseline_ref:.3f}s -> {candidate_ref:.3f}s "
           f"({speedup:.2f}x)")
@@ -320,50 +319,50 @@ def test_vectorized_cache_reference_speedup(benchmark):
     artifact = os.environ.get("TQS_BENCH_ARTIFACT", "")
     if artifact:
         with open(artifact, "w", encoding="utf-8") as handle:
-            handle.write("row executor, no cache (2 identical campaigns)\n")
+            handle.write("no cache (2 identical campaigns)\n")
             handle.write(before + "\n\n")
-            handle.write("columnar executor + shared query cache\n")
+            handle.write("shared query cache\n")
             handle.write(after + "\n\n")
             handle.write(f"execute.reference speedup: {speedup:.2f}x "
                          f"({baseline_ref:.3f}s -> {candidate_ref:.3f}s)\n")
 
     assert speedup >= 2.0, (
-        f"expected >= 2x on execute.reference from the vectorized executor "
-        f"plus cache, got {speedup:.2f}x"
+        f"expected >= 2x on execute.reference from the query cache, "
+        f"got {speedup:.2f}x"
     )
 
 
-@pytest.mark.benchmark(group="backend-differential-executor")
-def test_executor_cache_verdicts_serial_and_pooled(benchmark):
-    """Row/no-cache == columnar/cache, on the serial path AND the 2-worker pool.
+@pytest.mark.benchmark(group="backend-differential-cache")
+def test_query_cache_verdicts_serial_and_pooled(benchmark):
+    """No cache == query cache, on the serial path AND the 2-worker pool.
 
     The speedup test above covers the serial repeat-campaign case; this one
     pins the determinism contract on the multiprocessing pool, where each
-    shard builds its own executor and per-shard cache from the wire-shipped
+    shard builds its own per-shard cache from the wire-shipped
     :class:`CampaignConfig`.
     """
     base = dict(kind="differential", backend="sqlite", dataset_rows=80,
                 hours=2, queries_per_hour=16, seed=7)
-    fast = dict(reference_executor="columnar", use_query_cache=True)
 
     def run_all():
-        serial_row = run_campaign(CampaignSpec(**base))
-        serial_fast = run_campaign(CampaignSpec(**base, **fast))
-        pooled_row = run_campaign(CampaignSpec(**base, workers=2))
-        pooled_fast = run_campaign(CampaignSpec(**base, **fast, workers=2))
-        return serial_row, serial_fast, pooled_row, pooled_fast
+        serial = run_campaign(CampaignSpec(**base))
+        serial_cached = run_campaign(CampaignSpec(**base, use_query_cache=True))
+        pooled = run_campaign(CampaignSpec(**base, workers=2))
+        pooled_cached = run_campaign(
+            CampaignSpec(**base, use_query_cache=True, workers=2))
+        return serial, serial_cached, pooled, pooled_cached
 
-    serial_row, serial_fast, pooled_row, pooled_fast = benchmark.pedantic(
+    serial, serial_cached, pooled, pooled_cached = benchmark.pedantic(
         run_all, rounds=1, iterations=1
     )
 
-    assert _campaign_fingerprint(serial_row) == _campaign_fingerprint(serial_fast), (
-        "serial verdicts must not depend on executor or cache"
+    assert _campaign_fingerprint(serial) == _campaign_fingerprint(serial_cached), (
+        "serial verdicts must not depend on the cache"
     )
-    assert _campaign_fingerprint(pooled_row.merged) == _campaign_fingerprint(
-        pooled_fast.merged
-    ), "pooled verdicts must not depend on executor or cache"
+    assert _campaign_fingerprint(pooled.merged) == _campaign_fingerprint(
+        pooled_cached.merged
+    ), "pooled verdicts must not depend on the cache"
     print()
-    print(f"serial: {serial_row.final.queries_executed} comparisons, "
-          f"pooled: {pooled_row.merged.final.queries_executed} comparisons — "
-          "verdicts identical across executor/cache settings")
+    print(f"serial: {serial.final.queries_executed} comparisons, "
+          f"pooled: {pooled.merged.final.queries_executed} comparisons — "
+          "verdicts identical with and without the cache")

@@ -65,17 +65,13 @@ from repro.dsg import DSG, DSGConfig, GroundTruthOracle, WideTable
 from repro.engine import (
     ALL_DIALECTS,
     Engine,
-    ExecutorBackend,
     ResultSet,
     SIM_MARIADB,
     SIM_MYSQL,
     SIM_TIDB,
     SIM_XDB,
     dialect_by_name,
-    executor_from_name,
     reference_engine,
-    register_executor,
-    registered_executors,
 )
 from repro.kqe import KQE, KQEConfig
 from repro.optimizer import HintSet, standard_hint_sets
@@ -102,7 +98,6 @@ __all__ = [
     "DuckDBBackend",
     "Engine",
     "ExecutionPipeline",
-    "ExecutorBackend",
     "GroundTruthOracle",
     "HintSet",
     "JoinType",
@@ -133,11 +128,8 @@ __all__ = [
     "WideTable",
     "backend_from_name",
     "dialect_by_name",
-    "executor_from_name",
     "reference_engine",
     "register_backend",
-    "register_executor",
-    "registered_executors",
     "run_ablation",
     "run_baseline_campaign",
     "run_campaign",

@@ -96,10 +96,8 @@ class CampaignConfig:
     use_ground_truth: bool = True
     use_kqe: bool = True
     max_hint_sets: Optional[int] = None
-    # Reference execution strategy ("row" or "columnar") and the
-    # content-addressed render/result cache — differential campaigns only;
-    # both leave verdicts bit-identical (see repro.core.qcache).
-    reference_executor: str = "row"
+    # The content-addressed render/result cache — differential campaigns
+    # only; it leaves verdicts bit-identical (see repro.core.qcache).
     use_query_cache: bool = False
     # Widened-grammar probabilities (set operations, scalar subqueries,
     # CTEs).  0.0 keeps the classic join-query-only grammar and, by the
@@ -140,8 +138,8 @@ class CampaignSpec:
     * ``"tqs"`` — TQS against the simulated ``dialect``;
     * ``"baseline"`` — SQLancer-style ``baseline`` against ``dialect``;
     * ``"differential"`` — TQS generation differentially against the real
-      ``backend`` adapter, honouring ``reference_executor``,
-      ``use_query_cache`` and ``pipeline_batch_size``.
+      ``backend`` adapter, honouring ``use_query_cache`` and
+      ``pipeline_batch_size``.
 
     ``workers > 1`` routes through the multiprocessing pool
     (:mod:`repro.core.parallel`) and returns its merged
@@ -161,7 +159,6 @@ class CampaignSpec:
     use_ground_truth: bool = True
     use_kqe: bool = True
     max_hint_sets: Optional[int] = None
-    reference_executor: str = "row"
     use_query_cache: bool = False
     setop_probability: float = 0.0
     scalar_subquery_probability: float = 0.0
@@ -181,7 +178,6 @@ class CampaignSpec:
             use_ground_truth=self.use_ground_truth,
             use_kqe=self.use_kqe,
             max_hint_sets=self.max_hint_sets,
-            reference_executor=self.reference_executor,
             use_query_cache=self.use_query_cache,
             setop_probability=self.setop_probability,
             scalar_subquery_probability=self.scalar_subquery_probability,
@@ -398,8 +394,7 @@ def build_differential_tester(backend: BackendAdapter, config: CampaignConfig,
                               ) -> DifferentialTester:
     """Deploy a DSG database into *backend* and wrap it in a tester.
 
-    ``config.reference_executor`` selects the reference execution strategy
-    ("row" / "columnar"); ``config.use_query_cache`` attaches a fresh
+    ``config.use_query_cache`` attaches a fresh
     :class:`~repro.core.qcache.QueryCache` serving both reference results and
     the backend's rendered SQL (pass *query_cache* to share one across
     testers, e.g. for repeat-campaign benches).
@@ -412,9 +407,7 @@ def build_differential_tester(backend: BackendAdapter, config: CampaignConfig,
     differential = differential or DifferentialConfig(
         use_kqe=config.use_kqe, seed=config.seed
     )
-    reference = reference or reference_engine(
-        dsg.database, executor=config.reference_executor
-    )
+    reference = reference or reference_engine(dsg.database)
     if query_cache is None and config.use_query_cache:
         query_cache = QueryCache()
     if query_cache is not None and hasattr(backend, "query_cache"):

@@ -144,8 +144,8 @@ class DifferentialOracle:
                           label: str = "") -> ResultSet:
         """Run *query* on the reference engine, through the result cache.
 
-        Cache keys are content-addressed (canonical SQL + dataset fingerprint
-        + executor name), so a hit returns exactly what the miss path would
+        Cache keys are content-addressed (canonical SQL + dataset
+        fingerprint), so a hit returns exactly what the miss path would
         recompute — the cache-on == cache-off determinism contract.  Only the
         actual execution is timed under ``execute.reference``; that is the
         phase the cache is built to collapse.
@@ -158,12 +158,8 @@ class DifferentialOracle:
             self._dataset_fingerprint = dataset_fingerprint(
                 self.reference.database
             )
-        executor = getattr(self.reference, "executor", None)
         key = result_cache_key(
-            executor.name if executor is not None else "row",
-            label,
-            self._dataset_fingerprint,
-            query.render(),
+            label, self._dataset_fingerprint, query.render()
         )
         hit, cached = cache.get(key, "result")
         if hit:

@@ -1104,7 +1104,7 @@ def run_parallel_differential_campaign(backend_name: str,
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """``python -m repro.core.parallel`` — run a long campaign on many cores."""
-    from repro import ALL_DIALECTS, dialect_by_name, registered_executors
+    from repro import ALL_DIALECTS, dialect_by_name
     from repro.analysis.reporting import render_table, render_worker_pool
 
     parser = argparse.ArgumentParser(
@@ -1172,11 +1172,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="print a merged progress line (queries/s, novel "
                              "labels, bugs, phase mix) to stderr at every "
                              "sync round")
-    parser.add_argument("--executor", default="row",
-                        choices=registered_executors(),
-                        help="reference execution strategy for differential "
-                             "campaigns: 'row' (classic interpreter) or "
-                             "'columnar' (vectorized) (default: row)")
     parser.add_argument("--query-cache", action="store_true",
                         help="memoize rendered SQL and reference results in "
                              "a per-shard content-addressed cache (verdicts "
@@ -1201,7 +1196,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         hours=args.hours,
         queries_per_hour=args.queries_per_hour,
         seed=args.seed,
-        reference_executor=args.executor,
         use_query_cache=args.query_cache,
         setop_probability=args.setop_probability,
         scalar_subquery_probability=args.scalar_subquery_probability,

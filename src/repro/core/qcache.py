@@ -7,7 +7,7 @@ dominates the phase breakdown).  :class:`QueryCache` is a small thread-safe
 LRU that memoizes both halves:
 
 * **result entries** — the bug-free reference :class:`~repro.engine.resultset.ResultSet`
-  for one (executor, canonical label, dataset fingerprint, canonical SQL);
+  for one (canonical label, dataset fingerprint, canonical SQL);
 * **render entries** — the dialect-specific SQL text a backend's renderer
   produced for one (backend, canonical SQL).
 
@@ -17,7 +17,7 @@ Every key is *content-addressed*: a SHA-256 over the canonical query text
 reference rendering — covering the widened grammar too: set-operation
 compounds, ``WITH`` wrappers and scalar subqueries all render canonically),
 the :func:`dataset_fingerprint` of the exact table contents, and
-the executor / backend names.  Nothing identity- or ordering-dependent may
+the backend name.  Nothing identity- or ordering-dependent may
 feed a key — no ``id()``, no ``hash()``, no raw dict iteration — which the
 ``DET003`` lint rule enforces over this module's import closure.  Canonical
 keys are what make the determinism contract hold: cache-on and cache-off runs
@@ -76,10 +76,9 @@ def dataset_fingerprint(database: Database) -> str:
     return _digest(parts)
 
 
-def result_cache_key(executor: str, label: str, fingerprint: str,
-                     canonical_sql: str) -> str:
+def result_cache_key(label: str, fingerprint: str, canonical_sql: str) -> str:
     """Cache key for a bug-free reference result set."""
-    return _digest(("result/v1", executor, label, fingerprint, canonical_sql))
+    return _digest(("result/v2", label, fingerprint, canonical_sql))
 
 
 def render_cache_key(backend: str, canonical_sql: str) -> str:

@@ -154,12 +154,6 @@ def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
         ">1 overlaps target and reference execution (default: 1)",
     )
     parser.add_argument(
-        "--executor",
-        default="row",
-        help="reference execution strategy for differential campaigns: "
-        "'row' or 'columnar' (default: row)",
-    )
-    parser.add_argument(
         "--query-cache",
         action="store_true",
         help="memoize rendered SQL and reference results in a per-shard "
@@ -174,7 +168,6 @@ def _campaign_config(args: argparse.Namespace) -> CampaignConfig:
         hours=args.hours,
         queries_per_hour=args.queries_per_hour,
         seed=args.seed,
-        reference_executor=args.executor,
         use_query_cache=args.query_cache,
     )
 
@@ -196,7 +189,6 @@ def _campaign_echo(args: argparse.Namespace) -> Dict[str, Any]:
         "prune": not args.no_prune,
         "budget_policy": args.budget_policy,
         "batch_size": args.batch_size,
-        "executor": args.executor,
         "query_cache": args.query_cache,
         "protocol": args.protocol,
     }
@@ -420,7 +412,6 @@ def _cmd_verify_local(args: argparse.Namespace) -> int:
         hours=campaign["hours"],
         queries_per_hour=campaign["queries_per_hour"],
         seed=campaign["seed"],
-        reference_executor=campaign.get("executor", "row"),
         use_query_cache=campaign.get("query_cache", False),
     )
     shards = build_shard_specs(

@@ -267,23 +267,27 @@ def decode_broadcast(value: Any) -> SyncBroadcast:
     )
 
 
+#: The campaign-config fields on the wire, in encoding order.  Decoding
+#: rejects any other key, so a peer still sending a retired field fails loudly.
+_CAMPAIGN_CONFIG_FIELDS = (
+    "dataset",
+    "dataset_rows",
+    "hours",
+    "queries_per_hour",
+    "seed",
+    "use_noise",
+    "use_ground_truth",
+    "use_kqe",
+    "max_hint_sets",
+    "use_query_cache",
+    "setop_probability",
+    "scalar_subquery_probability",
+    "cte_probability",
+)
+
+
 def encode_campaign_config(config: Any) -> Dict[str, Any]:
-    return {
-        "dataset": config.dataset,
-        "dataset_rows": config.dataset_rows,
-        "hours": config.hours,
-        "queries_per_hour": config.queries_per_hour,
-        "seed": config.seed,
-        "use_noise": config.use_noise,
-        "use_ground_truth": config.use_ground_truth,
-        "use_kqe": config.use_kqe,
-        "max_hint_sets": config.max_hint_sets,
-        "reference_executor": config.reference_executor,
-        "use_query_cache": config.use_query_cache,
-        "setop_probability": config.setop_probability,
-        "scalar_subquery_probability": config.scalar_subquery_probability,
-        "cte_probability": config.cte_probability,
-    }
+    return {name: getattr(config, name) for name in _CAMPAIGN_CONFIG_FIELDS}
 
 
 def decode_campaign_config(value: Any) -> Any:
@@ -291,6 +295,9 @@ def decode_campaign_config(value: Any) -> Any:
 
     obj = _obj(value, "campaign config")
     where = "campaign config"
+    unknown = sorted(set(obj) - set(_CAMPAIGN_CONFIG_FIELDS))
+    if unknown:
+        _fail(where, f"unknown field(s) {unknown}")
     return CampaignConfig(
         dataset=_str_field(obj, "dataset", where),
         dataset_rows=_int_field(obj, "dataset_rows", where),
@@ -305,7 +312,6 @@ def decode_campaign_config(value: Any) -> Any:
         max_hint_sets=_opt_int(
             _get(obj, "max_hint_sets", where), f"{where} max_hint_sets"
         ),
-        reference_executor=_str_field(obj, "reference_executor", where),
         use_query_cache=_bool(
             _get(obj, "use_query_cache", where), f"{where} use_query_cache"
         ),

@@ -10,13 +10,6 @@ from repro.engine.dialects import (
     dialect_by_name,
 )
 from repro.engine.engine import Engine, ExecutionReport, reference_engine
-from repro.engine.executor import (
-    ExecutorBackend,
-    RowExecutor,
-    executor_from_name,
-    register_executor,
-    registered_executors,
-)
 from repro.engine.faults import ActiveFaults, BugSpec, FaultTrigger
 from repro.engine.resultset import ResultSet
 
@@ -27,17 +20,12 @@ __all__ = [
     "DialectProfile",
     "Engine",
     "ExecutionReport",
-    "ExecutorBackend",
     "FaultTrigger",
     "ResultSet",
-    "RowExecutor",
     "SIM_MARIADB",
     "SIM_MYSQL",
     "SIM_TIDB",
     "SIM_XDB",
     "dialect_by_name",
-    "executor_from_name",
     "reference_engine",
-    "register_executor",
-    "registered_executors",
 ]

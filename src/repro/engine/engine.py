@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from repro.engine.dialects import DialectProfile
-from repro.engine.executor import ExecutorBackend, executor_from_name
 from repro.engine.faults import ActiveFaults
 from repro.engine.resultset import ResultSet
 from repro.optimizer.hints import HintSet, default_hints
@@ -45,7 +44,6 @@ class Engine:
         database: Database,
         dialect: Optional[DialectProfile] = None,
         hooks: Optional[ExecutionHooks] = None,
-        executor: Union[ExecutorBackend, str, None] = None,
     ) -> None:
         self.database = database
         self.dialect = dialect
@@ -55,9 +53,6 @@ class Engine:
             self.hooks = dialect.active_faults()
         else:
             self.hooks = ExecutionHooks()
-        if isinstance(executor, str):
-            executor = executor_from_name(executor)
-        self.executor = executor
         self.planner = Planner(database, self.hooks)
         self.queries_executed = 0
 
@@ -81,18 +76,7 @@ class Engine:
         return self.plan(query, hints).explain()
 
     def execute(self, query: AnyQuerySpec, hints: Optional[HintSet] = None) -> ResultSet:
-        """Execute *query* under *hints* and return its result set.
-
-        A pluggable executor (``executor="columnar"``) only covers bug-free
-        unhinted execution: hinted runs and fault-profile hooks always take
-        the row path, whose per-row seams are where seeded bugs fire.
-        """
-        if (
-            self.executor is not None
-            and hints is None
-            and type(self.hooks) is ExecutionHooks
-        ):
-            return self.executor.execute(self, query)
+        """Execute *query* under *hints* and return its result set."""
         return self.execute_with_report(query, hints).result
 
     def _execute_compound(
@@ -157,17 +141,6 @@ class Engine:
         return [self.execute_with_report(query, hints) for hints in hint_sets]
 
 
-def reference_engine(
-    database: Database,
-    executor: Union[ExecutorBackend, str, None] = None,
-) -> Engine:
-    """A bug-free engine over *database* (used by tests and the NoRec baseline).
-
-    *executor* selects the execution strategy by registry name ("row",
-    "columnar") or instance; ``None`` and ``"row"`` both mean the classic
-    row-dict interpreter.
-    """
-    if executor == "row":
-        executor = None
-    return Engine(database, dialect=None, hooks=ExecutionHooks(),
-                  executor=executor)
+def reference_engine(database: Database) -> Engine:
+    """A bug-free engine over *database* (used by tests and the NoRec baseline)."""
+    return Engine(database, dialect=None, hooks=ExecutionHooks())

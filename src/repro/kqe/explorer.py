@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.catalog.schema import DatabaseSchema
 from repro.dsg.query_gen import CandidateExtension
@@ -129,25 +129,24 @@ class KQE:
 
     # -------------------------------------------------------------- registering
 
-    def register(self, query: QuerySpec,
-                 label: Optional[str] = None) -> Tuple[QueryGraph, bool]:
+    def register(self, query: QuerySpec, label: Optional[str] = None) -> bool:
         """Add a generated query's graph to the index.
 
-        The full query graph feeds the isomorphic-set counter (the diversity
-        axis of Figure 8); the index itself stores the join *skeleton* of the
-        query, because that is what the adaptive walk compares its partial
-        graphs against when scoring candidate extensions (Algorithm 2).
-        *label* is the full graph's canonical label when the caller has
-        already computed it; it is computed here otherwise.
+        The full query graph's label feeds the isomorphic-set counter (the
+        diversity axis of Figure 8); the index itself stores the join
+        *skeleton* of the query, because that is what the adaptive walk
+        compares its partial graphs against when scoring candidate extensions
+        (Algorithm 2).  *label* is the full graph's canonical label when the
+        caller has already computed it; only otherwise is the full graph
+        built here.
 
-        Returns the query graph and whether it opened a new isomorphic set.
+        Returns whether the query opened a new isomorphic set.
         """
-        graph = self.builder.build(query)
         skeleton = self.builder.build_partial(query.base.alias, query.joins)
         self.index.add(skeleton)
-        novel = self.counter.add_label(
-            graph.canonical_label() if label is None else label)
-        return graph, novel
+        if label is None:
+            label = self.builder.build(query).canonical_label()
+        return self.counter.add_label(label)
 
     @property
     def explored_isomorphic_sets(self) -> int:

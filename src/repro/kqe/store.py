@@ -6,10 +6,9 @@ per-entry arrays.  :class:`VectorStore` keeps all embeddings in a single
 amortized-growth ``(capacity, dims)`` float64 matrix with cached row norms;
 ``top_k`` is then one matrix-vector product plus one partition.  A pure-Python
 fallback (lists of floats) keeps the store importable and correct when numpy
-is unavailable or disabled via ``REPRO_DISABLE_NUMPY=1`` — the same gating
-idiom as :mod:`repro.engine.columnar`.  The two modes are each deterministic;
-they are *different* deterministic implementations (float summation order
-differs), mirroring the executor-backend stance.
+is unavailable or disabled via ``REPRO_DISABLE_NUMPY=1``.  The two modes are
+each deterministic; they are *different* deterministic implementations (float
+summation order differs).
 
 :class:`EntryBatch` is the zero-copy view ``GraphIndex.entries_since`` hands
 to the sync layer: it indexes straight into the store's matrix instead of
@@ -37,9 +36,8 @@ _MIN_CAPACITY = 256
 def resolve_numpy(use_numpy: Optional[bool] = None) -> Any:
     """The numpy module to use, or None for the pure-Python fallback.
 
-    ``use_numpy=None`` consults ``REPRO_DISABLE_NUMPY`` (the executor
-    backend's switch) and then tries the import; an explicit True/False wins
-    over the environment.
+    ``use_numpy=None`` consults ``REPRO_DISABLE_NUMPY`` and then tries the
+    import; an explicit True/False wins over the environment.
     """
     if use_numpy is None:
         use_numpy = os.environ.get("REPRO_DISABLE_NUMPY", "") != "1"

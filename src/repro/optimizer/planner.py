@@ -56,21 +56,23 @@ class Planner:
             referenced_aliases = {t for t, _ in query.where.references() if t}
             if query.base.alias in referenced_aliases:
                 left_cardinality = max(1, int(left_cardinality * 0.4))
+        subqueries = self._subquery_executor(hints)
         for index, step in enumerate(steps):
             operator, left_cardinality = self._plan_join(
-                operator, left_cardinality, step, index, hints, alias_to_table
+                operator, left_cardinality, step, index, hints, alias_to_table,
+                subqueries,
             )
         if query.where is not None:
-            operator = Filter(operator, query.where, self._subquery_executor(hints))
+            operator = Filter(operator, query.where, subqueries)
         operator = Project(
             operator,
             query.select,
             group_by=query.group_by,
             distinct=query.distinct,
-            subquery_executor=self._subquery_executor(hints),
+            subquery_executor=subqueries,
         )
         if query.order_by:
-            operator = Sort(operator, query.order_by, self._subquery_executor(hints))
+            operator = Sort(operator, query.order_by, subqueries)
         if query.limit is not None:
             operator = Limit(operator, query.limit)
         return operator
@@ -141,6 +143,7 @@ class Planner:
         step_index: int,
         hints: HintSet,
         alias_to_table: Dict[str, str],
+        subqueries: Callable,
     ) -> Tuple[PhysicalOperator, int]:
         right_table = step.table.table
         right_cardinality = self.database.row_count(right_table)
@@ -191,7 +194,7 @@ class Planner:
             hooks=self.hooks,
             extra_condition=step.extra_condition,
             trigger=trigger,
-            subquery_executor=self._subquery_executor(hints),
+            subquery_executor=subqueries,
         )
         if step.join_type is JoinType.CROSS:
             estimate = left_cardinality * max(1, right_cardinality)
@@ -202,11 +205,25 @@ class Planner:
         return join, max(1, estimate)
 
     def _subquery_executor(self, hints: HintSet) -> Callable:
-        """Executor for uncorrelated IN/EXISTS subqueries in WHERE clauses."""
+        """Executor for the uncorrelated subqueries of one plan.
+
+        Serves IN, EXISTS and scalar subqueries wherever they appear: WHERE,
+        SELECT, ORDER BY and join conditions.  Each subquery is planned and
+        run at most once per plan, on first evaluation: a subquery that is
+        never evaluated never runs, so it cannot fire a seeded bug.  A nested
+        subquery gets its own memo through its own :meth:`plan` call.
+        """
+        # Keyed by identity: the plan's expressions hold every subquery, so
+        # no id is reused while the plan exists.
+        memo: Dict[int, List[tuple]] = {}
 
         def run(subquery: QuerySpec, _outer_ctx: EvalContext) -> List[tuple]:
-            operator = self.plan(subquery, hints)
-            names = operator.output_columns()
-            return [tuple(row[name] for name in names) for row in operator.rows()]
+            rows = memo.get(id(subquery))
+            if rows is None:
+                operator = self.plan(subquery, hints)
+                names = operator.output_columns()
+                rows = [tuple(row[name] for name in names) for row in operator.rows()]
+                memo[id(subquery)] = rows
+            return rows
 
         return run

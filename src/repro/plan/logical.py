@@ -443,9 +443,8 @@ def combine_set_rows(
 ) -> List[Tuple[Any, ...]]:
     """Fold already-executed arm results left-to-right under *operators*.
 
-    The one shared implementation of set-operation semantics: both the row
-    engine and the columnar executor call it on their (bit-identical) arm
-    results, so the compound output is bit-identical by construction.
+    The one shared implementation of set-operation semantics: the engine
+    calls it on the results of its per-arm executions.
 
     Distinct-producing operators (UNION / INTERSECT / EXCEPT) deduplicate by
     :func:`~repro.sqlvalue.values.normalize_row`, keeping the first-seen

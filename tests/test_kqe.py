@@ -253,8 +253,8 @@ class TestKQEExplorer:
     def test_register_counts_isomorphic_sets(self, shopping_dsg):
         kqe = KQE(shopping_dsg.ndb.schema, rng=random.Random(4))
         query = make_query(shopping_dsg)
-        _, novel_first = kqe.register(query)
-        _, novel_second = kqe.register(query)
+        novel_first = kqe.register(query)
+        novel_second = kqe.register(query)
         assert novel_first is True and novel_second is False
         assert kqe.explored_isomorphic_sets == 1
         assert kqe.explored_graphs == 2
@@ -263,9 +263,9 @@ class TestKQEExplorer:
         kqe = KQE(shopping_dsg.ndb.schema, rng=random.Random(4))
         query = make_query(shopping_dsg)
         label = kqe.builder.build(query).canonical_label()
-        assert kqe.register(query, label)[1] is True
-        assert kqe.register(query)[1] is False
-        assert kqe.register(query, "another label")[1] is True
+        assert kqe.register(query, label) is True
+        assert kqe.register(query) is False
+        assert kqe.register(query, "another label") is True
         assert kqe.counter.labels == {label, "another label"}
         assert len(kqe.index) == 3
 
@@ -394,8 +394,9 @@ def guided_draws(dataset, kqe_seed):
         except GenerationError:
             draws.append("rejected")
             continue
-        graph, _ = kqe.register(query)
-        draws.append(graph.canonical_label())
+        label = kqe.builder.build(query).canonical_label()
+        kqe.register(query, label)
+        draws.append(label)
     return draws, kqe
 
 

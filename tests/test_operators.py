@@ -3,11 +3,15 @@
 import pytest
 
 from repro.backends import SQLiteBackend
-from repro.engine import reference_engine
-from repro.expr import ColumnRef, column, eq, lit
+from repro.engine import SIM_MYSQL, SIM_TIDB, Engine, reference_engine
+from repro.expr import ColumnRef, InSubquery, column, eq, lit
+from repro.optimizer import default_hints, merge_join_hints
+from repro.optimizer.planner import Planner
 from repro.plan import (
     AggregateFunction,
     Filter,
+    JoinStep,
+    JoinType,
     Limit,
     Materialize,
     OrderItem,
@@ -20,6 +24,7 @@ from repro.plan import (
 )
 from repro.errors import ExecutionError
 from repro.sqlvalue import NULL
+from repro.storage import Database
 
 
 class TestTableScan:
@@ -135,8 +140,6 @@ class TestSortAndLimit:
         )
         expected = [("b",), ("abc",), ("ab",), ("a",), ("Tom",), ("Peter",), ("Bob",)]
         assert list(reference_engine(orders_db).execute(query).rows) == expected
-        columnar = reference_engine(orders_db, executor="columnar")
-        assert list(columnar.execute(query).rows) == expected
         backend = SQLiteBackend()
         try:
             backend.deploy(orders_db)
@@ -166,3 +169,82 @@ class TestMaterialize:
         plan = Limit(Materialize(scan), 1)
         text = plan.explain()
         assert "Limit" in text and "Materialize" in text and "TableScan" in text
+
+
+class TestSubqueryMemo:
+    """An uncorrelated subquery runs once per execution, not once per row."""
+
+    @pytest.fixture
+    def planned(self, monkeypatch):
+        """Every query :meth:`Planner.plan` is called with, in call order."""
+        queries = []
+        original = Planner.plan
+
+        def counting(planner, query, hints=None):
+            queries.append(query)
+            return original(planner, query, hints)
+
+        monkeypatch.setattr(Planner, "plan", counting)
+        return queries
+
+    @staticmethod
+    def goods_in_subquery():
+        """Orders whose goodsId is IN an uncorrelated subquery over goods."""
+        subquery = QuerySpec(base=TableRef("goods", "g"),
+                             select=[SelectItem(column("g", "goodsId"))])
+        query = QuerySpec(base=TableRef("orders", "o"),
+                          select=[SelectItem(column("o", "orderId"))],
+                          where=InSubquery(column("o", "goodsId"), subquery),
+                          distinct=False)
+        return query, subquery
+
+    def test_subquery_planned_once_per_execute(self, orders_db, planned):
+        query, subquery = self.goods_in_subquery()
+        engine = reference_engine(orders_db)
+        for _ in range(2):
+            planned.clear()
+            rows = engine.execute(query).rows
+            assert sorted(rows) == [("0001",), ("0001",), ("0002",),
+                                    ("0003",), ("0003",), ("0005",)]
+            assert [q is subquery for q in planned] == [False, True]
+
+    def test_subquery_not_planned_over_an_empty_outer(self, orders_schema,
+                                                      planned):
+        query, subquery = self.goods_in_subquery()
+        database = Database(orders_schema)
+        database.insert("goods", {"RowID": 0, "goodsId": 1111,
+                                  "goodsName": "book", "price": 15})
+        assert list(reference_engine(database).execute(query).rows) == []
+        assert not any(q is subquery for q in planned)
+
+    def test_seeded_faults_fire_as_without_the_memo(self, orders_db):
+        # orders SEMI JOIN users, filtered by NOT IN over goods ANTI JOIN
+        # orders: bug 1 fires in the outer semi-join, bug 5 in the
+        # subquery's anti-join.  Rows and ids are pinned from per-row
+        # re-execution, before subqueries were memoized.
+        subquery = QuerySpec(
+            base=TableRef("goods", "g2"),
+            joins=[JoinStep(TableRef("orders", "o2"), JoinType.ANTI,
+                            left_key=ColumnRef("g2", "goodsId"),
+                            right_key=ColumnRef("o2", "goodsId"))],
+            select=[SelectItem(column("g2", "goodsId"))],
+        )
+        query = QuerySpec(
+            base=TableRef("orders", "o"),
+            joins=[JoinStep(TableRef("users", "u"), JoinType.SEMI,
+                            left_key=ColumnRef("o", "userId"),
+                            right_key=ColumnRef("u", "userId"))],
+            select=[SelectItem(column("o", "orderId"))],
+            where=InSubquery(column("o", "goodsId"), subquery, negated=True),
+        )
+        everything = [("0001",), ("0002",), ("0003",), ("0004",), ("0005",)]
+        assert sorted(reference_engine(orders_db).execute(query).rows) == (
+            everything[:4])
+        mysql = Engine(orders_db, dialect=SIM_MYSQL)
+        report = mysql.execute_with_report(query, default_hints())
+        assert sorted(report.result.rows) == everything
+        assert report.fired_bug_ids == (1, 5)
+        tidb = Engine(orders_db, dialect=SIM_TIDB)
+        report = tidb.execute_with_report(query, merge_join_hints())
+        assert list(report.result.rows) == []
+        assert report.fired_bug_ids == (15,)

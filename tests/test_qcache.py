@@ -27,8 +27,7 @@ def fingerprint(result):
 def test_cache_on_equals_cache_off_serial():
     plain = run_campaign(CampaignSpec(**SPEC))
     cached = run_campaign(
-        CampaignSpec(**SPEC, use_query_cache=True,
-                     reference_executor="columnar")
+        CampaignSpec(**SPEC, use_query_cache=True)
     )
     assert fingerprint(plain) == fingerprint(cached)
 
@@ -36,8 +35,7 @@ def test_cache_on_equals_cache_off_serial():
 def test_cache_on_equals_cache_off_pooled():
     plain = run_campaign(CampaignSpec(**SPEC, workers=2))
     cached = run_campaign(
-        CampaignSpec(**SPEC, workers=2, use_query_cache=True,
-                     reference_executor="columnar")
+        CampaignSpec(**SPEC, workers=2, use_query_cache=True)
     )
     assert fingerprint(plain.merged) == fingerprint(cached.merged)
 
@@ -101,12 +99,13 @@ def test_clear_empties_without_touching_counters():
 
 
 def test_result_key_sensitive_to_every_component():
-    base = result_cache_key("row", "Q1", "fp", "SELECT 1")
-    assert base == result_cache_key("row", "Q1", "fp", "SELECT 1")
-    assert base != result_cache_key("columnar", "Q1", "fp", "SELECT 1")
-    assert base != result_cache_key("row", "Q2", "fp", "SELECT 1")
-    assert base != result_cache_key("row", "Q1", "fp2", "SELECT 1")
-    assert base != result_cache_key("row", "Q1", "fp", "SELECT 2")
+    base = result_cache_key("Q1", "fp", "SELECT 1")
+    assert base == result_cache_key("Q1", "fp", "SELECT 1")
+    assert base != result_cache_key("Q2", "fp", "SELECT 1")
+    assert base != result_cache_key("Q1", "fp2", "SELECT 1")
+    assert base != result_cache_key("Q1", "fp", "SELECT 2")
+    # Field boundaries cannot be forged across adjacent fields either.
+    assert base != result_cache_key("Q1f", "p", "SELECT 1")
 
 
 def test_render_key_is_dataset_independent_but_backend_specific():

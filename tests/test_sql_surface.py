@@ -1,15 +1,12 @@
 """The widened SQL surface: set operations, scalar subqueries and CTEs.
 
-Three soundness contracts are pinned here:
+Two soundness contracts are pinned here:
 
 * **multiset comparison** — UNION ALL results are bags, and the oracle must
   compare them as bags: ``[1, 1]`` vs ``[1]`` is a mismatch, not a match;
 * **NULL ordering** — the renderer emits explicit NULLS FIRST / NULLS LAST
   matching the reference executor's sort order, so ORDER BY over a nullable
-  column agrees between engines whose *default* placements differ;
-* **executor duality** — the row and columnar executors stay bit-identical
-  (same value types, same rows) over every new operator class, numpy on or
-  off, which is what admits either as the differential reference.
+  column agrees between engines whose *default* placements differ.
 
 The end-to-end acceptance lives in ``TestWidenedCampaign``: a differential
 campaign over SQLite with all three grammar knobs enabled completes 500+
@@ -41,9 +38,8 @@ from repro.distributed.wire import (
     encode_campaign_config,
 )
 from repro.dsg.query_gen import GenerationConfig
-from repro.engine.columnar import ColumnarExecutor
 from repro.engine.resultset import ResultSet
-from repro.errors import GenerationError, PlanError
+from repro.errors import GenerationError, PlanError, ProtocolError
 from repro.expr.ast import ColumnRef, ScalarSubquery
 from repro.plan.logical import (
     CompoundQuerySpec,
@@ -102,11 +98,6 @@ def statement_pool(dataset, seed):
                 continue
         _STATEMENT_CACHE[key] = pool
     return _STATEMENT_CACHE[key]
-
-
-def typed_rows(result):
-    """Rows with every value tagged by its concrete type."""
-    return [tuple((type(v).__name__, v) for v in row) for row in result.rows]
 
 
 def two_arm_compound(operator):
@@ -353,26 +344,7 @@ class TestScalarSubquery:
         assert found > 0
 
 
-# ----------------------------------- satellite 4: property-tested executors
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    dataset=st.sampled_from(DATASETS),
-    seed=st.sampled_from(SEEDS),
-    index=st.integers(0, POOL_SIZE - 1),
-    use_numpy=st.booleans(),
-)
-def test_columnar_matches_row_on_widened_grammar(dataset, seed, index,
-                                                 use_numpy):
-    dsg = dsg_for(dataset, seed)
-    statement = statement_pool(dataset, seed)[index]
-    row_result = reference_engine(dsg.database).execute(statement)
-    columnar = ColumnarExecutor(use_numpy=use_numpy)
-    col_result = reference_engine(dsg.database,
-                                  executor=columnar).execute(statement)
-    assert col_result.columns == row_result.columns
-    assert typed_rows(col_result) == typed_rows(row_result)
+# --------------------------------------- satellite 4: rendered SQL on SQLite
 
 
 @settings(max_examples=40, deadline=None)
@@ -414,6 +386,14 @@ class TestWireConfig:
         assert decoded.scalar_subquery_probability == 0.3
         assert decoded.cte_probability == 0.25
 
+    def test_unknown_field_is_rejected(self):
+        # A peer still sending a retired config field fails loudly instead
+        # of having the field silently dropped.
+        encoded = encode_campaign_config(CampaignConfig())
+        encoded["retired_field"] = "row"
+        with pytest.raises(ProtocolError, match="retired_field"):
+            decode_campaign_config(encoded)
+
     def test_spec_passes_probabilities_to_generation(self):
         spec = CampaignSpec(kind="differential", setop_probability=0.2,
                             scalar_subquery_probability=0.1,
@@ -433,7 +413,7 @@ class TestWidenedCampaign:
             kind="differential", backend="sqlite",
             dataset="shopping", dataset_rows=100,
             hours=5, queries_per_hour=110, seed=13,
-            reference_executor="columnar", use_query_cache=True,
+            use_query_cache=True,
             setop_probability=0.4,
             scalar_subquery_probability=0.3,
             cte_probability=0.25,
