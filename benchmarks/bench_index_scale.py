@@ -131,20 +131,23 @@ def test_index_scale_knn_and_wire(benchmark):
         novelty_times.append(time.perf_counter() - start)
     novelty_p50 = p50(novelty_times)
 
-    # SYNC wire: one realistic round's batch, packed vs legacy JSON.
+    # SYNC wire: one realistic round's batch, packed vs per-float JSON
+    # arrays (the retired entry encoding, built inline as the comparison).
     batch = [
         (quantize_to_float32([float(c) for c in vectors[row]]), f"L{row % 1000}")
         for row in range(2000)
     ]
 
     def json_round_trip():
-        text = json.dumps(wire.encode_entries(batch))
-        wire.decode_entries(json.loads(text))
+        text = json.dumps([[list(vector), label] for vector, label in batch])
+        decoded = [(list(map(float, vector)), label)
+                   for vector, label in json.loads(text)]
+        assert len(decoded) == len(batch)
         return len(text)
 
     def packed_round_trip():
         text = json.dumps(wire.encode_entries_packed(batch))
-        wire.decode_entries(json.loads(text))
+        wire.decode_entries_packed(json.loads(text))
         return len(text)
 
     start = time.perf_counter()

@@ -72,13 +72,9 @@ from repro.core.campaign import (
 )
 from repro.core.execpipe import PipelineConfig
 from repro.distributed.coordinator import CentralCoordinator
-from repro.distributed.protocol import (
-    IndexEntry,
-    SyncBroadcast,
-    codec_from_name,
-    load_auth_key,
-)
+from repro.distributed.protocol import IndexEntry, SyncBroadcast, load_auth_key
 from repro.dsg.pipeline import DSG, DSGConfig
+from repro.engine.dialects import ALL_DIALECTS
 from repro.errors import CampaignError, GenerationError
 from repro.kqe.explorer import KQE
 from repro.kqe.graph_index import GraphIndex
@@ -259,13 +255,8 @@ class ParallelCampaignConfig:
     transport: str = "local"
     tcp_host: str = "127.0.0.1"
     tcp_port: int = 0            # 0 = ephemeral port chosen by the OS
-    # Wire encoding of the TCP transport: "json" is protocol v2
-    # (HMAC-authenticated JSON frames, no pickle deserialized from the
-    # socket); "pickle" keeps the legacy trusted-host framing.  Ignored by
-    # the local queue transport.
-    protocol: str = "json"
-    # Shared secret authenticating protocol v2 frames (None = unkeyed tags:
-    # corruption is still caught, but any client can connect — fine on
+    # Shared secret authenticating the TCP transport's frames (None = unkeyed
+    # tags: corruption is still caught, but any client can connect — fine on
     # localhost, not across hosts).
     auth_key: Optional[bytes] = None
     # Broadcast only label-novel entries to each worker (the coordinator's
@@ -487,7 +478,7 @@ def _make_worker_transport(transport_spec: Tuple) -> SyncTransport:
 
     *transport_spec* must pickle across the process boundary, so it is a plain
     tagged tuple: ``("local", to_coordinator, from_coordinator)`` or
-    ``("tcp", host, port, io_timeout, protocol, auth_key)``.
+    ``("tcp", host, port, io_timeout, auth_key)``.
     """
     kind = transport_spec[0]
     if kind == "local":
@@ -495,11 +486,10 @@ def _make_worker_transport(transport_spec: Tuple) -> SyncTransport:
     if kind == "tcp":
         from repro.distributed.client import RemoteSyncTransport
 
-        _, host, port, io_timeout, protocol, auth_key = transport_spec
+        _, host, port, io_timeout, auth_key = transport_spec
         return RemoteSyncTransport(host, port,
                                    connect_timeout=min(60.0, io_timeout),
-                                   io_timeout=io_timeout,
-                                   protocol=protocol, auth_key=auth_key)
+                                   io_timeout=io_timeout, auth_key=auth_key)
     raise CampaignError(f"unknown transport spec {transport_spec[0]!r}")
 
 
@@ -857,10 +847,6 @@ def run_parallel_shards(shards: Sequence[ShardSpec],
     # Fail fast on a bad policy name, before any process is spawned; the
     # policy object itself lives with the coordinator.
     budget_policy = budget_policy_from_name(parallel.budget_policy)
-    if parallel.transport == "tcp":
-        # Same for the wire protocol: a typo'd protocol name or a key on the
-        # pickle codec must not surface as N dead worker processes.
-        codec_from_name(parallel.protocol, parallel.auth_key)
     initial_budgets = {spec.shard_id: spec.config.queries_per_hour
                        for spec in shards}
     sync_hours = sync_schedule(hours, parallel.sync_interval)
@@ -981,7 +967,6 @@ def _run_shards_over_tcp(shards: Sequence[ShardSpec],
                          prune=parallel.prune_broadcasts,
                          round_timeout=parallel.worker_timeout,
                          budget_policy=budget_policy,
-                         protocol=parallel.protocol,
                          auth_key=parallel.auth_key)
     server.start()
     start = time.perf_counter()
@@ -990,7 +975,7 @@ def _run_shards_over_tcp(shards: Sequence[ShardSpec],
             target=_worker_main,
             args=(spec, sync_hours, heartbeat_interval,
                   ("tcp", server.host, server.port, io_timeout,
-                   parallel.protocol, parallel.auth_key)),
+                   parallel.auth_key)),
             daemon=True,
             name=f"tqs-shard-{spec.shard_id}",
         )
@@ -1102,31 +1087,29 @@ def run_parallel_differential_campaign(backend_name: str,
 # ------------------------------------------------------------------ the CLI
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``python -m repro.core.parallel`` — run a long campaign on many cores."""
-    from repro import ALL_DIALECTS, dialect_by_name
-    from repro.analysis.reporting import render_table, render_worker_pool
+def add_campaign_arguments(parser: argparse.ArgumentParser, workers: int) -> None:
+    """Declare the campaign flags shared by both campaign CLIs.
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.core.parallel",
-        description="Run a TQS testing campaign sharded across worker processes "
-                    "with central KQE index synchronization.",
-    )
+    ``python -m repro.core.parallel`` and ``python -m repro.distributed serve``
+    take the same campaign; only the *workers* default differs.
+    """
     parser.add_argument("--kind", choices=("tqs", "baseline", "differential"),
                         default="tqs", help="campaign kind (default: tqs)")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="worker process count (default: 4)")
+    parser.add_argument("--workers", type=int, default=workers,
+                        help="shard count: worker processes or TCP clients "
+                             f"(default: {workers})")
     parser.add_argument("--hours", type=int, default=24,
                         help="simulated hours (default: 24)")
     parser.add_argument("--queries-per-hour", type=int, default=12,
                         help="total generation budget per hour, across all "
-                             "workers (default: 12)")
+                             "shards (default: 12)")
     parser.add_argument("--dataset", default="shopping",
                         help="DSG dataset name (default: shopping)")
     parser.add_argument("--dataset-rows", type=int, default=150,
                         help="wide-table rows per shard (default: 150)")
     parser.add_argument("--seed", type=int, default=5,
-                        help="campaign seed; worker seeds are derived from it")
+                        help="campaign seed; shard seeds are derived from it "
+                             "(default: 5)")
     parser.add_argument("--sync-interval", type=int, default=1,
                         help="hours between KQE index syncs; 0 disables "
                              "(default: 1)")
@@ -1138,26 +1121,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--backend", default="sqlite",
                         help="backend name for --kind differential: 'sqlite', "
                              "'sim' or 'sim:<Dialect>' (default: sqlite)")
-    parser.add_argument("--worker-timeout", type=float, default=300.0,
-                        help="seconds without hearing from any worker before "
-                             "the pool is declared dead (default: 300)")
-    parser.add_argument("--transport", choices=("local", "tcp"),
-                        default="local",
-                        help="sync transport: in-process queues or a "
-                             "localhost TCP index server (default: local)")
-    parser.add_argument("--protocol", choices=("json", "pickle"),
-                        default="json",
-                        help="wire encoding for --transport tcp: 'json' is "
-                             "protocol v2 (authenticated JSON frames), "
-                             "'pickle' the legacy trusted-host framing "
-                             "(default: json)")
-    parser.add_argument("--auth-key-file", default="",
-                        help="file holding the shared secret that "
-                             "authenticates protocol v2 frames (json "
-                             "protocol only)")
     parser.add_argument("--no-prune", action="store_true",
                         help="disable novelty pruning: rebroadcast every "
-                             "other worker's entries, not just label-novel "
+                             "other shard's entries, not just label-novel "
                              "ones")
     parser.add_argument("--budget-policy", default="even",
                         choices=registered_budget_policies(),
@@ -1168,10 +1134,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="execution-pipeline batch size inside each "
                              "differential worker; >1 overlaps target and "
                              "reference execution (default: 1)")
-    parser.add_argument("--live-stats", action="store_true",
-                        help="print a merged progress line (queries/s, novel "
-                             "labels, bugs, phase mix) to stderr at every "
-                             "sync round")
     parser.add_argument("--query-cache", action="store_true",
                         help="memoize rendered SQL and reference results in "
                              "a per-shard content-addressed cache (verdicts "
@@ -1188,25 +1150,61 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--cte-probability", type=float, default=0.0,
                         help="probability a generated statement is wrapped "
                              "in a WITH clause (default: 0)")
-    args = parser.parse_args(argv)
 
-    config = CampaignConfig(
+
+def campaign_config(args: argparse.Namespace) -> CampaignConfig:
+    """The :class:`CampaignConfig` that :func:`add_campaign_arguments` names.
+
+    Also rebuilds a campaign from its recorded JSON echo; flags an older
+    echo lacks take their defaults.
+    """
+    return CampaignConfig(
         dataset=args.dataset,
         dataset_rows=args.dataset_rows,
         hours=args.hours,
         queries_per_hour=args.queries_per_hour,
         seed=args.seed,
-        use_query_cache=args.query_cache,
-        setop_probability=args.setop_probability,
-        scalar_subquery_probability=args.scalar_subquery_probability,
-        cte_probability=args.cte_probability,
+        use_query_cache=getattr(args, "query_cache", False),
+        setop_probability=getattr(args, "setop_probability", 0.0),
+        scalar_subquery_probability=getattr(
+            args, "scalar_subquery_probability", 0.0),
+        cte_probability=getattr(args, "cte_probability", 0.0),
     )
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """``python -m repro.core.parallel`` — run a long campaign on many cores."""
+    from repro import dialect_by_name
+    from repro.analysis.reporting import render_table, render_worker_pool
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.core.parallel",
+        description="Run a TQS testing campaign sharded across worker processes "
+                    "with central KQE index synchronization.",
+    )
+    add_campaign_arguments(parser, workers=4)
+    parser.add_argument("--worker-timeout", type=float, default=300.0,
+                        help="seconds without hearing from any worker before "
+                             "the pool is declared dead (default: 300)")
+    parser.add_argument("--transport", choices=("local", "tcp"),
+                        default="local",
+                        help="sync transport: in-process queues or a "
+                             "localhost TCP index server (default: local)")
+    parser.add_argument("--auth-key-file", default="",
+                        help="file holding the shared secret that "
+                             "authenticates the TCP transport's frames")
+    parser.add_argument("--live-stats", action="store_true",
+                        help="print a merged progress line (queries/s, novel "
+                             "labels, bugs, phase mix) to stderr at every "
+                             "sync round")
+    args = parser.parse_args(argv)
+
+    config = campaign_config(args)
     parallel = ParallelCampaignConfig(
         workers=args.workers,
         sync_interval=args.sync_interval,
         worker_timeout=args.worker_timeout,
         transport=args.transport,
-        protocol=args.protocol,
         auth_key=load_auth_key(args.auth_key_file) if args.auth_key_file else None,
         prune_broadcasts=not args.no_prune,
         budget_policy=args.budget_policy,

@@ -3,11 +3,10 @@
 The paper's Figure-10 scale-out keeps one central KQE graph index while N
 clients explore independently.  This package makes that deployment real:
 
-* :mod:`repro.distributed.protocol` — the wire encodings behind the
+* :mod:`repro.distributed.protocol` — the one wire encoding behind the
   REGISTER / SYNC / REPORT / SHUTDOWN verbs of the bulk-synchronous protocol:
-  protocol v2 (versioned, HMAC-authenticated JSON frames with a HELLO
-  handshake; the default) and the legacy length-prefixed pickle framing.
-* :mod:`repro.distributed.wire` — the typed JSON codecs of protocol v2: every
+  protocol v3, HMAC-authenticated JSON frames opened by a HELLO handshake.
+* :mod:`repro.distributed.wire` — the typed JSON codecs of the protocol: every
   campaign payload (embeddings, shard specs, reports, budgets) has an explicit
   schema, and decoding validates it.
 * :mod:`repro.distributed.coordinator` — the transport-agnostic central-index
@@ -29,22 +28,14 @@ from repro.distributed.coordinator import CentralCoordinator
 from repro.distributed.protocol import (
     IndexEntry,
     JsonFrameCodec,
-    PickleFrameCodec,
     SyncBroadcast,
-    codec_from_name,
     load_auth_key,
-    recv_frame,
-    send_frame,
 )
 
 __all__ = [
     "CentralCoordinator",
     "IndexEntry",
     "JsonFrameCodec",
-    "PickleFrameCodec",
     "SyncBroadcast",
-    "codec_from_name",
     "load_auth_key",
-    "recv_frame",
-    "send_frame",
 ]

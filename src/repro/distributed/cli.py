@@ -27,12 +27,13 @@ Four subcommands:
     print its health payload (registration/round progress, frame rejections,
     per-shard last-heard ages) plus the merged telemetry phase breakdown.
 
-``serve`` and ``client`` default to protocol v2 (``--protocol json``:
-HMAC-authenticated JSON frames over a shared ``--auth-key-file``); pass
-``--protocol pickle`` only for legacy deployments on trusted hosts.
-``serve`` additionally takes ``--live-stats`` (periodic one-line progress on
-stderr), ``--metrics-addr HOST:PORT`` (a Prometheus text endpoint) and
-``--telemetry-output`` (dump the final merged telemetry snapshot as JSON).
+Every connection speaks protocol v3 (HMAC-authenticated JSON frames under a
+shared ``--auth-key-file``).  ``serve`` takes the campaign flags of
+``python -m repro.core.parallel``
+(:func:`~repro.core.parallel.add_campaign_arguments`) and additionally
+``--live-stats`` (periodic one-line progress on stderr), ``--metrics-addr
+HOST:PORT`` (a Prometheus text endpoint) and ``--telemetry-output`` (dump the
+final merged telemetry snapshot as JSON).
 """
 
 from __future__ import annotations
@@ -44,132 +45,28 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro import CampaignConfig, ParallelCampaignConfig, obs, run_parallel_shards
+from repro import ParallelCampaignConfig, obs, run_parallel_shards
 from repro.core import (
     budget_policy_from_name,
     build_shard_specs,
     finalize_parallel_result,
     sync_schedule,
 )
+from repro.core.parallel import add_campaign_arguments, campaign_config
 from repro.distributed.protocol import load_auth_key
 
 
-def _add_protocol_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--protocol",
-        choices=("json", "pickle"),
-        default="json",
-        help="wire encoding: 'json' is protocol v2 (versioned, "
-        "HMAC-authenticated JSON frames; the default), 'pickle' the legacy "
-        "v1 framing for trusted hosts only",
-    )
+def _add_auth_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--auth-key-file",
         default="",
-        help="file holding the shared secret that authenticates protocol v2 "
-        "frames; both serve and clients must use the same key (json "
-        "protocol only)",
+        help="file holding the shared secret that authenticates the "
+        "protocol's frames; both serve and clients must use the same key",
     )
 
 
 def _auth_key(args: argparse.Namespace) -> Optional[bytes]:
     return load_auth_key(args.auth_key_file) if args.auth_key_file else None
-
-
-def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kind",
-        choices=("tqs", "baseline", "differential"),
-        default="tqs",
-        help="campaign kind (default: tqs)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="number of client shards to coordinate (default: 2)",
-    )
-    parser.add_argument(
-        "--hours", type=int, default=24, help="simulated hours (default: 24)"
-    )
-    parser.add_argument(
-        "--queries-per-hour",
-        type=int,
-        default=12,
-        help="total generation budget per hour across all clients (default: 12)",
-    )
-    parser.add_argument(
-        "--dataset", default="shopping", help="DSG dataset name (default: shopping)"
-    )
-    parser.add_argument(
-        "--dataset-rows",
-        type=int,
-        default=150,
-        help="wide-table rows per shard (default: 150)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=5,
-        help="campaign seed; shard seeds are derived from it (default: 5)",
-    )
-    parser.add_argument(
-        "--sync-interval",
-        type=int,
-        default=1,
-        help="hours between KQE index syncs; 0 disables (default: 1)",
-    )
-    parser.add_argument(
-        "--dialect",
-        default="SimMySQL",
-        help="simulated DBMS for tqs/baseline campaigns (default: SimMySQL)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default="NoRec",
-        help="baseline name for --kind baseline (default: NoRec)",
-    )
-    parser.add_argument(
-        "--backend",
-        default="sqlite",
-        help="backend name for --kind differential (default: sqlite)",
-    )
-    parser.add_argument(
-        "--no-prune",
-        action="store_true",
-        help="disable novelty pruning (rebroadcast every entry)",
-    )
-    parser.add_argument(
-        "--budget-policy",
-        default="even",
-        help="per-hour budget split across shards: 'even' (fixed) or "
-        "'adaptive' (rebalanced toward shards discovering novel structures "
-        "faster; default: even)",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=1,
-        help="execution-pipeline batch size inside each differential worker; "
-        ">1 overlaps target and reference execution (default: 1)",
-    )
-    parser.add_argument(
-        "--query-cache",
-        action="store_true",
-        help="memoize rendered SQL and reference results in a per-shard "
-        "content-addressed cache (verdicts stay bit-identical)",
-    )
-
-
-def _campaign_config(args: argparse.Namespace) -> CampaignConfig:
-    return CampaignConfig(
-        dataset=args.dataset,
-        dataset_rows=args.dataset_rows,
-        hours=args.hours,
-        queries_per_hour=args.queries_per_hour,
-        seed=args.seed,
-        use_query_cache=args.query_cache,
-    )
 
 
 def _campaign_echo(args: argparse.Namespace) -> Dict[str, Any]:
@@ -190,7 +87,9 @@ def _campaign_echo(args: argparse.Namespace) -> Dict[str, Any]:
         "budget_policy": args.budget_policy,
         "batch_size": args.batch_size,
         "query_cache": args.query_cache,
-        "protocol": args.protocol,
+        "setop_probability": args.setop_probability,
+        "scalar_subquery_probability": args.scalar_subquery_probability,
+        "cte_probability": args.cte_probability,
     }
 
 
@@ -230,7 +129,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     from repro.distributed.server import IndexServer
 
-    config = _campaign_config(args)
+    config = campaign_config(args)
     shards = build_shard_specs(
         args.kind,
         config,
@@ -248,7 +147,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         prune=not args.no_prune,
         round_timeout=args.round_timeout,
         budget_policy=budget_policy_from_name(args.budget_policy),
-        protocol=args.protocol,
         auth_key=_auth_key(args),
         evict_dead_clients=args.evict_dead_clients,
         snapshot_dir=args.snapshot_dir,
@@ -257,7 +155,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     auth = "on" if args.auth_key_file else "off"
     print(
         f"index server listening on {server.host}:{server.port} "
-        f"(expecting {len(shards)} clients, protocol {args.protocol}, "
+        f"(expecting {len(shards)} clients, "
         f"auth {auth}, novelty pruning {'off' if args.no_prune else 'on'})",
         flush=True,
     )
@@ -369,7 +267,6 @@ def _cmd_client(args: argparse.Namespace) -> int:
         args.port,
         connect_timeout=args.connect_timeout,
         io_timeout=args.io_timeout,
-        protocol=args.protocol,
         auth_key=_auth_key(args),
         live_stats=args.live_stats,
     )
@@ -406,14 +303,7 @@ def _cmd_verify_local(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    config = CampaignConfig(
-        dataset=campaign["dataset"],
-        dataset_rows=campaign["dataset_rows"],
-        hours=campaign["hours"],
-        queries_per_hour=campaign["queries_per_hour"],
-        seed=campaign["seed"],
-        use_query_cache=campaign.get("query_cache", False),
-    )
+    config = campaign_config(argparse.Namespace(**campaign))
     shards = build_shard_specs(
         campaign["kind"],
         config,
@@ -479,7 +369,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         args.host,
         args.port,
         connect_timeout=args.connect_timeout,
-        protocol=args.protocol,
         auth_key=_auth_key(args),
     )
     if args.json:
@@ -538,8 +427,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     serve = subparsers.add_parser("serve", help="host the central index server")
-    _add_campaign_arguments(serve)
-    _add_protocol_arguments(serve)
+    add_campaign_arguments(serve, workers=2)
+    _add_auth_argument(serve)
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
         "--port", type=int, default=0, help="bind port; 0 = ephemeral (default: 0)"
@@ -595,7 +484,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     serve.set_defaults(func=_cmd_serve)
 
     client = subparsers.add_parser("client", help="run one campaign shard")
-    _add_protocol_arguments(client)
+    _add_auth_argument(client)
     client.add_argument("--host", default="127.0.0.1", help="server address")
     client.add_argument("--port", type=int, required=True, help="server port")
     client.add_argument(
@@ -635,8 +524,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "fuzz",
         help="throw malformed frames at a live server; it must keep serving",
     )
-    # Fuzzing always speaks (broken) protocol v2, so no --protocol here —
-    # only the key, for the final authenticated liveness probe.
+    # The key here only feeds the final authenticated liveness probe.
     fuzz.add_argument(
         "--auth-key-file",
         default="",
@@ -663,7 +551,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "stats",
         help="query a live server's STATS verb and print health + telemetry",
     )
-    _add_protocol_arguments(stats)
+    _add_auth_argument(stats)
     stats.add_argument("--host", default="127.0.0.1", help="server address")
     stats.add_argument("--port", type=int, required=True, help="server port")
     stats.add_argument(

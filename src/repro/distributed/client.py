@@ -9,10 +9,8 @@ connects, asks the server to assign it one of the campaign's shards, runs the
 shard with a liveness heartbeat, and uploads the report —
 ``python -m repro.distributed client`` is a thin wrapper around it.
 
-The wire encoding mirrors the server's ``protocol=`` switch: ``"json"`` (the
-default) speaks protocol v2 — HMAC-authenticated JSON frames, opened with a
-HELLO version negotiation right after the socket connects — while
-``"pickle"`` keeps the legacy trusted-host framing for old servers.
+Every connection speaks protocol v3 — HMAC-authenticated JSON frames,
+opened with a HELLO handshake right after the socket connects.
 """
 
 from __future__ import annotations
@@ -26,11 +24,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.distributed import protocol
 from repro.distributed.protocol import (
-    FrameCodec,
     IndexEntry,
+    JsonFrameCodec,
     SyncBroadcast,
     client_handshake,
-    codec_from_name,
 )
 from repro.errors import TransportError
 
@@ -51,15 +48,13 @@ class RemoteSyncTransport:
         port: int,
         connect_timeout: float = 30.0,
         io_timeout: Optional[float] = 600.0,
-        protocol: str = "json",
         auth_key: Optional[bytes] = None,
     ) -> None:
         self.host = host
         self.port = port
-        self.protocol = protocol
         self._io_timeout = io_timeout
         self._lock = threading.Lock()
-        self._codec: FrameCodec = codec_from_name(protocol, auth_key)
+        self._codec = JsonFrameCodec(auth_key)
         self._sock = self._connect(connect_timeout, io_timeout)
         try:
             client_handshake(self._sock, self._codec)
@@ -190,7 +185,6 @@ def request_shutdown(
     host: str,
     port: int,
     connect_timeout: float = 10.0,
-    protocol: str = "json",
     auth_key: Optional[bytes] = None,
 ) -> None:
     """Ask a running index server to shut down (the SHUTDOWN verb)."""
@@ -199,7 +193,6 @@ def request_shutdown(
         port,
         connect_timeout=connect_timeout,
         io_timeout=30.0,
-        protocol=protocol,
         auth_key=auth_key,
     )
     try:
@@ -212,7 +205,6 @@ def fetch_stats(
     host: str,
     port: int,
     connect_timeout: float = 10.0,
-    protocol: str = "json",
     auth_key: Optional[bytes] = None,
 ) -> Dict[str, Any]:
     """Fetch a running index server's stats payload (the STATS verb)."""
@@ -221,7 +213,6 @@ def fetch_stats(
         port,
         connect_timeout=connect_timeout,
         io_timeout=30.0,
-        protocol=protocol,
         auth_key=auth_key,
     )
     try:
@@ -236,7 +227,6 @@ def run_remote_client(
     connect_timeout: float = 60.0,
     io_timeout: float = 600.0,
     heartbeat_interval: float = 10.0,
-    protocol: str = "json",
     auth_key: Optional[bytes] = None,
     live_stats: bool = False,
 ):
@@ -254,7 +244,6 @@ def run_remote_client(
         port,
         connect_timeout=connect_timeout,
         io_timeout=io_timeout,
-        protocol=protocol,
         auth_key=auth_key,
     )
     shard_id: Optional[int] = None

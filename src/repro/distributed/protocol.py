@@ -1,13 +1,10 @@
-"""Wire protocols of the distributed KQE index server.
+"""Wire protocol of the distributed KQE index server.
 
 The parallel campaign runner's synchronization protocol is bulk-synchronous and
 transport-agnostic: workers ship batches of (embedding, canonical label) pairs
 at hour boundaries and block until the coordinator broadcasts the other
-workers' entries back.  This module pins down the TCP encodings of that
-protocol.  Two frame formats coexist behind the :class:`FrameCodec` interface:
-
-**Protocol v2 (``json``, the default)** — versioned, authenticated, no pickle
-on the wire::
+workers' entries back.  This module pins down the one TCP encoding of that
+protocol, version 3 (:class:`JsonFrameCodec`)::
 
     +-------+----------------+------------------+----------------------+
     | magic | 4-byte big-    | 32-byte HMAC-    | UTF-8 JSON message   |
@@ -16,21 +13,17 @@ on the wire::
 
 The tag authenticates ``magic || length || body`` under a shared secret, so a
 frame cannot be forged, truncated or bit-flipped without detection; the body is
-a typed JSON object whose schema lives in :mod:`repro.distributed.wire`.
-Connections open with a HELLO / version-negotiation exchange
-(:func:`client_handshake`), so mismatched peers fail with a clear error
-instead of a corrupt stream.  The HELLO_OK reply carries a per-connection
-server nonce that both ends mix into every subsequent tag
-(:meth:`JsonFrameCodec.bind`), so a frame captured on one connection does not
-authenticate on another — replay cannot kill a campaign.  Malformed or
-unauthenticated input raises :class:`~repro.errors.ProtocolError` — servers
-reject the connection and keep serving.
-
-**Protocol v1 (``pickle``, legacy)** — length-prefixed pickle frames.  Pickle
-deserialization executes arbitrary code, so this codec is only safe on trusted
-hosts (the same trust model as ``multiprocessing``'s own pickled queues); a v2
-server turns v1 clients away with a clean, v1-readable rejection instead of
-unpickling anything.
+a typed JSON object whose schema lives in :mod:`repro.distributed.wire`, with
+index-entry batches packed as base64 float32 blobs.  Connections open with a
+HELLO exchange (:func:`client_handshake`) that must carry exactly
+:data:`PROTOCOL_VERSION`, so mismatched peers fail with a clear error instead
+of a corrupt stream.  The HELLO_OK reply carries a per-connection server nonce
+that both ends mix into every subsequent tag (:meth:`JsonFrameCodec.bind`), so
+a frame captured on one connection does not authenticate on another — replay
+cannot kill a campaign.  Malformed or unauthenticated input (including frames
+without the magic, such as a legacy pickle client's) raises
+:class:`~repro.errors.ProtocolError` — servers reject the connection and keep
+serving.  Nothing received from a socket is ever unpickled.
 
 Messages are plain tuples whose first element is one of the verb constants
 below; payloads are stdlib/dataclass objects so both ends only need this
@@ -42,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 import json
-import pickle
 import socket
 import struct
 from dataclasses import dataclass, field
@@ -75,34 +67,14 @@ STATS_OK = "stats-ok"
 # pathological campaign ships a few thousand 64-float embeddings per round.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
-# Protocol v2 framing: magic, then the same 4-byte length prefix as v1, then
-# the authentication tag, then the JSON body.  Version 3 keeps the framing
-# and message schema of v2 but ships index-entry batches as packed base64
-# float32 blobs (see wire.encode_entries_packed); the HELLO exchange
-# negotiates down to plain-JSON entries when either end only speaks 2.
+# Framing: magic, a 4-byte length prefix, the authentication tag, then the
+# JSON body.  Index-entry batches ride packed (see wire.encode_entries_packed).
+# A HELLO carrying any version but PROTOCOL_VERSION is refused.
 MAGIC = b"TQS2"
 PROTOCOL_VERSION = 3
-SUPPORTED_PROTOCOL_VERSIONS = (2, 3)
-PACKED_ENTRIES_MIN_VERSION = 3
 MAC_BYTES = hashlib.sha256().digest_size
 
 _HEADER = struct.Struct(">I")
-
-V1_REJECTION = (
-    "this index server speaks protocol v2 (authenticated JSON frames); "
-    "legacy pickle clients are rejected — reconnect with protocol='json' "
-    "and the server's auth key"
-)
-
-
-class ProtocolMismatchError(ProtocolError):
-    """The peer is not speaking protocol v2 at all (no magic on the frame).
-
-    Raised instead of a generic :class:`~repro.errors.ProtocolError` so a v2
-    server can answer a legacy pickle client in *its* dialect (a pickled ABORT
-    frame) before closing — the one case where a clean rejection needs to know
-    what the other side expected.
-    """
 
 
 @dataclass
@@ -123,29 +95,11 @@ class SyncBroadcast:
     next_budget: Optional[int] = None
 
 
-# ======================================================================== v1
-
-
-def send_frame(sock: socket.socket, message: Any) -> None:
-    """Serialize *message* and write one length-prefixed pickle (v1) frame."""
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(payload) > MAX_FRAME_BYTES:
-        raise TransportError(
-            f"refusing to send a {len(payload)}-byte frame "
-            f"(limit {MAX_FRAME_BYTES}); batch your entries"
-        )
-    try:
-        sock.sendall(_HEADER.pack(len(payload)) + payload)
-    except OSError as exc:
-        raise TransportError(f"send failed: {exc}") from exc
-
-
 class _MidStreamEOFError(TransportError):
     """Connection closed with a partial read on the wire (internal marker).
 
-    Lets the v2 reader classify truncation as *malformed input*
-    (:class:`~repro.errors.ProtocolError`) without matching on error text;
-    for v1 callers it is just the :class:`TransportError` it always was.
+    Lets the frame reader classify truncation as *malformed input*
+    (:class:`~repro.errors.ProtocolError`) without matching on error text.
     """
 
 
@@ -173,29 +127,10 @@ def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
     return b"".join(chunks)
 
 
-def recv_frame(sock: socket.socket, allow_eof: bool = False) -> Any:
-    """Read one v1 frame; returns the message, or None on clean EOF if allowed.
-
-    Unpickles the payload — only ever call this on frames from trusted peers
-    (see the module docstring); protocol v2 never does.  Delegates to
-    :class:`PickleFrameCodec`, the single sanctioned home of unpickling.
-    """
-    return _V1_CODEC.recv(sock, allow_eof)
-
-
-def request(sock: socket.socket, message: Any) -> Any:
-    """One v1 request/response round trip."""
-    send_frame(sock, message)
-    return recv_frame(sock)
-
-
-# ======================================================================== v2
-
-
 def _recv_component(
     sock: socket.socket, count: int, what: str, allow_eof: bool = False
 ) -> Optional[bytes]:
-    """Read one v2 frame component; a partial read means a truncated frame.
+    """Read one frame component; a partial read means a truncated frame.
 
     Socket-level failures (timeouts, resets) stay :class:`TransportError`;
     a peer that closes mid-frame produced *malformed input* and gets a
@@ -215,63 +150,8 @@ def _recv_component(
     return data
 
 
-class FrameCodec:
-    """One wire encoding of the sync protocol's tagged-tuple messages."""
-
-    name = "abstract"
-
-    def send(self, sock: socket.socket, message: Any) -> None:
-        raise NotImplementedError
-
-    def recv(self, sock: socket.socket, allow_eof: bool = False) -> Any:
-        raise NotImplementedError
-
-    def request(self, sock: socket.socket, message: Any) -> Any:
-        """One request/response round trip."""
-        self.send(sock, message)
-        return self.recv(sock)
-
-
-class PickleFrameCodec(FrameCodec):
-    """The legacy v1 encoding: length-prefixed pickle, trusted hosts only.
-
-    This class is the only place in the tree allowed to unpickle bytes
-    (enforced by `python -m repro.lint`, SEC001): unpickling executes
-    arbitrary code, so it stays confined to the HELLO-gated v1 path.
-    """
-
-    name = "pickle"
-
-    def send(self, sock: socket.socket, message: Any) -> None:
-        send_frame(sock, message)
-
-    def recv(self, sock: socket.socket, allow_eof: bool = False) -> Any:
-        header = _recv_exact(sock, _HEADER.size)
-        if header is None:
-            if allow_eof:
-                return None
-            raise TransportError("connection closed while waiting for a frame")
-        (length,) = _HEADER.unpack(header)
-        if length > MAX_FRAME_BYTES:
-            raise TransportError(
-                f"frame length {length} exceeds {MAX_FRAME_BYTES}; "
-                "corrupt stream?"
-            )
-        payload = _recv_exact(sock, length)
-        if payload is None:
-            raise TransportError("connection closed between header and payload")
-        try:
-            return pickle.loads(payload)
-        except Exception as exc:
-            raise TransportError(f"cannot unpickle frame: {exc}") from exc
-
-
-#: Singleton backing the module-level v1 helpers (`recv_frame`/`request`).
-_V1_CODEC = PickleFrameCodec()
-
-
-class JsonFrameCodec(FrameCodec):
-    """Protocol v2: HMAC-SHA256-authenticated JSON frames, no pickle.
+class JsonFrameCodec:
+    """Protocol v3: HMAC-SHA256-authenticated JSON frames, no pickle.
 
     *auth_key* is the shared secret both ends must hold; ``None`` (or empty)
     falls back to an unkeyed tag that still catches corruption and framing
@@ -282,28 +162,13 @@ class JsonFrameCodec(FrameCodec):
     every later tag so captured frames do not replay across connections.
     """
 
-    name = "json"
-
     def __init__(self, auth_key: Optional[bytes] = None) -> None:
         self._key = bytes(auth_key or b"")
         self._binding = b""
-        self._packed_entries = False
 
     def bind(self, nonce: str) -> None:
         """Mix the connection's HELLO_OK nonce into all subsequent tags."""
         self._binding = nonce.encode("ascii")
-
-    def negotiate(self, version: int) -> None:
-        """Adopt the connection's agreed protocol version (HELLO outcome).
-
-        At version >= 3 both ends ship packed index entries; decoding is
-        self-describing, so only the *encode* side consults this.
-        """
-        self._packed_entries = version >= PACKED_ENTRIES_MIN_VERSION
-
-    @property
-    def packed_entries(self) -> bool:
-        return self._packed_entries
 
     def _tag(self, header: bytes, body: bytes) -> bytes:
         material = self._binding + header + body
@@ -314,7 +179,7 @@ class JsonFrameCodec(FrameCodec):
         from repro.distributed import wire
 
         body = json.dumps(
-            wire.encode_message(message, packed_entries=self._packed_entries),
+            wire.encode_message(message),
             separators=(",", ":"),
             sort_keys=True,
         ).encode("utf-8")
@@ -339,9 +204,9 @@ class JsonFrameCodec(FrameCodec):
                 return None
             raise TransportError("connection closed while waiting for a frame")
         if magic != MAGIC:
-            raise ProtocolMismatchError(
-                f"not a protocol v2 frame (leading bytes {magic!r}); the peer "
-                "may be speaking the legacy pickle protocol or garbage"
+            raise ProtocolError(
+                f"not a protocol frame (leading bytes {magic!r}); the peer "
+                "may be a legacy pickle client or sending garbage"
             )
         header = _recv_component(sock, _HEADER.size, "length prefix")
         (length,) = _HEADER.unpack(header)
@@ -368,19 +233,10 @@ class JsonFrameCodec(FrameCodec):
 
         return wire.decode_message(obj)
 
-
-def codec_from_name(name: str, auth_key: Optional[bytes] = None) -> FrameCodec:
-    """Construct the frame codec for a ``protocol=`` configuration value."""
-    if name == "json":
-        return JsonFrameCodec(auth_key)
-    if name == "pickle":
-        if auth_key:
-            raise TransportError(
-                "the legacy pickle protocol cannot authenticate frames; "
-                "use protocol='json' with an auth key"
-            )
-        return PickleFrameCodec()
-    raise TransportError(f"unknown wire protocol {name!r}; expected 'json' or 'pickle'")
+    def request(self, sock: socket.socket, message: Any) -> Any:
+        """One request/response round trip."""
+        self.send(sock, message)
+        return self.recv(sock)
 
 
 def load_auth_key(path: str) -> bytes:
@@ -395,40 +251,30 @@ def load_auth_key(path: str) -> bytes:
     return key
 
 
-def client_handshake(sock: socket.socket, codec: FrameCodec) -> None:
-    """Open a protocol v2 connection: HELLO out, HELLO_OK (or a reason) back.
+def client_handshake(sock: socket.socket, codec: JsonFrameCodec) -> None:
+    """Open a connection: HELLO out, HELLO_OK (or a reason) back.
 
-    A no-op for the v1 pickle codec, which never negotiated.  On success the
-    codec is bound to the server's connection nonce (replay protection).
-    Raises :class:`TransportError` with a diagnosis when the server rejects
-    the version, speaks a different protocol, or holds a different auth key.
+    On success the codec is bound to the server's connection nonce (replay
+    protection).  Raises :class:`TransportError` with a diagnosis when the
+    server rejects the version, speaks a different protocol, or holds a
+    different auth key.
     """
-    if codec.name != "json":
-        return
     codec.send(sock, (HELLO, PROTOCOL_VERSION))
     try:
         reply = codec.recv(sock)
-    except ProtocolMismatchError as exc:
-        raise TransportError(
-            "index server did not answer the v2 handshake with a v2 frame; "
-            f"it may be running the legacy pickle protocol ({exc})"
-        ) from exc
     except ProtocolError as exc:
         raise TransportError(
-            f"v2 handshake reply was rejected ({exc}); do both ends share "
+            f"handshake reply was rejected ({exc}); is the index server "
+            f"running protocol v{PROTOCOL_VERSION}, and do both ends share "
             "the same auth key?"
         ) from exc
     except TransportError as exc:
         raise TransportError(
-            f"index server closed the connection during the v2 handshake "
-            f"({exc}); is it running protocol v2?"
+            f"index server closed the connection during the handshake "
+            f"({exc}); is it running protocol v{PROTOCOL_VERSION}?"
         ) from exc
     if reply[0] == ABORT:
         raise TransportError(f"index server rejected the handshake: {reply[1]}")
-    if reply[0] != HELLO_OK or reply[1] not in SUPPORTED_PROTOCOL_VERSIONS:
+    if reply[0] != HELLO_OK or reply[1] != PROTOCOL_VERSION:
         raise TransportError(f"unexpected handshake reply {reply!r}")
-    # The server replies with min(client version, server version): both ends
-    # adopt it, so a v2 peer on either side keeps the fleet on JSON entries.
-    if isinstance(codec, JsonFrameCodec):
-        codec.negotiate(reply[1])
     codec.bind(reply[2])

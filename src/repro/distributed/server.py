@@ -8,12 +8,10 @@ pre-assigned shard id or asking the server to assign one of the campaign's
 shards), SYNC a batch at every scheduled hour boundary and block until the
 round's broadcast, REPORT their finished shard, and may request SHUTDOWN.
 
-The wire encoding is pluggable (``protocol="json" | "pickle"``): the default
-is protocol v2 — HMAC-authenticated JSON frames opened by a HELLO version
-negotiation — under which nothing received from a socket is ever unpickled;
-legacy pickle clients are turned away with a clean, v1-readable rejection.
-Malformed or unauthenticated frames reject *that connection* and leave the
-server serving.
+The wire is protocol v3 — HMAC-authenticated JSON frames opened by a HELLO
+that must carry exactly that version — and nothing received from a socket is
+ever unpickled.  Malformed or unauthenticated frames (a legacy pickle client's
+among them) reject *that connection* and leave the server serving.
 
 One handler thread serves each client connection; the sync barrier is a
 condition variable: the thread that delivers the round's last batch computes
@@ -49,13 +47,7 @@ from repro.core.budget import BudgetPolicy
 from repro.core.parallel import ShardSpec, WorkerReport
 from repro.distributed import protocol, wire
 from repro.distributed.coordinator import CentralCoordinator
-from repro.distributed.protocol import (
-    FrameCodec,
-    IndexEntry,
-    ProtocolMismatchError,
-    SyncBroadcast,
-    codec_from_name,
-)
+from repro.distributed.protocol import IndexEntry, JsonFrameCodec, SyncBroadcast
 from repro.errors import ProtocolError, SnapshotError, TransportError
 from repro.kqe.snapshot import SnapshotWriter, read_snapshot
 
@@ -137,22 +129,10 @@ class _Handler(socketserver.BaseRequestHandler):
         finally:
             owner.connection_closed(shard_ids)
 
-    def _handshake(self, owner: "IndexServer", sock, codec: FrameCodec) -> bool:
-        """Protocol v2 version negotiation; True when the connection may talk."""
-        if codec.name != "json":
-            return True
+    def _handshake(self, owner: "IndexServer", sock, codec: JsonFrameCodec) -> bool:
+        """The HELLO exchange; True when the connection may talk."""
         try:
             message = codec.recv(sock, allow_eof=True)
-        except ProtocolMismatchError as exc:
-            # A legacy pickle client (or garbage).  Answer in the v1 dialect —
-            # *sending* pickle is harmless, only loading it is not — so old
-            # clients see the reason instead of a confusing EOF.
-            owner.frame_rejected([], str(exc))
-            try:
-                protocol.send_frame(sock, (protocol.ABORT, protocol.V1_REJECTION))
-            except TransportError:
-                pass
-            return False
         except ProtocolError as exc:
             owner.frame_rejected([], str(exc))
             self._abort(sock, codec, f"handshake failed: {exc}")
@@ -164,31 +144,26 @@ class _Handler(socketserver.BaseRequestHandler):
             self._abort(
                 sock,
                 codec,
-                f"protocol v2 requires a HELLO handshake before {message[0]!r}",
+                f"the protocol requires a HELLO handshake before {message[0]!r}",
             )
             return False
-        if message[1] not in protocol.SUPPORTED_PROTOCOL_VERSIONS:
+        if message[1] != protocol.PROTOCOL_VERSION:
             owner.frame_rejected([], f"unsupported version {message[1]!r}")
             self._abort(
                 sock,
                 codec,
                 f"unsupported protocol version {message[1]!r}; this server "
-                f"speaks versions {protocol.SUPPORTED_PROTOCOL_VERSIONS}",
+                f"speaks version {protocol.PROTOCOL_VERSION}",
             )
             return False
-        # Negotiate down to the older peer: a v2 client keeps plain-JSON
-        # index entries, a v3 client gets packed float32 batches.
-        negotiated = min(message[1], protocol.PROTOCOL_VERSION)
-        if isinstance(codec, protocol.JsonFrameCodec):
-            codec.negotiate(negotiated)
         # Bind the rest of the connection to a fresh nonce: frames captured
         # elsewhere fail authentication here, so replay cannot fail a round.
         nonce = os.urandom(16).hex()
-        codec.send(sock, (protocol.HELLO_OK, negotiated, nonce))
+        codec.send(sock, (protocol.HELLO_OK, protocol.PROTOCOL_VERSION, nonce))
         codec.bind(nonce)
         return True
 
-    def _abort(self, sock, codec: FrameCodec, reason: str) -> None:
+    def _abort(self, sock, codec: JsonFrameCodec, reason: str) -> None:
         """Best-effort ABORT so the peer learns why it is being dropped."""
         try:
             codec.send(sock, (protocol.ABORT, reason))
@@ -208,7 +183,6 @@ class IndexServer:
         prune: bool = True,
         round_timeout: float = 300.0,
         budget_policy: Optional[BudgetPolicy] = None,
-        protocol: str = "json",
         auth_key: Optional[bytes] = None,
         evict_dead_clients: bool = False,
         snapshot_dir: Optional[str] = None,
@@ -217,10 +191,7 @@ class IndexServer:
             raise TransportError("an index server needs at least one shard")
         self.sync_hours: Tuple[int, ...] = tuple(sync_hours)
         self.round_timeout = round_timeout
-        self.protocol = protocol
         self._auth_key = auth_key
-        # Validate the protocol/key combination before binding the socket.
-        codec_from_name(protocol, auth_key)
         self.evict_dead_clients = evict_dead_clients
         self.coordinator = CentralCoordinator(
             prune=prune,
@@ -274,9 +245,9 @@ class IndexServer:
 
     # ------------------------------------------------------------- lifecycle
 
-    def connection_codec(self) -> FrameCodec:
+    def connection_codec(self) -> JsonFrameCodec:
         """A fresh codec for one connection (each gets its own nonce binding)."""
-        return codec_from_name(self.protocol, self._auth_key)
+        return JsonFrameCodec(self._auth_key)
 
     def start(self) -> "IndexServer":
         """Serve in a daemon thread; returns self for chaining."""
@@ -508,7 +479,6 @@ class IndexServer:
             now = time.monotonic()
             merged = self._merged_telemetry_locked()
             return {
-                "protocol": self.protocol,
                 "expected_shards": self.expected,
                 "registered_shards": sorted(self._registered),
                 "reports_received": len(self.reports),

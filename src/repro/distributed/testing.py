@@ -10,7 +10,7 @@ repro.distributed fuzz`` smoke command:
   the raw frame bytes) decides per client→server frame whether to forward,
   drop, delay, truncate or corrupt it, or to kill the connection outright —
   the network misbehaving on schedule.
-* :class:`ScriptedClient` — a raw protocol v2 client that can speak the
+* :class:`ScriptedClient` — a raw protocol client that can speak the
   handshake and individual verbs (or arbitrary bytes) without running a
   campaign, for driving the server off the happy path: register-then-vanish,
   sync-then-die, tampered tags.
@@ -57,7 +57,7 @@ def flip_byte(data: bytes, offset: int) -> bytes:
 
 
 def tamper_mac(frame: bytes) -> bytes:
-    """Flip one bit inside a v2 frame's authentication tag."""
+    """Flip one bit inside a frame's authentication tag."""
     return flip_byte(frame, len(MAGIC) + 4)
 
 
@@ -67,7 +67,7 @@ def truncate_frame(frame: bytes, keep: int) -> bytes:
 
 
 class ScriptedClient:
-    """A hand-driven protocol v2 connection for off-happy-path tests."""
+    """A hand-driven protocol connection for off-happy-path tests."""
 
     def __init__(
         self,
@@ -113,25 +113,22 @@ class ScriptedClient:
 
 
 def _read_frame(sock: socket.socket) -> Optional[bytes]:
-    """One raw frame (v2 or legacy pickle) off *sock*; None on clean EOF."""
+    """One raw frame off *sock*; None on clean EOF.
+
+    Four leading bytes that are not the magic are passed on as they are, for
+    the server to reject.
+    """
     head = protocol._recv_exact(sock, 4)
-    if head is None:
-        return None
-    if head == MAGIC:
-        length_bytes = protocol._recv_exact(sock, 4)
-        if length_bytes is None:
-            return head
-        length = int.from_bytes(length_bytes, "big")
-        if length > protocol.MAX_FRAME_BYTES:
-            raise TransportError(f"refusing to proxy a {length}-byte frame")
-        rest = protocol._recv_exact(sock, MAC_BYTES + length)
-        return head + length_bytes + (rest or b"")
-    # Legacy pickle frame: the 4 bytes are the payload length.
-    length = int.from_bytes(head, "big")
+    if head != MAGIC:
+        return head
+    length_bytes = protocol._recv_exact(sock, 4)
+    if length_bytes is None:
+        return head
+    length = int.from_bytes(length_bytes, "big")
     if length > protocol.MAX_FRAME_BYTES:
         raise TransportError(f"refusing to proxy a {length}-byte frame")
-    payload = protocol._recv_exact(sock, length)
-    return head + (payload or b"")
+    rest = protocol._recv_exact(sock, MAC_BYTES + length)
+    return head + length_bytes + (rest or b"")
 
 
 class FaultyProxy:
@@ -139,8 +136,7 @@ class FaultyProxy:
 
     Server→client traffic is pumped verbatim; client→server traffic is read
     frame by frame and each frame is submitted to the fault plan.  Frame
-    indices count per connection, starting at 0 (for a v2 connection, frame 0
-    is the HELLO).
+    indices count per connection, starting at 0 (frame 0 is the HELLO).
     """
 
     def __init__(
@@ -284,7 +280,7 @@ _FRAME_KINDS = (
 
 
 def _malformed_frame(rng: random.Random, kind: str, hello: bytes) -> bytes:
-    """One malformed frame of the given kind; *hello* is a valid v2 frame."""
+    """One malformed frame of the given kind; *hello* is a valid frame."""
     if kind == "garbage":
         return _random_bytes(rng, rng.randint(1, 512))
     if kind == "bad-magic":

@@ -1,8 +1,8 @@
-"""Typed JSON codecs for protocol v2 of the distributed index server.
+"""Typed JSON codecs for the wire protocol of the distributed index server.
 
 :mod:`repro.distributed.protocol` moves the sync protocol's messages as tagged
 tuples; this module is the explicit schema that turns each of them into a
-plain JSON object and back — the half of protocol v2 that replaces pickle.
+plain JSON object and back.
 Every payload the campaign ships (embeddings, shard specs, hourly samples, bug
 incidents, budget vectors) has a dedicated encoder/decoder pair, and decoding
 *validates*: a field of the wrong type, a missing key or an unknown verb
@@ -134,11 +134,6 @@ def _float_field(obj: Dict[str, Any], key: str, where: str) -> float:
 # ------------------------------------------------------------ payload codecs
 
 
-def encode_entries(entries: Sequence[IndexEntry]) -> List[List[Any]]:
-    """Index entries as ``[[vector, label], ...]``."""
-    return [[list(vector), label] for vector, label in entries]
-
-
 #: A packed entry batch bigger than this is a corrupt or hostile length pair,
 #: never a real sync round; checked *before* any base64 or array allocation.
 MAX_PACKED_FLOATS = 32 * 1024 * 1024
@@ -220,38 +215,9 @@ def decode_entries_packed(value: Any, where: str = "index entries") -> List[Inde
     ]
 
 
-def decode_entries(value: Any, where: str = "index entries") -> List[IndexEntry]:
-    # Self-describing on the wire: protocol >= 3 peers ship the packed object
-    # form, v2 peers the legacy pair-list form; both decode here so mixed
-    # fleets interoperate.
-    if isinstance(value, dict):
-        return decode_entries_packed(value, where)
-    entries: List[IndexEntry] = []
-    for pair in _list(value, where):
-        pair = _list(pair, f"{where} entry")
-        if len(pair) != 2:
-            _fail(where, f"entry must be a [vector, label] pair, got {len(pair)}")
-        vector = _list(pair[0], f"{where} vector")
-        entries.append(
-            (
-                [_float(x, f"{where} vector component") for x in vector],
-                _str(pair[1], f"{where} label"),
-            )
-        )
-    return entries
-
-
-def _encode_entry_payload(
-    entries: Sequence[IndexEntry], packed: bool
-) -> Any:
-    return encode_entries_packed(entries) if packed else encode_entries(entries)
-
-
-def encode_broadcast(
-    broadcast: SyncBroadcast, packed_entries: bool = False
-) -> Dict[str, Any]:
+def encode_broadcast(broadcast: SyncBroadcast) -> Dict[str, Any]:
     return {
-        "entries": _encode_entry_payload(broadcast.entries, packed_entries),
+        "entries": encode_entries_packed(broadcast.entries),
         "suppressed": broadcast.suppressed,
         "next_budget": broadcast.next_budget,
     }
@@ -261,7 +227,9 @@ def decode_broadcast(value: Any) -> SyncBroadcast:
     obj = _obj(value, "sync broadcast")
     where = "sync broadcast"
     return SyncBroadcast(
-        entries=decode_entries(_get(obj, "entries", where), f"{where} entries"),
+        entries=decode_entries_packed(
+            _get(obj, "entries", where), f"{where} entries"
+        ),
         suppressed=_int_field(obj, "suppressed", where),
         next_budget=_opt_int(_get(obj, "next_budget", where), f"{where} next_budget"),
     )
@@ -400,7 +368,7 @@ def decode_incident(value: Any) -> Any:
     )
 
 
-def encode_worker_report(report: Any, packed_entries: bool = False) -> Dict[str, Any]:
+def encode_worker_report(report: Any) -> Dict[str, Any]:
     return {
         "shard_id": report.shard_id,
         "tool": report.tool,
@@ -412,9 +380,7 @@ def encode_worker_report(report: Any, packed_entries: bool = False) -> Dict[str,
             [encode_incident(incident) for incident in incidents]
             for incidents in report.hourly_incidents
         ],
-        "unsynced_entries": _encode_entry_payload(
-            report.unsynced_entries, packed_entries
-        ),
+        "unsynced_entries": encode_entries_packed(report.unsynced_entries),
         "hourly_budgets": list(report.hourly_budgets),
         "entries_shipped": report.entries_shipped,
         "broadcast_entries_received": report.broadcast_entries_received,
@@ -448,7 +414,7 @@ def decode_worker_report(value: Any) -> Any:
         ],
         hourly_new_labels=labels,
         hourly_incidents=incidents,
-        unsynced_entries=decode_entries(
+        unsynced_entries=decode_entries_packed(
             _get(obj, "unsynced_entries", where), f"{where} unsynced_entries"
         ),
         hourly_budgets=[_int(budget, f"{where} hourly budget") for budget in budgets],
@@ -544,12 +510,10 @@ def decode_stats(value: Any) -> Dict[str, Any]:
 # ------------------------------------------------------------ message codecs
 
 
-def encode_message(message: Any, packed_entries: bool = False) -> Dict[str, Any]:
+def encode_message(message: Any) -> Dict[str, Any]:
     """One tagged-tuple protocol message as a JSON-ready object.
 
-    With *packed_entries* (negotiated at protocol version >= 3) every index
-    entry batch in the message rides as one base64 float32 blob instead of a
-    per-float JSON array; decoding is self-describing either way.
+    Every index-entry batch in the message rides as one base64 float32 blob.
     """
     if not isinstance(message, tuple) or not message:
         raise ProtocolError(f"cannot encode non-message {message!r}")
@@ -565,7 +529,7 @@ def encode_message(message: Any, packed_entries: bool = False) -> Dict[str, Any]
             "verb": verb,
             "shard_id": message[1],
             "hour": message[2],
-            "entries": _encode_entry_payload(message[3], packed_entries),
+            "entries": encode_entries_packed(message[3]),
         }
         # Optional telemetry piggyback; omitted entirely when absent so the
         # frame stays byte-identical to pre-telemetry campaigns.
@@ -575,10 +539,7 @@ def encode_message(message: Any, packed_entries: bool = False) -> Dict[str, Any]
     if verb == TICK:
         return {"verb": verb, "shard_id": message[1]}
     if verb == REPORT:
-        return {
-            "verb": verb,
-            "report": encode_worker_report(message[1], packed_entries),
-        }
+        return {"verb": verb, "report": encode_worker_report(message[1])}
     if verb == ERROR:
         return {"verb": verb, "shard_id": message[1], "text": message[2]}
     if verb == SHUTDOWN:
@@ -595,10 +556,7 @@ def encode_message(message: Any, packed_entries: bool = False) -> Dict[str, Any]
             "sync_hours": list(message[2]),
         }
     if verb == BROADCAST:
-        return {
-            "verb": verb,
-            "broadcast": encode_broadcast(message[1], packed_entries),
-        }
+        return {"verb": verb, "broadcast": encode_broadcast(message[1])}
     if verb == OK:
         return {"verb": verb}
     if verb == ABORT:
@@ -625,7 +583,7 @@ def decode_message(obj: Any) -> Tuple[Any, ...]:
             verb,
             _int(_get(obj, "shard_id", verb), "sync shard_id"),
             _int(_get(obj, "hour", verb), "sync hour"),
-            decode_entries(_get(obj, "entries", verb), "sync entries"),
+            decode_entries_packed(_get(obj, "entries", verb), "sync entries"),
         )
         if obj.get("telemetry") is not None:
             return base + (decode_snapshot(obj["telemetry"], "sync telemetry"),)

@@ -60,7 +60,7 @@ class TransportError(CampaignError):
 
 
 class ProtocolError(TransportError):
-    """Raised for malformed, truncated or unauthenticated protocol v2 frames.
+    """Raised for malformed, truncated or unauthenticated protocol frames.
 
     Distinct from its :class:`TransportError` parent so servers can tell
     *bad input* (reject the connection, keep serving) from *transport

@@ -3,10 +3,10 @@
 The reproduction's value rests on conventions that ordinary tooling cannot
 check: seeded ``random.Random`` discipline (serial == 1-worker == N-worker ==
 TCP, bit-identical), lock-guarded shared state in the metrics registry /
-execution pipeline / index server, "never unpickle socket bytes outside the
-legacy codec", and sorted iteration before anything hashed or emitted.  This
-package turns each convention into an ``ast``-based rule that fails CI, the
-same way protocol v2 turned "trust the socket" into validated codecs.
+execution pipeline / index server, "never unpickle socket bytes", and sorted
+iteration before anything hashed or emitted.  This package turns each
+convention into an ``ast``-based rule that fails CI, the same way the wire
+protocol turned "trust the socket" into validated codecs.
 
 Dependency-free by design: rules see parsed source only (no imports of the
 code under analysis), so the suite runs anywhere the interpreter does.

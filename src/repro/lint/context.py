@@ -66,12 +66,6 @@ class ModuleContext:
                 return ancestor
         return None
 
-    def enclosing_class(self, node: ast.AST) -> Optional[ast.ClassDef]:
-        for ancestor in self.ancestors(node):
-            if isinstance(ancestor, ast.ClassDef):
-                return ancestor
-        return None
-
     def imported_modules(self) -> Set[str]:
         """Dotted names of every module imported anywhere in the file.
 

@@ -1,8 +1,7 @@
 # repro-lint: path=repro/fixture_sec001.py
-"""Clean counterpart: unpickling confined to PickleFrameCodec."""
-import pickle
+"""Clean counterpart: frames decode as JSON, nothing is unpickled."""
+import json
 
 
-class PickleFrameCodec:
-    def recv(self, blob):
-        return pickle.loads(blob)
+def load_frame(blob):
+    return json.loads(blob.decode("utf-8"))

@@ -1,9 +1,8 @@
-"""SEC001: dynamic deserialization/execution outside the sanctioned codec.
+"""SEC001: dynamic deserialization or execution anywhere in the tree.
 
-``pickle.loads`` on bytes from a socket is remote code execution; protocol
-v2 exists precisely to confine it.  The one legal home is
-``PickleFrameCodec`` (the legacy v1 codec, HELLO-gated and documented as
-trusted-network-only).  ``eval``/``exec`` have no legal home at all.
+``pickle.loads`` on bytes from a socket is remote code execution, so the wire
+protocol speaks HMAC-authenticated JSON only and nothing may unpickle.
+``eval``/``exec`` have no legal home either.
 """
 
 from __future__ import annotations
@@ -15,20 +14,16 @@ from repro.lint.context import ModuleContext, Project
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register_rule
 
-#: The only class allowed to unpickle.
-_SANCTIONED_CLASS = "PickleFrameCodec"
-
 
 @register_rule
 class UnsafeDeserialization(Rule):
     rule_id = "SEC001"
-    title = "pickle.loads / eval / exec outside PickleFrameCodec"
+    title = "pickle.load(s) / eval / exec"
     rationale = (
         "Unpickling attacker-supplied bytes executes arbitrary code; that is "
-        "why the wire protocol moved to HMAC-authenticated JSON frames.  The "
-        "legacy v1 codec class PickleFrameCodec is the single audited "
-        "exception.  eval/exec of strings is never acceptable in this "
-        "codebase — predicates go through the typed expression AST."
+        "why the wire protocol is HMAC-authenticated JSON frames and nothing "
+        "in the tree unpickles.  eval/exec of strings is never acceptable in "
+        "this codebase — predicates go through the typed expression AST."
     )
 
     def check_module(
@@ -47,11 +42,8 @@ class UnsafeDeserialization(Rule):
                 and isinstance(func.value, ast.Name)
                 and func.value.id == "pickle"
             ):
-                message = f"pickle.{func.attr}() outside {_SANCTIONED_CLASS}"
+                message = f"call to pickle.{func.attr}()"
             if message is None:
-                continue
-            enclosing = module.enclosing_class(node)
-            if enclosing is not None and enclosing.name == _SANCTIONED_CLASS:
                 continue
             line, col = module.finding_location(node)
             yield Finding(
@@ -60,6 +52,4 @@ class UnsafeDeserialization(Rule):
                 line=line,
                 col=col,
                 message=message,
-                hint="route deserialization through PickleFrameCodec (v1, "
-                "trusted networks) or JsonFrameCodec (v2)",
             )

@@ -1,8 +1,8 @@
 """Tests for the distributed KQE index server and the TCP sync transport."""
 
 import json
-import socket
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +12,7 @@ from repro.core import (
     ParallelCampaignConfig,
     build_shard_specs,
     finalize_parallel_result,
+    run_parallel_differential_campaign,
     run_parallel_shards,
     run_parallel_tqs_campaign,
     run_tqs_campaign,
@@ -62,38 +63,6 @@ def local_pool2():
 @pytest.fixture(scope="module")
 def tcp_pool2():
     return run_parallel_tqs_campaign(SIM_MYSQL, FAST, pool_config(2, transport="tcp"))
-
-
-class TestProtocolFraming:
-    def test_round_trip(self):
-        left, right = socket.socketpair()
-        try:
-            message = ("sync", 3, 2, [([0.5, 1.0], "label-a")])
-            protocol.send_frame(left, message)
-            assert protocol.recv_frame(right) == message
-        finally:
-            left.close()
-            right.close()
-
-    def test_clean_eof_is_none_when_allowed(self):
-        left, right = socket.socketpair()
-        left.close()
-        try:
-            assert protocol.recv_frame(right, allow_eof=True) is None
-            with pytest.raises(TransportError):
-                protocol.recv_frame(right)
-        finally:
-            right.close()
-
-    def test_oversized_length_prefix_rejected(self):
-        left, right = socket.socketpair()
-        try:
-            left.sendall((protocol.MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
-            with pytest.raises(TransportError):
-                protocol.recv_frame(right)
-        finally:
-            left.close()
-            right.close()
 
 
 class TestNoveltyPruning:
@@ -192,25 +161,10 @@ class TestTCPDeterminism:
         assert len(lines) == 1
         assert "bug_count" in lines[0]
 
-    def test_pickle_protocol_pool_matches_local_pool(self, local_pool2):
-        """v1 back-compat: the legacy pickle framing is still bit-identical."""
-        pickle_pool = run_parallel_tqs_campaign(
-            SIM_MYSQL, FAST, pool_config(2, transport="tcp", protocol="pickle")
-        )
-        assert pickle_pool.merged.samples == local_pool2.merged.samples
-        assert bug_keys(pickle_pool.merged) == bug_keys(local_pool2.merged)
-
     def test_unknown_transport_rejected(self):
         shards = build_shard_specs("tqs", FAST, 2)
         with pytest.raises(CampaignError):
             run_parallel_shards(shards, pool_config(2, transport="carrier-pigeon"))
-
-    def test_unknown_wire_protocol_rejected_before_spawning(self):
-        shards = build_shard_specs("tqs", FAST, 2)
-        with pytest.raises(CampaignError, match="unknown wire protocol"):
-            run_parallel_shards(
-                shards, pool_config(2, transport="tcp", protocol="telegraph")
-            )
 
 
 class TestPayloadReduction:
@@ -391,13 +345,11 @@ class TestIndexServerProtocol:
 
 
 class TestVerifyLocalCLI:
-    def test_verify_local_accepts_a_recorded_tcp_campaign(self, tmp_path):
+    def verify(self, tmp_path, outcome, **campaign):
+        """Record *outcome* with a serve-style campaign echo; run verify-local."""
         from repro.analysis.reporting import write_parallel_result_json
 
-        outcome = run_parallel_tqs_campaign(
-            SIM_MYSQL, FAST, pool_config(2, transport="tcp")
-        )
-        campaign = {
+        echo = {
             "kind": "tqs",
             "workers": 2,
             "dataset": FAST.dataset,
@@ -411,9 +363,41 @@ class TestVerifyLocalCLI:
             "backend": "sqlite",
             "prune": True,
         }
+        echo.update(campaign)
         path = tmp_path / "campaign.json"
-        write_parallel_result_json(outcome, str(path), campaign=campaign)
-        rc = distributed_main(
+        write_parallel_result_json(outcome, str(path), campaign=echo)
+        return distributed_main(
             ["verify-local", "--json", str(path), "--worker-timeout", "120"]
         )
-        assert rc == 0
+
+    def test_verify_local_accepts_a_recorded_tcp_campaign(self, tmp_path):
+        outcome = run_parallel_tqs_campaign(
+            SIM_MYSQL, FAST, pool_config(2, transport="tcp")
+        )
+        assert self.verify(tmp_path, outcome) == 0
+
+    def test_verify_local_reruns_the_recorded_grammar_probabilities(self, tmp_path):
+        """A widened-grammar campaign verifies only if its probabilities are read."""
+        probabilities = dict(
+            setop_probability=0.4,
+            scalar_subquery_probability=0.3,
+            cte_probability=0.25,
+        )
+        outcome = run_parallel_differential_campaign(
+            "sqlite",
+            replace(FAST, **probabilities),
+            pool_config(2, transport="tcp"),
+        )
+        assert self.verify(tmp_path, outcome, kind="differential", **probabilities) == 0
+
+    def test_serve_accepts_the_pool_campaign_flags(self):
+        """Both CLIs declare one flag set: serve parses the grammar flags too."""
+        argv = (
+            "serve --kind differential --workers 1 --hours 1 --serve-timeout 0.2"
+            " --setop-probability 0.4 --scalar-subquery-probability 0.3"
+            " --cte-probability 0.25"
+        ).split()
+        # No client ever connects, so the campaign times out: exit code 1.
+        assert distributed_main(argv) == 1
+        with pytest.raises(SystemExit):
+            distributed_main(["serve", "--budget-policy", "lottery"])

@@ -1,7 +1,7 @@
 """Tests for the campaign telemetry subsystem (``repro.obs``).
 
 Covers the registry/snapshot semantics (merge algebra, histogram bucket
-edges), the wire round-trip of snapshots through protocol v2, the STATS verb
+edges), the wire round-trip of snapshots through the wire protocol, the STATS verb
 against a live authenticated index server, Prometheus exposition, and — most
 importantly — the regression contract that telemetry-on and telemetry-off
 campaigns produce bit-identical verdicts.

@@ -1,4 +1,4 @@
-"""Tests for protocol v2: typed JSON codecs, authenticated framing, handshake.
+"""Tests for the wire protocol: typed JSON codecs, authenticated framing, handshake.
 
 The codec layer carries the distributed determinism contract, so the
 round-trip tests here are property-based: random campaign-shaped payloads
@@ -26,13 +26,7 @@ from repro.core.campaign import HourlySample
 from repro.core.parallel import WorkerReport, build_shard_specs, sync_schedule
 from repro.distributed import protocol, wire
 from repro.distributed.client import RemoteSyncTransport
-from repro.distributed.protocol import (
-    JsonFrameCodec,
-    ProtocolMismatchError,
-    SyncBroadcast,
-    codec_from_name,
-    load_auth_key,
-)
+from repro.distributed.protocol import JsonFrameCodec, SyncBroadcast, load_auth_key
 from repro.distributed.server import IndexServer
 from repro.distributed.testing import ScriptedClient, flip_byte, truncate_frame
 from repro.engine import SIM_MYSQL
@@ -54,11 +48,16 @@ def socket_pair():
 _counts = st.integers(min_value=0, max_value=10**9)
 _ids = st.integers(min_value=-1, max_value=10**6)
 _text = st.text(max_size=24)
-_floats = st.floats(allow_nan=False, allow_infinity=False)
-_vectors = st.lists(_floats, max_size=6)
-_entries = st.lists(st.tuples(_vectors, _text), max_size=4).map(
-    lambda pairs: [(list(vector), label) for vector, label in pairs]
-)
+# Index entries ride packed as float32 blobs, and a batch shares one
+# dimensionality (one embedder per campaign), so vectors are float32 values
+# of one length per batch.
+_float32s = st.floats(width=32, allow_nan=False, allow_infinity=False)
+_entries = st.integers(min_value=0, max_value=6).flatmap(
+    lambda dims: st.lists(
+        st.tuples(st.lists(_float32s, min_size=dims, max_size=dims), _text),
+        max_size=4,
+    )
+).map(lambda pairs: [(list(vector), label) for vector, label in pairs])
 _samples = st.builds(
     HourlySample,
     hour=_counts,
@@ -272,10 +271,11 @@ class TestJsonFraming:
                 right.close()
 
     def test_pickle_frame_is_a_protocol_mismatch(self):
+        payload = pickle.dumps((protocol.TICK, 0))
         left, right = socket_pair()
         try:
-            protocol.send_frame(left, (protocol.TICK, 0))
-            with pytest.raises(ProtocolMismatchError):
+            left.sendall(len(payload).to_bytes(4, "big") + payload)
+            with pytest.raises(ProtocolError, match="not a protocol frame"):
                 JsonFrameCodec(KEY).recv(right)
         finally:
             left.close()
@@ -294,18 +294,6 @@ class TestJsonFraming:
 
 
 class TestCodecConfiguration:
-    def test_codec_names_resolve(self):
-        assert codec_from_name("json", b"k").name == "json"
-        assert codec_from_name("pickle").name == "pickle"
-
-    def test_unknown_protocol_rejected(self):
-        with pytest.raises(TransportError, match="unknown wire protocol"):
-            codec_from_name("carrier-pigeon")
-
-    def test_pickle_with_key_rejected(self):
-        with pytest.raises(TransportError, match="cannot authenticate"):
-            codec_from_name("pickle", b"key")
-
     def test_auth_key_file_round_trip(self, tmp_path):
         path = tmp_path / "key"
         path.write_bytes(b"  sekrit-value\n")
@@ -353,41 +341,6 @@ class TestHandshake:
         finally:
             server.stop()
 
-    def test_legacy_pickle_client_gets_a_clean_rejection(self):
-        """A v1 client must see the v2 notice, not a confusing EOF."""
-        server = make_server()
-        try:
-            with pytest.raises(TransportError, match="protocol v2"):
-                RemoteSyncTransport(server.host, server.port,
-                                    protocol="pickle").register(0)
-            assert server.failure is None
-            # The server still serves protocol v2 clients afterwards.
-            transport = RemoteSyncTransport(server.host, server.port,
-                                            auth_key=KEY)
-            assert transport.register(0) is None
-            transport.close()
-        finally:
-            server.stop()
-
-    def test_json_client_against_pickle_server_fails_cleanly(self):
-        server = make_server(protocol="pickle", auth_key=None)
-        try:
-            with pytest.raises(TransportError, match="handshake"):
-                RemoteSyncTransport(server.host, server.port, auth_key=KEY)
-            assert server.failure is None
-        finally:
-            server.stop()
-
-    def test_pickle_protocol_still_works_end_to_end(self):
-        server = make_server(protocol="pickle", auth_key=None)
-        try:
-            transport = RemoteSyncTransport(server.host, server.port,
-                                            protocol="pickle")
-            assert transport.register(0) is None
-            transport.close()
-        finally:
-            server.stop()
-
     def test_hello_required_before_other_verbs(self):
         server = make_server()
         try:
@@ -405,18 +358,21 @@ class TestHandshake:
             server.stop()
 
     def test_future_version_is_refused(self):
+        """Any HELLO version but the current one is refused, older ones too."""
         server = make_server()
         try:
-            sock = socket.create_connection((server.host, server.port),
-                                            timeout=10.0)
-            sock.settimeout(10.0)
-            codec = JsonFrameCodec(KEY)
-            codec.send(sock, (protocol.HELLO, 99))
-            reply = codec.recv(sock)
-            assert reply[0] == protocol.ABORT
-            assert "version" in reply[1]
-            sock.close()
+            for version in (2, 99):
+                sock = socket.create_connection((server.host, server.port),
+                                                timeout=10.0)
+                sock.settimeout(10.0)
+                codec = JsonFrameCodec(KEY)
+                codec.send(sock, (protocol.HELLO, version))
+                reply = codec.recv(sock)
+                assert reply[0] == protocol.ABORT
+                assert "version" in reply[1]
+                sock.close()
             assert server.failure is None
+            assert server.frames_rejected == 2
         finally:
             server.stop()
 
@@ -441,13 +397,15 @@ class TestNoPickleOnTheWire:
                                             timeout=10.0)
             sock.settimeout(10.0)
             sock.sendall(len(payload).to_bytes(4, "big") + payload)
-            # The server answers in the v1 dialect so old clients see why.
-            reply = protocol.recv_frame(sock)
-            assert reply == (protocol.ABORT, protocol.V1_REJECTION)
+            # The frame is rejected like any other malformed input.
+            reply = JsonFrameCodec(KEY).recv(sock)
+            assert reply[0] == protocol.ABORT
+            assert "not a protocol frame" in reply[1]
             sock.close()
             assert not bomb_dir.exists()
             assert server.failure is None
-            # And it keeps serving authenticated v2 clients.
+            assert server.frames_rejected == 1
+            # And it keeps serving authenticated clients.
             transport = RemoteSyncTransport(server.host, server.port,
                                             auth_key=KEY)
             assert transport.register(0) is None
@@ -512,7 +470,7 @@ class TestJsonDeterminism:
             )
 
         local = pool()
-        remote = pool(transport="tcp", protocol="json", auth_key=KEY)
+        remote = pool(transport="tcp", auth_key=KEY)
         assert remote.merged.samples == local.merged.samples
         assert remote.sync_stats == local.sync_stats
         assert remote.central_index_size == local.central_index_size

@@ -1,10 +1,10 @@
 """Tests for the packed (protocol v3) index-entry wire encoding.
 
-The packed codec trades per-float JSON arrays for one base64 float32 blob per
-batch; these tests pin three things: the codec is lossless for everything the
-ship boundary produces (float32-quantized values), hostile packed objects are
-rejected before any allocation, and the HELLO negotiation keeps v2-JSON peers
-interoperating with v3 ends on the same wire.
+The packed codec ships one base64 float32 blob per batch instead of per-float
+JSON arrays; these tests pin three things: the codec is lossless for everything
+the ship boundary produces (float32-quantized values), hostile packed objects
+(and the retired per-float pair lists) are rejected before any allocation, and
+every connection the HELLO exchange admits speaks version 3.
 """
 
 import base64
@@ -63,13 +63,8 @@ class TestPackedCodec:
     @given(rectangular_entries())
     def test_round_trips_through_json_losslessly(self, entries):
         encoded = json.loads(json.dumps(wire.encode_entries_packed(entries)))
-        decoded = wire.decode_entries(encoded)
+        decoded = wire.decode_entries_packed(encoded)
         assert decoded == [(list(vector), label) for vector, label in entries]
-
-    def test_decode_dispatches_on_wire_shape(self):
-        packed, entries = packed_sample()
-        legacy = wire.encode_entries(entries)
-        assert wire.decode_entries(packed) == wire.decode_entries(legacy)
 
     def test_quantized_floats_survive_bit_identically(self):
         from repro.kqe.store import quantize_to_float32
@@ -84,7 +79,8 @@ class TestPackedCodec:
             ([(row * 64 + col) / 7.0 for col in range(64)], f"label-{row}")
             for row in range(100)
         ]
-        as_json = len(json.dumps(wire.encode_entries(entries)))
+        per_float = [[list(vector), label] for vector, label in entries]
+        as_json = len(json.dumps(per_float))
         as_packed = len(json.dumps(wire.encode_entries_packed(entries)))
         assert as_packed * 3 <= as_json
 
@@ -100,56 +96,66 @@ class TestPackedRejection:
             struct.pack("<2f", math.inf, 1.0)
         ).decode("ascii")
         with pytest.raises(ProtocolError, match="not finite"):
-            wire.decode_entries(packed)
+            wire.decode_entries_packed(packed)
         packed["data"] = base64.b64encode(
             struct.pack("<2f", 1.0, math.nan)
         ).decode("ascii")
         with pytest.raises(ProtocolError, match="not finite"):
-            wire.decode_entries(packed)
+            wire.decode_entries_packed(packed)
 
     def test_forged_count_is_rejected_before_allocation(self):
         packed, _ = packed_sample()
         packed["count"] = 1 << 20
         packed["dims"] = 1 << 20  # 2^40 floats: must die at the shape check
         with pytest.raises(ProtocolError, match="implausible"):
-            wire.decode_entries(packed)
+            wire.decode_entries_packed(packed)
 
     def test_count_and_labels_must_agree(self):
         packed, _ = packed_sample(count=3)
         packed["labels"] = packed["labels"][:2]
         with pytest.raises(ProtocolError, match="labels"):
-            wire.decode_entries(packed)
+            wire.decode_entries_packed(packed)
 
     def test_blob_length_must_match_the_claimed_shape(self):
         packed, _ = packed_sample(count=3, dims=4)
         packed["count"] = 2  # label count now lies too; fix labels only
         packed["labels"] = packed["labels"][:2]
         with pytest.raises(ProtocolError, match="base64 chars"):
-            wire.decode_entries(packed)
+            wire.decode_entries_packed(packed)
 
     def test_invalid_base64_is_rejected(self):
         packed, _ = packed_sample(count=1, dims=2)
         packed["data"] = "!" * len(packed["data"])
         with pytest.raises(ProtocolError, match="base64"):
-            wire.decode_entries(packed)
+            wire.decode_entries_packed(packed)
 
     def test_negative_shape_is_rejected(self):
         packed, _ = packed_sample()
         packed["count"] = -1
         with pytest.raises(ProtocolError):
-            wire.decode_entries(packed)
+            wire.decode_entries_packed(packed)
 
     def test_unknown_packed_version_is_rejected(self):
         packed, _ = packed_sample()
         packed["packed"] = 2
         with pytest.raises(ProtocolError, match="packed-batch version"):
-            wire.decode_entries(packed)
+            wire.decode_entries_packed(packed)
+
+    def test_pair_list_entries_are_rejected(self):
+        """The per-float ``[[vector, label], ...]`` form is not accepted."""
+        pairs = [[[1.0, 2.0], "L"]]
+        with pytest.raises(ProtocolError, match="expected an object"):
+            wire.decode_entries_packed(pairs)
+        sync = wire.encode_message((protocol.SYNC, 0, 1, [([1.0, 2.0], "L")]))
+        sync["entries"] = pairs
+        with pytest.raises(ProtocolError):
+            wire.decode_message(sync)
 
     def test_non_string_labels_are_rejected(self):
         packed, _ = packed_sample(count=1, dims=1)
         packed["labels"] = [7]
         with pytest.raises(ProtocolError):
-            wire.decode_entries(packed)
+            wire.decode_entries_packed(packed)
 
 
 class TestPackedMessages:
@@ -161,16 +167,14 @@ class TestPackedMessages:
     ]
 
     def round_trip(self, message):
-        encoded = json.loads(
-            json.dumps(wire.encode_message(message, packed_entries=True))
-        )
+        encoded = json.loads(json.dumps(wire.encode_message(message)))
         return wire.decode_message(encoded)
 
     def test_sync_message(self):
         message = (protocol.SYNC, 0, 2, self.ENTRIES)
         assert self.round_trip(message) == message
         # The SYNC frame really does carry the packed object form.
-        obj = wire.encode_message(message, packed_entries=True)
+        obj = wire.encode_message(message)
         assert obj["entries"]["packed"] == 1
 
     def test_broadcast_message(self):
@@ -201,6 +205,8 @@ class TestPackedMessages:
 
 
 class TestVersionNegotiation:
+    """The HELLO exchange settles every admitted connection on version 3."""
+
     def make_server(self):
         return IndexServer(
             shards=build_shard_specs("tqs", FAST, 1),
@@ -217,38 +223,15 @@ class TestVersionNegotiation:
         reply = codec.recv(sock)
         return sock, codec, reply
 
-    def test_server_meets_a_v2_client_at_v2(self):
+    def test_v3_ends_agree_on_packed_entries(self):
         server = self.make_server()
         try:
-            sock, codec, reply = self.hello(server, 2)
-            assert reply[0] == protocol.HELLO_OK and reply[1] == 2
-            codec.negotiate(reply[1])
+            sock, codec, reply = self.hello(server, protocol.PROTOCOL_VERSION)
+            assert reply[0] == protocol.HELLO_OK and reply[1] == 3
             codec.bind(reply[2])
-            assert not codec.packed_entries
-            # The v2 conversation still works end to end.
+            sync = (protocol.SYNC, 0, 1, [([1.0, 2.0], "L")])
+            assert b'"packed"' in codec.encode(sync)
             assert codec.request(sock, (protocol.TICK, -1)) == (protocol.OK,)
             sock.close()
         finally:
             server.stop()
-
-    def test_v3_ends_agree_on_packed_entries(self):
-        server = self.make_server()
-        try:
-            sock, codec, reply = self.hello(server, 3)
-            assert reply[0] == protocol.HELLO_OK and reply[1] == 3
-            codec.negotiate(reply[1])
-            codec.bind(reply[2])
-            assert codec.packed_entries
-            sock.close()
-        finally:
-            server.stop()
-
-    def test_codec_encodes_per_negotiated_version(self):
-        message = (protocol.SYNC, 0, 1, [([1.0, 2.0], "L")])
-        codec = JsonFrameCodec(KEY)
-        body = codec.encode(message)
-        assert b'"packed"' not in body  # default: v2-compatible JSON entries
-        codec.negotiate(3)
-        assert b'"packed"' in codec.encode(message)
-        codec.negotiate(2)
-        assert b'"packed"' not in codec.encode(message)
