@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence
+from typing import Iterator, List, Sequence, Tuple
 
 from repro.dsg.bitmap import Bitmap
 from repro.dsg.normalization import NormalizedDatabase
@@ -94,33 +94,38 @@ class GroundTruthOracle:
 
     # ------------------------------------------------------------------- oracle
 
-    def _wide_exec_rows(self, query: QuerySpec, row_ids: Sequence[int]) -> List[ExecRow]:
-        alias_info: Dict[str, tuple] = {}
-        for ref in query.table_refs:
-            alias_info[ref.alias] = (ref.table, list(self.ndb.data_columns(ref.table)))
+    def _wide_exec_rows(
+        self, query: QuerySpec, row_ids: Sequence[int]
+    ) -> Tuple[List[str], List[ExecRow]]:
+        """The layout (sorted ``alias.column`` names) and rows of *row_ids*."""
+        slots = sorted(
+            (f"{ref.alias}.{column}", ref.table, column)
+            for ref in query.table_refs
+            for column in self.ndb.data_columns(ref.table)
+        )
+        tables = sorted({table for _, table, _ in slots})
         rows: List[ExecRow] = []
         for row_id in row_ids:
             wide_row = self.ndb.wide.row(row_id)
-            exec_row: ExecRow = {}
-            for alias, (table, columns) in alias_info.items():
-                # When the wide row does not map to a table (its bit is 0), the
-                # engine sees that table's columns as the NULL padding of an
-                # outer join -- mirror that here, otherwise the child's copy of
-                # a corrupted key would leak into the parent alias.
-                mapped = self.ndb.rowid_map.get(row_id, table) is not None
-                for column in columns:
-                    exec_row[f"{alias}.{column}"] = (
-                        wide_row[column] if mapped else NULL
-                    )
-            rows.append(exec_row)
-        return rows
+            # When the wide row does not map to a table (its bit is 0), the
+            # engine sees that table's columns as the NULL padding of an
+            # outer join -- mirror that here, otherwise the child's copy of
+            # a corrupted key would leak into the parent alias.
+            mapped = {
+                table: self.ndb.rowid_map.get(row_id, table) is not None
+                for table in tables
+            }
+            rows.append(tuple(
+                wide_row[column] if mapped[table] else NULL
+                for _, table, column in slots
+            ))
+        return [name for name, _, _ in slots], rows
 
     def compute(self, query: QuerySpec) -> GroundTruth:
         """Compute the ground truth of one generated query."""
         bits = self.join_bitmap(query)
         row_ids = bits.indices()
-        exec_rows = self._wide_exec_rows(query, row_ids)
-        columns = sorted({name for row in exec_rows for name in row}) if exec_rows else []
+        columns, exec_rows = self._wide_exec_rows(query, row_ids)
         operator: PhysicalOperator = _StaticRows(exec_rows, columns)
         if query.where is not None:
             operator = Filter(operator, query.where)
@@ -130,11 +135,11 @@ class GroundTruthOracle:
             group_by=query.group_by,
             distinct=query.distinct,
         )
-        names = operator.output_columns()
-        result_rows = [tuple(row[name] for name in names) for row in operator.rows()]
+        result_rows = list(operator.rows())
         mode = (
             VerificationMode.SUBSET
             if any(step.join_type is JoinType.CROSS for step in query.joins)
             else VerificationMode.FULL_SET
         )
-        return GroundTruth(ResultSet(names, result_rows), mode, row_ids)
+        return GroundTruth(ResultSet(operator.output_columns(), result_rows), mode,
+                           row_ids)

@@ -121,14 +121,13 @@ class Engine:
         if isinstance(self.hooks, ActiveFaults):
             self.hooks.reset_fired()
         operator = self.planner.plan(query, hints)
-        names = operator.output_columns()
-        rows = [tuple(row[name] for name in names) for row in operator.rows()]
+        rows = list(operator.rows())
         self.queries_executed += 1
         fired: Tuple[int, ...] = ()
         if isinstance(self.hooks, ActiveFaults):
             fired = tuple(sorted(self.hooks.fired))
         return ExecutionReport(
-            result=ResultSet(names, rows),
+            result=ResultSet(operator.output_columns(), rows),
             hints=hints,
             plan_description=operator.explain(),
             fired_bug_ids=fired,

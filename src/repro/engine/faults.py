@@ -6,9 +6,13 @@ same *classes* of bugs (Table 4) into the in-memory engine at the operator seams
 defined in :mod:`repro.plan.physical`:
 
 * the ``join_key`` seam corrupts join-key normalization (``0`` vs ``-0``,
-  lossy ``varchar``→``double`` casts, cached-constant rounding);
+  lossy ``varchar``→``double`` casts, cached-constant rounding): a join asks
+  :meth:`ActiveFaults.key_function` once for its key function, and a matching
+  bug replaces it with one that applies the bug's behaviour and records the
+  bug as fired each time a key goes through it;
 * the ``null_pad`` seam corrupts the padding of outer joins (NULL becomes an
-  empty string or zero, the MariaDB join-buffer bug family);
+  empty string or zero, the MariaDB join-buffer bug family); it is consulted
+  when a join builds its first padding row;
 * the ``flag`` seam enables behavioural deviations (semi-join ignoring its join
   key under materialization, anti-join dropping NULL-key rows, merge join losing
   rows, LEFT JOIN silently converted to INNER JOIN, ...).
@@ -25,7 +29,13 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.errors import ReproError
 from repro.plan.logical import JoinType
-from repro.plan.physical import ExecRow, ExecutionHooks, JoinAlgorithm, TriggerContext
+from repro.plan.physical import (
+    ExecRow,
+    ExecutionHooks,
+    JoinAlgorithm,
+    KeyFunction,
+    TriggerContext,
+)
 from repro.sqlvalue.casts import cast_for_domain, to_double_lossy
 from repro.sqlvalue.comparison import correct_hash_key
 from repro.sqlvalue.datatypes import TypeCategory
@@ -243,15 +253,23 @@ class ActiveFaults(ExecutionHooks):
 
     # ------------------------------------------------------------------- seams
 
-    def join_key(self, value: Any, domain: TypeCategory, trigger: TriggerContext) -> Any:
+    def key_function(self, domain: TypeCategory, trigger: TriggerContext) -> KeyFunction:
         matching = self._matching("join_key", trigger)
         if not matching:
-            return super().join_key(value, domain, trigger)
-        result = value
-        for bug in matching:
-            self.fired.add(bug.bug_id)
-            result = KEY_BEHAVIORS[bug.behavior](result, domain)
-        return result
+            return super().key_function(domain, trigger)
+        fired = self.fired
+        bug_ids = [bug.bug_id for bug in matching]
+        behaviors = [KEY_BEHAVIORS[bug.behavior] for bug in matching]
+
+        def faulty_key(value: Any) -> Any:
+            # Fired per call, not per resolution: a join whose keys are all
+            # NULL never applies its key function and fires nothing.
+            fired.update(bug_ids)
+            for behavior in behaviors:
+                value = behavior(value, domain)
+            return value
+
+        return faulty_key
 
     def null_pad_value(self, column: str, trigger: TriggerContext) -> Any:
         matching = self._matching("null_pad", trigger)

@@ -1,7 +1,13 @@
 """Expression AST shared by filters, join conditions, projections and subqueries.
 
-Every node can evaluate itself against an :class:`EvalContext`, render itself back
-to SQL text, and report the columns it references.  Boolean-valued nodes return
+Every node compiles itself against a row layout into a closure over tuple rows,
+renders itself back to SQL text, and reports the columns it references.
+:meth:`Expression.compile` takes the layout -- the column names of the rows the
+closure will see, in slot order -- and the plan's subquery runner, resolves
+every column reference to a slot once, and returns a ``row -> value`` function;
+the physical operators compile their expressions when a plan is built and call
+the closures per row.  :meth:`Expression.eval` evaluates against a dictionary
+row through the same closures, for one-off use.  Boolean-valued nodes return
 ``True`` / ``False`` / :data:`~repro.sqlvalue.values.NULL` (UNKNOWN) following SQL
 three-valued logic.
 """
@@ -10,13 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ExpressionError
+from repro.sqlvalue.casts import to_decimal, to_double_lossy
 from repro.sqlvalue.comparison import (
-    logical_and,
-    logical_not,
-    logical_or,
     null_safe_equal,
     sql_compare,
     sql_equal,
@@ -27,9 +32,18 @@ from repro.sqlvalue.values import NULL, is_null, render_literal
 ColumnKey = Tuple[Optional[str], str]
 """A (table-or-alias, column) pair; the table part may be None for unqualified refs."""
 
+Layout = Sequence[str]
+"""The column names of a tuple row, in slot order."""
+
+Compiled = Callable[[tuple], Any]
+"""A compiled expression: evaluates the node against one tuple row."""
+
+SubqueryRunner = Optional[Callable[[Any], List[tuple]]]
+"""Runs an uncorrelated subquery (a logical QuerySpec) and returns its rows."""
+
 
 class EvalContext:
-    """Everything an expression needs at evaluation time.
+    """A dictionary row plus a subquery runner, for one-off evaluation.
 
     Attributes
     ----------
@@ -37,45 +51,34 @@ class EvalContext:
         Mapping from qualified column name (``"t1.col"``) and/or bare column name
         to the current value.
     subquery_executor:
-        Callback invoked for IN/EXISTS subqueries; receives the subquery object
-        and the current context and returns a list of result rows (tuples).
+        Runs IN/EXISTS/scalar subqueries; receives the subquery object and
+        returns a list of result rows (tuples).
     """
 
     __slots__ = ("row", "subquery_executor")
 
-    def __init__(
-        self,
-        row: Dict[str, Any],
-        subquery_executor: Optional[Callable[[Any, "EvalContext"], List[tuple]]] = None,
-    ) -> None:
+    def __init__(self, row: Dict[str, Any],
+                 subquery_executor: SubqueryRunner = None) -> None:
         self.row = row
         self.subquery_executor = subquery_executor
 
-    def lookup(self, table: Optional[str], column: str) -> Any:
-        """Resolve a column reference against the current row."""
-        if table is not None:
-            qualified = f"{table}.{column}"
-            if qualified in self.row:
-                return self.row[qualified]
-        if column in self.row:
-            return self.row[column]
-        # Fall back to a suffix match for unqualified references against
-        # qualified row keys (single-owner columns only).
-        matches = [key for key in self.row if key.endswith(f".{column}")]
-        if table is None and len(matches) == 1:
-            return self.row[matches[0]]
-        raise ExpressionError(
-            f"cannot resolve column {table + '.' if table else ''}{column} "
-            f"against row keys {sorted(self.row)}"
-        )
+
+def is_true(value: Any) -> bool:
+    """Whether an evaluated predicate is TRUE (not FALSE, not UNKNOWN)."""
+    return value is True or (value is not False and truth_value(value) is True)
 
 
 class Expression:
     """Base class for all expression nodes."""
 
-    def eval(self, ctx: EvalContext) -> Any:
-        """Evaluate the node against *ctx*."""
+    def compile(self, layout: Layout, subqueries: SubqueryRunner = None) -> Compiled:
+        """Compile the node into a closure over rows laid out as *layout*."""
         raise NotImplementedError
+
+    def eval(self, ctx: EvalContext) -> Any:
+        """Evaluate the node against a dictionary row (compiles on every call)."""
+        row = ctx.row
+        return self.compile(tuple(row), ctx.subquery_executor)(tuple(row.values()))
 
     def render(self) -> str:
         """Render the node back to SQL text."""
@@ -110,17 +113,40 @@ class ColumnRef(Expression):
     table: Optional[str]
     column: str
 
-    def __post_init__(self) -> None:
-        # The row key this reference usually resolves to, built once here
-        # rather than on every evaluation; not a dataclass field.
-        qualified = self.column if self.table is None else f"{self.table}.{self.column}"
-        object.__setattr__(self, "_row_key", qualified)
+    def slot(self, layout: Layout) -> Optional[int]:
+        """The slot of *layout* this reference reads, or None.
 
-    def eval(self, ctx: EvalContext) -> Any:
-        try:
-            return ctx.row[self._row_key]
-        except KeyError:
-            return ctx.lookup(self.table, self.column)
+        Resolution order: the qualified name, then the bare column name, then
+        -- for an unqualified reference -- the one qualified name ending in
+        ``.column``.  A name listed twice resolves to its last slot.
+        """
+        positions = {name: index for index, name in enumerate(layout)}
+        if self.table is not None:
+            qualified = positions.get(f"{self.table}.{self.column}")
+            if qualified is not None:
+                return qualified
+        if self.column in positions:
+            return positions[self.column]
+        if self.table is None:
+            suffix = f".{self.column}"
+            matches = [name for name in positions if name.endswith(suffix)]
+            if len(matches) == 1:
+                return positions[matches[0]]
+        return None
+
+    def compile(self, layout: Layout, subqueries: SubqueryRunner = None) -> Compiled:
+        slot = self.slot(layout)
+        if slot is not None:
+            return itemgetter(slot)
+        message = (
+            f"cannot resolve column {self.render()} "
+            f"against row keys {sorted(layout)}"
+        )
+
+        def unresolved(row: tuple) -> Any:
+            raise ExpressionError(message)
+
+        return unresolved
 
     def render(self) -> str:
         return f"{self.table}.{self.column}" if self.table else self.column
@@ -137,14 +163,29 @@ class Literal(Expression):
 
     value: Any
 
-    def eval(self, ctx: EvalContext) -> Any:
-        return self.value
+    def compile(self, layout: Layout, subqueries: SubqueryRunner = None) -> Compiled:
+        value = self.value
+        return lambda row: value
 
     def render(self) -> str:
         return render_literal(self.value)
 
 
-_COMPARISON_OPS = {"=", "<>", "!=", "<", "<=", ">", ">=", "<=>"}
+_COMPARISON_OUTCOMES = {
+    "=": (False, True, False),
+    "<>": (True, False, True),
+    "!=": (True, False, True),
+    "<": (True, False, False),
+    "<=": (True, True, False),
+    ">": (False, False, True),
+    ">=": (False, True, True),
+}
+"""Each operator's result for a ``sql_compare`` of -1, 0 and 1."""
+
+_COMPARISON_OPS = set(_COMPARISON_OUTCOMES) | {"<=>"}
+
+_PLAIN_TYPES = (str, int, float)
+"""Types whose same-type pairs compare natively, as in ``sql_compare``."""
 
 
 @dataclass(frozen=True, repr=False)
@@ -162,25 +203,32 @@ class Comparison(Expression):
     def children(self) -> Sequence[Expression]:
         return (self.left, self.right)
 
-    def eval(self, ctx: EvalContext) -> Any:
-        left = self.left.eval(ctx)
-        right = self.right.eval(ctx)
+    def compile(self, layout: Layout, subqueries: SubqueryRunner = None) -> Compiled:
+        left = self.left.compile(layout, subqueries)
+        right = self.right.compile(layout, subqueries)
         if self.op == "<=>":
-            return null_safe_equal(left, right)
-        cmp = sql_compare(left, right)
-        if cmp is None:
-            return NULL
+            return lambda row: null_safe_equal(left(row), right(row))
         if self.op == "=":
-            return cmp == 0
-        if self.op in ("<>", "!="):
-            return cmp != 0
-        if self.op == "<":
-            return cmp < 0
-        if self.op == "<=":
-            return cmp <= 0
-        if self.op == ">":
-            return cmp > 0
-        return cmp >= 0
+
+            def equal(row: tuple) -> Any:
+                a = left(row)
+                b = right(row)
+                kind = type(a)
+                if kind is type(b) and kind in _PLAIN_TYPES:
+                    # NaN is neither less nor greater than a float, so
+                    # sql_compare calls it equal; == does not.
+                    return a == b or (kind is float and not (a < b or a > b))
+                cmp = sql_compare(a, b)
+                return NULL if cmp is None else cmp == 0
+
+            return equal
+        outcomes = _COMPARISON_OUTCOMES[self.op]
+
+        def compare(row: tuple) -> Any:
+            cmp = sql_compare(left(row), right(row))
+            return NULL if cmp is None else outcomes[cmp + 1]
+
+        return compare
 
     def render(self) -> str:
         return f"({self.left.render()} {self.op} {self.right.render()})"
@@ -196,9 +244,11 @@ class IsNull(Expression):
     def children(self) -> Sequence[Expression]:
         return (self.operand,)
 
-    def eval(self, ctx: EvalContext) -> Any:
-        result = is_null(self.operand.eval(ctx))
-        return (not result) if self.negated else result
+    def compile(self, layout: Layout, subqueries: SubqueryRunner = None) -> Compiled:
+        operand = self.operand.compile(layout, subqueries)
+        if self.negated:
+            return lambda row: not is_null(operand(row))
+        return lambda row: is_null(operand(row))
 
     def render(self) -> str:
         suffix = "IS NOT NULL" if self.negated else "IS NULL"
@@ -214,10 +264,14 @@ class Not(Expression):
     def children(self) -> Sequence[Expression]:
         return (self.operand,)
 
-    def eval(self, ctx: EvalContext) -> Any:
-        value = truth_value(self.operand.eval(ctx))
-        result = logical_not(value)
-        return NULL if result is None else result
+    def compile(self, layout: Layout, subqueries: SubqueryRunner = None) -> Compiled:
+        operand = self.operand.compile(layout, subqueries)
+
+        def negate(row: tuple) -> Any:
+            value = truth_value(operand(row))
+            return NULL if value is None else not value
+
+        return negate
 
     def render(self) -> str:
         return f"(NOT {self.operand.render()})"
@@ -243,14 +297,26 @@ class And(Expression):
     def children(self) -> Sequence[Expression]:
         return self.operands
 
-    def eval(self, ctx: EvalContext) -> Any:
-        result: Optional[bool] = True
-        for operand in self.operands:
-            value = truth_value(operand.eval(ctx))
-            result = logical_and(result, value)
-            if result is False:
+    def compile(self, layout: Layout, subqueries: SubqueryRunner = None) -> Compiled:
+        operands = tuple(op.compile(layout, subqueries) for op in self.operands)
+
+        def conjunction(row: tuple) -> Any:
+            unknown = False
+            for operand in operands:
+                value = operand(row)
+                if value is True:
+                    continue
+                if value is not False:
+                    value = truth_value(value)
+                    if value is None:
+                        unknown = True
+                        continue
+                    if value:
+                        continue
                 return False
-        return NULL if result is None else result
+            return NULL if unknown else True
+
+        return conjunction
 
     def render(self) -> str:
         return "(" + " AND ".join(op.render() for op in self.operands) + ")"
@@ -276,14 +342,26 @@ class Or(Expression):
     def children(self) -> Sequence[Expression]:
         return self.operands
 
-    def eval(self, ctx: EvalContext) -> Any:
-        result: Optional[bool] = False
-        for operand in self.operands:
-            value = truth_value(operand.eval(ctx))
-            result = logical_or(result, value)
-            if result is True:
+    def compile(self, layout: Layout, subqueries: SubqueryRunner = None) -> Compiled:
+        operands = tuple(op.compile(layout, subqueries) for op in self.operands)
+
+        def disjunction(row: tuple) -> Any:
+            unknown = False
+            for operand in operands:
+                value = operand(row)
+                if value is False:
+                    continue
+                if value is not True:
+                    value = truth_value(value)
+                    if value is None:
+                        unknown = True
+                        continue
+                    if not value:
+                        continue
                 return True
-        return NULL if result is None else result
+            return NULL if unknown else False
+
+        return disjunction
 
     def render(self) -> str:
         return "(" + " OR ".join(op.render() for op in self.operands) + ")"
@@ -301,16 +379,21 @@ class Between(Expression):
     def children(self) -> Sequence[Expression]:
         return (self.operand, self.low, self.high)
 
-    def eval(self, ctx: EvalContext) -> Any:
-        value = self.operand.eval(ctx)
-        low = self.low.eval(ctx)
-        high = self.high.eval(ctx)
-        lower = sql_compare(value, low)
-        upper = sql_compare(value, high)
-        if lower is None or upper is None:
-            return NULL
-        result = lower >= 0 and upper <= 0
-        return (not result) if self.negated else result
+    def compile(self, layout: Layout, subqueries: SubqueryRunner = None) -> Compiled:
+        operand = self.operand.compile(layout, subqueries)
+        low = self.low.compile(layout, subqueries)
+        high = self.high.compile(layout, subqueries)
+        negated = bool(self.negated)
+
+        def between(row: tuple) -> Any:
+            value = operand(row)
+            lower = sql_compare(value, low(row))
+            upper = sql_compare(value, high(row))
+            if lower is None or upper is None:
+                return NULL
+            return (lower >= 0 and upper <= 0) is not negated
+
+        return between
 
     def render(self) -> str:
         keyword = "NOT BETWEEN" if self.negated else "BETWEEN"
@@ -331,21 +414,18 @@ class InList(Expression):
     def children(self) -> Sequence[Expression]:
         return (self.operand,) + self.items
 
-    def eval(self, ctx: EvalContext) -> Any:
-        value = self.operand.eval(ctx)
-        if is_null(value):
-            return NULL
-        saw_unknown = False
-        for item in self.items:
-            candidate = item.eval(ctx)
-            eq = sql_equal(value, candidate)
-            if eq is True:
-                return False if self.negated else True
-            if eq is None:
-                saw_unknown = True
-        if saw_unknown:
-            return NULL
-        return True if self.negated else False
+    def compile(self, layout: Layout, subqueries: SubqueryRunner = None) -> Compiled:
+        operand = self.operand.compile(layout, subqueries)
+        items = tuple(item.compile(layout, subqueries) for item in self.items)
+        negated = bool(self.negated)
+
+        def in_list(row: tuple) -> Any:
+            value = operand(row)
+            if is_null(value):
+                return NULL
+            return _membership(value, (item(row) for item in items), negated)
+
+        return in_list
 
     def render(self) -> str:
         keyword = "NOT IN" if self.negated else "IN"
@@ -364,26 +444,23 @@ class InSubquery(Expression):
     def children(self) -> Sequence[Expression]:
         return (self.operand,)
 
-    def eval(self, ctx: EvalContext) -> Any:
-        if ctx.subquery_executor is None:
-            raise ExpressionError("IN subquery evaluated without a subquery executor")
-        value = self.operand.eval(ctx)
-        rows = ctx.subquery_executor(self.subquery, ctx)
-        if is_null(value):
-            if not rows:
-                return True if self.negated else False
-            return NULL
-        saw_unknown = False
-        for row in rows:
-            candidate = row[0] if isinstance(row, (tuple, list)) else row
-            eq = sql_equal(value, candidate)
-            if eq is True:
-                return False if self.negated else True
-            if eq is None:
-                saw_unknown = True
-        if saw_unknown:
-            return NULL
-        return True if self.negated else False
+    def compile(self, layout: Layout, subqueries: SubqueryRunner = None) -> Compiled:
+        if subqueries is None:
+            return _missing_runner("IN subquery")
+        operand = self.operand.compile(layout, subqueries)
+        subquery = self.subquery
+        negated = bool(self.negated)
+
+        def in_subquery(row: tuple) -> Any:
+            value = operand(row)
+            rows = subqueries(subquery)
+            if is_null(value):
+                if not rows:
+                    return negated
+                return NULL
+            return _membership(value, (_first_column(r) for r in rows), negated)
+
+        return in_subquery
 
     def render(self) -> str:
         keyword = "NOT IN" if self.negated else "IN"
@@ -397,12 +474,12 @@ class ExistsSubquery(Expression):
     subquery: Any
     negated: bool = False
 
-    def eval(self, ctx: EvalContext) -> Any:
-        if ctx.subquery_executor is None:
-            raise ExpressionError("EXISTS subquery evaluated without a subquery executor")
-        rows = ctx.subquery_executor(self.subquery, ctx)
-        result = bool(rows)
-        return (not result) if self.negated else result
+    def compile(self, layout: Layout, subqueries: SubqueryRunner = None) -> Compiled:
+        if subqueries is None:
+            return _missing_runner("EXISTS subquery")
+        subquery = self.subquery
+        negated = bool(self.negated)
+        return lambda row: bool(subqueries(subquery)) is not negated
 
     def render(self) -> str:
         keyword = "NOT EXISTS" if self.negated else "EXISTS"
@@ -433,15 +510,14 @@ class ScalarSubquery(Expression):
             raise ExpressionError(
                 f"scalar subquery returned {len(rows)} rows"
             )
-        row = rows[0]
-        return row[0] if isinstance(row, (tuple, list)) else row
+        return _first_column(rows[0])
 
-    def eval(self, ctx: EvalContext) -> Any:
-        if ctx.subquery_executor is None:
-            raise ExpressionError(
-                "scalar subquery evaluated without a subquery executor"
-            )
-        return self.resolve_rows(ctx.subquery_executor(self.subquery, ctx))
+    def compile(self, layout: Layout, subqueries: SubqueryRunner = None) -> Compiled:
+        if subqueries is None:
+            return _missing_runner("scalar subquery")
+        subquery = self.subquery
+        resolve = self.resolve_rows
+        return lambda row: resolve(subqueries(subquery))
 
     def render(self) -> str:
         return f"({self.subquery.render()})"
@@ -452,7 +528,11 @@ _ARITHMETIC_OPS = {"+", "-", "*", "/"}
 
 @dataclass(frozen=True, repr=False)
 class Arithmetic(Expression):
-    """Binary arithmetic; division by zero yields NULL (MySQL semantics)."""
+    """Binary arithmetic; division by zero yields NULL (MySQL semantics).
+
+    As in MySQL, a string operand converts to DOUBLE, and an exact
+    (``int``/``Decimal``) operand meeting a float makes the result DOUBLE.
+    """
 
     op: str
     left: Expression
@@ -465,25 +545,30 @@ class Arithmetic(Expression):
     def children(self) -> Sequence[Expression]:
         return (self.left, self.right)
 
-    def eval(self, ctx: EvalContext) -> Any:
-        left = self.left.eval(ctx)
-        right = self.right.eval(ctx)
-        if is_null(left) or is_null(right):
-            return NULL
-        from repro.sqlvalue.casts import to_decimal, to_double_lossy
+    def compile(self, layout: Layout, subqueries: SubqueryRunner = None) -> Compiled:
+        left = self.left.compile(layout, subqueries)
+        right = self.right.compile(layout, subqueries)
+        op = self.op
 
-        if isinstance(left, str) or isinstance(right, str):
-            left = to_double_lossy(left)
-            right = to_double_lossy(right)
-        if self.op == "+":
-            return left + right
-        if self.op == "-":
-            return left - right
-        if self.op == "*":
-            return left * right
-        if right == 0:
-            return NULL
-        return to_decimal(left) / to_decimal(right) if not isinstance(left, float) and not isinstance(right, float) else left / right
+        def arithmetic(row: tuple) -> Any:
+            a = left(row)
+            b = right(row)
+            if is_null(a) or is_null(b):
+                return NULL
+            a, b = _numeric_operands(a, b)
+            if op == "+":
+                return a + b
+            if op == "-":
+                return a - b
+            if op == "*":
+                return a * b
+            if b == 0:
+                return NULL
+            if isinstance(a, float) or isinstance(b, float):
+                return a / b
+            return to_decimal(a) / to_decimal(b)
+
+        return arithmetic
 
     def render(self) -> str:
         return f"({self.left.render()} {self.op} {self.right.render()})"
@@ -505,30 +590,82 @@ class FunctionCall(Expression):
     def children(self) -> Sequence[Expression]:
         return self.args
 
-    def eval(self, ctx: EvalContext) -> Any:
+    def compile(self, layout: Layout, subqueries: SubqueryRunner = None) -> Compiled:
+        args = tuple(arg.compile(layout, subqueries) for arg in self.args)
         name = self.name.upper()
-        values = [arg.eval(ctx) for arg in self.args]
-        if name in ("COALESCE", "IFNULL"):
-            for value in values:
-                if not is_null(value):
-                    return value
-            return NULL
-        if not values or is_null(values[0]):
-            return NULL
-        value = values[0]
-        if name == "ABS":
-            return abs(value) if isinstance(value, (int, float, Decimal)) else value
-        if name == "LENGTH":
-            return len(str(value))
-        if name == "UPPER":
-            return str(value).upper()
-        if name == "LOWER":
-            return str(value).lower()
-        raise ExpressionError(f"unsupported function {self.name!r}")  # pragma: no cover
+
+        def call(row: tuple) -> Any:
+            values = [arg(row) for arg in args]
+            if name in ("COALESCE", "IFNULL"):
+                for value in values:
+                    if not is_null(value):
+                        return value
+                return NULL
+            if not values or is_null(values[0]):
+                return NULL
+            value = values[0]
+            if name == "ABS":
+                return abs(value) if isinstance(value, (int, float, Decimal)) else value
+            if name == "LENGTH":
+                return len(str(value))
+            if name == "UPPER":
+                return str(value).upper()
+            if name == "LOWER":
+                return str(value).lower()
+            raise ExpressionError(f"unsupported function {self.name!r}")  # pragma: no cover
+
+        return call
 
     def render(self) -> str:
         args = ", ".join(arg.render() for arg in self.args)
         return f"{self.name.upper()}({args})"
+
+
+def _numeric_operands(a: Any, b: Any) -> Tuple[Any, Any]:
+    """Bring two non-NULL arithmetic operands into one numeric domain.
+
+    A string operand makes both DOUBLE (MySQL's implicit conversion); a
+    float meeting a ``Decimal`` makes the ``Decimal`` a float, since MySQL
+    computes DECIMAL-with-DOUBLE arithmetic in DOUBLE.  Anything else is left
+    to Python, whose ``int``/``float`` and ``int``/``Decimal`` mixes already
+    follow that rule.
+    """
+    if isinstance(a, str) or isinstance(b, str):
+        return to_double_lossy(a), to_double_lossy(b)
+    if isinstance(a, float):
+        if isinstance(b, Decimal):
+            return a, float(b)
+    elif isinstance(b, float) and isinstance(a, Decimal):
+        return float(a), b
+    return a, b
+
+
+def _first_column(row: Any) -> Any:
+    """The first value of a subquery result row."""
+    return row[0] if isinstance(row, (tuple, list)) else row
+
+
+def _membership(value: Any, candidates: Iterable[Any], negated: bool) -> Any:
+    """``value [NOT] IN candidates`` for a non-NULL *value*, with SQL NULLs."""
+    saw_unknown = False
+    for candidate in candidates:
+        eq = sql_equal(value, candidate)
+        if eq is True:
+            return not negated
+        if eq is None:
+            saw_unknown = True
+    if saw_unknown:
+        return NULL
+    return negated
+
+
+def _missing_runner(what: str) -> Compiled:
+    """A closure that fails, when evaluated, for want of a subquery runner."""
+
+    def fail(row: tuple) -> Any:
+        raise ExpressionError(f"{what} evaluated without a subquery executor")
+
+    return fail
 
 
 def conjoin(expressions: Iterable[Expression]) -> Optional[Expression]:

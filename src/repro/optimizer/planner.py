@@ -1,11 +1,15 @@
-"""The planner: logical :class:`QuerySpec` + :class:`HintSet` -> physical plan."""
+"""The planner: logical :class:`QuerySpec` + :class:`HintSet` -> physical plan.
+
+A plan is compiled as it is built: every operator resolves its column slots
+and compiles its expressions against its input layout in its constructor, so
+executing the plan does only per-row work.
+"""
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.catalog.schema import DatabaseSchema
-from repro.expr.ast import EvalContext
 from repro.optimizer.cost import JoinCostInput, choose_algorithm
 from repro.optimizer.hints import HintSet, default_hints
 from repro.plan.joins import Join, JoinKeySpec
@@ -217,12 +221,10 @@ class Planner:
         # no id is reused while the plan exists.
         memo: Dict[int, List[tuple]] = {}
 
-        def run(subquery: QuerySpec, _outer_ctx: EvalContext) -> List[tuple]:
+        def run(subquery: QuerySpec) -> List[tuple]:
             rows = memo.get(id(subquery))
             if rows is None:
-                operator = self.plan(subquery, hints)
-                names = operator.output_columns()
-                rows = [tuple(row[name] for name in names) for row in operator.rows()]
+                rows = list(self.plan(subquery, hints).rows())
                 memo[id(subquery)] = rows
             return rows
 

@@ -2,16 +2,22 @@
 
 The operator always materializes its right (inner) input, builds an algorithm
 specific lookup structure, finds the matches of every left row, and then emits
-output rows according to the logical join type.  Every decision point that a
-seeded logic bug can corrupt goes through :class:`~repro.plan.physical.ExecutionHooks`:
+output rows according to the logical join type.  Rows are tuples: an output row
+is ``left + right`` (SEMI and ANTI emit the left tuple itself), and the key
+slots and the residual condition are resolved when the operator is built.
+Every decision point that a seeded logic bug can corrupt goes through
+:class:`~repro.plan.physical.ExecutionHooks`, resolved once per execution:
 
-* ``join_key`` — key normalization before hashing/merging (e.g. the ``0`` vs ``-0``
+* ``key_function(domain, trigger)`` — the key normalization applied to every
+  non-NULL key before hashing, scanning or merging (e.g. the ``0`` vs ``-0``
   hash-join bug of Figure 1(a), the ``varchar``→``double`` semi-join cast of
   Figure 1(b));
 * ``null_pad_value`` — padding of the non-preserved side of outer joins (the
-  MariaDB join-buffer bugs that turn NULL into an empty string);
+  MariaDB join-buffer bugs that turn NULL into an empty string), consulted
+  when the first padded row is built;
 * ``flag(effect, trigger)`` — named boolean seams such as
-  ``"left_outer_join_as_inner"`` or ``"antijoin_drop_null_key_rows"``.
+  ``"left_outer_join_as_inner"`` or ``"antijoin_drop_null_key_rows"``;
+* ``post_rows`` — the join's full output.
 
 The effect names understood by this module are listed in ``EFFECT_NAMES``.
 """
@@ -19,23 +25,22 @@ The effect names understood by this module are listed in ``EFFECT_NAMES``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
-from repro.expr.ast import EvalContext, Expression
+from repro.expr.ast import Expression, SubqueryRunner, is_true
 from repro.plan.logical import JoinType
 from repro.plan.physical import (
     ExecRow,
     ExecutionHooks,
     JoinAlgorithm,
+    KeyFunction,
     PhysicalOperator,
     TriggerContext,
-    merge_rows,
-    null_row,
 )
-from repro.sqlvalue.comparison import sql_compare, truth_value
+from repro.sqlvalue.comparison import sql_compare
 from repro.sqlvalue.datatypes import TypeCategory
-from repro.sqlvalue.values import is_null, value_sort_key
+from repro.sqlvalue.values import NULL, is_null, value_sort_key
 
 EFFECT_NAMES = (
     "left_outer_join_as_inner",
@@ -93,7 +98,7 @@ class Join(PhysicalOperator):
         hooks: Optional[ExecutionHooks] = None,
         extra_condition: Optional[Expression] = None,
         trigger: Optional[TriggerContext] = None,
-        subquery_executor=None,
+        subquery_executor: SubqueryRunner = None,
     ) -> None:
         if join_type is not JoinType.CROSS and key is None:
             raise ExecutionError(f"{join_type.value} join requires an equi-join key")
@@ -105,7 +110,20 @@ class Join(PhysicalOperator):
         self.hooks = hooks or ExecutionHooks()
         self.extra_condition = extra_condition
         self._base_trigger = trigger or TriggerContext()
-        self.subquery_executor = subquery_executor
+        left_columns = left.output_columns()
+        right_columns = right.output_columns()
+        self._columns = left_columns + (
+            right_columns if join_type.exposes_right_columns else []
+        )
+        self._left_slot = self._right_slot = 0
+        if key is not None:
+            self._left_slot = _slot_of(left_columns, key.left_column)
+            self._right_slot = _slot_of(right_columns, key.right_column)
+        self._condition = None
+        if extra_condition is not None:
+            self._condition = extra_condition.compile(
+                left_columns + right_columns, subquery_executor
+            )
 
     # ------------------------------------------------------------------ plumbing
 
@@ -113,10 +131,7 @@ class Join(PhysicalOperator):
         return [self.left, self.right]
 
     def output_columns(self) -> List[str]:
-        columns = list(self.left.output_columns())
-        if self.join_type.exposes_right_columns:
-            columns.extend(self.right.output_columns())
-        return columns
+        return list(self._columns)
 
     def describe(self) -> str:
         key = "" if self.key is None else f" on {self.key.left_column}={self.key.right_column}"
@@ -137,44 +152,59 @@ class Join(PhysicalOperator):
             disabled_switches=base.disabled_switches,
         )
 
+    def _padding(self, side: PhysicalOperator, trigger: TriggerContext) -> ExecRow:
+        """The padding row for *side*; built only when a padded row is emitted."""
+        return tuple(
+            self.hooks.null_pad_value(column, trigger)
+            for column in side.output_columns()
+        )
+
     # ------------------------------------------------------------------ matching
 
     def _matches_by_hash(
-        self, left_rows: List[ExecRow], right_rows: List[ExecRow], trigger: TriggerContext
+        self, left_keys: List[Any], right_keys: List[Any],
+        key_of: KeyFunction, trigger: TriggerContext,
     ) -> List[List[int]]:
         """Hash-structure based matching (hash / BNLH / BKA / index NL joins)."""
-        assert self.key is not None
         table: Dict[Any, List[int]] = {}
-        for index, row in enumerate(right_rows):
-            value = row[self.key.right_column]
-            if is_null(value):
+        drop_duplicates: Optional[bool] = None
+        for index, value in enumerate(right_keys):
+            if value is NULL or value is None:
                 continue
-            key = self.hooks.join_key(value, self.key.domain, trigger)
-            bucket = table.setdefault(key, [])
-            if bucket and self.hooks.flag("hash_join_drop_duplicate_build_keys", trigger):
+            key = key_of(value)
+            bucket = table.get(key)
+            if bucket is None:
+                table[key] = [index]
                 continue
-            bucket.append(index)
+            # The seam is consulted at the first duplicate build key.
+            if drop_duplicates is None:
+                drop_duplicates = self.hooks.flag(
+                    "hash_join_drop_duplicate_build_keys", trigger
+                )
+            if not drop_duplicates:
+                bucket.append(index)
         null_matches_zero = self.hooks.flag("hash_join_null_key_matches_zero", trigger)
+        null_matches: Optional[List[int]] = None
         matches: List[List[int]] = []
-        for row in left_rows:
-            value = row[self.key.left_column]
-            if is_null(value):
-                if null_matches_zero:
-                    key = self.hooks.join_key(0, self.key.domain, trigger)
-                    matches.append(list(table.get(key, ())))
-                else:
+        for value in left_keys:
+            if value is NULL or value is None:
+                if not null_matches_zero:
                     matches.append([])
+                    continue
+                if null_matches is None:
+                    null_matches = table.get(key_of(0), [])
+                matches.append(null_matches)
                 continue
-            key = self.hooks.join_key(value, self.key.domain, trigger)
-            matches.append(list(table.get(key, ())))
+            matches.append(table.get(key_of(value), []))
         return matches
 
+    @staticmethod
     def _matches_by_scan(
-        self, left_rows: List[ExecRow], right_rows: List[ExecRow], trigger: TriggerContext
+        left_keys: List[Any], right_keys: List[Any], key_of: KeyFunction,
     ) -> List[List[int]]:
         """Value-comparison matching (plain / block nested loop joins).
 
-        Keys still pass through the ``join_key`` seam so that plan-independent
+        Keys still go through the key function so that plan-independent
         conversion bugs (e.g. the cached-constant bug) corrupt every algorithm,
         while hash-specific triggers simply do not match here.
 
@@ -185,14 +215,11 @@ class Join(PhysicalOperator):
         right key, so mixed kinds, ``Decimal``, ``bool`` and NaN keep the exact
         semantics.  Either way a match list is in ascending right-row order.
         """
-        assert self.key is not None
-        domain = self.key.domain
         candidates: List[Tuple[int, Any]] = []
-        for index, row in enumerate(right_rows):
-            raw = row[self.key.right_column]
-            if is_null(raw):
+        for index, raw in enumerate(right_keys):
+            if raw is NULL or raw is None:
                 continue
-            candidate = self.hooks.join_key(raw, domain, trigger)
+            candidate = key_of(raw)
             if not is_null(candidate):
                 candidates.append((index, candidate))
         kinds = {_plain_kind(candidate) for _, candidate in candidates}
@@ -202,14 +229,13 @@ class Join(PhysicalOperator):
             for index, candidate in candidates:
                 buckets.setdefault(candidate, []).append(index)
         matches: List[List[int]] = []
-        for row in left_rows:
-            raw = row[self.key.left_column]
-            if is_null(raw):
+        for raw in left_keys:
+            if raw is NULL or raw is None:
                 matches.append([])
                 continue
-            value = self.hooks.join_key(raw, domain, trigger)
+            value = key_of(raw)
             if bucket_kind is not None and _plain_kind(value) is bucket_kind:
-                matches.append(list(buckets.get(value, ())))
+                matches.append(buckets.get(value, []))
             else:
                 matches.append([
                     index
@@ -219,21 +245,19 @@ class Join(PhysicalOperator):
         return matches
 
     def _matches_by_merge(
-        self, left_rows: List[ExecRow], right_rows: List[ExecRow], trigger: TriggerContext
+        self, left_keys: List[Any], right_keys: List[Any],
+        key_of: KeyFunction, trigger: TriggerContext,
     ) -> List[List[int]]:
         """Sort-merge matching, with merge-join specific fault seams."""
-        assert self.key is not None
-        domain = self.key.domain
         drop_neg_zero = self.hooks.flag("merge_join_drop_negative_zero", trigger)
         drop_last_dup = self.hooks.flag("merge_join_drop_last_duplicate", trigger)
 
-        def sort_entries(rows: List[ExecRow], column: str) -> List[Tuple[Any, int]]:
+        def sort_entries(keys: List[Any]) -> List[Tuple[Any, int]]:
             entries = []
-            for index, row in enumerate(rows):
-                raw = row[column]
-                if is_null(raw):
+            for index, raw in enumerate(keys):
+                if raw is NULL or raw is None:
                     continue
-                value = self.hooks.join_key(raw, domain, trigger)
+                value = key_of(raw)
                 if drop_neg_zero and isinstance(value, float) and value == 0.0 and (
                     str(raw).startswith("-")
                 ):
@@ -242,9 +266,9 @@ class Join(PhysicalOperator):
             entries.sort(key=lambda item: value_sort_key(item[0]))
             return entries
 
-        left_entries = sort_entries(left_rows, self.key.left_column)
-        right_entries = sort_entries(right_rows, self.key.right_column)
-        matches: List[List[int]] = [[] for _ in left_rows]
+        left_entries = sort_entries(left_keys)
+        right_entries = sort_entries(right_keys)
+        matches: List[List[int]] = [[] for _ in left_keys]
         li = ri = 0
         while li < len(left_entries) and ri < len(right_entries):
             lval, lidx = left_entries[li]
@@ -268,31 +292,36 @@ class Join(PhysicalOperator):
         return matches
 
     def _find_matches(
-        self, left_rows: List[ExecRow], right_rows: List[ExecRow], trigger: TriggerContext
+        self, left_rows: Sequence[ExecRow], right_rows: Sequence[ExecRow],
+        trigger: TriggerContext,
     ) -> List[List[int]]:
+        """For every left row, the ascending indices of its matching right rows."""
+        assert self.key is not None
+        left_slot = self._left_slot
+        right_slot = self._right_slot
+        left_keys = [row[left_slot] for row in left_rows]
+        right_keys = [row[right_slot] for row in right_rows]
+        key_of = self.hooks.key_function(self.key.domain, trigger)
         if self.algorithm is JoinAlgorithm.SORT_MERGE:
-            raw = self._matches_by_merge(left_rows, right_rows, trigger)
+            raw = self._matches_by_merge(left_keys, right_keys, key_of, trigger)
         elif self.algorithm.uses_hash_table:
-            raw = self._matches_by_hash(left_rows, right_rows, trigger)
+            raw = self._matches_by_hash(left_keys, right_keys, key_of, trigger)
         else:
-            raw = self._matches_by_scan(left_rows, right_rows, trigger)
-        if self.extra_condition is None:
+            raw = self._matches_by_scan(left_keys, right_keys, key_of)
+        condition = self._condition
+        if condition is None:
             return raw
         # The residual seam is consulted once, at the first candidate pair, so
         # a join without candidates never fires it.
         if any(raw) and self.hooks.flag("residual_condition_skipped", trigger):
             return raw
-        condition = self.extra_condition
-        filtered: List[List[int]] = []
-        for left_index, candidates in enumerate(raw):
-            kept = []
-            for right_index in candidates:
-                merged = merge_rows(left_rows[left_index], right_rows[right_index])
-                ctx = EvalContext(merged, self.subquery_executor)
-                if truth_value(condition.eval(ctx)) is True:
-                    kept.append(right_index)
-            filtered.append(kept)
-        return filtered
+        return [
+            [
+                right_index for right_index in candidates
+                if is_true(condition(left + right_rows[right_index]))
+            ]
+            for left, candidates in zip(left_rows, raw)
+        ]
 
     # ------------------------------------------------------------------ emission
 
@@ -301,141 +330,138 @@ class Join(PhysicalOperator):
         right_rows = list(self.right.rows())
         has_null_keys = False
         if self.key is not None:
+            left_slot = self._left_slot
+            right_slot = self._right_slot
             has_null_keys = any(
-                is_null(row[self.key.left_column]) for row in left_rows
-            ) or any(is_null(row[self.key.right_column]) for row in right_rows)
+                is_null(row[left_slot]) for row in left_rows
+            ) or any(is_null(row[right_slot]) for row in right_rows)
         trigger = self._trigger(has_null_keys)
 
         if self.join_type is JoinType.CROSS:
-            output = [
-                merge_rows(left, right) for left in left_rows for right in right_rows
-            ]
-            yield from self.hooks.post_rows(output, trigger)
-            return
+            output = [left + right for left in left_rows for right in right_rows]
+            return iter(self.hooks.post_rows(output, trigger))
 
         if self.hooks.flag("merge_join_empty_result", trigger):
-            return
+            return iter(())
 
         matches = self._find_matches(left_rows, right_rows, trigger)
-        emitter = {
-            JoinType.INNER: self._emit_inner,
-            JoinType.LEFT_OUTER: self._emit_left_outer,
-            JoinType.RIGHT_OUTER: self._emit_right_outer,
-            JoinType.FULL_OUTER: self._emit_full_outer,
-            JoinType.SEMI: self._emit_semi,
-            JoinType.ANTI: self._emit_anti,
-        }[self.join_type]
+        emitter = getattr(self, _EMITTERS[self.join_type])
         output = emitter(left_rows, right_rows, matches, trigger)
-        yield from self.hooks.post_rows(output, trigger)
+        return iter(self.hooks.post_rows(output, trigger))
 
     def _emit_inner(self, left_rows, right_rows, matches, trigger) -> List[ExecRow]:
         output = []
         emit_padding = self.hooks.flag("inner_join_emit_null_padding", trigger)
-        right_columns = self.right.output_columns()
-        for left_index, candidates in enumerate(matches):
+        padding = None
+        for left, candidates in zip(left_rows, matches):
             for right_index in candidates:
-                output.append(merge_rows(left_rows[left_index], right_rows[right_index]))
+                output.append(left + right_rows[right_index])
             if not candidates and emit_padding:
-                output.append(
-                    merge_rows(left_rows[left_index],
-                               null_row(right_columns, self.hooks, trigger))
-                )
+                if padding is None:
+                    padding = self._padding(self.right, trigger)
+                output.append(left + padding)
         return output
 
     def _emit_left_outer(self, left_rows, right_rows, matches, trigger) -> List[ExecRow]:
         output = []
-        right_columns = self.right.output_columns()
         as_inner = self.hooks.flag("left_outer_join_as_inner", trigger)
         drop_matched = self.hooks.flag("outer_join_drop_matched_rows", trigger)
         spurious_null = self.hooks.flag("left_outer_emit_spurious_null_row", trigger)
-        for left_index, candidates in enumerate(matches):
+        padding = None
+        for left, candidates in zip(left_rows, matches):
             if candidates:
                 if not drop_matched:
                     for right_index in candidates:
-                        output.append(
-                            merge_rows(left_rows[left_index], right_rows[right_index])
-                        )
-                if spurious_null:
-                    output.append(
-                        merge_rows(left_rows[left_index],
-                                   null_row(right_columns, self.hooks, trigger))
-                    )
-            elif not as_inner:
-                output.append(
-                    merge_rows(left_rows[left_index],
-                               null_row(right_columns, self.hooks, trigger))
-                )
+                        output.append(left + right_rows[right_index])
+                if not spurious_null:
+                    continue
+            elif as_inner:
+                continue
+            if padding is None:
+                padding = self._padding(self.right, trigger)
+            output.append(left + padding)
         return output
 
     def _emit_right_outer(self, left_rows, right_rows, matches, trigger) -> List[ExecRow]:
         output = []
-        left_columns = self.left.output_columns()
         as_inner = self.hooks.flag("right_outer_join_as_inner", trigger)
         matched_right = set()
-        for left_index, candidates in enumerate(matches):
+        for left, candidates in zip(left_rows, matches):
             for right_index in candidates:
                 matched_right.add(right_index)
-                output.append(merge_rows(left_rows[left_index], right_rows[right_index]))
+                output.append(left + right_rows[right_index])
         if not as_inner:
-            for right_index, right in enumerate(right_rows):
-                if right_index not in matched_right:
-                    output.append(
-                        merge_rows(null_row(left_columns, self.hooks, trigger), right)
-                    )
+            self._pad_unmatched_right(output, right_rows, matched_right, trigger)
         return output
 
     def _emit_full_outer(self, left_rows, right_rows, matches, trigger) -> List[ExecRow]:
         output = []
-        left_columns = self.left.output_columns()
-        right_columns = self.right.output_columns()
         matched_right = set()
-        for left_index, candidates in enumerate(matches):
+        padding = None
+        for left, candidates in zip(left_rows, matches):
             if candidates:
                 for right_index in candidates:
                     matched_right.add(right_index)
-                    output.append(
-                        merge_rows(left_rows[left_index], right_rows[right_index])
-                    )
+                    output.append(left + right_rows[right_index])
             else:
-                output.append(
-                    merge_rows(left_rows[left_index],
-                               null_row(right_columns, self.hooks, trigger))
-                )
+                if padding is None:
+                    padding = self._padding(self.right, trigger)
+                output.append(left + padding)
+        self._pad_unmatched_right(output, right_rows, matched_right, trigger)
+        return output
+
+    def _pad_unmatched_right(self, output, right_rows, matched_right,
+                             trigger) -> None:
+        """Append every right row no left row matched, padded on the left."""
+        padding = None
         for right_index, right in enumerate(right_rows):
             if right_index not in matched_right:
-                output.append(
-                    merge_rows(null_row(left_columns, self.hooks, trigger), right)
-                )
-        return output
+                if padding is None:
+                    padding = self._padding(self.left, trigger)
+                output.append(padding + right)
 
     def _emit_semi(self, left_rows, right_rows, matches, trigger) -> List[ExecRow]:
         output = []
         ignore_key = self.hooks.flag("semijoin_ignore_join_key", trigger)
         drop_null_probe = self.hooks.flag("semijoin_drop_null_probe", trigger)
-        for left_index, candidates in enumerate(matches):
-            left_value = None
-            if self.key is not None:
-                left_value = left_rows[left_index][self.key.left_column]
+        left_slot = self._left_slot
+        for left, candidates in zip(left_rows, matches):
             if ignore_key and right_rows:
-                if not (drop_null_probe and is_null(left_value)):
-                    output.append(dict(left_rows[left_index]))
+                if not (drop_null_probe and is_null(left[left_slot])):
+                    output.append(left)
                 continue
             if candidates:
-                output.append(dict(left_rows[left_index]))
+                output.append(left)
         return output
 
     def _emit_anti(self, left_rows, right_rows, matches, trigger) -> List[ExecRow]:
         output = []
         drop_null = self.hooks.flag("antijoin_drop_null_key_rows", trigger)
         unknown_as_match = self.hooks.flag("antijoin_unknown_as_match", trigger)
-        for left_index, candidates in enumerate(matches):
-            left_value = None
-            if self.key is not None:
-                left_value = left_rows[left_index][self.key.left_column]
+        left_slot = self._left_slot
+        for left, candidates in zip(left_rows, matches):
             if candidates:
                 continue
-            if is_null(left_value):
-                if drop_null or unknown_as_match:
-                    continue
-            output.append(dict(left_rows[left_index]))
+            if (drop_null or unknown_as_match) and is_null(left[left_slot]):
+                continue
+            output.append(left)
         return output
+
+
+_EMITTERS = {
+    JoinType.INNER: "_emit_inner",
+    JoinType.LEFT_OUTER: "_emit_left_outer",
+    JoinType.RIGHT_OUTER: "_emit_right_outer",
+    JoinType.FULL_OUTER: "_emit_full_outer",
+    JoinType.SEMI: "_emit_semi",
+    JoinType.ANTI: "_emit_anti",
+}
+"""The emission method of each non-CROSS join type."""
+
+
+def _slot_of(columns: Sequence[str], name: str) -> int:
+    """The last slot of *columns* named *name*."""
+    for index in range(len(columns) - 1, -1, -1):
+        if columns[index] == name:
+            return index
+    raise ExecutionError(f"join key column {name!r} is not among {list(columns)}")

@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 from decimal import Decimal
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import ExecutionError
-from repro.expr.ast import ColumnRef, EvalContext, Expression
+from repro.expr.ast import (
+    ColumnRef,
+    Compiled,
+    Expression,
+    Layout,
+    SubqueryRunner,
+    is_true,
+)
 from repro.plan.logical import (
     AggregateFunction,
     OrderItem,
@@ -14,29 +22,53 @@ from repro.plan.logical import (
     unique_output_names,
 )
 from repro.plan.physical import ExecRow, PhysicalOperator
-from repro.sqlvalue.comparison import truth_value
 from repro.sqlvalue.values import NULL, is_null, normalize_row, value_sort_key
 from repro.storage.database import Database
 
-SubqueryExecutor = Optional[Callable[[Any, EvalContext], List[tuple]]]
+
+def tuple_getter(keys: Sequence[Any]) -> Callable[[Any], ExecRow]:
+    """An ``itemgetter`` over *keys* that always returns a tuple."""
+    if len(keys) == 1:
+        (key,) = keys
+        return lambda item: (item[key],)
+    if keys:
+        return itemgetter(*keys)
+    return lambda item: ()
+
+
+def compile_row(expressions: Sequence[Expression], layout: Layout,
+                subqueries: SubqueryRunner = None) -> Callable[[ExecRow], ExecRow]:
+    """Compile *expressions* into one ``row -> tuple of their values`` function.
+
+    When every expression is a column reference that resolves, the function
+    is a single ``itemgetter`` over their slots.
+    """
+    slots = [
+        expr.slot(layout) if isinstance(expr, ColumnRef) else None
+        for expr in expressions
+    ]
+    if None not in slots:
+        return tuple_getter(slots)
+    compiled = [expr.compile(layout, subqueries) for expr in expressions]
+    return lambda row: tuple([value(row) for value in compiled])
 
 
 class TableScan(PhysicalOperator):
-    """Full scan of one stored table, emitting qualified column names."""
+    """Full scan of one stored table, emitting rows in schema column order."""
 
     def __init__(self, database: Database, table: str, alias: str) -> None:
         self.database = database
         self.table = table
         self.alias = alias
-        self._schema = database.table_schema(table)
+        names = database.table_schema(table).column_names
+        self._columns = [f"{alias}.{name}" for name in names]
+        self._values = tuple_getter(names)
 
     def rows(self) -> Iterator[ExecRow]:
-        names = [(f"{self.alias}.{name}", name) for name in self._schema.column_names]
-        for stored in self.database.table(self.table).rows:
-            yield {qualified: stored[name] for qualified, name in names}
+        return map(self._values, self.database.table(self.table).rows)
 
     def output_columns(self) -> List[str]:
-        return [f"{self.alias}.{name}" for name in self._schema.column_names]
+        return list(self._columns)
 
     def describe(self) -> str:
         return f"TableScan({self.table} AS {self.alias})"
@@ -46,15 +78,15 @@ class Filter(PhysicalOperator):
     """Keep rows whose predicate evaluates to TRUE (not FALSE, not UNKNOWN)."""
 
     def __init__(self, child: PhysicalOperator, predicate: Expression,
-                 subquery_executor: SubqueryExecutor = None) -> None:
+                 subquery_executor: SubqueryRunner = None) -> None:
         self.child = child
         self.predicate = predicate
-        self.subquery_executor = subquery_executor
+        self._predicate = predicate.compile(child.output_columns(), subquery_executor)
 
     def rows(self) -> Iterator[ExecRow]:
+        predicate = self._predicate
         for row in self.child.rows():
-            ctx = EvalContext(row, self.subquery_executor)
-            if truth_value(self.predicate.eval(ctx)) is True:
+            if is_true(predicate(row)):
                 yield row
 
     def output_columns(self) -> List[str]:
@@ -81,7 +113,7 @@ class Project(PhysicalOperator):
         items: Sequence[SelectItem],
         group_by: Sequence[ColumnRef] = (),
         distinct: bool = True,
-        subquery_executor: SubqueryExecutor = None,
+        subquery_executor: SubqueryRunner = None,
     ) -> None:
         if not items:
             raise ExecutionError("projection requires at least one select item")
@@ -89,7 +121,15 @@ class Project(PhysicalOperator):
         self.items = list(items)
         self.group_by = list(group_by)
         self.distinct = distinct
-        self.subquery_executor = subquery_executor
+        layout = child.output_columns()
+        expressions = [item.expression for item in self.items]
+        if self._has_aggregates():
+            self._item_values: List[Compiled] = [
+                expr.compile(layout, subquery_executor) for expr in expressions
+            ]
+            self._group_key = compile_row(self.group_by, layout, subquery_executor)
+        else:
+            self._values = compile_row(expressions, layout, subquery_executor)
 
     def output_columns(self) -> List[str]:
         return unique_output_names(self.items)
@@ -105,47 +145,47 @@ class Project(PhysicalOperator):
         return any(item.aggregate is not None for item in self.items)
 
     def rows(self) -> Iterator[ExecRow]:
-        names = self.output_columns()
         if self._has_aggregates():
-            yield from self._aggregate_rows(names)
+            yield from self._aggregate_rows()
+            return
+        values_of = self._values
+        if not self.distinct:
+            yield from map(values_of, self.child.rows())
             return
         seen = set()
         for row in self.child.rows():
-            ctx = EvalContext(row, self.subquery_executor)
-            values = tuple(item.expression.eval(ctx) for item in self.items)
-            if self.distinct:
-                key = normalize_row(values)
-                if key in seen:
-                    continue
-                seen.add(key)
-            yield dict(zip(names, values))
+            values = values_of(row)
+            key = normalize_row(values)
+            if key in seen:
+                continue
+            seen.add(key)
+            yield values
 
-    def _aggregate_rows(self, names: List[str]) -> Iterator[ExecRow]:
+    def _aggregate_rows(self) -> Iterator[ExecRow]:
         groups: Dict[tuple, List[ExecRow]] = {}
-        order: List[tuple] = []
+        group_key = self._group_key
         for row in self.child.rows():
-            ctx = EvalContext(row, self.subquery_executor)
-            key = normalize_row(tuple(col.eval(ctx) for col in self.group_by))
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
+            key = normalize_row(group_key(row))
+            members = groups.get(key)
+            if members is None:
+                groups[key] = [row]
+            else:
+                members.append(row)
         if not groups and not self.group_by:
             groups[()] = []
-            order.append(())
-        for key in order:
-            members = groups[key]
-            output: Dict[str, Any] = {}
-            for position, item in enumerate(self.items):
-                output[names[position]] = self._evaluate_item(item, members)
-            yield output
+        for members in groups.values():
+            yield tuple(
+                self._evaluate_item(item, value_of, members)
+                for item, value_of in zip(self.items, self._item_values)
+            )
 
-    def _evaluate_item(self, item: SelectItem, members: List[ExecRow]) -> Any:
+    @staticmethod
+    def _evaluate_item(item: SelectItem, value_of: Compiled,
+                       members: List[ExecRow]) -> Any:
         values = []
         seen = set()
         for row in members:
-            ctx = EvalContext(row, self.subquery_executor)
-            value = item.expression.eval(ctx)
+            value = value_of(row)
             if item.aggregate is not None and is_null(value):
                 continue
             key = normalize_row((value,))
@@ -166,6 +206,9 @@ class Project(PhysicalOperator):
         numeric = [v for v in values if isinstance(v, (int, float, Decimal))]
         if not numeric:
             return NULL
+        if any(isinstance(v, float) for v in numeric):
+            # MySQL sums DECIMAL with DOUBLE in DOUBLE.
+            numeric = [float(v) if isinstance(v, Decimal) else v for v in numeric]
         if item.aggregate is AggregateFunction.SUM:
             return sum(numeric)
         return sum(numeric) / len(numeric)
@@ -175,24 +218,28 @@ class Sort(PhysicalOperator):
     """ORDER BY over a materialized child output."""
 
     def __init__(self, child: PhysicalOperator, order_by: Sequence[OrderItem],
-                 subquery_executor: SubqueryExecutor = None) -> None:
+                 subquery_executor: SubqueryRunner = None) -> None:
         self.child = child
         self.order_by = list(order_by)
-        self.subquery_executor = subquery_executor
+        layout = child.output_columns()
+        self._keys = [
+            (item.expression.compile(layout, subquery_executor), item.descending)
+            for item in self.order_by
+        ]
 
     def rows(self) -> Iterator[ExecRow]:
         materialized = list(self.child.rows())
+        keys = self._keys
 
         def sort_key(row: ExecRow):
-            ctx = EvalContext(row, self.subquery_executor)
-            keys = []
-            for item in self.order_by:
-                key = value_sort_key(item.expression.eval(ctx))
-                keys.append(Descending(key) if item.descending else key)
-            return tuple(keys)
+            return tuple(
+                Descending(value_sort_key(value_of(row))) if descending
+                else value_sort_key(value_of(row))
+                for value_of, descending in keys
+            )
 
         materialized.sort(key=sort_key)
-        yield from materialized
+        return iter(materialized)
 
     def output_columns(self) -> List[str]:
         return self.child.output_columns()

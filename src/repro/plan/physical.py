@@ -1,18 +1,21 @@
 """Physical plan infrastructure: operator base class, rows, and fault hooks.
 
-Execution rows are dictionaries keyed by qualified column name (``"alias.column"``).
-Every operator is an iterator factory: :meth:`PhysicalOperator.rows` yields output
-rows.  Join operators consult an :class:`ExecutionHooks` object at well-defined
-seams (key normalization, NULL padding, semi/anti matching decisions); the default
-implementation is bug-free and the simulated DBMS dialects override it to inject
-the logic bugs of Table 4.
+Execution rows are tuples laid out as their operator's
+:meth:`PhysicalOperator.output_columns` (qualified ``"alias.column"`` names
+below the projection).  Every operator is an iterator factory:
+:meth:`PhysicalOperator.rows` yields output rows.  An operator compiles its
+expressions against its input layout once, when the plan is built, so the
+per-row work is slot reads and closure calls.  Join operators consult an
+:class:`ExecutionHooks` object at well-defined seams (key normalization, NULL
+padding, semi/anti matching decisions); the default implementation is bug-free
+and the simulated DBMS dialects override it to inject the logic bugs of Table 4.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.plan.logical import JoinType
 from repro.sqlvalue.casts import cast_for_domain
@@ -20,8 +23,11 @@ from repro.sqlvalue.comparison import correct_hash_key
 from repro.sqlvalue.datatypes import TypeCategory
 from repro.sqlvalue.values import NULL
 
-ExecRow = Dict[str, Any]
-"""A row during execution: qualified column name -> value."""
+ExecRow = Tuple[Any, ...]
+"""A row during execution: one value per column of the operator's layout."""
+
+KeyFunction = Callable[[Any], Any]
+"""Normalizes one non-NULL join key before hashing / comparison."""
 
 
 class JoinAlgorithm(enum.Enum):
@@ -73,6 +79,54 @@ class TriggerContext:
     disabled_switches: frozenset = frozenset()
 
 
+def _float_key(value: float) -> Any:
+    """``correct_hash_key`` of a float: -0.0 is 0.0, integral floats are ints."""
+    if value == 0.0:
+        return 0.0
+    return int(value) if value.is_integer() else value
+
+
+def _correct_key_function(domain: TypeCategory) -> KeyFunction:
+    """The bug-free key normalization of *domain*, with exact fast paths.
+
+    The result always equals ``correct_hash_key(cast_for_domain(v, domain))``
+    in type and value: a ``str`` in a string domain, an ``int`` in DECIMAL and
+    an ``int``/``float`` in the DOUBLE domains take a shortcut computing that
+    same value; everything else goes the long way.
+    """
+
+    def slow(value: Any) -> Any:
+        return correct_hash_key(cast_for_domain(value, domain))
+
+    if domain in (TypeCategory.STRING, TypeCategory.TEMPORAL):
+
+        def string_key(value: Any) -> Any:
+            return value if type(value) is str else slow(value)
+
+        return string_key
+    if domain is TypeCategory.DECIMAL:
+
+        def decimal_key(value: Any) -> Any:
+            return value if type(value) is int else slow(value)
+
+        return decimal_key
+
+    def double_key(value: Any) -> Any:
+        kind = type(value)
+        if kind is float:
+            return _float_key(value)
+        if kind is int:
+            return _float_key(float(value))
+        return slow(value)
+
+    return double_key
+
+
+_CORRECT_KEY_FUNCTIONS: Dict[TypeCategory, KeyFunction] = {
+    domain: _correct_key_function(domain) for domain in TypeCategory
+}
+
+
 class ExecutionHooks:
     """Bug-free default implementation of every fault seam.
 
@@ -81,9 +135,13 @@ class ExecutionHooks:
     :class:`TriggerContext`.
     """
 
-    def join_key(self, value: Any, domain: TypeCategory, trigger: TriggerContext) -> Any:
-        """Normalize a join key before hashing / comparison in *domain*."""
-        return correct_hash_key(cast_for_domain(value, domain))
+    def key_function(self, domain: TypeCategory, trigger: TriggerContext) -> KeyFunction:
+        """The join-key normalization of one join, comparing in *domain*.
+
+        A join resolves it once and applies it to every non-NULL key, before
+        hashing, scanning or merging.
+        """
+        return _CORRECT_KEY_FUNCTIONS[domain]
 
     def null_pad_value(self, column: str, trigger: TriggerContext) -> Any:
         """Value used to pad the non-preserved side of an outer join."""
@@ -127,16 +185,3 @@ class PhysicalOperator:
     def children(self) -> List["PhysicalOperator"]:
         """Child operators."""
         return []
-
-
-def merge_rows(left: Mapping[str, Any], right: Mapping[str, Any]) -> ExecRow:
-    """Merge the column maps of two join inputs."""
-    merged = dict(left)
-    merged.update(right)
-    return merged
-
-
-def null_row(columns: Iterable[str], hooks: ExecutionHooks,
-             trigger: TriggerContext) -> ExecRow:
-    """Build a padding row for the non-preserved side of an outer join."""
-    return {column: hooks.null_pad_value(column, trigger) for column in columns}

@@ -125,6 +125,12 @@ def normalize_row(row: Iterable[Any]) -> Tuple[Any, ...]:
     mismatch between the wide-table oracle and an engine) and NULL is kept as the
     singleton marker.
     """
+    row = tuple(row)
+    for v in row:
+        if type(v) not in _CANONICAL_TYPES:
+            break
+    else:
+        return row
     return tuple(
         v if type(v) in _CANONICAL_TYPES
         else NULL if is_null(v) else canonical_numeric(v)

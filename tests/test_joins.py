@@ -17,13 +17,19 @@ from repro.sqlvalue.values import normalize_row, row_sort_key
 ALGORITHMS = list(JoinAlgorithm)
 
 
+def named(operator):
+    """The operator's tuple rows, each keyed by its output column names."""
+    columns = operator.output_columns()
+    return [dict(zip(columns, row)) for row in operator.execute()]
+
+
 def run_join(db, join_type, algorithm, extra_condition=None):
     left = TableScan(db, "orders", "o")
     right = TableScan(db, "users", "u")
     key = JoinKeySpec("o.userId", "u.userId", TypeCategory.STRING)
     join = Join(left, right, join_type, algorithm, key,
                 hooks=ExecutionHooks(), extra_condition=extra_condition)
-    return join.execute()
+    return named(join)
 
 
 def projected(rows, *columns):
@@ -87,7 +93,7 @@ class TestOuterJoins:
         left = TableScan(db, "orders", "o")
         right = TableScan(db, "users", "u")
         key = JoinKeySpec("o.userId", "u.userId", TypeCategory.STRING)
-        rows = Join(left, right, JoinType.RIGHT_OUTER, JoinAlgorithm.HASH, key).execute()
+        rows = named(Join(left, right, JoinType.RIGHT_OUTER, JoinAlgorithm.HASH, key))
         padded = [row for row in rows if row["o.orderId"] is NULL]
         assert len(padded) == 1
         assert padded[0]["u.userId"] == "str3"
@@ -117,7 +123,7 @@ class TestSemiAntiJoins:
             left = TableScan(db, "orders", "o")
             right = TableScan(db, "users", "u")
             key = JoinKeySpec("o.userId", "u.userId", TypeCategory.STRING)
-            rows = Join(left, right, JoinType.ANTI, algorithm, key).execute()
+            rows = named(Join(left, right, JoinType.ANTI, algorithm, key))
             rows_by_algo.add(tuple(projected(rows, "o.orderId", "o.userId")))
             assert len(rows) == 2  # the str3 order plus the NULL-key order
         assert len(rows_by_algo) == 1
@@ -155,6 +161,22 @@ class TestOutputColumns:
         names = join.output_columns()
         assert any(name.startswith("o.") for name in names)
         assert any(name.startswith("u.") for name in names)
+
+    @pytest.mark.parametrize("join_type", [t for t in JoinType if t is not JoinType.CROSS])
+    def test_rows_are_tuples_laid_out_as_output_columns(self, orders_db, join_type):
+        left_rows = set(TableScan(orders_db, "orders", "o").execute())
+        right_rows = set(TableScan(orders_db, "users", "u").execute())
+        key = JoinKeySpec("o.userId", "u.userId", TypeCategory.STRING)
+        join = Join(TableScan(orders_db, "orders", "o"),
+                    TableScan(orders_db, "users", "u"), join_type,
+                    JoinAlgorithm.HASH, key)
+        width = len(join.output_columns())
+        for row in join.execute():
+            assert type(row) is tuple and len(row) == width
+            # SEMI and ANTI emit the left tuple itself; the others left + right.
+            assert row[:4] in left_rows or row[:4] == (NULL,) * 4
+            if join_type.exposes_right_columns:
+                assert row[4:] in right_rows or row[4:] == (NULL,) * 3
 
     def test_describe_mentions_algorithm(self, orders_db):
         left = TableScan(orders_db, "orders", "o")

@@ -1,4 +1,5 @@
 """Property-based tests for join semantics on randomly generated tables."""
+import math
 from decimal import Decimal, InvalidOperation
 
 import pytest
@@ -16,7 +17,8 @@ from repro.plan import (
     TriggerContext,
 )
 from repro.sqlvalue import NULL, TypeCategory, bigint, integer, varchar
-from repro.sqlvalue.comparison import sql_compare, sql_equal
+from repro.sqlvalue.casts import cast_for_domain
+from repro.sqlvalue.comparison import correct_hash_key, sql_compare, sql_equal
 from repro.sqlvalue.values import is_null, normalize_row, row_sort_key
 from repro.storage import Database
 
@@ -52,7 +54,8 @@ def run(db, join_type, algorithm):
         JoinKeySpec("c.fk", "p.pk", TypeCategory.DECIMAL),
         hooks=ExecutionHooks(),
     )
-    return join.execute()
+    columns = join.output_columns()
+    return [dict(zip(columns, row)) for row in join.execute()]
 
 
 def signature(rows, columns):
@@ -127,8 +130,8 @@ def test_full_outer_is_union_of_left_and_right_outer(left_keys, right_keys):
 class RawKeyHooks(ExecutionHooks):
     """Bug-free hooks that hand join keys to the matcher unnormalized."""
 
-    def join_key(self, value, domain, trigger):
-        return value
+    def key_function(self, domain, trigger):
+        return lambda value: value
 
 
 class RowsOf(PhysicalOperator):
@@ -139,7 +142,7 @@ class RowsOf(PhysicalOperator):
         self.values = values
 
     def rows(self):
-        return iter([{self.column: value} for value in self.values])
+        return iter([(value,) for value in self.values])
 
     def output_columns(self):
         return [self.column]
@@ -196,3 +199,51 @@ def test_nested_loop_matches_equal_brute_force_sql_compare(left_keys, right_keys
             join._find_matches(left_rows, right_rows, TriggerContext())
         return
     assert join._find_matches(left_rows, right_rows, TriggerContext()) == expected
+
+
+EDGE_KEYS = [
+    float("nan"), 0.0, -0.0, float("inf"), float("-inf"), 1.5, -2.0, 5e-324,
+    2**53 + 1, -(2**53 + 1), 10**30, 10**400, 0, -7,
+    Decimal("1.0"), Decimal("-0"), Decimal("0.1"), Decimal("1E+30"), Decimal("NaN"),
+    True, False, NULL, None, "", "1", "-0", " 2.5e3x", "abc",
+]
+"""Keys on which a shortcut could plausibly diverge from the exact rule."""
+
+
+def _same_key(actual, expected):
+    """Equal in type and value, NaN counting as equal to NaN."""
+    if type(actual) is not type(expected):
+        return False
+    if isinstance(expected, float) and math.isnan(expected):
+        return math.isnan(actual)
+    return actual == expected or actual is expected
+
+
+def _assert_exact_key(domain, value):
+    key_of = ExecutionHooks().key_function(domain, TriggerContext())
+    try:
+        expected = correct_hash_key(cast_for_domain(value, domain))
+    except Exception as error:  # e.g. float(10**400)
+        with pytest.raises(type(error)):
+            key_of(value)
+        return
+    actual = key_of(value)
+    assert _same_key(actual, expected), (domain, value, actual, expected)
+
+
+@pytest.mark.parametrize("domain", list(TypeCategory))
+def test_key_function_is_exact_on_edge_keys(domain):
+    for value in EDGE_KEYS:
+        _assert_exact_key(domain, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(list(TypeCategory)),
+    st.one_of(mixed_keys, numeric_keys, string_keys, st.sampled_from(EDGE_KEYS),
+              st.integers(), st.floats(), st.decimals(), st.text(max_size=4)),
+)
+def test_key_function_matches_the_exact_rule(domain, value):
+    """The bug-free key function equals ``correct_hash_key(cast_for_domain(v, d))``
+    in type and value, or raises the same exception type."""
+    _assert_exact_key(domain, value)

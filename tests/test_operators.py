@@ -1,5 +1,7 @@
 """Tests for scan, filter, project/aggregate, sort, limit and materialize."""
 
+from decimal import Decimal
+
 import pytest
 
 from repro.backends import SQLiteBackend
@@ -27,17 +29,24 @@ from repro.sqlvalue import NULL
 from repro.storage import Database
 
 
+def named(operator):
+    """The operator's tuple rows, each keyed by its output column names."""
+    columns = operator.output_columns()
+    return [dict(zip(columns, row)) for row in operator.execute()]
+
+
 class TestTableScan:
     def test_scan_emits_qualified_columns(self, orders_db):
         scan = TableScan(orders_db, "users", "u")
-        rows = scan.execute()
+        rows = named(scan)
         assert len(rows) == 3
         assert set(rows[0]) == {"u.RowID", "u.userId", "u.userName"}
         assert scan.output_columns() == ["u.RowID", "u.userId", "u.userName"]
+        assert scan.execute()[0] == (0, "str1", "Tom")
 
     def test_scan_respects_alias(self, orders_db):
         scan = TableScan(orders_db, "users", "alias1")
-        assert all(key.startswith("alias1.") for key in scan.execute()[0])
+        assert all(key.startswith("alias1.") for key in named(scan)[0])
 
 
 class TestFilter:
@@ -59,7 +68,7 @@ class TestProject:
     def test_distinct_projection(self, orders_db):
         scan = TableScan(orders_db, "orders", "o")
         project = Project(scan, [SelectItem(column("o", "userId"))], distinct=True)
-        values = sorted(str(row["userId"]) for row in project.execute())
+        values = sorted(str(row["userId"]) for row in named(project))
         assert values == ["NULL", "str1", "str2", "str3"]
 
     def test_non_distinct_projection(self, orders_db):
@@ -77,7 +86,7 @@ class TestProject:
             scan,
             [SelectItem(column("o", "goodsId"), aggregate=AggregateFunction.COUNT)],
         )
-        rows = project.execute()
+        rows = named(project)
         assert rows == [{"count_0": 4}]  # 1111, 1112, 1113, 9999 (NULL-free distinct)
 
     def test_group_by_with_min_max(self, orders_db):
@@ -90,7 +99,7 @@ class TestProject:
             ],
             group_by=[ColumnRef("g", "goodsName")],
         )
-        rows = {row["goodsName"]: row["max_1"] for row in project.execute()}
+        rows = {row["goodsName"]: row["max_1"] for row in named(project)}
         assert rows == {"book": 15, "food": 5, "flower": 10}
 
     def test_aggregate_on_empty_input(self, orders_db):
@@ -101,7 +110,7 @@ class TestProject:
             [SelectItem(column("o", "goodsId"), aggregate=AggregateFunction.COUNT),
              SelectItem(column("o", "goodsId"), aggregate=AggregateFunction.MIN)],
         )
-        rows = project.execute()
+        rows = named(project)
         assert rows[0]["count_0"] == 0
         assert rows[0]["min_1"] is NULL
 
@@ -112,20 +121,36 @@ class TestProject:
             [SelectItem(column("g", "price"), aggregate=AggregateFunction.SUM),
              SelectItem(column("g", "price"), aggregate=AggregateFunction.AVG)],
         )
-        row = project.execute()[0]
+        row = named(project)[0]
         assert row["sum_0"] == 30
         assert row["avg_1"] == 10
+
+    def test_sum_and_avg_of_decimal_with_float_are_double(self, orders_schema):
+        # MySQL sums DECIMAL with DOUBLE in DOUBLE.
+        db = Database(orders_schema)
+        db.insert_many("goods", [
+            {"RowID": 0, "goodsId": 1, "goodsName": "a", "price": Decimal("1.5")},
+            {"RowID": 1, "goodsId": 2, "goodsName": "b", "price": 2.5},
+        ])
+        query = QuerySpec(
+            base=TableRef("goods", "g"),
+            select=[SelectItem(column("g", "price"), aggregate=AggregateFunction.SUM),
+                    SelectItem(column("g", "price"), aggregate=AggregateFunction.AVG)],
+        )
+        (row,) = reference_engine(db).execute(query).rows
+        assert row == (4.0, 2.0)
+        assert [type(value) for value in row] == [float, float]
 
 
 class TestSortAndLimit:
     def test_sort_ascending_with_nulls_first(self, orders_db):
         scan = TableScan(orders_db, "orders", "o")
-        ordered = Sort(scan, [OrderItem(column("o", "userId"))]).execute()
+        ordered = named(Sort(scan, [OrderItem(column("o", "userId"))]))
         assert ordered[0]["o.userId"] is NULL
 
     def test_sort_descending(self, orders_db):
         scan = TableScan(orders_db, "goods", "g")
-        ordered = Sort(scan, [OrderItem(column("g", "price"), descending=True)]).execute()
+        ordered = named(Sort(scan, [OrderItem(column("g", "price"), descending=True)]))
         assert [row["g.price"] for row in ordered] == [15, 10, 5]
 
         # Strings sharing a prefix: the longer one is the larger.

@@ -139,7 +139,8 @@ class TestPlanner:
         results = set()
         for hints in standard_hint_sets():
             plan = planner.plan(query, hints)
-            rows = frozenset(tuple(sorted(row.items())) for row in plan.rows())
+            columns = plan.output_columns()
+            rows = frozenset(tuple(sorted(zip(columns, row))) for row in plan.rows())
             results.add(rows)
         assert len(results) == 1  # a correct engine is hint-insensitive
 
