@@ -23,27 +23,25 @@ from repro import (
     CampaignSpec,
     PipelineConfig,
     QueryCache,
-    SIM_MYSQL,
-    SimulatedBackend,
     SQLiteBackend,
     obs,
     run_campaign,
-    run_differential_campaign,
 )
 from repro.analysis import render_differential_summary
 from repro.core import build_differential_tester, run_campaign_loop
 
 
 @pytest.mark.benchmark(group="backend-differential")
-def test_backend_differential_sqlite(benchmark, campaign_config_factory):
+def test_backend_differential_sqlite(benchmark, campaign_spec_factory):
     """24 simulated hours of TQS-generated queries against stdlib SQLite."""
-    config = campaign_config_factory(hours=24, queries_per_hour=6,
-                                     dataset="shopping", seed=5)
+    spec = campaign_spec_factory(hours=24, queries_per_hour=6,
+                                 dataset="shopping", seed=5,
+                                 kind="differential", backend="sqlite")
 
     def run():
         obs.reset_registry()
         start = time.perf_counter()
-        campaign = run_differential_campaign(SQLiteBackend(), config)
+        campaign = run_campaign(spec)
         return campaign, time.perf_counter() - start
 
     result, wall = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -58,19 +56,17 @@ def test_backend_differential_sqlite(benchmark, campaign_config_factory):
 
 
 @pytest.mark.benchmark(group="backend-differential")
-def test_backend_differential_simulated_mysql(benchmark, campaign_config_factory):
+def test_backend_differential_simulated_mysql(benchmark, campaign_spec_factory):
     """The same loop against the seeded-fault SimMySQL via the adapter layer.
 
     This is the sensitivity baseline for the SQLite run above: identical
     generator budget, but a backend that is *supposed* to disagree.
     """
-    config = campaign_config_factory(hours=24, queries_per_hour=6,
-                                     dataset="shopping", seed=5)
-
-    def run():
-        return run_differential_campaign(SimulatedBackend(SIM_MYSQL), config)
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    spec = campaign_spec_factory(hours=24, queries_per_hour=6,
+                                 dataset="shopping", seed=5,
+                                 kind="differential", backend="sim:SimMySQL")
+    result = benchmark.pedantic(lambda: run_campaign(spec), rounds=1,
+                                iterations=1)
 
     print()
     print(render_differential_summary(result))

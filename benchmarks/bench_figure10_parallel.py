@@ -4,17 +4,12 @@ Paper result: with the KQE graph index hosted on a central server, adding DSG
 clients (1 to 5) increases the number of queries generated in 24 hours from
 ~400k to ~1.75M -- close to linear, slightly damped by index synchronization.
 
-Reproduction targets:
-
-* the in-process simulator generates strictly more queries as clients are
-  added, with the marginal gain per client staying positive but below
-  perfectly linear scaling (the original Figure 10 shape check);
-* the **real multi-process worker pool** completes the same fixed campaign
-  budget faster than the serial runner, while the merged per-hour series keep
-  the serial contract.  The >= 2.5x wall-clock criterion is asserted when the
-  machine actually has >= 4 CPU cores — on fewer cores the pool cannot beat
-  physics, so the benchmark still reports the measured speedup but only
-  asserts correctness.
+Reproduction target: the real multi-process worker pool completes a fixed
+campaign budget faster than the serial runner, while the merged per-hour
+series keep the serial contract.  The >= 2.5x wall-clock criterion is asserted
+when the machine actually has >= 4 CPU cores — on fewer cores the pool cannot
+beat physics, so the benchmark still reports the measured speedup but only
+asserts correctness.
 """
 
 from __future__ import annotations
@@ -26,73 +21,38 @@ import pytest
 
 from repro.analysis import render_table, render_worker_pool
 from repro.core import (
-    CampaignConfig,
+    CampaignSpec,
     ParallelCampaignConfig,
-    ParallelSearchConfig,
-    ParallelSearchSimulator,
-    run_parallel_tqs_campaign,
-    run_tqs_campaign,
+    build_shard_specs,
+    run_campaign,
+    run_parallel_shards,
 )
-from repro.engine import SIM_MYSQL
 from benchmarks.conftest import scaled
-
-
-@pytest.mark.benchmark(group="figure10")
-def test_figure10_parallel_search(benchmark):
-    """Regenerate the queries-vs-clients sweep of Figure 10 (simulator)."""
-    simulator = ParallelSearchSimulator(
-        ParallelSearchConfig(dataset="shopping", dataset_rows=scaled(90, 60),
-                             per_client_budget=scaled(60, 20), seed=41)
-    )
-
-    results = benchmark.pedantic(lambda: simulator.sweep(max_clients=5),
-                                 rounds=1, iterations=1)
-
-    rows = [
-        [r.clients, r.queries_generated, r.isomorphic_sets, r.sync_operations,
-         f"{r.queries_per_second:.1f}"]
-        for r in results
-    ]
-    print()
-    print(render_table(
-        ["clients", "queries generated", "isomorphic sets", "index syncs", "queries/s"],
-        rows,
-        title="Figure 10: parallel search (shared KQE index)",
-    ))
-    totals = [r.queries_generated for r in results]
-    assert all(later > earlier for earlier, later in zip(totals, totals[1:])), (
-        "adding clients must increase total query throughput"
-    )
-    assert totals[-1] >= 4 * totals[0] * 0.8, "scaling should be close to linear"
-    assert totals[-1] <= 5 * totals[0] + 1, "scaling cannot exceed linear"
-    print()
-    print("Paper reference (Figure 10): ~400k queries with 1 client growing to "
-          "~1.75M with 5 clients over 24 hours.")
 
 
 @pytest.mark.benchmark(group="figure10")
 def test_figure10_real_worker_pool(benchmark):
     """Serial runner vs a real 4-process pool on one fixed campaign budget."""
     workers = 4
-    config = CampaignConfig(
+    spec = CampaignSpec(
         dataset="shopping",
         dataset_rows=scaled(100, 60),
         hours=4,
         queries_per_hour=scaled(32, minimum=workers),
         seed=41,
     )
+    config = spec.campaign_config()
 
     # Time the serial baseline outside the benchmarked callable so the
     # recorded figure10 stat measures the pool alone, not serial + pool.
     start = time.perf_counter()
-    serial = run_tqs_campaign(SIM_MYSQL, config)
+    serial = run_campaign(spec)
     serial_elapsed = time.perf_counter() - start
 
     pool = benchmark.pedantic(
-        lambda: run_parallel_tqs_campaign(
-            SIM_MYSQL, config,
-            ParallelCampaignConfig(workers=workers, sync_interval=1,
-                                   worker_timeout=300.0),
+        lambda: run_parallel_shards(
+            build_shard_specs("tqs", config, workers),
+            ParallelCampaignConfig(sync_interval=1, worker_timeout=300.0),
         ),
         rounds=1, iterations=1,
     )

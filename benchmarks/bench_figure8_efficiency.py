@@ -10,11 +10,12 @@ than any baseline overall.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import growth_is_monotonic, render_series
-from repro.baselines import make_baseline
-from repro.core import run_baseline_campaign, run_tqs_campaign
+from repro.core import run_campaign
 from repro.engine import ALL_DIALECTS
 
 BASELINES_PER_DBMS = {
@@ -26,17 +27,19 @@ BASELINES_PER_DBMS = {
 
 
 @pytest.mark.benchmark(group="figure8")
-def test_figure8_bug_detection_efficiency(benchmark, campaign_config_factory):
+def test_figure8_bug_detection_efficiency(benchmark, campaign_spec_factory):
     """Regenerate the four bug-count-vs-hours panels of Figure 8."""
 
     def run_all():
         panels = {}
         for index, dialect in enumerate(ALL_DIALECTS):
-            config = campaign_config_factory(hours=24, queries_per_hour=5,
-                                             dataset="tpch", seed=21 + index)
-            series = {"TQS": run_tqs_campaign(dialect, config)}
+            spec = campaign_spec_factory(hours=24, queries_per_hour=5,
+                                         dataset="tpch", seed=21 + index,
+                                         dialect=dialect.name)
+            series = {"TQS": run_campaign(spec)}
             for name in BASELINES_PER_DBMS[dialect.name]:
-                series[name] = run_baseline_campaign(make_baseline(name), dialect, config)
+                series[name] = run_campaign(
+                    replace(spec, kind="baseline", baseline=name))
             panels[dialect.name] = series
         return panels
 

@@ -14,20 +14,16 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import growth_is_monotonic, linearity_score, render_series, saturation_hour
-from repro.core import run_tqs_campaign
-from repro.engine import SIM_MYSQL
+from repro.core import run_campaign
 
 
 @pytest.mark.benchmark(group="figure9")
-def test_figure9_bug_types_vs_bug_counts(benchmark, campaign_config_factory):
+def test_figure9_bug_types_vs_bug_counts(benchmark, campaign_spec_factory):
     """Regenerate the 48-hour MySQL series of Figure 9."""
-
-    def run_campaign():
-        config = campaign_config_factory(hours=48, queries_per_hour=5,
-                                         dataset="shopping", seed=31)
-        return run_tqs_campaign(SIM_MYSQL, config)
-
-    result = benchmark.pedantic(run_campaign, rounds=1, iterations=1)
+    spec = campaign_spec_factory(hours=48, queries_per_hour=5,
+                                 dataset="shopping", seed=31, dialect="SimMySQL")
+    result = benchmark.pedantic(lambda: run_campaign(spec), rounds=1,
+                                iterations=1)
 
     hours = list(range(1, 49))
     print()

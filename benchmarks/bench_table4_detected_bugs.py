@@ -13,20 +13,21 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import render_bug_type_details, render_detected_bugs
-from repro.core import run_tqs_campaign
+from repro.core import run_campaign
 from repro.engine import ALL_DIALECTS
 
 
 @pytest.mark.benchmark(group="table4")
-def test_table4_detected_bugs(benchmark, campaign_config_factory):
+def test_table4_detected_bugs(benchmark, campaign_spec_factory):
     """Run the 24-hour TQS campaign against all four simulated DBMSs."""
 
     def run_all():
         results = {}
         for index, dialect in enumerate(ALL_DIALECTS):
-            config = campaign_config_factory(hours=24, queries_per_hour=6,
-                                             dataset="shopping", seed=5 + index)
-            results[dialect.name] = run_tqs_campaign(dialect, config)
+            spec = campaign_spec_factory(hours=24, queries_per_hour=6,
+                                         dataset="shopping", seed=5 + index,
+                                         dialect=dialect.name)
+            results[dialect.name] = run_campaign(spec)
         return results
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)

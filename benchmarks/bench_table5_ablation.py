@@ -21,15 +21,16 @@ from repro.engine import ALL_DIALECTS
 
 
 @pytest.mark.benchmark(group="table5")
-def test_table5_ablation(benchmark, campaign_config_factory):
+def test_table5_ablation(benchmark, campaign_spec_factory):
     """Run the four Table 5 variants against every simulated DBMS."""
 
     def run_all():
         results = {}
         for index, dialect in enumerate(ALL_DIALECTS):
-            config = campaign_config_factory(hours=12, queries_per_hour=6,
-                                             dataset="tpch", seed=51 + index)
-            results[dialect.name] = run_ablation(dialect, config)
+            spec = campaign_spec_factory(hours=12, queries_per_hour=6,
+                                         dataset="tpch", seed=51 + index,
+                                         dialect=dialect.name)
+            results[dialect.name] = run_ablation(spec)
         return results
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)

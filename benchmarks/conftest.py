@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.core import CampaignConfig
+from repro.core import CampaignSpec
 
 
 def bench_scale() -> float:
@@ -30,12 +30,12 @@ def scaled(value: int, minimum: int = 1) -> int:
 
 
 @pytest.fixture(scope="session")
-def campaign_config_factory():
-    """Factory for campaign configurations with the benchmark's default budgets."""
+def campaign_spec_factory():
+    """Factory for campaign specs with the benchmark's default budgets."""
 
     def make(hours: int = 24, queries_per_hour: int = 6, dataset: str = "shopping",
-             **overrides) -> CampaignConfig:
-        return CampaignConfig(
+             **overrides) -> CampaignSpec:
+        return CampaignSpec(
             dataset=dataset,
             dataset_rows=scaled(110, minimum=60),
             hours=hours,

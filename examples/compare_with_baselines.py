@@ -10,21 +10,22 @@ Run with:  python examples/compare_with_baselines.py [hours] [queries_per_hour]
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
-from repro import CampaignConfig, run_baseline_campaign, run_tqs_campaign
+from repro import CampaignSpec, run_campaign
 from repro.analysis import compare_final, render_series
-from repro.baselines import make_baseline
 from repro.engine import SIM_TIDB
 
 
 def main(hours: int = 8, queries_per_hour: int = 5) -> None:
-    config = CampaignConfig(dataset="tpch", dataset_rows=120, hours=hours,
-                            queries_per_hour=queries_per_hour, seed=9)
+    spec = CampaignSpec(dialect=SIM_TIDB.name, dataset="tpch",
+                        dataset_rows=120, hours=hours,
+                        queries_per_hour=queries_per_hour, seed=9)
     print(f"Running {hours} simulated hours x {queries_per_hour} queries/hour "
           f"against {SIM_TIDB.name} {SIM_TIDB.version} ...")
-    results = {"TQS": run_tqs_campaign(SIM_TIDB, config)}
+    results = {"TQS": run_campaign(spec)}
     for name in ("PQS", "TLP", "NoRec"):
-        results[name] = run_baseline_campaign(make_baseline(name), SIM_TIDB, config)
+        results[name] = run_campaign(replace(spec, kind="baseline", baseline=name))
 
     hours_axis = list(range(1, hours + 1))
     print()

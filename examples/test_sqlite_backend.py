@@ -14,14 +14,14 @@ Run with:  python examples/test_sqlite_backend.py
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro import (
-    CampaignConfig,
+    CampaignSpec,
     DSG,
     DSGConfig,
-    SIM_MYSQL,
     SQLiteBackend,
-    SimulatedBackend,
-    run_differential_campaign,
+    run_campaign,
 )
 from repro.analysis import render_differential_summary
 from repro.backends import SQLITE_DIALECT, SQLRenderer
@@ -53,17 +53,14 @@ def main() -> None:
     print()
 
     print("=== 4. Differential campaign: SQLite vs the reference executor ===")
-    result = run_differential_campaign(
-        SQLiteBackend(), CampaignConfig(hours=4, queries_per_hour=10, seed=7)
-    )
+    spec = CampaignSpec(kind="differential", backend="sqlite", hours=4,
+                        queries_per_hour=10, seed=7)
+    result = run_campaign(spec)
     print(render_differential_summary(result))
     print()
 
     print("=== 5. The same loop against a seeded-fault engine ===")
-    faulty = run_differential_campaign(
-        SimulatedBackend(SIM_MYSQL),
-        CampaignConfig(hours=4, queries_per_hour=10, seed=7),
-    )
+    faulty = run_campaign(replace(spec, backend="sim:SimMySQL"))
     print(render_differential_summary(faulty))
 
 

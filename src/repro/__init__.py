@@ -45,21 +45,13 @@ from repro.core import (
     ParallelCampaignConfig,
     PipelineConfig,
     ParallelCampaignResult,
-    ParallelSearchConfig,
-    ParallelSearchSimulator,
     QueryCache,
     QueryReducer,
     TQS,
     TQSConfig,
     run_ablation,
-    run_baseline_campaign,
     run_campaign,
-    run_differential_campaign,
-    run_parallel_baseline_campaign,
-    run_parallel_differential_campaign,
     run_parallel_shards,
-    run_parallel_tqs_campaign,
-    run_tqs_campaign,
 )
 from repro.dsg import DSG, DSGConfig, GroundTruthOracle, WideTable
 from repro.engine import (
@@ -106,8 +98,6 @@ __all__ = [
     "ParallelCampaignConfig",
     "PipelineConfig",
     "ParallelCampaignResult",
-    "ParallelSearchConfig",
-    "ParallelSearchSimulator",
     "QueryCache",
     "QueryReducer",
     "CompoundQuerySpec",
@@ -131,14 +121,8 @@ __all__ = [
     "reference_engine",
     "register_backend",
     "run_ablation",
-    "run_baseline_campaign",
     "run_campaign",
-    "run_differential_campaign",
-    "run_parallel_baseline_campaign",
-    "run_parallel_differential_campaign",
     "run_parallel_shards",
-    "run_parallel_tqs_campaign",
-    "run_tqs_campaign",
     "standard_hint_sets",
     "__version__",
 ]

@@ -1,9 +1,9 @@
 """A :class:`BackendAdapter` facade over the in-process simulated engines.
 
 Wrapping :class:`~repro.engine.engine.Engine` in the adapter interface keeps the
-differential-testing loop engine-agnostic: the same
-``run_differential_campaign`` drives a real SQLite connection and a simulated
-MySQL with seeded faults.  The wrapper is also how the differential oracle's
+differential-testing loop engine-agnostic: the same differential campaign
+(``run_campaign(CampaignSpec(kind="differential", backend=...))``) drives a
+real SQLite connection and a simulated MySQL with seeded faults.  The wrapper is also how the differential oracle's
 sensitivity is validated — a campaign against a faulty simulated backend must
 report mismatches, while the bug-free reference must not.
 """

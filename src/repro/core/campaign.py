@@ -8,18 +8,21 @@ all per-hour series are reported against simulated hours.  Shapes (who grows
 faster, where curves flatten) are preserved; absolute per-hour magnitudes simply
 scale with the per-hour budget.
 
-All campaign kinds (TQS, baseline, differential) share one iteration loop,
+:func:`run_campaign` is the one way to run a whole campaign.  Every campaign
+kind (TQS, baseline, differential) gets its tester from one dispatch,
+:func:`build_campaign_tester`, and runs through one iteration loop,
 :func:`run_campaign_loop`: a tester object exposing ``run_iteration()`` plus the
 cumulative counters is driven hour by hour, rejected generations are counted
 instead of silently swallowed, and an optional per-hour hook receives the hour's
 deltas — the seam the multi-process parallel runner
-(:mod:`repro.core.parallel`) uses for index synchronization and merging.
+(:mod:`repro.core.parallel`) uses for index synchronization and merging.  The
+pool's workers build their testers through the same dispatch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro import obs
 from repro.backends import backend_from_name
@@ -127,11 +130,10 @@ class CampaignConfig:
 class CampaignSpec:
     """One campaign, fully described by plain data — the stable public API.
 
-    Where the legacy runners took live objects plus a parameter sprawl
-    (dialect profile, baseline instance, adapter, pipeline config, ...), a
-    spec names everything by string and scalar, so it can be stored, diffed,
-    hashed, shipped across processes and replayed.  :func:`run_campaign` is
-    the single entrypoint consuming it.
+    A spec names the dialect, baseline and backend by string and everything
+    else by scalar, so it can be stored, diffed, hashed, shipped across
+    processes and replayed.  :func:`run_campaign` is the single entrypoint
+    consuming it.
 
     ``kind`` selects the campaign flavour:
 
@@ -143,7 +145,8 @@ class CampaignSpec:
 
     ``workers > 1`` routes through the multiprocessing pool
     (:mod:`repro.core.parallel`) and returns its merged
-    ``ParallelCampaignResult`` instead of a :class:`CampaignResult`.
+    ``ParallelCampaignResult`` instead of a :class:`CampaignResult`;
+    ``workers < 1`` is rejected.
     """
 
     kind: str = "tqs"
@@ -184,12 +187,6 @@ class CampaignSpec:
             cte_probability=self.cte_probability,
         )
 
-    def pipeline_config(self) -> Optional[PipelineConfig]:
-        """The execution-pipeline config, or None for the serial path."""
-        if self.pipeline_batch_size > 1:
-            return PipelineConfig(batch_size=self.pipeline_batch_size)
-        return None
-
 
 def run_campaign(spec: CampaignSpec, on_hour: Optional["OnHour"] = None):
     """Run the campaign *spec* describes; the single public entrypoint.
@@ -199,44 +196,44 @@ def run_campaign(spec: CampaignSpec, on_hour: Optional["OnHour"] = None):
     hook is a serial-path seam and is ignored by the pool, which has its own
     coordinator-side hooks).
     """
-    if spec.kind not in ("tqs", "baseline", "differential"):
-        raise CampaignError(
-            f"unknown campaign kind {spec.kind!r}; "
-            "expected 'tqs', 'baseline' or 'differential'"
-        )
-    if spec.kind == "baseline" and not spec.baseline:
-        raise CampaignError("baseline campaigns need spec.baseline set")
+    if spec.workers < 1:
+        raise CampaignError("at least one worker is required")
     config = spec.campaign_config()
     if spec.workers > 1:
         # Deferred import: the parallel runner imports this module.
-        from repro.core.parallel import (
-            ParallelCampaignConfig,
-            build_shard_specs,
-            run_parallel_shards,
-        )
+        from repro.core.parallel import build_shard_specs, run_parallel_shards
 
-        shards = build_shard_specs(
+        return run_parallel_shards(build_shard_specs(
             spec.kind, config, spec.workers, dialect=spec.dialect,
             baseline=spec.baseline, backend=spec.backend,
             batch_size=spec.pipeline_batch_size,
-        )
-        return run_parallel_shards(
-            shards,
-            ParallelCampaignConfig(
-                workers=spec.workers,
-                pipeline_batch_size=spec.pipeline_batch_size,
-            ),
-        )
-    if spec.kind == "tqs":
-        return run_tqs_campaign(dialect_by_name(spec.dialect), config,
-                                on_hour=on_hour)
-    if spec.kind == "baseline":
-        return run_baseline_campaign(make_baseline(spec.baseline),
-                                     dialect_by_name(spec.dialect), config,
-                                     on_hour=on_hour)
-    return run_differential_campaign(backend_from_name(spec.backend), config,
-                                     pipeline=spec.pipeline_config(),
-                                     on_hour=on_hour)
+        ))
+    tester, tool, dbms = build_campaign_tester(
+        spec.kind, config, dialect=spec.dialect, baseline=spec.baseline,
+        backend=spec.backend, batch_size=spec.pipeline_batch_size,
+    )
+    result = CampaignResult(tool=tool, dbms=dbms, dataset=config.dataset)
+    try:
+        return run_campaign_loop(tester, result, config.hours,
+                                 config.queries_per_hour, on_hour=on_hour)
+    finally:
+        # Differential testers own an adapter (and possibly pipeline
+        # threads); close() is idempotent.
+        closer = getattr(tester, "close", None)
+        if closer is not None:
+            closer()
+
+
+def run_ablation(spec: CampaignSpec) -> Dict[str, CampaignResult]:
+    """Run the four Table 5 variants of *spec*'s campaign."""
+    variants = {
+        "TQS": {},
+        "TQS!Noise": {"use_noise": False},
+        "TQS!GT": {"use_ground_truth": False},
+        "TQS!KQE": {"use_kqe": False},
+    }
+    return {name: run_campaign(replace(spec, **overrides))
+            for name, overrides in variants.items()}
 
 
 # --------------------------------------------------------------- shared loop
@@ -350,6 +347,8 @@ def run_campaign_loop(tester, result: CampaignResult, hours: int,
 
 # ----------------------------------------------------------- tester factories
 
+Tester = Union[TQS, BaselineTester, DifferentialTester]
+
 
 def tqs_variant_name(config: CampaignConfig) -> str:
     """The Table 5 variant name implied by a campaign's ablation switches."""
@@ -399,122 +398,61 @@ def build_differential_tester(backend: BackendAdapter, config: CampaignConfig,
     the backend's rendered SQL (pass *query_cache* to share one across
     testers, e.g. for repeat-campaign benches).
 
-    A failed deploy (schema rejected, data unloadable) closes the adapter
-    before re-raising, so callers that never obtain a tester cannot leak a
-    connection.
+    A failed build (DSG, schema rejected, data unloadable) closes the
+    adapter before re-raising, so callers that never obtain a tester cannot
+    leak a connection.
     """
-    dsg = DSG(config.dsg_config())
-    differential = differential or DifferentialConfig(
-        use_kqe=config.use_kqe, seed=config.seed
-    )
-    reference = reference or reference_engine(dsg.database)
-    if query_cache is None and config.use_query_cache:
-        query_cache = QueryCache()
-    if query_cache is not None and hasattr(backend, "query_cache"):
-        backend.query_cache = query_cache
     try:
+        dsg = DSG(config.dsg_config())
+        differential = differential or DifferentialConfig(
+            use_kqe=config.use_kqe, seed=config.seed
+        )
+        reference = reference or reference_engine(dsg.database)
+        if query_cache is None and config.use_query_cache:
+            query_cache = QueryCache()
+        if query_cache is not None and hasattr(backend, "query_cache"):
+            backend.query_cache = query_cache
         backend.deploy(dsg.database)
+        return DifferentialTester(dsg, backend, reference=reference,
+                                  config=differential, pipeline=pipeline,
+                                  query_cache=query_cache)
     except Exception:
         backend.close()
         raise
-    return DifferentialTester(dsg, backend, reference=reference,
-                              config=differential, pipeline=pipeline,
-                              query_cache=query_cache)
 
 
-# ------------------------------------------------------------ campaign kinds
+def check_campaign_kind(kind: str, baseline: str) -> None:
+    """Reject an unknown campaign kind, or a baseline campaign without a name."""
+    if kind not in ("tqs", "baseline", "differential"):
+        raise CampaignError(
+            f"unknown campaign kind {kind!r}; "
+            "expected 'tqs', 'baseline' or 'differential'"
+        )
+    if kind == "baseline" and not baseline:
+        raise CampaignError("baseline campaigns need a baseline name")
 
 
-def run_tqs_campaign(dialect: DialectProfile,
-                     config: Optional[CampaignConfig] = None,
-                     on_hour: Optional[OnHour] = None) -> CampaignResult:
-    """Run TQS against one simulated DBMS for a budgeted number of hours.
+def build_campaign_tester(kind: str, config: CampaignConfig,
+                          dialect: str = "SimMySQL", baseline: str = "",
+                          backend: str = "sqlite", batch_size: int = 1
+                          ) -> Tuple[Tester, str, str]:
+    """The tester of one campaign or shard, with its ``tool`` and ``dbms`` names.
 
-    Deprecated thin wrapper: prefer ``run_campaign(CampaignSpec(kind="tqs",
-    dialect=...))``.  Kept for callers injecting a live
-    :class:`DialectProfile`.
+    The single kind-to-tester dispatch: :func:`run_campaign` and the pool's
+    workers both build through it.  *dialect*, *baseline* and *backend* are
+    names, resolved here; *batch_size* above 1 gives a differential tester
+    the overlapped execution pipeline (:mod:`repro.core.execpipe`).
     """
-    config = config or CampaignConfig()
-    tqs = build_tqs_tester(dialect, config)
-    result = CampaignResult(tool=tqs_variant_name(config), dbms=dialect.name,
-                            dataset=config.dataset)
-    return run_campaign_loop(tqs, result, config.hours, config.queries_per_hour,
-                             on_hour=on_hour)
-
-
-def run_baseline_campaign(baseline: BaselineTester, dialect: DialectProfile,
-                          config: Optional[CampaignConfig] = None,
-                          on_hour: Optional[OnHour] = None) -> CampaignResult:
-    """Run one SQLancer-style baseline for the same budget.
-
-    Deprecated thin wrapper: prefer ``run_campaign(CampaignSpec(
-    kind="baseline", baseline=...))``.  Kept for callers injecting a live
-    :class:`BaselineTester`.
-    """
-    config = config or CampaignConfig()
-    baseline = build_baseline_tester(baseline, dialect, config)
-    result = CampaignResult(tool=baseline.name, dbms=dialect.name,
-                            dataset=config.dataset)
-    return run_campaign_loop(baseline, result, config.hours,
-                             config.queries_per_hour, on_hour=on_hour)
-
-
-def run_differential_campaign(backend: BackendAdapter,
-                              config: Optional[CampaignConfig] = None,
-                              reference: Optional[Engine] = None,
-                              differential: Optional[DifferentialConfig] = None,
-                              pipeline: Optional[PipelineConfig] = None,
-                              on_hour: Optional[OnHour] = None) -> CampaignResult:
-    """Run the TQS generator differentially against a real (or wrapped) backend.
-
-    Deprecated thin wrapper: prefer ``run_campaign(CampaignSpec(
-    kind="differential", backend=...))``.  Kept for callers injecting a live
-    adapter, reference engine or pipeline config.
-
-    The DSG-generated, noise-injected database is deployed into *backend*
-    (rendered CREATE TABLE / INSERT for real engines), then every generated
-    query executes on both the bug-free reference executor and the backend; any
-    normalized-result disagreement is recorded as a bug incident.  The returned
-    :class:`CampaignResult` carries the same per-hour series as the simulated
-    campaigns, so the analysis/reporting layer works unchanged.
-
-    *pipeline* selects the overlapped execution schedule: with a
-    ``batch_size`` above 1, target and reference executions run concurrently
-    (see :mod:`repro.core.execpipe`) with bit-identical verdicts to the
-    default serial path.
-    """
-    config = config or CampaignConfig()
-    tester: Optional[DifferentialTester] = None
-    try:
-        tester = build_differential_tester(backend, config, reference=reference,
-                                           differential=differential,
-                                           pipeline=pipeline)
-        result = CampaignResult(tool="TQS-differential", dbms=backend.name,
-                                dataset=config.dataset)
-        return run_campaign_loop(tester, result, config.hours,
-                                 config.queries_per_hour, on_hour=on_hour)
-    finally:
-        # The tester's close() flushes pipeline threads and closes the
-        # adapter; when the build itself failed there is no tester, but the
-        # adapter may still hold a connection (close() is idempotent).
-        if tester is not None:
-            tester.close()
-        else:
-            backend.close()
-
-
-def run_ablation(dialect: DialectProfile, base_config: Optional[CampaignConfig] = None
-                 ) -> Dict[str, CampaignResult]:
-    """Run the four Table 5 variants against one DBMS."""
-    base_config = base_config or CampaignConfig()
-    variants = {
-        "TQS": {},
-        "TQS!Noise": {"use_noise": False},
-        "TQS!GT": {"use_ground_truth": False},
-        "TQS!KQE": {"use_kqe": False},
-    }
-    results: Dict[str, CampaignResult] = {}
-    for name, overrides in variants.items():
-        config = CampaignConfig(**{**base_config.__dict__, **overrides})
-        results[name] = run_tqs_campaign(dialect, config)
-    return results
+    check_campaign_kind(kind, baseline)
+    if kind == "differential":
+        pipeline = (PipelineConfig(batch_size=batch_size)
+                    if batch_size > 1 else None)
+        adapter = backend_from_name(backend)
+        tester = build_differential_tester(adapter, config, pipeline=pipeline)
+        return tester, "TQS-differential", adapter.name
+    profile = dialect_by_name(dialect)
+    if kind == "tqs":
+        tqs = build_tqs_tester(profile, config)
+        return tqs, tqs_variant_name(config), profile.name
+    tester = build_baseline_tester(make_baseline(baseline), profile, config)
+    return tester, tester.name, profile.name

@@ -2,25 +2,22 @@
 
 The paper parallelizes TQS by keeping the KQE graph index on a central server
 while each client owns a database replica and a DSG process; the only shared
-cost is synchronizing the index.  This module provides both reproductions of
-that design:
-
-* :class:`ParallelSearchSimulator` — the original in-process model: every
-  simulated client runs its own generator against its own database copy, every
-  generated query is pushed through the single shared graph index, and the
-  metric reported is queries generated per simulated hour, as in Figure 10.
-
-* The **real worker pool** (:func:`run_parallel_shards` and the
-  ``run_parallel_*_campaign`` wrappers) — campaigns sharded across
-  ``multiprocessing`` worker processes by (derived seed, dataset,
-  dialect/backend).  Workers run the same shared iteration loop as the serial
-  runners (:func:`~repro.core.campaign.run_campaign_loop`); at hour boundaries
-  they ship batches of (embedding, canonical label) pairs to the coordinator,
-  which merges them into a central :class:`~repro.kqe.graph_index.GraphIndex`
-  and broadcasts the other workers' label-novel entries back — the paper's
-  central-index synchronization, bulk-synchronous so runs are deterministic.
-  The coordinator merges per-worker bug logs with cross-worker bug-type
-  deduplication and rebuilds the per-hour series contract on the merged result.
+cost is synchronizing the index.  This module reproduces that design with a
+real worker pool (:func:`run_parallel_shards`): campaigns sharded across
+``multiprocessing`` worker processes by (derived seed, dataset,
+dialect/backend), one :class:`ShardSpec` per worker, built by
+:func:`build_shard_specs`.  Workers build their testers through the same
+dispatch as the serial runner
+(:func:`~repro.core.campaign.build_campaign_tester`) and run the same shared
+iteration loop (:func:`~repro.core.campaign.run_campaign_loop`); at hour
+boundaries they ship batches of (embedding, canonical label) pairs to the
+coordinator, which merges them into a central
+:class:`~repro.kqe.graph_index.GraphIndex` and broadcasts the other workers'
+label-novel entries back — the paper's central-index synchronization,
+bulk-synchronous so runs are deterministic.  The coordinator merges per-worker
+bug logs with cross-worker bug-type deduplication and rebuilds the per-hour
+series contract on the merged result.  ``run_campaign(CampaignSpec(...,
+workers=N))`` is the one-call front door.
 
 The sync protocol itself is transport-agnostic: workers talk to the
 coordinator through a :class:`SyncTransport`.  :class:`LocalSyncTransport`
@@ -43,7 +40,6 @@ import argparse
 import hashlib
 import multiprocessing
 import queue as queue_module
-import random
 import sys
 import threading
 import time
@@ -64,118 +60,15 @@ from repro.core.campaign import (
     CampaignResult,
     HourRecord,
     HourlySample,
-    build_baseline_tester,
-    build_differential_tester,
-    build_tqs_tester,
+    build_campaign_tester,
+    check_campaign_kind,
     run_campaign_loop,
-    tqs_variant_name,
 )
-from repro.core.execpipe import PipelineConfig
 from repro.distributed.coordinator import CentralCoordinator
 from repro.distributed.protocol import IndexEntry, SyncBroadcast, load_auth_key
-from repro.dsg.pipeline import DSG, DSGConfig
 from repro.engine.dialects import ALL_DIALECTS
-from repro.errors import CampaignError, GenerationError
-from repro.kqe.explorer import KQE
+from repro.errors import CampaignError
 from repro.kqe.graph_index import GraphIndex
-
-
-# =========================================================================
-# The in-process simulator (kept for the Figure 10 shape reproduction)
-# =========================================================================
-
-
-@dataclass
-class ParallelSearchResult:
-    """Outcome of one parallel-search simulation."""
-
-    clients: int
-    queries_generated: int
-    isomorphic_sets: int
-    sync_operations: int
-    elapsed_seconds: float
-
-    @property
-    def queries_per_second(self) -> float:
-        """Aggregate generation throughput."""
-        if self.elapsed_seconds <= 0:
-            return float(self.queries_generated)
-        return self.queries_generated / self.elapsed_seconds
-
-
-@dataclass
-class ParallelSearchConfig:
-    """Configuration of the simulated deployment."""
-
-    dataset: str = "shopping"
-    dataset_rows: int = 120
-    per_client_budget: int = 120
-    sync_cost_fraction: float = 0.04
-    seed: int = 19
-
-
-class ParallelSearchSimulator:
-    """Simulates N clients sharing one central KQE graph index."""
-
-    def __init__(self, config: Optional[ParallelSearchConfig] = None) -> None:
-        self.config = config or ParallelSearchConfig()
-
-    def run(self, clients: int) -> ParallelSearchResult:
-        """Simulate *clients* parallel DSG clients for one budget round."""
-        if clients < 1:
-            raise ValueError("at least one client is required")
-        config = self.config
-        # One shared index (central server), one DSG replica per client.
-        replicas: List[DSG] = []
-        for client in range(clients):
-            replicas.append(
-                DSG(
-                    DSGConfig(
-                        dataset=config.dataset,
-                        dataset_rows=config.dataset_rows,
-                        seed=config.seed + client,
-                    )
-                )
-            )
-        server_kqe = KQE(replicas[0].ndb.schema, rng=random.Random(config.seed))
-        start = time.perf_counter()
-        generated = 0
-        sync_operations = 0
-        for client_index, dsg in enumerate(replicas):
-            for _ in range(config.per_client_budget):
-                try:
-                    query = dsg.generate_query(
-                        extension_chooser=server_kqe.extension_chooser
-                    )
-                except GenerationError:
-                    continue
-                generated += 1
-                # Central synchronization: every client must register its query
-                # graph with the server before continuing; the extra clients pay
-                # the (small) coordination overhead the paper mentions.
-                server_kqe.register(query)
-                sync_operations += 1
-        elapsed = time.perf_counter() - start
-        # Account for the coordination overhead of a real deployment: each
-        # additional client adds a fixed fraction of per-query latency to the
-        # serialized section on the server.
-        elapsed *= 1.0 + config.sync_cost_fraction * (clients - 1)
-        return ParallelSearchResult(
-            clients=clients,
-            queries_generated=generated,
-            isomorphic_sets=server_kqe.explored_isomorphic_sets,
-            sync_operations=sync_operations,
-            elapsed_seconds=elapsed,
-        )
-
-    def sweep(self, max_clients: int = 5) -> List[ParallelSearchResult]:
-        """Run the Figure 10 sweep over 1..max_clients clients."""
-        return [self.run(clients) for clients in range(1, max_clients + 1)]
-
-
-# =========================================================================
-# The real multi-process worker pool
-# =========================================================================
 
 
 def derive_worker_seed(campaign_seed: int, shard_id: int) -> int:
@@ -239,7 +132,7 @@ class ShardSpec:
 class ParallelCampaignConfig:
     """Knobs of the multi-process deployment."""
 
-    workers: int = 4
+    workers: int = 4  # unread (the shard list sizes the pool); callers pass it
     sync_interval: int = 1       # simulated hours between index syncs; 0 = never
     # Progress deadline, transport-dependent: over "local" queues it is the
     # seconds without hearing from ANY worker (heartbeats included) before
@@ -269,9 +162,6 @@ class ParallelCampaignConfig:
     # (repro.core.budget).  Either way every hour's total budget is conserved
     # and runs are deterministic for a fixed seed.
     budget_policy: str = "even"
-    # Execution-pipeline batch size inside each differential worker; 1 keeps
-    # the strictly serial per-query path.
-    pipeline_batch_size: int = 1
     # Print a live progress line (merged queries/s, novel-label rate, bugs,
     # phase mix) to stderr at every sync round.  Pure presentation: the
     # campaign's results are bit-identical with it on or off.
@@ -358,32 +248,6 @@ def sync_schedule(hours: int, sync_interval: int) -> Tuple[int, ...]:
     if sync_interval <= 0:
         return ()
     return tuple(h for h in range(1, hours) if h % sync_interval == 0)
-
-
-def _build_shard_tester(spec: ShardSpec):
-    """Materialize the tester (and display metadata) for one shard."""
-    from repro.baselines import make_baseline
-    from repro.engine.dialects import dialect_by_name
-
-    if spec.kind == "tqs":
-        dialect = dialect_by_name(spec.dialect)
-        tester = build_tqs_tester(dialect, spec.config)
-        return tester, tqs_variant_name(spec.config), dialect.name
-    if spec.kind == "baseline":
-        dialect = dialect_by_name(spec.dialect)
-        tester = build_baseline_tester(make_baseline(spec.baseline), dialect,
-                                       spec.config)
-        return tester, tester.name, dialect.name
-    if spec.kind == "differential":
-        from repro.backends import backend_from_name
-
-        backend = backend_from_name(spec.backend)
-        pipeline = (PipelineConfig(batch_size=spec.batch_size)
-                    if spec.batch_size > 1 else None)
-        tester = build_differential_tester(backend, spec.config,
-                                           pipeline=pipeline)
-        return tester, "TQS-differential", backend.name
-    raise CampaignError(f"unknown shard kind {spec.kind!r}")
 
 
 def _shard_index(tester) -> Optional[GraphIndex]:
@@ -510,7 +374,11 @@ def run_shard_with_transport(spec: ShardSpec, sync_hours: Sequence[int],
     registry = obs.get_registry()
     run_start = time.perf_counter()
     with obs.span("setup"):
-        tester, tool, dbms = _build_shard_tester(spec)
+        tester, tool, dbms = build_campaign_tester(
+            spec.kind, spec.config, dialect=spec.dialect,
+            baseline=spec.baseline, backend=spec.backend,
+            batch_size=spec.batch_size,
+        )
     index = _shard_index(tester)
     records: List[HourRecord] = []
     watermark = [len(index)] if index is not None else [0]
@@ -956,8 +824,8 @@ def _run_shards_over_tcp(shards: Sequence[ShardSpec],
     """The ``transport="tcp"`` pool: an in-process IndexServer + TCP workers.
 
     Exercises the full distributed stack (framing, registration, barrier
-    rounds, novelty pruning, report upload) on localhost while keeping the
-    one-call ``run_parallel_*_campaign`` interface.
+    rounds, novelty pruning, report upload) on localhost behind the same
+    :func:`run_parallel_shards` call as the queue transport.
     """
     from repro.distributed.server import IndexServer
 
@@ -1013,7 +881,7 @@ def _run_shards_over_tcp(shards: Sequence[ShardSpec],
                                     budget_policy=parallel.budget_policy)
 
 
-# --------------------------------------------------------- campaign wrappers
+# ----------------------------------------------------------- shard building
 
 
 def build_shard_specs(kind: str, config: CampaignConfig, workers: int,
@@ -1022,18 +890,12 @@ def build_shard_specs(kind: str, config: CampaignConfig, workers: int,
                       batch_size: int = 1) -> List[ShardSpec]:
     """Split one campaign into per-worker :class:`ShardSpec` assignments.
 
-    The single source of truth for shard construction: the in-process
-    wrappers below and the ``python -m repro.distributed serve`` CLI both use
-    it, so a distributed deployment runs exactly the shards the local pool
-    would for the same campaign arguments.
+    The single source of truth for shard construction: ``run_campaign``, both
+    campaign CLIs and ``verify-local`` use it, so a distributed deployment
+    runs exactly the shards the local pool would for the same campaign
+    arguments.
     """
-    if kind not in ("tqs", "baseline", "differential"):
-        raise CampaignError(
-            f"unknown campaign kind {kind!r}; "
-            "expected 'tqs', 'baseline' or 'differential'"
-        )
-    if kind == "baseline" and not baseline:
-        raise CampaignError("baseline campaigns need a baseline name")
+    check_campaign_kind(kind, baseline)
     return [
         ShardSpec(shard_id=shard_id, kind=kind, config=shard_config,
                   dialect=dialect, baseline=baseline, backend=backend,
@@ -1041,47 +903,6 @@ def build_shard_specs(kind: str, config: CampaignConfig, workers: int,
         for shard_id, shard_config in enumerate(
             shard_campaign_configs(config, workers))
     ]
-
-
-def run_parallel_tqs_campaign(dialect, config: Optional[CampaignConfig] = None,
-                              parallel: Optional[ParallelCampaignConfig] = None
-                              ) -> ParallelCampaignResult:
-    """Shard one TQS campaign against a simulated DBMS across worker processes."""
-    config = config or CampaignConfig()
-    parallel = parallel or ParallelCampaignConfig()
-    shards = build_shard_specs("tqs", config, parallel.workers,
-                               dialect=dialect.name)
-    return run_parallel_shards(shards, parallel)
-
-
-def run_parallel_baseline_campaign(baseline_name: str, dialect,
-                                   config: Optional[CampaignConfig] = None,
-                                   parallel: Optional[ParallelCampaignConfig] = None
-                                   ) -> ParallelCampaignResult:
-    """Shard one baseline campaign (PQS / TLP / NoRec) across worker processes."""
-    config = config or CampaignConfig()
-    parallel = parallel or ParallelCampaignConfig()
-    shards = build_shard_specs("baseline", config, parallel.workers,
-                               dialect=dialect.name, baseline=baseline_name)
-    return run_parallel_shards(shards, parallel)
-
-
-def run_parallel_differential_campaign(backend_name: str,
-                                       config: Optional[CampaignConfig] = None,
-                                       parallel: Optional[ParallelCampaignConfig] = None
-                                       ) -> ParallelCampaignResult:
-    """Shard one differential campaign against a named backend across processes.
-
-    Every worker deploys its own DSG-generated database replica into its own
-    backend instance (e.g. an in-memory SQLite connection per process), so
-    there is no shared connection to contend on.
-    """
-    config = config or CampaignConfig()
-    parallel = parallel or ParallelCampaignConfig()
-    shards = build_shard_specs("differential", config, parallel.workers,
-                               backend=backend_name,
-                               batch_size=parallel.pipeline_batch_size)
-    return run_parallel_shards(shards, parallel)
 
 
 # ------------------------------------------------------------------ the CLI
@@ -1174,7 +995,6 @@ def campaign_config(args: argparse.Namespace) -> CampaignConfig:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """``python -m repro.core.parallel`` — run a long campaign on many cores."""
-    from repro import dialect_by_name
     from repro.analysis.reporting import render_table, render_worker_pool
 
     parser = argparse.ArgumentParser(
@@ -1199,28 +1019,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "sync round")
     args = parser.parse_args(argv)
 
-    config = campaign_config(args)
-    parallel = ParallelCampaignConfig(
-        workers=args.workers,
+    shards = build_shard_specs(
+        args.kind, campaign_config(args), args.workers, dialect=args.dialect,
+        baseline=args.baseline, backend=args.backend,
+        batch_size=args.batch_size,
+    )
+    outcome = run_parallel_shards(shards, ParallelCampaignConfig(
         sync_interval=args.sync_interval,
         worker_timeout=args.worker_timeout,
         transport=args.transport,
         auth_key=load_auth_key(args.auth_key_file) if args.auth_key_file else None,
         prune_broadcasts=not args.no_prune,
         budget_policy=args.budget_policy,
-        pipeline_batch_size=args.batch_size,
         live_stats=args.live_stats,
-    )
-    if args.kind == "tqs":
-        outcome = run_parallel_tqs_campaign(dialect_by_name(args.dialect),
-                                            config, parallel)
-    elif args.kind == "baseline":
-        outcome = run_parallel_baseline_campaign(args.baseline,
-                                                 dialect_by_name(args.dialect),
-                                                 config, parallel)
-    else:
-        outcome = run_parallel_differential_campaign(args.backend, config,
-                                                     parallel)
+    ))
     print(render_worker_pool(outcome))
     final = outcome.merged.final
     print()

@@ -181,7 +181,7 @@ class TQS:
             label = graph.canonical_label()
             novel = self.diversity.add_label(label)
             if self.kqe is not None and self.config.use_kqe:
-                self.kqe.register(query, label)
+                self.kqe.register(query)
             transformed = self.dsg.transform_query(query)
         with obs.span("execute.target"):
             reports = [

@@ -316,12 +316,10 @@ def _cmd_verify_local(args: argparse.Namespace) -> int:
     outcome = run_parallel_shards(
         shards,
         ParallelCampaignConfig(
-            workers=campaign["workers"],
             sync_interval=campaign["sync_interval"],
             worker_timeout=args.worker_timeout,
             prune_broadcasts=campaign["prune"],
             budget_policy=campaign.get("budget_policy", "even"),
-            pipeline_batch_size=campaign.get("batch_size", 1),
         ),
     )
     local = parallel_result_to_dict(outcome, campaign=campaign)

@@ -18,7 +18,6 @@ from repro.catalog.schema import DatabaseSchema
 from repro.dsg.query_gen import CandidateExtension
 from repro.kqe.embedding import GraphEmbedder
 from repro.kqe.graph_index import GraphIndex
-from repro.kqe.isomorphism import IsomorphicSetCounter
 from repro.kqe.query_graph import QueryGraph, QueryGraphBuilder
 from repro.plan.logical import JoinStep, QuerySpec, TableRef
 
@@ -78,7 +77,6 @@ class KQE:
         self.embedder = GraphEmbedder(dimensions=self.config.embedding_dimensions)
         self.index = GraphIndex(self.embedder)
         self.builder = QueryGraphBuilder(schema)
-        self.counter = IsomorphicSetCounter()
 
     # ---------------------------------------------------------------- coverage
 
@@ -129,31 +127,12 @@ class KQE:
 
     # -------------------------------------------------------------- registering
 
-    def register(self, query: QuerySpec, label: Optional[str] = None) -> bool:
-        """Add a generated query's graph to the index.
+    def register(self, query: QuerySpec) -> None:
+        """Add a generated query's join *skeleton* to the index.
 
-        The full query graph's label feeds the isomorphic-set counter (the
-        diversity axis of Figure 8); the index itself stores the join
-        *skeleton* of the query, because that is what the adaptive walk
-        compares its partial graphs against when scoring candidate extensions
-        (Algorithm 2).  *label* is the full graph's canonical label when the
-        caller has already computed it; only otherwise is the full graph
-        built here.
-
-        Returns whether the query opened a new isomorphic set.
+        The skeleton is what the adaptive walk compares its partial graphs
+        against when scoring candidate extensions (Algorithm 2).  Diversity
+        (the isomorphic sets of Figure 8) is counted by the testers over the
+        full query graphs, not here.
         """
-        skeleton = self.builder.build_partial(query.base.alias, query.joins)
-        self.index.add(skeleton)
-        if label is None:
-            label = self.builder.build(query).canonical_label()
-        return self.counter.add_label(label)
-
-    @property
-    def explored_isomorphic_sets(self) -> int:
-        """Number of distinct isomorphic sets explored so far."""
-        return self.counter.distinct_sets
-
-    @property
-    def explored_graphs(self) -> int:
-        """Number of query graphs registered so far."""
-        return self.counter.total_graphs
+        self.index.add(self.builder.build_partial(query.base.alias, query.joins))

@@ -14,7 +14,7 @@ from repro.backends import (
     registered_backends,
 )
 from repro.backends import _BACKEND_FACTORIES
-from repro.core import CampaignConfig, run_differential_campaign
+from repro.core import CampaignSpec, run_campaign
 from repro.dsg import DSG, DSGConfig
 from repro.errors import BackendError
 
@@ -54,6 +54,17 @@ class TestRegistry:
             pytest.skip("duckdb installed; the gated path is not reachable")
         with pytest.raises(BackendError, match="pip install duckdb"):
             backend.connect()
+
+
+def run_registered(backend):
+    """A differential campaign against *backend*, reached by a test-only name."""
+    register_backend("test-close-safety", lambda: backend)
+    try:
+        return run_campaign(CampaignSpec(kind="differential",
+                                         backend="test-close-safety",
+                                         hours=1, queries_per_hour=2))
+    finally:
+        _BACKEND_FACTORIES.pop("test-close-safety", None)
 
 
 class TestCloseSafety:
@@ -99,15 +110,11 @@ class TestCloseSafety:
                 super().close()
 
         with pytest.raises(BackendError, match="schema rejected"):
-            run_differential_campaign(
-                FailingLoad(), CampaignConfig(hours=1, queries_per_hour=2)
-            )
+            run_registered(FailingLoad())
         assert closes, "campaign error path must close the adapter"
 
     def test_campaign_closes_backend_on_success(self):
         backend = SQLiteBackend()
-        run_differential_campaign(
-            backend, CampaignConfig(hours=1, queries_per_hour=2)
-        )
+        run_registered(backend)
         with pytest.raises(BackendError):
             backend.connection  # noqa: B018 - property raises when closed

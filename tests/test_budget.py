@@ -12,13 +12,13 @@ from repro.core import (
     ParallelCampaignConfig,
     budget_policy_from_name,
     register_budget_policy,
+    build_shard_specs,
     registered_budget_policies,
-    run_parallel_tqs_campaign,
+    run_parallel_shards,
     split_budget,
 )
 from repro.core.budget import _POLICY_FACTORIES, redistribute_budget
 from repro.distributed.coordinator import CentralCoordinator
-from repro.engine import SIM_MYSQL
 from repro.errors import CampaignError
 
 
@@ -242,14 +242,16 @@ FAST = CampaignConfig(dataset="shopping", dataset_rows=90, hours=4,
                       queries_per_hour=8, seed=71)
 
 
+def run_pool(**options):
+    """A 2-worker TQS pool over FAST with the given pool options."""
+    return run_parallel_shards(build_shard_specs("tqs", FAST, 2),
+                               ParallelCampaignConfig(**options))
+
+
 class TestAdaptiveParallelCampaign:
     def run_pool(self):
-        return run_parallel_tqs_campaign(
-            SIM_MYSQL, FAST,
-            ParallelCampaignConfig(workers=2, sync_interval=1,
-                                   worker_timeout=120.0,
-                                   budget_policy="adaptive"),
-        )
+        return run_pool(sync_interval=1, worker_timeout=120.0,
+                        budget_policy="adaptive")
 
     def test_adaptive_campaign_is_deterministic(self):
         first = self.run_pool()
@@ -280,18 +282,11 @@ class TestAdaptiveParallelCampaign:
             assert len(shard["hourly_budgets"]) == FAST.hours
 
     def test_even_policy_keeps_static_budgets(self):
-        outcome = run_parallel_tqs_campaign(
-            SIM_MYSQL, FAST,
-            ParallelCampaignConfig(workers=2, sync_interval=1,
-                                   worker_timeout=120.0),
-        )
+        outcome = run_pool(sync_interval=1, worker_timeout=120.0)
         assert outcome.budget_policy == "even"
         for stats in outcome.sync_stats:
             assert len(set(stats.hourly_budgets)) == 1
 
     def test_unknown_policy_fails_fast(self):
         with pytest.raises(CampaignError, match="unknown budget policy"):
-            run_parallel_tqs_campaign(
-                SIM_MYSQL, FAST,
-                ParallelCampaignConfig(workers=2, budget_policy="psychic"),
-            )
+            run_pool(budget_policy="psychic")

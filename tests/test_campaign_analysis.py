@@ -1,4 +1,6 @@
-"""Tests for campaigns, the ablation driver, parallel search and reporting."""
+"""Tests for campaigns, the ablation driver and reporting."""
+
+from dataclasses import replace
 
 import pytest
 
@@ -14,25 +16,17 @@ from repro.analysis import (
     render_table,
     saturation_hour,
 )
-from repro.baselines import make_baseline
-from repro.core import (
-    CampaignConfig,
-    ParallelSearchConfig,
-    ParallelSearchSimulator,
-    run_ablation,
-    run_baseline_campaign,
-    run_tqs_campaign,
-)
-from repro.engine import SIM_MYSQL, SIM_TIDB
+from repro.core import CampaignSpec, run_ablation, run_campaign
+from repro.engine import SIM_MYSQL
 from repro.errors import CampaignError
 
-FAST = CampaignConfig(dataset="shopping", dataset_rows=90, hours=3,
-                      queries_per_hour=4, seed=71)
+FAST = CampaignSpec(dataset="shopping", dataset_rows=90, hours=3,
+                    queries_per_hour=4, seed=71)
 
 
 @pytest.fixture(scope="module")
 def tqs_campaign():
-    return run_tqs_campaign(SIM_MYSQL, FAST)
+    return run_campaign(FAST)
 
 
 class TestCampaign:
@@ -59,15 +53,16 @@ class TestCampaign:
             CampaignResult(tool="TQS", dbms="X", dataset="d").final
 
     def test_baseline_campaign_runs(self):
-        result = run_baseline_campaign(make_baseline("NoRec"), SIM_MYSQL, FAST)
+        result = run_campaign(replace(FAST, kind="baseline", baseline="NoRec"))
         assert result.tool == "NoRec"
         assert len(result.samples) == FAST.hours
         assert result.final.queries_generated > 0
 
     def test_ablation_variants_configured_correctly(self):
-        config = CampaignConfig(dataset="shopping", dataset_rows=90, hours=2,
-                                queries_per_hour=3, seed=73)
-        results = run_ablation(SIM_TIDB, config)
+        spec = CampaignSpec(dialect="SimTiDB", dataset="shopping",
+                            dataset_rows=90, hours=2, queries_per_hour=3,
+                            seed=73)
+        results = run_ablation(spec)
         assert set(results) == {"TQS", "TQS!Noise", "TQS!GT", "TQS!KQE"}
         assert results["TQS!Noise"].tool == "TQS!Noise"
         # The TQS!GT variant must rely on differential testing exclusively.
@@ -76,28 +71,22 @@ class TestCampaign:
         assert all(incident.detection_mode == "ground_truth"
                    for incident in results["TQS"].bug_log.incidents)
 
+    def test_workers_below_one_rejected(self):
+        for workers in (0, -1):
+            with pytest.raises(CampaignError, match="at least one worker"):
+                run_campaign(replace(FAST, hours=1, queries_per_hour=1,
+                                     workers=workers))
 
-class TestParallelSearch:
-    def test_sweep_scales_query_throughput(self):
-        simulator = ParallelSearchSimulator(
-            ParallelSearchConfig(dataset="shopping", dataset_rows=80,
-                                 per_client_budget=15, seed=75)
-        )
-        results = simulator.sweep(max_clients=3)
-        assert [r.clients for r in results] == [1, 2, 3]
-        totals = [r.queries_generated for r in results]
-        assert totals[0] < totals[-1]
-        assert all(r.sync_operations == r.queries_generated for r in results)
-        assert all(r.queries_per_second > 0 for r in results)
-
-    def test_invalid_client_count(self):
-        with pytest.raises(ValueError):
-            ParallelSearchSimulator().run(0)
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(CampaignError, match="unknown campaign kind"):
+            run_campaign(replace(FAST, kind="fuzz"))
+        with pytest.raises(CampaignError, match="baseline name"):
+            run_campaign(replace(FAST, kind="baseline"))
 
 
 class TestAnalysisHelpers:
     def test_compare_final(self, tqs_campaign):
-        baseline = run_baseline_campaign(make_baseline("PQS"), SIM_MYSQL, FAST)
+        baseline = run_campaign(replace(FAST, kind="baseline", baseline="PQS"))
         comparisons = compare_final("isomorphic_sets", tqs_campaign,
                                     {"PQS": baseline})
         assert comparisons[0].metric == "isomorphic_sets"

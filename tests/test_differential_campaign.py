@@ -6,13 +6,19 @@ import pytest
 
 from repro import (
     CampaignConfig,
+    CampaignResult,
+    CampaignSpec,
     SIM_MYSQL,
     SQLiteBackend,
     SimulatedBackend,
-    run_baseline_campaign,
-    run_differential_campaign,
+    run_campaign,
 )
 from repro.baselines.base import BaselineTester
+from repro.core import (
+    build_baseline_tester,
+    build_differential_tester,
+    run_campaign_loop,
+)
 from repro.core.differential import (
     DifferentialConfig,
     DifferentialOracle,
@@ -108,7 +114,7 @@ def test_sqlite_differential_campaign_end_to_end():
     every mismatch would be a false positive of the rendering/normalization
     pipeline.
     """
-    result = run_differential_campaign(SQLiteBackend(), CampaignConfig(hours=2))
+    result = run_campaign(CampaignSpec(kind="differential", hours=2))
     assert len(result.samples) == 2
     final = result.final
     assert final.queries_executed > 0
@@ -122,10 +128,8 @@ def test_sqlite_differential_campaign_end_to_end():
 
 
 def test_sqlite_differential_campaign_other_dataset_seed():
-    result = run_differential_campaign(
-        SQLiteBackend(),
-        CampaignConfig(dataset="tpch", hours=2, queries_per_hour=8, seed=29),
-    )
+    result = run_campaign(CampaignSpec(kind="differential", dataset="tpch",
+                                       hours=2, queries_per_hour=8, seed=29))
     assert result.final.queries_executed > 0
     assert result.final.bug_count == 0
 
@@ -135,10 +139,9 @@ def test_sqlite_differential_campaign_other_dataset_seed():
 
 def test_differential_campaign_detects_seeded_faults():
     """Against a faulty simulated engine the same oracle must report bugs."""
-    result = run_differential_campaign(
-        SimulatedBackend(SIM_MYSQL),
-        CampaignConfig(hours=4, queries_per_hour=12, seed=5),
-    )
+    result = run_campaign(CampaignSpec(kind="differential",
+                                       backend="sim:SimMySQL", hours=4,
+                                       queries_per_hour=12, seed=5))
     assert result.final.bug_count > 0
     assert result.final.bug_type_count > 0
     incident = result.bug_log.incidents[0]
@@ -168,9 +171,16 @@ def test_backend_errors_are_skipped_not_fatal():
         def execute(self, query):
             raise BackendError("engine fell over")
 
-    result = run_differential_campaign(
-        CrashyBackend(), CampaignConfig(hours=2, queries_per_hour=3)
-    )
+    config = CampaignConfig(hours=2, queries_per_hour=3)
+    tester = build_differential_tester(CrashyBackend(), config)
+    try:
+        result = run_campaign_loop(
+            tester, CampaignResult(tool="TQS-differential", dbms="crashy",
+                                   dataset=config.dataset),
+            config.hours, config.queries_per_hour,
+        )
+    finally:
+        tester.close()
     assert len(result.samples) == 2
     assert result.final.queries_executed == 0
     assert result.final.bug_count == 0
@@ -188,9 +198,12 @@ class _AlwaysFailingBaseline(BaselineTester):
 
 def test_baseline_campaign_survives_generation_errors():
     """One failed generation must not abort the whole baseline campaign."""
-    result = run_baseline_campaign(
-        _AlwaysFailingBaseline(), SIM_MYSQL,
-        CampaignConfig(hours=3, queries_per_hour=2, dataset_rows=80),
+    config = CampaignConfig(hours=3, queries_per_hour=2, dataset_rows=80)
+    tester = build_baseline_tester(_AlwaysFailingBaseline(), SIM_MYSQL, config)
+    result = run_campaign_loop(
+        tester, CampaignResult(tool=tester.name, dbms=SIM_MYSQL.name,
+                               dataset=config.dataset),
+        config.hours, config.queries_per_hour,
     )
     assert len(result.samples) == 3
     assert result.final.queries_generated == 0

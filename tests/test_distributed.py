@@ -9,13 +9,12 @@ import pytest
 from repro.analysis.reporting import parallel_result_to_dict
 from repro.core import (
     CampaignConfig,
+    CampaignSpec,
     ParallelCampaignConfig,
     build_shard_specs,
     finalize_parallel_result,
-    run_parallel_differential_campaign,
+    run_campaign,
     run_parallel_shards,
-    run_parallel_tqs_campaign,
-    run_tqs_campaign,
     sync_schedule,
 )
 from repro.distributed import protocol
@@ -23,12 +22,12 @@ from repro.distributed.cli import _diff_summaries, main as distributed_main
 from repro.distributed.client import request_shutdown, run_remote_client
 from repro.distributed.coordinator import CentralCoordinator
 from repro.distributed.server import IndexServer
-from repro.engine import SIM_MYSQL
 from repro.errors import CampaignError, TransportError
 
-FAST = CampaignConfig(
+FAST_SPEC = CampaignSpec(
     dataset="shopping", dataset_rows=90, hours=3, queries_per_hour=6, seed=71
 )
+FAST = FAST_SPEC.campaign_config()
 # A longer campaign for the payload-reduction assertions: more rounds and a
 # bigger per-hour budget mean more repeated join skeletons to suppress.
 LONG = CampaignConfig(
@@ -42,6 +41,11 @@ def pool_config(workers, **overrides):
     return ParallelCampaignConfig(**defaults)
 
 
+def run_pool(workers, config=FAST, kind="tqs", **overrides):
+    shards = build_shard_specs(kind, config, workers)
+    return run_parallel_shards(shards, pool_config(workers, **overrides))
+
+
 def bug_keys(result):
     assert result.bug_log is not None
     return {
@@ -52,17 +56,17 @@ def bug_keys(result):
 
 @pytest.fixture(scope="module")
 def serial_result():
-    return run_tqs_campaign(SIM_MYSQL, FAST)
+    return run_campaign(FAST_SPEC)
 
 
 @pytest.fixture(scope="module")
 def local_pool2():
-    return run_parallel_tqs_campaign(SIM_MYSQL, FAST, pool_config(2))
+    return run_pool(2)
 
 
 @pytest.fixture(scope="module")
 def tcp_pool2():
-    return run_parallel_tqs_campaign(SIM_MYSQL, FAST, pool_config(2, transport="tcp"))
+    return run_pool(2, transport="tcp")
 
 
 class TestNoveltyPruning:
@@ -126,9 +130,7 @@ class TestNoveltyPruning:
 class TestTCPDeterminism:
     def test_one_client_tcp_run_equals_serial_runner(self, serial_result):
         """The determinism contract: 1-client TCP == the serial loop, bitwise."""
-        tcp = run_parallel_tqs_campaign(
-            SIM_MYSQL, FAST, pool_config(1, transport="tcp")
-        )
+        tcp = run_pool(1, transport="tcp")
         assert tcp.merged.samples == serial_result.samples
         assert bug_keys(tcp.merged) == bug_keys(serial_result)
         assert tcp.transport == "tcp"
@@ -169,10 +171,8 @@ class TestTCPDeterminism:
 
 class TestPayloadReduction:
     def test_pruning_reduces_broadcast_volume_on_a_long_campaign(self):
-        pruned = run_parallel_tqs_campaign(SIM_MYSQL, LONG, pool_config(2))
-        unpruned = run_parallel_tqs_campaign(
-            SIM_MYSQL, LONG, pool_config(2, prune_broadcasts=False)
-        )
+        pruned = run_pool(2, LONG)
+        unpruned = run_pool(2, LONG, prune_broadcasts=False)
         assert pruned.broadcast_entries_suppressed > 0
         assert pruned.broadcast_entries_sent < unpruned.broadcast_entries_sent
         assert unpruned.broadcast_entries_suppressed == 0
@@ -371,9 +371,7 @@ class TestVerifyLocalCLI:
         )
 
     def test_verify_local_accepts_a_recorded_tcp_campaign(self, tmp_path):
-        outcome = run_parallel_tqs_campaign(
-            SIM_MYSQL, FAST, pool_config(2, transport="tcp")
-        )
+        outcome = run_pool(2, transport="tcp")
         assert self.verify(tmp_path, outcome) == 0
 
     def test_verify_local_reruns_the_recorded_grammar_probabilities(self, tmp_path):
@@ -383,10 +381,8 @@ class TestVerifyLocalCLI:
             scalar_subquery_probability=0.3,
             cte_probability=0.25,
         )
-        outcome = run_parallel_differential_campaign(
-            "sqlite",
-            replace(FAST, **probabilities),
-            pool_config(2, transport="tcp"),
+        outcome = run_pool(
+            2, replace(FAST, **probabilities), kind="differential", transport="tcp"
         )
         assert self.verify(tmp_path, outcome, kind="differential", **probabilities) == 0
 

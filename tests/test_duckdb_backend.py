@@ -7,16 +7,14 @@ unconditionally in test_backend_registry.py).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 duckdb = pytest.importorskip("duckdb")
 
 from repro.backends import DuckDBBackend  # noqa: E402
-from repro.core import (  # noqa: E402
-    CampaignConfig,
-    PipelineConfig,
-    run_differential_campaign,
-)
+from repro.core import CampaignSpec, run_campaign  # noqa: E402
 from repro.core.differential import DifferentialOracle  # noqa: E402
 from repro.dsg import DSG, DSGConfig  # noqa: E402
 from repro.engine import reference_engine  # noqa: E402
@@ -69,9 +67,8 @@ class TestRoundTrip:
 
 class TestDifferentialCampaign:
     def test_campaign_runs_with_zero_false_positives(self):
-        result = run_differential_campaign(
-            DuckDBBackend(), CampaignConfig(hours=2, queries_per_hour=6, seed=9)
-        )
+        result = run_campaign(CampaignSpec(kind="differential", backend="duckdb",
+                                           hours=2, queries_per_hour=6, seed=9))
         assert result.dbms == "DuckDB"
         assert result.final.queries_executed > 0
         assert result.final.bug_count == 0, (
@@ -80,11 +77,10 @@ class TestDifferentialCampaign:
         )
 
     def test_pipelined_campaign_matches_serial(self):
-        config = CampaignConfig(hours=2, queries_per_hour=6, seed=9)
-        serial = run_differential_campaign(DuckDBBackend(), config)
-        pipelined = run_differential_campaign(
-            DuckDBBackend(), config, pipeline=PipelineConfig(batch_size=4)
-        )
+        spec = CampaignSpec(kind="differential", backend="duckdb", hours=2,
+                            queries_per_hour=6, seed=9)
+        serial = run_campaign(spec)
+        pipelined = run_campaign(replace(spec, pipeline_batch_size=4))
         assert serial.samples == pipelined.samples
 
     def test_widened_grammar_campaign_zero_false_positives(self):
@@ -93,13 +89,12 @@ class TestDifferentialCampaign:
         # subqueries — differentially against real DuckDB.  DuckDB's default
         # NULL placement on ORDER BY (NULLS LAST ascending) differs from the
         # reference, so this also exercises the explicit NULLS clause path.
-        result = run_differential_campaign(
-            DuckDBBackend(),
-            CampaignConfig(hours=2, queries_per_hour=60, seed=17,
-                           dataset_rows=100, use_query_cache=True,
-                           setop_probability=0.4,
-                           scalar_subquery_probability=0.3,
-                           cte_probability=0.25),
+        result = run_campaign(
+            CampaignSpec(kind="differential", backend="duckdb", hours=2,
+                         queries_per_hour=60, seed=17, dataset_rows=100,
+                         use_query_cache=True, setop_probability=0.4,
+                         scalar_subquery_probability=0.3,
+                         cte_probability=0.25),
         )
         assert result.final.queries_executed >= 100
         assert result.final.bug_count == 0, (

@@ -9,6 +9,7 @@ differential campaign run serially, with ``batch_size=1``, and with
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -16,14 +17,17 @@ from repro.backends import SimulatedBackend, SQLiteBackend
 from repro.backends.base import BackendAdapter, BackendExecution
 from repro.core import (
     CampaignConfig,
+    CampaignResult,
+    CampaignSpec,
     PipelineConfig,
     QueryJob,
-    run_differential_campaign,
+    build_differential_tester,
+    run_campaign,
+    run_campaign_loop,
 )
 from repro.core.differential import DifferentialConfig, DifferentialTester
 from repro.core.execpipe import ExecutionPipeline
 from repro.dsg import DSG, DSGConfig
-from repro.engine import SIM_MYSQL
 from repro.errors import BackendError, CampaignError
 
 
@@ -41,30 +45,25 @@ def incident_keys(result):
 
 
 class TestDeterminismContract:
-    CONFIG = CampaignConfig(hours=3, queries_per_hour=10, seed=5)
+    SPEC = CampaignSpec(kind="differential", hours=3, queries_per_hour=10, seed=5)
 
-    def run_three_ways(self, make_backend):
-        serial = run_differential_campaign(make_backend(), self.CONFIG)
-        batch_one = run_differential_campaign(
-            make_backend(), self.CONFIG, pipeline=PipelineConfig(batch_size=1)
-        )
-        batch_eight = run_differential_campaign(
-            make_backend(), self.CONFIG, pipeline=PipelineConfig(batch_size=8)
-        )
+    def run_three_ways(self, backend):
+        spec = replace(self.SPEC, backend=backend)
+        serial = run_campaign(spec)
+        batch_one = run_campaign(replace(spec, pipeline_batch_size=1))
+        batch_eight = run_campaign(replace(spec, pipeline_batch_size=8))
         return serial, batch_one, batch_eight
 
     def test_simulated_faulty_backend_identical_verdicts(self):
         """serial == batch_size=1 == batch_size=8, including found bugs."""
-        serial, batch_one, batch_eight = self.run_three_ways(
-            lambda: SimulatedBackend(SIM_MYSQL)
-        )
+        serial, batch_one, batch_eight = self.run_three_ways("sim:SimMySQL")
         assert serial.samples == batch_one.samples == batch_eight.samples
         assert (incident_keys(serial) == incident_keys(batch_one)
                 == incident_keys(batch_eight))
         assert serial.final.bug_count > 0  # the contract is non-vacuous
 
     def test_sqlite_backend_identical_series_and_zero_false_positives(self):
-        serial, batch_one, batch_eight = self.run_three_ways(SQLiteBackend)
+        serial, batch_one, batch_eight = self.run_three_ways("sqlite")
         assert serial.samples == batch_one.samples == batch_eight.samples
         assert serial.final.bug_count == 0
         assert batch_eight.final.bug_count == 0
@@ -73,11 +72,10 @@ class TestDeterminismContract:
     def test_partial_batch_flushes_at_hour_boundary(self):
         """A batch size larger than the hour's budget must still execute all
         generated queries each hour (the loop flushes before sampling)."""
-        config = CampaignConfig(hours=2, queries_per_hour=3, seed=11)
-        result = run_differential_campaign(
-            SQLiteBackend(), config, pipeline=PipelineConfig(batch_size=64)
-        )
-        serial = run_differential_campaign(SQLiteBackend(), config)
+        spec = CampaignSpec(kind="differential", hours=2, queries_per_hour=3,
+                            seed=11)
+        result = run_campaign(replace(spec, pipeline_batch_size=64))
+        serial = run_campaign(spec)
         assert result.samples == serial.samples
 
 
@@ -176,12 +174,21 @@ class TestExecuteMany:
         assert all(isinstance(e.error, BackendError)
                    for e in executions if not e.ok)
 
+    def run_exploding(self, config, pipeline=None):
+        tester = build_differential_tester(_ExplodingBackend(), config,
+                                           pipeline=pipeline)
+        result = CampaignResult(tool="TQS-differential", dbms="exploding",
+                                dataset=config.dataset)
+        try:
+            return run_campaign_loop(tester, result, config.hours,
+                                     config.queries_per_hour)
+        finally:
+            tester.close()
+
     def test_pipeline_skips_errored_queries_like_serial_path(self):
         config = CampaignConfig(hours=2, queries_per_hour=6, seed=13)
-        serial = run_differential_campaign(_ExplodingBackend(), config)
-        batched = run_differential_campaign(
-            _ExplodingBackend(), config, pipeline=PipelineConfig(batch_size=6)
-        )
+        serial = self.run_exploding(config)
+        batched = self.run_exploding(config, PipelineConfig(batch_size=6))
         assert serial.samples == batched.samples
         assert serial.final.queries_executed < serial.final.queries_generated
 

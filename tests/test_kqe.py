@@ -250,23 +250,11 @@ class TestKQEExplorer:
         assert after > before
         assert kqe.transition_probability(graph) < 1.0
 
-    def test_register_counts_isomorphic_sets(self, shopping_dsg):
+    def test_register_grows_the_index(self, shopping_dsg):
         kqe = KQE(shopping_dsg.ndb.schema, rng=random.Random(4))
         query = make_query(shopping_dsg)
-        novel_first = kqe.register(query)
-        novel_second = kqe.register(query)
-        assert novel_first is True and novel_second is False
-        assert kqe.explored_isomorphic_sets == 1
-        assert kqe.explored_graphs == 2
-
-    def test_register_counts_the_callers_label(self, shopping_dsg):
-        kqe = KQE(shopping_dsg.ndb.schema, rng=random.Random(4))
-        query = make_query(shopping_dsg)
-        label = kqe.builder.build(query).canonical_label()
-        assert kqe.register(query, label) is True
-        assert kqe.register(query) is False
-        assert kqe.register(query, "another label") is True
-        assert kqe.counter.labels == {label, "another label"}
+        for _ in range(3):
+            kqe.register(query)
         assert len(kqe.index) == 3
 
     def test_chooser_penalizes_already_explored_structures(self, shopping_dsg):
@@ -394,9 +382,8 @@ def guided_draws(dataset, kqe_seed):
         except GenerationError:
             draws.append("rejected")
             continue
-        label = kqe.builder.build(query).canonical_label()
-        kqe.register(query, label)
-        draws.append(label)
+        kqe.register(query)
+        draws.append(kqe.builder.build(query).canonical_label())
     return draws, kqe
 
 

@@ -16,12 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.backends.sqlite_backend import SQLiteBackend
 from repro.core import (
-    CampaignConfig,
+    CampaignSpec,
     ParallelCampaignConfig,
     build_shard_specs,
-    run_differential_campaign,
+    run_campaign,
     run_parallel_shards,
     sync_schedule,
 )
@@ -232,9 +231,15 @@ class TestWire:
 # -------------------------------------------------- determinism regression
 
 
-DET = CampaignConfig(
-    dataset="shopping", dataset_rows=80, hours=2, queries_per_hour=8, seed=9
+DET_SPEC = CampaignSpec(
+    kind="differential",
+    dataset="shopping",
+    dataset_rows=80,
+    hours=2,
+    queries_per_hour=8,
+    seed=9,
 )
+DET = DET_SPEC.campaign_config()
 
 
 def _campaign_fingerprint(result):
@@ -254,11 +259,11 @@ def _campaign_fingerprint(result):
 
 class TestDeterminismWithTelemetry:
     def test_serial_campaign_identical_with_telemetry_on_and_off(self):
-        with_telemetry = run_differential_campaign(SQLiteBackend(), DET)
+        with_telemetry = run_campaign(DET_SPEC)
         previous = obs.set_enabled(False)
         try:
             obs.reset_registry()
-            without = run_differential_campaign(SQLiteBackend(), DET)
+            without = run_campaign(DET_SPEC)
         finally:
             obs.set_enabled(previous)
         assert _campaign_fingerprint(with_telemetry) == _campaign_fingerprint(

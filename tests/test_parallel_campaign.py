@@ -7,23 +7,31 @@ from repro.core import (
     BugLog,
     CampaignConfig,
     CampaignResult,
+    CampaignSpec,
     HourlySample,
     ParallelCampaignConfig,
     WorkerReport,
+    build_shard_specs,
     derive_worker_seed,
     merge_worker_reports,
+    run_campaign,
     run_campaign_loop,
-    run_parallel_tqs_campaign,
-    run_tqs_campaign,
+    run_parallel_shards,
     shard_campaign_configs,
 )
-from repro.engine import SIM_MYSQL
 from repro.errors import CampaignError, GenerationError
 from repro.kqe.isomorphism import IsomorphicSetCounter
 
-FAST = CampaignConfig(dataset="shopping", dataset_rows=90, hours=3,
-                      queries_per_hour=6, seed=71)
+FAST_SPEC = CampaignSpec(dataset="shopping", dataset_rows=90, hours=3,
+                         queries_per_hour=6, seed=71)
+FAST = FAST_SPEC.campaign_config()
 POOL = ParallelCampaignConfig(workers=2, sync_interval=1, worker_timeout=120.0)
+
+
+def run_pool(parallel=POOL):
+    """FAST as a TQS campaign sharded over ``parallel.workers`` processes."""
+    shards = build_shard_specs("tqs", FAST, parallel.workers)
+    return run_parallel_shards(shards, parallel)
 
 
 def incident(bug_ids=(1,), label="L1", dbms="SimMySQL"):
@@ -79,8 +87,8 @@ class TestSeedDerivation:
 class TestRealWorkerPool:
     def test_same_seed_same_shard_count_is_deterministic(self):
         """Same campaign seed and shard count -> identical merged outcome."""
-        first = run_parallel_tqs_campaign(SIM_MYSQL, FAST, POOL)
-        second = run_parallel_tqs_campaign(SIM_MYSQL, FAST, POOL)
+        first = run_pool()
+        second = run_pool()
         assert first.merged.samples == second.merged.samples
         assert first.merged.bug_log is not None and second.merged.bug_log is not None
         assert (set(first.merged.bug_log._bug_keys)
@@ -90,18 +98,15 @@ class TestRealWorkerPool:
 
     def test_one_worker_pool_equals_serial_runner(self):
         """A 1-worker pool on the same config must equal the serial loop."""
-        serial = run_tqs_campaign(SIM_MYSQL, FAST)
-        pool = run_parallel_tqs_campaign(
-            SIM_MYSQL, FAST,
-            ParallelCampaignConfig(workers=1, sync_interval=1,
-                                   worker_timeout=120.0),
-        )
+        serial = run_campaign(FAST_SPEC)
+        pool = run_pool(ParallelCampaignConfig(workers=1, sync_interval=1,
+                                               worker_timeout=120.0))
         assert pool.merged.samples == serial.samples
         assert serial.bug_log is not None and pool.merged.bug_log is not None
         assert pool.merged.bug_log._bug_keys == serial.bug_log._bug_keys
 
     def test_merged_series_keep_the_hourly_contract(self):
-        outcome = run_parallel_tqs_campaign(SIM_MYSQL, FAST, POOL)
+        outcome = run_pool()
         merged = outcome.merged
         assert [s.hour for s in merged.samples] == list(range(1, FAST.hours + 1))
         for metric in ("queries_generated", "isomorphic_sets", "bug_count",
@@ -247,7 +252,7 @@ class TestRejectedGenerationAccounting:
                 + result.final.generations_rejected) == 8
 
     def test_real_campaign_surfaces_rejections_field(self):
-        result = run_tqs_campaign(SIM_MYSQL, FAST)
+        result = run_campaign(FAST_SPEC)
         assert result.final.generations_rejected >= 0
         assert (result.final.queries_generated
                 + result.final.generations_rejected

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core import (
     CampaignConfig,
     ParallelCampaignConfig,
-    run_parallel_tqs_campaign,
+    run_parallel_shards,
 )
 from repro.core.bug_report import BugIncident
 from repro.core.campaign import HourlySample
@@ -29,7 +29,6 @@ from repro.distributed.client import RemoteSyncTransport
 from repro.distributed.protocol import JsonFrameCodec, SyncBroadcast, load_auth_key
 from repro.distributed.server import IndexServer
 from repro.distributed.testing import ScriptedClient, flip_byte, truncate_frame
-from repro.engine import SIM_MYSQL
 from repro.errors import ProtocolError, TransportError
 
 KEY = b"protocol-v2-test-key"
@@ -465,8 +464,8 @@ class TestJsonDeterminism:
         def pool(**overrides):
             options = dict(workers=2, sync_interval=1, worker_timeout=120.0)
             options.update(overrides)
-            return run_parallel_tqs_campaign(
-                SIM_MYSQL, FAST, ParallelCampaignConfig(**options)
+            return run_parallel_shards(
+                build_shard_specs("tqs", FAST, 2), ParallelCampaignConfig(**options)
             )
 
         local = pool()
