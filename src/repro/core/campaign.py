@@ -192,12 +192,23 @@ def run_campaign(spec: CampaignSpec, on_hour: Optional["OnHour"] = None):
     """Run the campaign *spec* describes; the single public entrypoint.
 
     Returns a :class:`CampaignResult`, or the parallel pool's merged
-    ``ParallelCampaignResult`` when ``spec.workers > 1`` (the ``on_hour``
-    hook is a serial-path seam and is ignored by the pool, which has its own
-    coordinator-side hooks).
+    ``ParallelCampaignResult`` when ``spec.workers > 1``.  A spec this path
+    cannot honour is a :class:`CampaignError`, not a silent downgrade: the
+    pipeline and the query cache serve differential campaigns only, and the
+    ``on_hour`` hook is a serial-path seam (the pool has its own
+    coordinator-side hooks), so it needs ``workers == 1``.
     """
     if spec.workers < 1:
         raise CampaignError("at least one worker is required")
+    if spec.kind != "differential" and spec.pipeline_batch_size != 1:
+        raise CampaignError(
+            f"pipeline_batch_size={spec.pipeline_batch_size} needs a "
+            f"differential campaign, not {spec.kind!r}")
+    if spec.kind != "differential" and spec.use_query_cache:
+        raise CampaignError(
+            f"use_query_cache needs a differential campaign, not {spec.kind!r}")
+    if on_hour is not None and spec.workers > 1:
+        raise CampaignError("an on_hour hook needs workers=1")
     config = spec.campaign_config()
     if spec.workers > 1:
         # Deferred import: the parallel runner imports this module.

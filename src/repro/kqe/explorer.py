@@ -106,19 +106,22 @@ class KQE:
         """The adaptive random-walk step (Algorithm 2, lines 5-14)."""
         if not candidates:
             return None
-        weights: List[float] = []
-        for candidate in candidates:
-            extended = self.builder.build_partial(base.alias, steps, candidate)
-            weights.append(self.transition_probability(extended))
-        best = max(weights)
+        # The current graph is only scored when the walk is long enough to
+        # stop; every graph of the step is scored in one index call.
+        may_stop = len(steps) >= self.config.min_steps_before_termination
+        graphs = [self.builder.build_partial(base.alias, steps, candidate)
+                  for candidate in candidates]
+        if may_stop:
+            graphs.append(self.builder.build_partial(base.alias, steps))
+        probabilities = self.index.transition_probabilities(
+            graphs, k=self.config.k_neighbors)
+        weights = probabilities[:len(candidates)]
         # Termination: when every possible extension is less promising than the
         # current graph, stop growing it (with some probability so the walk does
-        # not always stop at the first plateau).  The current graph is only
-        # scored when the walk is long enough to stop.
+        # not always stop at the first plateau).
         if (
-            len(steps) >= self.config.min_steps_before_termination
-            and best < self.transition_probability(
-                self.builder.build_partial(base.alias, steps))
+            may_stop
+            and max(weights) < probabilities[-1]
             and self.rng.random() < self.config.termination_probability
         ):
             return None

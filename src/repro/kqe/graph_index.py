@@ -3,11 +3,14 @@
 The paper uses HD-Index for approximate KNN search over query-graph
 embeddings.  This index plays that role deterministically and at scale:
 embeddings live in one contiguous float64 matrix (:mod:`repro.kqe.store`),
-so exact KNN is a single vectorized matrix-vector cosine, and a
-sign-random-projection LSH (:mod:`repro.kqe.lsh`, seeded from the embedder
-configuration) prefilters ``nearest(approximate=True)`` to a bounded
-candidate set once the index outgrows brute force — the Hilbert-ordered
-pruning of HD-Index, done with hash tables.
+so exact KNN is a single vectorized cosine, and
+:meth:`GraphIndex.transition_probabilities` scores every graph of a walk step
+with one product.  A sign-random-projection LSH (:mod:`repro.kqe.lsh`, seeded
+from the embedder configuration) prefilters ``nearest(approximate=True)`` to
+a bounded candidate set once the index outgrows brute force — the
+Hilbert-ordered pruning of HD-Index, done with hash tables.  The tables are
+built only when the index first grows past ``lsh_min_size``, over every row
+it holds by then, so an index that never gets there never pays for them.
 
 The whole index round-trips through the checksummed snapshot log of
 :mod:`repro.kqe.snapshot` (``save_snapshot``/``load_snapshot``), which is
@@ -24,7 +27,7 @@ from repro.errors import SnapshotError
 from repro.kqe.embedding import GraphEmbedder
 from repro.kqe.lsh import SignRandomProjectionLSH
 from repro.kqe.query_graph import QueryGraph
-from repro.kqe.store import EntryBatch, VectorStore
+from repro.kqe.store import EntryBatch, Neighbours, VectorStore
 
 #: Below this size an exact scan beats any prefilter; it is also the regime
 #: every unit test and short campaign lives in, so approximate == exact there.
@@ -50,28 +53,20 @@ class GraphIndex:
         lsh_tables: int = 8,
         lsh_bits: int = 12,
         lsh_min_size: int = DEFAULT_LSH_MIN_SIZE,
-        use_numpy: Optional[bool] = None,
     ) -> None:
         self.embedder = embedder or GraphEmbedder()
         self.lsh_min_size = lsh_min_size
-        self._store = VectorStore(dims=self.embedder.dimensions, use_numpy=use_numpy)
+        self._lsh_tables = lsh_tables
+        self._lsh_bits = lsh_bits
+        self._store = VectorStore(dims=self.embedder.dimensions)
         self._canonical_labels: List[str] = []
         # Persistent multiset of canonical labels: membership checks and the
         # distinct-label count sit on the campaign hot path (once per generated
         # query), so they must not rebuild set(self._canonical_labels) — that
         # turns a campaign into O(n^2) over the index size.
         self._label_counts: Counter = Counter()
-        # The LSH prefilter only pays off with vectorized scoring behind it;
-        # the pure-Python fallback scans exactly (still deterministic).
+        # Built by add_embedding once the store first outgrows lsh_min_size.
         self._lsh: Optional[SignRandomProjectionLSH] = None
-        if self._store.uses_numpy:
-            self._lsh = SignRandomProjectionLSH(
-                dims=self.embedder.dimensions,
-                tables=lsh_tables,
-                bits=lsh_bits,
-                seed_material=lsh_seed_material(self.embedder),
-                use_numpy=True,
-            )
 
     def __len__(self) -> int:
         return len(self._store)
@@ -91,6 +86,14 @@ class GraphIndex:
         self._label_counts[canonical_label] += 1
         if self._lsh is not None:
             self._lsh.insert(index, vector)
+        elif len(self._store) > self.lsh_min_size:
+            self._lsh = SignRandomProjectionLSH(
+                dims=self.embedder.dimensions,
+                tables=self._lsh_tables,
+                bits=self._lsh_bits,
+                seed_material=lsh_seed_material(self.embedder),
+            )
+            self._lsh.insert_matrix(0, self._store.rows_between(0, index + 1))
 
     def entries_since(self, start: int) -> EntryBatch:
         """The (embedding, canonical label) pairs inserted at position >= *start*.
@@ -120,11 +123,7 @@ class GraphIndex:
             return []
         counters = obs.get_registry()
         candidates: Optional[Sequence[int]] = None
-        if (
-            approximate
-            and self._lsh is not None
-            and len(self._store) > self.lsh_min_size
-        ):
+        if approximate and self._lsh is not None:
             candidates = self._lsh.candidates(vector)
             if (
                 len(candidates) < max(k, 16)
@@ -140,6 +139,34 @@ class GraphIndex:
         if candidates is None:
             counters.counter("index.knn.exact_queries").inc()
         return self._store.top_k(vector, k, candidates)
+
+    def transition_probabilities(
+        self, graphs: Sequence[QueryGraph], k: int = 5
+    ) -> List[float]:
+        """Eq. 3 for each graph: ``1 / (coverage + 1)``, where the coverage
+        (Eq. 2) is the mean cosine of the graph's *k* nearest neighbours.
+
+        Below ``lsh_min_size`` one product scores every graph against every
+        row, bit-identical to a ``nearest`` call per graph; above it each
+        graph takes the approximate ``nearest`` path.
+        """
+        vectors = [self.embedder.embed(graph) for graph in graphs]
+        neighbour_lists: List[Neighbours]
+        if self._lsh is not None:
+            neighbour_lists = [self.nearest_by_vector(vector, k) for vector in vectors]
+        else:
+            neighbour_lists = self._store.top_k_many(vectors, k)
+            if len(self._store):
+                obs.get_registry().counter("index.knn.exact_queries").inc(len(vectors))
+        probabilities = []
+        for neighbours in neighbour_lists:
+            # Summed in rank order, as KQE.coverage sums one nearest() result.
+            coverage = (
+                float(sum(similarity for _, similarity in neighbours) / len(neighbours))
+                if neighbours else 0.0
+            )
+            probabilities.append(1.0 / (coverage + 1.0))
+        return probabilities
 
     # -------------------------------------------------------------- statistics
 
@@ -193,7 +220,8 @@ class GraphIndex:
 
         Replays insertions in their logged order, so the restored index is
         bit-identical to the one that was saved (including LSH tables, which
-        are a pure function of embedder config + insertion order).
+        are a pure function of embedder config + insertion order, whenever
+        they are built).
         """
         from repro.kqe import snapshot as snapshot_log
 

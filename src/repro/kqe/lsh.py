@@ -21,14 +21,20 @@ therefore mean-centered (its component mean subtracted) before projecting — a
 per-vector, order-independent transform, so keys stay stable across inserts,
 restarts and replays — which removes the shared diagonal component and makes
 the signs discriminate between directions again.
+
+Keys come from one reduction whether one row or a whole matrix is hashed:
+projections are ``numpy.einsum`` contractions, which sum each (row, plane)
+pair alike at any row count (a BLAS product does not promise that in the
+last bit), so the bulk build :class:`~repro.kqe.graph_index.GraphIndex` does
+when it first needs its tables equals one-by-one inserts by construction.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
-from repro.kqe.store import resolve_numpy
+import numpy as np
 
 _DIGEST_BYTES = 64  # blake2b's maximum; 8 hyperplane components per block.
 
@@ -71,7 +77,6 @@ class SignRandomProjectionLSH:
         bits: int = 12,
         seed_material: str = "kqe-lsh",
         probe_radius: int = 1,
-        use_numpy: Optional[bool] = None,
     ) -> None:
         if dims <= 0:
             raise ValueError("LSH dimensionality must be positive")
@@ -82,19 +87,11 @@ class SignRandomProjectionLSH:
         self.bits = bits
         self.probe_radius = probe_radius
         self.seed_material = seed_material
-        self._np = resolve_numpy(use_numpy)
-        planes = hyperplane_stream(seed_material, tables * bits * dims)
-        if self._np is not None:
-            np = self._np
-            # (tables*bits, dims), so projecting is one matrix product.
-            self._planes = np.array(planes, dtype=np.float64).reshape(
-                tables * bits, dims
-            )
-            self._powers = (1 << np.arange(bits, dtype=np.int64)).astype(np.int64)
-        else:
-            self._plane_rows = [
-                planes[row * dims : (row + 1) * dims] for row in range(tables * bits)
-            ]
+        # (tables*bits, dims): one hyperplane per row.
+        self._planes = np.array(
+            hyperplane_stream(seed_material, tables * bits * dims), dtype=np.float64
+        ).reshape(tables * bits, dims)
+        self._powers = 1 << np.arange(bits, dtype=np.int64)
         self._buckets: List[Dict[int, List[int]]] = [{} for _ in range(tables)]
         self._size = 0
 
@@ -103,50 +100,26 @@ class SignRandomProjectionLSH:
 
     # ------------------------------------------------------------ projection
 
-    def _conform(self, vector: Sequence[float]) -> List[float]:
-        """Pad/truncate to ``dims`` and mean-center (see the module docstring)."""
-        values = [float(component) for component in vector]
-        if len(values) > self.dims:
-            del values[self.dims :]
-        elif len(values) < self.dims:
-            values.extend([0.0] * (self.dims - len(values)))
-        mean = sum(values) / self.dims
-        return [component - mean for component in values]
-
     def keys(self, vector: Sequence[float]) -> List[int]:
         """The vector's bucket key in every table."""
-        values = self._conform(vector)
-        if self._np is not None:
-            np = self._np
-            projection = self._planes @ np.asarray(values, dtype=np.float64)
-            signs = projection > 0.0
-            return [
-                int(signs[table * self.bits : (table + 1) * self.bits] @ self._powers)
-                for table in range(self.tables)
-            ]
-        keys: List[int] = []
-        for table in range(self.tables):
-            key = 0
-            for bit in range(self.bits):
-                row = self._plane_rows[table * self.bits + bit]
-                dot = sum(a * b for a, b in zip(row, values))
-                if dot > 0.0:
-                    key |= 1 << bit
-            keys.append(key)
-        return keys
+        row = np.asarray(vector, dtype=np.float64).reshape(1, -1)
+        return self._keys_matrix(row)[0].tolist()
 
     def _keys_matrix(self, matrix: Any) -> Any:
-        """Bucket keys for every row of an (n, dims) matrix (numpy mode only)."""
-        np = self._np
-        rows = np.asarray(matrix, dtype=np.float64)
-        rows = rows - rows.mean(axis=1, keepdims=True)
-        projection = rows @ self._planes.T
-        signs = projection > 0.0
-        keys = np.zeros((signs.shape[0], self.tables), dtype=np.int64)
-        for table in range(self.tables):
-            block = signs[:, table * self.bits : (table + 1) * self.bits]
-            keys[:, table] = block @ self._powers
-        return keys
+        """Bucket keys, shape (n, tables), for every row of an (n, width) matrix.
+
+        Rows are padded/truncated to ``dims`` and mean-centered (see the
+        module docstring); each projection is contracted per row, so a row's
+        keys do not depend on how many rows are hashed with it.
+        """
+        source = np.asarray(matrix, dtype=np.float64)
+        count = source.shape[0]
+        width = min(source.shape[1], self.dims)
+        rows = np.zeros((count, self.dims), dtype=np.float64)
+        rows[:, :width] = source[:, :width]
+        rows -= rows.mean(axis=1, keepdims=True)
+        signs = np.einsum("rd,pd->rp", rows, self._planes, optimize=False) > 0.0
+        return (signs.reshape(count, self.tables, self.bits) * self._powers).sum(axis=2)
 
     # ------------------------------------------------------------- insertion
 
@@ -157,19 +130,16 @@ class SignRandomProjectionLSH:
         self._size += 1
 
     def insert_matrix(self, start_index: int, matrix: Any) -> None:
-        """Bulk insert rows ``start_index..`` of an (n, dims) matrix.
+        """Bulk insert rows ``start_index..`` of an (n, width) matrix.
 
-        Numpy mode only — one projection product for the whole batch; used by
-        snapshot restore and benchmark seeding.
+        Equivalent to inserting the rows one by one, in order; used when the
+        graph index first builds its tables over the rows it already holds.
         """
         keys = self._keys_matrix(matrix)
-        for offset in range(keys.shape[0]):
-            row_keys = keys[offset]
-            for table in range(self.tables):
-                self._buckets[table].setdefault(int(row_keys[table]), []).append(
-                    start_index + offset
-                )
-        self._size += int(keys.shape[0])
+        for offset, row_keys in enumerate(keys.tolist()):
+            for table, key in enumerate(row_keys):
+                self._buckets[table].setdefault(key, []).append(start_index + offset)
+        self._size += len(keys)
 
     # ---------------------------------------------------------------- lookup
 

@@ -3,12 +3,15 @@
 The paper's HD-Index sits on the novelty-check hot path, so embedding storage
 must support one-shot vectorized scoring instead of a Python loop over
 per-entry arrays.  :class:`VectorStore` keeps all embeddings in a single
-amortized-growth ``(capacity, dims)`` float64 matrix with cached row norms;
-``top_k`` is then one matrix-vector product plus one partition.  A pure-Python
-fallback (lists of floats) keeps the store importable and correct when numpy
-is unavailable or disabled via ``REPRO_DISABLE_NUMPY=1``.  The two modes are
-each deterministic; they are *different* deterministic implementations (float
-summation order differs).
+amortized-growth ``(capacity, dims)`` float64 matrix with cached row norms.
+``top_k`` scores one query and ``top_k_many`` a batch of queries against the
+rows with one product each.  Every product is a ``numpy.einsum``
+contraction, never a BLAS matrix product: einsum sums each (query, row) pair
+alike whatever the row or query count, so a row scores with the same bits
+alone, in a candidate subset, in a batch or in the full scan — which is what
+lets a walk step score all its candidate graphs at once without moving a
+single draw.  (BLAS kernels block rows, and a row's last bit can depend on
+how many rows share the call.)
 
 :class:`EntryBatch` is the zero-copy view ``GraphIndex.entries_since`` hands
 to the sync layer: it indexes straight into the store's matrix instead of
@@ -23,31 +26,16 @@ campaigns on one determinism contract while the wire sheds bytes.
 
 from __future__ import annotations
 
-import math
-import os
 import struct
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 #: Minimum row capacity allocated on first growth; doubling after that keeps
 #: appends amortized O(dims).
 _MIN_CAPACITY = 256
 
-
-def resolve_numpy(use_numpy: Optional[bool] = None) -> Any:
-    """The numpy module to use, or None for the pure-Python fallback.
-
-    ``use_numpy=None`` consults ``REPRO_DISABLE_NUMPY`` and then tries the
-    import; an explicit True/False wins over the environment.
-    """
-    if use_numpy is None:
-        use_numpy = os.environ.get("REPRO_DISABLE_NUMPY", "") != "1"
-    if not use_numpy:
-        return None
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy is a package dependency
-        return None
-    return numpy
+Neighbours = List[Tuple[int, float]]
 
 
 def quantize_to_float32(values: Sequence[float]) -> List[float]:
@@ -62,6 +50,32 @@ def quantize_to_float32(values: Sequence[float]) -> List[float]:
     return list(struct.unpack(f"<{count}f", packed))
 
 
+def _ranked(scores: Any, k: int, ids: Any = None) -> List[Neighbours]:
+    """The *k* best of each row of a (queries, rows) score matrix.
+
+    Each query gets (row, similarity) pairs in a stable descending order:
+    ties break toward the lower row index, which is determinism-critical,
+    because KQE coverage feeds generation probabilities.  *ids* maps score
+    columns to row indices (a candidate subset); by default column is row.
+    """
+    count, total = scores.shape
+    limit = min(k, total)
+    if total > limit:
+        kth = np.partition(scores, total - limit, axis=1)[:, total - limit]
+        queries, columns = np.nonzero(scores >= kth[:, None])
+    else:
+        queries, columns = np.divmod(np.arange(count * total), total)
+    similarities = scores[queries, columns].tolist()
+    rows = (columns if ids is None else ids[columns]).tolist()
+    ranked: List[Neighbours] = [[] for _ in range(count)]
+    for query, row, similarity in zip(queries.tolist(), rows, similarities):
+        ranked[query].append((row, similarity))
+    for neighbours in ranked:
+        neighbours.sort(key=lambda item: (-item[1], item[0]))
+        del neighbours[limit:]
+    return ranked
+
+
 class VectorStore:
     """Append-only embedding matrix with cached norms and vectorized top-k.
 
@@ -72,20 +86,11 @@ class VectorStore:
     *full* norm is used, so truncation is mathematically exact.
     """
 
-    def __init__(self, dims: int = 0, use_numpy: Optional[bool] = None) -> None:
-        self._np = resolve_numpy(use_numpy)
+    def __init__(self, dims: int = 0) -> None:
         self._dims = int(dims)
         self._count = 0
-        if self._np is not None:
-            self._matrix = self._np.zeros((0, self._dims), dtype=self._np.float64)
-            self._norms = self._np.zeros(0, dtype=self._np.float64)
-        else:
-            self._rows: List[List[float]] = []
-            self._norm_list: List[float] = []
-
-    @property
-    def uses_numpy(self) -> bool:
-        return self._np is not None
+        self._matrix = np.zeros((0, self._dims), dtype=np.float64)
+        self._norms = np.zeros(0, dtype=np.float64)
 
     @property
     def dims(self) -> int:
@@ -97,7 +102,6 @@ class VectorStore:
     # --------------------------------------------------------------- growth
 
     def _ensure_capacity(self, rows: int) -> None:
-        np = self._np
         capacity = self._matrix.shape[0]
         if rows <= capacity:
             return
@@ -112,14 +116,9 @@ class VectorStore:
     def _widen(self, dims: int) -> None:
         if dims <= self._dims:
             return
-        if self._np is not None:
-            np = self._np
-            matrix = np.zeros((self._matrix.shape[0], dims), dtype=np.float64)
-            matrix[:, : self._dims] = self._matrix
-            self._matrix = matrix
-        else:
-            for row in self._rows:
-                row.extend([0.0] * (dims - len(row)))
+        matrix = np.zeros((self._matrix.shape[0], dims), dtype=np.float64)
+        matrix[:, : self._dims] = self._matrix
+        self._matrix = matrix
         self._dims = dims
 
     # -------------------------------------------------------------- insertion
@@ -127,129 +126,78 @@ class VectorStore:
     def append(self, vector: Sequence[float]) -> int:
         """Insert one vector (padded/widened as needed); returns its row index."""
         index = self._count
-        if self._np is not None:
-            np = self._np
-            values = np.asarray(vector, dtype=np.float64).reshape(-1)
-            if values.shape[0] > self._dims:
-                self._widen(values.shape[0])
-            self._ensure_capacity(index + 1)
-            row = self._matrix[index]
-            row[: values.shape[0]] = values
-            self._norms[index] = float(np.linalg.norm(values))
-        else:
-            values_list = [float(component) for component in vector]
-            if len(values_list) > self._dims:
-                self._widen(len(values_list))
-            elif len(values_list) < self._dims:
-                values_list.extend([0.0] * (self._dims - len(values_list)))
-            self._rows.append(values_list)
-            self._norm_list.append(
-                math.sqrt(sum(component * component for component in values_list))
-            )
+        values = np.asarray(vector, dtype=np.float64).reshape(-1)
+        if values.shape[0] > self._dims:
+            self._widen(values.shape[0])
+        self._ensure_capacity(index + 1)
+        self._matrix[index, : values.shape[0]] = values
+        self._norms[index] = float(np.linalg.norm(values))
         self._count = index + 1
         return index
 
     # ----------------------------------------------------------------- access
 
-    def row(self, index: int) -> Sequence[float]:
-        """The stored (zero-padded) vector at *index*; a view in numpy mode."""
+    def row(self, index: int) -> Any:
+        """The stored (zero-padded) vector at *index*, as a matrix view."""
         if not 0 <= index < self._count:
             raise IndexError(f"row {index} out of range (size {self._count})")
-        if self._np is not None:
-            return self._matrix[index]
-        return self._rows[index]
+        return self._matrix[index]
 
     def rows_between(self, start: int, stop: int) -> Any:
-        """Rows ``start:stop`` — a zero-copy matrix view in numpy mode."""
-        stop = min(stop, self._count)
-        if self._np is not None:
-            return self._matrix[start:stop]
-        return self._rows[start:stop]
+        """Rows ``start:stop`` as a zero-copy matrix view."""
+        return self._matrix[start : min(stop, self._count)]
 
     # ----------------------------------------------------------------- search
+
+    def _cosines(self, vectors: Sequence[Sequence[float]], ids: Any = None) -> Any:
+        """(queries, rows) cosines against every row, or the rows *ids* names.
+
+        Each query is padded/truncated to the store's width but keeps its
+        full norm: components past the width meet only implicit zeros, so the
+        cosine is exact either way.
+        """
+        queries = np.zeros((len(vectors), self._dims), dtype=np.float64)
+        query_norms = np.empty(len(vectors), dtype=np.float64)
+        for position, vector in enumerate(vectors):
+            values = np.asarray(vector, dtype=np.float64).reshape(-1)
+            query_norms[position] = float(np.linalg.norm(values))
+            width = min(values.shape[0], self._dims)
+            queries[position, :width] = values[:width]
+        if ids is None:
+            rows = self._matrix[: self._count]
+            norms = self._norms[: self._count]
+        else:
+            rows = self._matrix[ids]
+            norms = self._norms[ids]
+        scores = np.einsum("qd,rd->qr", queries, rows, optimize=False)
+        denominator = norms[None, :] * query_norms[:, None]
+        positive = denominator > 0.0
+        return np.where(positive, scores / np.where(positive, denominator, 1.0), 0.0)
 
     def top_k(
         self,
         vector: Sequence[float],
         k: int,
         candidates: Optional[Sequence[int]] = None,
-    ) -> List[Tuple[int, float]]:
+    ) -> Neighbours:
         """The *k* most cosine-similar rows as (index, similarity) pairs.
 
         Restricted to *candidates* when given (an ANN prefilter's output).
-        Ties break toward the lower row index, matching the stable descending
-        sort the pre-vectorized index used — determinism-critical, because
-        KQE coverage feeds generation probabilities.
         """
         if self._count == 0 or k <= 0:
             return []
         if candidates is not None and len(candidates) == 0:
             return []
-        if self._np is not None:
-            return self._top_k_numpy(vector, k, candidates)
-        return self._top_k_python(vector, k, candidates)
+        ids = None if candidates is None else np.asarray(candidates, dtype=np.intp)
+        return _ranked(self._cosines([vector], ids), k, ids)[0]
 
-    def _top_k_numpy(
-        self, vector: Sequence[float], k: int, candidates: Optional[Sequence[int]]
-    ) -> List[Tuple[int, float]]:
-        np = self._np
-        query = np.asarray(vector, dtype=np.float64).reshape(-1)
-        # Full-length norm, truncated product: components past the store's
-        # width meet only implicit zeros, so the cosine is exact either way.
-        query_norm = float(np.linalg.norm(query))
-        query = query[: self._dims]
-        if query.shape[0] < self._dims:
-            query = np.concatenate(
-                [query, np.zeros(self._dims - query.shape[0], dtype=np.float64)]
-            )
-        if candidates is None:
-            rows = self._matrix[: self._count]
-            norms = self._norms[: self._count]
-            ids = None
-        else:
-            ids = np.asarray(candidates, dtype=np.intp)
-            rows = self._matrix[ids]
-            norms = self._norms[ids]
-        scores = rows @ query
-        denominator = norms * query_norm
-        positive = denominator > 0.0
-        scores = np.where(positive, scores / np.where(positive, denominator, 1.0), 0.0)
-        total = scores.shape[0]
-        limit = min(k, total)
-        if total > limit:
-            kth = np.partition(scores, total - limit)[total - limit]
-            keep = np.nonzero(scores >= kth)[0]
-        else:
-            keep = np.arange(total)
-        scored = [
-            (int(position if ids is None else ids[position]), float(scores[position]))
-            for position in keep
-        ]
-        scored.sort(key=lambda item: (-item[1], item[0]))
-        return scored[:limit]
-
-    def _top_k_python(
-        self, vector: Sequence[float], k: int, candidates: Optional[Sequence[int]]
-    ) -> List[Tuple[int, float]]:
-        query = [float(component) for component in vector]
-        query_norm = math.sqrt(sum(component * component for component in query))
-        indices: Sequence[int]
-        if candidates is None:
-            indices = range(self._count)
-        else:
-            indices = candidates
-        scored: List[Tuple[int, float]] = []
-        for index in indices:
-            denominator = self._norm_list[index] * query_norm
-            if denominator <= 0.0:
-                scored.append((index, 0.0))
-                continue
-            row = self._rows[index]
-            # zip stops at the shorter operand — exactly the zero-pad product.
-            dot = sum(a * b for a, b in zip(query, row))
-            scored.append((index, dot / denominator))
-        scored.sort(key=lambda item: (-item[1], item[0]))
-        return scored[:k]
+    def top_k_many(
+        self, vectors: Sequence[Sequence[float]], k: int
+    ) -> List[Neighbours]:
+        """``top_k(vector, k)`` of every vector, from one product over all rows."""
+        if self._count == 0 or k <= 0 or not vectors:
+            return [[] for _ in vectors]
+        return _ranked(self._cosines(vectors), k)
 
 
 def _vector_as_list(vector: Sequence[float]) -> List[float]:
@@ -279,7 +227,7 @@ class EntryBatch:
 
     @property
     def vectors(self) -> Any:
-        """The batch's rows; a zero-copy matrix view in numpy mode."""
+        """The batch's rows, as a zero-copy matrix view."""
         return self._store.rows_between(self._start, self._start + len(self._labels))
 
     def __iter__(self) -> Iterator[Tuple[Sequence[float], str]]:
@@ -316,17 +264,6 @@ class EntryBatch:
         transport ships these values, so the packed float32 codec round-trips
         them exactly and JSON campaigns see the very same numbers.
         """
-        store = self._store
-        count = len(self._labels)
-        if store.uses_numpy and count:
-            np = store._np
-            matrix = store.rows_between(self._start, self._start + count)
-            quantized = np.asarray(
-                np.asarray(matrix, dtype=np.float32), dtype=np.float64
-            ).tolist()
-        else:
-            quantized = [
-                quantize_to_float32(_vector_as_list(vector))
-                for vector, _ in self
-            ]
+        matrix = self._store.rows_between(self._start, self._start + len(self))
+        quantized = matrix.astype(np.float32).astype(np.float64).tolist()
         return list(zip(quantized, self._labels))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dsg import DSG, DSGConfig
+from repro.dsg import DATASETS, DSG, DSGConfig
 from repro.dsg.query_gen import GenerationConfig
 from repro.errors import GenerationError
 from repro.expr import ColumnRef, column, eq, lit
@@ -23,6 +23,7 @@ from repro.kqe import (
     cosine_similarity,
     is_subgraph_isomorphic,
 )
+from repro.kqe.store import quantize_to_float32
 from repro.plan import JoinStep, JoinType, QuerySpec, SelectItem, TableRef
 
 
@@ -300,6 +301,44 @@ class TestKQEExplorer:
                     kqe.register(query)
             results[use_kqe] = counter.distinct_sets
         assert results[True] >= 0.8 * results[False]
+
+
+class TestBatchedStepScoring:
+    """One index call per walk step scores exactly like one nearest() per graph."""
+
+    @pytest.mark.parametrize("foreign", [False, True], ids=["local", "synced"])
+    @pytest.mark.parametrize("dataset", sorted(DATASETS))
+    def test_step_probabilities_equal_per_graph_coverage(self, dataset, foreign):
+        dsg = DSG(DSGConfig(dataset=dataset, dataset_rows=30, seed=7))
+        kqe = KQE(dsg.ndb.schema, rng=random.Random(11))
+        # Another worker's skeletons arrive float32-quantized, as sync ships them.
+        peer = DSG(DSGConfig(dataset=dataset, dataset_rows=30, seed=8))
+        peer_builder = QueryGraphBuilder(peer.ndb.schema)
+        scored = []
+
+        def chooser(base, steps, candidates):
+            graphs = [kqe.builder.build_partial(base.alias, steps, candidate)
+                      for candidate in candidates]
+            graphs.append(kqe.builder.build_partial(base.alias, steps))
+            batched = kqe.index.transition_probabilities(
+                graphs, k=kqe.config.k_neighbors)
+            single = [1.0 / (kqe.coverage(graph) + 1.0) for graph in graphs]
+            assert [p.hex() for p in batched] == [p.hex() for p in single]
+            scored.extend(batched)
+            return kqe.extension_chooser(base, steps, candidates)
+
+        for _ in range(40):
+            try:
+                kqe.register(dsg.generate_query(extension_chooser=chooser))
+                if foreign:
+                    query = peer.generate_query()
+                    skeleton = peer_builder.build_partial(query.base.alias, query.joins)
+                    vector = quantize_to_float32(list(kqe.embedder.embed(skeleton)))
+                    kqe.index.add_embedding(vector, skeleton.canonical_label())
+            except GenerationError:
+                continue
+        assert len(scored) > 40
+        assert any(probability < 1.0 for probability in scored)
 
 
 #: Set operations, scalar subqueries and CTEs at the diff-widened campaign's

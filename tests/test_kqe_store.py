@@ -2,18 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.kqe.graph_index import GraphIndex
+from repro import CampaignSpec, run_campaign
+from repro.kqe import lsh as lsh_module
+from repro.kqe.graph_index import GraphIndex, lsh_seed_material
 from repro.kqe.lsh import SignRandomProjectionLSH, hyperplane_stream
-from repro.kqe.store import (
-    EntryBatch,
-    VectorStore,
-    quantize_to_float32,
-    resolve_numpy,
-)
-
-np = resolve_numpy(True)
+from repro.kqe.store import EntryBatch, VectorStore, quantize_to_float32
 
 
 def synthetic_vectors(count, dims, seed="test-vectors"):
@@ -68,22 +65,6 @@ class TestVectorStore:
         assert store.top_k([1.0, 0.0], 0) == []
         assert store.top_k([1.0, 0.0], 5, candidates=[]) == []
 
-    @pytest.mark.skipif(np is None, reason="numpy unavailable")
-    def test_numpy_and_python_backends_agree(self):
-        dims = 16
-        vectors = synthetic_vectors(200, dims)
-        fast = VectorStore(dims=dims, use_numpy=True)
-        slow = VectorStore(dims=dims, use_numpy=False)
-        for vector in vectors:
-            fast.append(vector)
-            slow.append(vector)
-        for query in synthetic_vectors(20, dims, seed="queries"):
-            got = fast.top_k(query, 5)
-            want = slow.top_k(query, 5)
-            assert [index for index, _ in got] == [index for index, _ in want]
-            for (_, a), (_, b) in zip(got, want):
-                assert a == pytest.approx(b, abs=1e-9)
-
     def test_scores_match_exact_cosine(self):
         dims = 8
         vectors = synthetic_vectors(50, dims)
@@ -123,10 +104,33 @@ class TestVectorStore:
         ((_, score),) = store.top_k([1.0, 0.0], 1)
         assert score == 0.0
 
-    def test_disable_numpy_env_is_honored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        assert resolve_numpy(None) is None
-        assert not VectorStore(dims=2).uses_numpy
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(1, 60),
+        dims=st.integers(1, 24),
+        seed=st.integers(0, 10_000),
+        picks=st.lists(st.integers(0, 59), min_size=1, max_size=20, unique=True),
+        batch=st.integers(1, 6),
+    )
+    def test_subset_batch_and_full_scan_score_rows_alike(
+        self, rows, dims, seed, picks, batch
+    ):
+        """A row's cosine has the same bits in the full scan, in a candidate
+        subset and in a batch — the batched walk-step scoring relies on it."""
+        store = VectorStore(dims=dims)
+        for vector in synthetic_vectors(rows, dims, seed=f"rows-{seed}"):
+            store.append(vector)
+        queries = synthetic_vectors(batch, dims, seed=f"queries-{seed}")
+        subset = sorted(pick for pick in picks if pick < rows) or [0]
+        for query, batched in zip(queries, store.top_k_many(queries, rows)):
+            full = store.top_k(query, rows)
+            assert [(index, score.hex()) for index, score in batched] == [
+                (index, score.hex()) for index, score in full
+            ]
+            scores = {index: score.hex() for index, score in full}
+            for index, score in store.top_k(query, rows, candidates=subset):
+                assert score.hex() == scores[index]
+            assert store.top_k_many([query], 3) == [store.top_k(query, 3)]
 
 
 class TestEntryBatch:
@@ -175,22 +179,6 @@ class TestEntryBatch:
         # Already-quantized values survive a second trip bit-identically.
         assert quantize_to_float32(vector) == vector
 
-    @pytest.mark.skipif(np is None, reason="numpy unavailable")
-    def test_to_wire_matches_between_backends(self):
-        dims = 8
-        vectors = synthetic_vectors(20, dims)
-        fast = VectorStore(dims=dims, use_numpy=True)
-        slow = VectorStore(dims=dims, use_numpy=False)
-        for vector in vectors:
-            fast.append(vector)
-            slow.append(vector)
-        labels = [f"L{i}" for i in range(len(vectors))]
-        assert (
-            EntryBatch(fast, labels, 0).to_wire()
-            == EntryBatch(slow, labels, 0).to_wire()
-        )
-
-
 class TestHyperplaneStream:
     def test_deterministic_and_bounded(self):
         first = hyperplane_stream("seed", 100)
@@ -223,15 +211,6 @@ class TestSignRandomProjectionLSH:
         for query in synthetic_vectors(10, dims, seed="queries"):
             assert first.candidates(query) == second.candidates(query)
 
-    @pytest.mark.skipif(np is None, reason="numpy unavailable")
-    def test_numpy_and_python_keys_agree(self):
-        dims = 12
-        fast = SignRandomProjectionLSH(dims=dims, use_numpy=True)
-        slow = SignRandomProjectionLSH(dims=dims, use_numpy=False)
-        for vector in synthetic_vectors(50, dims):
-            assert fast.keys(vector) == slow.keys(vector)
-
-    @pytest.mark.skipif(np is None, reason="numpy unavailable")
     def test_insert_matrix_matches_per_row_inserts(self):
         dims = 16
         vectors = synthetic_vectors(64, dims)
@@ -282,6 +261,88 @@ class TestApproximateNearest:
         # Self-queries collide with themselves in every table; the only misses
         # allowed are ties (distinct rows with identical similarity).
         assert hits >= 295
+
+
+class TestLazyTables:
+    """The LSH tables are built when the index first outgrows lsh_min_size."""
+
+    def grown(self, lsh_min_size, vectors):
+        index = GraphIndex(lsh_min_size=lsh_min_size)
+        for position, vector in enumerate(vectors):
+            index.add_embedding(vector, f"L{position}")
+        return index
+
+    def mixed_width_vectors(self, count, dims):
+        """Non-negative like real embeddings; some rows short, some wider than
+        the tables (a wider row also widens the store)."""
+        vectors = []
+        for position, vector in enumerate(synthetic_vectors(count, dims + 8)):
+            width = dims
+            if position % 7 == 0:
+                width = dims - 8
+            elif position % 5 == 0:
+                width = dims + 8
+            vectors.append([abs(component) for component in vector[:width]])
+        return vectors
+
+    def test_tqs_campaign_never_builds_hyperplanes(self, monkeypatch):
+        calls = []
+        stream = lsh_module.hyperplane_stream
+
+        def counting_stream(seed_material, count):
+            calls.append(count)
+            return stream(seed_material, count)
+
+        monkeypatch.setattr(lsh_module, "hyperplane_stream", counting_stream)
+        result = run_campaign(CampaignSpec(kind="tqs", dataset_rows=40, hours=2,
+                                           queries_per_hour=6, seed=3))
+        assert result.final.queries_generated > 0
+        assert calls == []
+        # The counter does see the build once an index outgrows its threshold.
+        index = self.grown(2, synthetic_vectors(3, GraphIndex().embedder.dimensions))
+        assert index._lsh is not None
+        assert len(calls) == 1
+
+    def test_lazy_tables_equal_eager_tables(self):
+        dims = GraphIndex().embedder.dimensions
+        vectors = self.mixed_width_vectors(300, dims)
+        lazy = self.grown(100, vectors)
+        eager = SignRandomProjectionLSH(
+            dims=dims, seed_material=lsh_seed_material(lazy.embedder))
+        for position, vector in enumerate(vectors):
+            eager.insert(position, vector)
+        assert lazy._lsh._buckets == eager._buckets
+        # lsh_min_size=0 builds the tables at the first row, then inserts.
+        eager_index = self.grown(0, vectors)
+        for query in self.mixed_width_vectors(30, dims)[::3] + vectors[:10]:
+            assert lazy._lsh.candidates(query) == eager.candidates(query)
+            assert lazy.nearest_by_vector(query, k=5) == eager_index.nearest_by_vector(
+                query, k=5)
+
+    def test_no_tables_at_or_below_the_threshold(self):
+        index = self.grown(100, synthetic_vectors(100, 64))
+        assert index._lsh is None
+        index.add_embedding(synthetic_vectors(1, 64, seed="one more")[0])
+        assert index._lsh is not None and len(index._lsh) == 101
+
+    def test_snapshot_past_the_threshold_round_trips(self, tmp_path):
+        # Full-width rows, as every embedder-fed index holds: a row added
+        # narrower than the store's final width is normed unpadded, but
+        # replayed padded, which can move its norm's last bit.
+        dims = GraphIndex().embedder.dimensions
+        index = self.grown(100, [[abs(component) for component in vector]
+                                 for vector in synthetic_vectors(250, dims)])
+        path = str(tmp_path / "index.snapshot")
+        index.save_snapshot(path)
+        restored = GraphIndex.load_snapshot(path, lsh_min_size=100)
+        assert restored._lsh._buckets == index._lsh._buckets
+        size = len(index)
+        assert (restored._store.rows_between(0, size).tobytes()
+                == index._store.rows_between(0, size).tobytes())
+        assert restored.entries_since(0).to_wire() == index.entries_since(0).to_wire()
+        for query in synthetic_vectors(20, dims, seed="queries"):
+            assert restored.nearest_by_vector(query, k=5) == index.nearest_by_vector(
+                query, k=5)
 
 
 class TestLegacyBucketSkew:
