@@ -21,8 +21,8 @@ pool's workers build their testers through the same dispatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro import obs
 from repro.backends import backend_from_name
@@ -36,7 +36,7 @@ from repro.core.qcache import QueryCache
 from repro.core.tqs import TQS, TQSConfig
 from repro.dsg.pipeline import DSG, DSGConfig
 from repro.dsg.query_gen import GenerationConfig
-from repro.engine.dialects import DialectProfile, dialect_by_name
+from repro.engine.dialects import ALL_DIALECTS, DialectProfile, dialect_by_name
 from repro.engine.engine import Engine, reference_engine
 from repro.errors import CampaignError, GenerationError
 
@@ -86,28 +86,58 @@ class CampaignResult:
         return [getattr(sample, attribute) for sample in self.samples]
 
 
-@dataclass
-class CampaignConfig:
-    """Configuration of a TQS campaign."""
+def campaign_field(default: Any, help: str, flag: Optional[str] = None,
+                   **metadata: Any) -> Any:
+    """One campaign field: its default, help text and CLI *flag* (None: none).
 
-    dataset: str = "shopping"
-    dataset_rows: int = 150
-    hours: int = 24
-    queries_per_hour: int = 12
-    seed: int = 5
-    use_noise: bool = True
-    use_ground_truth: bool = True
-    use_kqe: bool = True
-    max_hint_sets: Optional[int] = None
-    # The content-addressed render/result cache — differential campaigns
-    # only; it leaves verdicts bit-identical (see repro.core.qcache).
-    use_query_cache: bool = False
-    # Widened-grammar probabilities (set operations, scalar subqueries,
-    # CTEs).  0.0 keeps the classic join-query-only grammar and, by the
-    # no-draw gating in the generator, byte-identical RNG streams.
-    setop_probability: float = 0.0
-    scalar_subquery_probability: float = 0.0
-    cte_probability: float = 0.0
+    Optional *metadata*: ``choices``, ``kinds`` (the campaign kinds that
+    honour a non-default value; absent: all) and ``cli_default``.
+    """
+    return field(default=default, metadata=dict(metadata, help=help, flag=flag))
+
+
+@dataclass(frozen=True)
+class CampaignConfig:
+    """Configuration of one TQS campaign or shard — the single declaration.
+
+    Each field is declared once, with :func:`campaign_field` metadata; the
+    CLI flags, the wire codec, serve's campaign echo and the kind checks of
+    :func:`check_campaign` are all derived from ``dataclasses.fields()``.
+    """
+
+    dataset: str = campaign_field(
+        "shopping", "DSG dataset name (default: shopping)", "--dataset")
+    dataset_rows: int = campaign_field(
+        150, "wide-table rows per shard (default: 150)", "--dataset-rows")
+    hours: int = campaign_field(24, "simulated hours (default: 24)", "--hours")
+    queries_per_hour: int = campaign_field(
+        12, "total generation budget per hour, across all shards "
+            "(default: 12)", "--queries-per-hour")
+    seed: int = campaign_field(
+        5, "campaign seed; shard seeds are derived from it (default: 5)",
+        "--seed")
+    # The Table 5 ablation switches and the hint-set cap stay off the CLI.
+    use_noise: bool = campaign_field(True, "DSG noise rows (off: TQS!Noise)")
+    use_ground_truth: bool = campaign_field(True, "ground truth (off: TQS!GT)")
+    use_kqe: bool = campaign_field(True, "KQE-guided walks (off: TQS!KQE)")
+    max_hint_sets: Optional[int] = campaign_field(None, "hint sets per query cap")
+    use_query_cache: bool = campaign_field(
+        False, "memoize rendered SQL and reference results in a per-shard "
+               "content-addressed cache (verdicts stay bit-identical)",
+        "--query-cache", kinds=("differential",))
+    # Widened-grammar probabilities.  0.0 keeps the classic join-query-only
+    # grammar and, by the no-draw gating in the generator, byte-identical
+    # RNG streams.
+    setop_probability: float = campaign_field(
+        0.0, "probability a generated statement becomes a UNION / UNION ALL "
+             "/ INTERSECT / EXCEPT compound (differential campaigns; "
+             "default: 0)", "--setop-probability")
+    scalar_subquery_probability: float = campaign_field(
+        0.0, "probability of injecting an uncorrelated scalar subquery into "
+             "a generated query (default: 0)", "--scalar-subquery-probability")
+    cte_probability: float = campaign_field(
+        0.0, "probability a generated statement is wrapped in a WITH clause "
+             "(default: 0)", "--cte-probability")
 
     def dsg_config(self) -> DSGConfig:
         """The DSG configuration implied by this campaign."""
@@ -126,14 +156,23 @@ class CampaignConfig:
         )
 
 
+def config_values(config: CampaignConfig) -> Dict[str, Any]:
+    """The :class:`CampaignConfig` fields of *config* (or of a spec), in order."""
+    return {declared.name: getattr(config, declared.name)
+            for declared in fields(CampaignConfig)}
+
+
 @dataclass(frozen=True)
-class CampaignSpec:
+class CampaignSpec(CampaignConfig):
     """One campaign, fully described by plain data — the stable public API.
 
-    A spec names the dialect, baseline and backend by string and everything
-    else by scalar, so it can be stored, diffed, hashed, shipped across
-    processes and replayed.  :func:`run_campaign` is the single entrypoint
-    consuming it.
+    A spec is a :class:`CampaignConfig` plus the six fields, declared here
+    the same way, that say how the campaign runs; it inherits every per-shard
+    field rather than re-declaring it, so a new field is declared once and
+    its CLI flag, wire codec, serve echo and kind check follow.  It names the
+    dialect, baseline and backend by string, so it can be stored, diffed,
+    hashed, shipped across processes and replayed.  :func:`run_campaign` is
+    the single entrypoint consuming it.
 
     ``kind`` selects the campaign flavour:
 
@@ -149,43 +188,54 @@ class CampaignSpec:
     ``workers < 1`` is rejected.
     """
 
-    kind: str = "tqs"
-    dialect: str = "SimMySQL"
-    baseline: str = ""
-    backend: str = "sqlite"
-    dataset: str = "shopping"
-    dataset_rows: int = 150
-    hours: int = 24
-    queries_per_hour: int = 12
-    seed: int = 5
-    use_noise: bool = True
-    use_ground_truth: bool = True
-    use_kqe: bool = True
-    max_hint_sets: Optional[int] = None
-    use_query_cache: bool = False
-    setop_probability: float = 0.0
-    scalar_subquery_probability: float = 0.0
-    cte_probability: float = 0.0
-    pipeline_batch_size: int = 1
-    workers: int = 1
+    kind: str = campaign_field(
+        "tqs", "campaign kind (default: tqs)", "--kind",
+        choices=("tqs", "baseline", "differential"))
+    dialect: str = campaign_field(
+        "SimMySQL", "simulated DBMS for tqs/baseline campaigns", "--dialect",
+        choices=tuple(profile.name for profile in ALL_DIALECTS))
+    baseline: str = campaign_field(
+        "", "baseline name for --kind baseline (default: NoRec)", "--baseline",
+        cli_default="NoRec")
+    backend: str = campaign_field(
+        "sqlite", "backend name for --kind differential: 'sqlite', 'sim' or "
+                  "'sim:<Dialect>' (default: sqlite)", "--backend")
+    pipeline_batch_size: int = campaign_field(
+        1, "execution-pipeline batch size inside each differential worker; "
+           ">1 overlaps target and reference execution (default: 1)",
+        "--batch-size", kinds=("differential",))
+    workers: int = campaign_field(
+        1, "shard count: worker processes or TCP clients "
+           "(default: %(default)s)", "--workers")
 
-    def campaign_config(self) -> "CampaignConfig":
+    def campaign_config(self) -> CampaignConfig:
         """The per-shard :class:`CampaignConfig` this spec implies."""
-        return CampaignConfig(
-            dataset=self.dataset,
-            dataset_rows=self.dataset_rows,
-            hours=self.hours,
-            queries_per_hour=self.queries_per_hour,
-            seed=self.seed,
-            use_noise=self.use_noise,
-            use_ground_truth=self.use_ground_truth,
-            use_kqe=self.use_kqe,
-            max_hint_sets=self.max_hint_sets,
-            use_query_cache=self.use_query_cache,
-            setop_probability=self.setop_probability,
-            scalar_subquery_probability=self.scalar_subquery_probability,
-            cte_probability=self.cte_probability,
-        )
+        return CampaignConfig(**config_values(self))
+
+
+def check_campaign(spec: CampaignSpec) -> None:
+    """Reject, as a :class:`CampaignError`, a campaign no path runs as declared.
+
+    Every way in runs it (:func:`run_campaign`, ``campaign_shards`` behind
+    both CLIs and verify-local): a value outside its field's ``choices``, or
+    a non-default value the campaign's kind does not honour, is refused.
+    """
+    if spec.kind == "baseline" and not spec.baseline:
+        raise CampaignError("baseline campaigns need a baseline name")
+    if spec.workers < 1:
+        raise CampaignError("at least one worker is required")
+    for declared in fields(spec):
+        value = getattr(spec, declared.name)
+        choices = declared.metadata.get("choices")
+        if choices is not None and value not in choices:
+            raise CampaignError(
+                f"unknown campaign {declared.name} {value!r}; expected one of "
+                + ", ".join(repr(choice) for choice in choices))
+        kinds = declared.metadata.get("kinds")
+        if kinds is not None and spec.kind not in kinds and value != declared.default:
+            raise CampaignError(
+                f"{declared.name}={value!r} needs a {' or '.join(kinds)} "
+                f"campaign, not {spec.kind!r}")
 
 
 def run_campaign(spec: CampaignSpec, on_hour: Optional["OnHour"] = None):
@@ -193,32 +243,20 @@ def run_campaign(spec: CampaignSpec, on_hour: Optional["OnHour"] = None):
 
     Returns a :class:`CampaignResult`, or the parallel pool's merged
     ``ParallelCampaignResult`` when ``spec.workers > 1``.  A spec this path
-    cannot honour is a :class:`CampaignError`, not a silent downgrade: the
-    pipeline and the query cache serve differential campaigns only, and the
-    ``on_hour`` hook is a serial-path seam (the pool has its own
-    coordinator-side hooks), so it needs ``workers == 1``.
+    cannot honour is a :class:`CampaignError`, not a silent downgrade: every
+    field is checked by :func:`check_campaign`, and the ``on_hour`` hook is a
+    serial-path seam (the pool has its own coordinator-side hooks), so it
+    needs ``workers == 1``.
     """
-    if spec.workers < 1:
-        raise CampaignError("at least one worker is required")
-    if spec.kind != "differential" and spec.pipeline_batch_size != 1:
-        raise CampaignError(
-            f"pipeline_batch_size={spec.pipeline_batch_size} needs a "
-            f"differential campaign, not {spec.kind!r}")
-    if spec.kind != "differential" and spec.use_query_cache:
-        raise CampaignError(
-            f"use_query_cache needs a differential campaign, not {spec.kind!r}")
+    check_campaign(spec)
     if on_hour is not None and spec.workers > 1:
         raise CampaignError("an on_hour hook needs workers=1")
-    config = spec.campaign_config()
     if spec.workers > 1:
         # Deferred import: the parallel runner imports this module.
-        from repro.core.parallel import build_shard_specs, run_parallel_shards
+        from repro.core.parallel import campaign_shards, run_parallel_shards
 
-        return run_parallel_shards(build_shard_specs(
-            spec.kind, config, spec.workers, dialect=spec.dialect,
-            baseline=spec.baseline, backend=spec.backend,
-            batch_size=spec.pipeline_batch_size,
-        ))
+        return run_parallel_shards(campaign_shards(spec))
+    config = spec.campaign_config()
     tester, tool, dbms = build_campaign_tester(
         spec.kind, config, dialect=spec.dialect, baseline=spec.baseline,
         backend=spec.backend, batch_size=spec.pipeline_batch_size,
@@ -432,17 +470,6 @@ def build_differential_tester(backend: BackendAdapter, config: CampaignConfig,
         raise
 
 
-def check_campaign_kind(kind: str, baseline: str) -> None:
-    """Reject an unknown campaign kind, or a baseline campaign without a name."""
-    if kind not in ("tqs", "baseline", "differential"):
-        raise CampaignError(
-            f"unknown campaign kind {kind!r}; "
-            "expected 'tqs', 'baseline' or 'differential'"
-        )
-    if kind == "baseline" and not baseline:
-        raise CampaignError("baseline campaigns need a baseline name")
-
-
 def build_campaign_tester(kind: str, config: CampaignConfig,
                           dialect: str = "SimMySQL", baseline: str = "",
                           backend: str = "sqlite", batch_size: int = 1
@@ -452,9 +479,9 @@ def build_campaign_tester(kind: str, config: CampaignConfig,
     The single kind-to-tester dispatch: :func:`run_campaign` and the pool's
     workers both build through it.  *dialect*, *baseline* and *backend* are
     names, resolved here; *batch_size* above 1 gives a differential tester
-    the overlapped execution pipeline (:mod:`repro.core.execpipe`).
+    the overlapped execution pipeline (:mod:`repro.core.execpipe`).  The
+    campaign was checked on its way in (:func:`check_campaign`).
     """
-    check_campaign_kind(kind, baseline)
     if kind == "differential":
         pipeline = (PipelineConfig(batch_size=batch_size)
                     if batch_size > 1 else None)

@@ -44,8 +44,8 @@ import sys
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import Field, dataclass, field, fields, replace
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, get_type_hints
 
 from repro import obs
 from repro.core.budget import (
@@ -58,15 +58,16 @@ from repro.core.bug_report import BugIncident, BugLog
 from repro.core.campaign import (
     CampaignConfig,
     CampaignResult,
+    CampaignSpec,
     HourRecord,
     HourlySample,
     build_campaign_tester,
-    check_campaign_kind,
+    check_campaign,
+    config_values,
     run_campaign_loop,
 )
 from repro.distributed.coordinator import CentralCoordinator
 from repro.distributed.protocol import IndexEntry, SyncBroadcast, load_auth_key
-from repro.engine.dialects import ALL_DIALECTS
 from repro.errors import CampaignError
 from repro.kqe.graph_index import GraphIndex
 
@@ -888,60 +889,67 @@ def build_shard_specs(kind: str, config: CampaignConfig, workers: int,
                       dialect: str = "SimMySQL", baseline: str = "",
                       backend: str = "sqlite",
                       batch_size: int = 1) -> List[ShardSpec]:
-    """Split one campaign into per-worker :class:`ShardSpec` assignments.
+    """:func:`campaign_shards` for callers holding a :class:`CampaignConfig`."""
+    return campaign_shards(CampaignSpec(
+        **config_values(config), kind=kind, dialect=dialect, baseline=baseline,
+        backend=backend, pipeline_batch_size=batch_size, workers=workers))
+
+
+def campaign_shards(spec: CampaignSpec) -> List[ShardSpec]:
+    """The checked per-worker :class:`ShardSpec` assignments of *spec*.
 
     The single source of truth for shard construction: ``run_campaign``, both
     campaign CLIs and ``verify-local`` use it, so a distributed deployment
-    runs exactly the shards the local pool would for the same campaign
-    arguments.
+    runs exactly the shards the local pool would for the same campaign.
     """
-    check_campaign_kind(kind, baseline)
+    check_campaign(spec)
     return [
-        ShardSpec(shard_id=shard_id, kind=kind, config=shard_config,
-                  dialect=dialect, baseline=baseline, backend=backend,
-                  batch_size=batch_size)
+        ShardSpec(shard_id=shard_id, kind=spec.kind, config=shard_config,
+                  dialect=spec.dialect, baseline=spec.baseline,
+                  backend=spec.backend, batch_size=spec.pipeline_batch_size)
         for shard_id, shard_config in enumerate(
-            shard_campaign_configs(config, workers))
+            shard_campaign_configs(spec.campaign_config(), spec.workers))
     ]
 
 
 # ------------------------------------------------------------------ the CLI
 
 
+def campaign_flags() -> Iterator[Tuple[Field, str]]:
+    """Each flagged :class:`CampaignSpec` field with its dest (its echo key)."""
+    for declared in fields(CampaignSpec):
+        flag = declared.metadata["flag"]
+        if flag is not None:
+            yield declared, flag[2:].replace("-", "_")
+
+
 def add_campaign_arguments(parser: argparse.ArgumentParser, workers: int) -> None:
     """Declare the campaign flags shared by both campaign CLIs.
 
     ``python -m repro.core.parallel`` and ``python -m repro.distributed serve``
-    take the same campaign; only the *workers* default differs.
+    take the same campaign; only the *workers* default differs.  A campaign
+    field is declared once, in :class:`CampaignConfig` or
+    :class:`CampaignSpec`, and its flag is derived from that declaration;
+    only the three deployment knobs are spelled out here.
     """
-    parser.add_argument("--kind", choices=("tqs", "baseline", "differential"),
-                        default="tqs", help="campaign kind (default: tqs)")
-    parser.add_argument("--workers", type=int, default=workers,
-                        help="shard count: worker processes or TCP clients "
-                             f"(default: {workers})")
-    parser.add_argument("--hours", type=int, default=24,
-                        help="simulated hours (default: 24)")
-    parser.add_argument("--queries-per-hour", type=int, default=12,
-                        help="total generation budget per hour, across all "
-                             "shards (default: 12)")
-    parser.add_argument("--dataset", default="shopping",
-                        help="DSG dataset name (default: shopping)")
-    parser.add_argument("--dataset-rows", type=int, default=150,
-                        help="wide-table rows per shard (default: 150)")
-    parser.add_argument("--seed", type=int, default=5,
-                        help="campaign seed; shard seeds are derived from it "
-                             "(default: 5)")
+    types = get_type_hints(CampaignSpec)
+    for declared, _ in campaign_flags():
+        metadata = declared.metadata
+        options: Dict[str, Any] = {
+            "default": metadata.get("cli_default", declared.default),
+            "help": metadata["help"],
+        }
+        if types[declared.name] is bool:
+            options["action"] = "store_true"
+        elif types[declared.name] in (int, float):
+            options["type"] = types[declared.name]
+        if "choices" in metadata:
+            options["choices"] = metadata["choices"]
+        parser.add_argument(metadata["flag"], **options)
+    parser.set_defaults(workers=workers)
     parser.add_argument("--sync-interval", type=int, default=1,
                         help="hours between KQE index syncs; 0 disables "
                              "(default: 1)")
-    parser.add_argument("--dialect", default="SimMySQL",
-                        choices=[profile.name for profile in ALL_DIALECTS],
-                        help="simulated DBMS for tqs/baseline campaigns")
-    parser.add_argument("--baseline", default="NoRec",
-                        help="baseline name for --kind baseline (default: NoRec)")
-    parser.add_argument("--backend", default="sqlite",
-                        help="backend name for --kind differential: 'sqlite', "
-                             "'sim' or 'sim:<Dialect>' (default: sqlite)")
     parser.add_argument("--no-prune", action="store_true",
                         help="disable novelty pruning: rebroadcast every "
                              "other shard's entries, not just label-novel "
@@ -951,52 +959,22 @@ def add_campaign_arguments(parser: argparse.ArgumentParser, workers: int) -> Non
                         help="per-hour budget split across shards: 'even' "
                              "(fixed) or 'adaptive' (rebalanced toward "
                              "shards discovering novel structures faster)")
-    parser.add_argument("--batch-size", type=int, default=1,
-                        help="execution-pipeline batch size inside each "
-                             "differential worker; >1 overlaps target and "
-                             "reference execution (default: 1)")
-    parser.add_argument("--query-cache", action="store_true",
-                        help="memoize rendered SQL and reference results in "
-                             "a per-shard content-addressed cache (verdicts "
-                             "stay bit-identical)")
-    parser.add_argument("--setop-probability", type=float, default=0.0,
-                        help="probability a generated statement becomes a "
-                             "UNION / UNION ALL / INTERSECT / EXCEPT "
-                             "compound (differential campaigns; default: 0)")
-    parser.add_argument("--scalar-subquery-probability", type=float,
-                        default=0.0,
-                        help="probability of injecting an uncorrelated "
-                             "scalar subquery into a generated query "
-                             "(default: 0)")
-    parser.add_argument("--cte-probability", type=float, default=0.0,
-                        help="probability a generated statement is wrapped "
-                             "in a WITH clause (default: 0)")
 
 
-def campaign_config(args: argparse.Namespace) -> CampaignConfig:
-    """The :class:`CampaignConfig` that :func:`add_campaign_arguments` names.
+def campaign_spec(args: argparse.Namespace) -> CampaignSpec:
+    """The :class:`CampaignSpec` that :func:`add_campaign_arguments` names.
 
-    Also rebuilds a campaign from its recorded JSON echo; flags an older
-    echo lacks take their defaults.
+    Also rebuilds a campaign from serve's recorded JSON echo: a flag an older
+    echo lacks takes its field's default.  :func:`campaign_shards` checks it.
     """
-    return CampaignConfig(
-        dataset=args.dataset,
-        dataset_rows=args.dataset_rows,
-        hours=args.hours,
-        queries_per_hour=args.queries_per_hour,
-        seed=args.seed,
-        use_query_cache=getattr(args, "query_cache", False),
-        setop_probability=getattr(args, "setop_probability", 0.0),
-        scalar_subquery_probability=getattr(
-            args, "scalar_subquery_probability", 0.0),
-        cte_probability=getattr(args, "cte_probability", 0.0),
-    )
+    return CampaignSpec(**{
+        declared.name: getattr(args, dest)
+        for declared, dest in campaign_flags() if hasattr(args, dest)
+    })
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``python -m repro.core.parallel`` — run a long campaign on many cores."""
-    from repro.analysis.reporting import render_table, render_worker_pool
-
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of ``python -m repro.core.parallel``."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.core.parallel",
         description="Run a TQS testing campaign sharded across worker processes "
@@ -1017,13 +995,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="print a merged progress line (queries/s, novel "
                              "labels, bugs, phase mix) to stderr at every "
                              "sync round")
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """``python -m repro.core.parallel`` — run a long campaign on many cores."""
+    from repro.analysis.reporting import render_table, render_worker_pool
+
+    parser = build_parser()
     args = parser.parse_args(argv)
 
-    shards = build_shard_specs(
-        args.kind, campaign_config(args), args.workers, dialect=args.dialect,
-        baseline=args.baseline, backend=args.backend,
-        batch_size=args.batch_size,
-    )
+    try:
+        shards = campaign_shards(campaign_spec(args))
+    except CampaignError as exc:
+        parser.error(str(exc))
     outcome = run_parallel_shards(shards, ParallelCampaignConfig(
         sync_interval=args.sync_interval,
         worker_timeout=args.worker_timeout,

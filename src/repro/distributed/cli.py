@@ -33,7 +33,11 @@ shared ``--auth-key-file``).  ``serve`` takes the campaign flags of
 (:func:`~repro.core.parallel.add_campaign_arguments`) and additionally
 ``--live-stats`` (periodic one-line progress on stderr), ``--metrics-addr
 HOST:PORT`` (a Prometheus text endpoint) and ``--telemetry-output`` (dump the
-final merged telemetry snapshot as JSON).
+final merged telemetry snapshot as JSON).  Each campaign field is declared
+once, in :class:`~repro.core.campaign.CampaignConfig` or
+:class:`~repro.core.campaign.CampaignSpec`; serve's flags, its campaign echo
+and verify-local's rebuild of that echo are all derived from the declaration,
+and a campaign its kind cannot honour is refused before the server starts.
 """
 
 from __future__ import annotations
@@ -43,17 +47,24 @@ import json
 import sys
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import ParallelCampaignConfig, obs, run_parallel_shards
 from repro.core import (
+    CampaignSpec,
+    ShardSpec,
     budget_policy_from_name,
-    build_shard_specs,
     finalize_parallel_result,
     sync_schedule,
 )
-from repro.core.parallel import add_campaign_arguments, campaign_config
+from repro.core.parallel import (
+    add_campaign_arguments,
+    campaign_flags,
+    campaign_shards,
+    campaign_spec,
+)
 from repro.distributed.protocol import load_auth_key
+from repro.errors import CampaignError
 
 
 def _add_auth_argument(parser: argparse.ArgumentParser) -> None:
@@ -69,28 +80,30 @@ def _auth_key(args: argparse.Namespace) -> Optional[bytes]:
     return load_auth_key(args.auth_key_file) if args.auth_key_file else None
 
 
-def _campaign_echo(args: argparse.Namespace) -> Dict[str, Any]:
-    """The campaign invocation, embedded in the JSON so verify-local can rerun it."""
-    return {
-        "kind": args.kind,
-        "workers": args.workers,
-        "dataset": args.dataset,
-        "dataset_rows": args.dataset_rows,
-        "hours": args.hours,
-        "queries_per_hour": args.queries_per_hour,
-        "seed": args.seed,
-        "sync_interval": args.sync_interval,
-        "dialect": args.dialect,
-        "baseline": args.baseline,
-        "backend": args.backend,
-        "prune": not args.no_prune,
-        "budget_policy": args.budget_policy,
-        "batch_size": args.batch_size,
-        "query_cache": args.query_cache,
-        "setop_probability": args.setop_probability,
-        "scalar_subquery_probability": args.scalar_subquery_probability,
-        "cte_probability": args.cte_probability,
-    }
+def _campaign_echo(spec: CampaignSpec, args: argparse.Namespace) -> Dict[str, Any]:
+    """The campaign invocation, embedded in the JSON so verify-local can rerun it.
+
+    One key per campaign flag (its dest, so :func:`campaign_spec` reads the
+    echo back like parsed arguments) plus the three deployment knobs.
+    """
+    echo = {dest: getattr(spec, declared.name) for declared, dest in campaign_flags()}
+    echo.update(
+        sync_interval=args.sync_interval,
+        prune=not args.no_prune,
+        budget_policy=args.budget_policy,
+    )
+    return echo
+
+
+def _checked_shards(
+    campaign: argparse.Namespace,
+) -> Tuple[CampaignSpec, List[ShardSpec]]:
+    """The campaign's spec and shards; a refused campaign exits before any start."""
+    try:
+        spec = campaign_spec(campaign)
+        return spec, campaign_shards(spec)
+    except CampaignError as exc:
+        raise SystemExit(f"campaign rejected: {exc}") from None
 
 
 def _parse_metrics_addr(value: str) -> tuple:
@@ -129,19 +142,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     from repro.distributed.server import IndexServer
 
-    config = campaign_config(args)
-    shards = build_shard_specs(
-        args.kind,
-        config,
-        args.workers,
-        dialect=args.dialect,
-        baseline=args.baseline,
-        backend=args.backend,
-        batch_size=args.batch_size,
-    )
+    spec, shards = _checked_shards(args)
     server = IndexServer(
         shards=shards,
-        sync_hours=sync_schedule(config.hours, args.sync_interval),
+        sync_hours=sync_schedule(spec.hours, args.sync_interval),
         host=args.host,
         port=args.port,
         prune=not args.no_prune,
@@ -231,7 +235,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "frame(s); the offending connections were closed",
             file=sys.stderr,
         )
-    campaign = _campaign_echo(args)
+    campaign = _campaign_echo(spec, args)
     if server.evicted:
         # Record the evictions in the artifact: the merge covers only the
         # survivors, and verify-local must know it is not looking at a
@@ -303,16 +307,7 @@ def _cmd_verify_local(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    config = campaign_config(argparse.Namespace(**campaign))
-    shards = build_shard_specs(
-        campaign["kind"],
-        config,
-        campaign["workers"],
-        dialect=campaign["dialect"],
-        baseline=campaign["baseline"],
-        backend=campaign["backend"],
-        batch_size=campaign.get("batch_size", 1),
-    )
+    _, shards = _checked_shards(argparse.Namespace(**campaign))
     outcome = run_parallel_shards(
         shards,
         ParallelCampaignConfig(
@@ -417,7 +412,8 @@ def _diff_summaries(recorded: Any, local: Any, path: str = "") -> List[str]:
     return []
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of ``python -m repro.distributed``."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.distributed",
         description="Distributed KQE index server and campaign clients over TCP.",
@@ -564,6 +560,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="print the raw stats payload as JSON instead of the summary",
     )
     stats.set_defaults(func=_cmd_stats)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
     return args.func(args)

@@ -28,7 +28,8 @@ import base64
 import math
 import sys
 from array import array
-from typing import Any, Dict, List, NoReturn, Optional, Sequence, Tuple
+from dataclasses import fields
+from typing import Any, Dict, List, NoReturn, Optional, Sequence, Tuple, get_type_hints
 
 from repro.distributed.protocol import (
     ABORT,
@@ -125,10 +126,6 @@ def _int_field(obj: Dict[str, Any], key: str, where: str) -> int:
 
 def _str_field(obj: Dict[str, Any], key: str, where: str) -> str:
     return _str(_get(obj, key, where), f"{where} {key}")
-
-
-def _float_field(obj: Dict[str, Any], key: str, where: str) -> float:
-    return _float(_get(obj, key, where), f"{where} {key}")
 
 
 # ------------------------------------------------------------ payload codecs
@@ -235,60 +232,40 @@ def decode_broadcast(value: Any) -> SyncBroadcast:
     )
 
 
-#: The campaign-config fields on the wire, in encoding order.  Decoding
-#: rejects any other key, so a peer still sending a retired field fails loudly.
-_CAMPAIGN_CONFIG_FIELDS = (
-    "dataset",
-    "dataset_rows",
-    "hours",
-    "queries_per_hour",
-    "seed",
-    "use_noise",
-    "use_ground_truth",
-    "use_kqe",
-    "max_hint_sets",
-    "use_query_cache",
-    "setop_probability",
-    "scalar_subquery_probability",
-    "cte_probability",
-)
+#: The value validator of each campaign-config field type.
+_CAMPAIGN_FIELD_DECODERS: Dict[Any, Any] = {
+    str: _str,
+    int: _int,
+    bool: _bool,
+    float: _float,
+    Optional[int]: _opt_int,
+}
 
 
 def encode_campaign_config(config: Any) -> Dict[str, Any]:
-    return {name: getattr(config, name) for name in _CAMPAIGN_CONFIG_FIELDS}
+    """The fields of ``CampaignConfig``, in declaration order."""
+    from repro.core.campaign import config_values
+
+    return config_values(config)
 
 
 def decode_campaign_config(value: Any) -> Any:
+    """Check each declared field by its type; a retired key fails loudly."""
     from repro.core.campaign import CampaignConfig
 
     obj = _obj(value, "campaign config")
     where = "campaign config"
-    unknown = sorted(set(obj) - set(_CAMPAIGN_CONFIG_FIELDS))
+    types = get_type_hints(CampaignConfig)
+    names = [declared.name for declared in fields(CampaignConfig)]
+    unknown = sorted(set(obj) - set(names))
     if unknown:
         _fail(where, f"unknown field(s) {unknown}")
-    return CampaignConfig(
-        dataset=_str_field(obj, "dataset", where),
-        dataset_rows=_int_field(obj, "dataset_rows", where),
-        hours=_int_field(obj, "hours", where),
-        queries_per_hour=_int_field(obj, "queries_per_hour", where),
-        seed=_int_field(obj, "seed", where),
-        use_noise=_bool(_get(obj, "use_noise", where), f"{where} use_noise"),
-        use_ground_truth=_bool(
-            _get(obj, "use_ground_truth", where), f"{where} use_ground_truth"
-        ),
-        use_kqe=_bool(_get(obj, "use_kqe", where), f"{where} use_kqe"),
-        max_hint_sets=_opt_int(
-            _get(obj, "max_hint_sets", where), f"{where} max_hint_sets"
-        ),
-        use_query_cache=_bool(
-            _get(obj, "use_query_cache", where), f"{where} use_query_cache"
-        ),
-        setop_probability=_float_field(obj, "setop_probability", where),
-        scalar_subquery_probability=_float_field(
-            obj, "scalar_subquery_probability", where
-        ),
-        cte_probability=_float_field(obj, "cte_probability", where),
-    )
+    return CampaignConfig(**{
+        name: _CAMPAIGN_FIELD_DECODERS[types[name]](
+            _get(obj, name, where), f"{where} {name}"
+        )
+        for name in names
+    })
 
 
 def encode_shard_spec(spec: Any) -> Dict[str, Any]:

@@ -120,6 +120,10 @@ class VectorStore:
         matrix[:, : self._dims] = self._matrix
         self._matrix = matrix
         self._dims = dims
+        # A norm is taken of the row as stored, so a store rebuilt from its
+        # zero-padded rows (a snapshot reload) holds bit-identical norms.
+        for index in range(self._count):
+            self._norms[index] = float(np.linalg.norm(matrix[index]))
 
     # -------------------------------------------------------------- insertion
 
@@ -131,7 +135,7 @@ class VectorStore:
             self._widen(values.shape[0])
         self._ensure_capacity(index + 1)
         self._matrix[index, : values.shape[0]] = values
-        self._norms[index] = float(np.linalg.norm(values))
+        self._norms[index] = float(np.linalg.norm(self._matrix[index]))
         self._count = index + 1
         return index
 

@@ -155,3 +155,24 @@ class TestGraphIndexPersistence:
         restored = GraphIndex.load_snapshot(path)
         assert restored.embedder.dimensions == 32
         assert restored.embedder.iterations == 3
+
+    def test_mixed_width_rows_reload_with_bit_identical_norms(self, tmp_path):
+        # Rows narrower or wider than the embedder are zero-padded to the
+        # store's final width on save; their norms must not depend on the
+        # width they arrived with.
+        index = GraphIndex()
+        widths = (56, 64, 72)
+        for row in range(250):
+            width = widths[row % len(widths)]
+            index.add_embedding(
+                hyperplane_stream(f"mixed-{row}", width), f"L{row % 17}"
+            )
+        path = str(tmp_path / "mixed.tqssnap")
+        index.save_snapshot(path)
+        restored = GraphIndex.load_snapshot(path)
+        count = len(index)
+        assert len(restored) == count
+        assert (
+            restored._store._norms[:count].tobytes()
+            == index._store._norms[:count].tobytes()
+        )

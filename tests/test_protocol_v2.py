@@ -23,7 +23,12 @@ from repro.core import (
 )
 from repro.core.bug_report import BugIncident
 from repro.core.campaign import HourlySample
-from repro.core.parallel import WorkerReport, build_shard_specs, sync_schedule
+from repro.core.parallel import (
+    ShardSpec,
+    WorkerReport,
+    build_shard_specs,
+    sync_schedule,
+)
 from repro.distributed import protocol, wire
 from repro.distributed.client import RemoteSyncTransport
 from repro.distributed.protocol import JsonFrameCodec, SyncBroadcast, load_auth_key
@@ -94,6 +99,7 @@ _reports = st.builds(
     broadcast_entries_received=_counts,
     broadcast_entries_suppressed=_counts,
 )
+_probabilities = st.floats(min_value=0.0, max_value=1.0)
 _configs = st.builds(
     CampaignConfig,
     dataset=_text,
@@ -105,15 +111,18 @@ _configs = st.builds(
     use_ground_truth=st.booleans(),
     use_kqe=st.booleans(),
     max_hint_sets=st.none() | _counts,
+    use_query_cache=st.booleans(),
+    setop_probability=_probabilities,
+    scalar_subquery_probability=_probabilities,
+    cte_probability=_probabilities,
 )
+# Built directly, not through build_shard_specs: the wire must carry any
+# shard spec, including ones the campaign checks would refuse to create.
 _specs = st.builds(
-    lambda config, shard_id, kind, dialect, baseline, backend, batch_size: (
-        build_shard_specs(kind, config, 1, dialect=dialect, baseline=baseline,
-                          backend=backend, batch_size=batch_size)[0]
-    ),
-    config=_configs.filter(lambda c: c.queries_per_hour >= 1),
+    ShardSpec,
     shard_id=_counts,
     kind=st.sampled_from(["tqs", "differential"]),
+    config=_configs,
     dialect=_text,
     baseline=_text,
     backend=_text,
