@@ -1,4 +1,11 @@
-"""TQS core: the testing loop, bug logs, reduction, campaigns and the worker pool."""
+"""TQS core: the testing loop, bug logs, reduction, campaigns and the worker pool.
+
+The worker-pool names of :mod:`repro.core.parallel` are exported lazily
+(:func:`__getattr__`), so that ``python -m repro.core.parallel`` does not
+find the module already imported by its own package.
+"""
+
+from typing import Any
 
 from repro.core.budget import (
     AdaptiveBudgetPolicy,
@@ -38,24 +45,6 @@ from repro.core.qcache import (
     dataset_fingerprint,
     render_cache_key,
     result_cache_key,
-)
-from repro.core.parallel import (
-    LocalSyncTransport,
-    ParallelCampaignConfig,
-    ParallelCampaignResult,
-    ShardSpec,
-    ShardSyncStats,
-    SyncTransport,
-    WorkerReport,
-    build_shard_specs,
-    derive_worker_seed,
-    finalize_parallel_result,
-    merge_worker_reports,
-    run_parallel_shards,
-    run_shard_with_heartbeat,
-    run_shard_with_transport,
-    shard_campaign_configs,
-    sync_schedule,
 )
 from repro.core.reduction import QueryReducer
 from repro.core.tqs import TQS, IterationOutcome, TQSConfig
@@ -116,3 +105,31 @@ __all__ = [
     "sync_schedule",
     "tqs_variant_name",
 ]
+
+#: Names :func:`__getattr__` imports from :mod:`repro.core.parallel` on use.
+_PARALLEL_EXPORTS = frozenset({
+    "LocalSyncTransport",
+    "ParallelCampaignConfig",
+    "ParallelCampaignResult",
+    "ShardSpec",
+    "ShardSyncStats",
+    "SyncTransport",
+    "WorkerReport",
+    "build_shard_specs",
+    "derive_worker_seed",
+    "finalize_parallel_result",
+    "merge_worker_reports",
+    "run_parallel_shards",
+    "run_shard_with_heartbeat",
+    "run_shard_with_transport",
+    "shard_campaign_configs",
+    "sync_schedule",
+})
+
+
+def __getattr__(name: str) -> Any:
+    if name in _PARALLEL_EXPORTS:
+        from repro.core import parallel
+
+        return getattr(parallel, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -127,17 +127,22 @@ class CampaignConfig:
         "--query-cache", kinds=("differential",))
     # Widened-grammar probabilities.  0.0 keeps the classic join-query-only
     # grammar and, by the no-draw gating in the generator, byte-identical
-    # RNG streams.
+    # RNG streams.  Only differential campaigns honour them: tqs generates
+    # through generate_query (no set operations or CTEs) and its wide-table
+    # ground truth cannot evaluate a scalar subquery; baselines generate
+    # their own join queries.
     setop_probability: float = campaign_field(
         0.0, "probability a generated statement becomes a UNION / UNION ALL "
              "/ INTERSECT / EXCEPT compound (differential campaigns; "
-             "default: 0)", "--setop-probability")
+             "default: 0)", "--setop-probability", kinds=("differential",))
     scalar_subquery_probability: float = campaign_field(
         0.0, "probability of injecting an uncorrelated scalar subquery into "
-             "a generated query (default: 0)", "--scalar-subquery-probability")
+             "a generated query (differential campaigns; default: 0)",
+        "--scalar-subquery-probability", kinds=("differential",))
     cte_probability: float = campaign_field(
         0.0, "probability a generated statement is wrapped in a WITH clause "
-             "(default: 0)", "--cte-probability")
+             "(differential campaigns; default: 0)", "--cte-probability",
+        kinds=("differential",))
 
     def dsg_config(self) -> DSGConfig:
         """The DSG configuration implied by this campaign."""

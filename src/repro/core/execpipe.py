@@ -38,6 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
+from repro import obs
 from repro.backends.base import BackendExecution
 from repro.engine.resultset import ResultSet
 from repro.errors import CampaignError
@@ -166,11 +167,11 @@ class ExecutionPipeline:
         backend = self.oracle.backend
         if self.target_threads <= 1 or len(jobs) <= 1:
             future = target_pool.submit(
-                backend.execute_many, [job.query for job in jobs]
+                obs.overlapped(backend.execute_many), [job.query for job in jobs]
             )
             return future.result
-        futures = [target_pool.submit(self._execute_one, job)
-                   for job in jobs]
+        execute_one = obs.overlapped(self._execute_one)
+        futures = [target_pool.submit(execute_one, job) for job in jobs]
         return lambda: [future.result() for future in futures]
 
     def _execute_reference(self, jobs: Sequence[QueryJob]) -> List[ResultSet]:
@@ -204,17 +205,20 @@ class ExecutionPipeline:
         if executable:
             batch = [job for _, job in executable]
             target_pool, reference_pool = self._pools()
-            collect_target = self._submit_target(target_pool, batch)
-            reference_future = reference_pool.submit(
-                self._execute_reference, batch
-            )
-            try:
-                executions = collect_target()
-            finally:
-                # Never orphan the reference future: even if the target side
-                # raised, the reference thread must drain before the caller
-                # tears the tester down.
-                references = reference_future.result()
+            # The two sides overlap: their wall-clock is charged once, here,
+            # and their own spans are filed as overlapped work.
+            with obs.span("execute.overlap"):
+                collect_target = self._submit_target(target_pool, batch)
+                reference_future = reference_pool.submit(
+                    obs.overlapped(self._execute_reference), batch
+                )
+                try:
+                    executions = collect_target()
+                finally:
+                    # Never orphan the reference future: even if the target
+                    # side raised, the reference thread must drain before
+                    # the caller tears the tester down.
+                    references = reference_future.result()
             for (position, job), execution, reference_result in zip(
                     executable, executions, references):
                 outcomes[position] = self.oracle.judge(

@@ -184,10 +184,8 @@ class TQS:
                 self.kqe.register(query)
             transformed = self.dsg.transform_query(query)
         with obs.span("execute.target"):
-            reports = [
-                self.engine.execute_with_report(query, item.hints)
-                for item in transformed
-            ]
+            reports = self.engine.execute_all_hints(
+                query, [item.hints for item in transformed])
         self.queries_executed += len(reports)
         with obs.span("judge"):
             if self.config.use_ground_truth:

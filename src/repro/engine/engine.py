@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.dialects import DialectProfile
 from repro.engine.faults import ActiveFaults
 from repro.engine.resultset import ResultSet
 from repro.optimizer.hints import HintSet, default_hints
-from repro.optimizer.planner import Planner
+from repro.errors import PlanError
+from repro.optimizer.planner import Planner, PreparedQuery
 from repro.plan.logical import (
     AnyQuerySpec,
     CompoundQuerySpec,
@@ -22,12 +23,25 @@ from repro.storage.database import Database
 
 @dataclass
 class ExecutionReport:
-    """Result of one query execution, with diagnostic metadata."""
+    """Result of one query execution, with diagnostic metadata.
+
+    ``plan_description`` is the executed plan's EXPLAIN text, rendered by
+    *render_plan* on first read: the testing loop never reads it, bug
+    reports and tests do.
+    """
 
     result: ResultSet
     hints: HintSet
-    plan_description: str
     fired_bug_ids: Tuple[int, ...]
+    render_plan: Callable[[], str] = field(repr=False)
+    _plan_description: Optional[str] = field(default=None, init=False, repr=False)
+
+    @property
+    def plan_description(self) -> str:
+        """The executed plan as EXPLAIN text."""
+        if self._plan_description is None:
+            self._plan_description = self.render_plan()
+        return self._plan_description
 
 
 class Engine:
@@ -98,29 +112,42 @@ class Engine:
         fired: Tuple[int, ...] = tuple(sorted(
             {bug for report in reports for bug in report.fired_bug_ids}
         ))
-        plan = "\n".join(
-            part
-            for report, op in zip(reports, list(query.operators) + [None])
-            for part in ([report.plan_description] +
-                         ([op.render()] if op is not None else []))
-        )
+
+        def render_plan() -> str:
+            return "\n".join(
+                part
+                for report, op in zip(reports, list(query.operators) + [None])
+                for part in ([report.plan_description] +
+                             ([op.render()] if op is not None else []))
+            )
+
         return ExecutionReport(
             result=ResultSet(query.output_columns(), rows),
             hints=reports[0].hints,
-            plan_description=plan,
             fired_bug_ids=fired,
+            render_plan=render_plan,
         )
 
     def execute_with_report(
-        self, query: AnyQuerySpec, hints: Optional[HintSet] = None
+        self, query: Union[AnyQuerySpec, PreparedQuery],
+        hints: Optional[HintSet] = None,
     ) -> ExecutionReport:
-        """Execute and also report the plan and which seeded bugs fired."""
+        """Execute and also report the plan and which seeded bugs fired.
+
+        *query* may be this engine's :meth:`Planner.prepare` of a join query,
+        which then plans under *hints* without redoing its query-only work.
+        """
         if isinstance(query, CompoundQuerySpec):
             return self._execute_compound(query, hints)
         hints = hints or default_hints()
         if isinstance(self.hooks, ActiveFaults):
             self.hooks.reset_fired()
-        operator = self.planner.plan(query, hints)
+        if isinstance(query, PreparedQuery):
+            if query.planner is not self.planner:
+                raise PlanError("the query was prepared by another engine's planner")
+            operator = query.plan(hints)
+        else:
+            operator = self.planner.plan(query, hints)
         rows = list(operator.rows())
         self.queries_executed += 1
         fired: Tuple[int, ...] = ()
@@ -129,15 +156,22 @@ class Engine:
         return ExecutionReport(
             result=ResultSet(operator.output_columns(), rows),
             hints=hints,
-            plan_description=operator.explain(),
             fired_bug_ids=fired,
+            render_plan=operator.explain,
         )
 
     def execute_all_hints(
-        self, query: QuerySpec, hint_sets: Sequence[HintSet]
+        self, query: AnyQuerySpec, hint_sets: Sequence[HintSet]
     ) -> List[ExecutionReport]:
-        """Execute the same logical query under every hint set (the trans_q step)."""
-        return [self.execute_with_report(query, hints) for hints in hint_sets]
+        """Execute the same logical query under every hint set (the trans_q step).
+
+        A join query is prepared once and planned per hint set; a compound
+        query plans its arms per hint set.
+        """
+        target: Union[AnyQuerySpec, PreparedQuery] = query
+        if isinstance(query, QuerySpec):
+            target = self.planner.prepare(query)
+        return [self.execute_with_report(target, hints) for hints in hint_sets]
 
 
 def reference_engine(database: Database) -> Engine:

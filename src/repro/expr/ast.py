@@ -23,6 +23,7 @@ from repro.errors import ExpressionError
 from repro.sqlvalue.casts import to_decimal, to_double_lossy
 from repro.sqlvalue.comparison import (
     null_safe_equal,
+    plain_kind,
     sql_compare,
     sql_equal,
     truth_value,
@@ -416,8 +417,28 @@ class InList(Expression):
 
     def compile(self, layout: Layout, subqueries: SubqueryRunner = None) -> Compiled:
         operand = self.operand.compile(layout, subqueries)
-        items = tuple(item.compile(layout, subqueries) for item in self.items)
         negated = bool(self.negated)
+        kinds = {
+            plain_kind(item.value) if isinstance(item, Literal) else None
+            for item in self.items
+        }
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind is not None:
+            # Literals of one plain kind: a probe of that kind is answered
+            # by a set lookup (see plain_kind); any other goes the long way.
+            values = tuple(item.value for item in self.items)
+            members = frozenset(values)
+
+            def in_literals(row: tuple) -> Any:
+                value = operand(row)
+                if plain_kind(value) is kind:
+                    return (value in members) is not negated
+                if is_null(value):
+                    return NULL
+                return _membership(value, values, negated)
+
+            return in_literals
+        items = tuple(item.compile(layout, subqueries) for item in self.items)
 
         def in_list(row: tuple) -> Any:
             value = operand(row)
@@ -657,6 +678,21 @@ def _membership(value: Any, candidates: Iterable[Any], negated: bool) -> Any:
     if saw_unknown:
         return NULL
     return negated
+
+
+def contains_subquery(expression: Expression) -> bool:
+    """Whether *expression* holds an IN, EXISTS or scalar subquery.
+
+    Such an expression's closure calls the subquery runner it was compiled
+    with, so it cannot outlive that runner's plan.
+    """
+    stack: List[Expression] = [expression]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (InSubquery, ExistsSubquery, ScalarSubquery)):
+            return True
+        stack.extend(node.children())
+    return False
 
 
 def _missing_runner(what: str) -> Compiled:

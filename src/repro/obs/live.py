@@ -18,6 +18,7 @@ _PHASE_ORDER = (
     "render",
     "execute.target",
     "execute.reference",
+    "execute.overlap",
     "judge",
     "sync",
 )

@@ -1,5 +1,12 @@
 """The planner: logical :class:`QuerySpec` + :class:`HintSet` -> physical plan.
 
+Planning has two halves.  :meth:`Planner.prepare` gives the
+:class:`PreparedQuery` of a query, which holds everything that depends on the
+query alone; :meth:`PreparedQuery.plan` does what depends on the hint set:
+join order, algorithms, trigger contexts and operators.  The TQS loop runs
+every query under a dozen hint sets, so it prepares once and plans per hint
+set; :meth:`Planner.plan` is the one-shot composition of the two.
+
 A plan is compiled as it is built: every operator resolves its column slots
 and compiles its expressions against its input layout in its constructor, so
 executing the plan does only per-row work.
@@ -7,14 +14,23 @@ executing the plan does only per-row work.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import DatabaseSchema
+from repro.expr.ast import (
+    Compiled,
+    Expression,
+    Layout,
+    SubqueryRunner,
+    contains_subquery,
+)
 from repro.optimizer.cost import JoinCostInput, choose_algorithm
 from repro.optimizer.hints import HintSet, default_hints
 from repro.plan.joins import Join, JoinKeySpec
 from repro.plan.logical import JoinStep, JoinType, QuerySpec
 from repro.plan.operators import (
+    Compiler,
     Filter,
     Limit,
     Materialize,
@@ -23,6 +39,7 @@ from repro.plan.operators import (
     TableScan,
 )
 from repro.plan.physical import (
+    ExecRow,
     ExecutionHooks,
     PhysicalOperator,
     TriggerContext,
@@ -30,6 +47,8 @@ from repro.plan.physical import (
 from repro.sqlvalue.casts import comparison_domain
 from repro.sqlvalue.datatypes import TypeCategory
 from repro.storage.database import Database
+
+_NUMERIC_DOMAINS = (TypeCategory.DECIMAL, TypeCategory.FLOAT, TypeCategory.INTEGER)
 
 
 class Planner:
@@ -42,16 +61,73 @@ class Planner:
 
     # ------------------------------------------------------------------ public
 
+    def prepare(self, query: QuerySpec) -> "PreparedQuery":
+        """*query* prepared for planning; the work is done by its first plan."""
+        return PreparedQuery(self, query)
+
     def plan(self, query: QuerySpec, hints: Optional[HintSet] = None) -> PhysicalOperator:
         """Build the physical plan for *query* under *hints*."""
-        hints = hints or default_hints()
+        return self.prepare(query).plan(hints)
+
+
+@dataclass(frozen=True)
+class _PreparedStep:
+    """The hint-independent facts of one join step."""
+
+    step: JoinStep
+    scan: TableScan
+    cardinality: int
+    key: Optional[JoinKeySpec]
+    key_is_indexed: bool
+
+    @property
+    def alias(self) -> str:
+        return self.step.table.alias
+
+    @property
+    def left_alias(self) -> Optional[str]:
+        return None if self.step.left_key is None else self.step.left_key.table
+
+
+class PreparedQuery:
+    """The query-only half of planning one query, shared by all its plans.
+
+    It copies the query's clauses when it is made, so later changes to the
+    :class:`QuerySpec` (NoREC and PQS assign ``where`` in place) do not
+    reach it: prepare again instead.  The first :meth:`plan` validates the
+    query, then keeps the driving table's scan and estimated cardinality
+    and, per join step, the key spec, indexed-key flag, row count and scan
+    (scans are stateless, so every plan shares them).
+
+    Compiled closures are kept too, keyed by the expression (the copied
+    clauses hold every expression compiled, so identities stay unique) and
+    the layout it was compiled against: a layout differs between plans only
+    when their join orders do.  A closure that evaluates an IN, EXISTS or
+    scalar subquery calls its plan's subquery runner, so it is compiled per
+    plan, and each plan still runs a subquery at most once, on first
+    evaluation.
+    """
+
+    def __init__(self, planner: Planner, query: QuerySpec) -> None:
+        self.planner = planner
+        # The clauses as they are now: later changes to *query* do not reach
+        # this prepared query, and the expressions its closures are keyed by
+        # live as long as it does.
+        self._query = replace(
+            query, joins=list(query.joins), select=list(query.select),
+            group_by=list(query.group_by), order_by=list(query.order_by))
+        self._scan: Optional[TableScan] = None
+        self._cardinality = 0
+        self._steps: Optional[List[_PreparedStep]] = None
+        self._closures: Dict[Tuple[Any, Tuple[str, ...]], Optional[Callable]] = {}
+
+    def _prepare(self) -> List[_PreparedStep]:
+        """Validate the query and build its hint-independent state."""
+        query = self._query
         query.validate()
-        steps = self._ordered_steps(query, hints)
-        alias_to_table = {ref.alias: ref.table for ref in query.table_refs}
-        operator: PhysicalOperator = TableScan(
-            self.database, query.base.table, query.base.alias
-        )
-        left_cardinality = self.database.row_count(query.base.table)
+        database = self.planner.database
+        self._scan = TableScan(database, query.base.table, query.base.alias)
+        cardinality = database.row_count(query.base.table)
         # Mirror real optimizers: a WHERE clause over the driving table lowers
         # the estimated outer cardinality, which can flip the cost-based join
         # algorithm choice (this is what gives TLP's partition queries plans
@@ -59,105 +135,111 @@ class Planner:
         if query.where is not None:
             referenced_aliases = {t for t, _ in query.where.references() if t}
             if query.base.alias in referenced_aliases:
-                left_cardinality = max(1, int(left_cardinality * 0.4))
-        subqueries = self._subquery_executor(hints)
-        for index, step in enumerate(steps):
+                cardinality = max(1, int(cardinality * 0.4))
+        self._cardinality = cardinality
+        alias_to_table = {ref.alias: ref.table for ref in query.table_refs}
+        return [self._prepare_step(step, alias_to_table) for step in query.joins]
+
+    def _prepare_step(self, step: JoinStep,
+                      alias_to_table: Dict[str, str]) -> _PreparedStep:
+        database = self.planner.database
+        scan = TableScan(database, step.table.table, step.table.alias)
+        cardinality = database.row_count(step.table.table)
+        if step.join_type is JoinType.CROSS or step.left_key is None:
+            return _PreparedStep(step, scan, cardinality, key=None,
+                                 key_is_indexed=False)
+        schema = self.planner.schema
+        left_table = alias_to_table[step.left_key.table]
+        right = schema.table(alias_to_table[step.right_key.table])
+        key = JoinKeySpec(
+            left_column=f"{step.left_key.table}.{step.left_key.column}",
+            right_column=f"{step.right_key.table}.{step.right_key.column}",
+            domain=comparison_domain(
+                schema.table(left_table).column(step.left_key.column).dtype,
+                right.column(step.right_key.column).dtype,
+            ),
+        )
+        key_columns = set(right.primary_key) | set(right.implicit_key)
+        for table_key in right.keys:
+            key_columns.update(table_key.columns)
+        return _PreparedStep(step, scan, cardinality, key=key,
+                             key_is_indexed=step.right_key.column in key_columns)
+
+    def plan(self, hints: Optional[HintSet] = None) -> PhysicalOperator:
+        """Build the physical plan of the query under *hints*."""
+        hints = hints or default_hints()
+        if self._steps is None:
+            self._steps = self._prepare()
+        query = self._query
+        compiler = _PlanCompiler(self._closures, self._subquery_runner(hints))
+        disabled = frozenset(
+            name for name, _default in hints.switches if not hints.switch(name)
+        )
+        operator: PhysicalOperator = self._scan
+        left_cardinality = self._cardinality
+        for index, step in enumerate(self._ordered_steps(hints)):
             operator, left_cardinality = self._plan_join(
-                operator, left_cardinality, step, index, hints, alias_to_table,
-                subqueries,
+                operator, left_cardinality, step, index, hints, disabled, compiler,
             )
         if query.where is not None:
-            operator = Filter(operator, query.where, subqueries)
+            operator = Filter(operator, query.where, compiler)
         operator = Project(
             operator,
             query.select,
             group_by=query.group_by,
             distinct=query.distinct,
-            subquery_executor=subqueries,
+            compiler=compiler,
         )
         if query.order_by:
-            operator = Sort(operator, query.order_by, subqueries)
+            operator = Sort(operator, query.order_by, compiler)
         if query.limit is not None:
             operator = Limit(operator, query.limit)
         return operator
 
-    # ------------------------------------------------------------------ helpers
-
-    def _ordered_steps(self, query: QuerySpec, hints: HintSet) -> List[JoinStep]:
+    def _ordered_steps(self, hints: HintSet) -> List[_PreparedStep]:
         """Apply the JOIN_ORDER hint when it yields a valid left-deep chain."""
-        steps = list(query.joins)
+        steps = list(self._steps)
         if not hints.join_order or len(steps) < 2:
             return steps
-        desired = [alias for alias in hints.join_order if alias in query.aliases]
-        if not desired or desired[0] != query.base.alias:
+        base_alias = self._query.base.alias
+        aliases = {base_alias} | {step.alias for step in steps}
+        desired = [alias for alias in hints.join_order if alias in aliases]
+        if not desired or desired[0] != base_alias:
             return steps
-        remaining = {step.table.alias: step for step in steps}
-        available = {query.base.alias}
-        ordered: List[JoinStep] = []
+        remaining = {step.alias: step for step in steps}
+        available = {base_alias}
+        ordered: List[_PreparedStep] = []
         for alias in desired[1:]:
             step = remaining.get(alias)
             if step is None:
                 continue
-            left_alias = None if step.left_key is None else step.left_key.table
-            if left_alias is not None and left_alias not in available:
+            if step.left_alias is not None and step.left_alias not in available:
                 return steps
             ordered.append(step)
             available.add(alias)
             del remaining[alias]
         # Append any steps the hint did not mention, keeping original order.
         for step in steps:
-            if step.table.alias in remaining:
-                left_alias = None if step.left_key is None else step.left_key.table
-                if left_alias is not None and left_alias not in available:
+            if step.alias in remaining:
+                if step.left_alias is not None and step.left_alias not in available:
                     return steps
                 ordered.append(step)
-                available.add(step.table.alias)
+                available.add(step.alias)
         return ordered
-
-    def _key_spec(
-        self, step: JoinStep, alias_to_table: Dict[str, str]
-    ) -> Optional[JoinKeySpec]:
-        if step.join_type is JoinType.CROSS or step.left_key is None:
-            return None
-        left_table = alias_to_table[step.left_key.table]
-        right_table = alias_to_table[step.right_key.table]
-        left_dtype = self.schema.table(left_table).column(step.left_key.column).dtype
-        right_dtype = self.schema.table(right_table).column(step.right_key.column).dtype
-        domain = comparison_domain(left_dtype, right_dtype)
-        return JoinKeySpec(
-            left_column=f"{step.left_key.table}.{step.left_key.column}",
-            right_column=f"{step.right_key.table}.{step.right_key.column}",
-            domain=domain,
-        )
-
-    def _right_key_indexed(self, step: JoinStep, alias_to_table: Dict[str, str]) -> bool:
-        if step.right_key is None:
-            return False
-        table = self.schema.table(alias_to_table[step.right_key.table])
-        key_columns = set(table.primary_key) | set(table.implicit_key)
-        for key in table.keys:
-            key_columns.update(key.columns)
-        return step.right_key.column in key_columns
 
     def _plan_join(
         self,
         left: PhysicalOperator,
         left_cardinality: int,
-        step: JoinStep,
+        prepared: _PreparedStep,
         step_index: int,
         hints: HintSet,
-        alias_to_table: Dict[str, str],
-        subqueries: Callable,
+        disabled: frozenset,
+        compiler: Compiler,
     ) -> Tuple[PhysicalOperator, int]:
-        right_table = step.table.table
-        right_cardinality = self.database.row_count(right_table)
-        right: PhysicalOperator = TableScan(self.database, right_table, step.table.alias)
-        key_spec = self._key_spec(step, alias_to_table)
-        numeric_key = key_spec is not None and key_spec.domain in (
-            TypeCategory.DECIMAL,
-            TypeCategory.FLOAT,
-            TypeCategory.INTEGER,
-        )
+        step = prepared.step
+        key_spec = prepared.key
+        right_cardinality = prepared.cardinality
         algorithm = hints.algorithm_for_step(step_index)
         if algorithm is None:
             algorithm = choose_algorithm(
@@ -165,19 +247,18 @@ class Planner:
                     left_cardinality=left_cardinality,
                     right_cardinality=right_cardinality,
                     join_type=step.join_type,
-                    right_key_is_indexed=self._right_key_indexed(step, alias_to_table),
-                    key_is_numeric=numeric_key,
+                    right_key_is_indexed=prepared.key_is_indexed,
+                    key_is_numeric=(key_spec is not None
+                                    and key_spec.domain in _NUMERIC_DOMAINS),
                 )
             )
         materialization = hints.switch("materialization") and step.join_type in (
             JoinType.SEMI,
             JoinType.ANTI,
         )
+        right: PhysicalOperator = prepared.scan
         if materialization:
             right = Materialize(right)
-        disabled = frozenset(
-            name for name, _default in hints.switches if not hints.switch(name)
-        )
         trigger = TriggerContext(
             algorithm=algorithm,
             join_type=step.join_type,
@@ -195,10 +276,10 @@ class Planner:
             join_type=step.join_type,
             algorithm=algorithm,
             key=key_spec,
-            hooks=self.hooks,
+            hooks=self.planner.hooks,
             extra_condition=step.extra_condition,
             trigger=trigger,
-            subquery_executor=subqueries,
+            compiler=compiler,
         )
         if step.join_type is JoinType.CROSS:
             estimate = left_cardinality * max(1, right_cardinality)
@@ -208,24 +289,65 @@ class Planner:
             estimate = max(left_cardinality, right_cardinality)
         return join, max(1, estimate)
 
-    def _subquery_executor(self, hints: HintSet) -> Callable:
-        """Executor for the uncorrelated subqueries of one plan.
+    def _subquery_runner(self, hints: HintSet) -> Callable[[QuerySpec], List[ExecRow]]:
+        """Runner for the uncorrelated subqueries of one plan.
 
         Serves IN, EXISTS and scalar subqueries wherever they appear: WHERE,
         SELECT, ORDER BY and join conditions.  Each subquery is planned and
         run at most once per plan, on first evaluation: a subquery that is
         never evaluated never runs, so it cannot fire a seeded bug.  A nested
-        subquery gets its own memo through its own :meth:`plan` call.
+        subquery gets its own memo through its own plan.
         """
         # Keyed by identity: the plan's expressions hold every subquery, so
         # no id is reused while the plan exists.
-        memo: Dict[int, List[tuple]] = {}
+        memo: Dict[int, List[ExecRow]] = {}
+        planner = self.planner
 
-        def run(subquery: QuerySpec) -> List[tuple]:
+        def run(subquery: QuerySpec) -> List[ExecRow]:
             rows = memo.get(id(subquery))
             if rows is None:
-                rows = list(self.plan(subquery, hints).rows())
+                rows = list(planner.plan(subquery, hints).rows())
                 memo[id(subquery)] = rows
             return rows
 
         return run
+
+
+_UNSEEN = object()
+
+
+class _PlanCompiler(Compiler):
+    """One plan's compiler: reuses its prepared query's subquery-free closures.
+
+    *closures* maps (expression identity, layout) -- or, for a compiled row,
+    (the tuple of identities, layout) -- to its closure, or to None when the
+    closure holds a subquery and must be compiled with each plan's runner.
+    """
+
+    def __init__(self, closures: Dict[Tuple[Any, Tuple[str, ...]], Optional[Callable]],
+                 subqueries: SubqueryRunner) -> None:
+        super().__init__(subqueries)
+        self._closures = closures
+
+    def _reuse(self, key: Tuple[Any, Tuple[str, ...]],
+               expressions: Sequence[Expression],
+               build: Callable[[], Callable]) -> Callable:
+        closure = self._closures.get(key, _UNSEEN)
+        if closure is None:
+            return build()
+        if closure is _UNSEEN:
+            closure = build()
+            shareable = not any(map(contains_subquery, expressions))
+            self._closures[key] = closure if shareable else None
+        return closure
+
+    def expression(self, expression: Expression, layout: Layout) -> Compiled:
+        return self._reuse(
+            (id(expression), tuple(layout)), (expression,),
+            lambda: Compiler.expression(self, expression, layout))
+
+    def row(self, expressions: Sequence[Expression],
+            layout: Layout) -> Callable[[ExecRow], ExecRow]:
+        return self._reuse(
+            (tuple(map(id, expressions)), tuple(layout)), expressions,
+            lambda: Compiler.row(self, expressions, layout))

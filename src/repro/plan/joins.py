@@ -28,8 +28,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
-from repro.expr.ast import Expression, SubqueryRunner, is_true
+from repro.expr.ast import Expression, is_true
 from repro.plan.logical import JoinType
+from repro.plan.operators import PLAIN_COMPILER, Compiler
 from repro.plan.physical import (
     ExecRow,
     ExecutionHooks,
@@ -38,7 +39,7 @@ from repro.plan.physical import (
     PhysicalOperator,
     TriggerContext,
 )
-from repro.sqlvalue.comparison import sql_compare
+from repro.sqlvalue.comparison import plain_kind, sql_compare
 from repro.sqlvalue.datatypes import TypeCategory
 from repro.sqlvalue.values import NULL, is_null, value_sort_key
 
@@ -60,20 +61,6 @@ EFFECT_NAMES = (
     "left_outer_emit_spurious_null_row",
 )
 """Boolean fault seams consulted by the join operator."""
-
-
-def _plain_kind(value: Any) -> Optional[type]:
-    """The bucketable kind of a normalized join key, or None.
-
-    ``str`` keys form one kind and ``int`` / non-NaN ``float`` keys another.
-    Within a kind, ``==`` and ``hash`` agree with ``sql_compare(...) == 0``.
-    """
-    kind = type(value)
-    if kind is str:
-        return str
-    if kind is int or (kind is float and value == value):
-        return float
-    return None
 
 
 @dataclass(frozen=True)
@@ -98,7 +85,7 @@ class Join(PhysicalOperator):
         hooks: Optional[ExecutionHooks] = None,
         extra_condition: Optional[Expression] = None,
         trigger: Optional[TriggerContext] = None,
-        subquery_executor: SubqueryRunner = None,
+        compiler: Compiler = PLAIN_COMPILER,
     ) -> None:
         if join_type is not JoinType.CROSS and key is None:
             raise ExecutionError(f"{join_type.value} join requires an equi-join key")
@@ -121,8 +108,8 @@ class Join(PhysicalOperator):
             self._right_slot = _slot_of(right_columns, key.right_column)
         self._condition = None
         if extra_condition is not None:
-            self._condition = extra_condition.compile(
-                left_columns + right_columns, subquery_executor
+            self._condition = compiler.expression(
+                extra_condition, left_columns + right_columns
             )
 
     # ------------------------------------------------------------------ plumbing
@@ -209,11 +196,12 @@ class Join(PhysicalOperator):
         while hash-specific triggers simply do not match here.
 
         When every non-NULL right key is of one plain kind (see
-        :func:`_plain_kind`), a probe of that same kind is looked up in buckets
-        of equal keys: for those kinds Python ``==`` and ``hash`` agree exactly
-        with ``sql_compare(...) == 0``.  Any other probe compares against every
-        right key, so mixed kinds, ``Decimal``, ``bool`` and NaN keep the exact
-        semantics.  Either way a match list is in ascending right-row order.
+        :func:`~repro.sqlvalue.comparison.plain_kind`), a probe of that same
+        kind is looked up in buckets of equal keys: for those kinds Python
+        ``==`` and ``hash`` agree exactly with ``sql_compare(...) == 0``.  Any
+        other probe compares against every right key, so mixed kinds,
+        ``Decimal``, ``bool`` and NaN keep the exact semantics.  Either way a
+        match list is in ascending right-row order.
         """
         candidates: List[Tuple[int, Any]] = []
         for index, raw in enumerate(right_keys):
@@ -222,7 +210,7 @@ class Join(PhysicalOperator):
             candidate = key_of(raw)
             if not is_null(candidate):
                 candidates.append((index, candidate))
-        kinds = {_plain_kind(candidate) for _, candidate in candidates}
+        kinds = {plain_kind(candidate) for _, candidate in candidates}
         bucket_kind = kinds.pop() if len(kinds) == 1 else None
         buckets: Dict[Any, List[int]] = {}
         if bucket_kind is not None:
@@ -234,7 +222,7 @@ class Join(PhysicalOperator):
                 matches.append([])
                 continue
             value = key_of(raw)
-            if bucket_kind is not None and _plain_kind(value) is bucket_kind:
+            if bucket_kind is not None and plain_kind(value) is bucket_kind:
                 matches.append(buckets.get(value, []))
             else:
                 matches.append([

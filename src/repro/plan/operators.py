@@ -36,21 +36,41 @@ def tuple_getter(keys: Sequence[Any]) -> Callable[[Any], ExecRow]:
     return lambda item: ()
 
 
-def compile_row(expressions: Sequence[Expression], layout: Layout,
-                subqueries: SubqueryRunner = None) -> Callable[[ExecRow], ExecRow]:
-    """Compile *expressions* into one ``row -> tuple of their values`` function.
+class Compiler:
+    """Compiles a plan's expressions against its operators' input layouts.
 
-    When every expression is a column reference that resolves, the function
-    is a single ``itemgetter`` over their slots.
+    Operators call it once, when they are built.  This compiler compiles
+    afresh on every call, with the plan's subquery runner; the planner hands
+    each plan of a prepared query one that reuses the query's closures across
+    its hint sets (:class:`~repro.optimizer.planner.PreparedQuery`).
     """
-    slots = [
-        expr.slot(layout) if isinstance(expr, ColumnRef) else None
-        for expr in expressions
-    ]
-    if None not in slots:
-        return tuple_getter(slots)
-    compiled = [expr.compile(layout, subqueries) for expr in expressions]
-    return lambda row: tuple([value(row) for value in compiled])
+
+    def __init__(self, subqueries: SubqueryRunner = None) -> None:
+        self.subqueries = subqueries
+
+    def expression(self, expression: Expression, layout: Layout) -> Compiled:
+        """*expression* as a ``row -> value`` function over *layout* rows."""
+        return expression.compile(layout, self.subqueries)
+
+    def row(self, expressions: Sequence[Expression],
+            layout: Layout) -> Callable[[ExecRow], ExecRow]:
+        """*expressions* as one ``row -> tuple of their values`` function.
+
+        When every expression is a column reference that resolves, the
+        function is a single ``itemgetter`` over their slots.
+        """
+        slots = [
+            expr.slot(layout) if isinstance(expr, ColumnRef) else None
+            for expr in expressions
+        ]
+        if None not in slots:
+            return tuple_getter(slots)
+        compiled = [self.expression(expr, layout) for expr in expressions]
+        return lambda row: tuple([value(row) for value in compiled])
+
+
+PLAIN_COMPILER = Compiler()
+"""The compiler of operators built without one: no subquery runner."""
 
 
 class TableScan(PhysicalOperator):
@@ -78,10 +98,10 @@ class Filter(PhysicalOperator):
     """Keep rows whose predicate evaluates to TRUE (not FALSE, not UNKNOWN)."""
 
     def __init__(self, child: PhysicalOperator, predicate: Expression,
-                 subquery_executor: SubqueryRunner = None) -> None:
+                 compiler: Compiler = PLAIN_COMPILER) -> None:
         self.child = child
         self.predicate = predicate
-        self._predicate = predicate.compile(child.output_columns(), subquery_executor)
+        self._predicate = compiler.expression(predicate, child.output_columns())
 
     def rows(self) -> Iterator[ExecRow]:
         predicate = self._predicate
@@ -113,7 +133,7 @@ class Project(PhysicalOperator):
         items: Sequence[SelectItem],
         group_by: Sequence[ColumnRef] = (),
         distinct: bool = True,
-        subquery_executor: SubqueryRunner = None,
+        compiler: Compiler = PLAIN_COMPILER,
     ) -> None:
         if not items:
             raise ExecutionError("projection requires at least one select item")
@@ -125,11 +145,11 @@ class Project(PhysicalOperator):
         expressions = [item.expression for item in self.items]
         if self._has_aggregates():
             self._item_values: List[Compiled] = [
-                expr.compile(layout, subquery_executor) for expr in expressions
+                compiler.expression(expr, layout) for expr in expressions
             ]
-            self._group_key = compile_row(self.group_by, layout, subquery_executor)
+            self._group_key = compiler.row(self.group_by, layout)
         else:
-            self._values = compile_row(expressions, layout, subquery_executor)
+            self._values = compiler.row(expressions, layout)
 
     def output_columns(self) -> List[str]:
         return unique_output_names(self.items)
@@ -218,12 +238,12 @@ class Sort(PhysicalOperator):
     """ORDER BY over a materialized child output."""
 
     def __init__(self, child: PhysicalOperator, order_by: Sequence[OrderItem],
-                 subquery_executor: SubqueryRunner = None) -> None:
+                 compiler: Compiler = PLAIN_COMPILER) -> None:
         self.child = child
         self.order_by = list(order_by)
         layout = child.output_columns()
         self._keys = [
-            (item.expression.compile(layout, subquery_executor), item.descending)
+            (compiler.expression(item.expression, layout), item.descending)
             for item in self.order_by
         ]
 

@@ -14,8 +14,7 @@ and the simulated DBMS dialects override it to inject the logic bugs of Table 4.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.plan.logical import JoinType
 from repro.sqlvalue.casts import cast_for_domain
@@ -57,14 +56,15 @@ class JoinAlgorithm(enum.Enum):
         )
 
 
-@dataclass(frozen=True)
-class TriggerContext:
+class TriggerContext(NamedTuple):
     """Everything a fault needs to decide whether it fires at a given seam.
 
     Attributes mirror the trigger conditions quoted in the paper's bug reports:
     which physical algorithm runs, which logical join type, whether subquery
     materialization / semi-join transformation is active, the comparison domain
-    of the join keys, and whether the step sits below a subquery.
+    of the join keys, and whether the step sits below a subquery.  A named
+    tuple, so immutable and cheap to build: every plan builds one per join
+    step, and every join execution one more.
     """
 
     algorithm: Optional[JoinAlgorithm] = None

@@ -55,6 +55,22 @@ def sql_compare(left: Any, right: Any) -> Optional[int]:
     return 0
 
 
+def plain_kind(value: Any) -> Optional[type]:
+    """The kind of a value that ``==`` and ``hash`` compare exactly, or None.
+
+    ``str`` values form one kind and ``int`` / non-NaN ``float`` values
+    another.  Within a kind, ``==`` and ``hash`` agree with
+    ``sql_compare(...) == 0``, so equal values can be found by a set or dict
+    lookup.  ``bool``, ``Decimal``, NaN and NULL have no kind.
+    """
+    kind = type(value)
+    if kind is str:
+        return str
+    if kind is int or (kind is float and value == value):
+        return float
+    return None
+
+
 def sql_equal(left: Any, right: Any) -> Optional[bool]:
     """SQL ``=`` with three-valued logic."""
     cmp = sql_compare(left, right)

@@ -289,6 +289,12 @@ class TestCampaignConfigIsFrozen:
 _TQS_ONLY_DIFFERENTIAL_FLAGS = [
     pytest.param(["--query-cache"], "use_query_cache=True", id="query-cache"),
     pytest.param(["--batch-size", "4"], "pipeline_batch_size=4", id="batch-size"),
+    pytest.param(["--setop-probability", "0.4"], "setop_probability=0.4",
+                 id="setop-probability"),
+    pytest.param(["--scalar-subquery-probability", "0.3"],
+                 "scalar_subquery_probability=0.3", id="scalar-subquery-probability"),
+    pytest.param(["--cte-probability", "0.25"], "cte_probability=0.25",
+                 id="cte-probability"),
 ]
 _SMALL = ["--kind", "tqs", "--workers", "1", "--hours", "1",
           "--queries-per-hour", "2", "--dataset-rows", "20"]
@@ -327,3 +333,26 @@ class TestKindChecks:
                               batch_size=2)
         with pytest.raises(CampaignError, match="unknown campaign dialect"):
             run_campaign(CampaignSpec(dialect="SimNoSuchDB"))
+
+    @pytest.mark.parametrize("kind", ["tqs", "baseline"])
+    @pytest.mark.parametrize("probability", [
+        "setop_probability", "scalar_subquery_probability", "cte_probability",
+    ])
+    def test_widened_grammar_needs_a_differential_campaign(self, kind,
+                                                           probability):
+        # tqs generates through generate_query, which ignores set operations
+        # and CTEs, and its ground truth cannot evaluate a scalar subquery;
+        # baselines generate their own join queries.
+        spec = CampaignSpec(kind=kind, baseline="NoRec", dialect="SimMySQL",
+                            dataset_rows=30, hours=4, queries_per_hour=15,
+                            seed=3, **{probability: 0.4})
+        with pytest.raises(CampaignError, match=f"{probability}=0.4 needs a "
+                                                "differential campaign"):
+            run_campaign(spec)
+
+    def test_tqs_scalar_subqueries_are_refused_not_crashed(self):
+        spec = CampaignSpec(kind="tqs", scalar_subquery_probability=0.4,
+                            dialect="SimMySQL", dataset_rows=30, hours=4,
+                            queries_per_hour=15, seed=3)
+        with pytest.raises(CampaignError):
+            run_campaign(spec)

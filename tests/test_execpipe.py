@@ -9,10 +9,12 @@ differential campaign run serially, with ``batch_size=1``, and with
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import replace
 
 import pytest
 
+from repro import obs
 from repro.backends import SimulatedBackend, SQLiteBackend
 from repro.backends.base import BackendAdapter, BackendExecution
 from repro.core import (
@@ -29,6 +31,7 @@ from repro.core.differential import DifferentialConfig, DifferentialTester
 from repro.core.execpipe import ExecutionPipeline
 from repro.dsg import DSG, DSGConfig
 from repro.errors import BackendError, CampaignError
+from repro.obs import parse_key
 
 
 def incident_keys(result):
@@ -277,3 +280,64 @@ class TestCapabilityClamping:
         pipeline.run_batch([QueryJob(query=None, label="L") for _ in range(6)])
         assert len(backend.threads) == 1
         pipeline.close()
+
+
+# ------------------------------------------------------------- phase spans
+
+#: Seconds each side of the differential comparison sleeps per query.
+SIDE_SLEEP = 0.01
+
+
+def _sleep_before(instance, method):
+    """Make *instance*'s *method* sleep SIDE_SLEEP before it runs."""
+    plain = getattr(instance, method)
+
+    def sleeping(*args, **kwargs):
+        time.sleep(SIDE_SLEEP)
+        return plain(*args, **kwargs)
+
+    setattr(instance, method, sleeping)
+
+
+class TestOverlappedPhaseSpans:
+    def test_phase_spans_partition_a_pipelined_workers_wall_clock(self):
+        """Overlapped target and reference time is charged once.
+
+        Both sides sleep inside their spans per query, so at batch size 4
+        their spans add up to about twice the time the batches take; summed
+        as phases they would report more seconds than the worker ran.
+        """
+        config = CampaignConfig(dataset_rows=20, hours=2, queries_per_hour=8,
+                                seed=3)
+        tester = build_differential_tester(
+            SimulatedBackend(), config, pipeline=PipelineConfig(batch_size=4))
+        # The target's span times its engine; the reference's, its execute.
+        _sleep_before(tester.oracle.backend.engine, "execute_with_report")
+        _sleep_before(tester.oracle.reference, "execute")
+        previous = obs.set_enabled(True)
+        obs.reset_registry()
+        try:
+            result = CampaignResult(tool="t", dbms="d", dataset=config.dataset)
+            start = time.perf_counter()
+            run_campaign_loop(tester, result, config.hours,
+                              config.queries_per_hour)
+            wall = time.perf_counter() - start
+            snapshot = obs.get_registry().snapshot()
+        finally:
+            tester.close()
+            obs.reset_registry()
+            obs.set_enabled(previous)
+        assert result.final.queries_executed > 0
+        phases = snapshot.phase_seconds()
+        assert "execute.overlap" in phases
+        assert "execute.target" not in phases
+        assert "execute.reference" not in phases
+        assert obs.phase_total_seconds(snapshot) <= wall
+        # The helper threads' spans are still recorded, outside the phases.
+        overlapped = {
+            parse_key(key)[1]["phase"]: state.sum
+            for key, state in snapshot.histograms.items()
+            if parse_key(key)[0] == obs.OVERLAPPED_PHASE_HISTOGRAM
+        }
+        assert overlapped["execute.target"] >= SIDE_SLEEP * 4
+        assert overlapped["execute.reference"] >= SIDE_SLEEP * 4

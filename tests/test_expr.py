@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.errors import ExpressionError
+from repro.expr.ast import _membership
 from repro.expr import (
     And,
     Arithmetic,
@@ -33,6 +34,17 @@ from repro.sqlvalue.comparison import (
 )
 from repro.catalog import Column as CatColumn
 from repro.sqlvalue import integer, varchar
+
+
+_NUMBERS = st.one_of(st.integers(-3, 3), st.floats(-3, 3, width=16),
+                    st.sampled_from([0.0, -0.0, 2 ** 53, float(2 ** 53)]))
+_STRINGS = st.text(alphabet="ab1 ", max_size=2)
+#: Every kind of value an IN-list probe can meet, the awkward ones included.
+_IN_LIST_VALUES = st.one_of(
+    _NUMBERS, _STRINGS,
+    st.sampled_from([NULL, float("nan"), True, False, Decimal("1"),
+                     Decimal("-0"), Decimal("2.5"), 2 ** 53 + 1]),
+)
 
 
 def evaluate(expr, **values):
@@ -140,6 +152,49 @@ class TestOtherPredicates:
         not_in = InList(column("t", "a"), (lit(1), lit(2)), negated=True)
         assert evaluate(not_in, **{"t.a": 3}) is True
         assert evaluate(not_in, **{"t.a": 1}) is False
+
+    @given(
+        items=st.one_of(
+            st.lists(_NUMBERS, min_size=1, max_size=5),
+            st.lists(_STRINGS, min_size=1, max_size=5),
+            st.lists(_IN_LIST_VALUES, min_size=1, max_size=5),
+        ),
+        probe=_IN_LIST_VALUES,
+        negated=st.booleans(),
+    )
+    @example(items=[0.0], probe=-0.0, negated=False)
+    @example(items=[1, 2.5], probe=True, negated=True)
+    @example(items=[1, 2], probe=Decimal("1.0"), negated=False)
+    @example(items=["1"], probe=1, negated=False)
+    @example(items=[1.0], probe=float("nan"), negated=True)
+    @example(items=["a"], probe=float("nan"), negated=False)
+    def test_literal_in_list_equals_membership(self, items, probe, negated):
+        # NaN against a string still raises (sql_compare's open NaN
+        # decision): the compiled list must raise exactly when
+        # _membership does.
+        def outcome(compute):
+            try:
+                value = compute()
+            except ArithmeticError as error:
+                return type(error)
+            return type(value), value
+
+        expr = InList(column("t", "a"), tuple(lit(item) for item in items),
+                      negated=negated)
+        got = outcome(lambda: evaluate(expr, **{"t.a": probe}))
+        expected = (NULL.__class__, NULL) if probe is NULL else outcome(
+            lambda: _membership(probe, items, negated))
+        assert got == expected
+
+    def test_literals_of_one_kind_compile_to_a_set_probe(self):
+        layout = ("t.a",)
+        for items in ((1, 2.5, -0.0), ("a", "b")):
+            expr = InList(column("t", "a"), tuple(lit(item) for item in items))
+            assert expr.compile(layout).__name__ == "in_literals"
+        for items in ((1, "a"), (1, NULL), (True,), (Decimal("1"),),
+                      (float("nan"),)):
+            expr = InList(column("t", "a"), tuple(lit(item) for item in items))
+            assert expr.compile(layout).__name__ == "in_list"
 
     def test_is_null(self):
         assert evaluate(IsNull(lit(NULL))) is True

@@ -1,0 +1,243 @@
+"""A query prepared once and planned per hint set acts like one planned afresh.
+
+:meth:`Engine.execute_all_hints` prepares a join query once and sends every
+hint set through that prepared query, which reuses the query-only planning
+state and the compiled closures without subqueries.  Each hint set must still
+give what a fresh ``execute_with_report(query, hints)`` gives: the same rows
+in the same order, the same fired bug ids and the same plan text.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.engine import Engine
+from repro.engine.dialects import ALL_DIALECTS, SIM_TIDB
+from repro.errors import PlanError
+from repro.expr import (
+    And,
+    ColumnRef,
+    Comparison,
+    ExistsSubquery,
+    InSubquery,
+    column,
+    lit,
+)
+from repro.expr.ast import ScalarSubquery
+from repro.optimizer import join_order_hints, merge_join_hints, standard_hint_sets
+from repro.plan import (
+    AggregateFunction,
+    CompoundQuerySpec,
+    JoinStep,
+    JoinType,
+    OrderItem,
+    QuerySpec,
+    SelectItem,
+    SetOperator,
+    TableRef,
+)
+
+#: The standard hint sets plus one that swaps the two join steps, so that
+#: the later operators see another layout.
+HINT_SETS = standard_hint_sets() + [join_order_hints(("o", "g", "u"))]
+
+DIALECTS = [None] + list(ALL_DIALECTS)
+
+
+def goods_ids(where=None):
+    """``SELECT g2.goodsId FROM goods g2 LEFT JOIN orders o2 ... [WHERE ...]``.
+
+    Its join fires seeded faults under some hint sets, so a subquery run
+    under the wrong plan's hints shows in the fired ids.
+    """
+    return QuerySpec(
+        base=TableRef("goods", "g2"),
+        joins=[JoinStep(TableRef("orders", "o2"), JoinType.LEFT_OUTER,
+                        left_key=ColumnRef("g2", "goodsId"),
+                        right_key=ColumnRef("o2", "goodsId"))],
+        select=[SelectItem(column("g2", "goodsId"))], where=where)
+
+
+def max_price():
+    """A single-row scalar subquery over a semi-join: the top ordered price."""
+    return QuerySpec(
+        base=TableRef("goods", "g3"),
+        joins=[JoinStep(TableRef("orders", "o3"), JoinType.SEMI,
+                        left_key=ColumnRef("g3", "goodsId"),
+                        right_key=ColumnRef("o3", "goodsId"))],
+        select=[SelectItem(column("g3", "price"),
+                           aggregate=AggregateFunction.MAX)])
+
+
+def two_joins(user_join, goods_condition=None, **clauses):
+    """``orders o`` joined to ``users u`` by *user_join*, then to ``goods g``."""
+    user_keys = {} if user_join is JoinType.CROSS else dict(
+        left_key=ColumnRef("o", "userId"), right_key=ColumnRef("u", "userId"))
+    clauses.setdefault("select", [SelectItem(column("o", "orderId")),
+                                  SelectItem(column("g", "goodsName"))])
+    return QuerySpec(
+        base=TableRef("orders", "o"),
+        joins=[
+            JoinStep(TableRef("users", "u"), user_join, **user_keys),
+            JoinStep(TableRef("goods", "g"), JoinType.LEFT_OUTER,
+                     left_key=ColumnRef("o", "goodsId"),
+                     right_key=ColumnRef("g", "goodsId"),
+                     extra_condition=goods_condition),
+        ],
+        **clauses,
+    )
+
+
+QUERIES = {
+    **{f"join-{join_type.value}": two_joins(join_type) for join_type in JoinType},
+    "residual-condition": two_joins(
+        JoinType.INNER,
+        goods_condition=Comparison(">", column("g", "price"), lit(6))),
+    "group-by": two_joins(
+        JoinType.INNER,
+        select=[SelectItem(column("o", "userId")),
+                SelectItem(column("g", "goodsId"),
+                           aggregate=AggregateFunction.COUNT),
+                SelectItem(column("g", "price"), aggregate=AggregateFunction.SUM)],
+        group_by=[column("o", "userId")]),
+    "order-by-limit": two_joins(
+        JoinType.LEFT_OUTER,
+        select=[SelectItem(column("o", "orderId")), SelectItem(column("g", "price"))],
+        order_by=[OrderItem(column("g", "price"), descending=True),
+                  OrderItem(column("o", "orderId"))],
+        limit=3, distinct=False),
+    "in-subquery-where": two_joins(
+        JoinType.INNER,
+        where=InSubquery(column("o", "goodsId"),
+                         goods_ids(Comparison(">", column("g2", "price"), lit(6))))),
+    "exists-where": two_joins(
+        JoinType.LEFT_OUTER,
+        where=And(ExistsSubquery(goods_ids()),
+                  Comparison("<>", column("o", "orderId"), lit("0002")))),
+    "scalar-select": two_joins(
+        JoinType.INNER,
+        select=[SelectItem(column("o", "orderId")),
+                SelectItem(ScalarSubquery(max_price()), alias="top")]),
+    "in-subquery-select": two_joins(
+        JoinType.FULL_OUTER,
+        select=[SelectItem(column("o", "orderId")),
+                SelectItem(InSubquery(column("g", "goodsId"), goods_ids()),
+                           alias="known")]),
+    "subquery-join-condition": two_joins(
+        JoinType.INNER,
+        goods_condition=Comparison("<", column("g", "price"),
+                                   ScalarSubquery(max_price()))),
+    "subquery-order-by": two_joins(
+        JoinType.INNER,
+        select=[SelectItem(column("o", "orderId")), SelectItem(column("g", "goodsId"))],
+        order_by=[OrderItem(InSubquery(column("g", "goodsId"),
+                                       goods_ids(Comparison("<", column("g2", "price"),
+                                                            lit(12)))))],
+        distinct=False),
+}
+
+
+def report_record(report):
+    return (report.result.columns, report.result.rows, report.fired_bug_ids,
+            report.hints.name, report.plan_description)
+
+
+@pytest.mark.parametrize("dialect", DIALECTS,
+                         ids=lambda dialect: getattr(dialect, "name", "clean"))
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_prepared_plans_match_fresh_plans(orders_db, dialect, name):
+    query = QUERIES[name]
+    shared = Engine(orders_db, dialect).execute_all_hints(query, HINT_SETS)
+    assert len(shared) == len(HINT_SETS)
+    for hints, report in zip(HINT_SETS, shared):
+        fresh = Engine(orders_db, dialect).execute_with_report(query, hints)
+        assert report_record(report) == report_record(fresh)
+
+
+def test_the_queries_exercise_reordering_and_faults(orders_db):
+    """The fixture is not vacuous: the join order hint changes a plan's
+    layout, and seeded faults fire somewhere."""
+    query = QUERIES["join-inner"]
+    engine = Engine(orders_db)
+    reordered = engine.plan(query, HINT_SETS[-1]).explain()
+    assert reordered != engine.plan(query, HINT_SETS[0]).explain()
+    assert reordered.index("goods") < reordered.index("users")
+    fired = {
+        bug
+        for dialect in ALL_DIALECTS
+        for query in QUERIES.values()
+        for report in Engine(orders_db, dialect).execute_all_hints(query, HINT_SETS)
+        for bug in report.fired_bug_ids
+    }
+    assert len(fired) >= 5
+
+
+def test_a_subquery_never_evaluated_under_one_hint_set_fires_nothing(orders_db):
+    # Under merge_join hints SimTiDB empties the outer semi-join (bug 15),
+    # so the WHERE subquery never runs.  Run, its left outer merge join
+    # would fire bug 17; under the other hint sets it runs and fires nothing.
+    subquery = QuerySpec(
+        base=TableRef("goods", "g2"),
+        joins=[JoinStep(TableRef("orders", "o2"), JoinType.LEFT_OUTER,
+                        left_key=ColumnRef("g2", "goodsId"),
+                        right_key=ColumnRef("o2", "goodsId"))],
+        select=[SelectItem(column("g2", "goodsId"))],
+    )
+    query = QuerySpec(
+        base=TableRef("orders", "o"),
+        joins=[JoinStep(TableRef("users", "u"), JoinType.SEMI,
+                        left_key=ColumnRef("o", "userId"),
+                        right_key=ColumnRef("u", "userId"))],
+        select=[SelectItem(column("o", "orderId"))],
+        where=InSubquery(column("o", "goodsId"), subquery),
+    )
+    engine = Engine(orders_db, SIM_TIDB)
+    assert 17 in engine.execute_with_report(subquery, merge_join_hints()).fired_bug_ids
+    hint_sets = [HINT_SETS[0], merge_join_hints(), HINT_SETS[0]]
+    reports = engine.execute_all_hints(query, hint_sets)
+    assert [len(report.result) for report in reports] == [3, 0, 3]
+    assert [report.fired_bug_ids for report in reports] == [(), (15,), ()]
+
+
+def test_plan_description_read_after_execution_is_the_plans_explain(orders_db):
+    query = QUERIES["subquery-join-condition"]
+    engine = Engine(orders_db, ALL_DIALECTS[0])
+    reports = engine.execute_all_hints(query, HINT_SETS)
+    for hints, report in zip(HINT_SETS, reports):
+        assert report.plan_description == engine.plan(query, hints).explain()
+
+
+def test_compound_plan_text_joins_its_arms(orders_db):
+    arms = [QUERIES["join-inner"], QUERIES["residual-condition"]]
+    compound = CompoundQuerySpec(arms=arms, operators=[SetOperator.UNION])
+    engine = Engine(orders_db)
+    hints = HINT_SETS[1]
+    report = engine.execute_all_hints(compound, [hints])[0]
+    assert report.plan_description == "\n".join([
+        engine.plan(arms[0], hints).explain(),
+        SetOperator.UNION.render(),
+        engine.plan(arms[1], hints).explain(),
+    ])
+
+
+def test_a_prepared_query_reads_its_query_once(orders_db):
+    """A prepared query keeps what its first plan read; the query itself,
+    changed in place (as NoREC and PQS change ``where``), is prepared afresh
+    by its next execution."""
+    query = two_joins(JoinType.INNER)
+    engine = Engine(orders_db)
+    prepared = engine.planner.prepare(query)
+    everything = set(engine.execute_with_report(prepared, HINT_SETS[0]).result.rows)
+    query.where = Comparison("=", column("o", "orderId"), lit("0003"))
+    assert set(engine.execute_with_report(prepared, HINT_SETS[1]).result.rows) == (
+        everything)
+    filtered = set(engine.execute_with_report(query, HINT_SETS[1]).result.rows)
+    assert filtered and filtered < everything
+    assert all(row[0] == "0003" for row in filtered)
+
+
+def test_a_query_prepared_by_another_engine_is_refused(orders_db):
+    query = QUERIES["join-inner"]
+    prepared = Engine(orders_db).planner.prepare(query)
+    with pytest.raises(PlanError):
+        Engine(orders_db).execute_with_report(prepared, HINT_SETS[0])
