@@ -22,6 +22,7 @@ from repro.dsg import (
 )
 from repro.expr import ColumnRef, Comparison, Literal, column
 from repro.plan import JoinStep, JoinType, QuerySpec, SelectItem, TableRef
+from repro.plan.sqlrender import SQLRenderer
 
 
 def show_wide(ndb, limit=8):
@@ -82,7 +83,7 @@ def main() -> None:
         select=[SelectItem(column(prices, "price"))],
         where=Comparison("=", column(goods, "goodsName"), Literal("flower")),
     )
-    print(query.render())
+    print(SQLRenderer().query(query))
     from repro.dsg import GroundTruthOracle
 
     truth = GroundTruthOracle(ndb).compute(query)

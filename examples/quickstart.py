@@ -18,7 +18,7 @@ Run with:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import DSG, DSGConfig, Engine, SIM_MYSQL, TQS, TQSConfig
+from repro import DSG, DSGConfig, Engine, SIM_MYSQL, SQLRenderer, TQS, TQSConfig
 
 
 def main() -> None:
@@ -32,7 +32,7 @@ def main() -> None:
 
     print("=== 2. One generated query and its transformations ===")
     query = dsg.generate_query()
-    print(query.render())
+    print(SQLRenderer().query(query))
     transformed = dsg.transform_query(query)
     print(f"... transformed into {len(transformed)} hinted variants, e.g.:")
     print(transformed[1].render())

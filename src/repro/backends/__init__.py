@@ -1,8 +1,9 @@
-"""Real-DBMS backend subsystem: SQL rendering plus engine adapters.
+"""Real-DBMS backend subsystem: engine adapters over the SQL renderer.
 
 This package is the bridge between the TQS pipeline's internal IR and external
-database engines.  :mod:`repro.backends.sqlrender` serializes query specs,
-expression trees and DSG-generated databases into dialect-parameterized SQL;
+database engines.  The adapters render through :mod:`repro.plan.sqlrender`
+(re-exported here), which serializes query specs, expression trees and
+DSG-generated databases into dialect-parameterized SQL;
 :mod:`repro.backends.base` defines the adapter protocol every engine implements;
 :mod:`repro.backends.sqlite_backend` is the first real adapter (stdlib sqlite3),
 :mod:`repro.backends.duckdb_backend` the second (import-gated on the optional
@@ -20,7 +21,7 @@ from repro.backends.duckdb_backend import DuckDBBackend, duckdb_available
 from repro.backends.simulated import SimulatedBackend
 from repro.backends.sqlbase import RenderedSQLBackend
 from repro.backends.sqlite_backend import SQLiteBackend, to_sqlite_value
-from repro.backends.sqlrender import (
+from repro.plan.sqlrender import (
     ANSI_DIALECT,
     DUCKDB_DIALECT,
     MYSQL_DIALECT,

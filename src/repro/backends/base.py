@@ -5,7 +5,7 @@ needs from a query executor: connect, deploy a DSG-generated database (schema
 then data), execute logical queries, explain them, and close.  Real engines
 (:class:`~repro.backends.sqlite_backend.SQLiteBackend`, future DuckDB / MySQL /
 Postgres adapters) render the IR to SQL through a
-:class:`~repro.backends.sqlrender.SQLRenderer`; the
+:class:`~repro.plan.sqlrender.SQLRenderer`; the
 :class:`~repro.backends.simulated.SimulatedBackend` wraps an in-process
 :class:`~repro.engine.engine.Engine` so the seeded-fault dialects can be driven
 through the exact same interface (which is also how the differential oracle's

@@ -29,8 +29,8 @@ from __future__ import annotations
 from typing import Any, List, Optional
 
 from repro.backends.sqlbase import RenderedSQLBackend
-from repro.backends.sqlrender import DUCKDB_DIALECT, SQLRenderer
 from repro.errors import BackendError
+from repro.plan.sqlrender import DUCKDB_DIALECT, SQLRenderer
 
 try:  # pragma: no cover - presence depends on the environment
     import duckdb

@@ -74,8 +74,8 @@ class SimulatedBackend(BackendAdapter):
         registry.observe_phase("execute.target", elapsed)
         registry.histogram("execute.seconds", backend=self.name).observe(elapsed)
         # sql stays empty: the engine executes the IR directly, and incident
-        # filing falls back to query.render() — rendering eagerly here would
-        # waste a full tree walk on every matching query of a campaign.
+        # filing falls back to the reference-dialect SQLRenderer — rendering
+        # eagerly here would waste a full tree walk on every matching query.
         return BackendExecution(
             result=report.result,
             fired_bug_ids=report.fired_bug_ids,

@@ -15,15 +15,15 @@ handling then land in one place instead of drifting per adapter.
 from __future__ import annotations
 
 import time
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from repro import obs
 from repro.backends.base import BackendAdapter, BackendExecution
-from repro.backends.sqlrender import SQLRenderer
 from repro.catalog.schema import DatabaseSchema
 from repro.engine.resultset import ResultSet
 from repro.errors import BackendError
 from repro.plan.logical import AnyQuerySpec
+from repro.plan.sqlrender import SQLRenderer
 from repro.storage.database import Database
 from repro.sqlvalue.values import null_if_none
 
@@ -48,9 +48,6 @@ class RenderedSQLBackend(BackendAdapter):
     def __init__(self, renderer: SQLRenderer) -> None:
         self.renderer = renderer
         self.statements_executed = 0
-        # Optional content-addressed cache for rendered query text; attached
-        # by campaign wiring (see repro.core.campaign) when caching is on.
-        self.query_cache: Optional[Any] = None
 
     # -------------------------------------------------------- driver hooks
 
@@ -126,29 +123,10 @@ class RenderedSQLBackend(BackendAdapter):
                 for row in cursor.fetchall()]
         return ResultSet(columns, rows)
 
-    def _render_query(self, query: AnyQuerySpec) -> str:
-        """Render *query*, via the render cache when one is attached.
-
-        The key is content-addressed on (backend name, canonical SQL), so a
-        hit returns byte-identical text to a fresh render.
-        """
-        if self.query_cache is None:
-            return self.renderer.query(query)
-        # Deferred import: repro.core packages import the backends package.
-        from repro.core.qcache import render_cache_key
-
-        key = render_cache_key(self.name, query.render())
-        hit, cached = self.query_cache.get(key, "render")
-        if hit:
-            return str(cached)
-        sql = self.renderer.query(query)
-        self.query_cache.put(key, sql, "render")
-        return sql
-
     def execute(self, query: AnyQuerySpec) -> BackendExecution:
         registry = obs.get_registry()
         with registry.span("render"):
-            sql = self._render_query(query)
+            sql = self.renderer.query(query)
         start = time.perf_counter()
         result = self.execute_sql(sql)
         elapsed = time.perf_counter() - start

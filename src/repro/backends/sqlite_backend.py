@@ -33,8 +33,8 @@ from decimal import Decimal
 from typing import Any, List, Optional
 
 from repro.backends.sqlbase import RenderedSQLBackend
-from repro.backends.sqlrender import SQLITE_DIALECT, SQLRenderer
 from repro.errors import BackendError
+from repro.plan.sqlrender import SQLITE_DIALECT, SQLRenderer
 from repro.sqlvalue.values import is_null
 
 _INT64_MIN = -(2 ** 63)

@@ -22,6 +22,7 @@ from repro.expr.ast import ColumnRef, Comparison, Literal
 from repro.kqe.isomorphism import IsomorphicSetCounter
 from repro.kqe.query_graph import QueryGraphBuilder
 from repro.plan.logical import JoinStep, JoinType, QuerySpec, SelectItem, TableRef
+from repro.plan.sqlrender import SQLRenderer
 
 
 class BaselineTester:
@@ -143,7 +144,7 @@ class BaselineTester:
         self.bug_log.record(
             BugIncident(
                 dbms=self.engine.name,
-                query_sql=query.render(report.hints.render_comment()),
+                query_sql=SQLRenderer().query(query, report.hints.render_comment()),
                 hint_name=report.hints.name,
                 detection_mode=mode,
                 query_canonical_label=label,

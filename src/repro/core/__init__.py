@@ -43,7 +43,6 @@ from repro.core.execpipe import ExecutionPipeline, PipelineConfig, QueryJob
 from repro.core.qcache import (
     QueryCache,
     dataset_fingerprint,
-    render_cache_key,
     result_cache_key,
 )
 from repro.core.reduction import QueryReducer
@@ -87,7 +86,6 @@ __all__ = [
     "build_tqs_tester",
     "dataset_fingerprint",
     "derive_worker_seed",
-    "render_cache_key",
     "result_cache_key",
     "register_budget_policy",
     "registered_budget_policies",

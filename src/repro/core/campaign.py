@@ -448,9 +448,9 @@ def build_differential_tester(backend: BackendAdapter, config: CampaignConfig,
     """Deploy a DSG database into *backend* and wrap it in a tester.
 
     ``config.use_query_cache`` attaches a fresh
-    :class:`~repro.core.qcache.QueryCache` serving both reference results and
-    the backend's rendered SQL (pass *query_cache* to share one across
-    testers, e.g. for repeat-campaign benches).
+    :class:`~repro.core.qcache.QueryCache` serving reference results (pass
+    *query_cache* to share one across testers, e.g. for repeat-campaign
+    benches).
 
     A failed build (DSG, schema rejected, data unloadable) closes the
     adapter before re-raising, so callers that never obtain a tester cannot
@@ -464,8 +464,6 @@ def build_differential_tester(backend: BackendAdapter, config: CampaignConfig,
         reference = reference or reference_engine(dsg.database)
         if query_cache is None and config.use_query_cache:
             query_cache = QueryCache()
-        if query_cache is not None and hasattr(backend, "query_cache"):
-            backend.query_cache = query_cache
         backend.deploy(dsg.database)
         return DifferentialTester(dsg, backend, reference=reference,
                                   config=differential, pipeline=pipeline,

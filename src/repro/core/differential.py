@@ -37,6 +37,7 @@ from repro.kqe.explorer import KQE
 from repro.kqe.isomorphism import IsomorphicSetCounter
 from repro.kqe.query_graph import QueryGraphBuilder
 from repro.plan.logical import AnyQuerySpec, CompoundQuerySpec
+from repro.plan.sqlrender import SQLRenderer
 from repro.sqlvalue.comparison import values_close
 from repro.sqlvalue.values import row_sort_key
 
@@ -144,7 +145,7 @@ class DifferentialOracle:
                           label: str = "") -> ResultSet:
         """Run *query* on the reference engine, through the result cache.
 
-        Cache keys are content-addressed (canonical SQL + dataset
+        Cache keys are content-addressed (reference-dialect SQL + dataset
         fingerprint), so a hit returns exactly what the miss path would
         recompute — the cache-on == cache-off determinism contract.  Only the
         actual execution is timed under ``execute.reference``; that is the
@@ -159,7 +160,7 @@ class DifferentialOracle:
                 self.reference.database
             )
         key = result_cache_key(
-            label, self._dataset_fingerprint, query.render()
+            label, self._dataset_fingerprint, SQLRenderer().query(query)
         )
         hit, cached = cache.get(key, "result")
         if hit:
@@ -228,7 +229,7 @@ class DifferentialOracle:
         if not matched:
             incident = BugIncident(
                 dbms=self.backend.name,
-                query_sql=execution.sql or query.render(),
+                query_sql=execution.sql or SQLRenderer().query(query),
                 hint_name="default",
                 detection_mode="backend_differential",
                 query_canonical_label=label,

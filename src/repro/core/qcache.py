@@ -1,25 +1,21 @@
-"""Content-addressed cache for rendered SQL and reference result sets.
+"""Content-addressed cache for reference result sets.
 
 Differential campaigns recompute a lot of identical work: repeat campaigns and
 multi-run benches re-execute the same generated queries against the same
 dataset, and the reference side is the expensive one (``execute.reference``
 dominates the phase breakdown).  :class:`QueryCache` is a small thread-safe
-LRU that memoizes both halves:
+LRU holding **result entries**: the bug-free reference
+:class:`~repro.engine.resultset.ResultSet` for one (canonical label, dataset
+fingerprint, reference SQL).
 
-* **result entries** — the bug-free reference :class:`~repro.engine.resultset.ResultSet`
-  for one (canonical label, dataset fingerprint, canonical SQL);
-* **render entries** — the dialect-specific SQL text a backend's renderer
-  produced for one (backend, canonical SQL).
-
-Every key is *content-addressed*: a SHA-256 over the canonical query text
-(:meth:`~repro.plan.logical.QuerySpec.render` /
-:meth:`~repro.plan.logical.CompoundQuerySpec.render`, the deterministic
-reference rendering — covering the widened grammar too: set-operation
-compounds, ``WITH`` wrappers and scalar subqueries all render canonically),
-the :func:`dataset_fingerprint` of the exact table contents, and
-the backend name.  Nothing identity- or ordering-dependent may
-feed a key — no ``id()``, no ``hash()``, no raw dict iteration — which the
-``DET003`` lint rule enforces over this module's import closure.  Canonical
+Every key is *content-addressed*: a SHA-256 over the query text in the
+reference dialect (:class:`~repro.plan.sqlrender.SQLRenderer`'s deterministic
+rendering, covering the widened grammar too: set-operation compounds,
+``WITH`` wrappers and scalar subqueries), the canonical label and the
+:func:`dataset_fingerprint` of the exact table contents.  Nothing identity- or
+ordering-dependent may feed a key — no ``id()``, no ``hash()``, no raw dict
+iteration — which the ``DET003`` lint rule enforces over this module's import
+closure.  Canonical
 keys are what make the determinism contract hold: cache-on and cache-off runs
 produce bit-identical verdicts because a hit can only ever return exactly what
 the miss path would have recomputed.
@@ -81,21 +77,11 @@ def result_cache_key(label: str, fingerprint: str, canonical_sql: str) -> str:
     return _digest(("result/v2", label, fingerprint, canonical_sql))
 
 
-def render_cache_key(backend: str, canonical_sql: str) -> str:
-    """Cache key for one backend renderer's SQL text.
-
-    Rendered SQL depends only on the query and the dialect, never on the
-    dataset, so the fingerprint stays out of this key.
-    """
-    return _digest(("render/v1", backend, canonical_sql))
-
-
 class QueryCache:
     """Thread-safe LRU mapping content-addressed keys to cached values.
 
-    One instance may be shared by the reference oracle (result entries) and a
-    backend adapter (render entries) — the key prefixes keep the namespaces
-    apart — and by the worker threads of the execution pipeline.
+    One instance may be shared by several testers' reference oracles and by
+    the worker threads of the execution pipeline.
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
@@ -114,7 +100,7 @@ class QueryCache:
     def get(self, key: str, kind: str) -> Tuple[bool, Any]:
         """``(hit, value)`` for *key*; a hit refreshes LRU recency.
 
-        *kind* ("result" / "render") only labels the telemetry counters.
+        *kind* (``"result"``) only labels the telemetry counters.
         """
         with self._lock:
             if key in self._entries:

@@ -131,10 +131,10 @@ class QueryReducer:
             return query
         current = query
         for _ in range(self.max_rounds):
-            before = current.render()
+            before = current
             current = self._reduce_joins(current)
             current = self._reduce_where(current)
             current = self._reduce_select(current)
-            if current.render() == before:
+            if current == before:
                 break
         return current

@@ -30,6 +30,7 @@ from repro.kqe.explorer import KQE
 from repro.kqe.isomorphism import IsomorphicSetCounter
 from repro.kqe.query_graph import QueryGraphBuilder
 from repro.plan.logical import QuerySpec
+from repro.plan.sqlrender import SQLRenderer
 
 
 @dataclass
@@ -102,7 +103,8 @@ class TQS:
             incidents.append(
                 BugIncident(
                     dbms=self.engine.name,
-                    query_sql=query.render(report.hints.render_comment()),
+                    query_sql=SQLRenderer().query(
+                        query, report.hints.render_comment()),
                     hint_name=report.hints.name,
                     detection_mode="ground_truth",
                     query_canonical_label=label,
@@ -141,7 +143,8 @@ class TQS:
             incidents.append(
                 BugIncident(
                     dbms=self.engine.name,
-                    query_sql=query.render(report.hints.render_comment()),
+                    query_sql=SQLRenderer().query(
+                        query, report.hints.render_comment()),
                     hint_name=report.hints.name,
                     detection_mode="differential",
                     query_canonical_label=label,
@@ -168,7 +171,7 @@ class TQS:
 
         reducer = QueryReducer(still_fails)
         minimized = reducer.reduce(query)
-        return minimized.render(hints.render_comment())
+        return SQLRenderer().query(minimized, hints.render_comment())
 
     # ------------------------------------------------------------------ public
 

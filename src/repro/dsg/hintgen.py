@@ -29,6 +29,7 @@ from repro.optimizer.hints import (
     no_semijoin_hints,
 )
 from repro.plan.logical import JoinType, QuerySpec
+from repro.plan.sqlrender import SQLRenderer
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,8 @@ class TransformedQuery:
     hints: HintSet
 
     def render(self) -> str:
-        """SQL text with the hint comment embedded."""
-        return self.query.render(self.hints.render_comment())
+        """Bug-report SQL: the reference dialect with the hint comment embedded."""
+        return SQLRenderer().query(self.query, self.hints.render_comment())
 
 
 class HintGenerator:

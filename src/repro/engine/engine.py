@@ -118,7 +118,7 @@ class Engine:
                 part
                 for report, op in zip(reports, list(query.operators) + [None])
                 for part in ([report.plan_description] +
-                             ([op.render()] if op is not None else []))
+                             ([op.value] if op is not None else []))
             )
 
         return ExecutionReport(

@@ -1,7 +1,8 @@
 """Expression AST shared by filters, join conditions, projections and subqueries.
 
-Every node compiles itself against a row layout into a closure over tuple rows,
-renders itself back to SQL text, and reports the columns it references.
+Every node compiles itself against a row layout into a closure over tuple rows
+and reports the columns it references; :mod:`repro.plan.sqlrender` turns a tree
+into SQL text.
 :meth:`Expression.compile` takes the layout -- the column names of the rows the
 closure will see, in slot order -- and the plan's subquery runner, resolves
 every column reference to a slot once, and returns a ``row -> value`` function;
@@ -28,7 +29,7 @@ from repro.sqlvalue.comparison import (
     sql_equal,
     truth_value,
 )
-from repro.sqlvalue.values import NULL, is_null, render_literal
+from repro.sqlvalue.values import NULL, is_null
 
 ColumnKey = Tuple[Optional[str], str]
 """A (table-or-alias, column) pair; the table part may be None for unqualified refs."""
@@ -81,10 +82,6 @@ class Expression:
         row = ctx.row
         return self.compile(tuple(row), ctx.subquery_executor)(tuple(row.values()))
 
-    def render(self) -> str:
-        """Render the node back to SQL text."""
-        raise NotImplementedError
-
     def children(self) -> Sequence["Expression"]:
         """Direct child expressions."""
         return ()
@@ -100,14 +97,8 @@ class Expression:
             stack.extend(node.children())
         return refs
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.render()
 
-    def __repr__(self) -> str:  # pragma: no cover - convenience
-        return f"{type(self).__name__}({self.render()})"
-
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class ColumnRef(Expression):
     """A reference to ``table.column`` (table may be an alias or None)."""
 
@@ -139,18 +130,13 @@ class ColumnRef(Expression):
         slot = self.slot(layout)
         if slot is not None:
             return itemgetter(slot)
-        message = (
-            f"cannot resolve column {self.render()} "
-            f"against row keys {sorted(layout)}"
-        )
+        name = f"{self.table}.{self.column}" if self.table else self.column
+        message = f"cannot resolve column {name} against row keys {sorted(layout)}"
 
         def unresolved(row: tuple) -> Any:
             raise ExpressionError(message)
 
         return unresolved
-
-    def render(self) -> str:
-        return f"{self.table}.{self.column}" if self.table else self.column
 
     @property
     def key(self) -> ColumnKey:
@@ -158,7 +144,7 @@ class ColumnRef(Expression):
         return (self.table, self.column)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Literal(Expression):
     """A constant value."""
 
@@ -167,9 +153,6 @@ class Literal(Expression):
     def compile(self, layout: Layout, subqueries: SubqueryRunner = None) -> Compiled:
         value = self.value
         return lambda row: value
-
-    def render(self) -> str:
-        return render_literal(self.value)
 
 
 _COMPARISON_OUTCOMES = {
@@ -189,7 +172,7 @@ _PLAIN_TYPES = (str, int, float)
 """Types whose same-type pairs compare natively, as in ``sql_compare``."""
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Comparison(Expression):
     """A binary comparison with three-valued logic."""
 
@@ -231,11 +214,8 @@ class Comparison(Expression):
 
         return compare
 
-    def render(self) -> str:
-        return f"({self.left.render()} {self.op} {self.right.render()})"
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class IsNull(Expression):
     """``expr IS [NOT] NULL`` (never UNKNOWN)."""
 
@@ -251,12 +231,8 @@ class IsNull(Expression):
             return lambda row: not is_null(operand(row))
         return lambda row: is_null(operand(row))
 
-    def render(self) -> str:
-        suffix = "IS NOT NULL" if self.negated else "IS NULL"
-        return f"({self.operand.render()} {suffix})"
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Not(Expression):
     """Logical NOT with three-valued logic."""
 
@@ -274,11 +250,8 @@ class Not(Expression):
 
         return negate
 
-    def render(self) -> str:
-        return f"(NOT {self.operand.render()})"
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class And(Expression):
     """N-ary logical AND."""
 
@@ -319,11 +292,8 @@ class And(Expression):
 
         return conjunction
 
-    def render(self) -> str:
-        return "(" + " AND ".join(op.render() for op in self.operands) + ")"
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Or(Expression):
     """N-ary logical OR."""
 
@@ -364,11 +334,8 @@ class Or(Expression):
 
         return disjunction
 
-    def render(self) -> str:
-        return "(" + " OR ".join(op.render() for op in self.operands) + ")"
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Between(Expression):
     """``expr [NOT] BETWEEN low AND high``."""
 
@@ -396,15 +363,8 @@ class Between(Expression):
 
         return between
 
-    def render(self) -> str:
-        keyword = "NOT BETWEEN" if self.negated else "BETWEEN"
-        return (
-            f"({self.operand.render()} {keyword} "
-            f"{self.low.render()} AND {self.high.render()})"
-        )
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class InList(Expression):
     """``expr [NOT] IN (v1, v2, ...)`` with correct NULL semantics."""
 
@@ -448,13 +408,8 @@ class InList(Expression):
 
         return in_list
 
-    def render(self) -> str:
-        keyword = "NOT IN" if self.negated else "IN"
-        items = ", ".join(item.render() for item in self.items)
-        return f"({self.operand.render()} {keyword} ({items}))"
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class InSubquery(Expression):
     """``expr [NOT] IN (SELECT ...)``; the subquery is a logical QuerySpec."""
 
@@ -483,12 +438,8 @@ class InSubquery(Expression):
 
         return in_subquery
 
-    def render(self) -> str:
-        keyword = "NOT IN" if self.negated else "IN"
-        return f"({self.operand.render()} {keyword} ({self.subquery.render()}))"
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class ExistsSubquery(Expression):
     """``[NOT] EXISTS (SELECT ...)``."""
 
@@ -502,12 +453,8 @@ class ExistsSubquery(Expression):
         negated = bool(self.negated)
         return lambda row: bool(subqueries(subquery)) is not negated
 
-    def render(self) -> str:
-        keyword = "NOT EXISTS" if self.negated else "EXISTS"
-        return f"({keyword} ({self.subquery.render()}))"
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class ScalarSubquery(Expression):
     """``(SELECT ...)`` used as a scalar value; the subquery is a QuerySpec.
 
@@ -540,14 +487,11 @@ class ScalarSubquery(Expression):
         resolve = self.resolve_rows
         return lambda row: resolve(subqueries(subquery))
 
-    def render(self) -> str:
-        return f"({self.subquery.render()})"
-
 
 _ARITHMETIC_OPS = {"+", "-", "*", "/"}
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Arithmetic(Expression):
     """Binary arithmetic; division by zero yields NULL (MySQL semantics).
 
@@ -591,11 +535,8 @@ class Arithmetic(Expression):
 
         return arithmetic
 
-    def render(self) -> str:
-        return f"({self.left.render()} {self.op} {self.right.render()})"
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class FunctionCall(Expression):
     """A small set of scalar functions needed by the generated workloads."""
 
@@ -636,10 +577,6 @@ class FunctionCall(Expression):
             raise ExpressionError(f"unsupported function {self.name!r}")  # pragma: no cover
 
         return call
-
-    def render(self) -> str:
-        args = ", ".join(arg.render() for arg in self.args)
-        return f"{self.name.upper()}({args})"
 
 
 def _numeric_operands(a: Any, b: Any) -> Tuple[Any, Any]:

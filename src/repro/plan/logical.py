@@ -3,8 +3,9 @@
 A :class:`QuerySpec` is deliberately close to the AST of Figure 5 in the paper: a
 SELECT statement over a left-deep chain of joins generated by a random walk on the
 schema graph, plus optional filters, projections, DISTINCT, GROUP BY aggregates and
-ORDER BY.  The spec can render itself back to SQL text (with optional hint
-comments), which is how the campaign logs reproduce bug reports.
+ORDER BY.  :class:`~repro.plan.sqlrender.SQLRenderer` turns a spec into SQL text
+(with optional hint comments); its reference dialect is how the campaign logs
+reproduce bug reports.
 """
 
 from __future__ import annotations
@@ -39,18 +40,6 @@ class JoinType(enum.Enum):
         """Whether columns of the right input appear in the join output."""
         return self not in (JoinType.SEMI, JoinType.ANTI)
 
-    def render(self) -> str:
-        """SQL keyword for this join type."""
-        return {
-            JoinType.INNER: "INNER JOIN",
-            JoinType.LEFT_OUTER: "LEFT OUTER JOIN",
-            JoinType.RIGHT_OUTER: "RIGHT OUTER JOIN",
-            JoinType.FULL_OUTER: "FULL OUTER JOIN",
-            JoinType.CROSS: "CROSS JOIN",
-            JoinType.SEMI: "SEMI JOIN",
-            JoinType.ANTI: "ANTI JOIN",
-        }[self]
-
 
 class AggregateFunction(enum.Enum):
     """Aggregates supported in the SELECT list (node 8 of Figure 5)."""
@@ -68,12 +57,6 @@ class TableRef:
 
     table: str
     alias: str
-
-    def render(self) -> str:
-        """Render as ``table AS alias`` (or just the name when they match)."""
-        if self.table == self.alias:
-            return self.table
-        return f"{self.table} AS {self.alias}"
 
 
 @dataclass(frozen=True)
@@ -95,18 +78,9 @@ class JoinStep:
         if self.join_type is not JoinType.CROSS:
             if self.left_key is None or self.right_key is None:
                 raise PlanError(
-                    f"{self.join_type.value} join on {self.table.render()} "
+                    f"{self.join_type.value} join on {self.table.table} "
                     "requires both join keys"
                 )
-
-    def condition_sql(self) -> str:
-        """Render the ON condition."""
-        if self.join_type is JoinType.CROSS:
-            return ""
-        text = f"{self.left_key.render()} = {self.right_key.render()}"
-        if self.extra_condition is not None:
-            text += f" AND {self.extra_condition.render()}"
-        return text
 
 
 @dataclass(frozen=True)
@@ -116,15 +90,6 @@ class SelectItem:
     expression: Expression
     alias: Optional[str] = None
     aggregate: Optional[AggregateFunction] = None
-
-    def render(self) -> str:
-        """Render for the SELECT list."""
-        inner = self.expression.render()
-        if self.aggregate is not None:
-            inner = f"{self.aggregate.value}({inner})"
-        if self.alias:
-            return f"{inner} AS {self.alias}"
-        return inner
 
     def output_name(self, position: int) -> str:
         """Column name of this item in the result set."""
@@ -169,8 +134,8 @@ class OrderItem:
     sorts NULL below every non-NULL value, i.e. NULLS FIRST ascending and
     NULLS LAST descending.  SQLite and MySQL default to exactly that, but
     DuckDB and Postgres default to NULLS LAST on ASC — so the placement is
-    always spelled out (here and, per dialect capability, by
-    :class:`~repro.backends.sqlrender.SQLRenderer`).
+    always spelled out, per dialect capability, by
+    :class:`~repro.plan.sqlrender.SQLRenderer`.
     """
 
     expression: Expression
@@ -179,11 +144,6 @@ class OrderItem:
     def nulls_placement(self) -> str:
         """The explicit NULL placement matching the reference sort order."""
         return "NULLS LAST" if self.descending else "NULLS FIRST"
-
-    def render(self) -> str:
-        """Render for the ORDER BY clause."""
-        direction = " DESC" if self.descending else ""
-        return f"{self.expression.render()}{direction} {self.nulls_placement()}"
 
 
 @dataclass
@@ -253,60 +213,16 @@ class QuerySpec:
                 continue
             if step.left_key.table not in available - {ref.alias}:
                 raise PlanError(
-                    f"join step {index} left key {step.left_key.render()} does not "
+                    f"join step {index} left key "
+                    f"{step.left_key.table}.{step.left_key.column} does not "
                     "reference an already-joined table"
                 )
             if step.right_key.table != ref.alias:
                 raise PlanError(
-                    f"join step {index} right key {step.right_key.render()} must "
+                    f"join step {index} right key "
+                    f"{step.right_key.table}.{step.right_key.column} must "
                     f"reference the joined table alias {ref.alias!r}"
                 )
-
-    def render(self, hint_comment: str = "") -> str:
-        """Render the query as SQL text.
-
-        SEMI and ANTI joins are rendered as ``IN`` / ``NOT IN`` subqueries, the
-        way the paper's transformed queries express them, while internally they
-        remain explicit join steps.
-        """
-        select_items = ", ".join(item.render() for item in self.select) or "*"
-        distinct = "DISTINCT " if self.distinct and not self.has_aggregates() else ""
-        hint = f"/*+ {hint_comment} */ " if hint_comment else ""
-        sql = [f"SELECT {hint}{distinct}{select_items}"]
-        from_clause = self.base.render()
-        semi_anti_filters: List[str] = []
-        for step in self.joins:
-            if step.join_type in (JoinType.SEMI, JoinType.ANTI):
-                keyword = "IN" if step.join_type is JoinType.SEMI else "NOT IN"
-                semi_anti_filters.append(
-                    f"{step.left_key.render()} {keyword} "
-                    f"(SELECT {step.right_key.render()} FROM {step.table.render()})"
-                )
-                continue
-            if step.join_type is JoinType.CROSS:
-                from_clause += f" CROSS JOIN {step.table.render()}"
-            else:
-                from_clause += (
-                    f" {step.join_type.render()} {step.table.render()} "
-                    f"ON {step.condition_sql()}"
-                )
-        sql.append(f"FROM {from_clause}")
-        where_parts = []
-        if self.where is not None:
-            where_parts.append(self.where.render())
-        where_parts.extend(semi_anti_filters)
-        if where_parts:
-            sql.append("WHERE " + " AND ".join(where_parts))
-        if self.group_by:
-            sql.append("GROUP BY " + ", ".join(col.render() for col in self.group_by))
-        if self.order_by:
-            sql.append("ORDER BY " + ", ".join(item.render() for item in self.order_by))
-        if self.limit is not None:
-            sql.append(f"LIMIT {self.limit}")
-        return "\n".join(sql) + ";"
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.render()
 
 
 class SetOperator(enum.Enum):
@@ -321,10 +237,6 @@ class SetOperator(enum.Enum):
     def preserves_duplicates(self) -> bool:
         """True for the one operator whose result is a multiset."""
         return self is SetOperator.UNION_ALL
-
-    def render(self) -> str:
-        """SQL keyword(s) for this operator."""
-        return self.value
 
 
 @dataclass
@@ -413,24 +325,6 @@ class CompoundQuerySpec:
                 )
         if self.limit is not None and self.limit < 0:
             raise PlanError("LIMIT must be non-negative")
-
-    def render(self, hint_comment: str = "") -> str:
-        """Render canonical SQL text (cache keys, logs, bug reports)."""
-        parts = [self.arms[0].render(hint_comment).rstrip(";")]
-        for op, arm in zip(self.operators, self.arms[1:]):
-            parts.append(op.render())
-            parts.append(arm.render().rstrip(";"))
-        body = "\n".join(parts)
-        if self.cte_name is None:
-            return body + ";"
-        columns = ", ".join(self.output_columns())
-        return (
-            f"WITH {self.cte_name} AS (\n{body}\n)\n"
-            f"SELECT {columns} FROM {self.cte_name};"
-        )
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.render()
 
 
 AnyQuerySpec = Union[QuerySpec, CompoundQuerySpec]

@@ -22,6 +22,7 @@ from repro.plan.logical import (
     unique_output_names,
 )
 from repro.plan.physical import ExecRow, PhysicalOperator
+from repro.plan.sqlrender import SQLRenderer
 from repro.sqlvalue.values import NULL, is_null, normalize_row, value_sort_key
 from repro.storage.database import Database
 
@@ -72,6 +73,9 @@ class Compiler:
 PLAIN_COMPILER = Compiler()
 """The compiler of operators built without one: no subquery runner."""
 
+_PLAN_TEXT = SQLRenderer()
+"""Spells the expressions of plan descriptions in the reference dialect."""
+
 
 class TableScan(PhysicalOperator):
     """Full scan of one stored table, emitting rows in schema column order."""
@@ -116,7 +120,7 @@ class Filter(PhysicalOperator):
         return [self.child]
 
     def describe(self) -> str:
-        return f"Filter({self.predicate.render()})"
+        return f"Filter({_PLAN_TEXT.expression(self.predicate)})"
 
 
 class Project(PhysicalOperator):
@@ -159,7 +163,11 @@ class Project(PhysicalOperator):
 
     def describe(self) -> str:
         suffix = " DISTINCT" if self.distinct else ""
-        return f"Project({', '.join(i.render() for i in self.items)}{suffix})"
+        items = ", ".join(
+            _PLAN_TEXT.select_item(item, name)
+            for item, name in zip(self.items, self.output_columns())
+        )
+        return f"Project({items}{suffix})"
 
     def _has_aggregates(self) -> bool:
         return any(item.aggregate is not None for item in self.items)
@@ -268,7 +276,7 @@ class Sort(PhysicalOperator):
         return [self.child]
 
     def describe(self) -> str:
-        return f"Sort({', '.join(i.render() for i in self.order_by)})"
+        return f"Sort({', '.join(_PLAN_TEXT.order_item(i) for i in self.order_by)})"
 
 
 class Descending:

@@ -1,24 +1,24 @@
 """Dialect-parameterized SQL rendering of the internal IR.
 
-The simulated engines execute :class:`~repro.plan.logical.QuerySpec` objects
-directly, so the seed repo never needed real SQL text beyond the logging-oriented
-``QuerySpec.render()``.  Connecting the TQS pipeline to an external DBMS does:
-this module serializes the whole IR — query specs, :mod:`repro.expr.ast`
-expression trees, :mod:`repro.sqlvalue` literals and the DSG-generated
-:class:`~repro.catalog.schema.DatabaseSchema` — into SQL text that a real engine
-will parse, plus the CREATE TABLE / INSERT statements needed to deploy a
-:class:`~repro.storage.database.Database` into it.
+The one code that turns the IR into text.  It serializes query specs,
+:mod:`repro.expr.ast` expression trees, :mod:`repro.sqlvalue` literals and the
+DSG-generated :class:`~repro.catalog.schema.DatabaseSchema` into SQL that a real
+engine will parse, plus the CREATE TABLE / INSERT statements needed to deploy a
+:class:`~repro.storage.database.Database` into it.  Backend adapters render
+with their engine's dialect; bug reports, reference result-cache keys and the
+expression text of plan descriptions use the reference dialect
+(:data:`ANSI_DIALECT`, the default of :class:`SQLRenderer`).
 
 Two rendering decisions are semantic, not cosmetic, and both exist to make the
 rendered query mean the same thing on a real engine that the spec means to the
 reference executor:
 
 * SEMI and ANTI join steps are rendered as correlated ``EXISTS`` / ``NOT
-  EXISTS`` subqueries rather than the ``IN`` / ``NOT IN`` form used by the
-  logging renderer.  ``lhs NOT IN (SELECT rhs ...)`` returns UNKNOWN as soon as
-  either side contains a NULL, silently dropping rows that the engines' anti
-  join operators *do* emit; ``NOT EXISTS (... WHERE rhs = lhs)`` matches the
-  operator semantics exactly (NULL keys never match, unmatched rows survive).
+  EXISTS`` subqueries rather than ``IN`` / ``NOT IN``.  ``lhs NOT IN (SELECT
+  rhs ...)`` returns UNKNOWN as soon as either side contains a NULL, silently
+  dropping rows that the engines' anti join operators *do* emit; ``NOT EXISTS
+  (... WHERE rhs = lhs)`` matches the operator semantics exactly (NULL keys
+  never match, unmatched rows survive).
 * Aggregates are rendered with an explicit ``DISTINCT`` argument
   (``COUNT(DISTINCT x)``), because the reference ``Project`` operator evaluates
   every aggregate over deduplicated inputs (see ``plan/operators.py``).
@@ -57,6 +57,7 @@ from repro.plan.logical import (
     CompoundQuerySpec,
     JoinStep,
     JoinType,
+    OrderItem,
     QuerySpec,
     SelectItem,
     TableRef,
@@ -150,8 +151,9 @@ class SQLDialectSpec:
         return base
 
 
-ANSI_DIALECT = SQLDialectSpec(name="ansi")
-"""Plain quoted-identifier SQL; the default for rendered bug reports."""
+ANSI_DIALECT = SQLDialectSpec(name="ansi", supports_hint_comments=True)
+"""The reference dialect: plain quoted-identifier SQL with hint comments, the
+default of :class:`SQLRenderer` and the text of every filed bug report."""
 
 SQLITE_DIALECT = SQLDialectSpec(
     name="sqlite",
@@ -271,9 +273,9 @@ class SQLRenderer:
     def literal(self, value: Any) -> str:
         """Render a Python value as a SQL literal for this dialect.
 
-        Delegates to the IR's own :func:`~repro.sqlvalue.values.render_literal`
-        after rejecting values no SQL dialect can spell (NaN/Inf floats and
-        decimals), which the logging-oriented helper happily emits.
+        Delegates to :func:`~repro.sqlvalue.values.render_literal` after
+        rejecting values no SQL dialect can spell (NaN/Inf floats and
+        decimals), which that helper happily emits.
         """
         if isinstance(value, float) and not math.isfinite(value):
             raise RenderError(f"cannot render non-finite float {value!r} as SQL")
@@ -333,7 +335,8 @@ class SQLRenderer:
 
     # ------------------------------------------------------------------ SELECT
 
-    def _select_item(self, item: SelectItem, output_name: str) -> str:
+    def select_item(self, item: SelectItem, output_name: str) -> str:
+        """Render one SELECT-list item under its result-set column name."""
         inner = self.expression(item.expression)
         if item.aggregate is not None:
             inner = f"{item.aggregate.value}(DISTINCT {inner})"
@@ -366,6 +369,15 @@ class SQLRenderer:
             condition += f" AND {self.expression(step.extra_condition)}"
         return f"{_JOIN_KEYWORDS[step.join_type]} {self.table_ref(step.table)} ON {condition}"
 
+    def order_item(self, item: OrderItem) -> str:
+        """Render one ORDER BY item with its direction and NULL placement."""
+        text = self.expression(item.expression) + (" DESC" if item.descending else "")
+        if self.dialect.supports_nulls_ordering:
+            # Matches the reference executor's value_sort_key order;
+            # dialects without the syntax default to this placement.
+            text += f" {item.nulls_placement()}"
+        return text
+
     def query(self, spec: AnyQuerySpec, hint_comment: str = "") -> str:
         """Render a full statement (without the trailing semicolon).
 
@@ -389,7 +401,7 @@ class SQLRenderer:
         spec.validate()
         parts = [self.select_query(spec.arms[0], hint_comment)]
         for op, arm in zip(spec.operators, spec.arms[1:]):
-            parts.append(op.render())
+            parts.append(op.value)
             parts.append(self.select_query(arm))
         body = "\n".join(parts)
         if spec.cte_name is None:
@@ -404,7 +416,7 @@ class SQLRenderer:
         """Render one plain SELECT statement (without the trailing semicolon)."""
         output_names = unique_output_names(spec.select)
         select_items = ", ".join(
-            self._select_item(item, name)
+            self.select_item(item, name)
             for item, name in zip(spec.select, output_names)
         )
         if not select_items:
@@ -433,16 +445,9 @@ class SQLRenderer:
                 "GROUP BY " + ", ".join(self.expression(col) for col in spec.group_by)
             )
         if spec.order_by:
-            rendered = []
-            for item in spec.order_by:
-                text = (self.expression(item.expression)
-                        + (" DESC" if item.descending else ""))
-                if self.dialect.supports_nulls_ordering:
-                    # Matches the reference executor's value_sort_key order;
-                    # dialects without the syntax default to this placement.
-                    text += f" {item.nulls_placement()}"
-                rendered.append(text)
-            parts.append("ORDER BY " + ", ".join(rendered))
+            parts.append(
+                "ORDER BY " + ", ".join(self.order_item(item) for item in spec.order_by)
+            )
         if spec.limit is not None:
             parts.append(f"LIMIT {int(spec.limit)}")
         return "\n".join(parts)

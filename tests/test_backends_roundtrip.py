@@ -15,12 +15,24 @@ from decimal import Decimal
 
 import pytest
 
-from repro.backends import SQLiteBackend, SimulatedBackend
+from repro.backends import SQLiteBackend, SQLRenderer, SimulatedBackend
 from repro.catalog import Column, DatabaseSchema, ForeignKey, TableSchema
+from repro.core import TQS, TQSConfig
 from repro.core.differential import result_sets_match
-from repro.dsg import DSG, DSGConfig
-from repro.engine import reference_engine
-from repro.expr.ast import ColumnRef, Comparison, IsNull, Or, column, lit
+from repro.dsg import DSG, DSGConfig, TransformedQuery
+from repro.engine import Engine, reference_engine
+from repro.engine.dialects import SIM_MYSQL
+from repro.errors import GenerationError
+from repro.optimizer import default_hints
+from repro.expr.ast import (
+    ColumnRef,
+    Comparison,
+    IsNull,
+    Or,
+    ScalarSubquery,
+    column,
+    lit,
+)
 from repro.plan.logical import (
     AggregateFunction,
     JoinStep,
@@ -102,22 +114,44 @@ def typed_db() -> Database:
     return db
 
 
-def _assert_backend_matches_reference(db: Database, query: QuerySpec) -> None:
+def _assert_backend_matches_reference(db: Database, query: QuerySpec,
+                                      render=None) -> None:
+    """Run *query* on SQLite, as the backend renders it or as *render* spells
+    it, and compare with the reference executor."""
     query.validate()
     reference = reference_engine(db)
     with SQLiteBackend() as backend:
         backend.load_schema(db.schema)
         backend.load_data(db)
-        execution = backend.execute(query)
-        assert result_sets_match(reference.execute(query), execution.result), (
-            f"SQLite diverges from the reference executor:\n{execution.sql}\n"
+        if render is None:
+            execution = backend.execute(query)
+            sql, observed = execution.sql, execution.result
+        else:
+            sql = render(query)
+            observed = backend.execute_sql(sql)
+        assert result_sets_match(reference.execute(query), observed), (
+            f"SQLite diverges from the reference executor:\n{sql}\n"
             f"reference:\n{reference.execute(query).render()}\n"
-            f"sqlite:\n{execution.result.render()}"
+            f"sqlite:\n{observed.render()}"
         )
 
 
+#: The SQL texts a query is spelled in: the SQLite backend's own rendering
+#: (None), the reference dialect, and a filed bug report's (the reference
+#: dialect plus the hint comment of its (query, hint) pair).
+RENDERERS = {
+    "sqlite": None,
+    "reference": SQLRenderer().query,
+    "bug-report": lambda query: TransformedQuery(query, default_hints()).render(),
+}
+
+
+@pytest.mark.parametrize("renderer", sorted(RENDERERS))
 @pytest.mark.parametrize("join_type", list(JoinType))
-def test_every_join_type_round_trips(typed_db: Database, join_type: JoinType):
+def test_every_join_type_round_trips(typed_db: Database, join_type: JoinType,
+                                     renderer: str):
+    """Each join type over NULL keys on both sides means on SQLite, in every
+    spelling, what it means to the reference executor."""
     kwargs = {}
     if join_type is not JoinType.CROSS:
         kwargs = dict(left_key=ColumnRef("facts", "k"),
@@ -133,7 +167,7 @@ def test_every_join_type_round_trips(typed_db: Database, join_type: JoinType):
         joins=[JoinStep(TableRef("dims", "dims"), join_type, **kwargs)],
         select=select,
     )
-    _assert_backend_matches_reference(typed_db, query)
+    _assert_backend_matches_reference(typed_db, query, RENDERERS[renderer])
 
 
 @pytest.mark.parametrize(
@@ -264,3 +298,40 @@ def test_simulated_backend_parity(typed_db: Database):
     reference = reference_engine(typed_db)
     assert backend.execute(query).result.same_rows(reference.execute(query))
     assert backend.explain(query)
+
+
+def test_filed_bug_reports_parse_on_sqlite():
+    """Every SQL text a seeded tqs campaign files (query and minimized query)
+    parses on SQLite over the deployed dataset, and so does the bug report
+    of a query holding a scalar subquery."""
+    dsg = DSG(DSGConfig(dataset="shopping", dataset_rows=30, seed=3))
+    tqs = TQS(dsg, Engine(dsg.database, SIM_MYSQL),
+              TQSConfig(reduce_failures=True, seed=3))
+    for _ in range(40):
+        try:
+            tqs.run_iteration()
+        except GenerationError:
+            continue
+    incidents = tqs.bug_log.incidents
+    assert incidents, "the seeded campaign should file bug reports"
+    reports = [incident.query_sql for incident in incidents]
+    reports += [incident.minimized_sql for incident in incidents
+                if incident.minimized_sql]
+
+    table = dsg.database.table_names[0]
+    value = dsg.ndb.data_columns(table)[0]
+    subquery = QuerySpec(
+        base=TableRef(table, "sq"),
+        select=[SelectItem(column("sq", value), aggregate=AggregateFunction.MAX)],
+    )
+    scalar = QuerySpec(
+        base=TableRef(table, table),
+        select=[SelectItem(column(table, value))],
+        where=Comparison("<=", column(table, value), ScalarSubquery(subquery)),
+    )
+    reports.append(TransformedQuery(scalar, default_hints()).render())
+
+    with SQLiteBackend() as backend:
+        backend.deploy(dsg.database)
+        for sql in reports:
+            backend.execute_sql(f"EXPLAIN {sql}")  # must not raise

@@ -105,7 +105,7 @@ class TestDifferentialCampaign:
 
 class TestNullOrdering:
     def test_order_by_nullable_column_matches_reference(self):
-        from repro.backends.sqlrender import DUCKDB_DIALECT
+        from repro.plan.sqlrender import DUCKDB_DIALECT
         from repro.expr.ast import ColumnRef
         from repro.plan.logical import (
             OrderItem,

@@ -1,4 +1,5 @@
-"""Tests for the expression AST, three-valued evaluation and SQL rendering."""
+"""Tests for the expression AST and three-valued evaluation (its SQL text is
+tested in test_sqlrender)."""
 
 from decimal import Decimal
 
@@ -80,10 +81,6 @@ class TestColumnRef:
         assert ColumnRef(None, "a").slot(("t1.a", "t2.a")) is None
         assert column("t1", "a").slot(("t2.a",)) is None
 
-    def test_render(self):
-        assert column("t1", "a").render() == "t1.a"
-        assert ColumnRef(None, "a").render() == "a"
-
 
 class TestComparisons:
     def test_equality_and_nulls(self):
@@ -100,9 +97,6 @@ class TestComparisons:
     def test_invalid_operator(self):
         with pytest.raises(ExpressionError):
             Comparison("===", lit(1), lit(1))
-
-    def test_render(self):
-        assert eq(column("t", "a"), lit(5)).render() == "(t.a = 5)"
 
 
 class TestLogicalConnectives:
@@ -224,16 +218,11 @@ class TestOtherPredicates:
             FunctionCall("MAGIC", (lit(1),))
 
 
-class TestReferencesAndRendering:
+class TestReferences:
     def test_references_collects_columns(self):
         expr = And(eq(column("t1", "a"), column("t2", "b")),
                    Between(column("t1", "c"), lit(1), lit(2)))
         assert expr.references() == {("t1", "a"), ("t2", "b"), ("t1", "c")}
-
-    def test_render_roundtrips_structure(self):
-        expr = Or(IsNull(column("t", "a")), InList(column("t", "b"), (lit(1), lit(2))))
-        text = expr.render()
-        assert "IS NULL" in text and "IN (1, 2)" in text
 
 
 class TestPredicateBuilder:

@@ -27,7 +27,7 @@ def sweep_clean_engine(dsg, queries, hint_limit=6):
         for transformed in dsg.transform_query(query)[:hint_limit]:
             result = engine.execute(query, transformed.hints)
             if not truth.matches(result):
-                mismatches.append((query.render(), transformed.hints.name))
+                mismatches.append((transformed.render(), transformed.hints.name))
     return mismatches
 
 

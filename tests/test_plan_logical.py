@@ -1,14 +1,13 @@
-"""Tests for the logical query model and its SQL rendering."""
+"""Tests for the logical query model (its SQL text is tested in test_sqlrender)."""
 
 import pytest
 
 from repro.errors import PlanError
-from repro.expr import ColumnRef, column, eq, lit
+from repro.expr import ColumnRef, column
 from repro.plan import (
     AggregateFunction,
     JoinStep,
     JoinType,
-    OrderItem,
     QuerySpec,
     SelectItem,
     TableRef,
@@ -40,10 +39,6 @@ class TestJoinType:
         assert JoinType.INNER.exposes_right_columns
         assert not JoinType.ANTI.exposes_right_columns
 
-    def test_render_keywords(self):
-        assert JoinType.LEFT_OUTER.render() == "LEFT OUTER JOIN"
-        assert JoinType.CROSS.render() == "CROSS JOIN"
-
 
 class TestJoinStep:
     def test_equi_join_requires_keys(self):
@@ -52,11 +47,7 @@ class TestJoinStep:
 
     def test_cross_join_needs_no_keys(self):
         step = JoinStep(TableRef("users", "users"), JoinType.CROSS)
-        assert step.condition_sql() == ""
-
-    def test_condition_sql(self):
-        step = make_query().joins[0]
-        assert step.condition_sql() == "orders.userId = users.userId"
+        assert step.left_key is None and step.right_key is None
 
 
 class TestQuerySpec:
@@ -97,40 +88,6 @@ class TestQuerySpec:
         with pytest.raises(PlanError):
             query.validate()
 
-    def test_render_inner_join(self):
-        sql = make_query().render()
-        assert "INNER JOIN users" in sql
-        assert sql.strip().endswith(";")
-        assert "SELECT DISTINCT" in sql
-
-    def test_render_semi_join_as_in_subquery(self):
-        sql = make_query(JoinType.SEMI).render()
-        assert "IN (SELECT users.userId FROM users)" in sql
-        assert "SEMI JOIN" not in sql
-
-    def test_render_anti_join_as_not_in(self):
-        sql = make_query(JoinType.ANTI).render()
-        assert "NOT IN (SELECT" in sql
-
-    def test_render_with_hint_comment(self):
-        assert "/*+ hash_join() */" in make_query().render("hash_join()")
-
-    def test_render_where_group_order_limit(self):
-        query = make_query()
-        query.where = eq(column("orders", "orderId"), lit("0001"))
-        query.group_by = [ColumnRef("orders", "orderId")]
-        query.select = [SelectItem(column("orders", "orderId")),
-                        SelectItem(column("orders", "goodsId"),
-                                   aggregate=AggregateFunction.COUNT)]
-        query.order_by = [OrderItem(column("orders", "orderId"), descending=True)]
-        query.limit = 10
-        sql = query.render()
-        assert "WHERE" in sql and "GROUP BY" in sql
-        assert "ORDER BY orders.orderId DESC" in sql and "LIMIT 10" in sql
-        assert "COUNT(orders.goodsId)" in sql
-        # Aggregated queries do not render DISTINCT.
-        assert "SELECT DISTINCT" not in sql
-
 
 class TestSelectItem:
     def test_output_names(self):
@@ -141,6 +98,3 @@ class TestSelectItem:
         assert aliased.output_name(0) == "x"
         assert agg.output_name(2) == "min_2"
 
-    def test_render(self):
-        item = SelectItem(column("t", "a"), alias="x", aggregate=AggregateFunction.MAX)
-        assert item.render() == "MAX(t.a) AS x"

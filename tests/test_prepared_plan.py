@@ -215,7 +215,7 @@ def test_compound_plan_text_joins_its_arms(orders_db):
     report = engine.execute_all_hints(compound, [hints])[0]
     assert report.plan_description == "\n".join([
         engine.plan(arms[0], hints).explain(),
-        SetOperator.UNION.render(),
+        SetOperator.UNION.value,
         engine.plan(arms[1], hints).explain(),
     ])
 

@@ -3,11 +3,7 @@
 import pytest
 
 from repro import CampaignSpec, QueryCache, obs, run_campaign
-from repro.core.qcache import (
-    dataset_fingerprint,
-    render_cache_key,
-    result_cache_key,
-)
+from repro.core.qcache import dataset_fingerprint, result_cache_key
 
 SPEC = dict(kind="differential", backend="sqlite", dataset="shopping",
             dataset_rows=70, hours=2, queries_per_hour=10, seed=3)
@@ -69,18 +65,18 @@ def test_lru_recency_and_hit_miss_counters():
     obs.reset_registry()
     try:
         cache = QueryCache(max_entries=2)
-        cache.put("a", 1, "render")
-        cache.put("b", 2, "render")
-        assert cache.get("a", "render") == (True, 1)   # refreshes "a"
-        cache.put("c", 3, "render")                    # evicts "b"
-        assert cache.get("b", "render") == (False, None)
-        assert cache.get("a", "render") == (True, 1)
+        cache.put("a", 1, "result")
+        cache.put("b", 2, "result")
+        assert cache.get("a", "result") == (True, 1)   # refreshes "a"
+        cache.put("c", 3, "result")                    # evicts "b"
+        assert cache.get("b", "result") == (False, None)
+        assert cache.get("a", "result") == (True, 1)
         snapshot = obs.get_registry().snapshot()
         assert snapshot.counters_by_name("qcache.hits") == {
-            "qcache.hits{kind=render}": 2
+            "qcache.hits{kind=result}": 2
         }
         assert snapshot.counters_by_name("qcache.misses") == {
-            "qcache.misses{kind=render}": 1
+            "qcache.misses{kind=result}": 1
         }
     finally:
         obs.reset_registry()
@@ -106,18 +102,6 @@ def test_result_key_sensitive_to_every_component():
     assert base != result_cache_key("Q1", "fp", "SELECT 2")
     # Field boundaries cannot be forged across adjacent fields either.
     assert base != result_cache_key("Q1f", "p", "SELECT 1")
-
-
-def test_render_key_is_dataset_independent_but_backend_specific():
-    assert render_cache_key("sqlite", "SELECT 1") == render_cache_key(
-        "sqlite", "SELECT 1"
-    )
-    assert render_cache_key("sqlite", "SELECT 1") != render_cache_key(
-        "duckdb", "SELECT 1"
-    )
-    # Separator discipline: field boundaries cannot be forged by
-    # concatenation games across adjacent fields.
-    assert render_cache_key("ab", "c") != render_cache_key("a", "bc")
 
 
 def test_dataset_fingerprint_tracks_content():

@@ -8,6 +8,7 @@ from repro.dsg import GenerationConfig
 from repro.dsg.query_gen import RandomWalkQueryGenerator
 from repro.errors import GenerationError
 from repro.plan import JoinType
+from repro.plan.sqlrender import SQLRenderer
 
 
 class TestSchemaGraph:
@@ -158,6 +159,6 @@ class TestQueryGenerator:
             shopping_dsg.ndb, shopping_dsg.noise_report, random.Random(11)
         )
         query = generator.generate()
-        sql = query.render()
+        sql = SQLRenderer().query(query)
         for table in query.tables:
             assert table in sql

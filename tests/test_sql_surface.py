@@ -22,11 +22,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import DSG, DSGConfig, reference_engine
 from repro.backends import SQLiteBackend
-from repro.backends.sqlrender import (
-    MYSQL_DIALECT,
-    SQLITE_DIALECT,
-    SQLRenderer,
-)
 from repro.core.campaign import CampaignConfig, CampaignSpec, run_campaign
 from repro.core.differential import (
     DifferentialOracle,
@@ -49,6 +44,11 @@ from repro.plan.logical import (
     SetOperator,
     TableRef,
     combine_set_rows,
+)
+from repro.plan.sqlrender import (
+    MYSQL_DIALECT,
+    SQLITE_DIALECT,
+    SQLRenderer,
 )
 from repro.sqlvalue.values import is_null
 
@@ -162,9 +162,9 @@ class TestCompoundSpec:
             select=[SelectItem(ColumnRef(table, column))],
         )
         spec = CompoundQuerySpec(arms=[arm], cte_name="cte0")
-        sql = spec.render()
-        assert sql.startswith("WITH cte0 AS (")
-        assert f"SELECT {column} FROM cte0" in sql
+        sql = SQLRenderer().query(spec)
+        assert sql.startswith('WITH "cte0" AS (')
+        assert f'SELECT "{column}" FROM "cte0"' in sql
 
 
 # ----------------------------------------------------- satellite 1: bag mode
@@ -297,19 +297,20 @@ class TestGeneratorStreams:
             left = plain.generate_query()
             right = routed.generate_statement()
             assert isinstance(right, QuerySpec)
-            assert left.render() == right.render()
+            assert left == right
 
     def test_statement_generation_is_deterministic(self):
         def renders(seed):
             dsg = DSG(DSGConfig(dataset="shopping", dataset_rows=90, seed=seed,
                                 generation=dataclasses_replace(WIDE_GENERATION)))
-            return [dsg.generate_statement().render() for _ in range(15)]
+            return [SQLRenderer().query(dsg.generate_statement())
+                    for _ in range(15)]
 
         assert renders(8) == renders(8)
         shapes = renders(8)
         assert any("UNION" in sql or "INTERSECT" in sql or "EXCEPT" in sql
                    for sql in shapes)
-        assert any("WITH cte0 AS" in sql for sql in shapes)
+        assert any('WITH "cte0" AS' in sql for sql in shapes)
         assert any("sq0" in sql or "sq1" in sql for sql in shapes)
 
 

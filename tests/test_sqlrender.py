@@ -25,12 +25,14 @@ from repro.expr.ast import (
     Not,
     Or,
     column,
+    eq,
     lit,
 )
 from repro.plan.logical import (
     AggregateFunction,
     JoinStep,
     JoinType,
+    OrderItem,
     QuerySpec,
     SelectItem,
     TableRef,
@@ -200,3 +202,88 @@ def test_rendered_query_parses_on_sqlite(renderer: SQLRenderer):
     for join_type in JoinType:
         sql = renderer.query(_two_table_query(join_type))
         connection.execute(sql)  # must not raise
+
+
+# ------------------------------------------------------- reference dialect
+
+
+def _orders_query(join_type: JoinType = JoinType.INNER) -> QuerySpec:
+    return QuerySpec(
+        base=TableRef("orders", "orders"),
+        joins=[JoinStep(TableRef("users", "users"), join_type,
+                        left_key=ColumnRef("orders", "userId"),
+                        right_key=ColumnRef("users", "userId"))],
+        select=[SelectItem(column("orders", "orderId"))],
+    )
+
+
+def _grouped_orders_query() -> QuerySpec:
+    query = _orders_query()
+    query.where = eq(column("orders", "orderId"), lit("0001"))
+    query.group_by = [ColumnRef("orders", "orderId")]
+    query.select = [
+        SelectItem(column("orders", "orderId")),
+        SelectItem(column("orders", "goodsId"), aggregate=AggregateFunction.COUNT),
+    ]
+    query.order_by = [OrderItem(column("orders", "orderId"), descending=True)]
+    query.limit = 10
+    return query
+
+
+@pytest.mark.parametrize("expr,text", [
+    pytest.param(column("t1", "a"), '"t1"."a"', id="qualified-column"),
+    pytest.param(ColumnRef(None, "a"), '"a"', id="bare-column"),
+    pytest.param(eq(column("t", "a"), lit(5)), '("t"."a" = 5)', id="comparison"),
+    pytest.param(
+        Or(IsNull(column("t", "a")), InList(column("t", "b"), (lit(1), lit(2)))),
+        '(("t"."a" IS NULL) OR ("t"."b" IN (1, 2)))',
+        id="or-is-null-in-list",
+    ),
+])
+def test_reference_dialect_expression_text(expr, text):
+    assert SQLRenderer().expression(expr) == text
+
+
+_JOIN_ON = 'ON "orders"."userId" = "users"."userId"'
+_SELECT = 'SELECT DISTINCT "orders"."orderId" AS "orderId"\n'
+
+
+@pytest.mark.parametrize("query,hint,text", [
+    pytest.param(_orders_query(), "",
+                 _SELECT + f'FROM "orders" INNER JOIN "users" {_JOIN_ON}',
+                 id="inner"),
+    pytest.param(_orders_query(JoinType.LEFT_OUTER), "",
+                 _SELECT + f'FROM "orders" LEFT OUTER JOIN "users" {_JOIN_ON}',
+                 id="left-outer"),
+    pytest.param(_orders_query(JoinType.CROSS), "",
+                 _SELECT + 'FROM "orders" CROSS JOIN "users"', id="cross"),
+    pytest.param(_orders_query(JoinType.SEMI), "",
+                 _SELECT + 'FROM "orders"\nWHERE EXISTS (SELECT 1 FROM "users" '
+                 'WHERE "users"."userId" = "orders"."userId")',
+                 id="semi-as-exists"),
+    pytest.param(_orders_query(JoinType.ANTI), "",
+                 _SELECT + 'FROM "orders"\nWHERE NOT EXISTS (SELECT 1 FROM "users" '
+                 'WHERE "users"."userId" = "orders"."userId")',
+                 id="anti-as-not-exists"),
+    pytest.param(_orders_query(), "hash_join()",
+                 'SELECT /*+ hash_join() */ DISTINCT "orders"."orderId" AS "orderId"\n'
+                 f'FROM "orders" INNER JOIN "users" {_JOIN_ON}',
+                 id="hint-comment"),
+    pytest.param(_grouped_orders_query(), "",
+                 'SELECT "orders"."orderId" AS "orderId", '
+                 'COUNT(DISTINCT "orders"."goodsId") AS "count_1"\n'
+                 f'FROM "orders" INNER JOIN "users" {_JOIN_ON}\n'
+                 'WHERE ("orders"."orderId" = \'0001\')\n'
+                 'GROUP BY "orders"."orderId"\n'
+                 'ORDER BY "orders"."orderId" DESC NULLS LAST\n'
+                 'LIMIT 10',
+                 id="where-group-order-limit"),
+])
+def test_reference_dialect_query_text(query, hint, text):
+    assert SQLRenderer().query(query, hint) == text
+
+
+def test_reference_dialect_select_item_text():
+    item = SelectItem(column("t", "a"), alias="x", aggregate=AggregateFunction.MAX)
+    assert SQLRenderer().select_item(item, "x") == 'MAX(DISTINCT "t"."a") AS "x"'
+
