@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
+from repro import obs
 from repro.engine.dialects import DialectProfile
 from repro.engine.faults import ActiveFaults
 from repro.engine.resultset import ResultSet
@@ -135,21 +136,41 @@ class Engine:
         """Execute and also report the plan and which seeded bugs fired.
 
         *query* may be this engine's :meth:`Planner.prepare` of a join query,
-        which then plans under *hints* without redoing its query-only work.
+        which then decides the plan under *hints* without redoing its
+        query-only work.  A prepared query executes once per distinct
+        :meth:`~PreparedQuery.execution_key`: a hint set whose key already
+        executed gets that execution's result and fired bug ids, and its
+        plan is built only if its text is read.
         """
         if isinstance(query, CompoundQuerySpec):
             return self._execute_compound(query, hints)
         hints = hints or default_hints()
+        self.queries_executed += 1
+        if not isinstance(query, PreparedQuery):
+            return self._run(self.planner.plan(query, hints), hints)
+        if query.planner is not self.planner:
+            raise PlanError("the query was prepared by another engine's planner")
+        decisions = query.decide(hints)
+        key = query.execution_key(hints, decisions)
+        shared = query.executions.get(key)
+        if shared is None:
+            report = self._run(query.build(hints, decisions), hints)
+            query.executions[key] = (report.result, report.fired_bug_ids)
+            return report
+        result, fired = shared
+        obs.get_registry().counter("engine.shared_executions").inc()
+        return ExecutionReport(
+            result=result,
+            hints=hints,
+            fired_bug_ids=fired,
+            render_plan=lambda: query.plan(hints).explain(),
+        )
+
+    def _run(self, operator: PhysicalOperator, hints: HintSet) -> ExecutionReport:
+        """Execute the plan *operator*, recording the seeded bugs it fires."""
         if isinstance(self.hooks, ActiveFaults):
             self.hooks.reset_fired()
-        if isinstance(query, PreparedQuery):
-            if query.planner is not self.planner:
-                raise PlanError("the query was prepared by another engine's planner")
-            operator = query.plan(hints)
-        else:
-            operator = self.planner.plan(query, hints)
         rows = list(operator.rows())
-        self.queries_executed += 1
         fired: Tuple[int, ...] = ()
         if isinstance(self.hooks, ActiveFaults):
             fired = tuple(sorted(self.hooks.fired))
@@ -165,8 +186,10 @@ class Engine:
     ) -> List[ExecutionReport]:
         """Execute the same logical query under every hint set (the trans_q step).
 
-        A join query is prepared once and planned per hint set; a compound
-        query plans its arms per hint set.
+        A join query is prepared once, so hint sets whose plans execute alike
+        share one execution (see :meth:`execute_with_report`); every hint
+        set still gets its own report.  A compound query plans its arms per
+        hint set.
         """
         target: Union[AnyQuerySpec, PreparedQuery] = query
         if isinstance(query, QuerySpec):

@@ -25,7 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Hashable, List, NamedTuple, Optional, Sequence,
+    Set, Tuple,
+)
 
 from repro.errors import ReproError
 from repro.plan.logical import JoinType
@@ -212,6 +215,13 @@ class BugSpec:
         return self.trigger.plan_independent
 
 
+class _Matched(NamedTuple):
+    """The seeded bugs whose triggers match one trigger context."""
+
+    by_seam: Dict[str, List[BugSpec]]
+    behaviour_key: Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+
 class ActiveFaults(ExecutionHooks):
     """ExecutionHooks implementation backed by a list of seeded bugs.
 
@@ -225,13 +235,13 @@ class ActiveFaults(ExecutionHooks):
     def __init__(self, bugs: Sequence[BugSpec] = ()) -> None:
         self.bugs: Tuple[BugSpec, ...] = tuple(bugs)
         self.fired: Set[int] = set()
-        # The bugs matching the most recent trigger, by seam.  A join builds
-        # one TriggerContext and consults the seams with it for every row, so
-        # resolving the triggers once per TriggerContext takes the matching
-        # out of the per-row loops.  The pair is replaced in one assignment
-        # and read once per call, so concurrent executions never see another
-        # trigger's matches.
-        self._memo: Optional[Tuple[TriggerContext, Dict[str, List[BugSpec]]]] = None
+        # The bugs matching each trigger value seen so far.  Every join
+        # execution builds a fresh TriggerContext, but triggers take few
+        # distinct values, so matching runs once per value.  An entry is
+        # complete before its one assignment and never changes after it,
+        # so a concurrent execution sees a whole entry or none (two threads
+        # may build the same entry, equal either way).
+        self._matches: Dict[TriggerContext, _Matched] = {}
 
     # -------------------------------------------------------------- bookkeeping
 
@@ -239,17 +249,39 @@ class ActiveFaults(ExecutionHooks):
         """Clear the fired-bug record (called before each query execution)."""
         self.fired.clear()
 
+    def _match(self, trigger: TriggerContext) -> _Matched:
+        matched = self._matches.get(trigger)
+        if matched is None:
+            # Match both has_null_keys values at once: the behaviour key
+            # needs both, and a join may run under either.
+            siblings = (trigger._replace(has_null_keys=False),
+                        trigger._replace(has_null_keys=True))
+            behaviour_key = tuple(
+                tuple(position for position, bug in enumerate(self.bugs)
+                      if bug.trigger.matches(sibling))
+                for sibling in siblings
+            )
+            for sibling, positions in zip(siblings, behaviour_key):
+                self._matches[sibling] = _Matched(
+                    by_seam={
+                        seam: [self.bugs[p] for p in positions
+                               if self.bugs[p].seam == seam]
+                        for seam in ("flag", "join_key", "null_pad")
+                    },
+                    behaviour_key=behaviour_key,
+                )
+            matched = self._matches[trigger]
+        return matched
+
     def _matching(self, seam: str, trigger: TriggerContext) -> List[BugSpec]:
         """The bugs of *seam* whose trigger matches, in declaration order."""
-        memo = self._memo
-        if memo is None or memo[0] is not trigger:
-            by_seam: Dict[str, List[BugSpec]] = {"flag": [], "join_key": [], "null_pad": []}
-            for bug in self.bugs:
-                if bug.trigger.matches(trigger):
-                    by_seam[bug.seam].append(bug)
-            memo = (trigger, by_seam)
-            self._memo = memo
-        return memo[1][seam]
+        return self._match(trigger).by_seam[seam]
+
+    def behaviour_key(self, trigger: TriggerContext) -> Hashable:
+        """The positions of the bugs matching *trigger*, in declaration
+        order, with ``has_null_keys`` false and true: every seam answers
+        from the matching bugs alone."""
+        return self._match(trigger).behaviour_key
 
     # ------------------------------------------------------------------- seams
 

@@ -2,10 +2,14 @@
 
 Planning has two halves.  :meth:`Planner.prepare` gives the
 :class:`PreparedQuery` of a query, which holds everything that depends on the
-query alone; :meth:`PreparedQuery.plan` does what depends on the hint set:
-join order, algorithms, trigger contexts and operators.  The TQS loop runs
-every query under a dozen hint sets, so it prepares once and plans per hint
-set; :meth:`Planner.plan` is the one-shot composition of the two.
+query alone; :meth:`PreparedQuery.plan` does what depends on the hint set.
+That in turn has two steps: :meth:`PreparedQuery.decide` makes the join
+decisions (order, algorithms, materialization, trigger contexts) and
+:meth:`PreparedQuery.build` builds the operators.  The TQS loop runs every
+query under a dozen hint sets, so it prepares once and decides per hint set;
+hint sets whose decisions give the same :meth:`PreparedQuery.execution_key`
+share one execution, and only the first of them builds operators.
+:meth:`Planner.plan` is the one-shot composition of it all.
 
 A plan is compiled as it is built: every operator resolves its column slots
 and compiles its expressions against its input layout in its constructor, so
@@ -15,7 +19,10 @@ executing the plan does only per-row work.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterator, List, NamedTuple,
+    Optional, Sequence, Tuple,
+)
 
 from repro.catalog.schema import DatabaseSchema
 from repro.expr.ast import (
@@ -41,12 +48,16 @@ from repro.plan.operators import (
 from repro.plan.physical import (
     ExecRow,
     ExecutionHooks,
+    JoinAlgorithm,
     PhysicalOperator,
     TriggerContext,
 )
 from repro.sqlvalue.casts import comparison_domain
 from repro.sqlvalue.datatypes import TypeCategory
 from repro.storage.database import Database
+
+if TYPE_CHECKING:
+    from repro.engine.resultset import ResultSet
 
 _NUMERIC_DOMAINS = (TypeCategory.DECIMAL, TypeCategory.FLOAT, TypeCategory.INTEGER)
 
@@ -75,6 +86,7 @@ class _PreparedStep:
     """The hint-independent facts of one join step."""
 
     step: JoinStep
+    position: int
     scan: TableScan
     cardinality: int
     key: Optional[JoinKeySpec]
@@ -89,13 +101,22 @@ class _PreparedStep:
         return None if self.step.left_key is None else self.step.left_key.table
 
 
+class JoinDecision(NamedTuple):
+    """What one hint set decided for one join step of a prepared query."""
+
+    step: _PreparedStep
+    algorithm: JoinAlgorithm
+    materialization: bool
+    trigger: TriggerContext
+
+
 class PreparedQuery:
     """The query-only half of planning one query, shared by all its plans.
 
     It copies the query's clauses when it is made, so later changes to the
     :class:`QuerySpec` (NoREC and PQS assign ``where`` in place) do not
-    reach it: prepare again instead.  The first :meth:`plan` validates the
-    query, then keeps the driving table's scan and estimated cardinality
+    reach it: prepare again instead.  The first :meth:`decide` validates
+    the query, then keeps the driving table's scan and estimated cardinality
     and, per join step, the key spec, indexed-key flag, row count and scan
     (scans are stateless, so every plan shares them).
 
@@ -106,6 +127,11 @@ class PreparedQuery:
     scalar subquery calls its plan's subquery runner, so it is compiled per
     plan, and each plan still runs a subquery at most once, on first
     evaluation.
+
+    :attr:`executions` records, per :meth:`execution_key`, the result and
+    fired bug ids of the plan that executed under that key; the engine
+    answers a later hint set with an equal key from it.  The database is
+    read when each key first executes, so prepare again after changing it.
     """
 
     def __init__(self, planner: Planner, query: QuerySpec) -> None:
@@ -120,6 +146,8 @@ class PreparedQuery:
         self._cardinality = 0
         self._steps: Optional[List[_PreparedStep]] = None
         self._closures: Dict[Tuple[Any, Tuple[str, ...]], Optional[Callable]] = {}
+        self._has_subquery: Optional[bool] = None
+        self.executions: Dict[Hashable, Tuple["ResultSet", Tuple[int, ...]]] = {}
 
     def _prepare(self) -> List[_PreparedStep]:
         """Validate the query and build its hint-independent state."""
@@ -138,15 +166,16 @@ class PreparedQuery:
                 cardinality = max(1, int(cardinality * 0.4))
         self._cardinality = cardinality
         alias_to_table = {ref.alias: ref.table for ref in query.table_refs}
-        return [self._prepare_step(step, alias_to_table) for step in query.joins]
+        return [self._prepare_step(step, position, alias_to_table)
+                for position, step in enumerate(query.joins)]
 
-    def _prepare_step(self, step: JoinStep,
+    def _prepare_step(self, step: JoinStep, position: int,
                       alias_to_table: Dict[str, str]) -> _PreparedStep:
         database = self.planner.database
         scan = TableScan(database, step.table.table, step.table.alias)
         cardinality = database.row_count(step.table.table)
         if step.join_type is JoinType.CROSS or step.left_key is None:
-            return _PreparedStep(step, scan, cardinality, key=None,
+            return _PreparedStep(step, position, scan, cardinality, key=None,
                                  key_is_indexed=False)
         schema = self.planner.schema
         left_table = alias_to_table[step.left_key.table]
@@ -162,25 +191,63 @@ class PreparedQuery:
         key_columns = set(right.primary_key) | set(right.implicit_key)
         for table_key in right.keys:
             key_columns.update(table_key.columns)
-        return _PreparedStep(step, scan, cardinality, key=key,
+        return _PreparedStep(step, position, scan, cardinality, key=key,
                              key_is_indexed=step.right_key.column in key_columns)
 
     def plan(self, hints: Optional[HintSet] = None) -> PhysicalOperator:
         """Build the physical plan of the query under *hints*."""
         hints = hints or default_hints()
+        return self.build(hints, self.decide(hints))
+
+    def decide(self, hints: HintSet) -> List[JoinDecision]:
+        """The plan's join decisions under *hints*, in join order.
+
+        This is the whole of what a hint set changes in a plan without
+        subqueries: the join order, and each join's algorithm,
+        materialization and trigger context.  No operator is built.
+        """
         if self._steps is None:
             self._steps = self._prepare()
-        query = self._query
-        compiler = _PlanCompiler(self._closures, self._subquery_runner(hints))
         disabled = frozenset(
             name for name, _default in hints.switches if not hints.switch(name)
         )
-        operator: PhysicalOperator = self._scan
+        decisions: List[JoinDecision] = []
         left_cardinality = self._cardinality
         for index, step in enumerate(self._ordered_steps(hints)):
-            operator, left_cardinality = self._plan_join(
-                operator, left_cardinality, step, index, hints, disabled, compiler,
-            )
+            decision, left_cardinality = self._decide_join(
+                step, left_cardinality, index, hints, disabled)
+            decisions.append(decision)
+        return decisions
+
+    def execution_key(self, hints: HintSet,
+                      decisions: Sequence[JoinDecision]) -> Hashable:
+        """What decides the rows and fired bug ids of the plan of *decisions*.
+
+        Two hint sets with equal keys execute alike.  Per join, in order: the
+        step's position in the query, its matching routine and its hooks'
+        :meth:`~repro.plan.physical.ExecutionHooks.behaviour_key`; every
+        other operator depends on the join order alone.  A query with a
+        subquery adds *hints*, which the subquery plans follow.
+        """
+        if self._has_subquery is None:
+            self._has_subquery = any(
+                map(contains_subquery, _evaluated_expressions(self._query)))
+        behaviour_key = self.planner.hooks.behaviour_key
+        joins = tuple(
+            (decision.step.position, decision.algorithm.matching,
+             behaviour_key(decision.trigger))
+            for decision in decisions
+        )
+        return (joins, hints) if self._has_subquery else joins
+
+    def build(self, hints: HintSet,
+              decisions: Sequence[JoinDecision]) -> PhysicalOperator:
+        """The operators of the plan that *hints* decided as *decisions*."""
+        query = self._query
+        compiler = _PlanCompiler(self._closures, self._subquery_runner(hints))
+        operator: PhysicalOperator = self._scan
+        for decision in decisions:
+            operator = self._build_join(operator, decision, compiler)
         if query.where is not None:
             operator = Filter(operator, query.where, compiler)
         operator = Project(
@@ -227,16 +294,15 @@ class PreparedQuery:
                 available.add(step.alias)
         return ordered
 
-    def _plan_join(
+    def _decide_join(
         self,
-        left: PhysicalOperator,
-        left_cardinality: int,
         prepared: _PreparedStep,
+        left_cardinality: int,
         step_index: int,
         hints: HintSet,
         disabled: frozenset,
-        compiler: Compiler,
-    ) -> Tuple[PhysicalOperator, int]:
+    ) -> Tuple[JoinDecision, int]:
+        """One join's decisions, and the estimated cardinality of its output."""
         step = prepared.step
         key_spec = prepared.key
         right_cardinality = prepared.cardinality
@@ -256,9 +322,6 @@ class PreparedQuery:
             JoinType.SEMI,
             JoinType.ANTI,
         )
-        right: PhysicalOperator = prepared.scan
-        if materialization:
-            right = Materialize(right)
         trigger = TriggerContext(
             algorithm=algorithm,
             join_type=step.join_type,
@@ -270,24 +333,32 @@ class PreparedQuery:
             converted_from=None,
             disabled_switches=disabled,
         )
-        join = Join(
-            left=left,
-            right=right,
-            join_type=step.join_type,
-            algorithm=algorithm,
-            key=key_spec,
-            hooks=self.planner.hooks,
-            extra_condition=step.extra_condition,
-            trigger=trigger,
-            compiler=compiler,
-        )
         if step.join_type is JoinType.CROSS:
             estimate = left_cardinality * max(1, right_cardinality)
         elif step.join_type in (JoinType.SEMI, JoinType.ANTI):
             estimate = left_cardinality
         else:
             estimate = max(left_cardinality, right_cardinality)
-        return join, max(1, estimate)
+        decision = JoinDecision(prepared, algorithm, materialization, trigger)
+        return decision, max(1, estimate)
+
+    def _build_join(self, left: PhysicalOperator, decision: JoinDecision,
+                    compiler: Compiler) -> Join:
+        prepared = decision.step
+        right: PhysicalOperator = prepared.scan
+        if decision.materialization:
+            right = Materialize(right)
+        return Join(
+            left=left,
+            right=right,
+            join_type=prepared.step.join_type,
+            algorithm=decision.algorithm,
+            key=prepared.key,
+            hooks=self.planner.hooks,
+            extra_condition=prepared.step.extra_condition,
+            trigger=decision.trigger,
+            compiler=compiler,
+        )
 
     def _subquery_runner(self, hints: HintSet) -> Callable[[QuerySpec], List[ExecRow]]:
         """Runner for the uncorrelated subqueries of one plan.
@@ -311,6 +382,17 @@ class PreparedQuery:
             return rows
 
         return run
+
+
+def _evaluated_expressions(query: QuerySpec) -> Iterator[Expression]:
+    """Every expression a plan of *query* evaluates, in no set order."""
+    for step in query.joins:
+        if step.extra_condition is not None:
+            yield step.extra_condition
+    if query.where is not None:
+        yield query.where
+    yield from (item.expression for item in query.select)
+    yield from (item.expression for item in query.order_by)
 
 
 _UNSEEN = object()

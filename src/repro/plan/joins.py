@@ -290,9 +290,10 @@ class Join(PhysicalOperator):
         left_keys = [row[left_slot] for row in left_rows]
         right_keys = [row[right_slot] for row in right_rows]
         key_of = self.hooks.key_function(self.key.domain, trigger)
-        if self.algorithm is JoinAlgorithm.SORT_MERGE:
+        matching = self.algorithm.matching
+        if matching == "merge":
             raw = self._matches_by_merge(left_keys, right_keys, key_of, trigger)
-        elif self.algorithm.uses_hash_table:
+        elif matching == "hash":
             raw = self._matches_by_hash(left_keys, right_keys, key_of, trigger)
         else:
             raw = self._matches_by_scan(left_keys, right_keys, key_of)

@@ -14,7 +14,9 @@ and the simulated DBMS dialects override it to inject the logic bugs of Table 4.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Hashable, Iterator, List, NamedTuple, Optional, Tuple,
+)
 
 from repro.plan.logical import JoinType
 from repro.sqlvalue.casts import cast_for_domain
@@ -54,6 +56,19 @@ class JoinAlgorithm(enum.Enum):
             JoinAlgorithm.HASH,
             JoinAlgorithm.INDEX_NESTED_LOOP,
         )
+
+    @property
+    def matching(self) -> str:
+        """The matching routine a join of this algorithm runs: ``"merge"``,
+        ``"hash"`` or ``"scan"``.
+
+        It is the only use a join makes of its algorithm besides its trigger
+        context, so plans that agree on it and on their hooks' answers
+        execute alike.
+        """
+        if self is JoinAlgorithm.SORT_MERGE:
+            return "merge"
+        return "hash" if self.uses_hash_table else "scan"
 
 
 class TriggerContext(NamedTuple):
@@ -133,7 +148,22 @@ class ExecutionHooks:
     The fault-injection layer (:mod:`repro.engine.faults`) subclasses this and
     overrides individual seams when a seeded bug's trigger condition matches the
     :class:`TriggerContext`.
+
+    Every seam must answer from its arguments alone.  :meth:`behaviour_key`
+    summarizes those answers for one join: two triggers with equal keys must
+    get the same answer from every seam, for either ``has_null_keys`` value,
+    because the engine runs a prepared query once per distinct key and hands
+    that execution's rows and fired bug ids to every hint set sharing it.
     """
+
+    def behaviour_key(self, trigger: TriggerContext) -> Hashable:
+        """A value equal for two planned triggers only if the seams answer
+        them alike, whatever ``has_null_keys`` the join finds at run time.
+
+        The trigger itself is always a sound key; a subclass may return a
+        coarser one.
+        """
+        return trigger
 
     def key_function(self, domain: TypeCategory, trigger: TriggerContext) -> KeyFunction:
         """The join-key normalization of one join, comparing in *domain*.

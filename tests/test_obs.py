@@ -270,6 +270,23 @@ class TestDeterminismWithTelemetry:
             without
         )
 
+    def test_tqs_campaign_identical_with_telemetry_on_and_off(self):
+        spec = CampaignSpec(kind="tqs", dialect="SimMySQL", dataset_rows=30,
+                            hours=2, queries_per_hour=8, seed=9)
+        with_telemetry = run_campaign(spec)
+        shared = obs.get_registry().snapshot().counter_value(
+            "engine.shared_executions")
+        assert 0 < shared < with_telemetry.final.queries_executed
+        previous = obs.set_enabled(False)
+        try:
+            obs.reset_registry()
+            without = run_campaign(spec)
+        finally:
+            obs.set_enabled(previous)
+        assert _campaign_fingerprint(with_telemetry) == _campaign_fingerprint(
+            without
+        )
+
     def test_parallel_pool_identical_with_telemetry_on_and_off(self):
         shards = build_shard_specs("differential", DET, 2, backend="sqlite")
         config = ParallelCampaignConfig(workers=2, sync_interval=1)

@@ -2,17 +2,20 @@
 
 :meth:`Engine.execute_all_hints` prepares a join query once and sends every
 hint set through that prepared query, which reuses the query-only planning
-state and the compiled closures without subqueries.  Each hint set must still
-give what a fresh ``execute_with_report(query, hints)`` gives: the same rows
-in the same order, the same fired bug ids and the same plan text.
+state and the compiled closures without subqueries, and runs hint sets with
+equal execution keys once.  Each hint set must still give what a fresh
+``execute_with_report(query, hints)`` gives: the same rows in the same order,
+the same fired bug ids and the same plan text.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro import CampaignSpec, run_campaign
 from repro.engine import Engine
-from repro.engine.dialects import ALL_DIALECTS, SIM_TIDB
+from repro.engine.dialects import ALL_DIALECTS, SIM_MARIADB, SIM_TIDB
+from repro.engine.faults import ActiveFaults, BugSpec, FaultTrigger
 from repro.errors import PlanError
 from repro.expr import (
     And,
@@ -24,10 +27,20 @@ from repro.expr import (
     lit,
 )
 from repro.expr.ast import ScalarSubquery
-from repro.optimizer import join_order_hints, merge_join_hints, standard_hint_sets
+from repro.optimizer import (
+    bnlh_join_hints,
+    default_hints,
+    hash_join_hints,
+    join_cache_off_hints,
+    join_order_hints,
+    merge_join_hints,
+    standard_hint_sets,
+)
 from repro.plan import (
     AggregateFunction,
     CompoundQuerySpec,
+    ExecutionHooks,
+    JoinAlgorithm,
     JoinStep,
     JoinType,
     OrderItem,
@@ -142,6 +155,13 @@ def report_record(report):
             report.hints.name, report.plan_description)
 
 
+def typed_record(report):
+    """:func:`report_record` with each value's Python type beside it."""
+    rows = tuple(tuple((type(value).__name__, repr(value)) for value in row)
+                 for row in report.result.rows)
+    return report_record(report) + (rows,)
+
+
 @pytest.mark.parametrize("dialect", DIALECTS,
                          ids=lambda dialect: getattr(dialect, "name", "clean"))
 @pytest.mark.parametrize("name", sorted(QUERIES))
@@ -152,6 +172,79 @@ def test_prepared_plans_match_fresh_plans(orders_db, dialect, name):
     for hints, report in zip(HINT_SETS, shared):
         fresh = Engine(orders_db, dialect).execute_with_report(query, hints)
         assert report_record(report) == report_record(fresh)
+
+
+GOODS_ORDERS = QuerySpec(
+    base=TableRef("goods", "g"),
+    joins=[JoinStep(TableRef("orders", "o"), JoinType.INNER,
+                    left_key=ColumnRef("g", "goodsId"),
+                    right_key=ColumnRef("o", "goodsId"))],
+    select=[SelectItem(column("g", "goodsId")), SelectItem(column("o", "orderId"))],
+    distinct=False)
+
+
+@pytest.mark.parametrize("query, effect, trigger, hint_sets", [
+    # No algorithm named: the bug matches both plans, and only the matching
+    # routine tells the merge join (which consults the seam) apart.
+    (GOODS_ORDERS, "merge_join_drop_last_duplicate",
+     FaultTrigger(join_types=frozenset({JoinType.INNER})),
+     [hash_join_hints(), merge_join_hints()]),
+    # The planned triggers (no NULL keys known yet) match neither plan; the
+    # NULL user id of order 0005 makes it match under HASH at run time.
+    (QUERIES["join-inner"], "inner_join_emit_null_padding",
+     FaultTrigger(algorithms=frozenset({JoinAlgorithm.HASH}),
+                  require_null_keys=True),
+     [hash_join_hints(), bnlh_join_hints()]),
+], ids=["matching-routine", "null-keys"])
+def test_seeded_faults_keep_apart_plans_they_execute_differently(
+        orders_db, query, effect, trigger, hint_sets):
+    bugs = [BugSpec(bug_id=1, dbms="test", seam="flag", behavior=effect,
+                    trigger=trigger)]
+    reports = Engine(orders_db, hooks=ActiveFaults(bugs)).execute_all_hints(
+        query, hint_sets)
+    assert reports[0].result.rows != reports[1].result.rows
+    for hints, report in zip(hint_sets, reports):
+        fresh = Engine(orders_db, hooks=ActiveFaults(bugs)).execute_with_report(
+            query, hints)
+        assert report_record(report) == report_record(fresh)
+
+
+CAMPAIGNS = [
+    CampaignSpec(kind="tqs", dialect="SimMySQL", dataset_rows=30, hours=4,
+                 queries_per_hour=12, seed=21),
+    CampaignSpec(kind="tqs", dialect="SimMariaDB", dataset="kddcup",
+                 dataset_rows=30, hours=4, queries_per_hour=12, seed=22),
+    CampaignSpec(kind="tqs", dialect="SimTiDB", dataset="tpch", dataset_rows=30,
+                 hours=4, queries_per_hour=12, seed=23),
+    CampaignSpec(kind="tqs", dialect="SimXDB", dataset_rows=30, hours=4,
+                 queries_per_hour=12, seed=24),
+]
+
+
+@pytest.mark.parametrize("spec", CAMPAIGNS, ids=lambda spec: spec.dialect)
+def test_shared_executions_match_fresh_ones_over_a_campaign(spec, monkeypatch):
+    """Every report of a campaign's hinted executions equals a fresh,
+    unprepared execution on a new engine, and some executions were shared."""
+    original = Engine.execute_all_hints
+    reports_checked = shared = 0
+
+    def checking(engine, query, hint_sets):
+        nonlocal reports_checked, shared
+        reports = original(engine, query, hint_sets)
+        results = []
+        for hints, report in zip(hint_sets, reports):
+            fresh = Engine(engine.database, engine.dialect).execute_with_report(
+                query, hints)
+            assert typed_record(report) == typed_record(fresh)
+            shared += any(result is report.result for result in results)
+            results.append(report.result)
+        reports_checked += len(reports)
+        return reports
+
+    monkeypatch.setattr(Engine, "execute_all_hints", checking)
+    run_campaign(spec)
+    assert reports_checked > 100
+    assert shared > 0
 
 
 def test_the_queries_exercise_reordering_and_faults(orders_db):
@@ -172,10 +265,9 @@ def test_the_queries_exercise_reordering_and_faults(orders_db):
     assert len(fired) >= 5
 
 
-def test_a_subquery_never_evaluated_under_one_hint_set_fires_nothing(orders_db):
-    # Under merge_join hints SimTiDB empties the outer semi-join (bug 15),
-    # so the WHERE subquery never runs.  Run, its left outer merge join
-    # would fire bug 17; under the other hint sets it runs and fires nothing.
+def semi_join_with_in_subquery(where=True):
+    """``orders o`` semi-joined to ``users u``, filtered by an IN subquery
+    over ``goods g2 LEFT JOIN orders o2`` (or not, without *where*)."""
     subquery = QuerySpec(
         base=TableRef("goods", "g2"),
         joins=[JoinStep(TableRef("orders", "o2"), JoinType.LEFT_OUTER,
@@ -183,20 +275,70 @@ def test_a_subquery_never_evaluated_under_one_hint_set_fires_nothing(orders_db):
                         right_key=ColumnRef("o2", "goodsId"))],
         select=[SelectItem(column("g2", "goodsId"))],
     )
-    query = QuerySpec(
+    return QuerySpec(
         base=TableRef("orders", "o"),
         joins=[JoinStep(TableRef("users", "u"), JoinType.SEMI,
                         left_key=ColumnRef("o", "userId"),
                         right_key=ColumnRef("u", "userId"))],
         select=[SelectItem(column("o", "orderId"))],
-        where=InSubquery(column("o", "goodsId"), subquery),
+        where=InSubquery(column("o", "goodsId"), subquery) if where else None,
     )
+
+
+def test_a_subquery_never_evaluated_under_one_hint_set_fires_nothing(orders_db):
+    # Under merge_join hints SimTiDB empties the outer semi-join (bug 15),
+    # so the WHERE subquery never runs.  Run, its left outer merge join
+    # would fire bug 17; under the other hint sets it runs and fires nothing.
+    query = semi_join_with_in_subquery()
+    subquery = query.where.subquery
     engine = Engine(orders_db, SIM_TIDB)
     assert 17 in engine.execute_with_report(subquery, merge_join_hints()).fired_bug_ids
     hint_sets = [HINT_SETS[0], merge_join_hints(), HINT_SETS[0]]
     reports = engine.execute_all_hints(query, hint_sets)
     assert [len(report.result) for report in reports] == [3, 0, 3]
     assert [report.fired_bug_ids for report in reports] == [(), (15,), ()]
+
+
+def test_hint_sets_whose_subquery_plans_differ_share_no_execution(orders_db):
+    # Under SimMariaDB the outer semi-join executes alike under both hint
+    # sets, so without the subquery they share one execution.  With the
+    # outer-join cache off, the subquery's left outer join loses its
+    # matched rows (bug 10): the IN list is empty, and so is the result.
+    hint_sets = [default_hints(), join_cache_off_hints("outer_join_with_cache")]
+    engine = Engine(orders_db, SIM_MARIADB)
+    plain = engine.execute_all_hints(semi_join_with_in_subquery(where=False),
+                                     hint_sets)
+    assert plain[0].result is plain[1].result
+    query = semi_join_with_in_subquery()
+    reports = engine.execute_all_hints(query, hint_sets)
+    assert [len(report.result) for report in reports] == [3, 0]
+    assert [report.fired_bug_ids for report in reports] == [(), (10,)]
+    for hints, report in zip(hint_sets, reports):
+        fresh = Engine(orders_db, SIM_MARIADB).execute_with_report(query, hints)
+        assert report_record(report) == report_record(fresh)
+
+
+class HashOnlyPadding(ExecutionHooks):
+    """Pads the unmatched rows of an inner join, but only under HASH: the
+    one hash-table algorithm the seam tells apart from the others."""
+
+    def flag(self, effect, trigger):
+        return (effect == "inner_join_emit_null_padding"
+                and trigger.algorithm is JoinAlgorithm.HASH)
+
+
+def test_the_default_behaviour_key_keeps_apart_what_the_hooks_tell_apart(orders_db):
+    # HASH and BNLH run the same matching routine; only the hooks' answers
+    # differ, and the default key (the trigger itself) sees that.
+    query = QUERIES["join-inner"]
+    hint_sets = [hash_join_hints(), bnlh_join_hints()]
+    reports = Engine(orders_db, hooks=HashOnlyPadding()).execute_all_hints(
+        query, hint_sets)
+    assert len(reports[0].result) > len(reports[1].result)
+    for hints, report in zip(hint_sets, reports):
+        fresh = Engine(orders_db, hooks=HashOnlyPadding()).execute_with_report(
+            query, hints)
+        assert report_record(report) == report_record(fresh)
 
 
 def test_plan_description_read_after_execution_is_the_plans_explain(orders_db):
