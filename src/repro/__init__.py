@@ -43,9 +43,6 @@ from repro.core import (
     DifferentialOracle,
     DifferentialOutcome,
     DifferentialTester,
-    ExecutionPipeline,
-    PipelineConfig,
-    QueryCache,
     QueryReducer,
     TQS,
     TQSConfig,
@@ -103,16 +100,13 @@ __all__ = [
     "DifferentialTester",
     "DuckDBBackend",
     "Engine",
-    "ExecutionPipeline",
     "GroundTruthOracle",
     "HintSet",
     "JoinType",
     "KQE",
     "KQEConfig",
     "ParallelCampaignConfig",
-    "PipelineConfig",
     "ParallelCampaignResult",
-    "QueryCache",
     "QueryReducer",
     "CompoundQuerySpec",
     "QuerySpec",

@@ -88,13 +88,7 @@ class SQLiteBackend(RenderedSQLBackend):
         if self._connection is not None:
             return
         try:
-            # check_same_thread=False: the execution pipeline deploys on the
-            # campaign thread but executes batches on one dedicated target
-            # thread.  Access is still strictly serial (one batch in flight,
-            # supports_concurrent_cursors stays False); only the *identity* of
-            # the accessing thread changes.
-            self._connection = sqlite3.connect(self.path,
-                                               check_same_thread=False)
+            self._connection = sqlite3.connect(self.path)
         except sqlite3.Error as error:  # pragma: no cover - env dependent
             raise BackendError(f"cannot open SQLite database {self.path!r}: {error}")
 

@@ -39,12 +39,6 @@ from repro.core.differential import (
     DifferentialTester,
     result_sets_match,
 )
-from repro.core.execpipe import ExecutionPipeline, PipelineConfig, QueryJob
-from repro.core.qcache import (
-    QueryCache,
-    dataset_fingerprint,
-    result_cache_key,
-)
 from repro.core.reduction import QueryReducer
 from repro.core.tqs import TQS, IterationOutcome, TQSConfig
 
@@ -61,16 +55,12 @@ __all__ = [
     "DifferentialOutcome",
     "DifferentialTester",
     "EvenBudgetPolicy",
-    "ExecutionPipeline",
     "HourRecord",
     "HourlySample",
     "IterationOutcome",
     "LocalSyncTransport",
     "ParallelCampaignConfig",
     "ParallelCampaignResult",
-    "PipelineConfig",
-    "QueryCache",
-    "QueryJob",
     "QueryReducer",
     "ShardSpec",
     "ShardSyncStats",
@@ -84,9 +74,7 @@ __all__ = [
     "build_differential_tester",
     "build_shard_specs",
     "build_tqs_tester",
-    "dataset_fingerprint",
     "derive_worker_seed",
-    "result_cache_key",
     "register_budget_policy",
     "registered_budget_policies",
     "split_budget",

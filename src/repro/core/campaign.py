@@ -31,8 +31,6 @@ from repro.baselines import make_baseline
 from repro.baselines.base import BaselineTester
 from repro.core.bug_report import BugIncident, BugLog
 from repro.core.differential import DifferentialConfig, DifferentialTester
-from repro.core.execpipe import PipelineConfig
-from repro.core.qcache import QueryCache
 from repro.core.tqs import TQS, TQSConfig
 from repro.dsg.pipeline import DSG, DSGConfig
 from repro.dsg.query_gen import GenerationConfig
@@ -121,10 +119,6 @@ class CampaignConfig:
     use_ground_truth: bool = campaign_field(True, "ground truth (off: TQS!GT)")
     use_kqe: bool = campaign_field(True, "KQE-guided walks (off: TQS!KQE)")
     max_hint_sets: Optional[int] = campaign_field(None, "hint sets per query cap")
-    use_query_cache: bool = campaign_field(
-        False, "memoize rendered SQL and reference results in a per-shard "
-               "content-addressed cache (verdicts stay bit-identical)",
-        "--query-cache", kinds=("differential",))
     # Widened-grammar probabilities.  0.0 keeps the classic join-query-only
     # grammar and, by the no-draw gating in the generator, byte-identical
     # RNG streams.  Only differential campaigns honour them: tqs generates
@@ -184,8 +178,7 @@ class CampaignSpec(CampaignConfig):
     * ``"tqs"`` — TQS against the simulated ``dialect``;
     * ``"baseline"`` — SQLancer-style ``baseline`` against ``dialect``;
     * ``"differential"`` — TQS generation differentially against the real
-      ``backend`` adapter, honouring ``use_query_cache`` and
-      ``pipeline_batch_size``.
+      ``backend`` adapter.
 
     ``workers > 1`` routes through the multiprocessing pool
     (:mod:`repro.core.parallel`) and returns its merged
@@ -205,10 +198,6 @@ class CampaignSpec(CampaignConfig):
     backend: str = campaign_field(
         "sqlite", "backend name for --kind differential: 'sqlite', 'sim' or "
                   "'sim:<Dialect>' (default: sqlite)", "--backend")
-    pipeline_batch_size: int = campaign_field(
-        1, "execution-pipeline batch size inside each differential worker; "
-           ">1 overlaps target and reference execution (default: 1)",
-        "--batch-size", kinds=("differential",))
     workers: int = campaign_field(
         1, "shard count: worker processes or TCP clients "
            "(default: %(default)s)", "--workers")
@@ -264,15 +253,14 @@ def run_campaign(spec: CampaignSpec, on_hour: Optional["OnHour"] = None):
     config = spec.campaign_config()
     tester, tool, dbms = build_campaign_tester(
         spec.kind, config, dialect=spec.dialect, baseline=spec.baseline,
-        backend=spec.backend, batch_size=spec.pipeline_batch_size,
+        backend=spec.backend,
     )
     result = CampaignResult(tool=tool, dbms=dbms, dataset=config.dataset)
     try:
         return run_campaign_loop(tester, result, config.hours,
                                  config.queries_per_hour, on_hour=on_hour)
     finally:
-        # Differential testers own an adapter (and possibly pipeline
-        # threads); close() is idempotent.
+        # Differential testers own an adapter; close() is idempotent.
         closer = getattr(tester, "close", None)
         if closer is not None:
             closer()
@@ -327,11 +315,7 @@ def run_campaign_loop(tester, result: CampaignResult, hours: int,
     ``explored_isomorphic_sets``, a ``bug_log`` and a ``diversity``
     isomorphic-set counter.  :class:`~repro.core.tqs.TQS`, every
     :class:`~repro.baselines.base.BaselineTester` and
-    :class:`~repro.core.differential.DifferentialTester` all do.  A tester may
-    additionally expose ``flush()``; it is called at every hour boundary so
-    batched execution (the pipelined differential tester) drains before the
-    hour's counters are sampled — which is what keeps pipelined per-hour
-    series identical to serial ones.
+    :class:`~repro.core.differential.DifferentialTester` all do.
 
     *queries_per_hour* may be a callable of the 1-based hour instead of a
     constant: the adaptive-budget worker uses that to apply the coordinator's
@@ -341,7 +325,6 @@ def run_campaign_loop(tester, result: CampaignResult, hours: int,
     rejected = 0
     known_labels: Set[str] = set()
     incident_watermark = 0
-    flush = getattr(tester, "flush", None)
     # Counter baselines: testers hand cumulative counts to the loop, telemetry
     # counters want per-hour deltas (and must stay correct for testers that
     # are resumed with non-zero counts).
@@ -360,8 +343,6 @@ def run_campaign_loop(tester, result: CampaignResult, hours: int,
                 # A failed generation must not abort the campaign, but it must
                 # not vanish either: it burned budget without a query.
                 rejected += 1
-        if flush is not None:
-            flush()
         sample = HourlySample(
             hour=hour,
             queries_generated=tester.queries_generated,
@@ -441,16 +422,9 @@ def build_baseline_tester(baseline: BaselineTester, dialect: DialectProfile,
 
 def build_differential_tester(backend: BackendAdapter, config: CampaignConfig,
                               reference: Optional[Engine] = None,
-                              differential: Optional[DifferentialConfig] = None,
-                              pipeline: Optional[PipelineConfig] = None,
-                              query_cache: Optional[QueryCache] = None
+                              differential: Optional[DifferentialConfig] = None
                               ) -> DifferentialTester:
     """Deploy a DSG database into *backend* and wrap it in a tester.
-
-    ``config.use_query_cache`` attaches a fresh
-    :class:`~repro.core.qcache.QueryCache` serving reference results (pass
-    *query_cache* to share one across testers, e.g. for repeat-campaign
-    benches).
 
     A failed build (DSG, schema rejected, data unloadable) closes the
     adapter before re-raising, so callers that never obtain a tester cannot
@@ -462,12 +436,9 @@ def build_differential_tester(backend: BackendAdapter, config: CampaignConfig,
             use_kqe=config.use_kqe, seed=config.seed
         )
         reference = reference or reference_engine(dsg.database)
-        if query_cache is None and config.use_query_cache:
-            query_cache = QueryCache()
         backend.deploy(dsg.database)
         return DifferentialTester(dsg, backend, reference=reference,
-                                  config=differential, pipeline=pipeline,
-                                  query_cache=query_cache)
+                                  config=differential)
     except Exception:
         backend.close()
         raise
@@ -475,21 +446,18 @@ def build_differential_tester(backend: BackendAdapter, config: CampaignConfig,
 
 def build_campaign_tester(kind: str, config: CampaignConfig,
                           dialect: str = "SimMySQL", baseline: str = "",
-                          backend: str = "sqlite", batch_size: int = 1
+                          backend: str = "sqlite"
                           ) -> Tuple[Tester, str, str]:
     """The tester of one campaign or shard, with its ``tool`` and ``dbms`` names.
 
     The single kind-to-tester dispatch: :func:`run_campaign` and the pool's
     workers both build through it.  *dialect*, *baseline* and *backend* are
-    names, resolved here; *batch_size* above 1 gives a differential tester
-    the overlapped execution pipeline (:mod:`repro.core.execpipe`).  The
-    campaign was checked on its way in (:func:`check_campaign`).
+    names, resolved here.  The campaign was checked on its way in
+    (:func:`check_campaign`).
     """
     if kind == "differential":
-        pipeline = (PipelineConfig(batch_size=batch_size)
-                    if batch_size > 1 else None)
         adapter = backend_from_name(backend)
-        tester = build_differential_tester(adapter, config, pipeline=pipeline)
+        tester = build_differential_tester(adapter, config)
         return tester, "TQS-differential", adapter.name
     profile = dialect_by_name(dialect)
     if kind == "tqs":

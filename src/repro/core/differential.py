@@ -27,8 +27,6 @@ from typing import List, Optional
 from repro import obs
 from repro.backends.base import BackendAdapter, BackendExecution
 from repro.core.bug_report import BugIncident, BugLog
-from repro.core.execpipe import ExecutionPipeline, PipelineConfig, QueryJob
-from repro.core.qcache import QueryCache, dataset_fingerprint, result_cache_key
 from repro.dsg.pipeline import DSG
 from repro.engine.engine import Engine
 from repro.engine.resultset import ResultSet
@@ -130,86 +128,51 @@ class DifferentialOracle:
 
     def __init__(self, reference: Engine, backend: BackendAdapter,
                  bug_log: Optional[BugLog] = None,
-                 config: Optional[DifferentialConfig] = None,
-                 query_cache: Optional[QueryCache] = None) -> None:
+                 config: Optional[DifferentialConfig] = None) -> None:
         self.reference = reference
         self.backend = backend
         self.bug_log = bug_log if bug_log is not None else BugLog()
         self.config = config or DifferentialConfig()
-        self.query_cache = query_cache
         self.comparisons = 0
         self.skipped = 0
-        self._dataset_fingerprint: Optional[str] = None
 
-    def execute_reference(self, query: AnyQuerySpec,
-                          label: str = "") -> ResultSet:
-        """Run *query* on the reference engine, through the result cache.
-
-        Cache keys are content-addressed (reference-dialect SQL + dataset
-        fingerprint), so a hit returns exactly what the miss path would
-        recompute — the cache-on == cache-off determinism contract.  Only the
-        actual execution is timed under ``execute.reference``; that is the
-        phase the cache is built to collapse.
-        """
-        cache = self.query_cache
-        if cache is None:
-            with obs.span("execute.reference"):
-                return self.reference.execute(query)
-        if self._dataset_fingerprint is None:
-            self._dataset_fingerprint = dataset_fingerprint(
-                self.reference.database
-            )
-        key = result_cache_key(
-            label, self._dataset_fingerprint, SQLRenderer().query(query)
+    def _skip(self, query: AnyQuerySpec, label: str,
+              reason: str) -> DifferentialOutcome:
+        self.skipped += 1
+        return DifferentialOutcome(
+            query=query, canonical_label=label, sql="", matched=True,
+            skipped=True, skip_reason=reason,
         )
-        hit, cached = cache.get(key, "result")
-        if hit:
-            return cached
-        with obs.span("execute.reference"):
-            result = self.reference.execute(query)
-        cache.put(key, result, "result")
-        return result
 
-    def precheck(self, query: AnyQuerySpec,
-                 label: str = "") -> Optional[DifferentialOutcome]:
-        """The pre-execution skip decision; a skip outcome or None.
+    def check(self, query: AnyQuerySpec, label: str = "") -> DifferentialOutcome:
+        """Run *query* on the target, then on the reference, and :meth:`judge`.
 
-        Called before any engine touches the query, in submission order, by
-        both the serial path and the batched pipeline — so skip accounting is
-        identical between them.
+        A mismatch is filed in :attr:`bug_log`.  A query the dialect cannot
+        express (RenderError) or the engine rejects at runtime (BackendError)
+        is skipped, not filed: it is not a *logic* bug, and skipping keeps one
+        unsupported construct from aborting a long campaign.
         """
         if query.limit is not None:
             # LIMIT without a total order picks an engine-chosen subset; two
             # correct engines may legitimately disagree, so it is incomparable.
-            self.skipped += 1
-            return DifferentialOutcome(
-                query=query, canonical_label=label, sql="", matched=True,
-                skipped=True, skip_reason="LIMIT result is engine-defined",
-            )
-        return None
-
-    def judge(self, query: AnyQuerySpec, label: str,
-              execution: BackendExecution,
-              reference_result: Optional[ResultSet]) -> DifferentialOutcome:
-        """Turn one (execution, reference result) pair into a verdict.
-
-        An execution that failed (``execution.error``) is skipped, not filed:
-        a query the dialect cannot express (RenderError) or the engine rejects
-        at runtime (BackendError) is not a *logic* bug, and skipping keeps one
-        unsupported construct from aborting a long campaign.
-        """
-        if execution.error is not None:
-            self.skipped += 1
+            return self._skip(query, label, "LIMIT result is engine-defined")
+        try:
+            execution: BackendExecution = self.backend.execute(query)
+        except (RenderError, BackendError) as error:
             obs.get_registry().counter(
                 "execute.errors",
                 backend=self.backend.name,
-                kind=type(execution.error).__name__,
+                kind=type(error).__name__,
             ).inc()
-            return DifferentialOutcome(
-                query=query, canonical_label=label, sql="", matched=True,
-                skipped=True, skip_reason=str(execution.error),
-            )
-        assert reference_result is not None
+            return self._skip(query, label, str(error))
+        with obs.span("execute.reference"):
+            reference_result = self.reference.execute(query)
+        return self.judge(query, label, execution, reference_result)
+
+    def judge(self, query: AnyQuerySpec, label: str,
+              execution: BackendExecution,
+              reference_result: ResultSet) -> DifferentialOutcome:
+        """Compare one (execution, reference result) pair into a verdict."""
         self.comparisons += 1
         with obs.span("judge"):
             matched = result_sets_match(
@@ -241,24 +204,6 @@ class DifferentialOracle:
             outcome.incident = incident
         return outcome
 
-    def check(self, query: AnyQuerySpec, label: str = "") -> DifferentialOutcome:
-        """Run *query* on both sides and record any mismatch (serial path).
-
-        The batched pipeline runs the same three stages — :meth:`precheck`,
-        execution, :meth:`judge` — with the two executions overlapped; this
-        method is their strictly serial composition, so the two paths cannot
-        drift apart.
-        """
-        skip = self.precheck(query, label)
-        if skip is not None:
-            return skip
-        try:
-            execution: BackendExecution = self.backend.execute(query)
-        except (RenderError, BackendError) as error:
-            return self.judge(query, label, BackendExecution(error=error), None)
-        reference_result = self.execute_reference(query, label)
-        return self.judge(query, label, execution, reference_result)
-
 
 class DifferentialTester:
     """The TQS loop re-targeted at a backend: generate, render, execute, compare.
@@ -267,35 +212,17 @@ class DifferentialTester:
     diversity accounting) but replaces the wide-table ground-truth verification
     with the differential oracle.  One instance drives one backend over one
     DSG-generated database.
-
-    With a :class:`~repro.core.execpipe.PipelineConfig` whose ``batch_size``
-    exceeds 1, generated queries are buffered and executed through the
-    overlapped :class:`~repro.core.execpipe.ExecutionPipeline` — target and
-    reference concurrently — instead of one at a time.  Generation order, KQE
-    registration and verdicts are bit-identical to the serial path; only the
-    wall clock changes.  Callers driving a batched tester directly must call
-    :meth:`flush` before reading counters (the shared campaign loop does so at
-    every hour boundary).
     """
 
     def __init__(self, dsg: DSG, backend: BackendAdapter,
                  reference: Optional[Engine] = None,
-                 config: Optional[DifferentialConfig] = None,
-                 pipeline: Optional[PipelineConfig] = None,
-                 query_cache: Optional[QueryCache] = None) -> None:
+                 config: Optional[DifferentialConfig] = None) -> None:
         self.dsg = dsg
         self.backend = backend
         self.config = config or DifferentialConfig()
         self.reference = reference or Engine(dsg.database)
-        self.oracle = DifferentialOracle(
-            self.reference, backend, config=self.config,
-            query_cache=query_cache,
-        )
-        self.pipeline_config = pipeline or PipelineConfig()
-        self.pipeline = (
-            ExecutionPipeline(self.oracle, self.pipeline_config)
-            if self.pipeline_config.batch_size > 1 else None
-        )
+        self.oracle = DifferentialOracle(self.reference, backend,
+                                         config=self.config)
         self.kqe = (
             KQE(dsg.ndb.schema, rng=random.Random(self.config.seed + 1))
             if self.config.use_kqe else None
@@ -304,7 +231,6 @@ class DifferentialTester:
         self.diversity = IsomorphicSetCounter()
         self.queries_generated = 0
         self.outcomes: List[DifferentialOutcome] = []
-        self._pending: List[QueryJob] = []
         self._closed = False
 
     @property
@@ -332,15 +258,8 @@ class DifferentialTester:
                 last_error = error
         raise GenerationError(f"query generation kept failing: {last_error}")
 
-    def run_iteration(self) -> Optional[DifferentialOutcome]:
-        """Generate one query and compare the backend against the reference.
-
-        On the serial path (batch size 1) the comparison happens immediately
-        and the outcome is returned.  On the batched path the query is
-        buffered — executing as soon as a full batch accumulates — and the
-        return value is None; outcomes land in :attr:`outcomes` (in generation
-        order) when the batch flushes.
-        """
+    def run_iteration(self) -> DifferentialOutcome:
+        """Generate one query and compare the backend against the reference."""
         with obs.span("generate"):
             query = self._generate()
             self.queries_generated += 1
@@ -348,24 +267,12 @@ class DifferentialTester:
             self.diversity.add_label(label)
             if self.kqe is not None:
                 self.kqe.register(query)
-        if self.pipeline is None:
-            outcome = self.oracle.check(query, label)
-            self.outcomes.append(outcome)
-            return outcome
-        self._pending.append(QueryJob(query=query, label=label))
-        if len(self._pending) >= self.pipeline_config.batch_size:
-            self.flush()
-        return None
-
-    def flush(self) -> None:
-        """Execute and judge any buffered queries (no-op on the serial path)."""
-        if self.pipeline is None or not self._pending:
-            return
-        jobs, self._pending = self._pending, []
-        self.outcomes.extend(self.pipeline.run_batch(jobs))
+        outcome = self.oracle.check(query, label)
+        self.outcomes.append(outcome)
+        return outcome
 
     def close(self) -> None:
-        """Flush pending work, stop pipeline threads, close the backend.
+        """Close the backend.
 
         Safe to call twice; every campaign/worker error path funnels through
         here so adapters are never leaked.
@@ -373,12 +280,7 @@ class DifferentialTester:
         if self._closed:
             return
         self._closed = True
-        try:
-            self.flush()
-        finally:
-            if self.pipeline is not None:
-                self.pipeline.close()
-            self.backend.close()
+        self.backend.close()
 
     def run(self, iterations: int) -> BugLog:
         """Run several iterations, skipping failed generations."""
@@ -387,5 +289,4 @@ class DifferentialTester:
                 self.run_iteration()
             except GenerationError:
                 continue
-        self.flush()
         return self.bug_log

@@ -124,9 +124,6 @@ class ShardSpec:
     dialect: str = "SimMySQL"
     baseline: str = ""          # baseline name when kind == "baseline"
     backend: str = "sqlite"     # backend name when kind == "differential"
-    # Execution-pipeline batch size for differential shards: above 1, each
-    # worker overlaps target and reference execution (repro.core.execpipe).
-    batch_size: int = 1
 
 
 @dataclass
@@ -378,7 +375,6 @@ def run_shard_with_transport(spec: ShardSpec, sync_hours: Sequence[int],
         tester, tool, dbms = build_campaign_tester(
             spec.kind, spec.config, dialect=spec.dialect,
             baseline=spec.baseline, backend=spec.backend,
-            batch_size=spec.batch_size,
         )
     index = _shard_index(tester)
     records: List[HourRecord] = []
@@ -439,9 +435,9 @@ def run_shard_with_transport(spec: ShardSpec, sync_hours: Sequence[int],
         run_campaign_loop(tester, result, spec.config.hours,
                           budget_for_hour, on_hour=on_hour)
     finally:
-        # Differential testers own an adapter (and possibly pipeline
-        # threads); close() is idempotent and runs on every exit path so a
-        # failing shard cannot leak its connection.
+        # Differential testers own an adapter; close() is idempotent and
+        # runs on every exit path so a failing shard cannot leak its
+        # connection.
         closer = getattr(tester, "close", None)
         if closer is not None:
             closer()
@@ -887,12 +883,11 @@ def _run_shards_over_tcp(shards: Sequence[ShardSpec],
 
 def build_shard_specs(kind: str, config: CampaignConfig, workers: int,
                       dialect: str = "SimMySQL", baseline: str = "",
-                      backend: str = "sqlite",
-                      batch_size: int = 1) -> List[ShardSpec]:
+                      backend: str = "sqlite") -> List[ShardSpec]:
     """:func:`campaign_shards` for callers holding a :class:`CampaignConfig`."""
     return campaign_shards(CampaignSpec(
         **config_values(config), kind=kind, dialect=dialect, baseline=baseline,
-        backend=backend, pipeline_batch_size=batch_size, workers=workers))
+        backend=backend, workers=workers))
 
 
 def campaign_shards(spec: CampaignSpec) -> List[ShardSpec]:
@@ -906,7 +901,7 @@ def campaign_shards(spec: CampaignSpec) -> List[ShardSpec]:
     return [
         ShardSpec(shard_id=shard_id, kind=spec.kind, config=shard_config,
                   dialect=spec.dialect, baseline=spec.baseline,
-                  backend=spec.backend, batch_size=spec.pipeline_batch_size)
+                  backend=spec.backend)
         for shard_id, shard_config in enumerate(
             shard_campaign_configs(spec.campaign_config(), spec.workers))
     ]
@@ -965,7 +960,8 @@ def campaign_spec(args: argparse.Namespace) -> CampaignSpec:
     """The :class:`CampaignSpec` that :func:`add_campaign_arguments` names.
 
     Also rebuilds a campaign from serve's recorded JSON echo: a flag an older
-    echo lacks takes its field's default.  :func:`campaign_shards` checks it.
+    echo lacks takes its field's default, and the key of a retired flag is
+    ignored.  :func:`campaign_shards` checks it.
     """
     return CampaignSpec(**{
         declared.name: getattr(args, dest)

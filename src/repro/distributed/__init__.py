@@ -5,7 +5,7 @@ clients explore independently.  This package makes that deployment real:
 
 * :mod:`repro.distributed.protocol` — the one wire encoding behind the
   REGISTER / SYNC / REPORT / SHUTDOWN verbs of the bulk-synchronous protocol:
-  protocol v3, HMAC-authenticated JSON frames opened by a HELLO handshake.
+  protocol v4, HMAC-authenticated JSON frames opened by a HELLO handshake.
 * :mod:`repro.distributed.wire` — the typed JSON codecs of the protocol: every
   campaign payload (embeddings, shard specs, reports, budgets) has an explicit
   schema, and decoding validates it.

@@ -27,7 +27,7 @@ Four subcommands:
     print its health payload (registration/round progress, frame rejections,
     per-shard last-heard ages) plus the merged telemetry phase breakdown.
 
-Every connection speaks protocol v3 (HMAC-authenticated JSON frames under a
+Every connection speaks protocol v4 (HMAC-authenticated JSON frames under a
 shared ``--auth-key-file``).  ``serve`` takes the campaign flags of
 ``python -m repro.core.parallel``
 (:func:`~repro.core.parallel.add_campaign_arguments`) and additionally

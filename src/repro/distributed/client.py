@@ -9,7 +9,7 @@ connects, asks the server to assign it one of the campaign's shards, runs the
 shard with a liveness heartbeat, and uploads the report —
 ``python -m repro.distributed client`` is a thin wrapper around it.
 
-Every connection speaks protocol v3 — HMAC-authenticated JSON frames,
+Every connection speaks protocol v4 — HMAC-authenticated JSON frames,
 opened with a HELLO handshake right after the socket connects.
 """
 

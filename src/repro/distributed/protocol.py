@@ -4,7 +4,7 @@ The parallel campaign runner's synchronization protocol is bulk-synchronous and
 transport-agnostic: workers ship batches of (embedding, canonical label) pairs
 at hour boundaries and block until the coordinator broadcasts the other
 workers' entries back.  This module pins down the one TCP encoding of that
-protocol, version 3 (:class:`JsonFrameCodec`)::
+protocol, version 4 (:class:`JsonFrameCodec`)::
 
     +-------+----------------+------------------+----------------------+
     | magic | 4-byte big-    | 32-byte HMAC-    | UTF-8 JSON message   |
@@ -71,7 +71,7 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 # JSON body.  Index-entry batches ride packed (see wire.encode_entries_packed).
 # A HELLO carrying any version but PROTOCOL_VERSION is refused.
 MAGIC = b"TQS2"
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 MAC_BYTES = hashlib.sha256().digest_size
 
 _HEADER = struct.Struct(">I")
@@ -151,7 +151,7 @@ def _recv_component(
 
 
 class JsonFrameCodec:
-    """Protocol v3: HMAC-SHA256-authenticated JSON frames, no pickle.
+    """Protocol v4: HMAC-SHA256-authenticated JSON frames, no pickle.
 
     *auth_key* is the shared secret both ends must hold; ``None`` (or empty)
     falls back to an unkeyed tag that still catches corruption and framing

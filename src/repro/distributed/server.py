@@ -8,7 +8,7 @@ pre-assigned shard id or asking the server to assign one of the campaign's
 shards), SYNC a batch at every scheduled hour boundary and block until the
 round's broadcast, REPORT their finished shard, and may request SHUTDOWN.
 
-The wire is protocol v3 — HMAC-authenticated JSON frames opened by a HELLO
+The wire is protocol v4 — HMAC-authenticated JSON frames opened by a HELLO
 that must carry exactly that version — and nothing received from a socket is
 ever unpickled.  Malformed or unauthenticated frames (a legacy pickle client's
 among them) reject *that connection* and leave the server serving.

@@ -242,6 +242,13 @@ _CAMPAIGN_FIELD_DECODERS: Dict[Any, Any] = {
 }
 
 
+def _reject_unknown(obj: Dict[str, Any], names: Any, where: str) -> None:
+    """Fail on any key of *obj* outside *names*: a retired key fails loudly."""
+    unknown = sorted(set(obj) - set(names))
+    if unknown:
+        _fail(where, f"unknown field(s) {unknown}")
+
+
 def encode_campaign_config(config: Any) -> Dict[str, Any]:
     """The fields of ``CampaignConfig``, in declaration order."""
     from repro.core.campaign import config_values
@@ -257,9 +264,7 @@ def decode_campaign_config(value: Any) -> Any:
     where = "campaign config"
     types = get_type_hints(CampaignConfig)
     names = [declared.name for declared in fields(CampaignConfig)]
-    unknown = sorted(set(obj) - set(names))
-    if unknown:
-        _fail(where, f"unknown field(s) {unknown}")
+    _reject_unknown(obj, names, where)
     return CampaignConfig(**{
         name: _CAMPAIGN_FIELD_DECODERS[types[name]](
             _get(obj, name, where), f"{where} {name}"
@@ -276,7 +281,6 @@ def encode_shard_spec(spec: Any) -> Dict[str, Any]:
         "dialect": spec.dialect,
         "baseline": spec.baseline,
         "backend": spec.backend,
-        "batch_size": spec.batch_size,
     }
 
 
@@ -285,6 +289,8 @@ def decode_shard_spec(value: Any) -> Any:
 
     obj = _obj(value, "shard spec")
     where = "shard spec"
+    _reject_unknown(obj, [declared.name for declared in fields(ShardSpec)],
+                    where)
     return ShardSpec(
         shard_id=_int_field(obj, "shard_id", where),
         kind=_str_field(obj, "kind", where),
@@ -292,7 +298,6 @@ def decode_shard_spec(value: Any) -> Any:
         dialect=_str_field(obj, "dialect", where),
         baseline=_str_field(obj, "baseline", where),
         backend=_str_field(obj, "backend", where),
-        batch_size=_int_field(obj, "batch_size", where),
     )
 
 

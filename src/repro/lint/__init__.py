@@ -2,9 +2,9 @@
 
 The reproduction's value rests on conventions that ordinary tooling cannot
 check: seeded ``random.Random`` discipline (serial == 1-worker == N-worker ==
-TCP, bit-identical), lock-guarded shared state in the metrics registry /
-execution pipeline / index server, "never unpickle socket bytes", and sorted
-iteration before anything hashed or emitted.  This package turns each
+TCP, bit-identical), lock-guarded shared state in the metrics registry and
+the index server, "never unpickle socket bytes", and sorted iteration before
+anything hashed or emitted.  This package turns each
 convention into an ``ast``-based rule that fails CI, the same way the wire
 protocol turned "trust the socket" into validated codecs.
 

@@ -1,23 +1,23 @@
-# repro-lint: path=repro/core/qcache.py
-"""Deliberately broken: non-canonical inputs feeding cache keys."""
+# repro-lint: path=repro/distributed/server.py
+"""Deliberately broken: non-canonical inputs feeding a campaign fingerprint."""
 import hashlib
 
 MEMO = {}
 
 
-def result_cache_key(query, params):
-    tag = id(query)
+def campaign_fingerprint(shards, params):
+    tag = id(shards)
     salt = hash(params)
     pieces = [str(tag), str(salt)]
     pieces.extend(f"{k}={v}" for k, v in MEMO.items())
     return hashlib.sha256("|".join(pieces).encode()).hexdigest()
 
 
-def dataset_fingerprint(tables):
-    parts = [name for name in tables.keys()]
+def schedule_digest(hours):
+    parts = [str(hour) for hour in hours.keys()]
     return hashlib.sha256(",".join(parts).encode()).hexdigest()
 
 
-def lookup(cache, key):
-    # id()/hash() are banned everywhere in qcache.py, not just key builders.
-    return cache.get(id(key))
+def lookup(snapshots, header):
+    # id()/hash() are banned everywhere in server.py, not just key builders.
+    return snapshots.get(id(header))

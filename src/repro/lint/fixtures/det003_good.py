@@ -1,20 +1,20 @@
-# repro-lint: path=repro/core/qcache.py
-"""Clean counterpart: content-addressed keys from canonical inputs only."""
+# repro-lint: path=repro/distributed/server.py
+"""Clean counterpart: a campaign fingerprint from canonical inputs only."""
 import hashlib
 
 MEMO = {}
 
 
-def result_cache_key(query, params):
-    pieces = [query.render(), repr(params)]
+def campaign_fingerprint(shards, params):
+    pieces = [repr(shards), repr(params)]
     pieces.extend(f"{k}={MEMO[k]}" for k in sorted(MEMO))
     return hashlib.sha256("|".join(pieces).encode()).hexdigest()
 
 
-def dataset_fingerprint(tables):
-    parts = [name for name in sorted(tables.keys())]
+def schedule_digest(hours):
+    parts = [str(hour) for hour in sorted(hours.keys())]
     return hashlib.sha256(",".join(parts).encode()).hexdigest()
 
 
-def lookup(cache, key):
-    return cache.get(key)
+def lookup(snapshots, header):
+    return snapshots.get(header["fingerprint"])

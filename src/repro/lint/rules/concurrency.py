@@ -7,8 +7,8 @@ A module that owns a multi-threaded class declares its discipline once::
 meaning: outside ``__init__``, ``self._counters`` may only be touched
 lexically inside ``with self._lock:`` or inside a method whose name ends in
 ``_locked`` (the repo-wide "caller holds the lock" suffix convention).  The
-rule also seeds the map for the three classes whose races have actually
-bitten: MetricsRegistry, ExecutionPipeline and IndexServer.
+rule also seeds the map for the two classes whose races have actually
+bitten: MetricsRegistry and IndexServer.
 """
 
 from __future__ import annotations
@@ -30,12 +30,6 @@ _SEED_GUARDS: Dict[str, GuardMap] = {
         "MetricsRegistry": (
             "_lock",
             ("_counters", "_gauges", "_histograms"),
-        ),
-    },
-    "repro/core/execpipe.py": {
-        "ExecutionPipeline": (
-            "_lock",
-            ("_target_pool", "_reference_pool"),
         ),
     },
     "repro/distributed/server.py": {

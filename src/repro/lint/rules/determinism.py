@@ -353,10 +353,11 @@ class UnsortedSetIteration(Rule):
         return False
 
 
-#: The content-addressed cache module whose import closure DET003 covers.
-_QCACHE_SEED = "repro/core/qcache.py"
+#: The module whose import closure DET003 covers: the index server, whose
+#: campaign fingerprint decides whether a snapshot replays.
+FINGERPRINT_SEED = "repro/distributed/server.py"
 
-#: Function-name fragments that mark a cache-key/fingerprint builder.
+#: Function-name fragments that mark a key/fingerprint builder.
 _KEY_MARKERS = ("key", "fingerprint", "digest")
 
 #: Dict view methods whose iteration order is insertion order — canonical
@@ -364,9 +365,9 @@ _KEY_MARKERS = ("key", "fingerprint", "digest")
 _DICT_VIEWS = frozenset({"items", "keys", "values"})
 
 
-def _qcache_closure(project: Project) -> Set[str]:
-    """Logical paths of qcache.py plus everything it (transitively) imports."""
-    seed = project.by_logical.get(_QCACHE_SEED)
+def fingerprint_closure(project: Project) -> Set[str]:
+    """Logical paths of the seed module plus everything it (transitively) imports."""
+    seed = project.by_logical.get(FINGERPRINT_SEED)
     if seed is None:
         return set()
     closure: Set[str] = set()
@@ -384,28 +385,29 @@ def _qcache_closure(project: Project) -> Set[str]:
 
 
 @register_rule
-class NonCanonicalCacheKey(Rule):
+class NonCanonicalContentKey(Rule):
     rule_id = "DET003"
-    title = "cache key built from non-canonical inputs"
+    title = "content key built from non-canonical inputs"
     rationale = (
-        "Content-addressed cache keys must be pure functions of canonical "
-        "content.  id() is a memory address, hash() is salted per process "
-        "(PYTHONHASHSEED), and raw dict iteration bakes one construction "
-        "path's insertion order into the key — any of them lets the same "
-        "logical query fingerprint differently across runs or processes, "
-        "which silently breaks the cache-on == cache-off verdict contract.  "
-        "Inside qcache.py and its import closure, key/fingerprint/digest "
-        "builders must feed hashlib canonical text only, and wrap any dict "
-        "view in sorted(...) before iterating."
+        "The index server's campaign fingerprint decides whether a snapshot "
+        "replays into a restarted campaign, so it must be a pure function of "
+        "canonical content.  id() is a memory address, hash() is salted per "
+        "process (PYTHONHASHSEED), and raw dict iteration bakes one "
+        "construction path's insertion order into the key — any of them lets "
+        "the same campaign fingerprint differently across runs or processes, "
+        "so a restarted server silently discards its log or replays the "
+        "wrong one.  Inside distributed/server.py and its import closure, "
+        "key/fingerprint/digest builders must feed hashlib canonical text "
+        "only, and wrap any dict view in sorted(...) before iterating."
     )
 
     def check_module(
         self, module: ModuleContext, project: Project
     ) -> Iterator[Finding]:
-        closure = _qcache_closure(project)
+        closure = fingerprint_closure(project)
         if module.logical not in closure:
             return
-        in_qcache = module.logical == _QCACHE_SEED
+        in_seed = module.logical == FINGERPRINT_SEED
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -413,7 +415,7 @@ class NonCanonicalCacheKey(Rule):
             if (
                 isinstance(node.func, ast.Name)
                 and node.func.id in ("id", "hash")
-                and (in_qcache or keyish)
+                and (in_seed or keyish)
             ):
                 line, col = module.finding_location(node)
                 yield Finding(
@@ -421,7 +423,7 @@ class NonCanonicalCacheKey(Rule):
                     path=module.path,
                     line=line,
                     col=col,
-                    message=f"{node.func.id}() feeding cache-key "
+                    message=f"{node.func.id}() feeding content-key "
                     "construction is identity/salt-dependent",
                     hint="address content, not objects: hashlib over "
                     "canonical rendered text",
@@ -441,7 +443,7 @@ class NonCanonicalCacheKey(Rule):
                     line=line,
                     col=col,
                     message=f".{node.func.attr}() iterated unsorted inside "
-                    "a cache-key builder",
+                    "a content-key builder",
                     hint="wrap the view in sorted(...) so the key is "
                     "independent of insertion order",
                 )

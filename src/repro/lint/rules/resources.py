@@ -21,7 +21,6 @@ from repro.lint.registry import Rule, register_rule
 _CLOSEABLE_CONSTRUCTORS = frozenset(
     {
         "DifferentialTester",
-        "ExecutionPipeline",
         "RemoteSyncTransport",
         "ScriptedClient",
         "FaultyProxy",
@@ -54,7 +53,7 @@ class LeakedCloseable(Rule):
     rule_id = "RES001"
     title = "closeable constructed without with/finally/ownership transfer"
     rationale = (
-        "Backends, transports, pipelines and sockets all hold OS resources; "
+        "Backends, transports and sockets all hold OS resources; "
         "campaign code runs for hours, so a single leaked constructor "
         "becomes thousands of leaked handles.  Every construction must show "
         "its ownership: a `with` block, a close() in finally/except, being "

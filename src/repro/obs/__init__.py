@@ -36,11 +36,9 @@ from repro.obs.registry import (
     MetricsRegistry,
     MetricsSnapshot,
     NullRegistry,
-    OVERLAPPED_PHASE_HISTOGRAM,
     PHASE_HISTOGRAM,
     format_key,
     get_registry,
-    overlapped,
     parse_key,
     reset_registry,
     set_enabled,
@@ -59,14 +57,12 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "NullRegistry",
-    "OVERLAPPED_PHASE_HISTOGRAM",
     "PHASE_HISTOGRAM",
     "PROMETHEUS_CONTENT_TYPE",
     "error_breakdown",
     "error_counts",
     "format_key",
     "get_registry",
-    "overlapped",
     "parse_key",
     "phase_breakdown",
     "phase_total_seconds",

@@ -18,7 +18,6 @@ _PHASE_ORDER = (
     "render",
     "execute.target",
     "execute.reference",
-    "execute.overlap",
     "judge",
     "sync",
 )

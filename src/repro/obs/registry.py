@@ -28,8 +28,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from types import TracebackType
 from typing import (
-    Any,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -37,7 +35,6 @@ from typing import (
     Optional,
     Tuple,
     Type,
-    TypeVar,
     Union,
 )
 
@@ -53,12 +50,6 @@ GUARDED_BY = {
 #: Histogram family that every :func:`MetricsRegistry.span` records into,
 #: labeled with ``phase=<name>``.
 PHASE_HISTOGRAM = "phase.seconds"
-
-#: Histogram family of the spans a helper thread records while the thread
-#: that waits for it holds a span of its own (see :func:`overlapped`).  They
-#: say how busy each helper was, and stay out of the phase totals: those
-#: partition the waiting thread's wall-clock.
-OVERLAPPED_PHASE_HISTOGRAM = "phase.overlapped.seconds"
 
 #: Default latency buckets (seconds) — sub-millisecond through one minute,
 #: roughly log-spaced like Prometheus' defaults.
@@ -373,10 +364,7 @@ class MetricsRegistry:
         return _Span(self, name)
 
     def observe_phase(self, name: str, seconds: float) -> None:
-        family = (OVERLAPPED_PHASE_HISTOGRAM
-                  if getattr(_thread_state, "overlapped", False)
-                  else PHASE_HISTOGRAM)
-        self.histogram(family, phase=name).observe(seconds)
+        self.histogram(PHASE_HISTOGRAM, phase=name).observe(seconds)
 
     # -------------------------------------------------------------- snapshot
 
@@ -487,28 +475,6 @@ def telemetry_enabled() -> bool:
 def span(name: str) -> Union[_Span, _NullSpan]:
     """Shorthand for ``get_registry().span(name)``."""
     return get_registry().span(name)
-
-
-_thread_state = threading.local()
-_Result = TypeVar("_Result")
-
-
-def overlapped(fn: Callable[..., _Result]) -> Callable[..., _Result]:
-    """*fn*, with the phase spans it records filed as overlapped work.
-
-    For work handed to a helper thread while the calling thread times the
-    wait under a span of its own: the wait is charged once, to the caller,
-    and the helper's spans go to :data:`OVERLAPPED_PHASE_HISTOGRAM`.
-    """
-
-    def run(*args: Any, **kwargs: Any) -> _Result:
-        _thread_state.overlapped = True
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _thread_state.overlapped = False
-
-    return run
 
 
 def snapshot_dict() -> Optional[Dict[str, object]]:

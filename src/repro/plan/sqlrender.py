@@ -5,8 +5,8 @@ The one code that turns the IR into text.  It serializes query specs,
 DSG-generated :class:`~repro.catalog.schema.DatabaseSchema` into SQL that a real
 engine will parse, plus the CREATE TABLE / INSERT statements needed to deploy a
 :class:`~repro.storage.database.Database` into it.  Backend adapters render
-with their engine's dialect; bug reports, reference result-cache keys and the
-expression text of plan descriptions use the reference dialect
+with their engine's dialect; bug reports and the expression text of plan
+descriptions use the reference dialect
 (:data:`ANSI_DIALECT`, the default of :class:`SQLRenderer`).
 
 Two rendering decisions are semantic, not cosmetic, and both exist to make the

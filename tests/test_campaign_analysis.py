@@ -77,20 +77,6 @@ class TestCampaign:
                 run_campaign(replace(FAST, hours=1, queries_per_hour=1,
                                      workers=workers))
 
-    def test_pipeline_batch_outside_differential_rejected(self):
-        for kind, baseline in (("tqs", ""), ("baseline", "NoRec")):
-            spec = replace(FAST, kind=kind, baseline=baseline,
-                           pipeline_batch_size=8)
-            with pytest.raises(CampaignError, match="pipeline_batch_size=8"):
-                run_campaign(spec)
-
-    def test_query_cache_outside_differential_rejected(self):
-        for kind, baseline in (("tqs", ""), ("baseline", "NoRec")):
-            spec = replace(FAST, kind=kind, baseline=baseline,
-                           use_query_cache=True)
-            with pytest.raises(CampaignError, match="use_query_cache"):
-                run_campaign(spec)
-
     def test_on_hour_hook_with_a_pool_rejected(self):
         with pytest.raises(CampaignError, match="on_hour"):
             run_campaign(replace(FAST, hours=1, queries_per_hour=1, workers=2),

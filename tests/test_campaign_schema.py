@@ -38,7 +38,6 @@ _DIALECTS = ("SimMySQL", "SimMariaDB", "SimTiDB", "SimXDB")
 CAMPAIGN_ACTIONS = {
     "backend": (("--backend",), "sqlite", None, None, "_StoreAction"),
     "baseline": (("--baseline",), "NoRec", None, None, "_StoreAction"),
-    "batch_size": (("--batch-size",), 1, "int", None, "_StoreAction"),
     "budget_policy": (
         ("--budget-policy",), "even", None, ("adaptive", "even"), "_StoreAction"),
     "cte_probability": (("--cte-probability",), 0.0, "float", None, "_StoreAction"),
@@ -51,7 +50,6 @@ CAMPAIGN_ACTIONS = {
         "_StoreAction"),
     "no_prune": (("--no-prune",), False, None, None, "_StoreTrueAction"),
     "queries_per_hour": (("--queries-per-hour",), 12, "int", None, "_StoreAction"),
-    "query_cache": (("--query-cache",), False, None, None, "_StoreTrueAction"),
     "scalar_subquery_probability": (
         ("--scalar-subquery-probability",), 0.0, "float", None, "_StoreAction"),
     "seed": (("--seed",), 5, "int", None, "_StoreAction"),
@@ -62,19 +60,19 @@ CAMPAIGN_ACTIONS = {
 
 #: Every option string of each parser: the derivation adds no flag.
 POOL_OPTIONS = {
-    "--auth-key-file", "--backend", "--baseline", "--batch-size",
+    "--auth-key-file", "--backend", "--baseline",
     "--budget-policy", "--cte-probability", "--dataset", "--dataset-rows",
     "--dialect", "--help", "--hours", "--kind", "--live-stats", "--no-prune",
-    "--queries-per-hour", "--query-cache", "--scalar-subquery-probability",
+    "--queries-per-hour", "--scalar-subquery-probability",
     "--seed", "--setop-probability", "--sync-interval", "--transport",
     "--worker-timeout", "--workers", "-h",
 }
 SERVE_OPTIONS = {
-    "--auth-key-file", "--backend", "--baseline", "--batch-size",
+    "--auth-key-file", "--backend", "--baseline",
     "--budget-policy", "--cte-probability", "--dataset", "--dataset-rows",
     "--dialect", "--evict-dead-clients", "--help", "--host", "--hours", "--kind",
     "--live-stats", "--metrics-addr", "--no-prune", "--output", "--port",
-    "--queries-per-hour", "--query-cache", "--round-timeout",
+    "--queries-per-hour", "--round-timeout",
     "--scalar-subquery-probability", "--seed", "--serve-timeout",
     "--setop-probability", "--snapshot-dir", "--sync-interval",
     "--telemetry-output", "--workers", "-h",
@@ -83,7 +81,7 @@ SERVE_OPTIONS = {
 #: ``list(encode_campaign_config(CampaignConfig()))`` before the derivation.
 WIRE_KEYS = [
     "dataset", "dataset_rows", "hours", "queries_per_hour", "seed", "use_noise",
-    "use_ground_truth", "use_kqe", "max_hint_sets", "use_query_cache",
+    "use_ground_truth", "use_kqe", "max_hint_sets",
     "setop_probability", "scalar_subquery_probability", "cte_probability",
 ]
 
@@ -91,14 +89,16 @@ WIRE_KEYS = [
 ECHO_KEYS = {
     "kind", "workers", "dataset", "dataset_rows", "hours", "queries_per_hour",
     "seed", "sync_interval", "dialect", "baseline", "backend", "prune",
-    "budget_policy", "batch_size", "query_cache", "setop_probability",
+    "budget_policy", "setop_probability",
     "scalar_subquery_probability", "cte_probability",
 }
 
-#: The server's snapshot campaign fingerprint of FINGERPRINTED_CONFIG.
-FINGERPRINT = "554376af17941f96c6199021cf6bf14e7f273e465c8bc43827cff74963844f0c"
+#: The server's snapshot campaign fingerprint of FINGERPRINTED_CONFIG: the
+#: earlier encoding with only the retired ``batch_size`` and
+#: ``use_query_cache`` keys removed.
+FINGERPRINT = "e80cd6cd4f7665b4027a0bf1d42f4242671dcf81b0155386c24a07ce581387fe"
 FINGERPRINTED_CONFIG = CampaignConfig(
-    dataset_rows=80, hours=3, queries_per_hour=8, seed=17, use_query_cache=True,
+    dataset_rows=80, hours=3, queries_per_hour=8, seed=17,
     setop_probability=0.4, scalar_subquery_probability=0.3, cte_probability=0.25,
 )
 
@@ -158,7 +158,7 @@ class TestPinnedSurface:
 
     def test_snapshot_campaign_fingerprint(self):
         shards = build_shard_specs("differential", FINGERPRINTED_CONFIG, 2,
-                                   backend="sqlite", batch_size=4)
+                                   backend="sqlite")
         server = IndexServer(shards=shards, sync_hours=(1, 2)).start()
         try:
             with server._cond:
@@ -208,7 +208,7 @@ CONFIG_NAMES = {declared.name for declared in fields(CampaignConfig)}
 #: The ShardSpec key of each spec-only field on the wire; ``workers`` is not
 #: a key but the number of shards.
 SHARD_KEYS = {"kind": "kind", "dialect": "dialect", "baseline": "baseline",
-              "backend": "backend", "pipeline_batch_size": "batch_size"}
+              "backend": "backend"}
 
 
 class TestEveryFieldReachesEveryCopy:
@@ -273,22 +273,55 @@ class TestCampaignConfigIsFrozen:
     def test_spec_declares_only_its_own_fields(self):
         own = [declared.name for declared in fields(CampaignSpec)
                if declared.name not in CONFIG_NAMES]
-        assert own == ["kind", "dialect", "baseline", "backend",
-                       "pipeline_batch_size", "workers"]
+        assert own == ["kind", "dialect", "baseline", "backend", "workers"]
         assert CampaignSpec().campaign_config() == CampaignConfig()
 
-    def test_unknown_wire_key_is_a_protocol_error(self):
+    @pytest.mark.parametrize("key", ["use_widgets", "use_query_cache"])
+    def test_unknown_wire_key_is_a_protocol_error(self, key):
         encoded = encode_campaign_config(CampaignConfig())
-        encoded["use_widgets"] = True
-        with pytest.raises(ProtocolError, match="use_widgets"):
+        encoded[key] = True
+        with pytest.raises(ProtocolError, match=key):
             decode_campaign_config(encoded)
+
+    def test_unknown_shard_spec_key_is_a_protocol_error(self):
+        encoded = encode_shard_spec(campaign_shards(CampaignSpec())[0])
+        encoded["batch_size"] = 4
+        with pytest.raises(ProtocolError, match="batch_size"):
+            decode_shard_spec(encoded)
+
+    def test_retired_config_key_inside_a_shard_spec_is_a_protocol_error(self):
+        encoded = encode_shard_spec(campaign_shards(
+            CampaignSpec(kind="differential"))[0])
+        encoded["config"]["use_query_cache"] = True
+        with pytest.raises(ProtocolError, match="use_query_cache"):
+            decode_shard_spec(encoded)
+
+    @pytest.mark.parametrize("retired", [
+        pytest.param({"query_cache": True}, id="query_cache"),
+        pytest.param({"batch_size": 4}, id="batch_size"),
+    ])
+    def test_old_serve_echo_with_one_retired_key_rebuilds(self, retired):
+        args = serve_parser().parse_args(["--kind", "differential",
+                                          "--workers", "3"])
+        echo = json.loads(json.dumps(
+            distributed_cli._campaign_echo(campaign_spec(args), args)))
+        rebuilt = campaign_shards(campaign_spec(
+            argparse.Namespace(**dict(echo, **retired))))
+        assert rebuilt == campaign_shards(campaign_spec(args))
+        assert len(rebuilt) == 3
+
+    def test_old_serve_echo_rebuilds_the_same_shards(self):
+        args = serve_parser().parse_args(["--kind", "differential"])
+        echo = json.loads(json.dumps(
+            distributed_cli._campaign_echo(campaign_spec(args), args)))
+        retired = dict(echo, query_cache=True, batch_size=4)
+        assert campaign_shards(campaign_spec(argparse.Namespace(**retired))) == (
+            campaign_shards(campaign_spec(argparse.Namespace(**echo))))
 
 
 # ------------------------------------------------------------- kind checks
 
 _TQS_ONLY_DIFFERENTIAL_FLAGS = [
-    pytest.param(["--query-cache"], "use_query_cache=True", id="query-cache"),
-    pytest.param(["--batch-size", "4"], "pipeline_batch_size=4", id="batch-size"),
     pytest.param(["--setop-probability", "0.4"], "setop_probability=0.4",
                  id="setop-probability"),
     pytest.param(["--scalar-subquery-probability", "0.3"],
@@ -325,12 +358,37 @@ class TestKindChecks:
         err = str(exited.value.code)
         assert message in err and "needs a differential campaign" in err
 
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--query-cache"], id="query-cache"),
+        pytest.param(["--batch-size", "4"], id="batch-size"),
+    ])
+    def test_pool_cli_refuses_retired_flags(self, monkeypatch, capsys, flags):
+        monkeypatch.setattr(parallel, "run_parallel_shards", _never_called)
+        with pytest.raises(SystemExit) as exited:
+            parallel.main(["--kind", "differential", *_SMALL[2:], *flags])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flags[0] in err
+
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--query-cache"], id="query-cache"),
+        pytest.param(["--batch-size", "4"], id="batch-size"),
+    ])
+    def test_serve_cli_refuses_retired_flags(self, monkeypatch, capsys, flags):
+        monkeypatch.setattr(server_module.IndexServer, "__init__", _never_called)
+        with pytest.raises(SystemExit) as exited:
+            distributed_cli.main(["serve", "--kind", "differential",
+                                  *_SMALL[2:], *flags])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flags[0] in err
+
     def test_build_shard_specs_runs_the_kind_checks(self):
-        with pytest.raises(CampaignError, match="use_query_cache=True"):
-            build_shard_specs("tqs", CampaignConfig(use_query_cache=True), 1)
-        with pytest.raises(CampaignError, match="pipeline_batch_size=2"):
-            build_shard_specs("baseline", CampaignConfig(), 1, baseline="NoRec",
-                              batch_size=2)
+        with pytest.raises(CampaignError, match="setop_probability=0.4"):
+            build_shard_specs("tqs", CampaignConfig(setop_probability=0.4), 1)
+        with pytest.raises(CampaignError, match="cte_probability=0.25"):
+            build_shard_specs("baseline", CampaignConfig(cte_probability=0.25),
+                              1, baseline="NoRec")
         with pytest.raises(CampaignError, match="unknown campaign dialect"):
             run_campaign(CampaignSpec(dialect="SimNoSuchDB"))
 

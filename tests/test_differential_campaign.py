@@ -27,7 +27,7 @@ from repro.core.differential import (
 )
 from repro.dsg import DSG, DSGConfig
 from repro.engine import ResultSet, reference_engine
-from repro.errors import GenerationError
+from repro.errors import BackendError, GenerationError
 from repro.plan.logical import QuerySpec, SelectItem, TableRef
 from repro.expr.ast import ColumnRef
 from repro.sqlvalue.values import NULL
@@ -163,10 +163,21 @@ def test_differential_tester_counters():
     backend.close()
 
 
+def test_close_is_idempotent_and_closes_backend():
+    dsg = DSG(DSGConfig(dataset="shopping", dataset_rows=80, seed=4))
+    backend = SQLiteBackend()
+    backend.deploy(dsg.database)
+    tester = DifferentialTester(dsg, backend,
+                                config=DifferentialConfig(seed=4))
+    tester.run_iteration()
+    tester.close()
+    tester.close()  # second close must be a no-op, not an error
+    with pytest.raises(BackendError):
+        tester.backend.connection  # noqa: B018 - property raises when closed
+
+
 def test_backend_errors_are_skipped_not_fatal():
     """A runtime rejection by the backend must not abort a campaign."""
-    from repro.errors import BackendError
-
     class CrashyBackend(SimulatedBackend):
         def execute(self, query):
             raise BackendError("engine fell over")

@@ -14,7 +14,9 @@ import pytest
 from repro.lint import Finding, run_lint
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import iter_python_files, load_module
+from repro.lint.context import Project
 from repro.lint.registry import LintConfigError, registered_rules, rule_by_id
+from repro.lint.rules.determinism import FINGERPRINT_SEED, fingerprint_closure
 
 FIXTURES = os.path.join("src", "repro", "lint", "fixtures")
 
@@ -240,3 +242,13 @@ def test_live_tree_is_lint_clean():
     used allows are inspected in review).
     """
     assert run_lint([os.path.join("src", "repro")]) == []
+
+
+def test_det003_closure_covers_the_live_tree():
+    """DET003's seed exists, so the rule cannot pass by finding nothing."""
+    project = Project([load_module(path)
+                       for path in iter_python_files([os.path.join("src", "repro")])])
+    closure = fingerprint_closure(project)
+    assert FINGERPRINT_SEED in closure
+    # The fingerprint is built from the shard-spec wire encoding.
+    assert "repro/distributed/wire.py" in closure

@@ -111,7 +111,6 @@ _configs = st.builds(
     use_ground_truth=st.booleans(),
     use_kqe=st.booleans(),
     max_hint_sets=st.none() | _counts,
-    use_query_cache=st.booleans(),
     setop_probability=_probabilities,
     scalar_subquery_probability=_probabilities,
     cte_probability=_probabilities,
@@ -126,7 +125,6 @@ _specs = st.builds(
     dialect=_text,
     baseline=_text,
     backend=_text,
-    batch_size=st.integers(min_value=1, max_value=16),
 )
 _broadcasts = st.builds(
     SyncBroadcast,

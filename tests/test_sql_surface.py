@@ -414,7 +414,6 @@ class TestWidenedCampaign:
             kind="differential", backend="sqlite",
             dataset="shopping", dataset_rows=100,
             hours=5, queries_per_hour=110, seed=13,
-            use_query_cache=True,
             setop_probability=0.4,
             scalar_subquery_probability=0.3,
             cte_probability=0.25,
