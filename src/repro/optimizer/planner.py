@@ -5,7 +5,11 @@ Planning has two halves.  :meth:`Planner.prepare` gives the
 query alone; :meth:`PreparedQuery.plan` does what depends on the hint set.
 That in turn has two steps: :meth:`PreparedQuery.decide` makes the join
 decisions (order, algorithms, materialization, trigger contexts) and
-:meth:`PreparedQuery.build` builds the operators.  The TQS loop runs every
+:meth:`PreparedQuery.build` builds the operators.  The bug-free planner
+evaluates a WHERE conjunct over one table below the joins, on that table's
+scan, where no join can pad the table's rows (see :class:`PreparedQuery`);
+every other conjunct, and every conjunct of a planner with other hooks, is
+evaluated over the joins' output.  The TQS loop runs every
 query under a dozen hint sets, so it prepares once and decides per hint set;
 hint sets whose decisions give the same :meth:`PreparedQuery.execution_key`
 share one execution, and only the first of them builds operators.
@@ -26,10 +30,12 @@ from typing import (
 
 from repro.catalog.schema import DatabaseSchema
 from repro.expr.ast import (
+    And,
     Compiled,
     Expression,
     Layout,
     SubqueryRunner,
+    conjoin,
     contains_subquery,
 )
 from repro.optimizer.cost import JoinCostInput, choose_algorithm
@@ -61,6 +67,12 @@ if TYPE_CHECKING:
 
 _NUMERIC_DOMAINS = (TypeCategory.DECIMAL, TypeCategory.FLOAT, TypeCategory.INTEGER)
 
+_UNPADDED_STEPS = (JoinType.INNER, JoinType.CROSS)
+"""Join types that never pad their own table's rows in a bug-free plan."""
+
+_PADDING_LEFT = (JoinType.RIGHT_OUTER, JoinType.FULL_OUTER)
+"""Join types that pad the rows of the tables joined before them."""
+
 
 class Planner:
     """Builds executable physical plans for one database instance."""
@@ -87,7 +99,7 @@ class _PreparedStep:
 
     step: JoinStep
     position: int
-    scan: TableScan
+    scan: PhysicalOperator  # the step's table scan, under its pushed filter
     cardinality: int
     key: Optional[JoinKeySpec]
     key_is_indexed: bool
@@ -120,6 +132,23 @@ class PreparedQuery:
     and, per join step, the key spec, indexed-key flag, row count and scan
     (scans are stateless, so every plan shares them).
 
+    It also places the WHERE clause, split into its conjuncts, once
+    (selection pushdown).  When the planner's hooks are exactly
+    :class:`~repro.plan.physical.ExecutionHooks`, a conjunct without
+    subqueries that reads one table is evaluated by a :class:`Filter` on
+    that table's scan if the table's rows reach the WHERE clause unpadded:
+    no step of the query is a RIGHT or FULL OUTER join, and the table is
+    the driving one or joined by an INNER or CROSS step.  A bug-free join
+    matches each input row on its own and emits in input order, so the rows
+    reaching the filter over the joins are then, in the same order, those of
+    the unpushed plan that the pushed conjuncts keep.  Storage refuses NaN,
+    so no comparison of stored values raises, and evaluating a conjunct on
+    a row the joins would have dropped changes nothing.  The other
+    conjuncts stay in the filter over the joins' output.  Hooks of a
+    subclass keep the whole clause there: seeded faults observe join inputs
+    (NULL keys, duplicate build keys, the keys a fault fires on), so a
+    pushed filter could change what fires.
+
     Compiled closures are kept too, keyed by the expression (the copied
     clauses hold every expression compiled, so identities stay unique) and
     the layout it was compiled against: a layout differs between plans only
@@ -142,7 +171,8 @@ class PreparedQuery:
         self._query = replace(
             query, joins=list(query.joins), select=list(query.select),
             group_by=list(query.group_by), order_by=list(query.order_by))
-        self._scan: Optional[TableScan] = None
+        self._scan: Optional[PhysicalOperator] = None
+        self._where: Optional[Expression] = None
         self._cardinality = 0
         self._steps: Optional[List[_PreparedStep]] = None
         self._closures: Dict[Tuple[Any, Tuple[str, ...]], Optional[Callable]] = {}
@@ -154,7 +184,6 @@ class PreparedQuery:
         query = self._query
         query.validate()
         database = self.planner.database
-        self._scan = TableScan(database, query.base.table, query.base.alias)
         cardinality = database.row_count(query.base.table)
         # Mirror real optimizers: a WHERE clause over the driving table lowers
         # the estimated outer cardinality, which can flip the cost-based join
@@ -165,15 +194,47 @@ class PreparedQuery:
             if query.base.alias in referenced_aliases:
                 cardinality = max(1, int(cardinality * 0.4))
         self._cardinality = cardinality
+        scans: Dict[str, PhysicalOperator] = {
+            ref.alias: TableScan(database, ref.table, ref.alias)
+            for ref in query.table_refs
+        }
+        pushed, self._where = self._place_where(scans)
+        for alias, predicate in pushed.items():
+            scans[alias] = Filter(scans[alias], predicate)
+        self._scan = scans[query.base.alias]
         alias_to_table = {ref.alias: ref.table for ref in query.table_refs}
-        return [self._prepare_step(step, position, alias_to_table)
+        return [self._prepare_step(step, position, scans[step.table.alias],
+                                   alias_to_table)
                 for position, step in enumerate(query.joins)]
 
-    def _prepare_step(self, step: JoinStep, position: int,
+    def _place_where(self, scans: Dict[str, PhysicalOperator],
+                     ) -> Tuple[Dict[str, Expression], Optional[Expression]]:
+        """The WHERE clause placed: per alias, the conjuncts its scan filters
+        (see the class docstring), and what the filter over the joins keeps."""
+        query = self._query
+        where = query.where
+        if (where is None or type(self.planner.hooks) is not ExecutionHooks
+                or any(step.join_type in _PADDING_LEFT for step in query.joins)):
+            return {}, where
+        unpadded = {query.base.alias} | {
+            step.table.alias for step in query.joins
+            if step.join_type in _UNPADDED_STEPS}
+        pushed: Dict[str, List[Expression]] = {}
+        kept: List[Expression] = []
+        for conjunct in where.operands if isinstance(where, And) else (where,):
+            alias = _single_alias(conjunct, scans)
+            if alias in unpadded:
+                pushed.setdefault(alias, []).append(conjunct)
+            else:
+                kept.append(conjunct)
+        if not pushed:
+            return {}, where
+        return ({alias: conjoin(conjuncts) for alias, conjuncts in pushed.items()},
+                conjoin(kept))
+
+    def _prepare_step(self, step: JoinStep, position: int, scan: PhysicalOperator,
                       alias_to_table: Dict[str, str]) -> _PreparedStep:
-        database = self.planner.database
-        scan = TableScan(database, step.table.table, step.table.alias)
-        cardinality = database.row_count(step.table.table)
+        cardinality = self.planner.database.row_count(step.table.table)
         if step.join_type is JoinType.CROSS or step.left_key is None:
             return _PreparedStep(step, position, scan, cardinality, key=None,
                                  key_is_indexed=False)
@@ -248,8 +309,8 @@ class PreparedQuery:
         operator: PhysicalOperator = self._scan
         for decision in decisions:
             operator = self._build_join(operator, decision, compiler)
-        if query.where is not None:
-            operator = Filter(operator, query.where, compiler)
+        if self._where is not None:
+            operator = Filter(operator, self._where, compiler)
         operator = Project(
             operator,
             query.select,
@@ -393,6 +454,28 @@ def _evaluated_expressions(query: QuerySpec) -> Iterator[Expression]:
         yield query.where
     yield from (item.expression for item in query.select)
     yield from (item.expression for item in query.order_by)
+
+
+def _single_alias(conjunct: Expression,
+                  scans: Dict[str, PhysicalOperator]) -> Optional[str]:
+    """The alias whose scan alone can evaluate *conjunct*, or None.
+
+    That is the one alias every column reference of *conjunct* qualifies,
+    when each names a column of that alias's scan and *conjunct* holds no
+    subquery.
+    """
+    references = conjunct.references()
+    aliases = {table for table, _ in references}
+    if len(aliases) != 1 or contains_subquery(conjunct):
+        return None
+    (alias,) = aliases
+    scan = scans.get(alias)
+    if scan is None:
+        return None
+    columns = set(scan.output_columns())
+    if all(f"{alias}.{column}" in columns for _, column in references):
+        return alias
+    return None
 
 
 _UNSEEN = object()

@@ -32,8 +32,12 @@ def _coerce_pair(left: Any, right: Any) -> tuple:
     return left, right
 
 
-_PLAIN_TYPES = (str, int, float)
-"""Types whose same-type pairs compare natively, without coercion."""
+_PLAIN_TYPES = (str, int, float, Decimal)
+"""Types whose same-type pairs compare natively, without coercion.
+
+Coercing two ``Decimal`` values leaves them unchanged, so comparing them
+natively gives the same answer, and raises the same ``InvalidOperation``
+for a NaN."""
 
 
 def sql_compare(left: Any, right: Any) -> Optional[int]:

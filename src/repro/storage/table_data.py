@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+from decimal import Decimal
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from repro.catalog.table import TableSchema
@@ -10,6 +12,24 @@ from repro.sqlvalue.values import NULL, is_null, null_if_none
 
 Row = Dict[str, Any]
 """A stored row: a mapping from column name to value."""
+
+_NAN_TESTS = {float: math.isnan, Decimal: Decimal.is_nan}
+"""The NaN test of each stored type that has a NaN."""
+
+
+def _storable(table: str, column: str, value: Any) -> Any:
+    """*value* as a cell stores it: ``None`` becomes NULL, and NaN is refused.
+
+    A stored NaN would make comparisons against it raise (a Decimal NaN
+    against anything, a float NaN against a string or Decimal), so a filter
+    could no longer be evaluated before the joins without changing what a
+    query raises.  No generated data holds NaN, and the SQL renderer refuses
+    to write one.
+    """
+    is_nan = _NAN_TESTS.get(type(value))
+    if is_nan is not None and is_nan(value):
+        raise ExecutionError(f"cannot store NaN in {table}.{column}")
+    return null_if_none(value)
 
 
 class TableData:
@@ -41,11 +61,14 @@ class TableData:
     def insert(self, row: Mapping[str, Any]) -> Row:
         """Insert a row, filling missing columns with NULL.
 
-        Unknown column names are rejected so that generator bugs surface early.
+        Unknown column names are rejected so that generator bugs surface
+        early; NaN is refused (see :func:`_storable`).
         """
+        table = self.schema.name
         stored: Row = {}
         for column in self.schema.columns:
-            stored[column.name] = null_if_none(row.get(column.name, NULL))
+            name = column.name
+            stored[name] = _storable(table, name, row.get(name, NULL))
         unknown = set(row) - set(self.schema.column_names)
         if unknown:
             raise ExecutionError(
@@ -60,11 +83,12 @@ class TableData:
             self.insert(row)
 
     def update_cell(self, row_index: int, column: str, value: Any) -> None:
-        """Overwrite one cell (used by the noise injector)."""
+        """Overwrite one cell (used by the noise injector); NaN is refused."""
         if not self.schema.has_column(column):
             raise ExecutionError(f"{self.schema.name!r} has no column {column!r}")
+        value = _storable(self.schema.name, column, value)
         try:
-            self._rows[row_index][column] = null_if_none(value)
+            self._rows[row_index][column] = value
         except IndexError:
             raise ExecutionError(
                 f"row index {row_index} out of range for table {self.schema.name!r}"

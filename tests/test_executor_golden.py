@@ -60,7 +60,7 @@ GOLDEN = {
     "diff-widened": (
         410,
         "eb8828cd71ca5e0acbbff6c16e20e65535160b9f99b7eb236bf05816459daec6",
-        "747877b460af10ec264bf9d4ce30666712708433819357ef5d8570e9e0e6e5cd"),
+        "5f43f474b0c9a29b6eb2840485e1e6784a80f397156fa7cd340bd6266dd6f5a6"),
 }
 
 

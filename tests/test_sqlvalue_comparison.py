@@ -1,7 +1,7 @@
 """Tests for three-valued logic comparisons and hash-key normalization."""
 
 from decimal import Decimal
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.sqlvalue import (
     NULL,
@@ -19,6 +19,7 @@ from repro.sqlvalue import (
     sql_not_equal,
     truth_value,
 )
+from repro.sqlvalue.comparison import _coerce_pair
 
 
 class TestSqlCompare:
@@ -120,3 +121,31 @@ def test_sql_equal_is_reflexive_for_non_null(value):
 @given(st.booleans() | st.none(), st.booleans() | st.none())
 def test_de_morgan_holds_in_3vl(a, b):
     assert logical_not(logical_and(a, b)) == logical_or(logical_not(a), logical_not(b))
+
+
+def _coerced_compare(left, right):
+    """``sql_compare`` by coercing the pair first, as it did for Decimals."""
+    a, b = _coerce_pair(left, right)
+    if a < b:
+        return -1
+    if a > b:
+        return 1
+    return 0
+
+
+def _outcome(compare, left, right):
+    try:
+        return compare(left, right)
+    except Exception as error:
+        return type(error)
+
+
+@given(st.decimals(allow_nan=True), st.decimals(allow_nan=True))
+@example(Decimal("NaN"), Decimal("1"))
+@example(Decimal("sNaN"), Decimal("sNaN"))
+@example(Decimal("-0"), Decimal("0"))
+@example(Decimal("1.0"), Decimal("1"))
+def test_native_decimal_compare_equals_the_coerced_one(left, right):
+    """Two Decimals compare natively with the coerced path's answer or error."""
+    assert _outcome(sql_compare, left, right) == _outcome(
+        _coerced_compare, left, right)

@@ -1,5 +1,7 @@
 """Tests for in-memory storage, indexes and the Database facade."""
 
+from decimal import Decimal
+
 import pytest
 
 from repro.errors import CatalogError, ExecutionError
@@ -28,6 +30,19 @@ class TestTableData:
             table.update_cell(5, "userName", "x")
         with pytest.raises(ExecutionError):
             table.update_cell(0, "missing", "x")
+
+    @pytest.mark.parametrize("nan", [float("nan"), float("-nan"), Decimal("NaN"),
+                                     Decimal("-NaN"), Decimal("sNaN")],
+                             ids=repr)
+    def test_nan_is_refused_on_insert_and_update(self, orders_schema, nan):
+        table = TableData(orders_schema.table("goods"))
+        with pytest.raises(ExecutionError, match="NaN"):
+            table.insert({"RowID": 0, "goodsId": nan})
+        assert len(table) == 0
+        table.insert({"RowID": 0, "goodsId": 1, "price": float("inf")})
+        with pytest.raises(ExecutionError, match="NaN"):
+            table.update_cell(0, "price", nan)
+        assert table.rows[0]["price"] == float("inf")
 
     def test_distinct_values_skips_null(self, orders_db):
         users = orders_db.table("orders")
