@@ -8,11 +8,13 @@ policy object with two decision points:
   run (largest-remainder even split by default, matching the historical
   behaviour bit for bit);
 * :meth:`BudgetPolicy.rebalance` — called by the central coordinator at every
-  bulk-synchronous sync round with each shard's *novel-label count* for the
-  round (canonical labels the shard contributed that the central index had
-  never seen).  The returned allocation is shipped back to the workers inside
-  the round's :class:`~repro.distributed.protocol.SyncBroadcast` and governs
-  their following hours.
+  sync round with each shard's *novel-label count* for the round (canonical
+  labels the shard contributed that the central index had never seen).  The
+  returned allocation is shipped back to the workers inside the round's
+  :class:`~repro.distributed.protocol.SyncBroadcast`.  Rounds are
+  stale-synchronous — a worker receives a round's broadcast at its next
+  scheduled sync — so the allocation governs the hours after that next sync:
+  a reallocation lands one round after the round that decided it.
 
 Policies must conserve the total budget: every allocation they return sums to
 the campaign's ``queries_per_hour``, so the budget identity

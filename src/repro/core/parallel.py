@@ -13,8 +13,12 @@ iteration loop (:func:`~repro.core.campaign.run_campaign_loop`); at hour
 boundaries they ship batches of (embedding, canonical label) pairs to the
 coordinator, which merges them into a central
 :class:`~repro.kqe.graph_index.GraphIndex` and broadcasts the other workers'
-label-novel entries back — the paper's central-index synchronization,
-bulk-synchronous so runs are deterministic.  The coordinator merges per-worker
+label-novel entries back — the paper's central-index synchronization.  It is
+stale-synchronous: the sync at one scheduled hour ships that hour's batch and
+receives the merged broadcast of the *previous* scheduled round, so a worker
+never waits on its peers' current hour and never runs more than one round
+ahead.  The broadcast applied at each hour is a fixed function of completed
+rounds, so runs stay deterministic.  The coordinator merges per-worker
 bug logs with cross-worker bug-type deduplication and rebuilds the per-hour
 series contract on the merged result.  ``run_campaign(CampaignSpec(...,
 workers=N))`` is the one-call front door.
@@ -258,12 +262,14 @@ class SyncTransport:
     """How one worker talks to the central coordinator.
 
     The protocol is four verbs: ``register`` once up front, ``sync`` at every
-    scheduled hour boundary (blocking until the coordinator broadcasts the
-    other workers' entries), ``report`` once at the end, and ``error`` on
-    failure; ``tick`` is the out-of-band liveness heartbeat.  Implementations
-    carry the verbs over multiprocessing queues (:class:`LocalSyncTransport`)
-    or TCP (:class:`~repro.distributed.client.RemoteSyncTransport`); the
-    worker body (:func:`run_shard_with_transport`) is transport-blind.
+    scheduled hour boundary (shipping this hour's batch and receiving the
+    previous round's broadcast of the other workers' entries, waiting only
+    while that round is incomplete), ``report`` once at the end, and
+    ``error`` on failure; ``tick`` is the out-of-band liveness heartbeat.
+    Implementations carry the verbs over multiprocessing queues
+    (:class:`LocalSyncTransport`) or TCP
+    (:class:`~repro.distributed.client.RemoteSyncTransport`); the worker body
+    (:func:`run_shard_with_transport`) is transport-blind.
     """
 
     def register(self, shard_id: Optional[int]) -> None:
@@ -272,11 +278,14 @@ class SyncTransport:
 
     def sync(self, shard_id: int, hour: int, entries: List[IndexEntry],
              telemetry: Optional[Dict[str, Any]] = None) -> SyncBroadcast:
-        """Ship one batch and block until the round's broadcast arrives.
+        """Ship this hour's batch; return the previous round's broadcast.
 
-        *telemetry* is the worker's cumulative metrics snapshot (dict form),
-        carried piggyback for the coordinator's live stats; it never
-        influences the broadcast content.
+        The first scheduled sync returns an empty broadcast.  The time spent
+        blocked for the broadcast after the batch is sent is recorded as the
+        ``sync.wait`` phase when telemetry is on.  *telemetry* is the
+        worker's cumulative metrics snapshot (dict form), carried piggyback
+        for the coordinator's live stats; it never influences the broadcast
+        content.
         """
         raise NotImplementedError
 
@@ -310,20 +319,21 @@ class LocalSyncTransport(SyncTransport):
     def sync(self, shard_id: int, hour: int, entries: List[IndexEntry],
              telemetry: Optional[Dict[str, Any]] = None) -> SyncBroadcast:
         self._to_coordinator.put(("sync", shard_id, hour, entries, telemetry))
-        # Barrier: block until the coordinator broadcasts the other workers'
-        # entries for this round.  The barrier has no fixed deadline of its
-        # own — how long it takes depends on the *slowest peer's* hour, which
-        # a worker cannot bound; deadlock arbitration belongs to the
-        # coordinator (which sees heartbeats from every worker).  We only bail
-        # out if the coordinator process itself died, so orphaned workers
-        # never hang forever.
+        # Barrier: block until the coordinator has the previous round's
+        # broadcast (queued before round 1 for the first sync).  The barrier
+        # has no fixed deadline of its own — how long it takes depends on the
+        # slowest peer, which a worker cannot bound; deadlock arbitration
+        # belongs to the coordinator (which sees heartbeats from every
+        # worker).  We only bail out if the coordinator process itself died,
+        # so orphaned workers never hang forever.
         parent = multiprocessing.parent_process()
-        while True:
-            try:
-                return self._from_coordinator.get(timeout=5.0)
-            except queue_module.Empty:
-                if parent is not None and not parent.is_alive():
-                    raise CampaignError("coordinator process died during sync")
+        with obs.span("sync.wait"):
+            while True:
+                try:
+                    return self._from_coordinator.get(timeout=5.0)
+                except queue_module.Empty:
+                    if parent is not None and not parent.is_alive():
+                        raise CampaignError("coordinator process died during sync")
 
     def report(self, report: "WorkerReport") -> None:
         self._to_coordinator.put(("done", report.shard_id, report))
@@ -413,8 +423,8 @@ def run_shard_with_transport(spec: ShardSpec, sync_hours: Sequence[int],
             # embeddings round-trip through float32 exactly once, here, so
             # every transport and wire protocol ships identical values.
             entries = index.entries_since(watermark[0]).to_wire()
-        # Bulk-synchronous rounds keep the run deterministic — local state
-        # never depends on timing, only on the round's merged content.  The
+        # The broadcast is the previous round's merge, so local state never
+        # depends on timing, only on completed rounds' content.  The
         # cumulative telemetry snapshot rides piggyback on the sync payload so
         # the coordinator can render merged live stats mid-campaign.
         with obs.span("sync"):
@@ -479,7 +489,7 @@ def run_shard_with_heartbeat(spec: ShardSpec, sync_hours: Sequence[int],
     (queue puts are independent), while over TCP ticks queue behind the
     in-flight sync exchange — there the sync message itself refreshes the
     server's activity clock, and the barrier resolves when the slowest peer's
-    batch (or the server's silence deadline) arrives.
+    batch of the previous round (or the server's round deadline) arrives.
     Shared by the pool's worker processes and the distributed CLI client.
     """
     stop_heartbeat = threading.Event()
@@ -686,12 +696,15 @@ def run_parallel_shards(shards: Sequence[ShardSpec],
     """Run shard campaigns in a real worker pool with central index sync.
 
     The coordinator owns the central :class:`GraphIndex` (the paper's index
-    server).  Rounds are bulk-synchronous: at each configured hour boundary it
+    server).  Rounds are stale-synchronous: at each configured hour boundary it
     collects one batch of (embedding, canonical label) pairs from every worker,
     merges them via :meth:`GraphIndex.add_embedding`, and broadcasts to each
     worker the entries contributed by the *other* workers (minus the ones that
-    worker's known labels make redundant, when novelty pruning is on) — so
-    with one worker a parallel run is bitwise-identical to the serial runner.
+    worker's known labels make redundant, when novelty pruning is on).  A
+    worker receives round r's broadcast at its sync of the next scheduled
+    hour; its first sync receives an empty one.  With one worker every
+    broadcast is empty, so a parallel run is bitwise-identical to the serial
+    runner.
 
     With ``parallel.transport == "tcp"`` the coordinator is a real
     :class:`~repro.distributed.server.IndexServer` on a localhost socket and
@@ -743,45 +756,15 @@ def run_parallel_shards(shards: Sequence[ShardSpec],
     for process in processes:
         process.start()
     round_telemetry: Dict[int, Dict[str, Any]] = {}
+    # Batches of the rounds not yet merged; a worker may ship its next
+    # round's batch before a peer ships this one's.
+    open_rounds: Dict[int, Dict[int, List[IndexEntry]]] = {
+        hour: {} for hour in sync_hours}
     try:
-        for round_hour in sync_hours:
-            batches: Dict[int, List[IndexEntry]] = {}
-            while len(batches) < len(shards):
-                message = _receive(result_queue, processes,
-                                   parallel.worker_timeout,
-                                   pending=lambda: [
-                                       procs_by_shard[spec.shard_id]
-                                       for spec in shards
-                                       if spec.shard_id not in batches
-                                   ])
-                if message[0] == "error":
-                    raise CampaignError(
-                        f"worker {message[1]} failed:\n{message[2]}"
-                    )
-                if message[0] != "sync" or message[2] != round_hour:
-                    raise CampaignError(
-                        f"protocol violation: expected sync@{round_hour}, "
-                        f"got {message[0]}@{message[2] if len(message) > 2 else '?'}"
-                    )
-                batches[message[1]] = message[3]
-                if len(message) > 4 and message[4]:
-                    round_telemetry[message[1]] = message[4]
-            broadcasts = coordinator.complete_round(batches)
-            for spec in shards:
-                broadcast_queues[spec.shard_id].put(broadcasts[spec.shard_id])
-            if parallel.live_stats and round_telemetry:
-                merged_snapshot = obs.MetricsSnapshot.merge_all(
-                    obs.MetricsSnapshot.from_dict(snapshot)
-                    for snapshot in round_telemetry.values()
-                )
-                print(
-                    obs.render_live_line(merged_snapshot,
-                                         time.perf_counter() - start,
-                                         hour=round_hour,
-                                         prefix=f"pool[{len(shards)}w]"),
-                    file=sys.stderr, flush=True,
-                )
-        while len(reports) < len(shards):
+        # Every worker's first sync receives an empty broadcast.
+        for spec in shards:
+            broadcast_queues[spec.shard_id].put(SyncBroadcast())
+        while open_rounds or len(reports) < len(shards):
             message = _receive(result_queue, processes, parallel.worker_timeout,
                                pending=lambda: [
                                    procs_by_shard[spec.shard_id]
@@ -790,13 +773,41 @@ def run_parallel_shards(shards: Sequence[ShardSpec],
                                ])
             if message[0] == "error":
                 raise CampaignError(f"worker {message[1]} failed:\n{message[2]}")
-            if message[0] != "done":
+            if message[0] == "done":
+                report: WorkerReport = message[2]
+                reports[report.shard_id] = report
+                coordinator.absorb(report.unsynced_entries)
+                continue
+            if (message[0] != "sync" or message[2] not in open_rounds
+                    or message[1] in open_rounds[message[2]]):
                 raise CampaignError(
-                    f"protocol violation: expected done, got {message[0]}"
+                    f"protocol violation: unexpected {message[0]}"
+                    f"@{message[2] if len(message) > 2 else '?'}"
                 )
-            report: WorkerReport = message[2]
-            reports[report.shard_id] = report
-            coordinator.absorb(report.unsynced_entries)
+            open_rounds[message[2]][message[1]] = message[3]
+            if len(message) > 4 and message[4]:
+                round_telemetry[message[1]] = message[4]
+            # Merge in schedule order every round all workers have shipped.
+            while open_rounds and len(open_rounds[min(open_rounds)]) == len(shards):
+                round_hour = min(open_rounds)
+                broadcasts = coordinator.complete_round(open_rounds.pop(round_hour))
+                if open_rounds:
+                    # The final round's broadcasts are never fetched.
+                    for spec in shards:
+                        broadcast_queues[spec.shard_id].put(
+                            coordinator.deliver(broadcasts[spec.shard_id]))
+                if parallel.live_stats and round_telemetry:
+                    merged_snapshot = obs.MetricsSnapshot.merge_all(
+                        obs.MetricsSnapshot.from_dict(snapshot)
+                        for snapshot in round_telemetry.values()
+                    )
+                    print(
+                        obs.render_live_line(merged_snapshot,
+                                             time.perf_counter() - start,
+                                             hour=round_hour,
+                                             prefix=f"pool[{len(shards)}w]"),
+                        file=sys.stderr, flush=True,
+                    )
     finally:
         for process in processes:
             process.join(timeout=5.0)

@@ -4,8 +4,10 @@ The paper's Figure-10 scale-out keeps one central KQE graph index while N
 clients explore independently.  This package makes that deployment real:
 
 * :mod:`repro.distributed.protocol` — the one wire encoding behind the
-  REGISTER / SYNC / REPORT / SHUTDOWN verbs of the bulk-synchronous protocol:
-  protocol v4, HMAC-authenticated JSON frames opened by a HELLO handshake.
+  REGISTER / SYNC / REPORT / SHUTDOWN verbs of the stale-synchronous protocol
+  (a SYNC ships this hour's batch and receives the previous round's
+  broadcast): protocol v5, HMAC-authenticated JSON frames opened by a HELLO
+  handshake.
 * :mod:`repro.distributed.wire` — the typed JSON codecs of the protocol: every
   campaign payload (embeddings, shard specs, reports, budgets) has an explicit
   schema, and decoding validates it.

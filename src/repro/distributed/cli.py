@@ -5,8 +5,9 @@ Four subcommands:
 ``serve``
     Host the central KQE index server for one campaign: builds the same shard
     assignments the in-process pool would, waits for N clients to register,
-    coordinates the bulk-synchronous rounds with novelty pruning, merges the
-    reports, prints the summary and optionally writes the campaign JSON.
+    coordinates the stale-synchronous rounds (each sync receives the previous
+    round's broadcast) with novelty pruning, merges the reports, prints the
+    summary and optionally writes the campaign JSON.
 
 ``client``
     Connect to a server, receive a shard assignment, run it, upload the
@@ -27,7 +28,7 @@ Four subcommands:
     print its health payload (registration/round progress, frame rejections,
     per-shard last-heard ages) plus the merged telemetry phase breakdown.
 
-Every connection speaks protocol v4 (HMAC-authenticated JSON frames under a
+Every connection speaks protocol v5 (HMAC-authenticated JSON frames under a
 shared ``--auth-key-file``).  ``serve`` takes the campaign flags of
 ``python -m repro.core.parallel``
 (:func:`~repro.core.parallel.add_campaign_arguments`) and additionally

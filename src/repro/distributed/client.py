@@ -9,12 +9,13 @@ connects, asks the server to assign it one of the campaign's shards, runs the
 shard with a liveness heartbeat, and uploads the report —
 ``python -m repro.distributed client`` is a thin wrapper around it.
 
-Every connection speaks protocol v4 — HMAC-authenticated JSON frames,
+Every connection speaks protocol v5 — HMAC-authenticated JSON frames,
 opened with a HELLO handshake right after the socket connects.
 """
 
 from __future__ import annotations
 
+import select
 import socket
 import sys
 import threading
@@ -22,6 +23,7 @@ import time
 import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro import obs
 from repro.distributed import protocol
 from repro.distributed.protocol import (
     IndexEntry,
@@ -95,19 +97,25 @@ class RemoteSyncTransport:
                 pass
             return sock
 
-    def _request(self, message, unbounded: bool = False):
+    def _request(self, message, barrier: bool = False):
         with self._lock:
-            if unbounded:
-                # The sync barrier's duration depends on the *slowest peer's*
-                # hour, which this worker cannot bound; deadlock arbitration
+            if barrier:
+                # The sync barrier's duration depends on the slowest peer,
+                # which this worker cannot bound; deadlock arbitration
                 # belongs to the server (whose activity clock is refreshed by
                 # every worker's heartbeats).  A dead server still surfaces
                 # here as EOF or a keepalive reset, never a silent hang.
                 self._sock.settimeout(None)
             try:
-                reply = self._codec.request(self._sock, message)
+                self._codec.send(self._sock, message)
+                if barrier and obs.telemetry_enabled():
+                    # The barrier wait: blocked until the reply starts to
+                    # arrive.  ``sync`` minus ``sync.wait`` is the exchange.
+                    with obs.span("sync.wait"):
+                        select.select([self._sock], [], [])
+                reply = self._codec.recv(self._sock)
             finally:
-                if unbounded:
+                if barrier:
                     self._sock.settimeout(self._io_timeout)
         if isinstance(reply, tuple) and reply and reply[0] == protocol.ABORT:
             raise TransportError(f"index server aborted: {reply[1]}")
@@ -145,7 +153,7 @@ class RemoteSyncTransport:
             if telemetry is None
             else (protocol.SYNC, shard_id, hour, entries, telemetry)
         )
-        reply = self._request(message, unbounded=True)
+        reply = self._request(message, barrier=True)
         if reply[0] != protocol.BROADCAST:
             raise TransportError(f"unexpected sync reply {reply[0]!r}")
         return reply[1]

@@ -2,8 +2,11 @@
 
 The paper's scale-out design (§4, Figure 10) keeps one central KQE graph index
 while N clients explore independently; the only shared state is the index, and
-the only protocol is the bulk-synchronous exchange of (embedding, canonical
-label) batches.  :class:`CentralCoordinator` is that state machine, factored
+the only protocol is the stale-synchronous exchange of (embedding, canonical
+label) batches: a worker's sync at one scheduled hour ships that hour's batch
+and receives the merged broadcast of the *previous* scheduled round, so no
+worker waits on the slowest peer's current hour and none runs more than one
+round ahead.  :class:`CentralCoordinator` is that state machine, factored
 out of the transport so the ``multiprocessing`` pool and the distributed TCP
 index server run *the same* merge and broadcast logic — which is exactly what
 makes a 2-client TCP campaign bit-identical to a 2-worker in-process one.
@@ -36,8 +39,9 @@ class CentralCoordinator:
     at every round: each worker's *novel-label count* (labels it contributed
     that the central index had never seen, credited in sorted shard order) is
     fed to the policy and the resulting allocation rides home inside the
-    round's broadcasts.  Decisions are functions of round content only, never
-    of arrival timing, so budgeted campaigns stay deterministic.
+    round's broadcasts, so it takes effect one round after the round that
+    decided it.  Decisions are functions of round content only, never of
+    arrival timing, so budgeted campaigns stay deterministic.
     """
 
     def __init__(
@@ -76,7 +80,7 @@ class CentralCoordinator:
     def complete_round(
         self, batches: Mapping[int, Sequence[IndexEntry]]
     ) -> Dict[int, SyncBroadcast]:
-        """Merge one bulk-synchronous round and compute per-worker broadcasts.
+        """Merge one sync round and compute per-worker broadcasts.
 
         Batches are absorbed in sorted shard order (arrival order must not
         matter, or TCP timing would leak into results).  Each worker's
@@ -84,7 +88,9 @@ class CentralCoordinator:
         entries whose canonical label the worker already holds — its own
         submissions and everything previously broadcast to it.  Within one
         round the first occurrence of a novel label is forwarded and later
-        duplicates are suppressed.
+        duplicates are suppressed.  The broadcasts reach the workers at their
+        next scheduled sync (the final round's never do); the transport hands
+        each over through :meth:`deliver`.
         """
         order = sorted(batches)
         novel_counts: Dict[int, int] = {}
@@ -120,9 +126,17 @@ class CentralCoordinator:
                 suppressed=suppressed,
                 next_budget=next_budgets.get(shard_id),
             )
-            self.broadcast_entries_sent += len(entries)
-            self.broadcast_entries_suppressed += suppressed
         return broadcasts
+
+    def deliver(self, broadcast: SyncBroadcast) -> SyncBroadcast:
+        """Count *broadcast* as handed to its worker, and return it.
+
+        The sent and suppressed totals count delivered broadcasts only, so
+        they reconcile with what the workers report having received.
+        """
+        self.broadcast_entries_sent += len(broadcast.entries)
+        self.broadcast_entries_suppressed += broadcast.suppressed
+        return broadcast
 
     def replay_round(
         self, batches: Mapping[int, Sequence[IndexEntry]]

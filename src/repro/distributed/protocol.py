@@ -1,10 +1,12 @@
 """Wire protocol of the distributed KQE index server.
 
-The parallel campaign runner's synchronization protocol is bulk-synchronous and
-transport-agnostic: workers ship batches of (embedding, canonical label) pairs
-at hour boundaries and block until the coordinator broadcasts the other
-workers' entries back.  This module pins down the one TCP encoding of that
-protocol, version 4 (:class:`JsonFrameCodec`)::
+The parallel campaign runner's synchronization protocol is stale-synchronous
+and transport-agnostic: workers ship batches of (embedding, canonical label)
+pairs at hour boundaries, and each sync's reply is the coordinator's broadcast
+of the other workers' entries from the *previous* scheduled round (empty at
+the first), so a worker waits only for a peer that has not yet shipped that
+round.  This module pins down the one TCP encoding of that protocol, version 5
+(:class:`JsonFrameCodec`)::
 
     +-------+----------------+------------------+----------------------+
     | magic | 4-byte big-    | 32-byte HMAC-    | UTF-8 JSON message   |
@@ -69,9 +71,10 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 # Framing: magic, a 4-byte length prefix, the authentication tag, then the
 # JSON body.  Index-entry batches ride packed (see wire.encode_entries_packed).
-# A HELLO carrying any version but PROTOCOL_VERSION is refused.
+# A HELLO carrying any version but PROTOCOL_VERSION is refused: a v4 peer
+# expects each sync to return the same round's broadcast.
 MAGIC = b"TQS2"
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 MAC_BYTES = hashlib.sha256().digest_size
 
 _HEADER = struct.Struct(">I")
@@ -79,7 +82,8 @@ _HEADER = struct.Struct(">I")
 
 @dataclass
 class SyncBroadcast:
-    """The coordinator's answer to one worker's sync: the other workers' news.
+    """The coordinator's answer to one worker's sync: the other workers' news
+    from the previous scheduled round.
 
     ``entries`` is what the worker must fold into its local graph index;
     ``suppressed`` counts the entries the coordinator's novelty pruning held
@@ -151,7 +155,7 @@ def _recv_component(
 
 
 class JsonFrameCodec:
-    """Protocol v4: HMAC-SHA256-authenticated JSON frames, no pickle.
+    """Protocol v5: HMAC-SHA256-authenticated JSON frames, no pickle.
 
     *auth_key* is the shared secret both ends must hold; ``None`` (or empty)
     falls back to an unkeyed tag that still catches corruption and framing

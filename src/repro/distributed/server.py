@@ -2,27 +2,35 @@
 
 :class:`IndexServer` hosts one
 :class:`~repro.distributed.coordinator.CentralCoordinator` behind a
-``socketserver.ThreadingTCPServer`` and speaks the bulk-synchronous protocol
+``socketserver.ThreadingTCPServer`` and speaks the stale-synchronous protocol
 of :mod:`repro.distributed.protocol`: clients REGISTER (either claiming a
 pre-assigned shard id or asking the server to assign one of the campaign's
-shards), SYNC a batch at every scheduled hour boundary and block until the
-round's broadcast, REPORT their finished shard, and may request SHUTDOWN.
+shards), SYNC a batch at every scheduled hour boundary and receive the merged
+broadcast of the *previous* scheduled round (an empty one at the first), so a
+client blocks only while a peer has not yet shipped that previous round —
+never on the slowest peer's current hour.  They REPORT their finished shard,
+and may request SHUTDOWN.
 
-The wire is protocol v4 — HMAC-authenticated JSON frames opened by a HELLO
+The wire is protocol v5 — HMAC-authenticated JSON frames opened by a HELLO
 that must carry exactly that version — and nothing received from a socket is
 ever unpickled.  Malformed or unauthenticated frames (a legacy pickle client's
 among them) reject *that connection* and leave the server serving.
 
 One handler thread serves each client connection; the sync barrier is a
-condition variable: the thread that delivers the round's last batch computes
-every worker's (novelty-pruned) broadcast under the lock, so results do not
-depend on network timing — a campaign run against this server is
-bit-identical to the in-process pool for the same seed.
+condition variable: the thread that delivers a round's last batch computes
+every worker's (novelty-pruned) broadcast under the lock, rounds merge in
+schedule order, and the broadcast a worker applies at each hour is a fixed
+function of completed rounds — so results do not depend on network timing,
+and a campaign run against this server is bit-identical to the in-process
+pool for the same seed.  A round's payloads are freed once every live shard
+has fetched its broadcast; the final round's are never fetched and are freed
+when the campaign completes.
 
 Liveness is tracked per shard: every protocol message (including out-of-band
 TICK heartbeats) refreshes its sender's activity clock, and once a sync round
 opens, the shards that fail to deliver their batch within ``round_timeout``
-seconds are declared stalled — heartbeats prove a process is alive, not that
+seconds are declared stalled (checked by the serving loop, whether or not a
+peer is waiting on that round) — heartbeats prove a process is alive, not that
 it is making progress, so a wedged client can no longer park a barrier
 forever.  What happens to a stalled or dead client is policy:
 ``evict_dead_clients=False`` (the default) fails the campaign fast, naming
@@ -76,7 +84,6 @@ GUARDED_BY = {
             "_round_opened",
             "_completed_hours",
             "_rounds_completed",
-            "_replayed_broadcasts",
             "_replayed_counts",
             "_replay_pending",
             "_snapshot_writer",
@@ -94,6 +101,12 @@ class _TCPServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     # Set after construction; typed here so handlers can reach the owner.
     index_server: "IndexServer"
+
+    def service_actions(self) -> None:
+        # Runs on every pass of the serving loop (``poll_interval``): round
+        # deadlines hold even for a round no client is blocked on.
+        super().service_actions()
+        self.index_server.enforce_round_deadlines()
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -190,6 +203,11 @@ class IndexServer:
         if not shards:
             raise TransportError("an index server needs at least one shard")
         self.sync_hours: Tuple[int, ...] = tuple(sync_hours)
+        # The round whose broadcast a sync at each scheduled hour receives:
+        # the previous scheduled one (None at the first).
+        self._previous_hour: Dict[int, Optional[int]] = dict(
+            zip(self.sync_hours, (None,) + self.sync_hours[:-1])
+        )
         self.round_timeout = round_timeout
         self._auth_key = auth_key
         self.evict_dead_clients = evict_dead_clients
@@ -211,10 +229,12 @@ class IndexServer:
         self._evicted: Dict[int, str] = {}
         now = time.monotonic()
         self._shard_activity: Dict[int, float] = {spec.shard_id: now for spec in shards}
+        # Open rounds: the batches in so far, and when the first arrived.
         self._round_batches: Dict[int, Dict[int, List[IndexEntry]]] = {}
+        self._round_opened: Dict[int, float] = {}
+        # Merged rounds whose broadcasts some live shard has yet to fetch.
         self._round_broadcasts: Dict[int, Dict[int, SyncBroadcast]] = {}
         self._round_pending_fetch: Dict[int, set] = {}
-        self._round_opened: Dict[int, float] = {}
         self._completed_hours: set = set()
         self._rounds_completed = 0
         # Latest cumulative telemetry snapshot per shard (dict form), fed by
@@ -222,9 +242,9 @@ class IndexServer:
         # snapshot; merged on demand for STATS / Prometheus exposition.
         self._telemetry: Dict[int, Dict[str, Any]] = {}
         # Rounds replayed from a snapshot at startup: restarted clients
-        # deterministically re-run the campaign from hour 0, and these serve
-        # their already-merged broadcasts without re-merging anything.
-        self._replayed_broadcasts: Dict[int, Dict[int, SyncBroadcast]] = {}
+        # deterministically re-run the campaign from hour 0; their syncs at
+        # these hours are checked against the logged entry counts, and the
+        # stored broadcasts are served without re-merging anything.
         self._replayed_counts: Dict[int, Dict[int, int]] = {}
         self._replay_pending: Dict[int, set] = {}
         self._snapshot_writer: Optional[SnapshotWriter] = None
@@ -315,14 +335,15 @@ class IndexServer:
     def _campaign_fingerprint_locked(self) -> str:
         """One hash pinning the campaign a snapshot belongs to.
 
-        Derived from the shard specs, the sync schedule and the pruning
-        switch: a snapshot only replays into the *same* deterministic
-        campaign, anything else starts a fresh log.
+        Derived from the shard specs, the sync schedule, the sync rule and
+        the pruning switch: a snapshot only replays into the *same*
+        deterministic campaign, anything else starts a fresh log.
         """
         material = json.dumps(
             {
                 "shards": [wire.encode_shard_spec(spec) for spec in self._assignable],
                 "sync_hours": list(self.sync_hours),
+                "sync_rule": "stale-synchronous: a sync receives the previous round",
                 "prune": self.coordinator.prune,
             },
             separators=(",", ":"),
@@ -381,7 +402,7 @@ class IndexServer:
         shards = batch.meta.get("shards")
         if not isinstance(hour, int) or not isinstance(shards, list):
             raise TransportError(f"snapshot record meta is malformed: {batch.meta!r}")
-        if hour not in self.sync_hours or hour in self._replayed_broadcasts:
+        if hour not in self.sync_hours or hour in self._replayed_counts:
             raise TransportError(
                 f"snapshot replays hour {hour} outside the campaign's schedule"
             )
@@ -405,7 +426,9 @@ class IndexServer:
                 f"snapshot record at hour {hour} claims {offset} entries "
                 f"but holds {len(batch.vectors)}"
             )
-        self._replayed_broadcasts[hour] = self.coordinator.replay_round(round_batches)
+        self._round_broadcasts[hour] = self.coordinator.replay_round(round_batches)
+        self._round_pending_fetch[hour] = set(round_batches)
+        self._completed_hours.add(hour)
         self._replayed_counts[hour] = counts
         self._replay_pending[hour] = set(round_batches)
         self._rounds_completed += 1
@@ -436,35 +459,37 @@ class IndexServer:
 
     def _replayed_sync_locked(
         self, shard_id: int, hour: int, entries: List[IndexEntry]
-    ) -> Tuple[Any, ...]:
-        """Serve one stored broadcast to a deterministically re-running shard."""
-        broadcasts = self._replayed_broadcasts[hour]
-        if shard_id not in broadcasts:
+    ) -> Optional[Tuple[Any, ...]]:
+        """Check a re-running shard's sync at a replayed hour against the log.
+
+        Returns the ABORT reply when the shard diverges, None when its batch
+        matches the logged entry count (the batch itself is already merged).
+        """
+        counts = self._replayed_counts[hour]
+        if shard_id not in counts:
             self._fail_locked(
                 f"restore mismatch: shard {shard_id} synced at replayed hour "
                 f"{hour} but was not part of the logged round"
             )
             return (protocol.ABORT, self._failure)
-        logged = self._replayed_counts[hour].get(shard_id, 0)
-        if len(entries) != logged:
+        if len(entries) != counts[shard_id]:
             self._fail_locked(
                 f"restore divergence: shard {shard_id} shipped {len(entries)} "
-                f"entries at hour {hour} where the snapshot logged {logged}; "
-                "the restarted campaign is not replaying deterministically"
+                f"entries at hour {hour} where the snapshot logged "
+                f"{counts[shard_id]}; the restarted campaign is not replaying "
+                "deterministically"
             )
             return (protocol.ABORT, self._failure)
-        broadcast = broadcasts[shard_id]
+        self._resynced_locked(hour, shard_id)
+        return None
+
+    def _resynced_locked(self, hour: int, shard_id: int) -> None:
+        """*shard_id* no longer owes a re-sync at replayed *hour*."""
         pending = self._replay_pending[hour]
         pending.discard(shard_id)
         if not pending:
-            self._cleanup_replayed_round_locked(hour)
-        return (protocol.BROADCAST, broadcast)
-
-    def _cleanup_replayed_round_locked(self, hour: int) -> None:
-        self._completed_hours.add(hour)
-        del self._replayed_broadcasts[hour]
-        del self._replayed_counts[hour]
-        del self._replay_pending[hour]
+            del self._replayed_counts[hour]
+            del self._replay_pending[hour]
 
     # ----------------------------------------------------------------- stats
 
@@ -596,27 +621,28 @@ class IndexServer:
         self._evicted[shard_id] = reason
         self._registered.discard(shard_id)
         self.coordinator.evict(shard_id)
-        for hour, batches in list(self._round_batches.items()):
-            if hour not in self._round_broadcasts:
-                batches.pop(shard_id, None)
-        for hour in list(self._round_broadcasts):
-            pending = self._round_pending_fetch[hour]
-            pending.discard(shard_id)
-            if not pending:
-                self._cleanup_round_locked(hour)
+        for batches in self._round_batches.values():
+            batches.pop(shard_id, None)
+        for hour in list(self._round_pending_fetch):
+            self._fetched_locked(hour, shard_id)
         for hour in list(self._replay_pending):
-            pending = self._replay_pending[hour]
-            pending.discard(shard_id)
-            if not pending:
-                self._cleanup_replayed_round_locked(hour)
+            self._resynced_locked(hour, shard_id)
         if self._live_expected_locked() == 0:
             self._fail_locked("every client was evicted before the campaign completed")
             return
-        for hour in list(self._round_batches):
-            self._maybe_complete_round_locked(hour)
+        self._complete_ready_rounds_locked()
         if self._completed_locked():
-            self._done.set()
+            self._finish_locked()
         self._cond.notify_all()
+
+    def enforce_round_deadlines(self) -> None:
+        """Apply the round deadline to every open round (see below)."""
+        with self._cond:
+            self._enforce_round_deadlines_locked()
+
+    def _enforce_round_deadlines_locked(self) -> None:
+        for hour in sorted(self._round_batches):
+            self._enforce_round_deadline_locked(hour)
 
     def _enforce_round_deadline_locked(self, hour: int) -> None:
         """Once a round opens, the laggards have ``round_timeout`` to join.
@@ -627,7 +653,7 @@ class IndexServer:
         evicted — or, without ``evict_dead_clients``, the campaign fails fast
         naming the stalled shards.
         """
-        if hour in self._round_broadcasts or self._failure is not None:
+        if hour not in self._round_batches or self._failure is not None:
             return
         opened = self._round_opened.get(hour)
         if opened is None:
@@ -778,72 +804,123 @@ class IndexServer:
                     f"protocol violation: sync from unregistered shard {shard_id}"
                 )
                 return (protocol.ABORT, self._failure)
-            if hour in self._replayed_broadcasts:
+            if hour in self._replayed_counts:
                 # A restored campaign: the round was already merged (and its
                 # outcome fsynced) before the crash; the restarted shard
-                # deterministically re-derived the same batch and gets the
-                # stored broadcast back without a barrier.
-                return self._replayed_sync_locked(shard_id, hour, entries)
-            if hour not in self.sync_hours or hour in self._completed_hours:
-                self._fail_locked(
-                    f"protocol violation: sync at unscheduled or already "
-                    f"completed hour {hour}"
-                )
-                return (protocol.ABORT, self._failure)
-            batches = self._round_batches.setdefault(hour, {})
-            if shard_id in batches:
-                self._fail_locked(
-                    f"protocol violation: duplicate sync from shard "
-                    f"{shard_id} at hour {hour}"
-                )
-                return (protocol.ABORT, self._failure)
-            self._round_opened.setdefault(hour, time.monotonic())
-            batches[shard_id] = entries
-            self._maybe_complete_round_locked(hour)
-            while hour not in self._round_broadcasts and self._failure is None:
-                self._cond.wait(timeout=1.0)
-                self._enforce_round_deadline_locked(hour)
-            if self._failure is not None:
-                return (protocol.ABORT, self._failure)
-            broadcast = self._round_broadcasts[hour][shard_id]
-            # Free the round's payloads once every live worker has fetched
-            # its broadcast — a long campaign must not accumulate every
-            # round's raw embedding batches in server memory.
-            pending = self._round_pending_fetch[hour]
-            pending.discard(shard_id)
-            if not pending:
-                self._cleanup_round_locked(hour)
-            return (protocol.BROADCAST, broadcast)
+                # deterministically re-derived the same batch.
+                refusal = self._replayed_sync_locked(shard_id, hour, entries)
+            else:
+                refusal = self._record_batch_locked(shard_id, hour, entries)
+            if refusal is not None:
+                return refusal
+            return self._previous_broadcast_locked(shard_id, hour)
 
-    def _maybe_complete_round_locked(self, hour: int) -> None:
-        """Complete the round when every live shard's batch is in.
+    def _record_batch_locked(
+        self, shard_id: int, hour: int, entries: List[IndexEntry]
+    ) -> Optional[Tuple[Any, ...]]:
+        """Add one shard's batch to its round; the ABORT reply if it is refused."""
+        if hour not in self._previous_hour or hour in self._completed_hours:
+            self._fail_locked(
+                f"protocol violation: sync at unscheduled or already "
+                f"completed hour {hour}"
+            )
+            return (protocol.ABORT, self._failure)
+        batches = self._round_batches.setdefault(hour, {})
+        if shard_id in batches:
+            self._fail_locked(
+                f"protocol violation: duplicate sync from shard "
+                f"{shard_id} at hour {hour}"
+            )
+            return (protocol.ABORT, self._failure)
+        self._round_opened.setdefault(hour, time.monotonic())
+        batches[shard_id] = entries
+        self._complete_ready_rounds_locked()
+        return None
+
+    def _previous_broadcast_locked(self, shard_id: int, hour: int) -> Tuple[Any, ...]:
+        """The reply to a sync at *hour*: the previous round's broadcast.
+
+        The sync at the first scheduled hour gets an empty broadcast at once.
+        Later syncs wait only while a peer has not yet shipped the previous
+        round, so no shard runs more than one round ahead of another.
+        """
+        previous = self._previous_hour[hour]
+        if previous is None:
+            return (protocol.BROADCAST, SyncBroadcast())
+        while (
+            previous not in self._round_broadcasts
+            and self._failure is None
+            and shard_id not in self._evicted
+        ):
+            self._cond.wait(timeout=1.0)
+            self._enforce_round_deadlines_locked()
+        if self._failure is not None:
+            return (protocol.ABORT, self._failure)
+        if shard_id in self._evicted:
+            return (
+                protocol.ABORT,
+                f"shard {shard_id} was evicted: {self._evicted[shard_id]}",
+            )
+        broadcast = self._round_broadcasts[previous].get(shard_id)
+        if broadcast is None:
+            self._fail_locked(
+                f"protocol violation: shard {shard_id} synced at hour {hour} "
+                f"without a batch in the round of hour {previous}"
+            )
+            return (protocol.ABORT, self._failure)
+        self._fetched_locked(previous, shard_id)
+        return (protocol.BROADCAST, self.coordinator.deliver(broadcast))
+
+    def _fetched_locked(self, hour: int, shard_id: int) -> None:
+        """*shard_id* no longer owes a fetch of round *hour*'s broadcast.
+
+        A long campaign must not accumulate every round's broadcasts in
+        server memory: the round's are freed once every live shard has them.
+        """
+        pending = self._round_pending_fetch[hour]
+        pending.discard(shard_id)
+        if not pending:
+            del self._round_broadcasts[hour]
+            del self._round_pending_fetch[hour]
+
+    def _complete_ready_rounds_locked(self) -> None:
+        """Merge every open round whose live shards have all shipped, in order.
 
         The completing thread computes every worker's (novelty-pruned)
-        broadcast under the lock, in sorted shard order — timing cannot leak
-        into the merged index or the broadcasts.
+        broadcast under the lock, round by round in schedule order and
+        shard by shard in sorted order — timing cannot leak into the merged
+        index or the broadcasts.
         """
-        if hour in self._round_broadcasts:
-            return
-        batches = self._round_batches.get(hour)
-        if not batches:
-            return
         live = self._live_shard_ids_locked()
-        if not live or any(sid not in batches for sid in live):
-            return
-        self._round_broadcasts[hour] = self.coordinator.complete_round(batches)
-        self._round_pending_fetch[hour] = set(batches)
-        self._rounds_completed += 1
-        # Log the round before any broadcast is released: once a worker has
-        # seen the merge, a restart must be able to replay it.
-        self._append_snapshot_locked(hour, batches)
-        self._cond.notify_all()
+        for hour in sorted(self._round_batches):
+            batches = self._round_batches[hour]
+            if not live or any(sid not in batches for sid in live):
+                return
+            del self._round_batches[hour]
+            self._round_opened.pop(hour, None)
+            self._round_broadcasts[hour] = self.coordinator.complete_round(batches)
+            self._round_pending_fetch[hour] = set(batches)
+            self._completed_hours.add(hour)
+            self._rounds_completed += 1
+            # Log the round before any broadcast is released: once a worker
+            # has seen the merge, a restart must be able to replay it.
+            self._append_snapshot_locked(hour, batches)
+            self._cond.notify_all()
 
-    def _cleanup_round_locked(self, hour: int) -> None:
-        self._completed_hours.add(hour)
-        del self._round_batches[hour]
-        del self._round_broadcasts[hour]
-        del self._round_pending_fetch[hour]
-        self._round_opened.pop(hour, None)
+    def _finish_locked(self) -> None:
+        """Every live shard reported: free what no sync will fetch any more.
+
+        That is the final round's broadcasts, plus any round a shard left
+        early.
+        """
+        self._round_batches.clear()
+        self._round_opened.clear()
+        self._round_broadcasts.clear()
+        self._round_pending_fetch.clear()
+        self._replayed_counts.clear()
+        self._replay_pending.clear()
+        self._done.set()
+        self._cond.notify_all()
 
     def _report(self, report: WorkerReport):
         with self._cond:
@@ -873,8 +950,7 @@ class IndexServer:
             if report.telemetry:
                 self._telemetry[report.shard_id] = report.telemetry
             if self._completed_locked():
-                self._done.set()
-                self._cond.notify_all()
+                self._finish_locked()
             return (protocol.OK,)
 
     def _shutdown_requested(self) -> None:

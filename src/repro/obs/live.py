@@ -20,6 +20,7 @@ _PHASE_ORDER = (
     "execute.reference",
     "judge",
     "sync",
+    "sync.wait",
 )
 
 
@@ -42,8 +43,18 @@ def phase_breakdown(
 
 
 def phase_total_seconds(snapshot: MetricsSnapshot) -> float:
-    """Sum of all span time in the snapshot (across shards when merged)."""
-    return sum(total for _, total, _ in phase_breakdown(snapshot))
+    """Sum of all span time in the snapshot (across shards when merged),
+    sub-phases excluded."""
+    return _top_level_total(phase_breakdown(snapshot))
+
+
+def _top_level_total(rows: List[Tuple[str, float, int]]) -> float:
+    """The seconds of *rows* without sub-phases: a ``parent.child`` phase whose
+    ``parent`` is recorded too (``sync.wait`` in ``sync``) is already inside
+    its parent's time."""
+    names = {name for name, _, _ in rows}
+    return sum(seconds for name, seconds, _ in rows
+               if name.rpartition(".")[0] not in names)
 
 
 def worker_run_seconds(snapshot: MetricsSnapshot) -> float:
@@ -67,7 +78,7 @@ def render_phase_breakdown(
     rows = phase_breakdown(snapshot)
     if not rows:
         return "telemetry: no phase spans recorded"
-    total = sum(seconds for _, seconds, _ in rows)
+    total = _top_level_total(rows)
     width = max(len(name) for name, _, _ in rows)
     lines = [f"{'phase'.ljust(width)}  {'seconds':>10}  {'spans':>8}  {'%':>6}"]
     for name, seconds, count in rows:
@@ -85,7 +96,7 @@ def render_phase_breakdown(
 
 def _phase_percentages(snapshot: MetricsSnapshot) -> str:
     rows = phase_breakdown(snapshot)
-    total = sum(seconds for _, seconds, _ in rows)
+    total = _top_level_total(rows)
     if total <= 0:
         return "n/a"
     parts: List[str] = []

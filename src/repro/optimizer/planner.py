@@ -23,9 +23,10 @@ executing the plan does only per-row work.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterator, List, NamedTuple,
-    Optional, Sequence, Tuple,
+    TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Hashable, Iterator, List,
+    NamedTuple, Optional, Sequence, Tuple,
 )
 
 from repro.catalog.schema import DatabaseSchema
@@ -108,9 +109,17 @@ class _PreparedStep:
     def alias(self) -> str:
         return self.step.table.alias
 
-    @property
-    def left_alias(self) -> Optional[str]:
-        return None if self.step.left_key is None else self.step.left_key.table
+    @cached_property
+    def depends_on(self) -> FrozenSet[str]:
+        """The other aliases this step's ON condition reads: its left key's
+        and every alias its residual condition names."""
+        step = self.step
+        aliases = {step.left_key.table} if step.left_key is not None else set()
+        if step.extra_condition is not None:
+            aliases.update(table for table, _ in step.extra_condition.references()
+                           if table)
+        aliases.discard(self.alias)
+        return frozenset(aliases)
 
 
 class JoinDecision(NamedTuple):
@@ -325,7 +334,8 @@ class PreparedQuery:
         return operator
 
     def _ordered_steps(self, hints: HintSet) -> List[_PreparedStep]:
-        """Apply the JOIN_ORDER hint when it yields a valid left-deep chain."""
+        """Apply the JOIN_ORDER hint when it yields a valid left-deep chain:
+        every step joins after each alias its ON condition reads."""
         steps = list(self._steps)
         if not hints.join_order or len(steps) < 2:
             return steps
@@ -341,7 +351,7 @@ class PreparedQuery:
             step = remaining.get(alias)
             if step is None:
                 continue
-            if step.left_alias is not None and step.left_alias not in available:
+            if not step.depends_on <= available:
                 return steps
             ordered.append(step)
             available.add(alias)
@@ -349,7 +359,7 @@ class PreparedQuery:
         # Append any steps the hint did not mention, keeping original order.
         for step in steps:
             if step.alias in remaining:
-                if step.left_alias is not None and step.left_alias not in available:
+                if not step.depends_on <= available:
                     return steps
                 ordered.append(step)
                 available.add(step.alias)

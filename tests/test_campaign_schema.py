@@ -94,9 +94,10 @@ ECHO_KEYS = {
 }
 
 #: The server's snapshot campaign fingerprint of FINGERPRINTED_CONFIG: the
-#: earlier encoding with only the retired ``batch_size`` and
-#: ``use_query_cache`` keys removed.
-FINGERPRINT = "e80cd6cd4f7665b4027a0bf1d42f4242671dcf81b0155386c24a07ce581387fe"
+#: earlier encoding with the retired ``batch_size`` and ``use_query_cache``
+#: keys removed and the ``sync_rule`` key added, so a log written under
+#: bulk-synchronous rounds starts fresh.
+FINGERPRINT = "46e474fbfee75b4115c2e87c1376040c1d2a705ff6dff8c8576442786283e616"
 FINGERPRINTED_CONFIG = CampaignConfig(
     dataset_rows=80, hours=3, queries_per_hour=8, seed=17,
     setop_probability=0.4, scalar_subquery_probability=0.3, cte_probability=0.25,

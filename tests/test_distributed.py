@@ -17,10 +17,13 @@ from repro.core import (
     run_parallel_shards,
     sync_schedule,
 )
+from repro.core.campaign import HourlySample
+from repro.core.parallel import WorkerReport
 from repro.distributed import protocol
 from repro.distributed.cli import _diff_summaries, main as distributed_main
 from repro.distributed.client import request_shutdown, run_remote_client
 from repro.distributed.coordinator import CentralCoordinator
+from repro.distributed.protocol import SyncBroadcast
 from repro.distributed.server import IndexServer
 from repro.errors import CampaignError, TransportError
 
@@ -108,19 +111,32 @@ class TestNoveltyPruning:
         assert broadcasts[0].entries == [] and broadcasts[0].suppressed == 1
         assert broadcasts[1].entries == [] and broadcasts[1].suppressed == 1
 
+    def deliver_all(self, coordinator, broadcasts):
+        for broadcast in broadcasts.values():
+            coordinator.deliver(broadcast)
+
     def test_unpruned_coordinator_forwards_everything(self):
         coordinator = CentralCoordinator(prune=False)
-        coordinator.complete_round({0: [self.entry("L1")], 1: [self.entry("L1")]})
+        first = coordinator.complete_round(
+            {0: [self.entry("L1")], 1: [self.entry("L1")]}
+        )
+        self.deliver_all(coordinator, first)
         broadcasts = coordinator.complete_round(
             {0: [self.entry("L1")], 1: [self.entry("L1")]}
         )
+        self.deliver_all(coordinator, broadcasts)
         assert [label for _, label in broadcasts[0].entries] == ["L1"]
         assert coordinator.broadcast_entries_suppressed == 0
         assert coordinator.broadcast_entries_sent == 4
 
     def test_totals_track_every_round(self):
         coordinator = CentralCoordinator(prune=True)
-        coordinator.complete_round({0: [self.entry("L1")], 1: [self.entry("L1")]})
+        broadcasts = coordinator.complete_round(
+            {0: [self.entry("L1")], 1: [self.entry("L1")]}
+        )
+        # The totals count delivered broadcasts only.
+        assert coordinator.broadcast_entries_suppressed == 0
+        self.deliver_all(coordinator, broadcasts)
         assert coordinator.broadcast_entries_sent == 0
         assert coordinator.broadcast_entries_suppressed == 2
         assert len(coordinator.index) == 2
@@ -283,25 +299,33 @@ class TestIndexServerProtocol:
             server.stop()
 
     def test_completed_rounds_are_freed(self):
-        """Long campaigns must not accumulate every round's payload in RAM."""
+        """Long campaigns must not accumulate every round's payload in RAM.
+
+        Round 1's broadcasts are fetched at the hour-2 syncs and freed then;
+        the final round's are never fetched and are freed when the campaign
+        completes, so a completed server holds no round batches or
+        broadcasts.
+        """
         shards = build_shard_specs("tqs", FAST, 2)
         server = IndexServer(shards=shards, sync_hours=(1, 2), round_timeout=30.0)
         try:
-            results = {}
-
-            def worker(shard_id):
-                results[shard_id] = server._sync(
-                    shard_id, 1, [([1.0, 0.0], f"L{shard_id}")]
-                )
-
-            threads = [threading.Thread(target=worker, args=(sid,)) for sid in (0, 1)]
             server._registered.update({0, 1})
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30.0)
-            assert results[0][0] == protocol.BROADCAST
+            batches = {0: [([1.0, 0.0], "L0")], 1: [([0.0, 1.0], "L1")]}
+            first = sync_round(server, 1, batches)
+            assert all(reply[0] == protocol.BROADCAST for reply in first.values())
+            assert server._round_batches == {}
+            assert set(server._round_broadcasts) == {1}
+            second = sync_round(server, 2, {0: [], 1: []})
+            assert second[0] == (
+                protocol.BROADCAST,
+                SyncBroadcast(entries=[([0.0, 1.0], "L1")]),
+            )
+            assert set(server._round_broadcasts) == {2}
+            for shard_id in (0, 1):
+                assert server._report(minimal_report(shard_id)) == (protocol.OK,)
+            assert server.completed
             assert server._round_batches == {} and server._round_broadcasts == {}
+            assert server._round_pending_fetch == {}
             # Re-syncing a completed hour is a protocol violation, not a hang.
             assert server._sync(0, 1, [])[0] == protocol.ABORT
         finally:
@@ -342,6 +366,93 @@ class TestIndexServerProtocol:
             assert "disconnected" in server.failure
         finally:
             server.stop()
+
+
+def sync_round(server, hour, batches):
+    """Every shard of *batches* syncs *hour* on its own thread; the replies."""
+    results = {}
+
+    def worker(shard_id):
+        results[shard_id] = server._sync(shard_id, hour, batches[shard_id])
+
+    threads = [threading.Thread(target=worker, args=(sid,)) for sid in batches]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30.0)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+def minimal_report(shard_id):
+    return WorkerReport(
+        shard_id=shard_id,
+        tool="T",
+        dbms="D",
+        dataset="ds",
+        samples=[HourlySample(1, 0, 0, 0, 0, 0, 0)],
+        hourly_new_labels=[[]],
+        hourly_incidents=[[]],
+    )
+
+
+class TestStaleSynchronousRounds:
+    """A sync ships its hour's batch and returns the previous round's merge."""
+
+    def make_server(self):
+        server = IndexServer(
+            shards=build_shard_specs("tqs", FAST, 2),
+            sync_hours=(1, 2),
+            round_timeout=30.0,
+        )
+        server._registered.update({0, 1})
+        return server
+
+    def test_first_sync_returns_an_empty_broadcast_without_waiting(self):
+        server = self.make_server()
+        try:
+            reply = sync_round(server, 1, {0: [([1.0, 0.0], "L0")]})[0]
+            assert reply == (protocol.BROADCAST, SyncBroadcast())
+            # Shard 1 has not shipped hour 1, so the round is still open.
+            assert set(server._round_batches) == {1}
+            assert server._round_broadcasts == {}
+        finally:
+            server._server.server_close()
+
+    def test_second_sync_waits_for_the_peers_batch_of_the_previous_hour(self):
+        server = self.make_server()
+        try:
+            sync_round(server, 1, {0: [([1.0, 0.0], "L0")]})
+            results = {}
+
+            def ship_hour_two():
+                results["reply"] = server._sync(0, 2, [([1.0, 1.0], "L2")])
+
+            waiter = threading.Thread(target=ship_hour_two)
+            waiter.start()
+            waiter.join(timeout=0.5)
+            assert waiter.is_alive(), "shard 0 ran two rounds ahead of shard 1"
+            peer = [([0.0, 1.0], "L1")]
+            reply = sync_round(server, 1, {1: peer})[1]
+            assert reply == (protocol.BROADCAST, SyncBroadcast())
+            waiter.join(timeout=30.0)
+            assert not waiter.is_alive()
+            verb, broadcast = results["reply"]
+            assert verb == protocol.BROADCAST
+            assert broadcast.entries == peer and broadcast.suppressed == 0
+            # The hour-2 batch is in its own, still open round.
+            assert server._round_batches == {2: {0: [([1.0, 1.0], "L2")]}}
+        finally:
+            server._server.server_close()
+
+    def test_repeated_two_client_tcp_runs_agree_with_the_queue_pool(
+        self, local_pool2, tcp_pool2
+    ):
+        expected = parallel_result_to_dict(local_pool2)["summary"]
+        reruns = [run_pool(2, transport="tcp") for _ in range(2)]
+        for run in [tcp_pool2] + reruns:
+            summary = parallel_result_to_dict(run)["summary"]
+            assert _diff_summaries(summary, expected) == []
 
 
 class TestVerifyLocalCLI:

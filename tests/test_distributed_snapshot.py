@@ -13,6 +13,7 @@ from repro.core import (
 )
 from repro.distributed import protocol
 from repro.distributed.client import RemoteSyncTransport, run_remote_client
+from repro.distributed.protocol import SyncBroadcast
 from repro.distributed.server import SNAPSHOT_FILENAME, IndexServer
 from repro.errors import TransportError
 
@@ -24,6 +25,7 @@ ROUND_ONE = {
     0: [([1.0, 0.0, 0.0], "A"), ([0.0, 1.0, 0.0], "B")],
     1: [([0.0, 0.0, 1.0], "C")],
 }
+ROUND_TWO = {0: [], 1: []}
 
 
 def make_server(tmp_path, **overrides):
@@ -38,7 +40,10 @@ def make_server(tmp_path, **overrides):
 
 
 def complete_one_round(server, batches, hour=1):
-    """Drive one sync barrier to completion via the server's own entry point."""
+    """Drive one sync barrier to completion via the server's own entry point.
+
+    Returns each shard's reply: the broadcast of the round before *hour*.
+    """
     results = {}
 
     def worker(shard_id):
@@ -59,26 +64,32 @@ class TestRoundLogRestore:
     def test_restart_replays_logged_rounds_bit_identically(self, tmp_path):
         server = make_server(tmp_path)
         try:
-            first_broadcasts = complete_one_round(server, ROUND_ONE)
+            complete_one_round(server, ROUND_ONE)
+            # Round 1's broadcasts are delivered at the hour-2 syncs.
+            first_broadcasts = complete_one_round(server, ROUND_TWO, hour=2)
         finally:
             server.stop()
 
         restarted = make_server(tmp_path)
         try:
-            assert restarted.restored_rounds == 1
-            assert restarted.stats_payload()["rounds_restored"] == 1
+            assert restarted.restored_rounds == 2
+            assert restarted.stats_payload()["rounds_restored"] == 2
             # The central index already holds the logged entries.
             assert restarted.coordinator.index.contains_label("A")
             assert restarted.coordinator.index.contains_label("C")
             # Re-running shards get the *stored* broadcasts, not a re-merge.
-            replayed = complete_one_round(restarted, ROUND_ONE)
+            assert complete_one_round(restarted, ROUND_ONE) == {
+                0: SyncBroadcast(), 1: SyncBroadcast()}
+            replayed = complete_one_round(restarted, ROUND_TWO, hour=2)
             assert replayed == first_broadcasts
+            assert replayed[1].entries == ROUND_ONE[0]
             assert restarted.failure is None
-            # The replayed hour is now complete; index state must match a
-            # server that ran the round live (one copy of each label).
+            # The replayed hours are now complete; index state must match a
+            # server that ran the rounds live (one copy of each label).
             live = make_server(tmp_path / "live")
             try:
                 complete_one_round(live, ROUND_ONE)
+                complete_one_round(live, ROUND_TWO, hour=2)
                 assert (
                     len(restarted.coordinator.index)
                     == len(live.coordinator.index)
@@ -146,7 +157,13 @@ class TestRoundLogRestore:
             rerun = complete_one_round(
                 restarted, {0: [([1.0, 1.0, 0.0], "D")], 1: []}, hour=2
             )
-            assert rerun[1].entries == [([1.0, 1.0, 0.0], "D")]
+            # The hour-2 syncs carry round 1's stored broadcast; round 2's
+            # (the final round's) is held, never fetched, until completion.
+            assert rerun[1].entries == ROUND_ONE[0]
+            with restarted._cond:
+                assert restarted._round_broadcasts[2][1].entries == [
+                    ([1.0, 1.0, 0.0], "D")
+                ]
         finally:
             restarted.stop()
         # The rewritten-and-appended log now restores both rounds.
@@ -167,26 +184,27 @@ class TestRoundLogRestore:
             make_server(tmp_path)
 
 
-class _CrashAfterFirstSync:
+class _CrashAfterRoundOne:
     """A transport that dies between rounds, simulating a mid-campaign crash.
 
-    The first sync completes normally — so the server's round-1 record is
-    durable before the broadcast is even released — and the next one raises
-    as if the worker process was killed.
+    The hour-2 sync receives round 1's broadcast — so the server's round-1
+    record is durable, since it is logged before the broadcast is released —
+    and then the worker dies as if its process was killed.
     """
 
     def __init__(self, inner):
         self._inner = inner
-        self._synced = False
+        self._syncs = 0
 
     def register(self, shard_id):
         return self._inner.register(shard_id)
 
     def sync(self, shard_id, hour, entries, telemetry=None):
-        if self._synced:
-            raise TransportError("simulated worker crash before round 2")
-        self._synced = True
-        return self._inner.sync(shard_id, hour, entries, telemetry)
+        broadcast = self._inner.sync(shard_id, hour, entries, telemetry)
+        self._syncs += 1
+        if self._syncs == 2:
+            raise TransportError("simulated worker crash after round 1")
+        return broadcast
 
     def report(self, report):
         self._inner.report(report)
@@ -239,13 +257,13 @@ class TestKillAndRestoreCampaign:
         finally:
             baseline_server.stop()
 
-        # Phase one: both workers crash after their first sync round.
+        # Phase one: both workers crash once round 1's broadcast reached them.
         crashed = make_server(tmp_path / "snap")
         try:
             crash_errors = []
 
             def doomed_client(spec):
-                transport = _CrashAfterFirstSync(
+                transport = _CrashAfterRoundOne(
                     RemoteSyncTransport(crashed.host, crashed.port)
                 )
                 try:

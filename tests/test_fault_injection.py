@@ -19,6 +19,7 @@ from repro.core.campaign import HourlySample
 from repro.core.parallel import WorkerReport, build_shard_specs, sync_schedule
 from repro.distributed import protocol
 from repro.distributed.client import RemoteSyncTransport, run_remote_client
+from repro.distributed.protocol import SyncBroadcast
 from repro.distributed.server import IndexServer
 from repro.distributed.testing import (
     FaultyProxy,
@@ -170,6 +171,10 @@ class TestBarrierLiveness:
             fake_entry = ([1.0] + [0.0] * 63, "doomed-label")
             doomed.send((protocol.SYNC, 0, 1, [fake_entry]))
             doomed.close()
+            # The first sync's reply is immediate (there is no previous
+            # round), so the server notices the closed connection at once;
+            # the survivor starts after the eviction, deterministically.
+            assert wait_until(lambda: set(server.evicted) == {0})
 
             survivor_report = {}
 
@@ -187,7 +192,8 @@ class TestBarrierLiveness:
             assert set(server.reports) == {1}
             assert set(server.evicted) == {0}
             # The dead shard's per-hour budget moved to the survivor: 3+3
-            # becomes 6, conserved, and reaches it at the next sync round.
+            # becomes 6, conserved.  Round 1's broadcast carries it, and the
+            # survivor fetches that at its hour-2 sync.
             assert server.coordinator.budgets == {1: FAST.queries_per_hour}
             report = survivor_report["report"]
             assert report.hourly_budgets == [3, 3, 6]
@@ -197,7 +203,7 @@ class TestBarrierLiveness:
     def test_register_but_never_sync_is_evicted_despite_ticks(self):
         """Regression: a wedged-but-heartbeating client used to park the
         barrier forever; now it is evicted and its budget redistributed."""
-        server = make_server(workers=2, round_timeout=3.0, sync_hours=(1,))
+        server = make_server(workers=2, round_timeout=3.0, sync_hours=(1, 2))
         try:
             staller = ScriptedClient(server.host, server.port, auth_key=KEY)
             assert staller.request((protocol.REGISTER, 0))[0] == (
@@ -220,9 +226,12 @@ class TestBarrierLiveness:
                 protocol.REGISTERED
             )
             start = time.monotonic()
-            reply = survivor.request(
+            # The first sync returns at once; the second waits on round 1,
+            # which the staller never joins, and carries round 1's merge.
+            assert survivor.request(
                 (protocol.SYNC, 1, 1, [([0.0, 1.0], "survivor-label")])
-            )
+            ) == (protocol.BROADCAST, SyncBroadcast())
+            reply = survivor.request((protocol.SYNC, 1, 2, []))
             waited = time.monotonic() - start
             assert reply[0] == protocol.BROADCAST
             broadcast = reply[1]
@@ -250,7 +259,7 @@ class TestBarrierLiveness:
         server = make_server(
             workers=2,
             round_timeout=2.0,
-            sync_hours=(1,),
+            sync_hours=(1, 2),
             evict_dead_clients=False,
         )
         try:
@@ -258,11 +267,37 @@ class TestBarrierLiveness:
             staller.request((protocol.REGISTER, 0))
             survivor = ScriptedClient(server.host, server.port, auth_key=KEY)
             survivor.request((protocol.REGISTER, 1))
-            reply = survivor.request((protocol.SYNC, 1, 1, [([1.0], "L")]))
+            assert survivor.request((protocol.SYNC, 1, 1, [([1.0], "L")]))[0] == (
+                protocol.BROADCAST
+            )
+            reply = survivor.request((protocol.SYNC, 1, 2, []))
             assert reply[0] == protocol.ABORT
             assert "stalled" in reply[1] or "dead" in reply[1]
             assert server.failure is not None
             assert "[0]" in server.failure
+            staller.close()
+            survivor.close()
+        finally:
+            server.stop()
+
+    def test_final_round_deadline_holds_with_no_peer_waiting(self):
+        """No sync waits on the final round, yet a shard that never ships it
+        is still evicted by the round deadline, and the campaign completes."""
+        server = make_server(workers=2, round_timeout=2.0, sync_hours=(1,))
+        try:
+            staller = ScriptedClient(server.host, server.port, auth_key=KEY)
+            staller.request((protocol.REGISTER, 0))
+            survivor = ScriptedClient(server.host, server.port, auth_key=KEY)
+            survivor.request((protocol.REGISTER, 1))
+            assert survivor.request((protocol.SYNC, 1, 1, [([1.0], "L")])) == (
+                protocol.BROADCAST, SyncBroadcast())
+            assert survivor.request(
+                (protocol.REPORT, minimal_report(1))
+            ) == (protocol.OK,)
+            assert server.wait(30.0)
+            assert server.failure is None
+            assert set(server.evicted) == {0}
+            assert "hour 1" in server.evicted[0]
             staller.close()
             survivor.close()
         finally:

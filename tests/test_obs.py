@@ -10,6 +10,7 @@ campaigns produce bit-identical verdicts.
 import json
 import socket
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -305,6 +306,28 @@ class TestDeterminismWithTelemetry:
             list(s.hourly_budgets) for s in with_telemetry.sync_stats
         ] == [list(s.hourly_budgets) for s in without.sync_stats]
 
+    def test_tcp_pool_identical_with_telemetry_on_and_off(self):
+        """The TCP barrier records its wait only with telemetry on; the
+        verdicts, budgets and sync traffic are the same either way."""
+        config = replace(DET, hours=4)
+        shards = build_shard_specs("differential", config, 2, backend="sqlite")
+        pool = ParallelCampaignConfig(workers=2, sync_interval=1, transport="tcp")
+        with_telemetry = run_parallel_shards(shards, pool)
+        phases = MetricsSnapshot.from_dict(with_telemetry.telemetry).phase_seconds()
+        syncs = 2 * len(sync_schedule(config.hours, 1))
+        assert phases["sync"][1] == phases["sync.wait"][1] == syncs
+        assert phases["sync.wait"][0] <= phases["sync"][0]
+        previous = obs.set_enabled(False)
+        try:
+            without = run_parallel_shards(shards, pool)
+        finally:
+            obs.set_enabled(previous)
+        assert without.telemetry is None
+        assert _campaign_fingerprint(
+            with_telemetry.merged
+        ) == _campaign_fingerprint(without.merged)
+        assert with_telemetry.sync_stats == without.sync_stats
+
 
 # ------------------------------------------------------- pool-level merging
 
@@ -330,6 +353,25 @@ class TestPoolTelemetry:
         assert covered >= 0.5 * wall
         # Both workers contributed a run-duration observation.
         assert snapshot.histograms["worker.run.seconds"].count == 2
+        # The queue transport records one barrier wait per sync, inside it.
+        phases = snapshot.phase_seconds()
+        syncs = 2 * len(sync_schedule(DET.hours, 1))
+        assert phases["sync"][1] == phases["sync.wait"][1] == syncs
+        assert phases["sync.wait"][0] <= phases["sync"][0]
+        # A sub-phase is left out of the span total: covered time is
+        # still at most the workers' wall-clock.
+        assert covered <= wall
+
+    def test_sub_phases_are_left_out_of_totals(self):
+        registry = MetricsRegistry()
+        registry.observe_phase("sync", 1.0)
+        registry.observe_phase("sync.wait", 0.5)
+        registry.observe_phase("execute.target", 2.0)
+        snapshot = registry.snapshot()
+        assert obs.phase_total_seconds(snapshot) == pytest.approx(3.0)
+        text = obs.render_phase_breakdown(snapshot, wall_seconds=3.0)
+        assert "sync.wait" in text
+        assert "span coverage: 100.0%" in text
 
     def test_phase_breakdown_renders(self):
         shards = build_shard_specs("differential", DET, 1, backend="sqlite")

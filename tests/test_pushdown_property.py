@@ -243,3 +243,35 @@ def test_seeded_fault_hooks_keep_the_whole_clause_on_top():
     plan = Engine(build_db(([], [], [])), dialect=SIM_MYSQL).plan(
         _query(JoinType.INNER, where))
     assert filter_placement(plan) == ([where], {})
+
+
+def test_join_order_hint_waits_for_every_alias_a_residual_condition_reads():
+    """``t0 a0 INNER JOIN t1 a1 ON a0.k = a1.k INNER JOIN t2 a2 ON a0.k = a2.k
+    AND a2.k <> a1.k`` under ``join_order_hints(("a0", "a2", "a1"))``.
+
+    a2's key joins on a0, but its residual condition reads a1, so the hinted
+    order would compile that condition without a1's columns.  The planner
+    keeps the query's own order instead.
+    """
+    def row(k):
+        return {"k": k, "d": NULL, "f": NULL, "s": NULL}
+
+    db = build_db(([row(1), row(2)], [row(1), row(3)], [row(1), row(2)]))
+    query = QuerySpec(
+        base=TableRef("t0", "a0"),
+        joins=[
+            JoinStep(TableRef("t1", "a1"), JoinType.INNER,
+                     left_key=ColumnRef("a0", "k"), right_key=ColumnRef("a1", "k")),
+            JoinStep(TableRef("t2", "a2"), JoinType.INNER,
+                     left_key=ColumnRef("a0", "k"), right_key=ColumnRef("a2", "k"),
+                     extra_condition=Comparison("<>", column("a2", "k"),
+                                                column("a1", "k"))),
+        ],
+        select=[SelectItem(column(alias, "k"), alias=f"{alias}_k")
+                for alias in ("a0", "a1", "a2")],
+    )
+    hints = join_order_hints(("a0", "a2", "a1"))
+    engine = Engine(db)
+    assert engine.explain(query, hints) == engine.explain(query)
+    assert typed_rows(engine.execute_with_report(query, hints)) == typed_rows(
+        engine.execute_with_report(query))

@@ -4,7 +4,7 @@ The packed codec ships one base64 float32 blob per batch instead of per-float
 JSON arrays; these tests pin three things: the codec is lossless for everything
 the ship boundary produces (float32-quantized values), hostile packed objects
 (and the retired per-float pair lists) are rejected before any allocation, and
-every connection the HELLO exchange admits speaks version 4.
+every connection the HELLO exchange admits speaks version 5.
 """
 
 import base64
@@ -205,7 +205,7 @@ class TestPackedMessages:
 
 
 class TestVersionNegotiation:
-    """The HELLO exchange settles every admitted connection on version 4."""
+    """The HELLO exchange settles every admitted connection on version 5."""
 
     def make_server(self):
         return IndexServer(
@@ -230,17 +230,30 @@ class TestVersionNegotiation:
         try:
             sock, _, reply = self.hello(server, 3)
             assert reply[0] == protocol.ABORT
-            assert "version 3" in reply[1] and "version 4" in reply[1]
+            assert "version 3" in reply[1] and "version 5" in reply[1]
             sock.close()
             assert server.failure is None
         finally:
             server.stop()
 
-    def test_v4_ends_agree_on_packed_entries(self):
+    def test_v4_hello_is_refused_by_name(self):
+        """A v4 peer expects each sync to return the same round's broadcast;
+        it is turned away at the handshake too."""
+        server = self.make_server()
+        try:
+            sock, _, reply = self.hello(server, 4)
+            assert reply[0] == protocol.ABORT
+            assert "version 4" in reply[1] and "version 5" in reply[1]
+            sock.close()
+            assert server.failure is None
+        finally:
+            server.stop()
+
+    def test_v5_ends_agree_on_packed_entries(self):
         server = self.make_server()
         try:
             sock, codec, reply = self.hello(server, protocol.PROTOCOL_VERSION)
-            assert reply[0] == protocol.HELLO_OK and reply[1] == 4
+            assert reply[0] == protocol.HELLO_OK and reply[1] == 5
             codec.bind(reply[2])
             sync = (protocol.SYNC, 0, 1, [([1.0, 2.0], "L")])
             assert b'"packed"' in codec.encode(sync)
