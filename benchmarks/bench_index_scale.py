@@ -17,6 +17,12 @@ Also reports the novelty-check (``contains_label``) p50 — the per-generated-
 query hot path — and the phase breakdown.  Set ``TQS_BENCH_ARTIFACT`` to a
 path to dump the numbers as JSON (the CI bench smoke uploads it).
 
+A second benchmark sweeps the index size (doubling from 4,096) and reports,
+at each size, the exact scan's and the LSH path's ``nearest_by_vector`` p50,
+their ratio and the recall@5, and names the smallest size at which LSH is
+>= 3x faster: the evidence behind ``DEFAULT_LSH_MIN_SIZE``.  Acceptance: the
+recall bar holds at every size where LSH engages.
+
 Synthetic data uses ``numpy.random.default_rng``: benchmarks sit outside the
 campaign determinism closure, and a fixed seed keeps runs comparable anyway.
 """
@@ -68,6 +74,23 @@ def p50(samples) -> float:
     return statistics.median(samples)
 
 
+def recall_at_k(index: GraphIndex, queries: np.ndarray, k: int) -> float:
+    """LSH recall@k against the exact scan, with tie tolerance: an
+    approximate hit counts when it ties the exact k-th best similarity
+    (distinct rows at identical cosine are interchangeable neighbours)."""
+    recalled = total = 0
+    for query in queries:
+        exact = index.nearest_by_vector(query, k=k, approximate=False)
+        approx = index.nearest_by_vector(query, k=k)
+        floor = exact[-1][1] - 1e-12
+        exact_ids = {position for position, _ in exact}
+        for position, score in approx:
+            if position in exact_ids or score >= floor:
+                recalled += 1
+        total += k
+    return recalled / total
+
+
 @pytest.mark.benchmark(group="index-scale")
 def test_index_scale_knn_and_wire(benchmark):
     entries = scaled(100_000, minimum=20_000)
@@ -108,20 +131,7 @@ def test_index_scale_knn_and_wire(benchmark):
     legacy_p50, fast_p50 = benchmark.pedantic(measure_knn, rounds=1, iterations=1)
     speedup = legacy_p50 / max(fast_p50, 1e-12)
 
-    # Recall@5 with tie tolerance: approximate hits count when they tie the
-    # exact 5th-best similarity (distinct rows at identical cosine are
-    # interchangeable neighbours).
-    recalled = total = 0
-    for query in queries:
-        exact = index.nearest_by_vector(query, k=k, approximate=False)
-        approx = index.nearest_by_vector(query, k=k)
-        floor = exact[-1][1] - 1e-12
-        exact_ids = {position for position, _ in exact}
-        for position, score in approx:
-            if position in exact_ids or score >= floor:
-                recalled += 1
-        total += k
-    recall = recalled / total
+    recall = recall_at_k(index, queries, k)
 
     # Novelty-check hot path: one membership probe per generated query.
     novelty_times = []
@@ -213,3 +223,66 @@ def test_index_scale_knn_and_wire(benchmark):
         f"expected >= 3x SYNC payload reduction, got {byte_reduction:.2f}x"
     )
     assert novelty_p50 < 1e-3, "novelty check must stay O(1) at scale"
+
+
+#: The speedup over the exact scan at which LSH is said to pay.
+LSH_PAYS_SPEEDUP = 3.0
+
+
+@pytest.mark.benchmark(group="index-scale")
+def test_lsh_pay_off_size(benchmark):
+    largest = scaled(131_072, minimum=16_384)
+    sizes = [4096]
+    while sizes[-1] * 2 <= largest:
+        sizes.append(sizes[-1] * 2)
+    rng = np.random.default_rng(11)
+    vectors = clustered_vectors(sizes[-1], rng)
+    k = 5
+    # Tables from the first row, so every size of the sweep can use them.
+    index = GraphIndex(lsh_min_size=0)
+
+    def sweep():
+        rows = []
+        for size in sizes:
+            for position in range(len(index), size):
+                index.add_embedding(vectors[position], f"L{position}")
+            picks = rng.integers(0, size, size=64)
+            queries = vectors[picks] + rng.random((64, DIMS)) * 0.25
+            obs.reset_registry()
+            exact_times, lsh_times = [], []
+            for _ in range(3):
+                for query in queries:
+                    start = time.perf_counter()
+                    index.nearest_by_vector(query, k=k, approximate=False)
+                    exact_times.append(time.perf_counter() - start)
+                    start = time.perf_counter()
+                    index.nearest_by_vector(query, k=k)
+                    lsh_times.append(time.perf_counter() - start)
+            counters = obs.get_registry().snapshot().counters
+            rows.append({
+                "size": size,
+                "exact_p50_us": p50(exact_times) * 1e6,
+                "lsh_p50_us": p50(lsh_times) * 1e6,
+                "speedup": p50(exact_times) / max(p50(lsh_times), 1e-12),
+                "recall_at_5": recall_at_k(index, queries, k),
+                "lsh_queries": counters.get("index.knn.lsh_queries", 0),
+            })
+        return rows
+
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    print()
+    for row in rows:
+        print(
+            f"n={row['size']:>7}: exact {row['exact_p50_us']:8.1f}us, "
+            f"LSH {row['lsh_p50_us']:8.1f}us ({row['speedup']:.2f}x), "
+            f"recall@5 {row['recall_at_5']:.3f}, LSH lookups {row['lsh_queries']}"
+        )
+    paying = [row["size"] for row in rows if row["speedup"] >= LSH_PAYS_SPEEDUP]
+    print(
+        f"LSH is >= {LSH_PAYS_SPEEDUP:.0f}x faster than the exact scan from "
+        f"n={paying[0]}" if paying else
+        f"LSH is never >= {LSH_PAYS_SPEEDUP:.0f}x faster up to n={sizes[-1]}"
+    )
+    for row in rows:
+        if row["lsh_queries"]:
+            assert row["recall_at_5"] >= 0.95, row

@@ -467,19 +467,17 @@ class IndexServer:
         """
         counts = self._replayed_counts[hour]
         if shard_id not in counts:
-            self._fail_locked(
+            return self._refused_locked(
                 f"restore mismatch: shard {shard_id} synced at replayed hour "
                 f"{hour} but was not part of the logged round"
             )
-            return (protocol.ABORT, self._failure)
         if len(entries) != counts[shard_id]:
-            self._fail_locked(
+            return self._refused_locked(
                 f"restore divergence: shard {shard_id} shipped {len(entries)} "
                 f"entries at hour {hour} where the snapshot logged "
                 f"{counts[shard_id]}; the restarted campaign is not replaying "
                 "deterministically"
             )
-            return (protocol.ABORT, self._failure)
         self._resynced_locked(hour, shard_id)
         return None
 
@@ -562,6 +560,16 @@ class IndexServer:
         """Mark the campaign dead; wakes every barrier and waiter."""
         with self._cond:
             self._fail_locked(reason)
+
+    def _refused_locked(self, reason: str) -> Tuple[str, str]:
+        """Fail the campaign for *reason* and return the ABORT reply naming it.
+
+        The reply carries *reason* itself, not ``self._failure``: a violation
+        after the campaign completed fails nothing and leaves no failure
+        behind, but the peer must still learn what it did wrong.
+        """
+        self._fail_locked(reason)
+        return (protocol.ABORT, reason)
 
     def _fail_locked(self, reason: str) -> None:
         # Completion wins races: once every live shard has reported, a late
@@ -800,10 +808,9 @@ class IndexServer:
                 # A stray batch must not count toward (or corrupt) the
                 # barrier; diagnose it instead of letting a later broadcast
                 # lookup blow up on a legit worker's handler thread.
-                self._fail_locked(
+                return self._refused_locked(
                     f"protocol violation: sync from unregistered shard {shard_id}"
                 )
-                return (protocol.ABORT, self._failure)
             if hour in self._replayed_counts:
                 # A restored campaign: the round was already merged (and its
                 # outcome fsynced) before the crash; the restarted shard
@@ -820,18 +827,16 @@ class IndexServer:
     ) -> Optional[Tuple[Any, ...]]:
         """Add one shard's batch to its round; the ABORT reply if it is refused."""
         if hour not in self._previous_hour or hour in self._completed_hours:
-            self._fail_locked(
+            return self._refused_locked(
                 f"protocol violation: sync at unscheduled or already "
                 f"completed hour {hour}"
             )
-            return (protocol.ABORT, self._failure)
         batches = self._round_batches.setdefault(hour, {})
         if shard_id in batches:
-            self._fail_locked(
+            return self._refused_locked(
                 f"protocol violation: duplicate sync from shard "
                 f"{shard_id} at hour {hour}"
             )
-            return (protocol.ABORT, self._failure)
         self._round_opened.setdefault(hour, time.monotonic())
         batches[shard_id] = entries
         self._complete_ready_rounds_locked()
@@ -863,11 +868,10 @@ class IndexServer:
             )
         broadcast = self._round_broadcasts[previous].get(shard_id)
         if broadcast is None:
-            self._fail_locked(
+            return self._refused_locked(
                 f"protocol violation: shard {shard_id} synced at hour {hour} "
                 f"without a batch in the round of hour {previous}"
             )
-            return (protocol.ABORT, self._failure)
         self._fetched_locked(previous, shard_id)
         return (protocol.BROADCAST, self.coordinator.deliver(broadcast))
 
@@ -934,17 +938,15 @@ class IndexServer:
                     f"{self._evicted[report.shard_id]}",
                 )
             if report.shard_id not in self._registered:
-                self._fail_locked(
+                return self._refused_locked(
                     f"protocol violation: report from unregistered shard "
                     f"{report.shard_id}"
                 )
-                return (protocol.ABORT, self._failure)
             if report.shard_id in self.reports:
-                self._fail_locked(
+                return self._refused_locked(
                     f"protocol violation: duplicate report for shard "
                     f"{report.shard_id}"
                 )
-                return (protocol.ABORT, self._failure)
             self.coordinator.absorb(report.unsynced_entries)
             self.reports[report.shard_id] = report
             if report.telemetry:

@@ -11,7 +11,7 @@ labels/edges produce vectors at small cosine distance.
 The refinement runs directly over :meth:`QueryGraph.adjacency` (networkx is
 used only for the VF2 checks of :mod:`repro.kqe.isomorphism`).  The adaptive
 walk scores the same few partial graphs over and over, so each embedder
-memoizes its vectors by graph content.
+memoizes its vectors, with their norms, by graph content.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from repro.kqe.query_graph import QueryGraph
 DEFAULT_DIMENSIONS = 64
 
 #: Most graphs one embedder memoizes; past it, new graphs are embedded afresh
-#: on every call.  A campaign's walk meets a few hundred distinct graphs.
+#: on every call.  A campaign's walk meets a few hundred distinct graphs.  The
+#: embedder's token -> bucket memo and the graph index's skeleton -> label
+#: memo stop growing at the same size.
 EMBED_MEMO_LIMIT = 1 << 14
 
 
@@ -44,7 +46,11 @@ class GraphEmbedder:
             raise ValueError("embedding dimensionality must be positive")
         self.dimensions = dimensions
         self.iterations = iterations
-        self._memo: Dict[Tuple[tuple, tuple], np.ndarray] = {}
+        # Both memos are bounded by EMBED_MEMO_LIMIT: graph content ->
+        # (vector, norm), and WL colour token -> hash bucket (the tokens
+        # recur across graphs, so blake2b runs once per distinct token).
+        self._memo: Dict[Tuple[tuple, tuple], Tuple[np.ndarray, float]] = {}
+        self._buckets: Dict[str, int] = {}
 
     def _wl_colors(self, graph: QueryGraph) -> List[str]:
         adjacency = graph.adjacency()
@@ -69,20 +75,35 @@ class GraphEmbedder:
         equal graphs share one memoized array; it is read-only so no caller
         can corrupt the memo.
         """
+        return self.embed_with_norm(graph)[0]
+
+    def embed_with_norm(self, graph: QueryGraph) -> Tuple[np.ndarray, float]:
+        """:meth:`embed`'s vector with its norm, ``float(np.linalg.norm(vector))``.
+
+        The norm is taken once per memoized graph, so scoring a memoized
+        graph again never re-derives it.
+        """
         key = (graph.vertices, graph.edges)
-        vector = self._memo.get(key)
-        if vector is not None:
-            return vector
+        embedded = self._memo.get(key)
+        if embedded is not None:
+            return embedded
+        buckets = self._buckets
         vector = np.zeros(self.dimensions, dtype=np.float64)
         for token in self._wl_colors(graph):
-            vector[_stable_bucket(token, self.dimensions)] += 1.0
+            bucket = buckets.get(token)
+            if bucket is None:
+                bucket = _stable_bucket(token, self.dimensions)
+                if len(buckets) < EMBED_MEMO_LIMIT:
+                    buckets[token] = bucket
+            vector[bucket] += 1.0
         norm = np.linalg.norm(vector)
         if norm > 0:
             vector /= norm
         vector.flags.writeable = False
+        embedded = (vector, float(np.linalg.norm(vector)))
         if len(self._memo) < EMBED_MEMO_LIMIT:
-            self._memo[key] = vector
-        return vector
+            self._memo[key] = embedded
+        return embedded
 
     def embed_many(self, graphs: Iterable[QueryGraph]) -> np.ndarray:
         """Embed several graphs into a (n, dimensions) matrix."""

@@ -20,18 +20,22 @@ what lets the distributed server restart into a bit-identical state.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import SnapshotError
+from repro.kqe import embedding
 from repro.kqe.embedding import GraphEmbedder
 from repro.kqe.lsh import SignRandomProjectionLSH
 from repro.kqe.query_graph import QueryGraph
-from repro.kqe.store import EntryBatch, Neighbours, VectorStore
+from repro.kqe.store import EntryBatch, VectorStore
 
-#: Below this size an exact scan beats any prefilter; it is also the regime
-#: every unit test and short campaign lives in, so approximate == exact there.
-DEFAULT_LSH_MIN_SIZE = 4096
+#: Below this size the exact scan is used; it is also the regime every unit
+#: test and campaign lives in, so approximate == exact there.  It is the
+#: smallest size of ``benchmarks/bench_index_scale.py``'s doubling sweep at
+#: which the LSH lookup is >= 3x faster than the exact scan (recall@5 1.000
+#: there; at 4,096 entries LSH was no faster at all).
+DEFAULT_LSH_MIN_SIZE = 65536
 
 
 def lsh_seed_material(embedder: GraphEmbedder) -> str:
@@ -65,6 +69,9 @@ class GraphIndex:
         # query), so they must not rebuild set(self._canonical_labels) — that
         # turns a campaign into O(n^2) over the index size.
         self._label_counts: Counter = Counter()
+        # Skeleton content -> canonical label, bounded like the embedder's
+        # memo: a campaign registers the same join skeleton again and again.
+        self._skeleton_labels: Dict[Tuple[tuple, tuple], str] = {}
         # Built by add_embedding once the store first outgrows lsh_min_size.
         self._lsh: Optional[SignRandomProjectionLSH] = None
 
@@ -76,7 +83,13 @@ class GraphIndex:
     def add(self, graph: QueryGraph) -> Any:
         """Insert a query graph; returns its embedding."""
         vector = self.embedder.embed(graph)
-        self.add_embedding(vector, graph.canonical_label())
+        key = (graph.vertices, graph.edges)
+        label = self._skeleton_labels.get(key)
+        if label is None:
+            label = graph.canonical_label()
+            if len(self._skeleton_labels) < embedding.EMBED_MEMO_LIMIT:
+                self._skeleton_labels[key] = label
+        self.add_embedding(vector, label)
         return vector
 
     def add_embedding(self, vector: Sequence[float], canonical_label: str = "") -> None:
@@ -146,25 +159,28 @@ class GraphIndex:
         """Eq. 3 for each graph: ``1 / (coverage + 1)``, where the coverage
         (Eq. 2) is the mean cosine of the graph's *k* nearest neighbours.
 
-        Below ``lsh_min_size`` one product scores every graph against every
-        row, bit-identical to a ``nearest`` call per graph; above it each
-        graph takes the approximate ``nearest`` path.
+        Coverage reads only similarity values, so below ``lsh_min_size`` one
+        values-only kernel (``VectorStore.top_k_cosines``) scores every graph
+        against every row, with each graph's norm memoized beside its
+        embedding: bit-identical to a ``nearest`` call per graph.  Above it
+        each graph takes the approximate ``nearest`` path.
         """
-        vectors = [self.embedder.embed(graph) for graph in graphs]
-        neighbour_lists: List[Neighbours]
+        embedded = [self.embedder.embed_with_norm(graph) for graph in graphs]
+        vectors = [vector for vector, _ in embedded]
         if self._lsh is not None:
-            neighbour_lists = [self.nearest_by_vector(vector, k) for vector in vectors]
+            similarities = [
+                [similarity for _, similarity in self.nearest_by_vector(vector, k)]
+                for vector in vectors
+            ]
         else:
-            neighbour_lists = self._store.top_k_many(vectors, k)
+            norms = [norm for _, norm in embedded]
+            similarities = self._store.top_k_cosines(vectors, norms, k)
             if len(self._store):
                 obs.get_registry().counter("index.knn.exact_queries").inc(len(vectors))
         probabilities = []
-        for neighbours in neighbour_lists:
+        for values in similarities:
             # Summed in rank order, as KQE.coverage sums one nearest() result.
-            coverage = (
-                float(sum(similarity for _, similarity in neighbours) / len(neighbours))
-                if neighbours else 0.0
-            )
+            coverage = float(sum(values) / len(values)) if values else 0.0
             probabilities.append(1.0 / (coverage + 1.0))
         return probabilities
 

@@ -4,14 +4,18 @@ The paper's HD-Index sits on the novelty-check hot path, so embedding storage
 must support one-shot vectorized scoring instead of a Python loop over
 per-entry arrays.  :class:`VectorStore` keeps all embeddings in a single
 amortized-growth ``(capacity, dims)`` float64 matrix with cached row norms.
-``top_k`` scores one query and ``top_k_many`` a batch of queries against the
-rows with one product each.  Every product is a ``numpy.einsum``
-contraction, never a BLAS matrix product: einsum sums each (query, row) pair
-alike whatever the row or query count, so a row scores with the same bits
-alone, in a candidate subset, in a batch or in the full scan — which is what
-lets a walk step score all its candidate graphs at once without moving a
-single draw.  (BLAS kernels block rows, and a row's last bit can depend on
-how many rows share the call.)
+``top_k`` ranks the rows for one query as (row, similarity) pairs.
+``top_k_cosines`` is the adaptive walk's kernel: it scores a batch of
+queries, whose norms the caller memoizes with the vectors, against every row
+with one product, and returns only each query's *k* best cosines in
+descending order — one partition, one sort and one ``tolist``, with no
+per-pair tuples — because coverage (Eq. 2) reads the values, not the rows.
+Every product is a ``numpy.einsum`` contraction, never a BLAS matrix
+product: einsum sums each (query, row) pair alike whatever the row or query
+count, so a row scores with the same bits alone, in a candidate subset, in a
+batch or in the full scan — which is what lets a walk step score all its
+candidate graphs at once without moving a single draw.  (BLAS kernels block
+rows, and a row's last bit can depend on how many rows share the call.)
 
 :class:`EntryBatch` is the zero-copy view ``GraphIndex.entries_since`` hands
 to the sync layer: it indexes straight into the store's matrix instead of
@@ -50,30 +54,25 @@ def quantize_to_float32(values: Sequence[float]) -> List[float]:
     return list(struct.unpack(f"<{count}f", packed))
 
 
-def _ranked(scores: Any, k: int, ids: Any = None) -> List[Neighbours]:
-    """The *k* best of each row of a (queries, rows) score matrix.
+def _ranked(scores: Any, k: int, ids: Any = None) -> Neighbours:
+    """The *k* best entries of a score vector as (row, similarity) pairs.
 
-    Each query gets (row, similarity) pairs in a stable descending order:
-    ties break toward the lower row index, which is determinism-critical,
-    because KQE coverage feeds generation probabilities.  *ids* maps score
-    columns to row indices (a candidate subset); by default column is row.
+    Pairs come in a stable descending order: ties break toward the lower row
+    index, which is determinism-critical, because KQE coverage feeds
+    generation probabilities.  *ids* maps score positions to row indices (a
+    candidate subset); by default position is row.
     """
-    count, total = scores.shape
+    total = scores.shape[0]
     limit = min(k, total)
     if total > limit:
-        kth = np.partition(scores, total - limit, axis=1)[:, total - limit]
-        queries, columns = np.nonzero(scores >= kth[:, None])
+        kth = np.partition(scores, total - limit)[total - limit]
+        (columns,) = np.nonzero(scores >= kth)
     else:
-        queries, columns = np.divmod(np.arange(count * total), total)
-    similarities = scores[queries, columns].tolist()
+        columns = np.arange(total)
     rows = (columns if ids is None else ids[columns]).tolist()
-    ranked: List[Neighbours] = [[] for _ in range(count)]
-    for query, row, similarity in zip(queries.tolist(), rows, similarities):
-        ranked[query].append((row, similarity))
-    for neighbours in ranked:
-        neighbours.sort(key=lambda item: (-item[1], item[0]))
-        del neighbours[limit:]
-    return ranked
+    ranked = list(zip(rows, scores[columns].tolist()))
+    ranked.sort(key=lambda item: (-item[1], item[0]))
+    return ranked[:limit]
 
 
 class VectorStore:
@@ -153,20 +152,23 @@ class VectorStore:
 
     # ----------------------------------------------------------------- search
 
-    def _cosines(self, vectors: Sequence[Sequence[float]], ids: Any = None) -> Any:
+    def _queries(self, vectors: Sequence[Sequence[float]]) -> Any:
+        """*vectors* padded/truncated to the store's width, one per row."""
+        if all(len(vector) == self._dims for vector in vectors):
+            return np.array(vectors, dtype=np.float64)
+        queries = np.zeros((len(vectors), self._dims), dtype=np.float64)
+        for position, vector in enumerate(vectors):
+            width = min(len(vector), self._dims)
+            queries[position, :width] = vector[:width]
+        return queries
+
+    def _cosines(self, queries: Any, query_norms: Any, ids: Any = None) -> Any:
         """(queries, rows) cosines against every row, or the rows *ids* names.
 
-        Each query is padded/truncated to the store's width but keeps its
-        full norm: components past the width meet only implicit zeros, so the
-        cosine is exact either way.
+        *query_norms* are the queries' full norms: components past the
+        store's width meet only implicit zeros, so the cosine is exact
+        whether a query was padded or truncated.
         """
-        queries = np.zeros((len(vectors), self._dims), dtype=np.float64)
-        query_norms = np.empty(len(vectors), dtype=np.float64)
-        for position, vector in enumerate(vectors):
-            values = np.asarray(vector, dtype=np.float64).reshape(-1)
-            query_norms[position] = float(np.linalg.norm(values))
-            width = min(values.shape[0], self._dims)
-            queries[position, :width] = values[:width]
         if ids is None:
             rows = self._matrix[: self._count]
             norms = self._norms[: self._count]
@@ -193,15 +195,30 @@ class VectorStore:
         if candidates is not None and len(candidates) == 0:
             return []
         ids = None if candidates is None else np.asarray(candidates, dtype=np.intp)
-        return _ranked(self._cosines([vector], ids), k, ids)[0]
+        values = np.asarray(vector, dtype=np.float64).reshape(-1)
+        query_norms = np.array([float(np.linalg.norm(values))])
+        scores = self._cosines(self._queries([values]), query_norms, ids)
+        return _ranked(scores[0], k, ids)
 
-    def top_k_many(
-        self, vectors: Sequence[Sequence[float]], k: int
-    ) -> List[Neighbours]:
-        """``top_k(vector, k)`` of every vector, from one product over all rows."""
+    def top_k_cosines(
+        self, vectors: Sequence[Sequence[float]], norms: Sequence[float], k: int
+    ) -> List[List[float]]:
+        """The similarities of ``top_k(vector, k)`` for every vector, rows left out.
+
+        *norms* holds each vector's full norm (callers memoize it with the
+        vector).  One product scores every vector against every row; each
+        query's *k* best cosines come back in descending order, so summing
+        them in list order adds the very bits a ``top_k`` walk would.
+        """
         if self._count == 0 or k <= 0 or not vectors:
             return [[] for _ in vectors]
-        return _ranked(self._cosines(vectors), k)
+        query_norms = np.asarray(norms, dtype=np.float64)
+        cosines = self._cosines(self._queries(vectors), query_norms)
+        total = cosines.shape[1]
+        if total > k:
+            cosines = np.partition(cosines, total - k, axis=1)[:, total - k :]
+        cosines.sort(axis=1)
+        return cosines[:, ::-1].tolist()
 
 
 def _vector_as_list(vector: Sequence[float]) -> List[float]:

@@ -19,7 +19,7 @@ from repro.core import (
 )
 from repro.core.campaign import HourlySample
 from repro.core.parallel import WorkerReport
-from repro.distributed import protocol
+from repro.distributed import protocol, wire
 from repro.distributed.cli import _diff_summaries, main as distributed_main
 from repro.distributed.client import request_shutdown, run_remote_client
 from repro.distributed.coordinator import CentralCoordinator
@@ -328,6 +328,30 @@ class TestIndexServerProtocol:
             assert server._round_pending_fetch == {}
             # Re-syncing a completed hour is a protocol violation, not a hang.
             assert server._sync(0, 1, [])[0] == protocol.ABORT
+        finally:
+            server._server.server_close()
+
+    def test_sync_after_completion_aborts_with_its_reason(self):
+        """A completed campaign keeps no failure, yet a late SYNC's ABORT still
+        names the violation, and the client can decode it."""
+        shards = build_shard_specs("tqs", FAST, 2)
+        server = IndexServer(shards=shards, sync_hours=(1,), round_timeout=30.0)
+        try:
+            server._registered.update({0, 1})
+            sync_round(server, 1, {0: [], 1: []})
+            for shard_id in (0, 1):
+                assert server._report(minimal_report(shard_id)) == (protocol.OK,)
+            assert server.completed and server.failure is None
+            reply = server._sync(0, 1, [])
+            verb, reason = wire.decode_message(
+                json.loads(json.dumps(wire.encode_message(reply)))
+            )
+            assert verb == protocol.ABORT
+            assert isinstance(reason, str)
+            assert reason == (
+                "protocol violation: sync at unscheduled or already completed hour 1"
+            )
+            assert server.failure is None
         finally:
             server._server.server_close()
 

@@ -497,6 +497,49 @@ class TestEmbeddingMemo:
         for graph, vector in zip(graphs, vectors):
             assert GraphEmbedder().embed(graph).tobytes() == vector.tobytes()
 
+    def test_step_scoring_holds_past_the_memo_limits(self, monkeypatch):
+        """Past EMBED_MEMO_LIMIT graphs are embedded, normed, bucketed and
+        labelled afresh: every step still scores like one nearest() per graph,
+        the draws match an unbounded run, and no memo outgrows the limit."""
+        from repro.kqe import embedding
+
+        unbounded, _ = guided_draws("shopping", kqe_seed=23)
+        monkeypatch.setattr(embedding, "EMBED_MEMO_LIMIT", 3)
+        bounded, _ = guided_draws("shopping", kqe_seed=23)
+        assert bounded == unbounded
+
+        dsg = DSG(DSGConfig(dataset="shopping", dataset_rows=30, seed=7))
+        kqe = KQE(dsg.ndb.schema, rng=random.Random(11))
+        scored = []
+        skeleton_labels = []
+
+        def chooser(base, steps, candidates):
+            graphs = [kqe.builder.build_partial(base.alias, steps, candidate)
+                      for candidate in candidates]
+            graphs.append(kqe.builder.build_partial(base.alias, steps))
+            batched = kqe.index.transition_probabilities(
+                graphs, k=kqe.config.k_neighbors)
+            single = [1.0 / (kqe.coverage(graph) + 1.0) for graph in graphs]
+            assert [p.hex() for p in batched] == [p.hex() for p in single]
+            scored.extend(batched)
+            return kqe.extension_chooser(base, steps, candidates)
+
+        for _ in range(40):
+            try:
+                query = dsg.generate_query(extension_chooser=chooser)
+            except GenerationError:
+                continue
+            kqe.register(query)
+            skeleton = kqe.builder.build_partial(query.base.alias, query.joins)
+            skeleton_labels.append(skeleton.canonical_label())
+        assert len(scored) > 40
+        assert any(probability < 1.0 for probability in scored)
+        assert kqe.index.entries_since(0).labels == skeleton_labels
+        assert len(set(skeleton_labels)) > 3
+        assert len(kqe.embedder._memo) == 3
+        assert len(kqe.embedder._buckets) == 3
+        assert len(kqe.index._skeleton_labels) == 3
+
     def test_draws_do_not_depend_on_another_instance(self):
         """Each KQE memoizes in its own embedder, so a seeded run draws the
         same whether or not another KQE ran first in the process."""

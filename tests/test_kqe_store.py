@@ -122,15 +122,60 @@ class TestVectorStore:
             store.append(vector)
         queries = synthetic_vectors(batch, dims, seed=f"queries-{seed}")
         subset = sorted(pick for pick in picks if pick < rows) or [0]
-        for query, batched in zip(queries, store.top_k_many(queries, rows)):
+        norms = [float(np.linalg.norm(query)) for query in queries]
+        for query, norm, batched in zip(
+            queries, norms, store.top_k_cosines(queries, norms, rows)
+        ):
             full = store.top_k(query, rows)
-            assert [(index, score.hex()) for index, score in batched] == [
-                (index, score.hex()) for index, score in full
+            assert [score.hex() for score in batched] == [
+                score.hex() for _, score in full
             ]
             scores = {index: score.hex() for index, score in full}
             for index, score in store.top_k(query, rows, candidates=subset):
                 assert score.hex() == scores[index]
-            assert store.top_k_many([query], 3) == [store.top_k(query, 3)]
+            assert store.top_k_cosines([query], [norm], 3) == [
+                [score for _, score in store.top_k(query, 3)]
+            ]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.lists(
+            st.sampled_from(["random", "zero", "duplicate"]), max_size=40
+        ),
+        dims=st.integers(1, 16),
+        widths=st.lists(st.integers(0, 24), min_size=1, max_size=6),
+        k=st.integers(1, 50),
+        seed=st.integers(0, 10_000),
+    )
+    def test_top_k_cosines_are_top_k_similarities(self, rows, dims, widths, k, seed):
+        """The values-only kernel returns each query's ``top_k`` similarities
+        bit for bit: zero rows, duplicate rows (ties), queries wider and
+        narrower than the store, ``k >= rows`` and the empty store alike."""
+        store = VectorStore(dims=dims)
+        fresh = iter(synthetic_vectors(len(rows), dims, seed=f"rows-{seed}"))
+        previous = [0.0] * dims
+        for kind in rows:
+            vector = next(fresh)
+            if kind == "zero":
+                vector = [0.0] * dims
+            elif kind == "duplicate":
+                vector = previous
+            store.append(vector)
+            previous = vector
+        queries = [
+            synthetic_vectors(1, width, seed=f"query-{seed}-{position}")[0]
+            if width else []
+            for position, width in enumerate(widths)
+        ]
+        norms = [float(np.linalg.norm(query)) for query in queries]
+        kernel = store.top_k_cosines(queries, norms, k)
+        assert len(kernel) == len(queries)
+        for query, values in zip(queries, kernel):
+            expected = [score for _, score in store.top_k(query, k)]
+            assert [value.hex() for value in values] == [
+                score.hex() for score in expected
+            ]
+            assert len(values) == min(k, len(rows))
 
 
 class TestEntryBatch:
