@@ -31,6 +31,7 @@ from typing import (
 )
 
 from repro.errors import ReproError
+from repro.plan.joins import MATCHING_EFFECT_NAMES
 from repro.plan.logical import JoinType
 from repro.plan.physical import (
     ExecRow,
@@ -219,7 +220,15 @@ class _Matched(NamedTuple):
     """The seeded bugs whose triggers match one trigger context."""
 
     by_seam: Dict[str, List[BugSpec]]
-    behaviour_key: Tuple[Tuple[int, ...], Tuple[int, ...]]
+    behaviour_key: Hashable
+
+
+def _read_in_matching_routine(bug: BugSpec) -> bool:
+    """Whether *bug*'s seam is read inside a join's matching routine: the
+    key function, which each routine applies and compares its own way, or a
+    flag of :data:`~repro.plan.joins.MATCHING_EFFECT_NAMES`."""
+    return bug.seam == "join_key" or (
+        bug.seam == "flag" and bug.behavior in MATCHING_EFFECT_NAMES)
 
 
 class ActiveFaults(ExecutionHooks):
@@ -234,6 +243,9 @@ class ActiveFaults(ExecutionHooks):
 
     def __init__(self, bugs: Sequence[BugSpec] = ()) -> None:
         self.bugs: Tuple[BugSpec, ...] = tuple(bugs)
+        self._routine_bugs = frozenset(
+            position for position, bug in enumerate(self.bugs)
+            if _read_in_matching_routine(bug))
         self.fired: Set[int] = set()
         # The bugs matching each trigger value seen so far.  Every join
         # execution builds a fresh TriggerContext, but triggers take few
@@ -256,12 +268,17 @@ class ActiveFaults(ExecutionHooks):
             # needs both, and a join may run under either.
             siblings = (trigger._replace(has_null_keys=False),
                         trigger._replace(has_null_keys=True))
-            behaviour_key = tuple(
+            matched_positions = tuple(
                 tuple(position for position, bug in enumerate(self.bugs)
                       if bug.trigger.matches(sibling))
                 for sibling in siblings
             )
-            for sibling, positions in zip(siblings, behaviour_key):
+            reads_routine = any(position in self._routine_bugs
+                                for positions in matched_positions
+                                for position in positions)
+            behaviour_key = (matched_positions,
+                             trigger.algorithm.matching if reads_routine else None)
+            for sibling, positions in zip(siblings, matched_positions):
                 self._matches[sibling] = _Matched(
                     by_seam={
                         seam: [self.bugs[p] for p in positions
@@ -280,7 +297,14 @@ class ActiveFaults(ExecutionHooks):
     def behaviour_key(self, trigger: TriggerContext) -> Hashable:
         """The positions of the bugs matching *trigger*, in declaration
         order, with ``has_null_keys`` false and true: every seam answers
-        from the matching bugs alone."""
+        from the matching bugs alone.
+
+        Beside them stands the trigger's matching routine when a matching
+        bug is read inside a routine (see :func:`_read_in_matching_routine`),
+        and None otherwise: then the key function is the bug-free one and
+        every routine returns the same matches and reads the same seams, so
+        hint sets picking hash, scan or merge matching share one execution.
+        """
         return self._match(trigger).behaviour_key
 
     # ------------------------------------------------------------------- seams

@@ -12,7 +12,10 @@ every other conjunct, and every conjunct of a planner with other hooks, is
 evaluated over the joins' output.  The TQS loop runs every
 query under a dozen hint sets, so it prepares once and decides per hint set;
 hint sets whose decisions give the same :meth:`PreparedQuery.execution_key`
-share one execution, and only the first of them builds operators.
+share one execution, and only the first of them builds operators.  That key
+holds, per join, the step and what its hooks make of its trigger; it holds the
+join's algorithm only as far as the hooks tell its matching routine apart,
+since the bug-free routines (hash, scan and merge) return the same matches.
 :meth:`Planner.plan` is the one-shot composition of it all.
 
 A plan is compiled as it is built: every operator resolves its column slots
@@ -294,8 +297,10 @@ class PreparedQuery:
         """What decides the rows and fired bug ids of the plan of *decisions*.
 
         Two hint sets with equal keys execute alike.  Per join, in order: the
-        step's position in the query, its matching routine and its hooks'
-        :meth:`~repro.plan.physical.ExecutionHooks.behaviour_key`; every
+        step's position in the query and its hooks'
+        :meth:`~repro.plan.physical.ExecutionHooks.behaviour_key`, which
+        answers for the matching routine too (the key of the seeded-fault
+        hooks names it only when a matched fault is read inside it); every
         other operator depends on the join order alone.  A query with a
         subquery adds *hints*, which the subquery plans follow.
         """
@@ -304,8 +309,7 @@ class PreparedQuery:
                 map(contains_subquery, _evaluated_expressions(self._query)))
         behaviour_key = self.planner.hooks.behaviour_key
         joins = tuple(
-            (decision.step.position, decision.algorithm.matching,
-             behaviour_key(decision.trigger))
+            (decision.step.position, behaviour_key(decision.trigger))
             for decision in decisions
         )
         return (joins, hints) if self._has_subquery else joins

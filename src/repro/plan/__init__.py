@@ -1,6 +1,6 @@
 """Logical query model and physical operators."""
 
-from repro.plan.joins import EFFECT_NAMES, Join, JoinKeySpec
+from repro.plan.joins import EFFECT_NAMES, MATCHING_EFFECT_NAMES, Join, JoinKeySpec
 from repro.plan.logical import (
     AggregateFunction,
     AnyQuerySpec,
@@ -27,6 +27,7 @@ __all__ = [
     "AnyQuerySpec",
     "CompoundQuerySpec",
     "EFFECT_NAMES",
+    "MATCHING_EFFECT_NAMES",
     "ExecRow",
     "ExecutionHooks",
     "Filter",

@@ -19,12 +19,14 @@ Every decision point that a seeded logic bug can corrupt goes through
   ``"left_outer_join_as_inner"`` or ``"antijoin_drop_null_key_rows"``;
 * ``post_rows`` — the join's full output.
 
-The effect names understood by this module are listed in ``EFFECT_NAMES``.
+The effect names understood by this module are listed in ``EFFECT_NAMES``;
+those read inside a matching routine, in ``MATCHING_EFFECT_NAMES``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
@@ -41,7 +43,7 @@ from repro.plan.physical import (
 )
 from repro.sqlvalue.comparison import plain_kind, sql_compare
 from repro.sqlvalue.datatypes import TypeCategory
-from repro.sqlvalue.values import NULL, is_null, value_sort_key
+from repro.sqlvalue.values import NULL, is_null
 
 EFFECT_NAMES = (
     "left_outer_join_as_inner",
@@ -61,6 +63,20 @@ EFFECT_NAMES = (
     "left_outer_emit_spurious_null_row",
 )
 """Boolean fault seams consulted by the join operator."""
+
+MATCHING_EFFECT_NAMES = (
+    "merge_join_drop_negative_zero",
+    "merge_join_drop_last_duplicate",
+    "hash_join_null_key_matches_zero",
+    "hash_join_drop_duplicate_build_keys",
+)
+"""The seams of ``EFFECT_NAMES`` read inside one matching routine.
+
+Every other seam is read outside the routines, the same way whichever runs,
+and under the bug-free key function the routines return the same match
+lists.  So only a fault at one of these seams, or at the key function, can
+tell the routines apart.
+"""
 
 
 @dataclass(frozen=True)
@@ -251,7 +267,7 @@ class Join(PhysicalOperator):
                 ):
                     continue
                 entries.append((value, index))
-            entries.sort(key=lambda item: value_sort_key(item[0]))
+            entries.sort(key=lambda item: _merge_order(item[0]))
             return entries
 
         left_entries = sort_entries(left_keys)
@@ -446,6 +462,22 @@ _EMITTERS = {
     JoinType.ANTI: "_emit_anti",
 }
 """The emission method of each non-CROSS join type."""
+
+
+def _merge_order(value: Any) -> Tuple[int, Any]:
+    """The exact order of merge keys: numbers by value, then strings.
+
+    Two numbers compare exactly (never through ``float``, which ties
+    ``2**53`` with ``2**53 + 1`` and overflows past ``1e308``), so keys that
+    ``sql_compare`` calls equal sit next to each other, in input order.
+    """
+    if type(value) is str:
+        return (2, value)
+    if isinstance(value, bool):
+        return (1, int(value))
+    if isinstance(value, (int, float, Decimal)):
+        return (1, value)
+    return (0, 0) if is_null(value) else (2, str(value))
 
 
 def _slot_of(columns: Sequence[str], name: str) -> int:

@@ -63,8 +63,11 @@ class JoinAlgorithm(enum.Enum):
         ``"hash"`` or ``"scan"``.
 
         It is the only use a join makes of its algorithm besides its trigger
-        context, so plans that agree on it and on their hooks' answers
-        execute alike.
+        context.  Under the bug-free key function the three routines return
+        the same match lists, so a routine shows in a join's output only
+        through seams read inside it (see
+        :data:`~repro.plan.joins.MATCHING_EFFECT_NAMES`) or a faulty key
+        function.
         """
         if self is JoinAlgorithm.SORT_MERGE:
             return "merge"
@@ -150,18 +153,25 @@ class ExecutionHooks:
     :class:`TriggerContext`.
 
     Every seam must answer from its arguments alone.  :meth:`behaviour_key`
-    summarizes those answers for one join: two triggers with equal keys must
-    get the same answer from every seam, for either ``has_null_keys`` value,
-    because the engine runs a prepared query once per distinct key and hands
-    that execution's rows and fired bug ids to every hint set sharing it.
+    summarizes those answers for one join: two triggers of one join step
+    with equal keys must give equal rows and fired bug ids, for either
+    ``has_null_keys`` value and whatever matching routine runs, because the
+    engine runs a prepared query once per distinct key and hands that
+    execution's rows and fired bug ids to every hint set sharing it.
     """
 
     def behaviour_key(self, trigger: TriggerContext) -> Hashable:
-        """A value equal for two planned triggers only if the seams answer
-        them alike, whatever ``has_null_keys`` the join finds at run time.
+        """A value equal for two planned triggers of one join step only if
+        the join gives equal rows and fired bug ids under both, whatever
+        ``has_null_keys`` it finds at run time and whatever matching routine
+        (:attr:`JoinAlgorithm.matching`) their algorithms pick.
 
-        The trigger itself is always a sound key; a subclass may return a
-        coarser one.
+        The trigger itself is always a sound key: it carries the algorithm,
+        and with it the routine.  A subclass may return a coarser key.  It
+        may leave the routine out for a trigger whose key function is the
+        bug-free one and whose answers at the seams read inside a routine
+        (:data:`~repro.plan.joins.MATCHING_EFFECT_NAMES`) are the bug-free
+        ones: the routines then return the same match lists.
         """
         return trigger
 

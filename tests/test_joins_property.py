@@ -7,6 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.catalog import Column, DatabaseSchema, ForeignKey, TableSchema
 from repro.plan import (
+    EFFECT_NAMES,
+    MATCHING_EFFECT_NAMES,
     ExecutionHooks,
     Join,
     JoinAlgorithm,
@@ -247,3 +249,100 @@ def test_key_function_matches_the_exact_rule(domain, value):
     """The bug-free key function equals ``correct_hash_key(cast_for_domain(v, d))``
     in type and value, or raises the same exception type."""
     _assert_exact_key(domain, value)
+
+
+def _is_nan(value):
+    return (isinstance(value, float) and math.isnan(value)) or (
+        isinstance(value, Decimal) and value.is_nan())
+
+
+#: Storage refuses NaN, so no stored join key is one.
+stored_keys = st.one_of(
+    mixed_keys, numeric_keys, string_keys, st.sampled_from(EDGE_KEYS),
+).filter(lambda value: not _is_nan(value))
+
+
+def _matches_under(algorithm, domain, left_keys, right_keys):
+    """The match lists of a bug-free *algorithm* join, or the type of the
+    exception it raises."""
+    join = Join(
+        RowsOf("l.k", left_keys),
+        RowsOf("r.k", right_keys),
+        JoinType.INNER,
+        algorithm,
+        JoinKeySpec("l.k", "r.k", domain),
+        hooks=ExecutionHooks(),
+    )
+    try:
+        return join._find_matches(
+            list(join.left.rows()), list(join.right.rows()), TriggerContext())
+    except Exception as error:  # e.g. int(Decimal("Infinity")) in DECIMAL
+        return type(error)
+
+
+#: One algorithm per matching routine: hash, scan and merge.
+ROUTINE_ALGORITHMS = (
+    JoinAlgorithm.HASH, JoinAlgorithm.NESTED_LOOP, JoinAlgorithm.SORT_MERGE,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(list(TypeCategory)),
+    st.lists(stored_keys, max_size=8),
+    st.lists(stored_keys, max_size=8),
+)
+@example(TypeCategory.DECIMAL, [2**53 + 1], [2**53 + 1, 2**53, 2**53 + 1])
+@example(TypeCategory.DECIMAL, [10**400, 1], [1, 10**400])
+@example(TypeCategory.FLOAT, [10**400], [1])
+def test_matching_routines_agree_under_the_bug_free_key_function(
+        domain, left_keys, right_keys):
+    """Hash, scan and merge matching return the same match lists (or raise
+    the same exception type): a join's routine cannot change its output
+    unless a fault is read inside the routine."""
+    assert {algorithm.matching for algorithm in ROUTINE_ALGORITHMS} == {
+        "hash", "scan", "merge"}
+    hashed, scanned, merged = (
+        _matches_under(algorithm, domain, left_keys, right_keys)
+        for algorithm in ROUTINE_ALGORITHMS
+    )
+    assert hashed == scanned == merged, (domain, left_keys, right_keys)
+
+
+def test_merge_matching_orders_keys_exactly():
+    # 2**53 and 2**53 + 1 are one double, and 10**400 none at all; DSG's
+    # adversarial noise plants the first pair on purpose.
+    right = [2**53 + 1, 2**53, 2**53 + 1, 10**400]
+    left = [2**53 + 1, 10**400, 2**53]
+    assert _matches_under(JoinAlgorithm.SORT_MERGE, TypeCategory.DECIMAL,
+                          left, right) == [[0, 2], [3], [1]]
+
+
+class RecordingHooks(ExecutionHooks):
+    """Bug-free hooks that record every flag a join reads."""
+
+    def __init__(self):
+        self.read = set()
+
+    def flag(self, effect, trigger):
+        self.read.add(effect)
+        return False
+
+
+def test_matching_effect_names_are_the_flags_one_routine_reads_alone():
+    """A flag read by some matching routines but not all is one of
+    ``MATCHING_EFFECT_NAMES``, and each of those is read by one routine."""
+    left_keys = [1, 1, NULL, -0.0, 2]
+    right_keys = [1, 1, NULL, 0, 3]
+    routine_only = set()
+    for join_type in JoinType:
+        read = []
+        for algorithm in ROUTINE_ALGORITHMS:
+            hooks = RecordingHooks()
+            Join(RowsOf("l.k", left_keys), RowsOf("r.k", right_keys), join_type,
+                 algorithm, JoinKeySpec("l.k", "r.k", TypeCategory.DECIMAL),
+                 hooks=hooks).execute()
+            read.append(hooks.read)
+        routine_only |= set.union(*read) - set.intersection(*read)
+    assert routine_only == set(MATCHING_EFFECT_NAMES)
+    assert set(MATCHING_EFFECT_NAMES) <= set(EFFECT_NAMES)

@@ -14,7 +14,7 @@ import pytest
 
 from repro import CampaignSpec, run_campaign
 from repro.engine import Engine
-from repro.engine.dialects import ALL_DIALECTS, SIM_MARIADB, SIM_TIDB
+from repro.engine.dialects import ALL_DIALECTS, SIM_MARIADB, SIM_TIDB, SIM_XDB
 from repro.engine.faults import ActiveFaults, BugSpec, FaultTrigger
 from repro.errors import PlanError
 from repro.expr import (
@@ -37,6 +37,7 @@ from repro.optimizer import (
     standard_hint_sets,
 )
 from repro.plan import (
+    MATCHING_EFFECT_NAMES,
     AggregateFunction,
     CompoundQuerySpec,
     ExecutionHooks,
@@ -209,6 +210,49 @@ def test_seeded_faults_keep_apart_plans_they_execute_differently(
         assert report_record(report) == report_record(fresh)
 
 
+@pytest.mark.parametrize("dialect, query, fired", [
+    # No SimMariaDB bug matches this inner join under either plan.
+    (SIM_MARIADB, GOODS_ORDERS, ()),
+    # SimXDB's bug 18 turns every LEFT JOIN into an inner join, whatever
+    # routine matches its keys.
+    (SIM_XDB, QUERIES["join-left_outer"], (18,)),
+], ids=["no-fault", "fault-outside-the-routines"])
+def test_matching_routines_no_matched_fault_reads_share_one_execution(
+        orders_db, dialect, query, fired):
+    hint_sets = [hash_join_hints(), merge_join_hints()]
+    engine = Engine(orders_db, dialect)
+    prepared = engine.planner.prepare(query)
+    assert [{decision.algorithm.matching for decision in prepared.decide(hints)}
+            for hints in hint_sets] == [{"hash"}, {"merge"}]
+    reports = engine.execute_all_hints(query, hint_sets)
+    assert reports[0].result is reports[1].result
+    assert reports[0].fired_bug_ids == fired
+    for hints, report in zip(hint_sets, reports):
+        fresh = Engine(orders_db, dialect).execute_with_report(query, hints)
+        assert typed_record(report) == typed_record(fresh)
+
+
+@pytest.mark.parametrize("seam, behavior", [
+    *(("flag", effect) for effect in MATCHING_EFFECT_NAMES),
+    ("join_key", "round_decimal_constants"),
+])
+def test_a_matched_fault_read_inside_a_routine_keeps_the_routines_apart(
+        orders_db, seam, behavior):
+    # The trigger names no algorithm, so the bug matches both plans alike;
+    # only the routine that reads it (or applies the key function its own
+    # way) can tell them apart.
+    bugs = [BugSpec(bug_id=1, dbms="test", seam=seam, behavior=behavior,
+                    trigger=FaultTrigger(join_types=frozenset({JoinType.INNER})))]
+    hint_sets = [hash_join_hints(), merge_join_hints()]
+    reports = Engine(orders_db, hooks=ActiveFaults(bugs)).execute_all_hints(
+        GOODS_ORDERS, hint_sets)
+    assert reports[0].result is not reports[1].result
+    for hints, report in zip(hint_sets, reports):
+        fresh = Engine(orders_db, hooks=ActiveFaults(bugs)).execute_with_report(
+            GOODS_ORDERS, hints)
+        assert typed_record(report) == typed_record(fresh)
+
+
 CAMPAIGNS = [
     CampaignSpec(kind="tqs", dialect="SimMySQL", dataset_rows=30, hours=4,
                  queries_per_hour=12, seed=21),
@@ -224,12 +268,13 @@ CAMPAIGNS = [
 @pytest.mark.parametrize("spec", CAMPAIGNS, ids=lambda spec: spec.dialect)
 def test_shared_executions_match_fresh_ones_over_a_campaign(spec, monkeypatch):
     """Every report of a campaign's hinted executions equals a fresh,
-    unprepared execution on a new engine, and some executions were shared."""
+    unprepared execution on a new engine, some executions were shared, and
+    fewer ran than a key naming every join's matching routine would run."""
     original = Engine.execute_all_hints
-    reports_checked = shared = 0
+    reports_checked = shared = executed = routine_keyed = 0
 
     def checking(engine, query, hint_sets):
-        nonlocal reports_checked, shared
+        nonlocal reports_checked, shared, executed, routine_keyed
         reports = original(engine, query, hint_sets)
         results = []
         for hints, report in zip(hint_sets, reports):
@@ -239,12 +284,30 @@ def test_shared_executions_match_fresh_ones_over_a_campaign(spec, monkeypatch):
             shared += any(result is report.result for result in results)
             results.append(report.result)
         reports_checked += len(reports)
+        executed += len({id(result) for result in results})
+        routine_keyed += len(_routine_keys(engine, query, hint_sets))
         return reports
 
     monkeypatch.setattr(Engine, "execute_all_hints", checking)
     run_campaign(spec)
     assert reports_checked > 100
     assert shared > 0
+    assert executed < routine_keyed
+
+
+def _routine_keys(engine, query, hint_sets):
+    """The distinct execution keys of *hint_sets* if each join's key also
+    named its matching routine, or every hint set for a query that is not
+    prepared."""
+    if not isinstance(query, QuerySpec):
+        return set(range(len(hint_sets)))
+    prepared = engine.planner.prepare(query)
+    keys = set()
+    for hints in hint_sets:
+        decisions = prepared.decide(hints)
+        keys.add((prepared.execution_key(hints, decisions),
+                  tuple(decision.algorithm.matching for decision in decisions)))
+    return keys
 
 
 def test_the_queries_exercise_reordering_and_faults(orders_db):
