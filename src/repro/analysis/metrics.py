@@ -24,11 +24,6 @@ class SeriesComparison:
             return float(self.tqs_value) if self.tqs_value else 1.0
         return self.tqs_value / self.baseline_value
 
-    @property
-    def tqs_wins(self) -> bool:
-        """Whether TQS dominates the baseline on this metric."""
-        return self.tqs_value >= self.baseline_value
-
 
 def compare_final(metric: str, tqs: CampaignResult,
                   baselines: Mapping[str, CampaignResult]) -> List[SeriesComparison]:

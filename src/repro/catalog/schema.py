@@ -86,20 +86,12 @@ class DatabaseSchema:
         """All table schemas."""
         return tuple(self._tables.values())
 
-    def has_table(self, name: str) -> bool:
-        """True when a table called *name* exists."""
-        return name in self._tables
-
     def table(self, name: str) -> TableSchema:
         """Return the table schema named *name* or raise :class:`CatalogError`."""
         try:
             return self._tables[name]
         except KeyError:
             raise CatalogError(f"schema has no table {name!r}") from None
-
-    def foreign_keys_of(self, table: str) -> List[ForeignKey]:
-        """Foreign keys where *table* participates as child or parent."""
-        return [fk for fk in self.foreign_keys if table in (fk.table, fk.ref_table)]
 
     def join_edge(self, table_a: str, table_b: str) -> Optional[ForeignKey]:
         """Return the FK joining two tables, if any."""

@@ -322,11 +322,6 @@ class IndexServer:
         with self._cond:
             return dict(self._evicted)
 
-    def seconds_since_activity(self) -> float:
-        """Seconds since the last protocol message from any client."""
-        with self._cond:
-            return time.monotonic() - self._last_activity
-
     def _live_expected_locked(self) -> int:
         return self.expected - len(self._evicted)
 

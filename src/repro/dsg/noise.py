@@ -220,12 +220,6 @@ class NoiseInjector:
         count = min(count, row_count)
         return self.rng.sample(range(row_count), count)
 
-    def _fk_of(self, table: str, column: str) -> Optional[ForeignKey]:
-        for fk in self.ndb.schema.foreign_keys:
-            if fk.table == table and column in fk.columns:
-                return fk
-        return None
-
     def inject(self) -> NoiseReport:
         """Run the injection and return a :class:`NoiseReport`."""
         self._report = NoiseReport()

@@ -121,10 +121,6 @@ class NormalizedDatabase:
         """Data columns (without RowID) of one table."""
         return self.table_meta(name).columns
 
-    def parent_of_fk(self, fk: ForeignKey) -> str:
-        """Parent (referenced) table of a foreign key."""
-        return fk.ref_table
-
 
 class SchemaNormalizer:
     """Builds a :class:`NormalizedDatabase` from a wide table."""

@@ -38,10 +38,6 @@ class ResultSet:
     def __iter__(self):
         return iter(self.rows)
 
-    def is_empty(self) -> bool:
-        """True when the result has no rows."""
-        return not self.rows
-
     def normalized(self) -> FrozenSet[Tuple[Any, ...]]:
         """The set of normalized rows used for comparisons (computed once)."""
         if self._normalized is None:

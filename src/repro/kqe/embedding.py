@@ -17,7 +17,7 @@ memoizes its vectors, with their norms, by graph content.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -104,13 +104,6 @@ class GraphEmbedder:
         if len(self._memo) < EMBED_MEMO_LIMIT:
             self._memo[key] = embedded
         return embedded
-
-    def embed_many(self, graphs: Iterable[QueryGraph]) -> np.ndarray:
-        """Embed several graphs into a (n, dimensions) matrix."""
-        vectors = [self.embed(graph) for graph in graphs]
-        if not vectors:
-            return np.zeros((0, self.dimensions))
-        return np.vstack(vectors)
 
 
 def cosine_similarity(left: np.ndarray, right: np.ndarray) -> float:

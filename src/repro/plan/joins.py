@@ -26,7 +26,6 @@ those read inside a matching routine, in ``MATCHING_EFFECT_NAMES``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
@@ -43,7 +42,7 @@ from repro.plan.physical import (
 )
 from repro.sqlvalue.comparison import plain_kind, sql_compare
 from repro.sqlvalue.datatypes import TypeCategory
-from repro.sqlvalue.values import NULL, is_null
+from repro.sqlvalue.values import NULL, is_null, value_sort_key
 
 EFFECT_NAMES = (
     "left_outer_join_as_inner",
@@ -267,7 +266,7 @@ class Join(PhysicalOperator):
                 ):
                     continue
                 entries.append((value, index))
-            entries.sort(key=lambda item: _merge_order(item[0]))
+            entries.sort(key=lambda item: value_sort_key(item[0]))
             return entries
 
         left_entries = sort_entries(left_keys)
@@ -462,22 +461,6 @@ _EMITTERS = {
     JoinType.ANTI: "_emit_anti",
 }
 """The emission method of each non-CROSS join type."""
-
-
-def _merge_order(value: Any) -> Tuple[int, Any]:
-    """The exact order of merge keys: numbers by value, then strings.
-
-    Two numbers compare exactly (never through ``float``, which ties
-    ``2**53`` with ``2**53 + 1`` and overflows past ``1e308``), so keys that
-    ``sql_compare`` calls equal sit next to each other, in input order.
-    """
-    if type(value) is str:
-        return (2, value)
-    if isinstance(value, bool):
-        return (1, int(value))
-    if isinstance(value, (int, float, Decimal)):
-        return (1, value)
-    return (0, 0) if is_null(value) else (2, str(value))
 
 
 def _slot_of(columns: Sequence[str], name: str) -> int:

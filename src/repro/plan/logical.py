@@ -130,9 +130,9 @@ class OrderItem:
     """One ORDER BY item.
 
     NULL placement is part of the ordering semantics, not a rendering nicety:
-    the reference executor's :func:`~repro.sqlvalue.values.value_sort_key`
-    sorts NULL below every non-NULL value, i.e. NULLS FIRST ascending and
-    NULLS LAST descending.  SQLite and MySQL default to exactly that, but
+    :func:`~repro.sqlvalue.values.value_sort_key`, the one exact value order
+    the reference executor sorts by, puts NULL below every non-NULL value,
+    i.e. NULLS FIRST ascending and NULLS LAST descending.  SQLite and MySQL default to exactly that, but
     DuckDB and Postgres default to NULLS LAST on ASC — so the placement is
     always spelled out, per dialect capability, by
     :class:`~repro.plan.sqlrender.SQLRenderer`.

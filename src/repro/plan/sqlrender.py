@@ -373,8 +373,9 @@ class SQLRenderer:
         """Render one ORDER BY item with its direction and NULL placement."""
         text = self.expression(item.expression) + (" DESC" if item.descending else "")
         if self.dialect.supports_nulls_ordering:
-            # Matches the reference executor's value_sort_key order;
-            # dialects without the syntax default to this placement.
+            # Matches value_sort_key, the one exact value order the
+            # reference executor sorts by; dialects without the syntax
+            # default to this placement.
             text += f" {item.nulls_placement()}"
         return text
 

@@ -122,26 +122,6 @@ class DataType:
         """Return the coarse category of this type."""
         return _CATEGORY_OF[self.name]
 
-    @property
-    def is_numeric(self) -> bool:
-        """True for integer, decimal and floating point types."""
-        return self.category in (
-            TypeCategory.INTEGER,
-            TypeCategory.DECIMAL,
-            TypeCategory.FLOAT,
-            TypeCategory.BOOLEAN,
-        )
-
-    @property
-    def is_string(self) -> bool:
-        """True for character and blob types."""
-        return self.category is TypeCategory.STRING
-
-    @property
-    def is_temporal(self) -> bool:
-        """True for date/datetime types."""
-        return self.category is TypeCategory.TEMPORAL
-
     def integer_range(self) -> Tuple[int, int]:
         """Return the (min, max) storable values for an integer type."""
         if self.category is not TypeCategory.INTEGER:

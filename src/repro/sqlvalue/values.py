@@ -57,18 +57,6 @@ def null_if_none(value: Any) -> Any:
     return NULL if value is None else value
 
 
-def is_numeric_value(value: Any) -> bool:
-    """True when *value* is a non-NULL numeric Python value."""
-    return isinstance(value, (int, float, Decimal)) and not isinstance(value, bool) or (
-        isinstance(value, bool)
-    )
-
-
-def is_string_value(value: Any) -> bool:
-    """True when *value* is a non-NULL string."""
-    return isinstance(value, str)
-
-
 def canonical_numeric(value: Any) -> Any:
     """Return a canonical numeric form used for hashing and grouping.
 
@@ -96,17 +84,28 @@ def canonical_numeric(value: Any) -> Any:
 
 
 def value_sort_key(value: Any) -> Tuple[int, Any]:
-    """Total-order key used when sorting heterogeneous result rows.
+    """The one order of SQL values: NULL, then numbers, then strings.
 
-    NULLs sort first (as in MySQL's ``ORDER BY``), then numerics, then strings.
+    NULLs sort first (as in MySQL's ``ORDER BY``), then numbers by exact
+    value, then strings.  The merge join, MIN/MAX, ORDER BY and result
+    comparison all sort with this key.  Numbers are never compared through
+    ``float``, which ties ``2**53`` with ``2**53 + 1`` and overflows past
+    ``1e308``: ``int``, ``float`` and ``Decimal`` compare exactly with each
+    other.
+
+    The key needs no NaN guard: storage refuses NaN; a Decimal NaN cannot
+    be computed, because the default decimal context traps ``Inf - Inf``;
+    and a computed float NaN compares exactly as it does under ``float()``
+    against ints and floats (neither less nor greater), and raises
+    ``InvalidOperation`` against a Decimal, as ``sql_compare`` does.
     """
-    if is_null(value):
-        return (0, 0)
+    if type(value) is str:
+        return (2, value)
     if isinstance(value, bool):
-        return (1, float(int(value)))
+        return (1, int(value))
     if isinstance(value, (int, float, Decimal)):
-        return (1, float(value))
-    return (2, str(value))
+        return (1, value)
+    return (0, 0) if is_null(value) else (2, str(value))
 
 
 def row_sort_key(row: Iterable[Any]) -> Tuple[Tuple[int, Any], ...]:

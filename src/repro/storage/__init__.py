@@ -1,7 +1,6 @@
-"""In-memory storage: tables, indexes and the database object."""
+"""In-memory storage: tables and the database object."""
 
 from repro.storage.database import Database
-from repro.storage.index import HashIndex, OrderedIndex
 from repro.storage.table_data import Row, TableData
 
-__all__ = ["Database", "HashIndex", "OrderedIndex", "Row", "TableData"]
+__all__ = ["Database", "Row", "TableData"]

@@ -7,7 +7,6 @@ from typing import Any, Dict, Iterable, List, Mapping
 from repro.catalog.schema import DatabaseSchema
 from repro.catalog.table import TableSchema
 from repro.errors import CatalogError
-from repro.storage.index import HashIndex, OrderedIndex
 from repro.storage.table_data import Row, TableData
 
 
@@ -25,8 +24,6 @@ class Database:
         self._tables: Dict[str, TableData] = {
             table.name: TableData(table) for table in schema.tables
         }
-        self._hash_indexes: Dict[tuple, HashIndex] = {}
-        self._ordered_indexes: Dict[tuple, OrderedIndex] = {}
 
     @property
     def table_names(self) -> List[str]:
@@ -45,42 +42,18 @@ class Database:
         return self.schema.table(name)
 
     def insert(self, table: str, row: Mapping[str, Any]) -> Row:
-        """Insert one row into *table*, invalidating its indexes."""
-        stored = self.table(table).insert(row)
-        self._invalidate_indexes(table)
-        return stored
+        """Insert one row into *table*."""
+        return self.table(table).insert(row)
 
     def insert_many(self, table: str, rows: Iterable[Mapping[str, Any]]) -> None:
         """Insert several rows into *table*."""
         storage = self.table(table)
         for row in rows:
             storage.insert(row)
-        self._invalidate_indexes(table)
 
     def update_cell(self, table: str, row_index: int, column: str, value: Any) -> None:
-        """Overwrite a cell (noise injection), invalidating indexes of *table*."""
+        """Overwrite a cell (noise injection)."""
         self.table(table).update_cell(row_index, column, value)
-        self._invalidate_indexes(table)
-
-    def _invalidate_indexes(self, table: str) -> None:
-        for key in [k for k in self._hash_indexes if k[0] == table]:
-            del self._hash_indexes[key]
-        for key in [k for k in self._ordered_indexes if k[0] == table]:
-            del self._ordered_indexes[key]
-
-    def hash_index(self, table: str, column: str) -> HashIndex:
-        """Return (building lazily) a hash index on ``table.column``."""
-        key = (table, column)
-        if key not in self._hash_indexes:
-            self._hash_indexes[key] = HashIndex(self.table(table), column)
-        return self._hash_indexes[key]
-
-    def ordered_index(self, table: str, column: str) -> OrderedIndex:
-        """Return (building lazily) an ordered index on ``table.column``."""
-        key = (table, column)
-        if key not in self._ordered_indexes:
-            self._ordered_indexes[key] = OrderedIndex(self.table(table), column)
-        return self._ordered_indexes[key]
 
     def row_count(self, table: str) -> int:
         """Number of rows stored in *table*."""

@@ -1,6 +1,8 @@
 """Tests for NULL semantics, canonical numerics and row normalization."""
 
 from decimal import Decimal
+
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.sqlvalue import (
@@ -83,9 +85,15 @@ class TestSortKeys:
         ordered = sorted(values, key=value_sort_key)
         assert ordered[0] is NULL
 
-    def test_numbers_before_strings(self):
-        ordered = sorted(["a", 2], key=value_sort_key)
-        assert ordered == [2, "a"]
+    @pytest.mark.parametrize("values, expected", [
+        (["a", 2], [2, "a"]),
+        ([2**53, 2**53 + 1], [2**53, 2**53 + 1]),
+        (["a", 10**400, 1.5], [1.5, 10**400, "a"]),
+    ], ids=["str_and_int", "max_tie_at_2_53", "beyond_float_range"])
+    def test_numbers_before_strings(self, values, expected):
+        assert sorted(values, key=value_sort_key) == expected
+        assert min(values, key=value_sort_key) == expected[0]
+        assert max(values, key=value_sort_key) == expected[-1]
 
     def test_row_sort_key_orders_rows(self):
         rows = [(2, "b"), (1, "a"), (NULL, "z")]

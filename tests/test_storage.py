@@ -1,4 +1,4 @@
-"""Tests for in-memory storage, indexes and the Database facade."""
+"""Tests for in-memory storage and the Database facade."""
 
 from decimal import Decimal
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import CatalogError, ExecutionError
 from repro.sqlvalue import NULL
-from repro.storage import HashIndex, OrderedIndex, TableData
+from repro.storage import TableData
 
 
 class TestTableData:
@@ -62,48 +62,6 @@ class TestTableData:
         assert original.rows[0]["userName"] == "Tom"
 
 
-class TestHashIndex:
-    def test_probe_matches_equal_keys(self, orders_db):
-        index = HashIndex(orders_db.table("orders"), "userId")
-        assert sorted(index.probe("str1")) == [0, 1, 2]
-        assert index.probe("str9") == []
-
-    def test_probe_null_returns_nothing(self, orders_db):
-        index = HashIndex(orders_db.table("orders"), "userId")
-        assert index.probe(NULL) == []
-        assert index.null_row_indices == [6]
-
-    def test_numeric_normalization(self, orders_db):
-        index = HashIndex(orders_db.table("goods"), "goodsId")
-        assert index.probe(1111.0) == index.probe(1111)
-
-    def test_len_counts_non_null_entries(self, orders_db):
-        index = HashIndex(orders_db.table("orders"), "userId")
-        assert len(index) == 6
-
-
-class TestOrderedIndex:
-    def test_equal_range(self, orders_db):
-        index = OrderedIndex(orders_db.table("orders"), "goodsId")
-        assert sorted(index.equal_range(1111)) == [0, 2, 3]
-
-    def test_range_query(self, orders_db):
-        index = OrderedIndex(orders_db.table("goods"), "price")
-        between = index.range(5, 10)
-        assert len(between) == 2
-
-    def test_min_max(self, orders_db):
-        index = OrderedIndex(orders_db.table("goods"), "price")
-        assert index.min_value() == 5
-        assert index.max_value() == 15
-
-    def test_empty_index_min_is_null(self, orders_schema):
-        from repro.storage import TableData
-
-        index = OrderedIndex(TableData(orders_schema.table("users")), "userId")
-        assert index.min_value() is NULL
-
-
 class TestDatabase:
     def test_row_counts(self, orders_db):
         assert orders_db.row_count("orders") == 7
@@ -112,15 +70,6 @@ class TestDatabase:
     def test_unknown_table(self, orders_db):
         with pytest.raises(CatalogError):
             orders_db.table("missing")
-
-    def test_indexes_are_cached_and_invalidated(self, orders_db):
-        first = orders_db.hash_index("orders", "userId")
-        assert orders_db.hash_index("orders", "userId") is first
-        orders_db.insert("orders", {"RowID": 7, "orderId": "0006", "goodsId": 1111,
-                                    "userId": "str1"})
-        rebuilt = orders_db.hash_index("orders", "userId")
-        assert rebuilt is not first
-        assert len(rebuilt.probe("str1")) == 4
 
     def test_copy_isolates_rows(self, orders_db):
         clone = orders_db.copy()
