@@ -4,6 +4,7 @@ from decimal import Decimal
 
 import pytest
 
+from repro.engine import reference_engine
 from repro.errors import CatalogError, ExecutionError
 from repro.sqlvalue import NULL
 from repro.storage import TableData
@@ -55,6 +56,29 @@ class TestTableData:
         assert orders.find_rows("userId", "str1") == [0, 1, 2]
         assert orders.find_rows("userId", NULL) == []
 
+    def test_find_rows_matches_numbers_by_value(self, orders_db):
+        goods = orders_db.table("goods")
+        assert goods.find_rows("goodsId", 1111) == [0]
+        assert goods.find_rows("goodsId", 1111.0) == [0]
+        assert goods.find_rows("goodsId", Decimal("1111.00")) == [0]
+        assert goods.find_rows("goodsId", 9999) == []
+
+    def test_column_values_in_row_order(self, orders_db):
+        orders = orders_db.table("orders")
+        assert orders.column_values("goodsId") == [1111, 1112, 1111, 1111,
+                                                   1113, 9999, 1112]
+        assert orders.column_values("userId")[-1] is NULL
+        with pytest.raises(ExecutionError):
+            orders.column_values("missing")
+
+    def test_rows_as_tuples_follow_the_requested_columns(self, orders_db):
+        users = orders_db.table("users")
+        assert users.rows_as_tuples()[0] == (0, "str1", "Tom")
+        assert users.rows_as_tuples(["userName", "RowID"]) == [
+            ("Tom", 0), ("Peter", 1), ("Bob", 2)]
+        with pytest.raises(ExecutionError):
+            users.rows_as_tuples(["missing"])
+
     def test_copy_is_independent(self, orders_db):
         original = orders_db.table("users")
         clone = original.copy()
@@ -75,3 +99,17 @@ class TestDatabase:
         clone = orders_db.copy()
         clone.update_cell("users", 0, "userName", "changed")
         assert orders_db.table("users").rows[0]["userName"] == "Tom"
+
+    def test_insert_is_visible_to_the_next_query(self, orders_db,
+                                                 orders_join_query):
+        engine = reference_engine(orders_db)
+
+        def tom_orders():
+            return sorted(order for order, name
+                          in engine.execute(orders_join_query).rows
+                          if name == "Tom")
+
+        assert tom_orders() == ["0001", "0002"]
+        orders_db.insert("orders", {"RowID": 7, "orderId": "0006",
+                                    "goodsId": 1111, "userId": "str1"})
+        assert tom_orders() == ["0001", "0002", "0006"]

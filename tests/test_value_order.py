@@ -9,6 +9,8 @@ the cases an order through ``float`` gets wrong.  SQLite cannot store
 integers past 64 bits, so ``10**400`` is checked against the reference alone.
 """
 
+from decimal import Decimal
+
 from hypothesis import example, given, settings, strategies as st
 
 from repro.backends import SQLiteBackend
@@ -22,7 +24,7 @@ from repro.plan.logical import (
     SelectItem,
     TableRef,
 )
-from repro.sqlvalue import NULL, bigint, double, text
+from repro.sqlvalue import NULL, bigint, decimal, double, text
 from repro.sqlvalue.values import normalize_row
 from repro.storage import Database
 
@@ -126,3 +128,27 @@ def test_reference_orders_numbers_past_the_float_range():
     assert normalized(engine.execute(aggregate(AggregateFunction.MAX))) == [
         (10**400,)
     ]
+
+
+def test_reference_orders_decimals_with_integers_exactly():
+    keys = [Decimal("15.25"), 5, NULL, Decimal("10.50"), 15, Decimal("4.99")]
+    engine = reference_engine(build_db(decimal(8, 2), keys))
+    ascending = [(NULL,), (Decimal("4.99"),), (5,), (Decimal("10.50"),),
+                 (15,), (Decimal("15.25"),)]
+    assert list(engine.execute(ordered(False)).rows) == ascending
+    assert list(engine.execute(ordered(True)).rows) == (
+        ascending[:0:-1] + ascending[:1]
+    )
+    assert list(engine.execute(aggregate(AggregateFunction.MIN)).rows) == [
+        (Decimal("4.99"),)
+    ]
+    assert list(engine.execute(aggregate(AggregateFunction.MAX)).rows) == [
+        (Decimal("15.25"),)
+    ]
+
+
+def test_min_and_max_of_an_empty_table_are_null():
+    engine = reference_engine(build_db(bigint(), []))
+    for function in (AggregateFunction.MIN, AggregateFunction.MAX):
+        assert normalized(engine.execute(aggregate(function))) == [(NULL,)]
+    assert normalized(engine.execute(ordered(False))) == []
