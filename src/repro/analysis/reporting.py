@@ -139,10 +139,9 @@ def render_worker_pool(outcome) -> str:
     )
     headers = ["worker", "queries", "rejected", "isomorphic sets", "bugs",
                "bug types"]
-    transport = getattr(outcome, "transport", "local")
     budget_policy = getattr(outcome, "budget_policy", "even")
     title = (f"Parallel campaign: {outcome.workers} workers "
-             f"({transport} transport, {budget_policy} budgets), "
+             f"({budget_policy} budgets), "
              f"{outcome.sync_rounds} sync rounds, "
              f"{outcome.elapsed_seconds:.1f}s wall clock")
     return render_table(headers, rows, title=title)
@@ -171,8 +170,9 @@ def parallel_result_to_dict(outcome, campaign: Optional[Dict] = None) -> Dict:
     """Serialize a parallel campaign outcome to a JSON-compatible dict.
 
     The ``summary`` block contains only seed-deterministic fields, so two runs
-    of the same campaign — over any transport — must produce equal summaries;
-    ``python -m repro.distributed verify-local`` leans on exactly that.
+    of the same campaign — on the local pool or across machines — must
+    produce equal summaries; ``python -m repro.distributed verify-local``
+    leans on exactly that.
     Wall-clock timing, raw incidents and the campaign echo live outside it.
     """
     from dataclasses import asdict
@@ -228,7 +228,7 @@ def parallel_result_to_dict(outcome, campaign: Optional[Dict] = None) -> Dict:
     if merged.bug_log is not None:
         incidents = [asdict(incident) for incident in merged.bug_log.incidents]
     # Telemetry is wall-clock-dependent, so it lives OUTSIDE the summary block:
-    # verify-local compares summaries only and stays transport-independent.
+    # verify-local compares summaries only.
     telemetry = getattr(outcome, "telemetry", None)
     telemetry_block = None
     if telemetry is not None:
@@ -245,7 +245,6 @@ def parallel_result_to_dict(outcome, campaign: Optional[Dict] = None) -> Dict:
         }
     return {
         "campaign": campaign,
-        "transport": getattr(outcome, "transport", "local"),
         "elapsed_seconds": outcome.elapsed_seconds,
         "summary": summary,
         "incidents": incidents,

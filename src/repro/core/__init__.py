@@ -58,7 +58,6 @@ __all__ = [
     "HourRecord",
     "HourlySample",
     "IterationOutcome",
-    "LocalSyncTransport",
     "ParallelCampaignConfig",
     "ParallelCampaignResult",
     "QueryReducer",
@@ -94,7 +93,6 @@ __all__ = [
 
 #: Names :func:`__getattr__` imports from :mod:`repro.core.parallel` on use.
 _PARALLEL_EXPORTS = frozenset({
-    "LocalSyncTransport",
     "ParallelCampaignConfig",
     "ParallelCampaignResult",
     "ShardSpec",

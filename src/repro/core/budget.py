@@ -21,7 +21,7 @@ the campaign's ``queries_per_hour``, so the budget identity
 ``queries_generated + generations_rejected == hours * queries_per_hour`` holds
 for merged campaigns under any policy.  Rebalancing decisions are pure
 functions of round content, never of timing, so adaptive campaigns stay
-deterministic for a fixed seed (over the local queue transport and TCP alike).
+deterministic for a fixed seed (on the local pool and across machines alike).
 
 :class:`AdaptiveBudgetPolicy` implements the ROADMAP's adaptive-shard-budgets
 item: budget flows toward shards whose recent rounds discovered more novel

@@ -23,15 +23,14 @@ bug logs with cross-worker bug-type deduplication and rebuilds the per-hour
 series contract on the merged result.  ``run_campaign(CampaignSpec(...,
 workers=N))`` is the one-call front door.
 
-The sync protocol itself is transport-agnostic: workers talk to the
-coordinator through a :class:`SyncTransport`.  :class:`LocalSyncTransport`
-carries it over ``multiprocessing`` queues (the in-process pool);
-:class:`~repro.distributed.client.RemoteSyncTransport` carries the same verbs
-over TCP to a :class:`~repro.distributed.server.IndexServer`, so shards can
-run on separate machines (``transport="tcp"``, or the
-``python -m repro.distributed`` CLI for genuinely remote clients).  Both paths
-share one :class:`~repro.distributed.coordinator.CentralCoordinator`, so for
-the same seed a TCP campaign is bit-identical to the in-process pool.
+The coordinator is one :class:`~repro.distributed.server.IndexServer` on a
+loopback socket, and every worker process talks to it through
+:class:`~repro.distributed.client.RemoteSyncTransport` — the same server,
+client and wire that ``python -m repro.distributed`` runs across machines.
+So the pool and a distributed campaign share one barrier, one
+:class:`~repro.distributed.coordinator.CentralCoordinator` and one failure
+policy (round deadlines, disconnect detection, STATS), and for the same seed
+they are bit-identical.
 
 Run long campaigns from the command line::
 
@@ -41,19 +40,19 @@ Run long campaigns from the command line::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import multiprocessing
-import queue as queue_module
 import sys
 import threading
 import time
 import traceback
 from dataclasses import Field, dataclass, field, fields, replace
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, get_type_hints
+from typing import (Any, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple,
+                    get_type_hints)
 
 from repro import obs
 from repro.core.budget import (
-    BudgetPolicy,
     budget_policy_from_name,
     registered_budget_policies,
     split_budget,
@@ -136,23 +135,21 @@ class ParallelCampaignConfig:
 
     workers: int = 4  # unread (the shard list sizes the pool); callers pass it
     sync_interval: int = 1       # simulated hours between index syncs; 0 = never
-    # Progress deadline, transport-dependent: over "local" queues it is the
-    # seconds without hearing from ANY worker (heartbeats included) before
-    # the pool is declared dead; over "tcp" it feeds the IndexServer's
-    # round_timeout — once a sync round opens, laggards have this long to
-    # deliver their batch (heartbeats prove liveness, not progress).  Size it
-    # well above the slowest shard's per-hour runtime.
+    # The index server's round deadline: once a sync round opens, laggards
+    # have this long to deliver their batch before the pool fails naming
+    # them (heartbeats prove liveness, not progress).  Size it well above the
+    # slowest shard's per-hour runtime.  A worker that dies is caught sooner,
+    # when its connection drops.
     worker_timeout: float = 300.0
     start_method: Optional[str] = None  # None = platform default ("fork" on Linux)
-    # "local" runs the sync protocol over multiprocessing queues; "tcp" hosts
-    # an in-process IndexServer and has every worker connect over localhost —
-    # the same code path remote clients use, so CI can exercise it end to end.
-    transport: str = "local"
+    # The pool has one transport.  Only "tcp" is accepted, for the benchmark
+    # harness (perfbench/run.py) that still passes it; the field goes when
+    # that harness is next revised.
+    transport: str = "tcp"
     tcp_host: str = "127.0.0.1"
     tcp_port: int = 0            # 0 = ephemeral port chosen by the OS
-    # Shared secret authenticating the TCP transport's frames (None = unkeyed
-    # tags: corruption is still caught, but any client can connect — fine on
-    # localhost, not across hosts).
+    # Shared secret authenticating the server's frames (None = unkeyed tags:
+    # corruption is still caught, but any local client can connect).
     auth_key: Optional[bytes] = None
     # Broadcast only label-novel entries to each worker (the coordinator's
     # novelty pruning).  Pruned and unpruned runs are each deterministic, but
@@ -164,10 +161,18 @@ class ParallelCampaignConfig:
     # (repro.core.budget).  Either way every hour's total budget is conserved
     # and runs are deterministic for a fixed seed.
     budget_policy: str = "even"
-    # Print a live progress line (merged queries/s, novel-label rate, bugs,
-    # phase mix) to stderr at every sync round.  Pure presentation: the
-    # campaign's results are bit-identical with it on or off.
+    # Print the index server's merged progress line (queries/s, novel-label
+    # rate, bugs, phase mix) to stderr every few seconds and once more when
+    # the campaign ends.  Pure presentation: the campaign's results are
+    # bit-identical with it on or off.
     live_stats: bool = False
+
+    def __post_init__(self) -> None:
+        if self.transport != "tcp":
+            raise CampaignError(
+                f"unknown transport {self.transport!r}; the pool syncs over "
+                "its loopback index server only ('tcp')"
+            )
 
 
 @dataclass
@@ -222,7 +227,6 @@ class ParallelCampaignResult:
     elapsed_seconds: float
     central_index_size: int
     central_distinct_labels: int
-    transport: str = "local"
     broadcast_entries_sent: int = 0
     broadcast_entries_suppressed: int = 0
     sync_stats: List[ShardSyncStats] = field(default_factory=list)
@@ -258,7 +262,7 @@ def _shard_index(tester) -> Optional[GraphIndex]:
     return kqe.index if kqe is not None else None
 
 
-class SyncTransport:
+class SyncTransport(Protocol):
     """How one worker talks to the central coordinator.
 
     The protocol is four verbs: ``register`` once up front, ``sync`` at every
@@ -266,15 +270,13 @@ class SyncTransport:
     previous round's broadcast of the other workers' entries, waiting only
     while that round is incomplete), ``report`` once at the end, and
     ``error`` on failure; ``tick`` is the out-of-band liveness heartbeat.
-    Implementations carry the verbs over multiprocessing queues
-    (:class:`LocalSyncTransport`) or TCP
-    (:class:`~repro.distributed.client.RemoteSyncTransport`); the worker body
-    (:func:`run_shard_with_transport`) is transport-blind.
+    :class:`~repro.distributed.client.RemoteSyncTransport` carries them over
+    TCP; the worker body (:func:`run_shard_with_transport`) takes anything
+    with these methods, so tests can wrap it to inject failures.
     """
 
-    def register(self, shard_id: Optional[int]) -> None:
+    def register(self, shard_id: Optional[int]) -> Any:
         """Announce this worker to the coordinator before the campaign starts."""
-        raise NotImplementedError
 
     def sync(self, shard_id: int, hour: int, entries: List[IndexEntry],
              telemetry: Optional[Dict[str, Any]] = None) -> SyncBroadcast:
@@ -287,82 +289,18 @@ class SyncTransport:
         for the coordinator's live stats; it never influences the broadcast
         content.
         """
-        raise NotImplementedError
 
     def report(self, report: "WorkerReport") -> None:
         """Deliver the finished shard's report to the coordinator."""
-        raise NotImplementedError
 
     def error(self, shard_id: int, text: str) -> None:
         """Tell the coordinator this worker failed (text = traceback)."""
-        raise NotImplementedError
 
     def tick(self, shard_id: int) -> None:
         """Liveness heartbeat; must be cheap and safe from a daemon thread."""
-        raise NotImplementedError
 
     def close(self) -> None:
-        """Release transport resources (sockets); queues need no teardown."""
-
-
-class LocalSyncTransport(SyncTransport):
-    """The in-process pool's transport: a pair of multiprocessing queues."""
-
-    def __init__(self, to_coordinator, from_coordinator) -> None:
-        self._to_coordinator = to_coordinator
-        self._from_coordinator = from_coordinator
-
-    def register(self, shard_id: Optional[int]) -> None:
-        # The local coordinator created the shards itself; nothing to announce.
-        return None
-
-    def sync(self, shard_id: int, hour: int, entries: List[IndexEntry],
-             telemetry: Optional[Dict[str, Any]] = None) -> SyncBroadcast:
-        self._to_coordinator.put(("sync", shard_id, hour, entries, telemetry))
-        # Barrier: block until the coordinator has the previous round's
-        # broadcast (queued before round 1 for the first sync).  The barrier
-        # has no fixed deadline of its own — how long it takes depends on the
-        # slowest peer, which a worker cannot bound; deadlock arbitration
-        # belongs to the coordinator (which sees heartbeats from every
-        # worker).  We only bail out if the coordinator process itself died,
-        # so orphaned workers never hang forever.
-        parent = multiprocessing.parent_process()
-        with obs.span("sync.wait"):
-            while True:
-                try:
-                    return self._from_coordinator.get(timeout=5.0)
-                except queue_module.Empty:
-                    if parent is not None and not parent.is_alive():
-                        raise CampaignError("coordinator process died during sync")
-
-    def report(self, report: "WorkerReport") -> None:
-        self._to_coordinator.put(("done", report.shard_id, report))
-
-    def error(self, shard_id: int, text: str) -> None:
-        self._to_coordinator.put(("error", shard_id, text))
-
-    def tick(self, shard_id: int) -> None:
-        self._to_coordinator.put(("tick", shard_id))
-
-
-def _make_worker_transport(transport_spec: Tuple) -> SyncTransport:
-    """Materialize a transport inside the worker process.
-
-    *transport_spec* must pickle across the process boundary, so it is a plain
-    tagged tuple: ``("local", to_coordinator, from_coordinator)`` or
-    ``("tcp", host, port, io_timeout, auth_key)``.
-    """
-    kind = transport_spec[0]
-    if kind == "local":
-        return LocalSyncTransport(transport_spec[1], transport_spec[2])
-    if kind == "tcp":
-        from repro.distributed.client import RemoteSyncTransport
-
-        _, host, port, io_timeout, auth_key = transport_spec
-        return RemoteSyncTransport(host, port,
-                                   connect_timeout=min(60.0, io_timeout),
-                                   io_timeout=io_timeout, auth_key=auth_key)
-    raise CampaignError(f"unknown transport spec {transport_spec[0]!r}")
+        """Release the transport's connection."""
 
 
 def run_shard_with_transport(spec: ShardSpec, sync_hours: Sequence[int],
@@ -370,14 +308,14 @@ def run_shard_with_transport(spec: ShardSpec, sync_hours: Sequence[int],
                              live_stats: bool = False) -> WorkerReport:
     """Run one shard's campaign, synchronizing through *transport*.
 
-    This is the transport-blind worker body shared by the in-process pool's
-    worker processes and the distributed CLI client.  It does not send the
-    final report itself (callers manage heartbeat shutdown ordering); it
-    returns the completed :class:`WorkerReport`.
+    This is the worker body shared by the pool's worker processes and the
+    distributed CLI client.  It does not send the final report itself
+    (callers manage heartbeat shutdown ordering); it returns the completed
+    :class:`WorkerReport`.
 
     With *live_stats* a progress line is printed to stderr at every hour
-    boundary (the distributed client's ``--live-stats``); the pool's
-    coordinator renders its own merged line instead.
+    boundary (the distributed client's ``--live-stats``); the pool prints
+    its index server's merged line instead.
     """
     registry = obs.get_registry()
     run_start = time.perf_counter()
@@ -483,14 +421,13 @@ def run_shard_with_heartbeat(spec: ShardSpec, sync_hours: Sequence[int],
     """Run one shard with a liveness heartbeat ticking around it.
 
     The heartbeat runs on a daemon thread and keeps ticking through the DSG
-    build and arbitrarily long hours, so the coordinator's progress deadline
-    measures worker *death*, never workload size.  Barrier arbitration is the
-    coordinator's job: over the local transport a parked worker keeps ticking
-    (queue puts are independent), while over TCP ticks queue behind the
-    in-flight sync exchange — there the sync message itself refreshes the
-    server's activity clock, and the barrier resolves when the slowest peer's
-    batch of the previous round (or the server's round deadline) arrives.
-    Shared by the pool's worker processes and the distributed CLI client.
+    build and arbitrarily long hours, so the server's activity clock measures
+    worker *death*, never workload size.  Barrier arbitration is the index
+    server's job: ticks queue behind an in-flight sync exchange, the sync
+    message itself refreshes the server's activity clock, and the barrier
+    resolves when the slowest peer's batch of the previous round (or the
+    server's round deadline) arrives.  Shared by the pool's worker processes
+    and the distributed CLI client.
     """
     stop_heartbeat = threading.Event()
 
@@ -515,14 +452,19 @@ def run_shard_with_heartbeat(spec: ShardSpec, sync_hours: Sequence[int],
 
 
 def _worker_main(spec: ShardSpec, sync_hours: Tuple[int, ...],
-                 heartbeat_interval: float, transport_spec: Tuple) -> None:
-    """Worker process body: run one shard, synchronizing at hour boundaries."""
+                 heartbeat_interval: float, host: str, port: int,
+                 io_timeout: float, auth_key: Optional[bytes]) -> None:
+    """Worker process body: run one shard against the pool's index server."""
+    from repro.distributed.client import RemoteSyncTransport
+
     # Fork-started workers inherit the parent's registry contents; a fresh
     # registry keeps each shard's telemetry snapshot self-contained.
     obs.reset_registry()
     transport: Optional[SyncTransport] = None
     try:
-        transport = _make_worker_transport(transport_spec)
+        transport = RemoteSyncTransport(host, port,
+                                        connect_timeout=min(60.0, io_timeout),
+                                        io_timeout=io_timeout, auth_key=auth_key)
         transport.register(spec.shard_id)
         report = run_shard_with_heartbeat(spec, sync_hours, transport,
                                           heartbeat_interval)
@@ -532,8 +474,8 @@ def _worker_main(spec: ShardSpec, sync_hours: Tuple[int, ...],
             try:
                 transport.error(spec.shard_id, traceback.format_exc())
             except Exception:
-                # The error channel itself is down; the coordinator's
-                # deadline will catch the dead shard.  Leave a trace.
+                # The error channel itself is down; the server's disconnect
+                # check or round deadline will catch the dead shard.
                 obs.get_registry().counter("worker.error_notify_failures").inc()
     finally:
         if transport is not None:
@@ -596,66 +538,16 @@ def merge_worker_reports(reports: Sequence[WorkerReport]
     return merged, shard_results
 
 
-def _receive(result_queue, processes, timeout: float, pending=None):
-    """One protocol message from any worker, failing fast on a dead pool.
-
-    ``tick`` heartbeats (sent by a daemon thread in every live worker) are
-    consumed here and reset the silence deadline, so a pool that is merely
-    slow — a long DSG build, a heavy hour — is never mistaken for a dead one:
-    the deadline only fires when *no worker process* has been heard from for
-    *timeout* seconds, i.e. when the pool has actually died.
-
-    Surviving peers' heartbeats must not mask a single *hard-killed* worker
-    (SIGKILL/OOM sends no "error" message), so *pending* — a callable giving
-    the processes still owed a message this round — is polled too: a dead
-    pending worker fails the pool after a short grace period that lets any
-    already-queued message from it drain first.
-    """
-    deadline = time.monotonic() + timeout
-    dead_polls = 0
-    while True:
-        try:
-            message = result_queue.get(timeout=1.0)
-        except queue_module.Empty:
-            owed = list(pending()) if pending is not None else list(processes)
-            dead = [p for p in owed if not p.is_alive()]
-            if dead:
-                dead_polls += 1
-                if dead_polls >= 3:
-                    names = ", ".join(p.name for p in dead)
-                    raise CampaignError(
-                        f"worker process(es) {names} died without reporting; "
-                        "aborting the pool"
-                    )
-            else:
-                dead_polls = 0
-            if time.monotonic() > deadline:
-                raise CampaignError(
-                    f"no worker made progress for {timeout:.0f}s; assuming a "
-                    "deadlocked pool (raise worker_timeout for heavier "
-                    "per-hour budgets)"
-                )
-            if not any(process.is_alive() for process in processes):
-                raise CampaignError(
-                    "every worker exited without reporting; see worker logs"
-                )
-            continue
-        deadline = time.monotonic() + timeout
-        if message[0] == "tick":
-            continue
-        return message
-
-
 def finalize_parallel_result(reports: Sequence[WorkerReport],
                              coordinator: CentralCoordinator,
                              workers: int, sync_rounds: int,
-                             elapsed_seconds: float, transport: str,
+                             elapsed_seconds: float,
                              budget_policy: str = "even"
                              ) -> ParallelCampaignResult:
     """Merge worker reports and coordinator state into the campaign outcome.
 
-    Shared by the in-process pool, the TCP pool and the distributed serve CLI
-    so every deployment reports identical numbers for identical campaigns.
+    Shared by the pool and the distributed serve CLI so every deployment
+    reports identical numbers for identical campaigns.
     """
     merged, shard_results = merge_worker_reports(list(reports))
     ordered = sorted(reports, key=lambda report: report.shard_id)
@@ -681,7 +573,6 @@ def finalize_parallel_result(reports: Sequence[WorkerReport],
         elapsed_seconds=elapsed_seconds,
         central_index_size=len(coordinator.index),
         central_distinct_labels=coordinator.index.distinct_canonical_labels(),
-        transport=transport,
         broadcast_entries_sent=coordinator.broadcast_entries_sent,
         broadcast_entries_suppressed=coordinator.broadcast_entries_suppressed,
         sync_stats=sync_stats,
@@ -695,148 +586,38 @@ def run_parallel_shards(shards: Sequence[ShardSpec],
                         ) -> ParallelCampaignResult:
     """Run shard campaigns in a real worker pool with central index sync.
 
-    The coordinator owns the central :class:`GraphIndex` (the paper's index
-    server).  Rounds are stale-synchronous: at each configured hour boundary it
-    collects one batch of (embedding, canonical label) pairs from every worker,
-    merges them via :meth:`GraphIndex.add_embedding`, and broadcasts to each
-    worker the entries contributed by the *other* workers (minus the ones that
-    worker's known labels make redundant, when novelty pruning is on).  A
-    worker receives round r's broadcast at its sync of the next scheduled
-    hour; its first sync receives an empty one.  With one worker every
-    broadcast is empty, so a parallel run is bitwise-identical to the serial
-    runner.
+    The coordinator is an :class:`~repro.distributed.server.IndexServer` (the
+    paper's index server) on a loopback socket; every worker process connects
+    to it through :class:`~repro.distributed.client.RemoteSyncTransport`.
+    Rounds are stale-synchronous: at each configured hour boundary the server
+    collects one batch of (embedding, canonical label) pairs from every
+    worker, merges them via :meth:`GraphIndex.add_embedding`, and broadcasts
+    to each worker the entries contributed by the *other* workers (minus the
+    ones that worker's known labels make redundant, when novelty pruning is
+    on).  A worker receives round r's broadcast at its sync of the next
+    scheduled hour; its first sync receives an empty one.  With one worker
+    every broadcast is empty, so a parallel run is bitwise-identical to the
+    serial runner.
 
-    With ``parallel.transport == "tcp"`` the coordinator is a real
-    :class:`~repro.distributed.server.IndexServer` on a localhost socket and
-    every worker connects through
-    :class:`~repro.distributed.client.RemoteSyncTransport`; results are
-    bit-identical to the ``"local"`` queue transport for the same seed.
+    The pool fails with :class:`CampaignError` when a worker reports an error
+    or disconnects before reporting, and when a round stays open
+    ``parallel.worker_timeout`` seconds; the message names the shards.
     """
+    from repro.distributed.server import IndexServer, live_stats
+
     if not shards:
         raise CampaignError("at least one shard is required")
-    parallel = parallel or ParallelCampaignConfig(workers=len(shards))
+    parallel = parallel or ParallelCampaignConfig()
     hours = shards[0].config.hours
     if any(spec.config.hours != hours for spec in shards):
         raise CampaignError("all shards must run the same number of hours")
-    if parallel.transport not in ("local", "tcp"):
-        raise CampaignError(
-            f"unknown transport {parallel.transport!r}; expected 'local' or 'tcp'"
-        )
     # Fail fast on a bad policy name, before any process is spawned; the
     # policy object itself lives with the coordinator.
     budget_policy = budget_policy_from_name(parallel.budget_policy)
-    initial_budgets = {spec.shard_id: spec.config.queries_per_hour
-                       for spec in shards}
     sync_hours = sync_schedule(hours, parallel.sync_interval)
     context = (multiprocessing.get_context(parallel.start_method)
                if parallel.start_method else multiprocessing.get_context())
     heartbeat_interval = max(1.0, min(15.0, parallel.worker_timeout / 4))
-    if parallel.transport == "tcp":
-        return _run_shards_over_tcp(shards, parallel, sync_hours, context,
-                                    heartbeat_interval, budget_policy)
-    result_queue = context.Queue()
-    broadcast_queues = {spec.shard_id: context.Queue() for spec in shards}
-    processes = [
-        context.Process(
-            target=_worker_main,
-            args=(spec, sync_hours, heartbeat_interval,
-                  ("local", result_queue, broadcast_queues[spec.shard_id])),
-            daemon=True,
-            name=f"tqs-shard-{spec.shard_id}",
-        )
-        for spec in shards
-    ]
-    coordinator = CentralCoordinator(prune=parallel.prune_broadcasts,
-                                     budget_policy=budget_policy,
-                                     initial_budgets=initial_budgets)
-    procs_by_shard = {spec.shard_id: process
-                      for spec, process in zip(shards, processes)}
-    reports: Dict[int, WorkerReport] = {}
-    start = time.perf_counter()
-    for process in processes:
-        process.start()
-    round_telemetry: Dict[int, Dict[str, Any]] = {}
-    # Batches of the rounds not yet merged; a worker may ship its next
-    # round's batch before a peer ships this one's.
-    open_rounds: Dict[int, Dict[int, List[IndexEntry]]] = {
-        hour: {} for hour in sync_hours}
-    try:
-        # Every worker's first sync receives an empty broadcast.
-        for spec in shards:
-            broadcast_queues[spec.shard_id].put(SyncBroadcast())
-        while open_rounds or len(reports) < len(shards):
-            message = _receive(result_queue, processes, parallel.worker_timeout,
-                               pending=lambda: [
-                                   procs_by_shard[spec.shard_id]
-                                   for spec in shards
-                                   if spec.shard_id not in reports
-                               ])
-            if message[0] == "error":
-                raise CampaignError(f"worker {message[1]} failed:\n{message[2]}")
-            if message[0] == "done":
-                report: WorkerReport = message[2]
-                reports[report.shard_id] = report
-                coordinator.absorb(report.unsynced_entries)
-                continue
-            if (message[0] != "sync" or message[2] not in open_rounds
-                    or message[1] in open_rounds[message[2]]):
-                raise CampaignError(
-                    f"protocol violation: unexpected {message[0]}"
-                    f"@{message[2] if len(message) > 2 else '?'}"
-                )
-            open_rounds[message[2]][message[1]] = message[3]
-            if len(message) > 4 and message[4]:
-                round_telemetry[message[1]] = message[4]
-            # Merge in schedule order every round all workers have shipped.
-            while open_rounds and len(open_rounds[min(open_rounds)]) == len(shards):
-                round_hour = min(open_rounds)
-                broadcasts = coordinator.complete_round(open_rounds.pop(round_hour))
-                if open_rounds:
-                    # The final round's broadcasts are never fetched.
-                    for spec in shards:
-                        broadcast_queues[spec.shard_id].put(
-                            coordinator.deliver(broadcasts[spec.shard_id]))
-                if parallel.live_stats and round_telemetry:
-                    merged_snapshot = obs.MetricsSnapshot.merge_all(
-                        obs.MetricsSnapshot.from_dict(snapshot)
-                        for snapshot in round_telemetry.values()
-                    )
-                    print(
-                        obs.render_live_line(merged_snapshot,
-                                             time.perf_counter() - start,
-                                             hour=round_hour,
-                                             prefix=f"pool[{len(shards)}w]"),
-                        file=sys.stderr, flush=True,
-                    )
-    finally:
-        for process in processes:
-            process.join(timeout=5.0)
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5.0)
-    elapsed = time.perf_counter() - start
-    return finalize_parallel_result(list(reports.values()), coordinator,
-                                    workers=len(shards),
-                                    sync_rounds=len(sync_hours),
-                                    elapsed_seconds=elapsed,
-                                    transport="local",
-                                    budget_policy=parallel.budget_policy)
-
-
-def _run_shards_over_tcp(shards: Sequence[ShardSpec],
-                         parallel: ParallelCampaignConfig,
-                         sync_hours: Tuple[int, ...], context,
-                         heartbeat_interval: float,
-                         budget_policy: BudgetPolicy) -> ParallelCampaignResult:
-    """The ``transport="tcp"`` pool: an in-process IndexServer + TCP workers.
-
-    Exercises the full distributed stack (framing, registration, barrier
-    rounds, novelty pruning, report upload) on localhost behind the same
-    :func:`run_parallel_shards` call as the queue transport.
-    """
-    from repro.distributed.server import IndexServer
-
     io_timeout = max(60.0, parallel.worker_timeout * 2)
     server = IndexServer(shards=shards, sync_hours=sync_hours,
                          host=parallel.tcp_host, port=parallel.tcp_port,
@@ -849,28 +630,27 @@ def _run_shards_over_tcp(shards: Sequence[ShardSpec],
     processes = [
         context.Process(
             target=_worker_main,
-            args=(spec, sync_hours, heartbeat_interval,
-                  ("tcp", server.host, server.port, io_timeout,
-                   parallel.auth_key)),
+            args=(spec, sync_hours, heartbeat_interval, server.host,
+                  server.port, io_timeout, parallel.auth_key),
             daemon=True,
             name=f"tqs-shard-{spec.shard_id}",
         )
         for spec in shards
     ]
     try:
-        for process in processes:
-            process.start()
-        while not server.wait(0.5):
-            if server.failure is not None:
-                raise CampaignError(server.failure)
-            if not any(process.is_alive() for process in processes):
-                # Workers are gone; give in-flight frames a moment to land.
-                if server.wait(2.0):
-                    break
-                raise CampaignError(
-                    server.failure
-                    or "every worker exited without reporting; see worker logs"
-                )
+        with (live_stats(server, prefix=f"pool[{len(shards)}w]")
+              if parallel.live_stats else contextlib.nullcontext()):
+            for process in processes:
+                process.start()
+            while not server.wait(0.5):
+                if not any(process.is_alive() for process in processes):
+                    # Workers are gone; give in-flight frames a moment to land.
+                    if server.wait(2.0):
+                        break
+                    raise CampaignError(
+                        server.failure
+                        or "every worker exited without reporting; see worker logs"
+                    )
         if server.failure is not None:
             raise CampaignError(server.failure)
     finally:
@@ -885,7 +665,7 @@ def _run_shards_over_tcp(shards: Sequence[ShardSpec],
     return finalize_parallel_result(list(server.reports.values()),
                                     server.coordinator, workers=len(shards),
                                     sync_rounds=len(sync_hours),
-                                    elapsed_seconds=elapsed, transport="tcp",
+                                    elapsed_seconds=elapsed,
                                     budget_policy=parallel.budget_policy)
 
 
@@ -989,19 +769,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_campaign_arguments(parser, workers=4)
     parser.add_argument("--worker-timeout", type=float, default=300.0,
-                        help="seconds without hearing from any worker before "
-                             "the pool is declared dead (default: 300)")
-    parser.add_argument("--transport", choices=("local", "tcp"),
-                        default="local",
-                        help="sync transport: in-process queues or a "
-                             "localhost TCP index server (default: local)")
+                        help="seconds an open sync round waits for its "
+                             "laggards before they are declared stalled and "
+                             "the pool fails (default: 300)")
     parser.add_argument("--auth-key-file", default="",
                         help="file holding the shared secret that "
-                             "authenticates the TCP transport's frames")
+                             "authenticates the index server's frames")
     parser.add_argument("--live-stats", action="store_true",
-                        help="print a merged progress line (queries/s, novel "
-                             "labels, bugs, phase mix) to stderr at every "
-                             "sync round")
+                        help="print the index server's merged progress line "
+                             "(queries/s, novel labels, bugs, phase mix) to "
+                             "stderr every 5 seconds and once more at the end")
     return parser
 
 
@@ -1019,7 +796,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     outcome = run_parallel_shards(shards, ParallelCampaignConfig(
         sync_interval=args.sync_interval,
         worker_timeout=args.worker_timeout,
-        transport=args.transport,
         auth_key=load_auth_key(args.auth_key_file) if args.auth_key_file else None,
         prune_broadcasts=not args.no_prune,
         budget_policy=args.budget_policy,
@@ -1041,8 +817,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(outcome.merged.bug_log.summary())
     print(f"{final.queries_generated} queries in {outcome.elapsed_seconds:.1f}s "
           f"({outcome.queries_per_second:.1f} q/s) across {outcome.workers} "
-          f"workers over {outcome.transport} transport "
-          f"({outcome.budget_policy} budgets), "
+          f"workers ({outcome.budget_policy} budgets), "
           f"{outcome.sync_rounds} sync rounds, central index: "
           f"{outcome.central_index_size} entries / "
           f"{outcome.central_distinct_labels} distinct structures, "

@@ -11,15 +11,15 @@ clients explore independently.  This package makes that deployment real:
 * :mod:`repro.distributed.wire` — the typed JSON codecs of the protocol: every
   campaign payload (embeddings, shard specs, reports, budgets) has an explicit
   schema, and decoding validates it.
-* :mod:`repro.distributed.coordinator` — the transport-agnostic central-index
-  state machine with per-worker novelty pruning, shared with the in-process
-  ``multiprocessing`` pool so TCP and local runs are bit-identical.
+* :mod:`repro.distributed.coordinator` — the central-index state machine with
+  per-worker novelty pruning.
 * :mod:`repro.distributed.server` — :class:`IndexServer`, a threaded TCP
-  server hosting the coordinator for remote campaign clients, with per-shard
-  liveness tracking and optional eviction of dead clients.
+  server hosting the coordinator for campaign clients — remote ones, or the
+  local pool's worker processes over loopback — with per-shard liveness
+  tracking and optional eviction of dead clients.
 * :mod:`repro.distributed.client` — :class:`RemoteSyncTransport` (the
-  :class:`~repro.core.parallel.SyncTransport` implementation over a socket)
-  and :func:`run_remote_client`, the full remote worker.
+  worker's :class:`~repro.core.parallel.SyncTransport` over a socket) and
+  :func:`run_remote_client`, the full remote worker.
 * :mod:`repro.distributed.testing` — the fault-injection harness (a
   frame-mangling proxy, scripted clients and a protocol fuzzer).
 * :mod:`repro.distributed.cli` — ``python -m repro.distributed``

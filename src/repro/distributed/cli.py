@@ -4,7 +4,7 @@ Four subcommands:
 
 ``serve``
     Host the central KQE index server for one campaign: builds the same shard
-    assignments the in-process pool would, waits for N clients to register,
+    assignments the local pool would, waits for N clients to register,
     coordinates the stale-synchronous rounds (each sync receives the previous
     round's broadcast) with novelty pruning, merges the reports, prints the
     summary and optionally writes the campaign JSON.
@@ -15,8 +15,9 @@ Four subcommands:
 
 ``verify-local``
     Re-run the campaign recorded in a serve-produced JSON file through the
-    in-process pool and assert the merged results are identical — the
-    distributed determinism contract, checkable post hoc from the artifact.
+    local worker pool (which hosts its own loopback index server) and assert
+    the summaries are identical — the distributed determinism contract,
+    checkable post hoc from the artifact.
 
 ``fuzz``
     Throw N deterministic malformed frames (garbage, hostile lengths,
@@ -32,10 +33,11 @@ Every connection speaks protocol v5 (HMAC-authenticated JSON frames under a
 shared ``--auth-key-file``).  ``serve`` takes the campaign flags of
 ``python -m repro.core.parallel``
 (:func:`~repro.core.parallel.add_campaign_arguments`) and additionally
-``--live-stats`` (periodic one-line progress on stderr), ``--metrics-addr
-HOST:PORT`` (a Prometheus text endpoint) and ``--telemetry-output`` (dump the
-final merged telemetry snapshot as JSON).  Each campaign field is declared
-once, in :class:`~repro.core.campaign.CampaignConfig` or
+``--live-stats`` (one-line progress on stderr every 5 seconds and at the
+end), ``--metrics-addr HOST:PORT`` (a Prometheus text endpoint) and
+``--telemetry-output`` (dump the final merged telemetry snapshot as JSON).
+Each campaign field is declared once, in
+:class:`~repro.core.campaign.CampaignConfig` or
 :class:`~repro.core.campaign.CampaignSpec`; serve's flags, its campaign echo
 and verify-local's rebuild of that echo are all derived from the declaration,
 and a campaign its kind cannot honour is refused before the server starts.
@@ -46,8 +48,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import threading
 import time
+from contextlib import nullcontext
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import ParallelCampaignConfig, obs, run_parallel_shards
@@ -114,34 +116,13 @@ def _parse_metrics_addr(value: str) -> tuple:
     return host or "127.0.0.1", int(port)
 
 
-def _live_stats_loop(
-    server: Any, start: float, stop_event: threading.Event, interval: float = 5.0
-) -> None:
-    """Print one progress line per *interval* while the campaign runs."""
-    while not stop_event.wait(interval):
-        payload = server.stats_payload()
-        elapsed = time.perf_counter() - start
-        telemetry = payload.get("telemetry")
-        if telemetry:
-            line = obs.render_live_line(
-                obs.MetricsSnapshot.from_dict(telemetry), elapsed, prefix="server"
-            )
-        else:
-            line = (
-                f"server [{elapsed:6.1f}s] "
-                f"{len(payload['registered_shards'])}/{payload['expected_shards']} "
-                "shards registered, no telemetry yet"
-            )
-        print(line, file=sys.stderr, flush=True)
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.analysis.reporting import (
         parallel_result_to_dict,
         render_worker_pool,
         write_parallel_result_json,
     )
-    from repro.distributed.server import IndexServer
+    from repro.distributed.server import IndexServer, live_stats
 
     spec, shards = _checked_shards(args)
     server = IndexServer(
@@ -183,18 +164,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"prometheus metrics at http://{bound_host}:{bound_port}/metrics",
             flush=True,
         )
-    stop_live = threading.Event()
-    live_thread: Optional[threading.Thread] = None
-    if args.live_stats:
-        live_thread = threading.Thread(
-            target=_live_stats_loop,
-            args=(server, start, stop_live),
-            name="serve-live-stats",
-            daemon=True,
-        )
-        live_thread.start()
     try:
-        completed = server.wait(args.serve_timeout)
+        with live_stats(server, prefix="server") if args.live_stats else nullcontext():
+            completed = server.wait(args.serve_timeout)
         if not completed:
             server.fail(f"no complete campaign within {args.serve_timeout:.0f}s")
         if server.failure is not None:
@@ -207,14 +179,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             workers=len(shards),
             sync_rounds=len(server.sync_hours),
             elapsed_seconds=elapsed,
-            transport="tcp",
             budget_policy=args.budget_policy,
         )
         server_stats = server.stats_payload()
     finally:
-        stop_live.set()
-        if live_thread is not None:
-            live_thread.join(timeout=1.0)
         if metrics_http is not None:
             metrics_http.stop()
         server.stop()
@@ -303,7 +271,7 @@ def _cmd_verify_local(args: argparse.Namespace) -> int:
         )
         print(
             f"recorded campaign evicted client(s) mid-run ({details}); the "
-            "merge covers only the survivors, so no healthy in-process pool "
+            "merge covers only the survivors, so no healthy local pool "
             "can reproduce it — nothing to verify",
             file=sys.stderr,
         )
@@ -321,13 +289,13 @@ def _cmd_verify_local(args: argparse.Namespace) -> int:
     local = parallel_result_to_dict(outcome, campaign=campaign)
     mismatches = _diff_summaries(recorded["summary"], local["summary"])
     if mismatches:
-        print("distributed result DIFFERS from the in-process pool:")
+        print("distributed result DIFFERS from the local pool:")
         for line in mismatches:
             print(f"  {line}")
         return 1
     merged = recorded["summary"]["merged"]["samples"][-1]
     print(
-        "verified: TCP campaign matches the in-process pool "
+        "verified: recorded campaign matches the local pool "
         f"({merged['queries_generated']} queries, "
         f"{merged['isomorphic_sets']} isomorphic sets, "
         f"{merged['bug_count']} bugs)"
@@ -454,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--live-stats",
         action="store_true",
         help="print a one-line progress summary (merged worker telemetry) to "
-        "stderr every few seconds while the campaign runs",
+        "stderr every 5 seconds while the campaign runs and once more at the end",
     )
     serve.add_argument(
         "--metrics-addr",
@@ -504,14 +472,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = subparsers.add_parser(
         "verify-local",
-        help="re-run a recorded campaign in-process and compare results",
+        help="re-run a recorded campaign on the local pool and compare results",
     )
     verify.add_argument("--json", required=True, help="serve-produced JSON file")
     verify.add_argument(
         "--worker-timeout",
         type=float,
         default=300.0,
-        help="worker timeout for the verification pool (default: 300)",
+        help="seconds an open sync round of the verification pool waits for "
+        "its laggards before they are declared stalled (default: 300)",
     )
     verify.set_defaults(func=_cmd_verify_local)
 

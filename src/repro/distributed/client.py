@@ -2,9 +2,9 @@
 
 :class:`RemoteSyncTransport` implements the worker-facing
 :class:`~repro.core.parallel.SyncTransport` interface over one TCP connection,
-so the exact worker body that runs inside the in-process pool
+so the exact worker body that runs inside the local pool
 (:func:`~repro.core.parallel.run_shard_with_transport`) also runs against a
-remote index server.  :func:`run_remote_client` is the full remote worker: it
+remote index server — the pool's workers are clients of a loopback one.  :func:`run_remote_client` is the full remote worker: it
 connects, asks the server to assign it one of the campaign's shards, runs the
 shard with a liveness heartbeat, and uploads the report —
 ``python -m repro.distributed client`` is a thin wrapper around it.

@@ -1,4 +1,4 @@
-"""Central-index coordination shared by the in-process pool and the TCP server.
+"""Central-index coordination: the state machine the index server runs.
 
 The paper's scale-out design (§4, Figure 10) keeps one central KQE graph index
 while N clients explore independently; the only shared state is the index, and
@@ -6,10 +6,11 @@ the only protocol is the stale-synchronous exchange of (embedding, canonical
 label) batches: a worker's sync at one scheduled hour ships that hour's batch
 and receives the merged broadcast of the *previous* scheduled round, so no
 worker waits on the slowest peer's current hour and none runs more than one
-round ahead.  :class:`CentralCoordinator` is that state machine, factored
-out of the transport so the ``multiprocessing`` pool and the distributed TCP
-index server run *the same* merge and broadcast logic — which is exactly what
-makes a 2-client TCP campaign bit-identical to a 2-worker in-process one.
+round ahead.  :class:`CentralCoordinator` is that state machine, kept apart
+from the server's sockets, threads and deadlines: its merge and broadcast are
+pure functions of round content, which is what makes a campaign's verdicts
+independent of network timing, whether its clients are the local pool's
+worker processes or remote machines.
 
 It also owns the novelty pruning: the coordinator tracks, per worker, the set
 of canonical labels that worker is known to hold (everything it submitted plus

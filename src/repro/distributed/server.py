@@ -41,14 +41,16 @@ budget is redistributed (total conserved) via the coordinator.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import socket
 import socketserver
+import sys
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.budget import BudgetPolicy
@@ -959,3 +961,47 @@ class IndexServer:
         # thread, which is fine from a handler thread but must not run under
         # the condition lock.
         threading.Thread(target=self.stop, daemon=True).start()
+
+
+@contextlib.contextmanager
+def live_stats(
+    server: IndexServer, prefix: str, interval: float = 5.0
+) -> Iterator[None]:
+    """Print *server*'s merged progress line to stderr while the block runs.
+
+    One line every *interval* seconds and a last one as the block exits, so
+    even a campaign shorter than *interval* shows its final totals.  The
+    line is read from :meth:`IndexServer.stats_payload`, the telemetry the
+    workers piggyback on their syncs and reports; it is pure presentation.
+    """
+    start = time.perf_counter()
+    stop = threading.Event()
+
+    def loop() -> None:
+        while True:
+            stopping = stop.wait(interval)
+            payload = server.stats_payload()
+            elapsed = time.perf_counter() - start
+            telemetry = payload["telemetry"]
+            if telemetry:
+                line = obs.render_live_line(
+                    obs.MetricsSnapshot.from_dict(telemetry), elapsed, prefix=prefix
+                )
+            else:
+                line = (
+                    f"{prefix} [{elapsed:6.1f}s] "
+                    f"{len(payload['registered_shards'])}/"
+                    f"{payload['expected_shards']} shards registered, "
+                    "no telemetry yet"
+                )
+            print(line, file=sys.stderr, flush=True)
+            if stopping:
+                return
+
+    thread = threading.Thread(target=loop, name=f"{prefix}-live-stats", daemon=True)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=5.0)

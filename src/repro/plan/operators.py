@@ -210,27 +210,27 @@ class Project(PhysicalOperator):
     @staticmethod
     def _evaluate_item(item: SelectItem, value_of: Compiled,
                        members: List[ExecRow]) -> Any:
+        if item.aggregate is None:
+            return value_of(members[0]) if members else NULL
+        present = [value for value in map(value_of, members) if not is_null(value)]
+        # MIN and MAX take the exact value order over every input, as ORDER BY
+        # does; dropping inputs that normalise alike (Decimal('0.1') and 0.1)
+        # would keep whichever came first.
+        if item.aggregate is AggregateFunction.MIN:
+            return min(present, key=value_sort_key) if present else NULL
+        if item.aggregate is AggregateFunction.MAX:
+            return max(present, key=value_sort_key) if present else NULL
         values = []
         seen = set()
-        for row in members:
-            value = value_of(row)
-            if item.aggregate is not None and is_null(value):
-                continue
+        for value in present:
             key = normalize_row((value,))
-            if key in seen:
-                continue
-            seen.add(key)
-            values.append(value)
-        if item.aggregate is None:
-            return values[0] if values else NULL
+            if key not in seen:
+                seen.add(key)
+                values.append(value)
         if item.aggregate is AggregateFunction.COUNT:
             return len(values)
         if not values:
             return NULL
-        if item.aggregate is AggregateFunction.MIN:
-            return min(values, key=value_sort_key)
-        if item.aggregate is AggregateFunction.MAX:
-            return max(values, key=value_sort_key)
         numeric = [v for v in values if isinstance(v, (int, float, Decimal))]
         if not numeric:
             return NULL

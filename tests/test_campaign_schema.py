@@ -64,7 +64,7 @@ POOL_OPTIONS = {
     "--budget-policy", "--cte-probability", "--dataset", "--dataset-rows",
     "--dialect", "--help", "--hours", "--kind", "--live-stats", "--no-prune",
     "--queries-per-hour", "--scalar-subquery-probability",
-    "--seed", "--setop-probability", "--sync-interval", "--transport",
+    "--seed", "--setop-probability", "--sync-interval",
     "--worker-timeout", "--workers", "-h",
 }
 SERVE_OPTIONS = {

@@ -1,8 +1,9 @@
 """Tests for the distributed KQE index server and the TCP sync transport."""
 
+import hashlib
 import json
 import threading
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -38,6 +39,21 @@ LONG = CampaignConfig(
 )
 
 
+#: sha256 of the canonical JSON of ``parallel_result_to_dict(outcome)["summary"]``
+#: for ``run_pool(2)`` and for the 2-worker widened-grammar differential
+#: campaign of ``TestVerifyLocalCLI``, recorded from the multiprocessing-queue
+#: pool that the index-server pool replaced.  Both pools give these verdicts.
+TQS_POOL2_SUMMARY = "4bf5d526902ea6cc3f0b9072dcfa200c943edcba51c7917d0f3a5f8409042bf4"
+WIDENED_POOL2_SUMMARY = (
+    "88d7426a0b838356b73d6cd4d72c96d2410560accc5622be61156b38e7237a2d"
+)
+
+
+def summary_digest(summary):
+    canonical = json.dumps(summary, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
 def pool_config(workers, **overrides):
     defaults = dict(workers=workers, sync_interval=1, worker_timeout=120.0)
     defaults.update(overrides)
@@ -63,13 +79,8 @@ def serial_result():
 
 
 @pytest.fixture(scope="module")
-def local_pool2():
+def pool2():
     return run_pool(2)
-
-
-@pytest.fixture(scope="module")
-def tcp_pool2():
-    return run_pool(2, transport="tcp")
 
 
 class TestNoveltyPruning:
@@ -146,33 +157,57 @@ class TestNoveltyPruning:
 class TestTCPDeterminism:
     def test_one_client_tcp_run_equals_serial_runner(self, serial_result):
         """The determinism contract: 1-client TCP == the serial loop, bitwise."""
-        tcp = run_pool(1, transport="tcp")
+        tcp = run_pool(1)
         assert tcp.merged.samples == serial_result.samples
         assert bug_keys(tcp.merged) == bug_keys(serial_result)
-        assert tcp.transport == "tcp"
 
-    def test_two_client_tcp_run_equals_in_process_pool(self, local_pool2, tcp_pool2):
-        assert tcp_pool2.merged.samples == local_pool2.merged.samples
-        assert bug_keys(tcp_pool2.merged) == bug_keys(local_pool2.merged)
-        assert tcp_pool2.central_index_size == local_pool2.central_index_size
-        assert tcp_pool2.central_distinct_labels == local_pool2.central_distinct_labels
-        assert tcp_pool2.sync_stats == local_pool2.sync_stats
-        assert tcp_pool2.broadcast_entries_sent == local_pool2.broadcast_entries_sent
+    def test_two_client_tcp_run_equals_in_process_pool(self, pool2):
+        """The 2-worker pool gives the queue pool's pinned summary, and that
+        summary holds every field the two pools were once compared on."""
+        summary = parallel_result_to_dict(pool2)["summary"]
+        assert summary_digest(summary) == TQS_POOL2_SUMMARY
+        assert summary["merged"]["samples"] == [
+            asdict(sample) for sample in pool2.merged.samples
+        ]
+        assert {
+            (frozenset(bug_ids), label) for bug_ids, label in summary["merged"]["bug_keys"]
+        } == {(frozenset(cause), label) for cause, label in bug_keys(pool2.merged)}
+        assert summary["central_index_size"] == pool2.central_index_size
+        assert summary["central_distinct_labels"] == pool2.central_distinct_labels
+        assert [
+            (
+                shard["shard_id"],
+                shard["entries_shipped"],
+                shard["broadcast_entries_received"],
+                shard["broadcast_entries_suppressed"],
+                tuple(shard["hourly_budgets"]),
+            )
+            for shard in summary["shards"]
+        ] == [
+            (
+                stats.shard_id,
+                stats.entries_shipped,
+                stats.broadcast_entries_received,
+                stats.broadcast_entries_suppressed,
+                stats.hourly_budgets,
+            )
+            for stats in pool2.sync_stats
+        ]
+        assert summary["broadcast_entries_sent"] == pool2.broadcast_entries_sent
         assert (
-            tcp_pool2.broadcast_entries_suppressed
-            == local_pool2.broadcast_entries_suppressed
+            summary["broadcast_entries_suppressed"]
+            == pool2.broadcast_entries_suppressed
         )
 
-    def test_summary_dicts_identical_across_transports(self, local_pool2, tcp_pool2):
-        local = parallel_result_to_dict(local_pool2)
-        tcp = parallel_result_to_dict(tcp_pool2)
-        assert _diff_summaries(tcp["summary"], local["summary"]) == []
+    def test_summary_dicts_identical_across_transports(self, pool2):
+        tcp = parallel_result_to_dict(pool2)
+        assert summary_digest(tcp["summary"]) == TQS_POOL2_SUMMARY
         # The JSON artifact survives a serialization round trip unchanged.
         rehydrated = json.loads(json.dumps(tcp))
-        assert _diff_summaries(rehydrated["summary"], local["summary"]) == []
+        assert summary_digest(rehydrated["summary"]) == TQS_POOL2_SUMMARY
 
-    def test_diff_summaries_pinpoints_mismatches(self, local_pool2):
-        summary = parallel_result_to_dict(local_pool2)["summary"]
+    def test_diff_summaries_pinpoints_mismatches(self, pool2):
+        summary = parallel_result_to_dict(pool2)["summary"]
         perturbed = json.loads(json.dumps(summary))
         perturbed["merged"]["samples"][-1]["bug_count"] += 1
         lines = _diff_summaries(summary, perturbed)
@@ -183,6 +218,9 @@ class TestTCPDeterminism:
         shards = build_shard_specs("tqs", FAST, 2)
         with pytest.raises(CampaignError):
             run_parallel_shards(shards, pool_config(2, transport="carrier-pigeon"))
+        # The multiprocessing-queue transport is gone.
+        with pytest.raises(CampaignError, match="unknown transport 'local'"):
+            pool_config(2, transport="local")
 
 
 class TestPayloadReduction:
@@ -206,16 +244,16 @@ class TestPayloadReduction:
         # central index sees every generated query either way.
         assert pruned.central_index_size == pruned.merged.final.queries_generated
 
-    def test_worker_reports_surface_suppressed_counts(self, tcp_pool2):
+    def test_worker_reports_surface_suppressed_counts(self, pool2):
         assert (
-            sum(s.broadcast_entries_suppressed for s in tcp_pool2.sync_stats)
-            == tcp_pool2.broadcast_entries_suppressed
+            sum(s.broadcast_entries_suppressed for s in pool2.sync_stats)
+            == pool2.broadcast_entries_suppressed
         )
-        assert all(s.entries_shipped > 0 for s in tcp_pool2.sync_stats)
+        assert all(s.entries_shipped > 0 for s in pool2.sync_stats)
 
 
 class TestIndexServerProtocol:
-    def test_server_assigns_shards_to_bare_clients(self, local_pool2):
+    def test_server_assigns_shards_to_bare_clients(self, pool2):
         """CLI-style clients (no shard preassignment) match the local pool."""
         shards = build_shard_specs("tqs", FAST, 2)
         server = IndexServer(
@@ -247,12 +285,11 @@ class TestIndexServerProtocol:
                 workers=2,
                 sync_rounds=len(server.sync_hours),
                 elapsed_seconds=0.0,
-                transport="tcp",
             )
         finally:
             server.stop()
-        assert outcome.merged.samples == local_pool2.merged.samples
-        assert bug_keys(outcome.merged) == bug_keys(local_pool2.merged)
+        assert outcome.merged.samples == pool2.merged.samples
+        assert bug_keys(outcome.merged) == bug_keys(pool2.merged)
 
     def test_extra_client_is_turned_away_without_killing_the_campaign(self):
         shards = build_shard_specs("tqs", FAST, 1)
@@ -275,7 +312,7 @@ class TestIndexServerProtocol:
         finally:
             server.stop()
 
-    def test_disconnect_after_reporting_is_harmless(self, local_pool2):
+    def test_disconnect_after_reporting_is_harmless(self):
         """An abrupt close after a delivered report must not fail the run."""
         shards = build_shard_specs("tqs", FAST, 2)
         server = IndexServer(
@@ -469,14 +506,11 @@ class TestStaleSynchronousRounds:
         finally:
             server._server.server_close()
 
-    def test_repeated_two_client_tcp_runs_agree_with_the_queue_pool(
-        self, local_pool2, tcp_pool2
-    ):
-        expected = parallel_result_to_dict(local_pool2)["summary"]
-        reruns = [run_pool(2, transport="tcp") for _ in range(2)]
-        for run in [tcp_pool2] + reruns:
+    def test_repeated_two_client_tcp_runs_agree_with_the_queue_pool(self, pool2):
+        reruns = [run_pool(2) for _ in range(2)]
+        for run in [pool2] + reruns:
             summary = parallel_result_to_dict(run)["summary"]
-            assert _diff_summaries(summary, expected) == []
+            assert summary_digest(summary) == TQS_POOL2_SUMMARY
 
 
 class TestVerifyLocalCLI:
@@ -506,7 +540,7 @@ class TestVerifyLocalCLI:
         )
 
     def test_verify_local_accepts_a_recorded_tcp_campaign(self, tmp_path):
-        outcome = run_pool(2, transport="tcp")
+        outcome = run_pool(2)
         assert self.verify(tmp_path, outcome) == 0
 
     def test_verify_local_reruns_the_recorded_grammar_probabilities(self, tmp_path):
@@ -516,9 +550,9 @@ class TestVerifyLocalCLI:
             scalar_subquery_probability=0.3,
             cte_probability=0.25,
         )
-        outcome = run_pool(
-            2, replace(FAST, **probabilities), kind="differential", transport="tcp"
-        )
+        outcome = run_pool(2, replace(FAST, **probabilities), kind="differential")
+        summary = parallel_result_to_dict(outcome)["summary"]
+        assert summary_digest(summary) == WIDENED_POOL2_SUMMARY
         assert self.verify(tmp_path, outcome, kind="differential", **probabilities) == 0
 
     def test_serve_accepts_the_pool_campaign_flags(self):

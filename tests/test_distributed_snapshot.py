@@ -242,7 +242,6 @@ def run_full_clients(server):
         workers=2,
         sync_rounds=len(server.sync_hours),
         elapsed_seconds=0.0,
-        transport="tcp",
     )
 
 

@@ -353,7 +353,7 @@ class TestPoolTelemetry:
         assert covered >= 0.5 * wall
         # Both workers contributed a run-duration observation.
         assert snapshot.histograms["worker.run.seconds"].count == 2
-        # The queue transport records one barrier wait per sync, inside it.
+        # The pool records one barrier wait per sync, inside it.
         phases = snapshot.phase_seconds()
         syncs = 2 * len(sync_schedule(DET.hours, 1))
         assert phases["sync"][1] == phases["sync.wait"][1] == syncs
@@ -361,6 +361,23 @@ class TestPoolTelemetry:
         # A sub-phase is left out of the span total: covered time is
         # still at most the workers' wall-clock.
         assert covered <= wall
+
+    def test_pool_live_stats_print_the_servers_merged_line(self, capfd):
+        shards = build_shard_specs("differential", DET, 2, backend="sqlite")
+        outcome = run_parallel_shards(
+            shards, ParallelCampaignConfig(workers=2, sync_interval=1, live_stats=True)
+        )
+        assert outcome.telemetry is not None
+        lines = [
+            line for line in capfd.readouterr().err.splitlines()
+            if line.startswith("pool[2w] ")
+        ]
+        assert lines
+        final = outcome.merged.final
+        assert (
+            f"{final.queries_generated} generated / "
+            f"{final.queries_executed} executed" in lines[-1]
+        )
 
     def test_sub_phases_are_left_out_of_totals(self):
         registry = MetricsRegistry()

@@ -1,5 +1,9 @@
 """Tests for the real multi-process parallel campaign runner."""
 
+import multiprocessing
+import os
+import time
+
 import pytest
 
 from repro.core import (
@@ -19,6 +23,7 @@ from repro.core import (
     run_parallel_shards,
     shard_campaign_configs,
 )
+from repro.core import parallel
 from repro.errors import CampaignError, GenerationError
 from repro.kqe.isomorphism import IsomorphicSetCounter
 
@@ -197,46 +202,35 @@ class _FlakyTester:
         self.diversity.add_label(f"L{self._calls}")
 
 
-class _DeadProcess:
-    name = "tqs-shard-1"
+def _exit_after_hour_two_sync(shard_name, loop):
+    """A ``run_campaign_loop`` whose worker *shard_name* dies after its hour-2
+    sync, as a killed process does: no error message, no report."""
 
-    @staticmethod
-    def is_alive():
-        return False
+    def run(tester, result, hours, queries_per_hour, on_hour=None):
+        def hour_then_exit(record):
+            on_hour(record)
+            if (record.hour == 2
+                    and multiprocessing.current_process().name == shard_name):
+                os._exit(1)
 
+        return loop(tester, result, hours, queries_per_hour, on_hour=hour_then_exit)
 
-class _LiveProcess:
-    name = "tqs-shard-0"
-
-    @staticmethod
-    def is_alive():
-        return True
+    return run
 
 
 class TestDeadWorkerDetection:
-    def test_receive_fails_fast_on_a_dead_pending_worker(self):
-        """A hard-killed worker must fail the pool even while peers tick."""
-        import queue
-
-        from repro.core.parallel import _receive
-
-        silent = queue.Queue()
-        dead = _DeadProcess()
-        with pytest.raises(CampaignError, match="died without reporting"):
-            _receive(silent, [_LiveProcess(), dead], timeout=60.0,
-                     pending=lambda: [dead])
-
-    def test_receive_tolerates_dead_but_reported_workers(self):
-        """A worker that exited AFTER reporting is not owed anything."""
-        import queue
-
-        from repro.core.parallel import _receive
-
-        ready = queue.Queue()
-        ready.put(("done", 0, "report"))
-        message = _receive(ready, [_LiveProcess(), _DeadProcess()],
-                           timeout=60.0, pending=lambda: [_LiveProcess()])
-        assert message == ("done", 0, "report")
+    def test_a_worker_killed_mid_campaign_fails_the_pool_fast(self, monkeypatch):
+        """A hard-exited worker fails the pool naming its shard, long before
+        the round deadline, while its peer keeps running."""
+        monkeypatch.setattr(parallel, "run_campaign_loop", _exit_after_hour_two_sync(
+            "tqs-shard-1", parallel.run_campaign_loop))
+        shards = build_shard_specs("tqs", FAST, 2)
+        pool = ParallelCampaignConfig(workers=2, sync_interval=1,
+                                      worker_timeout=120.0, start_method="fork")
+        start = time.monotonic()
+        with pytest.raises(CampaignError, match=r"shard\(s\) \[1\]"):
+            run_parallel_shards(shards, pool)
+        assert time.monotonic() - start < 10.0
 
 
 class TestRejectedGenerationAccounting:

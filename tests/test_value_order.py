@@ -11,6 +11,7 @@ integers past 64 bits, so ``10**400`` is checked against the reference alone.
 
 from decimal import Decimal
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.backends import SQLiteBackend
@@ -130,20 +131,26 @@ def test_reference_orders_numbers_past_the_float_range():
     ]
 
 
-def test_reference_orders_decimals_with_integers_exactly():
-    keys = [Decimal("15.25"), 5, NULL, Decimal("10.50"), 15, Decimal("4.99")]
+@pytest.mark.parametrize("keys, ascending", [
+    ([Decimal("15.25"), 5, NULL, Decimal("10.50"), 15, Decimal("4.99")],
+     [(NULL,), (Decimal("4.99"),), (5,), (Decimal("10.50"),), (15,),
+      (Decimal("15.25"),)]),
+    # Decimal('0.1') and 0.1 normalise alike, yet Decimal('0.1') is the
+    # smaller: MIN must return it, not whichever of the two came first.
+    ([Decimal("15.25"), 0.1, 5, NULL, Decimal("0.1"), 15],
+     [(NULL,), (Decimal("0.1"),), (0.1,), (5,), (15,), (Decimal("15.25"),)]),
+])
+def test_reference_orders_decimals_with_integers_exactly(keys, ascending):
     engine = reference_engine(build_db(decimal(8, 2), keys))
-    ascending = [(NULL,), (Decimal("4.99"),), (5,), (Decimal("10.50"),),
-                 (15,), (Decimal("15.25"),)]
     assert list(engine.execute(ordered(False)).rows) == ascending
     assert list(engine.execute(ordered(True)).rows) == (
         ascending[:0:-1] + ascending[:1]
     )
     assert list(engine.execute(aggregate(AggregateFunction.MIN)).rows) == [
-        (Decimal("4.99"),)
+        ascending[1]
     ]
     assert list(engine.execute(aggregate(AggregateFunction.MAX)).rows) == [
-        (Decimal("15.25"),)
+        ascending[-1]
     ]
 
 
@@ -152,3 +159,4 @@ def test_min_and_max_of_an_empty_table_are_null():
     for function in (AggregateFunction.MIN, AggregateFunction.MAX):
         assert normalized(engine.execute(aggregate(function))) == [(NULL,)]
     assert normalized(engine.execute(ordered(False))) == []
+
