@@ -45,6 +45,7 @@ import contextlib
 import hashlib
 import json
 import os
+import selectors
 import socket
 import socketserver
 import sys
@@ -103,6 +104,33 @@ class _TCPServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     # Set after construction; typed here so handlers can reach the owner.
     index_server: "IndexServer"
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        # wake() writes a byte here to end the serving loop at once.
+        self._wake_reader, self._wake_writer = socket.socketpair()
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """socketserver's serving loop, which :meth:`wake` also ends."""
+        with selectors.DefaultSelector() as selector:
+            selector.register(self, selectors.EVENT_READ)
+            selector.register(self._wake_reader, selectors.EVENT_READ)
+            while True:
+                ready = [key.fileobj for key, _ in selector.select(poll_interval)]
+                if self._wake_reader in ready:
+                    return
+                if self in ready:
+                    self._handle_request_noblock()
+                self.service_actions()
+
+    def wake(self) -> None:
+        """End the serving loop without waiting for it."""
+        self._wake_writer.send(b"\0")
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._wake_reader.close()
+        self._wake_writer.close()
 
     def service_actions(self) -> None:
         # Runs on every pass of the serving loop (``poll_interval``): round
@@ -288,14 +316,14 @@ class IndexServer:
             if self._stopped:
                 return
             self._stopped = True
-        self._server.shutdown()
+        self._server.wake()
+        if self._thread is not None:
+            self._thread.join(timeout=5.0)
         self._server.server_close()
         with self._cond:
             writer, self._snapshot_writer = self._snapshot_writer, None
         if writer is not None:
             writer.close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until every live shard reported (or the campaign failed)."""
@@ -517,7 +545,16 @@ class IndexServer:
                 "completed": self._completed_locked(),
                 "failure": self._failure,
                 "telemetry": merged.to_dict() if merged is not None else None,
+                "hours_reached": self._hours_reached_locked(),
             }
+
+    def _hours_reached_locked(self) -> int:
+        """The hours every live shard has done: the merged counter sums them."""
+        hours = []
+        for sid in self._live_shard_ids_locked():
+            snapshot = obs.MetricsSnapshot.from_dict(self._telemetry.get(sid))
+            hours.append(snapshot.counter_value("campaign.hours"))
+        return min(hours, default=0)
 
     def _merged_telemetry_locked(self) -> Optional[obs.MetricsSnapshot]:
         if not self._telemetry:
@@ -985,7 +1022,10 @@ def live_stats(
             telemetry = payload["telemetry"]
             if telemetry:
                 line = obs.render_live_line(
-                    obs.MetricsSnapshot.from_dict(telemetry), elapsed, prefix=prefix
+                    obs.MetricsSnapshot.from_dict(telemetry),
+                    elapsed,
+                    prefix=prefix,
+                    hours=payload["hours_reached"],
                 )
             else:
                 line = (

@@ -136,11 +136,12 @@ class Engine:
         """Execute and also report the plan and which seeded bugs fired.
 
         *query* may be this engine's :meth:`Planner.prepare` of a join query,
-        which then decides the plan under *hints* without redoing its
-        query-only work.  A prepared query executes once per distinct
-        :meth:`~PreparedQuery.execution_key`: a hint set whose key already
-        executed gets that execution's result and fired bug ids, and its
-        plan is built only if its text is read.
+        which then plans under *hints* without redoing its query-only work.
+        It executes once per distinct :meth:`~PreparedQuery.execution_key`,
+        computed before any join decision: only a hint set whose key has not
+        executed yet is decided, built and run.  A later hint set with that
+        key gets the execution's result and fired bug ids, and its plan is
+        built only if its text is read.
         """
         if isinstance(query, CompoundQuerySpec):
             return self._execute_compound(query, hints)
@@ -150,11 +151,10 @@ class Engine:
             return self._run(self.planner.plan(query, hints), hints)
         if query.planner is not self.planner:
             raise PlanError("the query was prepared by another engine's planner")
-        decisions = query.decide(hints)
-        key = query.execution_key(hints, decisions)
+        key = query.execution_key(hints)
         shared = query.executions.get(key)
         if shared is None:
-            report = self._run(query.build(hints, decisions), hints)
+            report = self._run(query.plan(hints), hints)
             query.executions[key] = (report.result, report.fired_bug_ids)
             return report
         result, fired = shared

@@ -19,15 +19,17 @@ defined in :mod:`repro.plan.physical`:
 
 A bug only fires when its :class:`FaultTrigger` matches the execution context,
 mirroring how the real bugs only manifest under particular physical plans.
+Each trigger condition is stated once; :meth:`FaultTrigger.matches` tests
+them one by one, and :class:`ActiveFaults` matches by per-field bitmasks.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import (
-    Any, Callable, Dict, FrozenSet, Hashable, List, NamedTuple, Optional, Sequence,
-    Set, Tuple,
+    Any, Callable, Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple,
 )
 
 from repro.errors import ReproError
@@ -80,37 +82,8 @@ class FaultTrigger:
 
     def matches(self, ctx: TriggerContext) -> bool:
         """True when the execution context satisfies every condition."""
-        if self.algorithms is not None and ctx.algorithm not in self.algorithms:
-            return False
-        if self.join_types is not None and ctx.join_type not in self.join_types:
-            return False
-        if self.key_domains is not None and ctx.key_domain not in self.key_domains:
-            return False
-        if (
-            self.require_materialization is not None
-            and ctx.materialization != self.require_materialization
-        ):
-            return False
-        if (
-            self.require_semijoin_transform is not None
-            and ctx.semijoin_transform != self.require_semijoin_transform
-        ):
-            return False
-        if (
-            self.max_join_cache_level is not None
-            and ctx.join_cache_level > self.max_join_cache_level
-        ):
-            return False
-        if not self.requires_disabled_switches <= ctx.disabled_switches:
-            return False
-        if self.require_null_keys is not None and ctx.has_null_keys != self.require_null_keys:
-            return False
-        if (
-            self.require_derived_from_subquery is not None
-            and ctx.derived_from_subquery != self.require_derived_from_subquery
-        ):
-            return False
-        return True
+        return all(_accepts(getattr(self, attribute), test, ctx[index])
+                   for index, attribute, test in _CONDITIONS)
 
     @property
     def plan_independent(self) -> bool:
@@ -126,6 +99,33 @@ class FaultTrigger:
             and self.max_join_cache_level is None
             and not self.requires_disabled_switches
         )
+
+
+def _accepts(required: Any, test: Callable[[Any, Any], bool], value: Any) -> bool:
+    return required is None or test(required, value)
+
+
+_CONDITIONS: Tuple[Tuple[int, str, Callable[[Any, Any], bool]], ...] = tuple(
+    (TriggerContext._fields.index(field), attribute, test)
+    for field, attribute, test in (
+        ("algorithm", "algorithms", operator.contains),
+        ("join_type", "join_types", operator.contains),
+        ("key_domain", "key_domains", operator.contains),
+        ("materialization", "require_materialization", operator.eq),
+        ("semijoin_transform", "require_semijoin_transform", operator.eq),
+        ("join_cache_level", "max_join_cache_level", operator.ge),
+        ("disabled_switches", "requires_disabled_switches", operator.le),
+        ("derived_from_subquery", "require_derived_from_subquery", operator.eq),
+        ("has_null_keys", "require_null_keys", operator.eq),
+    )
+)
+"""Each condition of a :class:`FaultTrigger`, stated once: the index of the
+:class:`TriggerContext` field it reads, the trigger attribute it compares,
+and how: a value passes when the attribute is None or ``test(attribute,
+value)`` holds.  ``has_null_keys`` comes last: a join finds it at run time,
+its plan fixes the others."""
+
+_PLANNED_CONDITIONS = len(_CONDITIONS) - 1
 
 
 # --------------------------------------------------------------------- behaviors
@@ -216,13 +216,6 @@ class BugSpec:
         return self.trigger.plan_independent
 
 
-class _Matched(NamedTuple):
-    """The seeded bugs whose triggers match one trigger context."""
-
-    by_seam: Dict[str, List[BugSpec]]
-    behaviour_key: Hashable
-
-
 def _read_in_matching_routine(bug: BugSpec) -> bool:
     """Whether *bug*'s seam is read inside a join's matching routine: the
     key function, which each routine applies and compares its own way, or a
@@ -239,21 +232,26 @@ class ActiveFaults(ExecutionHooks):
     recent query execution; the campaign uses this to attribute a detected
     mismatch to root-cause bug types, standing in for the paper's manual root
     cause analysis with C-Reduce-minimized test cases.
+
+    Bit *i* of a mask stands for the *i*-th bug.  Per trigger condition, a
+    dict maps each field value seen so far to the mask of the bugs accepting
+    it, and a trigger matches the AND of its fields' masks.  A join hands
+    one trigger to all its seams per execution, so the seams keep the last
+    trigger's mask by identity.  Entries are whole when assigned, so threads
+    sharing the object see a whole entry or none.
     """
 
     def __init__(self, bugs: Sequence[BugSpec] = ()) -> None:
         self.bugs: Tuple[BugSpec, ...] = tuple(bugs)
-        self._routine_bugs = frozenset(
-            position for position, bug in enumerate(self.bugs)
-            if _read_in_matching_routine(bug))
         self.fired: Set[int] = set()
-        # The bugs matching each trigger value seen so far.  Every join
-        # execution builds a fresh TriggerContext, but triggers take few
-        # distinct values, so matching runs once per value.  An entry is
-        # complete before its one assignment and never changes after it,
-        # so a concurrent execution sees a whole entry or none (two threads
-        # may build the same entry, equal either way).
-        self._matches: Dict[TriggerContext, _Matched] = {}
+        self._seam_masks: Dict[Hashable, int] = {}
+        for position, bug in enumerate(self.bugs):
+            for name in (bug.seam, (bug.seam, bug.behavior)):
+                self._seam_masks[name] = self._seam_masks.get(name, 0) | 1 << position
+        self._routine_mask = self._mask_where(_read_in_matching_routine)
+        self._field_masks: Tuple[Dict[Any, int], ...] = tuple(
+            {} for _ in _CONDITIONS)
+        self._last: Tuple[Optional[TriggerContext], int] = (None, 0)
 
     # -------------------------------------------------------------- bookkeeping
 
@@ -261,43 +259,45 @@ class ActiveFaults(ExecutionHooks):
         """Clear the fired-bug record (called before each query execution)."""
         self.fired.clear()
 
-    def _match(self, trigger: TriggerContext) -> _Matched:
-        matched = self._matches.get(trigger)
-        if matched is None:
-            # Match both has_null_keys values at once: the behaviour key
-            # needs both, and a join may run under either.
-            siblings = (trigger._replace(has_null_keys=False),
-                        trigger._replace(has_null_keys=True))
-            matched_positions = tuple(
-                tuple(position for position, bug in enumerate(self.bugs)
-                      if bug.trigger.matches(sibling))
-                for sibling in siblings
-            )
-            reads_routine = any(position in self._routine_bugs
-                                for positions in matched_positions
-                                for position in positions)
-            behaviour_key = (matched_positions,
-                             trigger.algorithm.matching if reads_routine else None)
-            for sibling, positions in zip(siblings, matched_positions):
-                self._matches[sibling] = _Matched(
-                    by_seam={
-                        seam: [self.bugs[p] for p in positions
-                               if self.bugs[p].seam == seam]
-                        for seam in ("flag", "join_key", "null_pad")
-                    },
-                    behaviour_key=behaviour_key,
-                )
-            matched = self._matches[trigger]
-        return matched
+    def _mask_where(self, predicate: Callable[[BugSpec], bool]) -> int:
+        """The mask of the bugs satisfying *predicate*."""
+        return sum(1 << position for position, bug in enumerate(self.bugs)
+                   if predicate(bug))
 
-    def _matching(self, seam: str, trigger: TriggerContext) -> List[BugSpec]:
-        """The bugs of *seam* whose trigger matches, in declaration order."""
-        return self._match(trigger).by_seam[seam]
+    def _field_mask(self, condition: int, value: Any) -> int:
+        """The mask of the bugs whose *condition*-th condition accepts *value*."""
+        masks = self._field_masks[condition]
+        mask = masks.get(value)
+        if mask is None:
+            _, attribute, test = _CONDITIONS[condition]
+            mask = self._mask_where(
+                lambda bug: _accepts(getattr(bug.trigger, attribute), test, value))
+            masks[value] = mask
+        return mask
+
+    def _planned_mask(self, trigger: TriggerContext) -> int:
+        """The mask of the bugs accepting each field of *trigger* a plan fixes."""
+        mask = -1
+        for condition in range(_PLANNED_CONDITIONS):
+            mask &= self._field_mask(condition, trigger[_CONDITIONS[condition][0]])
+        return mask
+
+    def _seam_bugs(self, seam: Hashable, trigger: TriggerContext) -> int:
+        """The mask of the matching bugs of a seam or (seam, behaviour) pair."""
+        last = self._last
+        if last[0] is not trigger:
+            mask = self._planned_mask(trigger) & self._field_mask(
+                _PLANNED_CONDITIONS, trigger.has_null_keys)
+            last = self._last = (trigger, mask)
+        return last[1] & self._seam_masks.get(seam, 0)
+
+    def _bugs_of(self, mask: int) -> List[BugSpec]:
+        """The bugs of *mask* in declaration order."""
+        return [self.bugs[at] for at in range(mask.bit_length()) if mask >> at & 1]
 
     def behaviour_key(self, trigger: TriggerContext) -> Hashable:
-        """The positions of the bugs matching *trigger*, in declaration
-        order, with ``has_null_keys`` false and true: every seam answers
-        from the matching bugs alone.
+        """The masks of the bugs matching *trigger* with ``has_null_keys``
+        false and true: every seam answers from the matching bugs alone.
 
         Beside them stands the trigger's matching routine when a matching
         bug is read inside a routine (see :func:`_read_in_matching_routine`),
@@ -305,12 +305,16 @@ class ActiveFaults(ExecutionHooks):
         every routine returns the same matches and reads the same seams, so
         hint sets picking hash, scan or merge matching share one execution.
         """
-        return self._match(trigger).behaviour_key
+        planned = self._planned_mask(trigger)
+        masks = (planned & self._field_mask(_PLANNED_CONDITIONS, False),
+                 planned & self._field_mask(_PLANNED_CONDITIONS, True))
+        reads_routine = (masks[0] | masks[1]) & self._routine_mask
+        return masks, trigger.algorithm.matching if reads_routine else None
 
     # ------------------------------------------------------------------- seams
 
     def key_function(self, domain: TypeCategory, trigger: TriggerContext) -> KeyFunction:
-        matching = self._matching("join_key", trigger)
+        matching = self._bugs_of(self._seam_bugs("join_key", trigger))
         if not matching:
             return super().key_function(domain, trigger)
         fired = self.fired
@@ -328,19 +332,19 @@ class ActiveFaults(ExecutionHooks):
         return faulty_key
 
     def null_pad_value(self, column: str, trigger: TriggerContext) -> Any:
-        matching = self._matching("null_pad", trigger)
+        matching = self._seam_bugs("null_pad", trigger)
         if not matching:
             return NULL
-        bug = matching[0]
+        bug = self._bugs_of(matching)[0]
         self.fired.add(bug.bug_id)
         return PAD_BEHAVIORS[bug.behavior]
 
     def flag(self, effect: str, trigger: TriggerContext) -> bool:
-        for bug in self._matching("flag", trigger):
-            if bug.behavior == effect:
-                self.fired.add(bug.bug_id)
-                return True
-        return False
+        matching = self._seam_bugs(("flag", effect), trigger)
+        if not matching:
+            return False
+        self.fired.add(self._bugs_of(matching)[0].bug_id)
+        return True
 
     def post_rows(self, rows: List[ExecRow], trigger: TriggerContext) -> List[ExecRow]:
         return rows

@@ -112,18 +112,20 @@ def render_live_line(
     elapsed_seconds: float,
     hour: Optional[int] = None,
     prefix: str = "",
+    hours: Optional[int] = None,
 ) -> str:
     """One ``--live-stats`` status line from campaign counters + spans.
 
     Reports simulated-hours done, cumulative queries and queries/s (real
     seconds), novel-label count and rate per executed query, bug count, and
-    the phase percentage mix.
+    the phase percentage mix.  *hour* names the hour a shard just finished,
+    else *hours* the hours done (default: the ``campaign.hours`` counter).
     """
     generated = snapshot.counter_value("campaign.queries_generated")
     executed = snapshot.counter_value("campaign.queries_executed")
     labels = snapshot.counter_value("campaign.novel_labels")
     bugs = snapshot.counter_value("campaign.bugs")
-    hours = snapshot.counter_value("campaign.hours")
+    hours = snapshot.counter_value("campaign.hours") if hours is None else hours
     rate = executed / elapsed_seconds if elapsed_seconds > 0 else 0.0
     novelty = 100.0 * labels / executed if executed > 0 else 0.0
     head = f"{prefix} " if prefix else ""

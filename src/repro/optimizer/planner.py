@@ -10,11 +10,11 @@ evaluates a WHERE conjunct over one table below the joins, on that table's
 scan, where no join can pad the table's rows (see :class:`PreparedQuery`);
 every other conjunct, and every conjunct of a planner with other hooks, is
 evaluated over the joins' output.  The TQS loop runs every
-query under a dozen hint sets, so it prepares once and decides per hint set;
-hint sets whose decisions give the same :meth:`PreparedQuery.execution_key`
-share one execution, and only the first of them builds operators.  That key
-holds, per join, the step and what its hooks make of its trigger; it holds the
-join's algorithm only as far as the hooks tell its matching routine apart,
+query under a dozen hint sets, so it prepares once; hint sets with the same
+:meth:`PreparedQuery.execution_key`, computed without deciding, share one
+execution, which only the first of them decides and builds.  That key holds,
+per join, the step and what its hooks make of its planned trigger; it holds
+the join's algorithm only as far as the hooks tell its matching routine apart,
 since the bug-free routines (hash, scan and merge) return the same matches.
 :meth:`Planner.plan` is the one-shot composition of it all.
 
@@ -85,6 +85,8 @@ class Planner:
         self.database = database
         self.schema: DatabaseSchema = database.schema
         self.hooks = hooks or ExecutionHooks()
+        # (join type, key domain) -> hint context -> algorithm -> behaviour key
+        self._behaviour_keys: Dict[Hashable, Dict[Hashable, Dict[Any, Hashable]]] = {}
 
     # ------------------------------------------------------------------ public
 
@@ -130,7 +132,6 @@ class JoinDecision(NamedTuple):
 
     step: _PreparedStep
     algorithm: JoinAlgorithm
-    materialization: bool
     trigger: TriggerContext
 
 
@@ -139,10 +140,10 @@ class PreparedQuery:
 
     It copies the query's clauses when it is made, so later changes to the
     :class:`QuerySpec` (NoREC and PQS assign ``where`` in place) do not
-    reach it: prepare again instead.  The first :meth:`decide` validates
-    the query, then keeps the driving table's scan and estimated cardinality
-    and, per join step, the key spec, indexed-key flag, row count and scan
-    (scans are stateless, so every plan shares them).
+    reach it: prepare again instead.  The first plan or key validates the
+    query, then keeps the driving table's scan and estimated cardinality,
+    the cost-based algorithms of the prepared join order and, per join step,
+    the key spec, indexed-key flag, row count and (stateless, shared) scan.
 
     It also places the WHERE clause, split into its conjuncts, once
     (selection pushdown).  When the planner's hooks are exactly
@@ -187,6 +188,8 @@ class PreparedQuery:
         self._where: Optional[Expression] = None
         self._cardinality = 0
         self._steps: Optional[List[_PreparedStep]] = None
+        self._defaults: List[JoinAlgorithm] = []
+        self._step_behaviour_keys: List[Dict[Hashable, Dict[Any, Hashable]]] = []
         self._closures: Dict[Tuple[Any, Tuple[str, ...]], Optional[Callable]] = {}
         self._has_subquery: Optional[bool] = None
         self.executions: Dict[Hashable, Tuple["ResultSet", Tuple[int, ...]]] = {}
@@ -279,40 +282,40 @@ class PreparedQuery:
         subqueries: the join order, and each join's algorithm,
         materialization and trigger context.  No operator is built.
         """
-        if self._steps is None:
-            self._steps = self._prepare()
-        disabled = frozenset(
-            name for name, _default in hints.switches if not hints.switch(name)
-        )
-        decisions: List[JoinDecision] = []
-        left_cardinality = self._cardinality
-        for index, step in enumerate(self._ordered_steps(hints)):
-            decision, left_cardinality = self._decide_join(
-                step, left_cardinality, index, hints, disabled)
-            decisions.append(decision)
-        return decisions
+        return [JoinDecision(step, algorithm, _planned_trigger(step, algorithm, hints))
+                for step, algorithm in zip(*self._join_plan(hints))]
 
-    def execution_key(self, hints: HintSet,
-                      decisions: Sequence[JoinDecision]) -> Hashable:
-        """What decides the rows and fired bug ids of the plan of *decisions*.
+    def execution_key(self, hints: HintSet) -> Hashable:
+        """What decides the rows and fired bug ids of the plan of *hints*.
 
         Two hint sets with equal keys execute alike.  Per join, in order: the
         step's position in the query and its hooks'
-        :meth:`~repro.plan.physical.ExecutionHooks.behaviour_key`, which
-        answers for the matching routine too (the key of the seeded-fault
-        hooks names it only when a matched fault is read inside it); every
-        other operator depends on the join order alone.  A query with a
-        subquery adds *hints*, which the subquery plans follow.
+        :meth:`~repro.plan.physical.ExecutionHooks.behaviour_key` of the
+        trigger :meth:`decide` would plan, which answers for the matching
+        routine too (the key of the seeded-fault hooks names it only when a
+        matched fault is read inside it); every other operator depends on
+        the join order alone.  A query with a subquery adds *hints*, which
+        the subquery plans follow.
+
+        No decision is made: join type, key domain, algorithm, switches and
+        join-cache level fix the trigger, so each planner asks its hooks once
+        per distinct such input.
         """
+        steps, algorithms = self._join_plan(hints)
         if self._has_subquery is None:
             self._has_subquery = any(
                 map(contains_subquery, _evaluated_expressions(self._query)))
-        behaviour_key = self.planner.hooks.behaviour_key
-        joins = tuple(
-            (decision.step.position, behaviour_key(decision.trigger))
-            for decision in decisions
-        )
-        return (joins, hints) if self._has_subquery else joins
+        context = (hints.switches, hints.join_cache_level)
+        joins = []
+        for step, algorithm in zip(steps, algorithms):
+            keys = self._step_behaviour_keys[step.position].setdefault(context, {})
+            key = keys.get(algorithm, _UNSEEN)
+            if key is _UNSEEN:
+                key = self.planner.hooks.behaviour_key(
+                    _planned_trigger(step, algorithm, hints))
+                keys[algorithm] = key
+            joins.append((step.position, key))
+        return (tuple(joins), hints) if self._has_subquery else tuple(joins)
 
     def build(self, hints: HintSet,
               decisions: Sequence[JoinDecision]) -> PhysicalOperator:
@@ -337,10 +340,46 @@ class PreparedQuery:
             operator = Limit(operator, query.limit)
         return operator
 
+    def _join_plan(self, hints: HintSet,
+                   ) -> Tuple[List[_PreparedStep], List[JoinAlgorithm]]:
+        """The join order under *hints* and each step's forced or default algorithm."""
+        if self._steps is None:
+            self._steps = self._prepare()
+            self._defaults = self._cost_defaults(self._steps)
+            self._step_behaviour_keys = [self.planner._behaviour_keys.setdefault(
+                (step.step.join_type, None if step.key is None else step.key.domain), {})
+                for step in self._steps]
+        steps = self._ordered_steps(hints)
+        defaults = (self._defaults if steps is self._steps
+                    else self._cost_defaults(steps))
+        return steps, [hints.algorithm_for_step(index) or default
+                       for index, default in enumerate(defaults)]
+
+    def _cost_defaults(self, steps: List[_PreparedStep]) -> List[JoinAlgorithm]:
+        """The cost-based algorithm of each join of *steps*, in that order:
+        each step's estimated left input is the output of the ones before."""
+        algorithms: List[JoinAlgorithm] = []
+        left_cardinality = self._cardinality
+        for prepared in steps:
+            join_type = prepared.step.join_type
+            right_cardinality = prepared.cardinality
+            numeric = prepared.key is not None and prepared.key.domain in _NUMERIC_DOMAINS
+            algorithms.append(choose_algorithm(JoinCostInput(
+                left_cardinality, right_cardinality, join_type,
+                prepared.key_is_indexed, numeric)))
+            if join_type is JoinType.CROSS:
+                estimate = left_cardinality * max(1, right_cardinality)
+            elif join_type in (JoinType.SEMI, JoinType.ANTI):
+                estimate = left_cardinality
+            else:
+                estimate = max(left_cardinality, right_cardinality)
+            left_cardinality = max(1, estimate)
+        return algorithms
+
     def _ordered_steps(self, hints: HintSet) -> List[_PreparedStep]:
         """Apply the JOIN_ORDER hint when it yields a valid left-deep chain:
         every step joins after each alias its ON condition reads."""
-        steps = list(self._steps)
+        steps = self._steps
         if not hints.join_order or len(steps) < 2:
             return steps
         base_alias = self._query.base.alias
@@ -369,59 +408,11 @@ class PreparedQuery:
                 available.add(step.alias)
         return ordered
 
-    def _decide_join(
-        self,
-        prepared: _PreparedStep,
-        left_cardinality: int,
-        step_index: int,
-        hints: HintSet,
-        disabled: frozenset,
-    ) -> Tuple[JoinDecision, int]:
-        """One join's decisions, and the estimated cardinality of its output."""
-        step = prepared.step
-        key_spec = prepared.key
-        right_cardinality = prepared.cardinality
-        algorithm = hints.algorithm_for_step(step_index)
-        if algorithm is None:
-            algorithm = choose_algorithm(
-                JoinCostInput(
-                    left_cardinality=left_cardinality,
-                    right_cardinality=right_cardinality,
-                    join_type=step.join_type,
-                    right_key_is_indexed=prepared.key_is_indexed,
-                    key_is_numeric=(key_spec is not None
-                                    and key_spec.domain in _NUMERIC_DOMAINS),
-                )
-            )
-        materialization = hints.switch("materialization") and step.join_type in (
-            JoinType.SEMI,
-            JoinType.ANTI,
-        )
-        trigger = TriggerContext(
-            algorithm=algorithm,
-            join_type=step.join_type,
-            key_domain=None if key_spec is None else key_spec.domain,
-            materialization=materialization,
-            semijoin_transform=hints.switch("semijoin"),
-            join_cache_level=hints.join_cache_level,
-            derived_from_subquery=step.join_type in (JoinType.SEMI, JoinType.ANTI),
-            converted_from=None,
-            disabled_switches=disabled,
-        )
-        if step.join_type is JoinType.CROSS:
-            estimate = left_cardinality * max(1, right_cardinality)
-        elif step.join_type in (JoinType.SEMI, JoinType.ANTI):
-            estimate = left_cardinality
-        else:
-            estimate = max(left_cardinality, right_cardinality)
-        decision = JoinDecision(prepared, algorithm, materialization, trigger)
-        return decision, max(1, estimate)
-
     def _build_join(self, left: PhysicalOperator, decision: JoinDecision,
                     compiler: Compiler) -> Join:
         prepared = decision.step
         right: PhysicalOperator = prepared.scan
-        if decision.materialization:
+        if decision.trigger.materialization:
             right = Materialize(right)
         return Join(
             left=left,
@@ -457,6 +448,26 @@ class PreparedQuery:
             return rows
 
         return run
+
+
+def _planned_trigger(prepared: _PreparedStep, algorithm: JoinAlgorithm,
+                     hints: HintSet) -> TriggerContext:
+    """The trigger context of *prepared*'s join running *algorithm* under
+    *hints*: a function of the step's join type and key domain, the
+    algorithm, and the hint set's switches and join-cache level."""
+    join_type = prepared.step.join_type
+    subquery = join_type in (JoinType.SEMI, JoinType.ANTI)
+    return TriggerContext(
+        algorithm=algorithm,
+        join_type=join_type,
+        key_domain=None if prepared.key is None else prepared.key.domain,
+        materialization=hints.switch("materialization") and subquery,
+        semijoin_transform=hints.switch("semijoin"),
+        join_cache_level=hints.join_cache_level,
+        derived_from_subquery=subquery,
+        disabled_switches=frozenset(
+            name for name, _default in hints.switches if not hints.switch(name)),
+    )
 
 
 def _evaluated_expressions(query: QuerySpec) -> Iterator[Expression]:

@@ -172,6 +172,9 @@ class ExecutionHooks:
         bug-free one and whose answers at the seams read inside a routine
         (:data:`~repro.plan.joins.MATCHING_EFFECT_NAMES`) are the bug-free
         ones: the routines then return the same match lists.
+
+        A planner asks once per distinct input of its planned triggers and
+        keeps the answer, so the key must depend on the trigger alone.
         """
         return trigger
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import socket
 import threading
 from dataclasses import asdict, replace
 
@@ -427,6 +428,24 @@ class TestIndexServerProtocol:
             assert "disconnected" in server.failure
         finally:
             server.stop()
+
+    def test_stop_wakes_an_idle_server_at_once(self):
+        # The serving loop polls every 0.1 s; stop() must not wait that out.
+        import statistics
+        import time
+
+        shards = build_shard_specs("tqs", FAST, 2)
+        durations = []
+        for _ in range(10):
+            server = IndexServer(shards=shards, sync_hours=sync_schedule(FAST.hours, 1))
+            server.start()
+            started = time.perf_counter()
+            server.stop()
+            durations.append(time.perf_counter() - started)
+        assert statistics.median(durations) < 0.020, durations
+        # A stopped server no longer accepts connections.
+        with pytest.raises(OSError):
+            socket.create_connection((server.host, server.port), timeout=1.0)
 
 
 def sync_round(server, hour, batches):

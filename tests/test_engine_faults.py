@@ -1,6 +1,9 @@
 """Tests for the engine facade, result sets, fault injection and dialect profiles."""
 
+from decimal import Decimal
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import (
     ALL_DIALECTS,
@@ -16,10 +19,11 @@ from repro.engine import (
     dialect_by_name,
     reference_engine,
 )
-from repro.engine.faults import HASH_BASED_ALGORITHMS
+from repro.engine.faults import HASH_BASED_ALGORITHMS, KEY_BEHAVIORS, PAD_BEHAVIORS
 from repro.errors import ReproError
 from repro.expr import ColumnRef, column
 from repro.optimizer import (
+    DEFAULT_SWITCHES,
     hash_join_hints,
     join_cache_off_hints,
     merge_join_hints,
@@ -27,6 +31,9 @@ from repro.optimizer import (
     standard_hint_sets,
 )
 from repro.plan import (
+    EFFECT_NAMES,
+    MATCHING_EFFECT_NAMES,
+    ExecutionHooks,
     JoinAlgorithm,
     JoinStep,
     JoinType,
@@ -35,7 +42,7 @@ from repro.plan import (
     TableRef,
     TriggerContext,
 )
-from repro.sqlvalue import NULL
+from repro.sqlvalue import NULL, TypeCategory
 
 
 class TestResultSet:
@@ -255,17 +262,44 @@ class TestTriggerResolutionMemo:
             for index, trigger in enumerate(triggers)
         }
         assert len({tuple(expected[("flag", i)]) for i in range(len(triggers))}) > 1
+        # What the public seams must answer, read off the expected lists:
+        # each flag effect, the padding value and the key function's
+        # results on a few probe keys.
+        effects = sorted({bug.behavior for bug in bugs if bug.seam == "flag"})
+        probes = (Decimal("-0"), -0.0, 2.5, 7, "7.25")
+
+        def expected_key(index, value):
+            matching = expected[("join_key", index)]
+            if not matching:
+                return ExecutionHooks().key_function(
+                    TypeCategory.DECIMAL, triggers[index])(value)
+            for bug in matching:
+                value = KEY_BEHAVIORS[bug.behavior](value, TypeCategory.DECIMAL)
+            return value
+
+        answers = [
+            (tuple(any(bug.behavior == effect for bug in expected[("flag", index)])
+                   for effect in effects),
+             PAD_BEHAVIORS[expected[("null_pad", index)][0].behavior]
+             if expected[("null_pad", index)] else NULL,
+             tuple(expected_key(index, value) for value in probes))
+            for index in range(len(triggers))
+        ]
         mismatches = []
         # More threads than cores, so they preempt one another mid-lookup.
         workers = 2 * len(triggers)
         start = threading.Barrier(workers)
 
         def worker(index):
+            trigger = triggers[index]
             start.wait()
             for _ in range(1000):
-                for seam in seams:
-                    if faults._matching(seam, triggers[index]) != expected[(seam, index)]:
-                        mismatches.append((seam, index))
+                key_of = faults.key_function(TypeCategory.DECIMAL, trigger)
+                got = (tuple(faults.flag(effect, trigger) for effect in effects),
+                       faults.null_pad_value("c", trigger),
+                       tuple(key_of(value) for value in probes))
+                if got != answers[index]:
+                    mismatches.append(index)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -280,3 +314,126 @@ class TestTriggerResolutionMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert mismatches == []
+
+
+# ------------------------------------------------------------ bitmask matching
+
+TRIGGER_CONTEXTS = st.builds(
+    TriggerContext,
+    algorithm=st.sampled_from([None, *JoinAlgorithm]),
+    join_type=st.sampled_from([None, *JoinType]),
+    key_domain=st.sampled_from([None, *TypeCategory]),
+    materialization=st.booleans(),
+    semijoin_transform=st.booleans(),
+    join_cache_level=st.integers(1, 8),
+    derived_from_subquery=st.booleans(),
+    has_null_keys=st.booleans(),
+    disabled_switches=st.frozensets(st.sampled_from(sorted(DEFAULT_SWITCHES))),
+)
+
+BUG_LISTS = {
+    **{profile.name: profile.bugs for profile in ALL_DIALECTS},
+    "all": tuple(bug for profile in ALL_DIALECTS for bug in profile.bugs),
+}
+
+
+def _optional(strategy):
+    return st.none() | strategy
+
+
+FAULT_TRIGGERS = st.builds(
+    FaultTrigger,
+    algorithms=_optional(st.frozensets(st.sampled_from(list(JoinAlgorithm)), min_size=1)),
+    join_types=_optional(st.frozensets(st.sampled_from(list(JoinType)), min_size=1)),
+    key_domains=_optional(st.frozensets(st.sampled_from(list(TypeCategory)), min_size=1)),
+    require_materialization=_optional(st.booleans()),
+    require_semijoin_transform=_optional(st.booleans()),
+    max_join_cache_level=_optional(st.integers(1, 8)),
+    requires_disabled_switches=st.frozensets(
+        st.sampled_from(sorted(DEFAULT_SWITCHES)), max_size=2),
+    require_null_keys=_optional(st.booleans()),
+    require_derived_from_subquery=_optional(st.booleans()),
+)
+
+#: Bug lists over every seam, behaviour and trigger condition, the ones no
+#: seeded bug uses (NULL keys, derived from a subquery) included.
+GENERATED_BUGS = st.lists(st.builds(
+    lambda bug_id, seam_behavior, trigger: BugSpec(
+        bug_id=bug_id, dbms="test", seam=seam_behavior[0],
+        behavior=seam_behavior[1], trigger=trigger),
+    st.integers(1, 99),
+    st.sampled_from([("flag", effect) for effect in EFFECT_NAMES]
+                    + [("join_key", behavior) for behavior in KEY_BEHAVIORS]
+                    + [("null_pad", behavior) for behavior in PAD_BEHAVIORS]),
+    FAULT_TRIGGERS,
+), max_size=12)
+
+
+def spelt_out_match(trigger: FaultTrigger, ctx: TriggerContext) -> bool:
+    """Whether *trigger* matches *ctx*, each condition written out on its own."""
+    return (
+        (trigger.algorithms is None or ctx.algorithm in trigger.algorithms)
+        and (trigger.join_types is None or ctx.join_type in trigger.join_types)
+        and (trigger.key_domains is None or ctx.key_domain in trigger.key_domains)
+        and (trigger.require_materialization is None
+             or ctx.materialization == trigger.require_materialization)
+        and (trigger.require_semijoin_transform is None
+             or ctx.semijoin_transform == trigger.require_semijoin_transform)
+        and (trigger.max_join_cache_level is None
+             or ctx.join_cache_level <= trigger.max_join_cache_level)
+        and trigger.requires_disabled_switches <= ctx.disabled_switches
+        and (trigger.require_null_keys is None
+             or ctx.has_null_keys == trigger.require_null_keys)
+        and (trigger.require_derived_from_subquery is None
+             or ctx.derived_from_subquery == trigger.require_derived_from_subquery)
+    )
+
+
+def positions_key(bugs, ctx: TriggerContext):
+    """A behaviour key spelt out: the positions of the bugs matching *ctx*
+    with and without NULL keys, and the matching routine when one of them is
+    read inside a routine."""
+    positions = tuple(
+        tuple(position for position, bug in enumerate(bugs)
+              if bug.trigger.matches(ctx._replace(has_null_keys=null_keys)))
+        for null_keys in (False, True)
+    )
+    reads_routine = any(
+        bugs[position].seam == "join_key"
+        or (bugs[position].seam == "flag"
+            and bugs[position].behavior in MATCHING_EFFECT_NAMES)
+        for matched in positions for position in matched)
+    return positions, ctx.algorithm.matching if reads_routine else None
+
+
+def check_masks(bugs, contexts):
+    """Each seam's bugs equal the bugs its triggers match, in declaration
+    order, and behaviour keys are equal exactly when spelt-out keys are."""
+    # One ActiveFaults and several contexts through it, so the masks filled
+    # for one context serve the next.
+    faults = ActiveFaults(bugs)
+    keys = []
+    for ctx in contexts:
+        matching = [bug for bug in bugs if bug.trigger.matches(ctx)]
+        assert matching == [bug for bug in bugs if spelt_out_match(bug.trigger, ctx)]
+        for seam in ("flag", "join_key", "null_pad"):
+            assert (faults._bugs_of(faults._seam_bugs(seam, ctx))
+                    == [bug for bug in matching if bug.seam == seam])
+        if ctx.algorithm is not None:  # a planned trigger names its algorithm
+            keys.append((faults.behaviour_key(ctx), positions_key(bugs, ctx)))
+    for key, spelt_out in keys:
+        for other_key, other_spelt_out in keys:
+            assert (key == other_key) == (spelt_out == other_spelt_out)
+
+
+@pytest.mark.parametrize("bugs", BUG_LISTS.values(), ids=BUG_LISTS.keys())
+@given(contexts=st.lists(TRIGGER_CONTEXTS, min_size=1, max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_masks_match_the_bugs_the_triggers_match(bugs, contexts):
+    check_masks(bugs, contexts)
+
+
+@given(bugs=GENERATED_BUGS, contexts=st.lists(TRIGGER_CONTEXTS, min_size=1, max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_masks_match_generated_bugs_over_every_condition(bugs, contexts):
+    check_masks(bugs, contexts)

@@ -378,6 +378,9 @@ class TestPoolTelemetry:
             f"{final.queries_generated} generated / "
             f"{final.queries_executed} executed" in lines[-1]
         )
+        # The hours every shard has done, not their sum over the 2 shards.
+        assert DET.hours == 2
+        assert lines[-1].startswith("pool[2w] [hours 2] ")
 
     def test_sub_phases_are_left_out_of_totals(self):
         registry = MetricsRegistry()

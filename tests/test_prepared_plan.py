@@ -36,6 +36,7 @@ from repro.optimizer import (
     merge_join_hints,
     standard_hint_sets,
 )
+from repro.optimizer.planner import PreparedQuery
 from repro.plan import (
     MATCHING_EFFECT_NAMES,
     AggregateFunction,
@@ -304,10 +305,71 @@ def _routine_keys(engine, query, hint_sets):
     prepared = engine.planner.prepare(query)
     keys = set()
     for hints in hint_sets:
-        decisions = prepared.decide(hints)
-        keys.add((prepared.execution_key(hints, decisions),
-                  tuple(decision.algorithm.matching for decision in decisions)))
+        keys.add((prepared.execution_key(hints),
+                  tuple(decision.algorithm.matching
+                        for decision in prepared.decide(hints))))
     return keys
+
+
+GOLDEN_CAMPAIGNS = {
+    "tqs-mysql": CampaignSpec(kind="tqs", dialect="SimMySQL", dataset_rows=30,
+                              hours=4, queries_per_hour=15, seed=3),
+    "tqs-mariadb": CampaignSpec(kind="tqs", dialect="SimMariaDB",
+                                dataset="kddcup", dataset_rows=30, hours=4,
+                                queries_per_hour=15, seed=4),
+    "tqs-tidb": CampaignSpec(kind="tqs", dialect="SimTiDB", dataset="tpch",
+                             dataset_rows=30, hours=4, queries_per_hour=15,
+                             seed=6),
+    "diff-widened": CampaignSpec(kind="differential", backend="sqlite",
+                                 dataset_rows=20, hours=8, queries_per_hour=24,
+                                 seed=5, setop_probability=0.4,
+                                 scalar_subquery_probability=0.3,
+                                 cte_probability=0.25),
+}
+"""The campaigns of tests/test_executor_golden.py."""
+
+
+@pytest.mark.parametrize("spec", GOLDEN_CAMPAIGNS.values(), ids=GOLDEN_CAMPAIGNS.keys())
+def test_execution_keys_split_hint_sets_as_the_decided_triggers_do(spec, monkeypatch):
+    """Over every join query a golden campaign executes, the keys that
+    execution_key computes without deciding split the hint sets exactly as
+    the behaviour keys of the triggers decide() plans: per join, the step's
+    position and its hooks' key, plus the hint set for a query with a
+    subquery.  A query the differential campaign runs under its default
+    plan is split under the standard hint sets."""
+    original = Engine.execute_with_report
+    executed = []
+
+    def recording(engine, query, hints=None):
+        if isinstance(query, (QuerySpec, PreparedQuery)):
+            executed.append((engine, query, hints))
+        return original(engine, query, hints)
+
+    monkeypatch.setattr(Engine, "execute_with_report", recording)
+    run_campaign(spec)
+    monkeypatch.undo()
+    hint_sets = {}
+    for engine, query, hints in executed:
+        if isinstance(query, PreparedQuery):
+            hint_sets.setdefault(query, []).append(hints)
+        else:
+            hint_sets[engine.planner.prepare(query)] = standard_hint_sets()
+    split = shared = 0
+    for prepared, hint_list in hint_sets.items():
+        hooks = prepared.planner.hooks
+        keys, decided = [], []
+        for hints in hint_list:
+            keys.append(prepared.execution_key(hints))
+            joins = tuple((decision.step.position, hooks.behaviour_key(decision.trigger))
+                          for decision in prepared.decide(hints))
+            decided.append((joins, hints) if prepared._has_subquery else joins)
+        for key, by_decision in zip(keys, decided):
+            assert ([other == key for other in keys]
+                    == [other == by_decision for other in decided])
+        split += len(set(keys)) > 1
+        shared += len(set(keys)) < len(hint_list)
+    assert len(hint_sets) > 40
+    assert split > 0 and shared > 0
 
 
 def test_the_queries_exercise_reordering_and_faults(orders_db):
