@@ -82,8 +82,8 @@ class PQSTester(BaselineTester):
     def _pivot_preserved(self, query: QuerySpec, step, pivot_row: dict) -> Optional[bool]:
         """Whether the pivot row must survive *step* (None-ish steps count as kept)."""
         assert self.dsg is not None
-        if step.join_type is not JoinType.INNER:
-            # Left outer joins preserve every accumulated row, pivot included.
+        if step.join_type.pads_right:
+            # Outer joins padding the new table keep every row, pivot included.
             return True
         if step.left_key is None:
             return True

@@ -17,8 +17,7 @@ from typing import Iterator, List, Sequence, Tuple
 from repro.dsg.bitmap import Bitmap
 from repro.dsg.normalization import NormalizedDatabase
 from repro.engine.resultset import ResultSet
-from repro.errors import GroundTruthError
-from repro.plan.logical import JoinType, QuerySpec
+from repro.plan.logical import QuerySpec
 from repro.plan.operators import Filter, Project
 from repro.plan.physical import ExecRow, PhysicalOperator
 from repro.sqlvalue.values import NULL
@@ -72,24 +71,16 @@ class GroundTruthOracle:
     # ------------------------------------------------------------------ bitmaps
 
     def join_bitmap(self, query: QuerySpec) -> Bitmap:
-        """Combine per-table bitmaps along the join chain (Table 2 + Eq. 1)."""
+        """Combine per-table bitmaps along the join chain (Table 2 + Eq. 1).
+
+        Each step applies its join type's declared
+        :attr:`~repro.plan.logical.JoinType.kept_rows` to the bitmap of the
+        chain so far and the bitmap of the joined table.
+        """
         bitmap_index = self.ndb.bitmap
         bits = bitmap_index.bitmap(query.base.table).copy()
         for step in query.joins:
-            table_bits = bitmap_index.bitmap(step.table.table)
-            join_type = step.join_type
-            if join_type in (JoinType.INNER, JoinType.SEMI, JoinType.CROSS):
-                bits = bits & table_bits
-            elif join_type is JoinType.ANTI:
-                bits = bits & ~table_bits
-            elif join_type is JoinType.LEFT_OUTER:
-                continue
-            elif join_type is JoinType.RIGHT_OUTER:
-                bits = table_bits.copy()
-            elif join_type is JoinType.FULL_OUTER:
-                bits = bits | table_bits
-            else:  # pragma: no cover - defensive
-                raise GroundTruthError(f"unsupported join type {join_type}")
+            bits = step.join_type.kept_rows(bits, bitmap_index.bitmap(step.table.table))
         return bits
 
     # ------------------------------------------------------------------- oracle
@@ -136,9 +127,11 @@ class GroundTruthOracle:
             distinct=query.distinct,
         )
         result_rows = list(operator.rows())
+        # A keyless join is a cartesian product, which the wide table holds
+        # only in part.
         mode = (
             VerificationMode.SUBSET
-            if any(step.join_type is JoinType.CROSS for step in query.joins)
+            if any(not step.join_type.keyed for step in query.joins)
             else VerificationMode.FULL_SET
         )
         return GroundTruth(ResultSet(operator.output_columns(), result_rows), mode,

@@ -28,7 +28,7 @@ from repro.optimizer.hints import (
     no_materialization_hints,
     no_semijoin_hints,
 )
-from repro.plan.logical import JoinType, QuerySpec
+from repro.plan.logical import QuerySpec
 from repro.plan.sqlrender import SQLRenderer
 
 
@@ -54,7 +54,6 @@ class HintGenerator:
 
     def hint_sets_for(self, query: QuerySpec) -> List[HintSet]:
         """Hint sets worth trying for *query* (always starting with the default)."""
-        join_types = set(query.join_types)
         hints: List[HintSet] = [
             default_hints(),
             hash_join_hints(),
@@ -66,11 +65,11 @@ class HintGenerator:
             index_join_hints(),
             join_buffer_minimal_hints(1),
         ]
-        if join_types & {JoinType.SEMI, JoinType.ANTI}:
+        if any(join_type.filters_by_existence for join_type in query.join_types):
             hints.append(no_materialization_hints())
             hints.append(no_semijoin_hints())
             hints.append(no_materialization_hints(hash_join_hints()))
-        if join_types & {JoinType.LEFT_OUTER, JoinType.RIGHT_OUTER, JoinType.FULL_OUTER}:
+        if any(join_type.is_outer for join_type in query.join_types):
             hints.append(join_cache_off_hints("join_cache_hashed"))
             hints.append(join_cache_off_hints("join_cache_bka"))
             hints.append(join_cache_off_hints("outer_join_with_cache"))

@@ -148,7 +148,7 @@ class RandomWalkQueryGenerator:
             direction = edge.direction_from(anchor)
             for join_type in self._allowed_join_types(direction, is_first_step,
                                                       anchor, new_table):
-                column = None if join_type is JoinType.CROSS else edge.column
+                column = edge.column if join_type.keyed else None
                 candidates.append(
                     CandidateExtension(anchor, new_table, column, join_type)
                 )
@@ -166,8 +166,8 @@ class RandomWalkQueryGenerator:
 
     def _build_step(self, candidate: CandidateExtension) -> JoinStep:
         table_ref = TableRef(candidate.new_table, candidate.new_table)
-        if candidate.join_type is JoinType.CROSS:
-            return JoinStep(table_ref, JoinType.CROSS)
+        if not candidate.join_type.keyed:
+            return JoinStep(table_ref, candidate.join_type)
         return JoinStep(
             table_ref,
             candidate.join_type,
@@ -269,12 +269,12 @@ class RandomWalkQueryGenerator:
         op = self.rng.choice(self._SCALAR_COMPARISON_OPS)
         return Comparison(op, outer_ref, subquery)
 
-    def _exposed_order(self, query: QuerySpec) -> List[str]:
-        """The exposed-table order of *query*, as `generate` computed it."""
-        return [query.base.table] + [
-            step.table.table
-            for step in query.joins
-            if step.join_type.exposes_right_columns
+    @staticmethod
+    def _exposed_order(base_table: str, steps: Sequence[JoinStep]) -> List[str]:
+        """The base table, then every joined table whose columns the chain
+        *steps* exposes, in join order."""
+        return [base_table] + [
+            step.table.table for step in steps if step.join_type.exposes_right_columns
         ]
 
     # ------------------------------------------------------------------ public
@@ -324,21 +324,20 @@ class RandomWalkQueryGenerator:
             used.add(candidate.new_table)
             if candidate.join_type.exposes_right_columns:
                 exposed.add(candidate.new_table)
-            if candidate.join_type in (JoinType.RIGHT_OUTER, JoinType.FULL_OUTER):
-                # Right/full outer joins preserve the newly joined side; further
-                # join steps over an already-filtered accumulation would break
-                # the bitmap ground truth, so they terminate the walk.
+            if candidate.join_type.pads_left:
+                # A step padding the tables before it (right/full outer)
+                # preserves the newly joined side; further join steps over an
+                # already-filtered accumulation would break the bitmap ground
+                # truth, so it terminates the walk.
                 break
         if not steps:
             raise GenerationError(
                 f"random walk from {base_table!r} could not produce any join step"
             )
-        exposed_order = [base_table] + [
-            step.table.table for step in steps if step.join_type.exposes_right_columns
-        ]
+        exposed_order = self._exposed_order(base_table, steps)
         # Cross joins are verified as subsets (Table 2), which is incompatible
         # with aggregate values computed over the full cartesian product.
-        has_cross = any(step.join_type is JoinType.CROSS for step in steps)
+        has_cross = any(not step.join_type.keyed for step in steps)
         select, group_by = self._build_select(exposed_order,
                                               allow_aggregates=not has_cross)
         where = self._build_filters(exposed_order)
@@ -403,7 +402,7 @@ class RandomWalkQueryGenerator:
                 SetOperator.EXCEPT,
             ])
             extra = self.rng.randint(1, max(1, config.max_setop_arms - 1))
-            exposed_order = self._exposed_order(query)
+            exposed_order = self._exposed_order(query.base.table, query.joins)
             for _ in range(extra):
                 arms.append(replace(query,
                                     where=self._build_filters(exposed_order)))

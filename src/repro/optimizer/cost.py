@@ -59,7 +59,7 @@ def choose_algorithm(facts: JoinCostInput) -> JoinAlgorithm:
     inner key is indexed and the outer side is small, nested loops for tiny
     inputs, hash joins for everything else.
     """
-    if facts.join_type is JoinType.CROSS:
+    if not facts.join_type.keyed:
         return JoinAlgorithm.NESTED_LOOP
     if facts.right_cardinality <= SMALL_INNER_THRESHOLD and (
         facts.left_cardinality * facts.right_cardinality < HASH_PRODUCT_THRESHOLD

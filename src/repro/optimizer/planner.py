@@ -45,7 +45,7 @@ from repro.expr.ast import (
 from repro.optimizer.cost import JoinCostInput, choose_algorithm
 from repro.optimizer.hints import HintSet, default_hints
 from repro.plan.joins import Join, JoinKeySpec
-from repro.plan.logical import JoinStep, JoinType, QuerySpec
+from repro.plan.logical import JoinStep, QuerySpec
 from repro.plan.operators import (
     Compiler,
     Filter,
@@ -70,12 +70,6 @@ if TYPE_CHECKING:
     from repro.engine.resultset import ResultSet
 
 _NUMERIC_DOMAINS = (TypeCategory.DECIMAL, TypeCategory.FLOAT, TypeCategory.INTEGER)
-
-_UNPADDED_STEPS = (JoinType.INNER, JoinType.CROSS)
-"""Join types that never pad their own table's rows in a bug-free plan."""
-
-_PADDING_LEFT = (JoinType.RIGHT_OUTER, JoinType.FULL_OUTER)
-"""Join types that pad the rows of the tables joined before them."""
 
 
 class Planner:
@@ -150,8 +144,9 @@ class PreparedQuery:
     :class:`~repro.plan.physical.ExecutionHooks`, a conjunct without
     subqueries that reads one table is evaluated by a :class:`Filter` on
     that table's scan if the table's rows reach the WHERE clause unpadded:
-    no step of the query is a RIGHT or FULL OUTER join, and the table is
-    the driving one or joined by an INNER or CROSS step.  A bug-free join
+    no step of the query pads the tables before it (``pads_left``: RIGHT,
+    FULL), and the table is the driving one or joined by a step that is not
+    outer and keeps its columns (INNER, CROSS).  A bug-free join
     matches each input row on its own and emits in input order, so the rows
     reaching the filter over the joins are then, in the same order, those of
     the unpushed plan that the pushed conjuncts keep.  Storage refuses NaN,
@@ -229,11 +224,11 @@ class PreparedQuery:
         query = self._query
         where = query.where
         if (where is None or type(self.planner.hooks) is not ExecutionHooks
-                or any(step.join_type in _PADDING_LEFT for step in query.joins)):
+                or any(step.join_type.pads_left for step in query.joins)):
             return {}, where
         unpadded = {query.base.alias} | {
             step.table.alias for step in query.joins
-            if step.join_type in _UNPADDED_STEPS}
+            if not step.join_type.is_outer and step.join_type.exposes_right_columns}
         pushed: Dict[str, List[Expression]] = {}
         kept: List[Expression] = []
         for conjunct in where.operands if isinstance(where, And) else (where,):
@@ -250,7 +245,7 @@ class PreparedQuery:
     def _prepare_step(self, step: JoinStep, position: int, scan: PhysicalOperator,
                       alias_to_table: Dict[str, str]) -> _PreparedStep:
         cardinality = self.planner.database.row_count(step.table.table)
-        if step.join_type is JoinType.CROSS or step.left_key is None:
+        if not step.join_type.keyed:
             return _PreparedStep(step, position, scan, cardinality, key=None,
                                  key_is_indexed=False)
         schema = self.planner.schema
@@ -367,9 +362,9 @@ class PreparedQuery:
             algorithms.append(choose_algorithm(JoinCostInput(
                 left_cardinality, right_cardinality, join_type,
                 prepared.key_is_indexed, numeric)))
-            if join_type is JoinType.CROSS:
+            if not join_type.keyed:
                 estimate = left_cardinality * max(1, right_cardinality)
-            elif join_type in (JoinType.SEMI, JoinType.ANTI):
+            elif join_type.filters_by_existence:
                 estimate = left_cardinality
             else:
                 estimate = max(left_cardinality, right_cardinality)
@@ -456,7 +451,7 @@ def _planned_trigger(prepared: _PreparedStep, algorithm: JoinAlgorithm,
     *hints*: a function of the step's join type and key domain, the
     algorithm, and the hint set's switches and join-cache level."""
     join_type = prepared.step.join_type
-    subquery = join_type in (JoinType.SEMI, JoinType.ANTI)
+    subquery = join_type.filters_by_existence
     return TriggerContext(
         algorithm=algorithm,
         join_type=join_type,

@@ -102,7 +102,7 @@ class Join(PhysicalOperator):
         trigger: Optional[TriggerContext] = None,
         compiler: Compiler = PLAIN_COMPILER,
     ) -> None:
-        if join_type is not JoinType.CROSS and key is None:
+        if join_type.keyed and key is None:
             raise ExecutionError(f"{join_type.value} join requires an equi-join key")
         self.left = left
         self.right = right
@@ -150,7 +150,6 @@ class Join(PhysicalOperator):
             join_cache_level=base.join_cache_level,
             derived_from_subquery=base.derived_from_subquery,
             has_null_keys=has_null_keys,
-            converted_from=base.converted_from,
             disabled_switches=base.disabled_switches,
         )
 
@@ -341,7 +340,7 @@ class Join(PhysicalOperator):
             ) or any(is_null(row[right_slot]) for row in right_rows)
         trigger = self._trigger(has_null_keys)
 
-        if self.join_type is JoinType.CROSS:
+        if not self.join_type.keyed:
             output = [left + right for left in left_rows for right in right_rows]
             return iter(self.hooks.post_rows(output, trigger))
 
@@ -460,7 +459,7 @@ _EMITTERS = {
     JoinType.SEMI: "_emit_semi",
     JoinType.ANTI: "_emit_anti",
 }
-"""The emission method of each non-CROSS join type."""
+"""The emission method of each keyed join type."""
 
 
 def _slot_of(columns: Sequence[str], name: str) -> int:

@@ -11,6 +11,7 @@ reproduce bug reports.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
@@ -20,25 +21,45 @@ from repro.sqlvalue.values import normalize_row
 
 
 class JoinType(enum.Enum):
-    """The seven join operators supported by DSG (paper §3.4, Table 2)."""
+    """The seven join operators supported by DSG (paper §3.4, Table 2).
 
-    INNER = "inner"
-    LEFT_OUTER = "left_outer"
-    RIGHT_OUTER = "right_outer"
-    FULL_OUTER = "full_outer"
-    CROSS = "cross"
-    SEMI = "semi"
-    ANTI = "anti"
+    The one statement of join semantics; code outside ``plan/`` reads these
+    instead of naming members.  ``pads_left``: the tables joined before are
+    NULL-padded; ``pads_right``: the new table is; ``exposes_right_columns``:
+    the new table's columns reach the output; ``keyed``: an equi-join key is
+    required; ``keyword``: the SQL form; ``kept_rows(accumulated, table)``:
+    Table 2's set algebra of the wide-table rows (bitmaps) the join keeps.
+    ``value`` names the member in plan text and KQE edge labels.
+    """
+
+    # value, pads_left, pads_right, exposes_right_columns, keyed, keyword, kept_rows
+    INNER = "inner", False, False, True, True, "INNER JOIN", operator.and_
+    LEFT_OUTER = ("left_outer", False, True, True, True, "LEFT OUTER JOIN",
+                  lambda accumulated, table: accumulated)
+    RIGHT_OUTER = ("right_outer", True, False, True, True, "RIGHT OUTER JOIN",
+                   lambda accumulated, table: table.copy())
+    FULL_OUTER = "full_outer", True, True, True, True, "FULL OUTER JOIN", operator.or_
+    CROSS = "cross", False, False, True, False, "CROSS JOIN", operator.and_
+    SEMI = "semi", False, False, False, True, "EXISTS", operator.and_
+    ANTI = ("anti", False, False, False, True, "NOT EXISTS",
+            lambda accumulated, table: accumulated & ~table)
+
+    def __new__(cls, value: str, *semantics: Any) -> JoinType:
+        member = object.__new__(cls)
+        member._value_ = value
+        (member.pads_left, member.pads_right, member.exposes_right_columns,
+         member.keyed, member.keyword, member.kept_rows) = semantics
+        return member
 
     @property
     def is_outer(self) -> bool:
-        """True for left/right/full outer joins."""
-        return self in (JoinType.LEFT_OUTER, JoinType.RIGHT_OUTER, JoinType.FULL_OUTER)
+        """True when the join pads either side: left/right/full outer joins."""
+        return self.pads_left or self.pads_right
 
     @property
-    def exposes_right_columns(self) -> bool:
-        """Whether columns of the right input appear in the join output."""
-        return self not in (JoinType.SEMI, JoinType.ANTI)
+    def filters_by_existence(self) -> bool:
+        """True when the join only filters by whether a match exists (SEMI, ANTI)."""
+        return not self.exposes_right_columns
 
 
 class AggregateFunction(enum.Enum):
@@ -75,7 +96,7 @@ class JoinStep:
     extra_condition: Optional[Expression] = None
 
     def __post_init__(self) -> None:
-        if self.join_type is not JoinType.CROSS:
+        if self.join_type.keyed:
             if self.left_key is None or self.right_key is None:
                 raise PlanError(
                     f"{self.join_type.value} join on {self.table.table} "
@@ -209,7 +230,7 @@ class QuerySpec:
             if index == 0:
                 continue
             step = self.joins[index - 1]
-            if step.join_type is JoinType.CROSS:
+            if not step.join_type.keyed:
                 continue
             if step.left_key.table not in available - {ref.alias}:
                 raise PlanError(

@@ -93,7 +93,6 @@ class TriggerContext(NamedTuple):
     join_cache_level: int = 8
     derived_from_subquery: bool = False
     has_null_keys: bool = False
-    converted_from: Optional[JoinType] = None
     disabled_switches: frozenset = frozenset()
 
 

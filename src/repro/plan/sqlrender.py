@@ -67,15 +67,6 @@ from repro.sqlvalue.datatypes import DataType, TypeName
 from repro.sqlvalue.values import render_literal
 from repro.storage.database import Database
 
-_JOIN_KEYWORDS = {
-    JoinType.INNER: "INNER JOIN",
-    JoinType.LEFT_OUTER: "LEFT OUTER JOIN",
-    JoinType.RIGHT_OUTER: "RIGHT OUTER JOIN",
-    JoinType.FULL_OUTER: "FULL OUTER JOIN",
-    JoinType.CROSS: "CROSS JOIN",
-}
-
-
 @dataclass(frozen=True)
 class SQLDialectSpec:
     """Everything dialect-specific about rendering SQL text.
@@ -348,9 +339,8 @@ class SQLRenderer:
         )
         if step.extra_condition is not None:
             condition += f" AND {self.expression(step.extra_condition)}"
-        keyword = "EXISTS" if step.join_type is JoinType.SEMI else "NOT EXISTS"
         return (
-            f"{keyword} (SELECT 1 FROM {self.table_ref(step.table)} "
+            f"{step.join_type.keyword} (SELECT 1 FROM {self.table_ref(step.table)} "
             f"WHERE {condition})"
         )
 
@@ -360,14 +350,14 @@ class SQLRenderer:
         if (step.join_type is JoinType.FULL_OUTER
                 and not self.dialect.supports_full_outer_join):
             raise RenderError(f"{self.dialect.name} does not support FULL OUTER JOIN")
-        if step.join_type is JoinType.CROSS:
-            return f"CROSS JOIN {self.table_ref(step.table)}"
+        if not step.join_type.keyed:
+            return f"{step.join_type.keyword} {self.table_ref(step.table)}"
         condition = (
             f"{self.expression(step.left_key)} = {self.expression(step.right_key)}"
         )
         if step.extra_condition is not None:
             condition += f" AND {self.expression(step.extra_condition)}"
-        return f"{_JOIN_KEYWORDS[step.join_type]} {self.table_ref(step.table)} ON {condition}"
+        return f"{step.join_type.keyword} {self.table_ref(step.table)} ON {condition}"
 
     def order_item(self, item: OrderItem) -> str:
         """Render one ORDER BY item with its direction and NULL placement."""
@@ -430,7 +420,7 @@ class SQLRenderer:
         from_clause = self.table_ref(spec.base)
         semi_anti: List[str] = []
         for step in spec.joins:
-            if step.join_type in (JoinType.SEMI, JoinType.ANTI):
+            if step.join_type.filters_by_existence:
                 semi_anti.append(self._semi_anti_filter(step))
             else:
                 from_clause += f" {self._join_clause(step)}"
