@@ -18,8 +18,6 @@ Quickstart
 True
 """
 
-from typing import Any
-
 from repro.backends import (
     BackendAdapter,
     DuckDBBackend,
@@ -43,11 +41,14 @@ from repro.core import (
     DifferentialOracle,
     DifferentialOutcome,
     DifferentialTester,
+    ParallelCampaignConfig,
+    ParallelCampaignResult,
     QueryReducer,
     TQS,
     TQSConfig,
     run_ablation,
     run_campaign,
+    run_parallel_shards,
 )
 from repro.dsg import DSG, DSGConfig, GroundTruthOracle, WideTable
 from repro.engine import (
@@ -66,21 +67,6 @@ from repro.optimizer import HintSet, standard_hint_sets
 from repro.plan import CompoundQuerySpec, JoinType, QuerySpec, SetOperator
 
 __version__ = "1.0.0"
-
-#: Worker-pool names, imported from :mod:`repro.core.parallel` on first use
-#: so that ``python -m repro.core.parallel`` runs a module not yet imported.
-_PARALLEL_EXPORTS = frozenset({
-    "ParallelCampaignConfig", "ParallelCampaignResult", "run_parallel_shards",
-})
-
-
-def __getattr__(name: str) -> Any:
-    if name in _PARALLEL_EXPORTS:
-        from repro.core import parallel
-
-        return getattr(parallel, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "ALL_DIALECTS",

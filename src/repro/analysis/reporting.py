@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
+from repro import obs
 from repro.core.campaign import CampaignResult
 from repro.engine.dialects import ALL_DIALECTS, DialectProfile
 
@@ -118,33 +119,51 @@ def render_ablation(results: Mapping[str, Mapping[str, CampaignResult]]) -> str:
 
 
 def render_worker_pool(outcome) -> str:
-    """Per-shard and merged summary of one multi-process parallel campaign.
+    """The outcome report ``run`` and ``serve`` print for one pool campaign.
 
-    *outcome* is a :class:`~repro.core.parallel.ParallelCampaignResult` (taken
-    by duck type to keep this module import-light).
+    The per-shard and merged table, the merged per-hour series, the bug
+    summary with the pool's totals, and the phase breakdown when telemetry
+    was on.  *outcome* is a
+    :class:`~repro.core.parallel.ParallelCampaignResult` (taken by duck type
+    to keep this module import-light).
     """
-    rows = []
-    for shard_id, shard in enumerate(outcome.shards):
-        final = shard.final
-        rows.append(
-            ["shard %d" % shard_id, final.queries_generated,
-             final.generations_rejected, final.isomorphic_sets,
-             final.bug_count, final.bug_type_count]
-        )
-    merged_final = outcome.merged.final
-    rows.append(
-        ["MERGED", merged_final.queries_generated,
-         merged_final.generations_rejected, merged_final.isomorphic_sets,
-         merged_final.bug_count, merged_final.bug_type_count]
-    )
+    merged = outcome.merged
+    named = [("shard %d" % shard_id, shard)
+             for shard_id, shard in enumerate(outcome.shards)]
+    rows = [
+        [name, result.final.queries_generated, result.final.generations_rejected,
+         result.final.isomorphic_sets, result.final.bug_count,
+         result.final.bug_type_count]
+        for name, result in named + [("MERGED", merged)]
+    ]
     headers = ["worker", "queries", "rejected", "isomorphic sets", "bugs",
                "bug types"]
-    budget_policy = getattr(outcome, "budget_policy", "even")
     title = (f"Parallel campaign: {outcome.workers} workers "
-             f"({budget_policy} budgets), "
+             f"({outcome.budget_policy} budgets), "
              f"{outcome.sync_rounds} sync rounds, "
              f"{outcome.elapsed_seconds:.1f}s wall clock")
-    return render_table(headers, rows, title=title)
+    parts = [
+        render_table(headers, rows, title=title),
+        render_table(
+            ["hour", "queries", "isomorphic sets", "bugs", "bug types", "rejected"],
+            [[s.hour, s.queries_generated, s.isomorphic_sets, s.bug_count,
+              s.bug_type_count, s.generations_rejected] for s in merged.samples],
+            title=f"Merged per-hour series ({merged.tool} vs {merged.dbms})",
+        ),
+        f"{merged.bug_log.summary()}\n"
+        f"{merged.final.queries_generated} queries in "
+        f"{outcome.elapsed_seconds:.1f}s ({outcome.queries_per_second:.1f} q/s) "
+        f"across {outcome.workers} workers ({outcome.budget_policy} budgets), "
+        f"{outcome.sync_rounds} sync rounds, central index: "
+        f"{outcome.central_index_size} entries / "
+        f"{outcome.central_distinct_labels} distinct structures, "
+        f"broadcasts: {outcome.broadcast_entries_sent} entries sent, "
+        f"{outcome.broadcast_entries_suppressed} suppressed by novelty pruning",
+    ]
+    if outcome.telemetry is not None:
+        parts.append(obs.render_phase_breakdown(
+            obs.MetricsSnapshot.from_dict(outcome.telemetry)))
+    return "\n\n".join(parts)
 
 
 # ----------------------------------------------------- campaign JSON artifacts

@@ -211,7 +211,7 @@ def check_campaign(spec: CampaignSpec) -> None:
     """Reject, as a :class:`CampaignError`, a campaign no path runs as declared.
 
     Every way in runs it (:func:`run_campaign`, ``campaign_shards`` behind
-    both CLIs and verify-local): a value outside its field's ``choices``, or
+    ``run``, ``serve`` and verify-local): a value outside its field's ``choices``, or
     a non-default value the campaign's kind does not honour, is refused.
     """
     if spec.kind == "baseline" and not spec.baseline:

@@ -30,33 +30,27 @@ client and wire that ``python -m repro.distributed`` runs across machines.
 So the pool and a distributed campaign share one barrier, one
 :class:`~repro.distributed.coordinator.CentralCoordinator` and one failure
 policy (round deadlines, disconnect detection, STATS), and for the same seed
-they are bit-identical.
+they are bit-identical.  The pool's worker processes run the remote worker
+body itself (:func:`~repro.distributed.client.run_remote_client`), each
+claiming its own shard, and the pool hosts its server through the same
+routine as ``serve`` (:func:`~repro.distributed.server.host_campaign`).
 
-Run long campaigns from the command line::
+Run long campaigns on the local pool from the command line::
 
-    python -m repro.core.parallel --workers 4 --hours 24 --queries-per-hour 12
+    python -m repro.distributed run --workers 4 --hours 24 --queries-per-hour 12
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
 import hashlib
 import multiprocessing
 import sys
-import threading
 import time
-import traceback
-from dataclasses import Field, dataclass, field, fields, replace
-from typing import (Any, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple,
-                    get_type_hints)
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro import obs
-from repro.core.budget import (
-    budget_policy_from_name,
-    registered_budget_policies,
-    split_budget,
-)
+from repro.core.budget import budget_policy_from_name, split_budget
 from repro.core.bug_report import BugIncident, BugLog
 from repro.core.campaign import (
     CampaignConfig,
@@ -70,7 +64,7 @@ from repro.core.campaign import (
     run_campaign_loop,
 )
 from repro.distributed.coordinator import CentralCoordinator
-from repro.distributed.protocol import IndexEntry, SyncBroadcast, load_auth_key
+from repro.distributed.protocol import IndexEntry, SyncBroadcast
 from repro.errors import CampaignError
 from repro.kqe.graph_index import GraphIndex
 
@@ -146,8 +140,6 @@ class ParallelCampaignConfig:
     # harness (perfbench/run.py) that still passes it; the field goes when
     # that harness is next revised.
     transport: str = "tcp"
-    tcp_host: str = "127.0.0.1"
-    tcp_port: int = 0            # 0 = ephemeral port chosen by the OS
     # Shared secret authenticating the server's frames (None = unkeyed tags:
     # corruption is still caught, but any local client can connect).
     auth_key: Optional[bytes] = None
@@ -308,10 +300,11 @@ def run_shard_with_transport(spec: ShardSpec, sync_hours: Sequence[int],
                              live_stats: bool = False) -> WorkerReport:
     """Run one shard's campaign, synchronizing through *transport*.
 
-    This is the worker body shared by the pool's worker processes and the
-    distributed CLI client.  It does not send the final report itself
-    (callers manage heartbeat shutdown ordering); it returns the completed
-    :class:`WorkerReport`.
+    The campaign half of the one worker body,
+    :func:`~repro.distributed.client.run_remote_client`, which the pool's
+    worker processes and the distributed CLI client both run.  It does not
+    send the final report itself (the caller stops its heartbeat first); it
+    returns the completed :class:`WorkerReport`.
 
     With *live_stats* a progress line is printed to stderr at every hour
     boundary (the distributed client's ``--live-stats``); the pool prints
@@ -412,74 +405,6 @@ def run_shard_with_transport(spec: ShardSpec, sync_hours: Sequence[int],
         hourly_budgets=hourly_budgets,
         telemetry=obs.snapshot_dict(),
     )
-
-
-def run_shard_with_heartbeat(spec: ShardSpec, sync_hours: Sequence[int],
-                             transport: SyncTransport,
-                             heartbeat_interval: float,
-                             live_stats: bool = False) -> WorkerReport:
-    """Run one shard with a liveness heartbeat ticking around it.
-
-    The heartbeat runs on a daemon thread and keeps ticking through the DSG
-    build and arbitrarily long hours, so the server's activity clock measures
-    worker *death*, never workload size.  Barrier arbitration is the index
-    server's job: ticks queue behind an in-flight sync exchange, the sync
-    message itself refreshes the server's activity clock, and the barrier
-    resolves when the slowest peer's batch of the previous round (or the
-    server's round deadline) arrives.  Shared by the pool's worker processes
-    and the distributed CLI client.
-    """
-    stop_heartbeat = threading.Event()
-
-    def _heartbeat() -> None:
-        while not stop_heartbeat.wait(heartbeat_interval):
-            try:
-                transport.tick(spec.shard_id)
-            except Exception:
-                # Coordinator gone; the main thread will notice.  Count the
-                # dropped tick so a flaky transport shows up in telemetry.
-                obs.get_registry().counter("heartbeat.errors").inc()
-                return
-
-    heartbeat = threading.Thread(target=_heartbeat, daemon=True,
-                                 name=f"tqs-heartbeat-{spec.shard_id}")
-    heartbeat.start()
-    try:
-        return run_shard_with_transport(spec, sync_hours, transport,
-                                        live_stats=live_stats)
-    finally:
-        stop_heartbeat.set()
-
-
-def _worker_main(spec: ShardSpec, sync_hours: Tuple[int, ...],
-                 heartbeat_interval: float, host: str, port: int,
-                 io_timeout: float, auth_key: Optional[bytes]) -> None:
-    """Worker process body: run one shard against the pool's index server."""
-    from repro.distributed.client import RemoteSyncTransport
-
-    # Fork-started workers inherit the parent's registry contents; a fresh
-    # registry keeps each shard's telemetry snapshot self-contained.
-    obs.reset_registry()
-    transport: Optional[SyncTransport] = None
-    try:
-        transport = RemoteSyncTransport(host, port,
-                                        connect_timeout=min(60.0, io_timeout),
-                                        io_timeout=io_timeout, auth_key=auth_key)
-        transport.register(spec.shard_id)
-        report = run_shard_with_heartbeat(spec, sync_hours, transport,
-                                          heartbeat_interval)
-        transport.report(report)
-    except BaseException:  # pragma: no cover - exercised via deadlock tests
-        if transport is not None:
-            try:
-                transport.error(spec.shard_id, traceback.format_exc())
-            except Exception:
-                # The error channel itself is down; the server's disconnect
-                # check or round deadline will catch the dead shard.
-                obs.get_registry().counter("worker.error_notify_failures").inc()
-    finally:
-        if transport is not None:
-            transport.close()
 
 
 def merge_worker_reports(reports: Sequence[WorkerReport]
@@ -603,7 +528,8 @@ def run_parallel_shards(shards: Sequence[ShardSpec],
     or disconnects before reporting, and when a round stays open
     ``parallel.worker_timeout`` seconds; the message names the shards.
     """
-    from repro.distributed.server import IndexServer, live_stats
+    from repro.distributed.client import run_remote_client
+    from repro.distributed.server import IndexServer, host_campaign
 
     if not shards:
         raise CampaignError("at least one shard is required")
@@ -617,56 +543,29 @@ def run_parallel_shards(shards: Sequence[ShardSpec],
     sync_hours = sync_schedule(hours, parallel.sync_interval)
     context = (multiprocessing.get_context(parallel.start_method)
                if parallel.start_method else multiprocessing.get_context())
-    heartbeat_interval = max(1.0, min(15.0, parallel.worker_timeout / 4))
-    io_timeout = max(60.0, parallel.worker_timeout * 2)
     server = IndexServer(shards=shards, sync_hours=sync_hours,
-                         host=parallel.tcp_host, port=parallel.tcp_port,
                          prune=parallel.prune_broadcasts,
                          round_timeout=parallel.worker_timeout,
                          budget_policy=budget_policy,
                          auth_key=parallel.auth_key)
-    server.start()
-    start = time.perf_counter()
     processes = [
         context.Process(
-            target=_worker_main,
-            args=(spec, sync_hours, heartbeat_interval, server.host,
-                  server.port, io_timeout, parallel.auth_key),
+            target=run_remote_client,
+            args=(server.host, server.port),
+            kwargs=dict(
+                io_timeout=max(60.0, parallel.worker_timeout * 2),
+                heartbeat_interval=max(1.0, min(15.0, parallel.worker_timeout / 4)),
+                auth_key=parallel.auth_key,
+                claim=(spec, sync_hours),
+            ),
             daemon=True,
             name=f"tqs-shard-{spec.shard_id}",
         )
         for spec in shards
     ]
-    try:
-        with (live_stats(server, prefix=f"pool[{len(shards)}w]")
-              if parallel.live_stats else contextlib.nullcontext()):
-            for process in processes:
-                process.start()
-            while not server.wait(0.5):
-                if not any(process.is_alive() for process in processes):
-                    # Workers are gone; give in-flight frames a moment to land.
-                    if server.wait(2.0):
-                        break
-                    raise CampaignError(
-                        server.failure
-                        or "every worker exited without reporting; see worker logs"
-                    )
-        if server.failure is not None:
-            raise CampaignError(server.failure)
-    finally:
-        for process in processes:
-            process.join(timeout=5.0)
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5.0)
-        server.stop()
-    elapsed = time.perf_counter() - start
-    return finalize_parallel_result(list(server.reports.values()),
-                                    server.coordinator, workers=len(shards),
-                                    sync_rounds=len(sync_hours),
-                                    elapsed_seconds=elapsed,
-                                    budget_policy=parallel.budget_policy)
+    return host_campaign(
+        server, parallel.budget_policy, workers=processes,
+        live_prefix=f"pool[{len(shards)}w]" if parallel.live_stats else None)
 
 
 # ----------------------------------------------------------- shard building
@@ -684,9 +583,10 @@ def build_shard_specs(kind: str, config: CampaignConfig, workers: int,
 def campaign_shards(spec: CampaignSpec) -> List[ShardSpec]:
     """The checked per-worker :class:`ShardSpec` assignments of *spec*.
 
-    The single source of truth for shard construction: ``run_campaign``, both
-    campaign CLIs and ``verify-local`` use it, so a distributed deployment
-    runs exactly the shards the local pool would for the same campaign.
+    The single source of truth for shard construction: ``run_campaign`` and
+    ``python -m repro.distributed``'s ``run``, ``serve`` and ``verify-local``
+    use it, so a distributed deployment runs exactly the shards the local
+    pool would for the same campaign.
     """
     check_campaign(spec)
     return [
@@ -698,143 +598,6 @@ def campaign_shards(spec: CampaignSpec) -> List[ShardSpec]:
     ]
 
 
-# ------------------------------------------------------------------ the CLI
-
-
-def campaign_flags() -> Iterator[Tuple[Field, str]]:
-    """Each flagged :class:`CampaignSpec` field with its dest (its echo key)."""
-    for declared in fields(CampaignSpec):
-        flag = declared.metadata["flag"]
-        if flag is not None:
-            yield declared, flag[2:].replace("-", "_")
-
-
-def add_campaign_arguments(parser: argparse.ArgumentParser, workers: int) -> None:
-    """Declare the campaign flags shared by both campaign CLIs.
-
-    ``python -m repro.core.parallel`` and ``python -m repro.distributed serve``
-    take the same campaign; only the *workers* default differs.  A campaign
-    field is declared once, in :class:`CampaignConfig` or
-    :class:`CampaignSpec`, and its flag is derived from that declaration;
-    only the three deployment knobs are spelled out here.
-    """
-    types = get_type_hints(CampaignSpec)
-    for declared, _ in campaign_flags():
-        metadata = declared.metadata
-        options: Dict[str, Any] = {
-            "default": metadata.get("cli_default", declared.default),
-            "help": metadata["help"],
-        }
-        if types[declared.name] is bool:
-            options["action"] = "store_true"
-        elif types[declared.name] in (int, float):
-            options["type"] = types[declared.name]
-        if "choices" in metadata:
-            options["choices"] = metadata["choices"]
-        parser.add_argument(metadata["flag"], **options)
-    parser.set_defaults(workers=workers)
-    parser.add_argument("--sync-interval", type=int, default=1,
-                        help="hours between KQE index syncs; 0 disables "
-                             "(default: 1)")
-    parser.add_argument("--no-prune", action="store_true",
-                        help="disable novelty pruning: rebroadcast every "
-                             "other shard's entries, not just label-novel "
-                             "ones")
-    parser.add_argument("--budget-policy", default="even",
-                        choices=registered_budget_policies(),
-                        help="per-hour budget split across shards: 'even' "
-                             "(fixed) or 'adaptive' (rebalanced toward "
-                             "shards discovering novel structures faster)")
-
-
-def campaign_spec(args: argparse.Namespace) -> CampaignSpec:
-    """The :class:`CampaignSpec` that :func:`add_campaign_arguments` names.
-
-    Also rebuilds a campaign from serve's recorded JSON echo: a flag an older
-    echo lacks takes its field's default, and the key of a retired flag is
-    ignored.  :func:`campaign_shards` checks it.
-    """
-    return CampaignSpec(**{
-        declared.name: getattr(args, dest)
-        for declared, dest in campaign_flags() if hasattr(args, dest)
-    })
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser of ``python -m repro.core.parallel``."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.core.parallel",
-        description="Run a TQS testing campaign sharded across worker processes "
-                    "with central KQE index synchronization.",
-    )
-    add_campaign_arguments(parser, workers=4)
-    parser.add_argument("--worker-timeout", type=float, default=300.0,
-                        help="seconds an open sync round waits for its "
-                             "laggards before they are declared stalled and "
-                             "the pool fails (default: 300)")
-    parser.add_argument("--auth-key-file", default="",
-                        help="file holding the shared secret that "
-                             "authenticates the index server's frames")
-    parser.add_argument("--live-stats", action="store_true",
-                        help="print the index server's merged progress line "
-                             "(queries/s, novel labels, bugs, phase mix) to "
-                             "stderr every 5 seconds and once more at the end")
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``python -m repro.core.parallel`` — run a long campaign on many cores."""
-    from repro.analysis.reporting import render_table, render_worker_pool
-
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    try:
-        shards = campaign_shards(campaign_spec(args))
-    except CampaignError as exc:
-        parser.error(str(exc))
-    outcome = run_parallel_shards(shards, ParallelCampaignConfig(
-        sync_interval=args.sync_interval,
-        worker_timeout=args.worker_timeout,
-        auth_key=load_auth_key(args.auth_key_file) if args.auth_key_file else None,
-        prune_broadcasts=not args.no_prune,
-        budget_policy=args.budget_policy,
-        live_stats=args.live_stats,
-    ))
-    print(render_worker_pool(outcome))
-    final = outcome.merged.final
-    print()
-    print(render_table(
-        ["hour", "queries", "isomorphic sets", "bugs", "bug types", "rejected"],
-        [[s.hour, s.queries_generated, s.isomorphic_sets, s.bug_count,
-          s.bug_type_count, s.generations_rejected]
-         for s in outcome.merged.samples],
-        title=f"Merged per-hour series ({outcome.merged.tool} vs "
-              f"{outcome.merged.dbms})",
-    ))
-    print()
-    assert outcome.merged.bug_log is not None
-    print(outcome.merged.bug_log.summary())
-    print(f"{final.queries_generated} queries in {outcome.elapsed_seconds:.1f}s "
-          f"({outcome.queries_per_second:.1f} q/s) across {outcome.workers} "
-          f"workers ({outcome.budget_policy} budgets), "
-          f"{outcome.sync_rounds} sync rounds, central index: "
-          f"{outcome.central_index_size} entries / "
-          f"{outcome.central_distinct_labels} distinct structures, "
-          f"broadcasts: {outcome.broadcast_entries_sent} entries sent, "
-          f"{outcome.broadcast_entries_suppressed} suppressed by novelty "
-          f"pruning")
-    if outcome.telemetry is not None:
-        print()
-        print(obs.render_phase_breakdown(
-            obs.MetricsSnapshot.from_dict(outcome.telemetry)))
-    return 0
-
-
 if __name__ == "__main__":  # pragma: no cover
-    # Delegate to the canonical module object (runpy executes a separate
-    # ``__main__`` copy of this file): shard specs must pickle as
-    # ``repro.core.parallel.ShardSpec`` for spawn-based start methods.
-    from repro.core.parallel import main as _canonical_main
-
-    raise SystemExit(_canonical_main())
+    raise SystemExit("python -m repro.core.parallel is retired; run the same "
+                     "campaign flags with python -m repro.distributed run")

@@ -16,14 +16,18 @@ clients explore independently.  This package makes that deployment real:
 * :mod:`repro.distributed.server` — :class:`IndexServer`, a threaded TCP
   server hosting the coordinator for campaign clients — remote ones, or the
   local pool's worker processes over loopback — with per-shard liveness
-  tracking and optional eviction of dead clients.
+  tracking and optional eviction of dead clients, and
+  :func:`~repro.distributed.server.host_campaign`, the one lifecycle that
+  hosts a campaign on it for both the local pool and ``serve``.
 * :mod:`repro.distributed.client` — :class:`RemoteSyncTransport` (the
   worker's :class:`~repro.core.parallel.SyncTransport` over a socket) and
-  :func:`run_remote_client`, the full remote worker.
+  :func:`run_remote_client`, the one worker body, which remote clients and
+  the local pool's worker processes run alike.
 * :mod:`repro.distributed.testing` — the fault-injection harness (a
   frame-mangling proxy, scripted clients and a protocol fuzzer).
 * :mod:`repro.distributed.cli` — ``python -m repro.distributed``
-  (``serve`` / ``client`` / ``verify-local`` / ``fuzz``).
+  (``run`` / ``serve`` / ``client`` / ``verify-local`` / ``fuzz`` /
+  ``stats``).
 """
 
 from repro.distributed.coordinator import CentralCoordinator

@@ -1,6 +1,13 @@
-"""``python -m repro.distributed`` — run distributed campaigns over TCP.
+"""``python -m repro.distributed`` — run campaigns on the local pool or over TCP.
 
-Four subcommands:
+Six subcommands:
+
+``run``
+    Run one campaign on the local worker pool: one process per shard, each a
+    client of a loopback index server — the same server, client and wire as
+    ``serve`` and ``client`` below.  Prints the outcome report: the
+    worker-pool table, the merged per-hour series, the bug summary and the
+    phase breakdown.
 
 ``serve``
     Host the central KQE index server for one campaign: builds the same shard
@@ -30,17 +37,20 @@ Four subcommands:
     per-shard last-heard ages) plus the merged telemetry phase breakdown.
 
 Every connection speaks protocol v5 (HMAC-authenticated JSON frames under a
-shared ``--auth-key-file``).  ``serve`` takes the campaign flags of
-``python -m repro.core.parallel``
-(:func:`~repro.core.parallel.add_campaign_arguments`) and additionally
-``--live-stats`` (one-line progress on stderr every 5 seconds and at the
-end), ``--metrics-addr HOST:PORT`` (a Prometheus text endpoint) and
+shared ``--auth-key-file``).  ``run`` and ``serve`` take the same campaign
+flags (:func:`add_campaign_arguments`), ``--round-timeout`` and
+``--live-stats`` (the server's merged progress line on stderr every 5
+seconds and at the end); ``serve`` adds its deployment flags, among them
+``--metrics-addr HOST:PORT`` (a Prometheus text endpoint) and
 ``--telemetry-output`` (dump the final merged telemetry snapshot as JSON).
 Each campaign field is declared once, in
 :class:`~repro.core.campaign.CampaignConfig` or
-:class:`~repro.core.campaign.CampaignSpec`; serve's flags, its campaign echo
-and verify-local's rebuild of that echo are all derived from the declaration,
-and a campaign its kind cannot honour is refused before the server starts.
+:class:`~repro.core.campaign.CampaignSpec`; the flags, serve's campaign echo
+and verify-local's rebuild of that echo are all derived from the declaration.
+``run`` and ``serve`` refuse a campaign its kind cannot honour through one
+check before any server starts, and print one shared outcome report;
+``serve`` adds only its server-only lines (evictions, rejected frames, the
+artifact).
 """
 
 from __future__ import annotations
@@ -48,26 +58,110 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from contextlib import nullcontext
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import Field, fields
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, get_type_hints
 
 from repro import ParallelCampaignConfig, obs, run_parallel_shards
 from repro.core import (
     CampaignSpec,
     ShardSpec,
     budget_policy_from_name,
-    finalize_parallel_result,
+    registered_budget_policies,
     sync_schedule,
 )
-from repro.core.parallel import (
-    add_campaign_arguments,
-    campaign_flags,
-    campaign_shards,
-    campaign_spec,
-)
+from repro.core.parallel import campaign_shards
 from repro.distributed.protocol import load_auth_key
 from repro.errors import CampaignError
+
+
+def campaign_flags() -> Iterator[Tuple[Field, str]]:
+    """Each flagged :class:`CampaignSpec` field with its dest (its echo key)."""
+    for declared in fields(CampaignSpec):
+        flag = declared.metadata["flag"]
+        if flag is not None:
+            yield declared, flag[2:].replace("-", "_")
+
+
+def add_campaign_arguments(parser: argparse.ArgumentParser, workers: int) -> None:
+    """Declare the campaign flags shared by ``run`` and ``serve``.
+
+    Both take the same campaign; only the *workers* default differs.  A
+    campaign field is declared once, in
+    :class:`~repro.core.campaign.CampaignConfig` or :class:`CampaignSpec`,
+    and its flag is derived from that declaration; only the three deployment
+    knobs are spelled out here.
+    """
+    types = get_type_hints(CampaignSpec)
+    for declared, _ in campaign_flags():
+        metadata = declared.metadata
+        options: Dict[str, Any] = {
+            "default": metadata.get("cli_default", declared.default),
+            "help": metadata["help"],
+        }
+        if types[declared.name] is bool:
+            options["action"] = "store_true"
+        elif types[declared.name] in (int, float):
+            options["type"] = types[declared.name]
+        if "choices" in metadata:
+            options["choices"] = metadata["choices"]
+        parser.add_argument(metadata["flag"], **options)
+    parser.set_defaults(workers=workers)
+    parser.add_argument(
+        "--sync-interval",
+        type=int,
+        default=1,
+        help="hours between KQE index syncs; 0 disables (default: 1)",
+    )
+    parser.add_argument(
+        "--no-prune",
+        action="store_true",
+        help="disable novelty pruning: rebroadcast every other shard's "
+        "entries, not just label-novel ones",
+    )
+    parser.add_argument(
+        "--budget-policy",
+        default="even",
+        choices=registered_budget_policies(),
+        help="per-hour budget split across shards: 'even' (fixed) or "
+        "'adaptive' (rebalanced toward shards discovering novel structures "
+        "faster)",
+    )
+
+
+def campaign_spec(args: argparse.Namespace) -> CampaignSpec:
+    """The :class:`CampaignSpec` that :func:`add_campaign_arguments` names.
+
+    Also rebuilds a campaign from serve's recorded JSON echo: a flag an older
+    echo lacks takes its field's default, and the key of a retired flag is
+    ignored.  :func:`~repro.core.parallel.campaign_shards` checks it.
+    """
+    return CampaignSpec(
+        **{
+            declared.name: getattr(args, dest)
+            for declared, dest in campaign_flags()
+            if hasattr(args, dest)
+        }
+    )
+
+
+def _add_round_timeout(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--round-timeout",
+        type=float,
+        default=300.0,
+        help="seconds an open sync round waits for its laggards before they "
+        "are declared stalled (default: 300)",
+    )
+
+
+def _add_live_stats(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--live-stats",
+        action="store_true",
+        help="print the index server's merged progress line (queries/s, novel "
+        "labels, bugs, phase mix) to stderr every 5 seconds while the "
+        "campaign runs and once more at the end",
+    )
 
 
 def _add_auth_argument(parser: argparse.ArgumentParser) -> None:
@@ -75,7 +169,7 @@ def _add_auth_argument(parser: argparse.ArgumentParser) -> None:
         "--auth-key-file",
         default="",
         help="file holding the shared secret that authenticates the "
-        "protocol's frames; both serve and clients must use the same key",
+        "protocol's frames; the server and its clients must use the same key",
     )
 
 
@@ -116,13 +210,32 @@ def _parse_metrics_addr(value: str) -> tuple:
     return host or "127.0.0.1", int(port)
 
 
+def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.analysis.reporting import render_worker_pool
+
+    _, shards = _checked_shards(args)
+    outcome = run_parallel_shards(
+        shards,
+        ParallelCampaignConfig(
+            sync_interval=args.sync_interval,
+            worker_timeout=args.round_timeout,
+            auth_key=_auth_key(args),
+            prune_broadcasts=not args.no_prune,
+            budget_policy=args.budget_policy,
+            live_stats=args.live_stats,
+        ),
+    )
+    print(render_worker_pool(outcome))
+    return 0
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.analysis.reporting import (
         parallel_result_to_dict,
         render_worker_pool,
         write_parallel_result_json,
     )
-    from repro.distributed.server import IndexServer, live_stats
+    from repro.distributed.server import IndexServer, host_campaign
 
     spec, shards = _checked_shards(args)
     server = IndexServer(
@@ -137,7 +250,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         evict_dead_clients=args.evict_dead_clients,
         snapshot_dir=args.snapshot_dir,
     )
-    server.start()
     auth = "on" if args.auth_key_file else "off"
     print(
         f"index server listening on {server.host}:{server.port} "
@@ -151,7 +263,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{server.restored_rounds} round(s) restored",
             flush=True,
         )
-    start = time.perf_counter()
     metrics_http = None
     if args.metrics_addr:
         from repro.obs import MetricsHTTPServer
@@ -165,37 +276,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
     try:
-        with live_stats(server, prefix="server") if args.live_stats else nullcontext():
-            completed = server.wait(args.serve_timeout)
-        if not completed:
-            server.fail(f"no complete campaign within {args.serve_timeout:.0f}s")
-        if server.failure is not None:
-            print(f"campaign failed: {server.failure}", file=sys.stderr)
-            return 1
-        elapsed = time.perf_counter() - start
-        outcome = finalize_parallel_result(
-            list(server.reports.values()),
-            server.coordinator,
-            workers=len(shards),
-            sync_rounds=len(server.sync_hours),
-            elapsed_seconds=elapsed,
-            budget_policy=args.budget_policy,
+        outcome = host_campaign(
+            server,
+            args.budget_policy,
+            timeout=args.serve_timeout,
+            live_prefix="server" if args.live_stats else None,
         )
-        server_stats = server.stats_payload()
     finally:
         if metrics_http is not None:
             metrics_http.stop()
-        server.stop()
     print(render_worker_pool(outcome))
-    if outcome.telemetry is not None:
-        print()
-        print(
-            obs.render_phase_breakdown(obs.MetricsSnapshot.from_dict(outcome.telemetry))
-        )
-    print(
-        f"broadcasts: {outcome.broadcast_entries_sent} entries sent, "
-        f"{outcome.broadcast_entries_suppressed} suppressed by novelty pruning"
-    )
     for shard_id, reason in sorted(server.evicted.items()):
         print(f"evicted shard {shard_id}: {reason}", file=sys.stderr)
     if server.frames_rejected:
@@ -222,7 +312,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.telemetry_output:
         with open(args.telemetry_output, "w", encoding="utf-8") as handle:
             json.dump(
-                {"server": server_stats, "telemetry": outcome.telemetry},
+                {"server": server.stats_payload(), "telemetry": outcome.telemetry},
                 handle,
                 indent=2,
                 sort_keys=True,
@@ -281,7 +371,7 @@ def _cmd_verify_local(args: argparse.Namespace) -> int:
         shards,
         ParallelCampaignConfig(
             sync_interval=campaign["sync_interval"],
-            worker_timeout=args.worker_timeout,
+            worker_timeout=args.round_timeout,
             prune_broadcasts=campaign["prune"],
             budget_policy=campaign.get("budget_policy", "even"),
         ),
@@ -389,6 +479,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
+    run = subparsers.add_parser("run", help="run a campaign on the local worker pool")
+    add_campaign_arguments(run, workers=4)
+    _add_round_timeout(run)
+    _add_auth_argument(run)
+    _add_live_stats(run)
+    run.set_defaults(func=_cmd_run)
+
     serve = subparsers.add_parser("serve", help="host the central index server")
     add_campaign_arguments(serve, workers=2)
     _add_auth_argument(serve)
@@ -396,13 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port", type=int, default=0, help="bind port; 0 = ephemeral (default: 0)"
     )
-    serve.add_argument(
-        "--round-timeout",
-        type=float,
-        default=300.0,
-        help="seconds an open sync round waits for its laggards before they "
-        "are declared stalled (default: 300)",
-    )
+    _add_round_timeout(serve)
     serve.add_argument(
         "--evict-dead-clients",
         action="store_true",
@@ -418,12 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--output", default="", help="write the merged campaign JSON to this path"
     )
-    serve.add_argument(
-        "--live-stats",
-        action="store_true",
-        help="print a one-line progress summary (merged worker telemetry) to "
-        "stderr every 5 seconds while the campaign runs and once more at the end",
-    )
+    _add_live_stats(serve)
     serve.add_argument(
         "--metrics-addr",
         default="",
@@ -475,13 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-run a recorded campaign on the local pool and compare results",
     )
     verify.add_argument("--json", required=True, help="serve-produced JSON file")
-    verify.add_argument(
-        "--worker-timeout",
-        type=float,
-        default=300.0,
-        help="seconds an open sync round of the verification pool waits for "
-        "its laggards before they are declared stalled (default: 300)",
-    )
+    _add_round_timeout(verify)
     verify.set_defaults(func=_cmd_verify_local)
 
     fuzz = subparsers.add_parser(
@@ -535,4 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CampaignError as exc:
+        print(f"campaign failed: {exc}", file=sys.stderr)
+        return 1

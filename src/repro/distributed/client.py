@@ -1,12 +1,11 @@
 """Client side of the distributed KQE index server.
 
 :class:`RemoteSyncTransport` implements the worker-facing
-:class:`~repro.core.parallel.SyncTransport` interface over one TCP connection,
-so the exact worker body that runs inside the local pool
-(:func:`~repro.core.parallel.run_shard_with_transport`) also runs against a
-remote index server — the pool's workers are clients of a loopback one.  :func:`run_remote_client` is the full remote worker: it
-connects, asks the server to assign it one of the campaign's shards, runs the
-shard with a liveness heartbeat, and uploads the report —
+:class:`~repro.core.parallel.SyncTransport` interface over one TCP connection.
+:func:`run_remote_client` is the one worker body: it connects, registers
+(claiming a shard, or asking the server to assign one of the campaign's
+shards), runs the shard with a liveness heartbeat, and uploads the report.
+The local pool's worker processes run it against a loopback server, and
 ``python -m repro.distributed client`` is a thin wrapper around it.
 
 Every connection speaks protocol v5 — HMAC-authenticated JSON frames,
@@ -21,9 +20,10 @@ import sys
 import threading
 import time
 import traceback
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.core.parallel import ShardSpec, WorkerReport, run_shard_with_transport
 from repro.distributed import protocol
 from repro.distributed.protocol import (
     IndexEntry,
@@ -237,16 +237,28 @@ def run_remote_client(
     heartbeat_interval: float = 10.0,
     auth_key: Optional[bytes] = None,
     live_stats: bool = False,
-):
-    """Run one full remote worker against an index server.
+    claim: Optional[Tuple[ShardSpec, Sequence[int]]] = None,
+) -> WorkerReport:
+    """Run one full worker against an index server: the one worker body.
 
-    Connects, lets the server assign a shard, runs it with the shared worker
-    body and a liveness heartbeat, uploads the report and returns it.  On
+    Connects, registers (claiming the shard and sync schedule in *claim*, as
+    the pool's worker processes do, or letting the server assign one), runs
+    the shard with :func:`~repro.core.parallel.run_shard_with_transport`
+    under a liveness heartbeat, uploads the report and returns it.  On
     failure the server is told (so the whole campaign fails fast) and the
     exception propagates to the caller.
-    """
-    from repro.core.parallel import run_shard_with_heartbeat
 
+    The heartbeat runs on a daemon thread and keeps ticking through the DSG
+    build and arbitrarily long hours, so the server's activity clock measures
+    worker *death*, never workload size.  Barrier arbitration is the index
+    server's job: ticks queue behind an in-flight sync exchange, the sync
+    message itself refreshes the server's activity clock, and the barrier
+    resolves when the slowest peer's batch of the previous round (or the
+    server's round deadline) arrives.
+    """
+    # Fork-started workers inherit the parent's registry contents; a fresh
+    # registry keeps each shard's telemetry snapshot self-contained.
+    obs.reset_registry()
     transport = RemoteSyncTransport(
         host,
         port,
@@ -254,21 +266,40 @@ def run_remote_client(
         io_timeout=io_timeout,
         auth_key=auth_key,
     )
-    shard_id: Optional[int] = None
+    shard_id = -1 if claim is None else claim[0].shard_id
+    stop_heartbeat = threading.Event()
+
+    def heartbeat() -> None:
+        while not stop_heartbeat.wait(heartbeat_interval):
+            try:
+                transport.tick(shard_id)
+            except Exception:
+                # Server gone; the main thread will notice.  Count the
+                # dropped tick so a flaky transport shows up in telemetry.
+                obs.get_registry().counter("heartbeat.errors").inc()
+                return
+
     try:
-        assignment: Tuple = transport.register(None)
-        spec, sync_hours = assignment
+        if claim is None:
+            claim = transport.register(None)
+        else:
+            transport.register(shard_id)
+        spec, sync_hours = claim
         shard_id = spec.shard_id
-        report = run_shard_with_heartbeat(
-            spec, sync_hours, transport, heartbeat_interval, live_stats=live_stats
-        )
+        threading.Thread(
+            target=heartbeat, daemon=True, name=f"tqs-heartbeat-{shard_id}"
+        ).start()
+        try:
+            report = run_shard_with_transport(
+                spec, sync_hours, transport, live_stats=live_stats
+            )
+        finally:
+            stop_heartbeat.set()
         transport.report(report)
         return report
     except BaseException:
         try:
-            transport.error(
-                -1 if shard_id is None else shard_id, traceback.format_exc()
-            )
+            transport.error(shard_id, traceback.format_exc())
         except Exception as notify_error:
             # The failure notification could not reach the server; the
             # original exception still propagates below.

@@ -51,15 +51,21 @@ import socketserver
 import sys
 import threading
 import time
+from multiprocessing.process import BaseProcess
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.budget import BudgetPolicy
-from repro.core.parallel import ShardSpec, WorkerReport
+from repro.core.parallel import (
+    ParallelCampaignResult,
+    ShardSpec,
+    WorkerReport,
+    finalize_parallel_result,
+)
 from repro.distributed import protocol, wire
 from repro.distributed.coordinator import CentralCoordinator
 from repro.distributed.protocol import IndexEntry, JsonFrameCodec, SyncBroadcast
-from repro.errors import ProtocolError, SnapshotError, TransportError
+from repro.errors import CampaignError, ProtocolError, SnapshotError, TransportError
 from repro.kqe.snapshot import SnapshotWriter, read_snapshot
 
 #: File inside ``--snapshot-dir`` holding the round log for one campaign.
@@ -1045,3 +1051,62 @@ def live_stats(
     finally:
         stop.set()
         thread.join(timeout=5.0)
+
+
+def host_campaign(
+    server: IndexServer,
+    budget_policy: str,
+    workers: Sequence[BaseProcess] = (),
+    timeout: Optional[float] = None,
+    live_prefix: Optional[str] = None,
+) -> ParallelCampaignResult:
+    """Host one campaign on *server* and return its merged outcome.
+
+    The one server lifecycle of the local pool and ``serve``: start serving,
+    start the pool's worker processes (*workers*; ``serve`` has none, its
+    clients connect from outside), wait until every live shard reported,
+    then stop the server and merge the reports with
+    :func:`~repro.core.parallel.finalize_parallel_result`.  With
+    *live_prefix* the server's merged progress line is printed meanwhile.
+
+    The campaign fails with :class:`CampaignError` naming why: the server's
+    own failure (a worker error, a lost connection, a round deadline), every
+    worker process gone without reporting, or no complete campaign within
+    *timeout* seconds.
+    """
+    live = live_stats(server, live_prefix) if live_prefix else contextlib.nullcontext()
+    server.start()
+    start = time.perf_counter()
+    try:
+        with live:
+            for worker in workers:
+                worker.start()
+            while not server.wait(0.5):
+                if workers and not any(worker.is_alive() for worker in workers):
+                    # Workers are gone; give in-flight frames a moment to land.
+                    if not server.wait(2.0):
+                        server.fail(
+                            "every worker exited without reporting; see worker logs"
+                        )
+                    break
+                if timeout is not None and time.perf_counter() - start > timeout:
+                    server.fail(f"no complete campaign within {timeout:.0f}s")
+                    break
+        if server.failure is not None:
+            raise CampaignError(server.failure)
+    finally:
+        for worker in workers:
+            worker.join(timeout=5.0)
+        for worker in workers:
+            if worker.is_alive():
+                worker.terminate()
+                worker.join(timeout=5.0)
+        server.stop()
+    return finalize_parallel_result(
+        list(server.reports.values()),
+        server.coordinator,
+        workers=server.expected,
+        sync_rounds=len(server.sync_hours),
+        elapsed_seconds=time.perf_counter() - start,
+        budget_policy=budget_policy,
+    )

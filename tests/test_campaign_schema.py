@@ -1,7 +1,7 @@
 """The campaign schema: each field declared once, every copy derived from it.
 
 ``CampaignConfig`` and ``CampaignSpec`` declare the campaign fields; the CLI
-flags of both campaign CLIs, the wire codec, serve's campaign echo and the
+flags of ``run`` and ``serve``, the wire codec, serve's campaign echo and the
 kind checks are derived from those declarations.  These tests pin the derived
 surfaces to their values before the derivation (CLI actions, wire keys, the
 snapshot campaign fingerprint) and walk every declared field through every
@@ -16,9 +16,9 @@ from typing import get_type_hints
 import pytest
 
 from repro.core import CampaignConfig, CampaignSpec, build_shard_specs, run_campaign
-from repro.core import parallel
-from repro.core.parallel import campaign_flags, campaign_shards, campaign_spec
+from repro.core.parallel import campaign_shards
 from repro.distributed import cli as distributed_cli
+from repro.distributed.cli import campaign_flags, campaign_spec
 from repro.distributed import server as server_module
 from repro.distributed.server import IndexServer
 from repro.distributed.wire import (
@@ -33,7 +33,7 @@ from repro.errors import CampaignError, ProtocolError
 
 _DIALECTS = ("SimMySQL", "SimMariaDB", "SimTiDB", "SimXDB")
 
-#: dest -> (option strings, default, type, choices, action class), as both
+#: dest -> (option strings, default, type, choices, action class), as the
 #: campaign CLIs declared them by hand; ``workers`` defaults per parser.
 CAMPAIGN_ACTIONS = {
     "backend": (("--backend",), "sqlite", None, None, "_StoreAction"),
@@ -58,14 +58,15 @@ CAMPAIGN_ACTIONS = {
     "sync_interval": (("--sync-interval",), 1, "int", None, "_StoreAction"),
 }
 
-#: Every option string of each parser: the derivation adds no flag.
-POOL_OPTIONS = {
+#: Every option string of each parser: the derivation adds no flag.  The
+#: ``run`` set is the retired pool CLI's, with ``--worker-timeout`` renamed.
+RUN_OPTIONS = {
     "--auth-key-file", "--backend", "--baseline",
     "--budget-policy", "--cte-probability", "--dataset", "--dataset-rows",
     "--dialect", "--help", "--hours", "--kind", "--live-stats", "--no-prune",
     "--queries-per-hour", "--scalar-subquery-probability",
-    "--seed", "--setop-probability", "--sync-interval",
-    "--worker-timeout", "--workers", "-h",
+    "--round-timeout", "--seed", "--setop-probability", "--sync-interval",
+    "--workers", "-h",
 }
 SERVE_OPTIONS = {
     "--auth-key-file", "--backend", "--baseline",
@@ -104,13 +105,17 @@ FINGERPRINTED_CONFIG = CampaignConfig(
 )
 
 
-def pool_parser():
-    return parallel.build_parser()
+def subparser(command):
+    subparsers = distributed_cli.build_parser()._subparsers._group_actions[0]
+    return subparsers.choices[command]
+
+
+def run_parser():
+    return subparser("run")
 
 
 def serve_parser():
-    subparsers = distributed_cli.build_parser()._subparsers._group_actions[0]
-    return subparsers.choices["serve"]
+    return subparser("serve")
 
 
 def surface(parser):
@@ -133,7 +138,7 @@ def options(parser):
 
 class TestPinnedSurface:
     @pytest.mark.parametrize("build, workers, every_option", [
-        (pool_parser, 4, POOL_OPTIONS),
+        (run_parser, 4, RUN_OPTIONS),
         (serve_parser, 2, SERVE_OPTIONS),
     ])
     def test_parser_matches_the_hand_declared_flags(self, build, workers,
@@ -218,7 +223,7 @@ class TestEveryFieldReachesEveryCopy:
         value = non_default(declared, HINTS[declared.name])
         kinds = declared.metadata.get("kinds")
         context = ["--kind", kinds[0]] if kinds else []
-        for build in (pool_parser, serve_parser):
+        for build in (run_parser, serve_parser):
             reference = campaign_spec(build().parse_args(context))
             parsed = campaign_spec(
                 build().parse_args(context + argv_of(declared, value)))
@@ -339,46 +344,28 @@ def _never_called(*args, **kwargs):
 
 
 class TestKindChecks:
+    @pytest.mark.parametrize("command", ["run", "serve"])
     @pytest.mark.parametrize("flags, message", _TQS_ONLY_DIFFERENTIAL_FLAGS)
-    def test_pool_cli_refuses_differential_only_flags(self, monkeypatch, capsys,
-                                                      flags, message):
-        monkeypatch.setattr(parallel, "run_parallel_shards", _never_called)
-        with pytest.raises(SystemExit) as exited:
-            parallel.main(_SMALL + flags)
-        assert exited.value.code not in (0, None)
-        err = capsys.readouterr().err
-        assert message in err and "needs a differential campaign" in err
-
-    @pytest.mark.parametrize("flags, message", _TQS_ONLY_DIFFERENTIAL_FLAGS)
-    def test_serve_cli_refuses_differential_only_flags(self, monkeypatch, flags,
-                                                       message):
+    def test_cli_refuses_differential_only_flags(self, monkeypatch, command,
+                                                 flags, message):
+        """``run`` and ``serve`` refuse through one check, with one exit."""
         monkeypatch.setattr(server_module.IndexServer, "__init__", _never_called)
         with pytest.raises(SystemExit) as exited:
-            distributed_cli.main(["serve", *_SMALL, *flags])
+            distributed_cli.main([command, *_SMALL, *flags])
         assert exited.value.code not in (0, None)
         err = str(exited.value.code)
+        assert err.startswith("campaign rejected: ")
         assert message in err and "needs a differential campaign" in err
 
+    @pytest.mark.parametrize("command", ["run", "serve"])
     @pytest.mark.parametrize("flags", [
         pytest.param(["--query-cache"], id="query-cache"),
         pytest.param(["--batch-size", "4"], id="batch-size"),
     ])
-    def test_pool_cli_refuses_retired_flags(self, monkeypatch, capsys, flags):
-        monkeypatch.setattr(parallel, "run_parallel_shards", _never_called)
-        with pytest.raises(SystemExit) as exited:
-            parallel.main(["--kind", "differential", *_SMALL[2:], *flags])
-        assert exited.value.code == 2
-        err = capsys.readouterr().err
-        assert "unrecognized arguments" in err and flags[0] in err
-
-    @pytest.mark.parametrize("flags", [
-        pytest.param(["--query-cache"], id="query-cache"),
-        pytest.param(["--batch-size", "4"], id="batch-size"),
-    ])
-    def test_serve_cli_refuses_retired_flags(self, monkeypatch, capsys, flags):
+    def test_cli_refuses_retired_flags(self, monkeypatch, capsys, command, flags):
         monkeypatch.setattr(server_module.IndexServer, "__init__", _never_called)
         with pytest.raises(SystemExit) as exited:
-            distributed_cli.main(["serve", "--kind", "differential",
+            distributed_cli.main([command, "--kind", "differential",
                                   *_SMALL[2:], *flags])
         assert exited.value.code == 2
         err = capsys.readouterr().err

@@ -21,7 +21,7 @@ from repro.core import (
 )
 from repro.core.campaign import HourlySample
 from repro.core.parallel import WorkerReport
-from repro.distributed import protocol, wire
+from repro.distributed import cli as distributed_cli, protocol, wire
 from repro.distributed.cli import _diff_summaries, main as distributed_main
 from repro.distributed.client import request_shutdown, run_remote_client
 from repro.distributed.coordinator import CentralCoordinator
@@ -555,7 +555,7 @@ class TestVerifyLocalCLI:
         path = tmp_path / "campaign.json"
         write_parallel_result_json(outcome, str(path), campaign=echo)
         return distributed_main(
-            ["verify-local", "--json", str(path), "--worker-timeout", "120"]
+            ["verify-local", "--json", str(path), "--round-timeout", "120"]
         )
 
     def test_verify_local_accepts_a_recorded_tcp_campaign(self, tmp_path):
@@ -585,3 +585,32 @@ class TestVerifyLocalCLI:
         assert distributed_main(argv) == 1
         with pytest.raises(SystemExit):
             distributed_main(["serve", "--budget-policy", "lottery"])
+
+
+class TestRunCLI:
+    def test_run_prints_the_pinned_two_worker_campaign(self, monkeypatch, capsys):
+        """``run`` hosts the FAST 2-worker campaign and prints its merged series."""
+        outcomes = []
+
+        def recording_pool(shards, parallel):
+            outcomes.append(run_parallel_shards(shards, parallel))
+            return outcomes[-1]
+
+        monkeypatch.setattr(distributed_cli, "run_parallel_shards", recording_pool)
+        argv = ["run", "--workers", "2", "--round-timeout", "120"]
+        argv += ["--dataset", FAST.dataset, "--dataset-rows", str(FAST.dataset_rows)]
+        argv += ["--hours", str(FAST.hours), "--seed", str(FAST.seed)]
+        argv += ["--queries-per-hour", str(FAST.queries_per_hour)]
+        assert distributed_main(argv) == 0
+        (outcome,) = outcomes
+        summary = parallel_result_to_dict(outcome)["summary"]
+        assert summary_digest(summary) == TQS_POOL2_SUMMARY
+        out = capsys.readouterr().out
+        series = out.split("Merged per-hour series (TQS vs SimMySQL)\n")[1]
+        last_row = series.split("\n\n")[0].splitlines()[-1]
+        final = summary["merged"]["samples"][-1]
+        columns = ["hour", "queries_generated", "isomorphic_sets"]
+        columns += ["bug_count", "bug_type_count", "generations_rejected"]
+        cells = [cell.strip() for cell in last_row.split("|")]
+        assert cells == [str(final[column]) for column in columns]
+        assert outcome.merged.bug_log.summary() in out
