@@ -4,14 +4,14 @@ Vertices are tables and columns; a table–table edge means the two tables can b
 joined through a primary–foreign key relationship, a table–column edge means the
 column belongs to the table (and can receive a filter during the random walk).
 The graph is also the skeleton that KQE extends into the plan-iterative graph.
+It is held as the schema's table names and its join edges; the table–column
+edges are the schema's own columns (:meth:`SchemaGraph.columns_of`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Set, Tuple
-
-import networkx as nx
+from typing import Dict, List, Set, Tuple
 
 from repro.catalog.schema import DatabaseSchema
 
@@ -46,29 +46,18 @@ class SchemaGraph:
 
     def __init__(self, schema: DatabaseSchema) -> None:
         self.schema = schema
-        self.graph = nx.Graph()
-        self._join_edges: List[JoinEdge] = []
-        for table in schema.tables:
-            self.graph.add_node(table.name, kind="table")
-            for column in table.columns:
-                if column.name == "RowID":
-                    continue
-                column_node = f"{table.name}.{column.name}"
-                self.graph.add_node(column_node, kind="column",
-                                    dtype=column.dtype.name.value)
-                self.graph.add_edge(table.name, column_node, kind="table-column")
-        for fk in schema.foreign_keys:
-            edge = JoinEdge(child=fk.table, parent=fk.ref_table, column=fk.columns[0])
-            self._join_edges.append(edge)
-            self.graph.add_edge(fk.table, fk.ref_table, kind="table-table",
-                                column=fk.columns[0])
+        self._table_names = tuple(table.name for table in schema.tables)
+        self._join_edges: List[JoinEdge] = [
+            JoinEdge(child=fk.table, parent=fk.ref_table, column=fk.columns[0])
+            for fk in schema.foreign_keys
+        ]
 
     # ------------------------------------------------------------------ queries
 
     @property
-    def table_names(self) -> List[str]:
-        """All table vertices."""
-        return [n for n, data in self.graph.nodes(data=True) if data["kind"] == "table"]
+    def table_names(self) -> Tuple[str, ...]:
+        """All table vertices, in schema order."""
+        return self._table_names
 
     @property
     def join_edges(self) -> List[JoinEdge]:
@@ -103,14 +92,21 @@ class SchemaGraph:
 
     def is_connected(self) -> bool:
         """True when every table can be reached from every other via join edges."""
-        tables = self.table_names
+        tables = self._table_names
         if len(tables) <= 1:
             return True
-        table_graph = nx.Graph()
-        table_graph.add_nodes_from(tables)
+        neighbours: Dict[str, List[str]] = {table: [] for table in tables}
         for edge in self._join_edges:
-            table_graph.add_edge(edge.child, edge.parent)
-        return nx.is_connected(table_graph)
+            neighbours[edge.child].append(edge.parent)
+            neighbours[edge.parent].append(edge.child)
+        reached = {tables[0]}
+        frontier = [tables[0]]
+        while frontier:
+            for other in neighbours[frontier.pop()]:
+                if other not in reached:
+                    reached.add(other)
+                    frontier.append(other)
+        return len(reached) == len(tables)
 
     def __repr__(self) -> str:  # pragma: no cover - convenience
         return (

@@ -9,14 +9,18 @@ isomorphic graphs produce identical vectors, and graphs differing in a few
 labels/edges produce vectors at small cosine distance.
 
 The refinement runs directly over :meth:`QueryGraph.adjacency` (networkx is
-used only for the VF2 checks of :mod:`repro.kqe.isomorphism`).  The adaptive
-walk scores the same few partial graphs over and over, so each embedder
-memoizes its vectors, with their norms, by graph content.
+used only for the VF2 checks of :mod:`repro.kqe.isomorphism`).  WL tokens carry
+labels only, never vertex ids, so graphs equal up to vertex renaming embed to
+the same bytes with the same norm bits.  The embedder memoizes only WL token ->
+hash bucket; the adaptive walk scores the same few join skeletons over and over
+under different table names, so :class:`~repro.kqe.explorer.KQE` memoizes each
+``(vector, norm)`` pair by the skeleton's alias-free join shape.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -25,10 +29,10 @@ from repro.kqe.query_graph import QueryGraph
 
 DEFAULT_DIMENSIONS = 64
 
-#: Most graphs one embedder memoizes; past it, new graphs are embedded afresh
-#: on every call.  A campaign's walk meets a few hundred distinct graphs.  The
-#: embedder's token -> bucket memo and the graph index's skeleton -> label
-#: memo stop growing at the same size.
+#: Most entries any KQE memo holds; past it, a new key is computed afresh on
+#: every call.  A campaign's walk meets a few hundred distinct join shapes.
+#: The embedder's token -> bucket memo and KQE's shape -> (vector, norm) and
+#: shape -> label memos all stop growing at this size.
 EMBED_MEMO_LIMIT = 1 << 14
 
 
@@ -46,10 +50,8 @@ class GraphEmbedder:
             raise ValueError("embedding dimensionality must be positive")
         self.dimensions = dimensions
         self.iterations = iterations
-        # Both memos are bounded by EMBED_MEMO_LIMIT: graph content ->
-        # (vector, norm), and WL colour token -> hash bucket (the tokens
-        # recur across graphs, so blake2b runs once per distinct token).
-        self._memo: Dict[Tuple[tuple, tuple], Tuple[np.ndarray, float]] = {}
+        # WL colour token -> hash bucket, bounded by EMBED_MEMO_LIMIT: the
+        # tokens recur across graphs, so blake2b runs once per distinct token.
         self._buckets: Dict[str, int] = {}
 
     def _wl_colors(self, graph: QueryGraph) -> List[str]:
@@ -57,53 +59,47 @@ class GraphEmbedder:
         colors: Dict[str, str] = dict(graph.vertices)
         tokens: List[str] = list(colors.values())
         for _ in range(self.iterations):
-            refreshed: Dict[str, str] = {}
-            for node, color in colors.items():
-                neighbourhood = sorted(
-                    f"{label}~{colors[other]}"
+            colors = {
+                node: color + "::" + "|".join(sorted([
+                    label + "~" + colors[other]
                     for other, label in adjacency[node].items()
-                )
-                refreshed[node] = f"{color}::{'|'.join(neighbourhood)}"
-            colors = refreshed
+                ]))
+                for node, color in colors.items()
+            }
             tokens.extend(colors.values())
         return tokens
 
     def embed(self, graph: QueryGraph) -> np.ndarray:
         """Embed one query graph as an L2-normalized, read-only vector.
 
-        The vector is a pure function of the graph's vertices and edges, so
-        equal graphs share one memoized array; it is read-only so no caller
-        can corrupt the memo.
+        The vector is a pure function of the graph's labels and structure,
+        not of its vertex ids; it is read-only so a caller's memo of it
+        cannot be corrupted.
         """
         return self.embed_with_norm(graph)[0]
 
     def embed_with_norm(self, graph: QueryGraph) -> Tuple[np.ndarray, float]:
         """:meth:`embed`'s vector with its norm, ``float(np.linalg.norm(vector))``.
 
-        The norm is taken once per memoized graph, so scoring a memoized
-        graph again never re-derives it.
+        Nothing is memoized per graph here: a caller that scores a graph
+        again keeps the pair (KQE keys it by the skeleton's join shape).
         """
-        key = (graph.vertices, graph.edges)
-        embedded = self._memo.get(key)
-        if embedded is not None:
-            return embedded
         buckets = self._buckets
-        vector = np.zeros(self.dimensions, dtype=np.float64)
+        counts = [0.0] * self.dimensions
         for token in self._wl_colors(graph):
             bucket = buckets.get(token)
             if bucket is None:
                 bucket = _stable_bucket(token, self.dimensions)
                 if len(buckets) < EMBED_MEMO_LIMIT:
                     buckets[token] = bucket
-            vector[bucket] += 1.0
-        norm = np.linalg.norm(vector)
+            counts[bucket] += 1.0
+        vector = np.array(counts)
+        # sqrt(x.dot(x)) is how np.linalg.norm computes a vector's norm.
+        norm = math.sqrt(vector.dot(vector))
         if norm > 0:
             vector /= norm
         vector.flags.writeable = False
-        embedded = (vector, float(np.linalg.norm(vector)))
-        if len(self._memo) < EMBED_MEMO_LIMIT:
-            self._memo[key] = embedded
-        return embedded
+        return vector, math.sqrt(vector.dot(vector))
 
 
 def cosine_similarity(left: np.ndarray, right: np.ndarray) -> float:

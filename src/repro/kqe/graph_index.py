@@ -4,13 +4,14 @@ The paper uses HD-Index for approximate KNN search over query-graph
 embeddings.  This index plays that role deterministically and at scale:
 embeddings live in one contiguous float64 matrix (:mod:`repro.kqe.store`),
 so exact KNN is a single vectorized cosine, and
-:meth:`GraphIndex.transition_probabilities` scores every graph of a walk step
-with one product.  A sign-random-projection LSH (:mod:`repro.kqe.lsh`, seeded
-from the embedder configuration) prefilters ``nearest(approximate=True)`` to
-a bounded candidate set once the index outgrows brute force — the
-Hilbert-ordered pruning of HD-Index, done with hash tables.  The tables are
-built only when the index first grows past ``lsh_min_size``, over every row
-it holds by then, so an index that never gets there never pays for them.
+:meth:`GraphIndex.transition_probabilities` scores every ``(vector, norm)``
+pair of a walk step with one product.  A sign-random-projection LSH
+(:mod:`repro.kqe.lsh`, seeded from the embedder configuration) prefilters
+``nearest(approximate=True)`` to a bounded candidate set once the index
+outgrows brute force — the Hilbert-ordered pruning of HD-Index, done with
+hash tables.  The tables are built only when the index first grows past
+``lsh_min_size``, over every row it holds by then, so an index that never
+gets there never pays for them.
 
 The whole index round-trips through the checksummed snapshot log of
 :mod:`repro.kqe.snapshot` (``save_snapshot``/``load_snapshot``), which is
@@ -20,11 +21,12 @@ what lets the distributed server restart into a bit-identical state.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import obs
 from repro.errors import SnapshotError
-from repro.kqe import embedding
 from repro.kqe.embedding import GraphEmbedder
 from repro.kqe.lsh import SignRandomProjectionLSH
 from repro.kqe.query_graph import QueryGraph
@@ -69,9 +71,6 @@ class GraphIndex:
         # query), so they must not rebuild set(self._canonical_labels) — that
         # turns a campaign into O(n^2) over the index size.
         self._label_counts: Counter = Counter()
-        # Skeleton content -> canonical label, bounded like the embedder's
-        # memo: a campaign registers the same join skeleton again and again.
-        self._skeleton_labels: Dict[Tuple[tuple, tuple], str] = {}
         # Built by add_embedding once the store first outgrows lsh_min_size.
         self._lsh: Optional[SignRandomProjectionLSH] = None
 
@@ -83,13 +82,7 @@ class GraphIndex:
     def add(self, graph: QueryGraph) -> Any:
         """Insert a query graph; returns its embedding."""
         vector = self.embedder.embed(graph)
-        key = (graph.vertices, graph.edges)
-        label = self._skeleton_labels.get(key)
-        if label is None:
-            label = graph.canonical_label()
-            if len(self._skeleton_labels) < embedding.EMBED_MEMO_LIMIT:
-                self._skeleton_labels[key] = label
-        self.add_embedding(vector, label)
+        self.add_embedding(vector, graph.canonical_label())
         return vector
 
     def add_embedding(self, vector: Sequence[float], canonical_label: str = "") -> None:
@@ -154,35 +147,36 @@ class GraphIndex:
         return self._store.top_k(vector, k, candidates)
 
     def transition_probabilities(
-        self, graphs: Sequence[QueryGraph], k: int = 5
+        self, embedded: Sequence[Tuple[np.ndarray, float]], k: int = 5
     ) -> List[float]:
-        """Eq. 3 for each graph: ``1 / (coverage + 1)``, where the coverage
-        (Eq. 2) is the mean cosine of the graph's *k* nearest neighbours.
+        """Eq. 3 for each ``(vector, norm)`` pair: ``1 / (coverage + 1)``, where
+        the coverage (Eq. 2) is the mean cosine of the vector's *k* nearest
+        neighbours.
 
-        Coverage reads only similarity values, so below ``lsh_min_size`` one
-        values-only kernel (``VectorStore.top_k_cosines``) scores every graph
-        against every row, with each graph's norm memoized beside its
-        embedding: bit-identical to a ``nearest`` call per graph.  Above it
-        each graph takes the approximate ``nearest`` path.
+        The pairs are what :meth:`GraphEmbedder.embed_with_norm` returns; KQE
+        memoizes them by join shape, so a walk step builds no graph for a
+        shape it has scored before.  Coverage reads only similarity values,
+        so below ``lsh_min_size`` one values-only kernel
+        (``VectorStore.top_k_cosines``) scores every vector against every
+        row: bit-identical to a ``nearest`` call per graph.  Above it each
+        vector takes the approximate ``nearest`` path.
         """
-        embedded = [self.embedder.embed_with_norm(graph) for graph in graphs]
-        vectors = [vector for vector, _ in embedded]
         if self._lsh is not None:
             similarities = [
                 [similarity for _, similarity in self.nearest_by_vector(vector, k)]
-                for vector in vectors
+                for vector, _ in embedded
             ]
         else:
-            norms = [norm for _, norm in embedded]
-            similarities = self._store.top_k_cosines(vectors, norms, k)
+            similarities = self._store.top_k_cosines(
+                [vector for vector, _ in embedded],
+                [norm for _, norm in embedded], k)
             if len(self._store):
-                obs.get_registry().counter("index.knn.exact_queries").inc(len(vectors))
-        probabilities = []
-        for values in similarities:
-            # Summed in rank order, as KQE.coverage sums one nearest() result.
-            coverage = float(sum(values) / len(values)) if values else 0.0
-            probabilities.append(1.0 / (coverage + 1.0))
-        return probabilities
+                obs.get_registry().counter("index.knn.exact_queries").inc(
+                    len(embedded))
+        # Each coverage is summed in rank order, as KQE.coverage sums one
+        # nearest() result; no neighbour means coverage 0.
+        return [1.0 / (sum(values) / len(values) + 1.0) if values else 1.0
+                for values in similarities]
 
     # -------------------------------------------------------------- statistics
 

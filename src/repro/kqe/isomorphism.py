@@ -2,13 +2,13 @@
 
 Exact label-preserving isomorphism checks are used in tests to validate that the
 canonical labels / embeddings respect isomorphism, and the isomorphic-set counter
-is the metric behind the "query graph diversity" axis of Figure 8.
+is the metric behind the "query graph diversity" axis of Figure 8.  The checks
+import networkx when called, so ``import repro`` does not load it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Set
-from networkx.algorithms import isomorphism as nx_iso
 
 from repro.kqe.query_graph import QueryGraph
 
@@ -23,6 +23,8 @@ def _edge_match(left: Dict, right: Dict) -> bool:
 
 def are_isomorphic(left: QueryGraph, right: QueryGraph) -> bool:
     """Exact label-preserving isomorphism between two query graphs."""
+    from networkx.algorithms import isomorphism as nx_iso
+
     if left.size() != right.size():
         return False
     matcher = nx_iso.GraphMatcher(
@@ -34,6 +36,8 @@ def are_isomorphic(left: QueryGraph, right: QueryGraph) -> bool:
 
 def is_subgraph_isomorphic(small: QueryGraph, large: QueryGraph) -> bool:
     """True when *small* appears as a label-preserving sub-graph of *large*."""
+    from networkx.algorithms import isomorphism as nx_iso
+
     matcher = nx_iso.GraphMatcher(
         large.to_networkx(), small.to_networkx(),
         node_match=_node_match, edge_match=_edge_match,

@@ -8,18 +8,20 @@ filter, projection, group by, aggregate).
 
 Colour refinement (:meth:`QueryGraph.canonical_label`, and the embeddings of
 :mod:`repro.kqe.embedding`) runs directly over :meth:`QueryGraph.adjacency`;
-networkx is used only for the exact VF2 checks of :mod:`repro.kqe.isomorphism`.
+networkx is used only for the exact VF2 checks of :mod:`repro.kqe.isomorphism`,
+which import it when called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Sequence, Set, Tuple
 
 from repro.catalog.schema import DatabaseSchema
 from repro.plan.logical import AnyQuerySpec, CompoundQuerySpec, QuerySpec
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 TABLE_LABEL = "table"
 
@@ -66,8 +68,11 @@ class QueryGraph:
     def to_networkx(self) -> nx.Graph:
         """Convert to a networkx graph (used by exact isomorphism checks).
 
-        Parallel edges are merged as in :meth:`adjacency`.
+        Parallel edges are merged as in :meth:`adjacency`.  networkx is
+        imported here, so ``import repro`` does not load it.
         """
+        import networkx as nx
+
         graph = nx.Graph()
         for vertex, label in self.vertices:
             graph.add_node(vertex, label=label)

@@ -6,10 +6,12 @@ per-entry arrays.  :class:`VectorStore` keeps all embeddings in a single
 amortized-growth ``(capacity, dims)`` float64 matrix with cached row norms.
 ``top_k`` ranks the rows for one query as (row, similarity) pairs.
 ``top_k_cosines`` is the adaptive walk's kernel: it scores a batch of
-queries, whose norms the caller memoizes with the vectors, against every row
-with one product, and returns only each query's *k* best cosines in
-descending order — one partition, one sort and one ``tolist``, with no
+queries, whose norms KQE memoizes with the vectors by join shape, against
+every row with one product, and returns only each query's *k* best cosines
+in descending order — one partition, one sort and one ``tolist``, with no
 per-pair tuples — because coverage (Eq. 2) reads the values, not the rows.
+When every norm product is positive, the quotient skips the divide-by-zero
+guard.
 Every product is a ``numpy.einsum`` contraction, never a BLAS matrix
 product: einsum sums each (query, row) pair alike whatever the row or query
 count, so a row scores with the same bits alone, in a candidate subset, in a
@@ -167,7 +169,9 @@ class VectorStore:
 
         *query_norms* are the queries' full norms: components past the
         store's width meet only implicit zeros, so the cosine is exact
-        whether a query was padded or truncated.
+        whether a query was padded or truncated.  A pair whose norm product
+        is not positive scores 0; when every product is positive (the walk's
+        case) the quotient is taken unguarded, which gives the same bits.
         """
         if ids is None:
             rows = self._matrix[: self._count]
@@ -177,6 +181,8 @@ class VectorStore:
             norms = self._norms[ids]
         scores = np.einsum("qd,rd->qr", queries, rows, optimize=False)
         denominator = norms[None, :] * query_norms[:, None]
+        if denominator.min() > 0.0:
+            return scores / denominator
         positive = denominator > 0.0
         return np.where(positive, scores / np.where(positive, denominator, 1.0), 0.0)
 
@@ -205,8 +211,10 @@ class VectorStore:
     ) -> List[List[float]]:
         """The similarities of ``top_k(vector, k)`` for every vector, rows left out.
 
-        *norms* holds each vector's full norm (callers memoize it with the
-        vector).  One product scores every vector against every row; each
+        *norms* holds each vector's full norm, as ``embed_with_norm`` returns
+        it (KQE memoizes the pair by join shape, so no norm is re-derived).
+        One product scores every vector against every row, with no
+        divide-by-zero guard unless some norm product is not positive; each
         query's *k* best cosines come back in descending order, so summing
         them in list order adds the very bits a ``top_k`` walk would.
         """

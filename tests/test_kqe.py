@@ -1,7 +1,11 @@
 """Tests for KQE: query graphs, embeddings, the graph index and the adaptive walk."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,7 +219,39 @@ class TestEmbeddingAndIndex:
         assert index.entries_since(len(index)) == []
 
 
+def whole_table_alias_sample(weights, rng):
+    """Walker's alias method building the whole table before drawing."""
+    n = len(weights)
+    total = float(sum(weights))
+    if total <= 0:
+        return rng.randrange(n)
+    probabilities = [w * n / total for w in weights]
+    small = [i for i, p in enumerate(probabilities) if p < 1.0]
+    large = [i for i, p in enumerate(probabilities) if not p < 1.0]
+    prob_table = [1.0] * n
+    alias_table = list(range(n))
+    while small and large:
+        s, g = small.pop(), large.pop()
+        prob_table[s], alias_table[s] = probabilities[s], g
+        probabilities[g] = probabilities[g] - (1.0 - probabilities[s])
+        (small if probabilities[g] < 1.0 else large).append(g)
+    column = rng.randrange(n)
+    return column if rng.random() < prob_table[column] else alias_table[column]
+
+
 class TestAliasSampling:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.0, 10), min_size=1, max_size=9),
+           st.integers(0, 2**32))
+    def test_draws_equal_the_whole_table(self, weights, seed):
+        """Stopping the build at the drawn column's cell draws as the whole
+        table does, and leaves the generator in the same state."""
+        fast, whole = random.Random(seed), random.Random(seed)
+        for _ in range(30):
+            drawn = alias_sample(weights, fast)
+            assert drawn == whole_table_alias_sample(weights, whole)
+        assert fast.getstate() == whole.getstate()
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             alias_sample([], random.Random(0))
@@ -321,7 +357,8 @@ class TestBatchedStepScoring:
                       for candidate in candidates]
             graphs.append(kqe.builder.build_partial(base.alias, steps))
             batched = kqe.index.transition_probabilities(
-                graphs, k=kqe.config.k_neighbors)
+                [kqe.embedder.embed_with_norm(graph) for graph in graphs],
+                k=kqe.config.k_neighbors)
             single = [1.0 / (kqe.coverage(graph) + 1.0) for graph in graphs]
             assert [p.hex() for p in batched] == [p.hex() for p in single]
             scored.extend(batched)
@@ -339,6 +376,26 @@ class TestBatchedStepScoring:
                 continue
         assert len(scored) > 40
         assert any(probability < 1.0 for probability in scored)
+
+
+    def test_approximate_path_scores_like_nearest(self):
+        """Past lsh_min_size each pair takes the approximate nearest() path."""
+        dsg = DSG(DSGConfig(dataset="tpch", dataset_rows=30, seed=7))
+        kqe = KQE(dsg.ndb.schema, rng=random.Random(11))
+        kqe.index.lsh_min_size = 8
+        graphs = []
+        for _ in range(30):
+            try:
+                query = dsg.generate_query(extension_chooser=kqe.extension_chooser)
+            except GenerationError:
+                continue
+            kqe.register(query)
+            graphs.append(kqe.builder.build(query))
+        assert kqe.index._lsh is not None
+        batched = kqe.index.transition_probabilities(
+            [kqe.embedder.embed_with_norm(graph) for graph in graphs], k=5)
+        single = [1.0 / (kqe.coverage(graph) + 1.0) for graph in graphs]
+        assert [p.hex() for p in batched] == [p.hex() for p in single]
 
 
 #: Set operations, scalar subqueries and CTEs at the diff-widened campaign's
@@ -427,6 +484,17 @@ def guided_draws(dataset, kqe_seed):
 
 
 class TestRefinementWithoutNetworkx:
+    def test_import_repro_leaves_networkx_unloaded(self):
+        """Only the exact isomorphism checks need networkx, and they import it
+        when called."""
+        source = Path(__file__).resolve().parent.parent / "src"
+        probe = ("import sys, repro, repro.kqe, repro.dsg; print(sorted("
+                 "m for m in sys.modules if m.split('.')[0] == 'networkx'))")
+        env = dict(os.environ, PYTHONPATH=str(source))
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
+
     def test_parallel_edges_merge_like_networkx(self, shopping_dsg):
         """A column both filtered and projected gives two plan-iterative edges
         between one vertex pair; adjacency() merges them like to_networkx()."""
@@ -463,44 +531,40 @@ class TestRefinementWithoutNetworkx:
 
 
 class TestEmbeddingMemo:
-    def test_equal_graphs_share_one_read_only_array(self):
+    def test_equal_graphs_embed_to_equal_read_only_arrays(self):
         embedder = GraphEmbedder()
         first = QueryGraph((("a", "table"), ("b", "table")), (("a", "b", "inner"),))
-        second = QueryGraph(tuple(list(first.vertices)), tuple(list(first.edges)))
-        assert first == second and first is not second
-        vector = embedder.embed(first)
-        assert embedder.embed(second) is vector
+        second = QueryGraph((("x", "table"), ("y", "table")), (("x", "y", "inner"),))
+        vector, norm = embedder.embed_with_norm(first)
+        again, again_norm = embedder.embed_with_norm(second)
+        assert again.tobytes() == vector.tobytes()
+        assert again_norm.hex() == norm.hex()
         with pytest.raises(ValueError):
             vector[0] = 1.0
         assert np.isclose(np.linalg.norm(vector), 1.0)
 
-    def test_memo_stops_growing_at_its_limit(self, monkeypatch):
+    def test_bucket_memo_stops_growing_at_its_limit(self, monkeypatch):
         from repro.kqe import embedding
 
-        monkeypatch.setattr(embedding, "EMBED_MEMO_LIMIT", 3)
-        embedder = GraphEmbedder()
         graphs = [
             QueryGraph(tuple((f"t{i}", "table") for i in range(size)),
                        tuple((f"t{i}", f"t{i + 1}", "inner")
                              for i in range(size - 1)))
             for size in range(1, 6)
         ]
-        vectors = [embedder.embed(graph) for graph in graphs]
-        assert len(embedder._memo) == 3
-        # Past the limit a graph is embedded afresh each time: equal bytes,
-        # a new (still read-only) array.
-        again = embedder.embed(graphs[-1])
-        assert again is not vectors[-1]
-        assert again.tobytes() == vectors[-1].tobytes()
-        assert not again.flags.writeable
-        assert embedder.embed(graphs[0]) is vectors[0]
-        for graph, vector in zip(graphs, vectors):
-            assert GraphEmbedder().embed(graph).tobytes() == vector.tobytes()
+        unbounded = [GraphEmbedder().embed(graph).tobytes() for graph in graphs]
+        monkeypatch.setattr(embedding, "EMBED_MEMO_LIMIT", 3)
+        embedder = GraphEmbedder()
+        # Past the limit a token is hashed afresh each time: equal bytes.
+        for _ in range(2):
+            assert [embedder.embed(graph).tobytes() for graph in graphs] == unbounded
+        assert len(embedder._buckets) == 3
 
     def test_step_scoring_holds_past_the_memo_limits(self, monkeypatch):
-        """Past EMBED_MEMO_LIMIT graphs are embedded, normed, bucketed and
-        labelled afresh: every step still scores like one nearest() per graph,
-        the draws match an unbounded run, and no memo outgrows the limit."""
+        """Past EMBED_MEMO_LIMIT shapes are embedded, normed and labelled, and
+        tokens bucketed, afresh: every step still scores like one nearest()
+        per graph, the draws match an unbounded run, and no memo outgrows
+        the limit."""
         from repro.kqe import embedding
 
         unbounded, _ = guided_draws("shopping", kqe_seed=23)
@@ -518,7 +582,8 @@ class TestEmbeddingMemo:
                       for candidate in candidates]
             graphs.append(kqe.builder.build_partial(base.alias, steps))
             batched = kqe.index.transition_probabilities(
-                graphs, k=kqe.config.k_neighbors)
+                [kqe.embedder.embed_with_norm(graph) for graph in graphs],
+                k=kqe.config.k_neighbors)
             single = [1.0 / (kqe.coverage(graph) + 1.0) for graph in graphs]
             assert [p.hex() for p in batched] == [p.hex() for p in single]
             scored.extend(batched)
@@ -536,21 +601,129 @@ class TestEmbeddingMemo:
         assert any(probability < 1.0 for probability in scored)
         assert kqe.index.entries_since(0).labels == skeleton_labels
         assert len(set(skeleton_labels)) > 3
-        assert len(kqe.embedder._memo) == 3
+        assert len(kqe._shape_embeddings) == 3
+        assert len(kqe._shape_labels) == 3
         assert len(kqe.embedder._buckets) == 3
-        assert len(kqe.index._skeleton_labels) == 3
 
     def test_draws_do_not_depend_on_another_instance(self):
-        """Each KQE memoizes in its own embedder, so a seeded run draws the
-        same whether or not another KQE ran first in the process."""
+        """Each KQE memoizes in its own shape memos, so a seeded run draws
+        the same whether or not another KQE ran first in the process."""
         alone, first = guided_draws("shopping", kqe_seed=23)
         guided_draws("tpch", kqe_seed=5)
         guided_draws("shopping", kqe_seed=29)
         after_others, second = guided_draws("shopping", kqe_seed=23)
         assert after_others == alone
         assert any(isinstance(draw, int) for draw in alone)
-        assert first.embedder._memo is not second.embedder._memo
-        assert list(first.embedder._memo) == list(second.embedder._memo)
+        assert first._shape_embeddings is not second._shape_embeddings
+        assert list(first._shape_embeddings) == list(second._shape_embeddings)
+        assert list(first._shape_labels) == list(second._shape_labels)
+
+
+def skeleton_shape(graph):
+    """The shape KQE should key *graph* by, read off the built graph."""
+    position = {vertex: index for index, (vertex, _) in enumerate(graph.vertices)}
+    return tuple((position[left], position[right], label)
+                 for left, right, label in graph.edges)
+
+
+class TestShapeMemo:
+    """KQE's shape memos return what building, embedding and labelling the
+    skeleton would, and a hit builds no graph."""
+
+    @pytest.mark.parametrize("widened", [False, True], ids=["plain", "widened"])
+    @pytest.mark.parametrize("dataset", ["shopping", "tpch", "kddcup"])
+    def test_every_hit_equals_a_fresh_embedding_and_label(
+            self, dataset, widened, monkeypatch):
+        grammar = WIDENED_GRAMMAR if widened else {}
+        dsg = DSG(DSGConfig(dataset=dataset, dataset_rows=30, seed=13,
+                            generation=GenerationConfig(**grammar)))
+        kqe = KQE(dsg.ndb.schema, rng=random.Random(17))
+        oracle = QueryGraphBuilder(dsg.ndb.schema)
+        fresh = GraphEmbedder()
+        builds = []
+        build_partial = kqe.builder.build_partial
+        monkeypatch.setattr(kqe.builder, "build_partial",
+                            lambda *args: builds.append(args) or build_partial(*args))
+        checked = set()
+        lookups = []
+
+        def check(graph, label=None):
+            shape = skeleton_shape(graph)
+            vector, norm = kqe._shape_embeddings[shape]
+            expected, expected_norm = fresh.embed_with_norm(graph)
+            assert vector.tobytes() == expected.tobytes()
+            assert norm.hex() == expected_norm.hex()
+            if label is not None:
+                assert kqe._shape_labels[shape] == label == graph.canonical_label()
+            checked.add(shape)
+            lookups.append(shape)
+
+        def chooser(base, steps, candidates):
+            choice = kqe.extension_chooser(base, steps, candidates)
+            for candidate in candidates:
+                check(oracle.build_partial(base.alias, steps, candidate))
+            if len(steps) >= kqe.config.min_steps_before_termination:
+                check(oracle.build_partial(base.alias, steps))
+            return choice
+
+        for _ in range(40):
+            try:
+                query = dsg.generate_statement(extension_chooser=chooser)
+            except GenerationError:
+                continue
+            kqe.register(query)
+            skeleton = oracle.build_partial(query.base.alias, query.joins)
+            check(skeleton, label=kqe.index.entries_since(len(kqe.index) - 1).labels[0])
+        assert checked == set(kqe._shape_embeddings)
+        assert len(lookups) > 3 * len(checked)
+        # Each build met a shape for the first time, in one memo or the other.
+        assert len(builds) <= len(kqe._shape_embeddings) + len(kqe._shape_labels)
+
+    def test_renamed_skeletons_share_one_entry(self, shopping_dsg):
+        kqe = KQE(shopping_dsg.ndb.schema, rng=random.Random(3))
+        tables = [table.name for table in shopping_dsg.ndb.schema.tables]
+        skeletons = []
+        for left, right in (tables[:2], tables[2:4]):
+            query = QuerySpec(
+                base=TableRef(left, f"{left}_a"),
+                joins=[JoinStep(TableRef(right, f"{right}_b"), JoinType.SEMI,
+                                left_key=ColumnRef(f"{left}_a", "k"),
+                                right_key=ColumnRef(f"{right}_b", "k"))],
+                select=[],
+            )
+            kqe.register(query)
+            skeletons.append(kqe.builder.build_partial(query.base.alias, query.joins))
+        assert skeletons[0] != skeletons[1]
+        assert list(kqe._shape_embeddings) == [((0, 1, "semi"),)]
+        assert list(kqe._shape_labels) == [((0, 1, "semi"),)]
+        labels = kqe.index.entries_since(0).labels
+        assert labels == [skeletons[0].canonical_label()] * 2
+        assert labels[0] == skeletons[1].canonical_label()
+
+    def test_a_memo_hit_builds_no_graph(self, monkeypatch):
+        dsg = DSG(DSGConfig(dataset="tpch", dataset_rows=30, seed=13))
+        kqe = KQE(dsg.ndb.schema, rng=random.Random(17))
+        steps_seen = []
+
+        def chooser(base, steps, candidates):
+            steps_seen.append((base, list(steps), list(candidates)))
+            return kqe.extension_chooser(base, steps, candidates)
+
+        queries = []
+        for _ in range(10):
+            try:
+                queries.append(dsg.generate_query(extension_chooser=chooser))
+            except GenerationError:
+                continue
+            kqe.register(queries[-1])
+        builds = []
+        monkeypatch.setattr(kqe.builder, "build_partial",
+                            lambda *args: builds.append(args))
+        for base, steps, candidates in steps_seen:
+            kqe.extension_chooser(base, steps, candidates)
+        for query in queries:
+            kqe.register(query)
+        assert len(steps_seen) > 10 and builds == []
 
 
 class TestPinnedCorpus:

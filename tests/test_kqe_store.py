@@ -104,6 +104,41 @@ class TestVectorStore:
         ((_, score),) = store.top_k([1.0, 0.0], 1)
         assert score == 0.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(st.sampled_from(["random", "zero", "tiny"]), min_size=1,
+                      max_size=30),
+        queries=st.lists(st.sampled_from(["random", "zero", "tiny"]), min_size=1,
+                         max_size=6),
+        dims=st.integers(1, 16),
+        seed=st.integers(0, 10_000),
+    )
+    def test_cosines_equal_the_guarded_quotient(self, rows, queries, dims, seed):
+        """The kernel skips its divide-by-zero guard only when every norm
+        product is positive, and scores with the guarded quotient's bits
+        either way: zero rows and queries, and tiny ones whose norm product
+        underflows to zero, score 0."""
+        def vectors(kinds, tag):
+            fresh = synthetic_vectors(len(kinds), dims, seed=f"{tag}-{seed}")
+            return [[0.0] * dims if kind == "zero"
+                    else [component * 1e-170 for component in vector]
+                    if kind == "tiny" else vector
+                    for kind, vector in zip(kinds, fresh)]
+
+        store = VectorStore(dims=dims)
+        for vector in vectors(rows, "rows"):
+            store.append(vector)
+        matrix = np.array(vectors(queries, "queries"), dtype=np.float64)
+        norms = np.array([float(np.linalg.norm(query)) for query in matrix])
+        rows_held = store.rows_between(0, len(store))
+        scores = np.einsum("qd,rd->qr", matrix, rows_held, optimize=False)
+        row_norms = np.array([float(np.linalg.norm(row)) for row in rows_held])
+        denominator = row_norms[None, :] * norms[:, None]
+        positive = denominator > 0.0
+        expected = np.where(positive,
+                            scores / np.where(positive, denominator, 1.0), 0.0)
+        assert store._cosines(matrix, norms).tobytes() == expected.tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(
         rows=st.integers(1, 60),
