@@ -27,7 +27,11 @@ def main() -> None:
     print(dsg.describe())
     print()
     print("Generated schema:")
-    print(dsg.ndb.schema.render_ddl())
+    renderer = SQLRenderer()
+    for table in dsg.ndb.schema.tables:
+        for statement in [renderer.create_table(table),
+                          *renderer.create_indexes(table)]:
+            print(statement + ";")
     print()
 
     print("=== 2. One generated query and its transformations ===")
@@ -38,7 +42,7 @@ def main() -> None:
     print(transformed[1].render())
     truth = dsg.ground_truth(query)
     print(f"ground truth has {len(truth.result)} rows "
-          f"(verification mode: {truth.mode.value})")
+          f"(relation: {truth.mode.value})")
     print()
 
     print("=== 3. Hunt for logic bugs in SimMySQL ===")

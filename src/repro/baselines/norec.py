@@ -11,6 +11,7 @@ weakness the ground-truth oracle of TQS removes.
 from __future__ import annotations
 
 from repro.baselines.base import BaselineTester
+from repro.engine.resultset import Relation, agree
 from repro.errors import GenerationError
 from repro.optimizer.hints import nested_loop_hints, no_materialization_hints, no_semijoin_hints
 from repro.plan.logical import JoinType
@@ -46,7 +47,7 @@ class NoRecTester(BaselineTester):
         optimized = self.engine.execute_with_report(query)
         reference = self.engine.execute_with_report(query, _reference_hints())
         self.queries_executed += 2
-        if optimized.result.normalized() != reference.result.normalized():
+        if not agree(reference.result, optimized.result, Relation.SET_EQUAL):
             blamed = optimized if optimized.fired_bug_ids else reference
             self.record_incident(query, label, blamed,
                                  expected_rows=len(reference.result),

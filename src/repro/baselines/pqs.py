@@ -14,10 +14,11 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.baselines.base import BaselineTester
+from repro.engine.resultset import Relation, ResultSet, agree
 from repro.errors import GenerationError
 from repro.expr.ast import ColumnRef, Comparison, IsNull, Literal, conjoin
 from repro.plan.logical import JoinType, QuerySpec, SelectItem
-from repro.sqlvalue.values import is_null, normalize_row
+from repro.sqlvalue.values import is_null
 
 
 class PQSTester(BaselineTester):
@@ -67,15 +68,16 @@ class PQSTester(BaselineTester):
         label = self.record_query(query)
         report = self.engine.execute_with_report(query)
         self.queries_executed += 1
-        expected = normalize_row(
-            tuple(pivot_row[item.expression.column] for item in select)
-        )
         preserved = all(
             self._pivot_preserved(query, step, pivot_row) for step in query.joins
         )
         if not preserved:
             return
-        if expected not in report.result.normalized():
+        pivot = ResultSet(
+            report.result.columns,
+            [tuple(pivot_row[item.expression.column] for item in select)],
+        )
+        if not agree(pivot, report.result, Relation.SUBSET):
             self.record_incident(query, label, report,
                                  expected_rows=1, mode="pivot_containment")
 

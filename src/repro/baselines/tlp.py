@@ -9,9 +9,10 @@ detects far fewer join-optimization bugs than TQS in Figure 8.
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import List
 
 from repro.baselines.base import BaselineTester
+from repro.engine.resultset import Relation, ResultSet, agree
 from repro.errors import GenerationError
 from repro.expr.ast import And, Expression, IsNull, Not
 from repro.plan.logical import JoinType, QuerySpec
@@ -54,14 +55,15 @@ class TLPTester(BaselineTester):
         label = self.record_query(query)
         full_report = self.engine.execute_with_report(query)
         self.queries_executed += 1
-        union: Set[Tuple] = set()
         partition_reports = []
         for partition in self._partitions(query, predicate):
-            report = self.engine.execute_with_report(partition)
+            partition_reports.append(self.engine.execute_with_report(partition))
             self.queries_executed += 1
-            partition_reports.append(report)
-            union |= report.result.normalized()
-        if union != full_report.result.normalized():
+        union = ResultSet(
+            full_report.result.columns,
+            (row for report in partition_reports for row in report.result.rows),
+        )
+        if not agree(full_report.result, union, Relation.SET_EQUAL):
             # Attribute the incident to whichever execution fired seeded faults.
             blamed = max(
                 partition_reports + [full_report],

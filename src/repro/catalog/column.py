@@ -31,10 +31,3 @@ class Column:
     def nullable(self) -> bool:
         """Whether the column accepts NULL."""
         return self.dtype.nullable
-
-    def render_ddl(self) -> str:
-        """Render this column as a DDL fragment."""
-        return f"{self.name} {self.dtype.render()}"
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.render_ddl()

@@ -33,15 +33,6 @@ class ForeignKey:
         """True when this FK connects *table_a* and *table_b* (in either order)."""
         return {self.table, self.ref_table} == {table_a, table_b}
 
-    def render_ddl(self) -> str:
-        """Render as an ALTER TABLE ... ADD CONSTRAINT fragment."""
-        fk_name = self.name or f"fk_{self.table}_{'_'.join(self.columns)}"
-        return (
-            f"ALTER TABLE {self.table} ADD CONSTRAINT {fk_name} "
-            f"FOREIGN KEY ({', '.join(self.columns)}) "
-            f"REFERENCES {self.ref_table} ({', '.join(self.ref_columns)});"
-        )
-
 
 class DatabaseSchema:
     """A collection of table schemas plus the PK–FK edges between them."""
@@ -113,12 +104,6 @@ class DatabaseSchema:
     def column_owner(self, column: str) -> List[str]:
         """Names of tables that define a column named *column*."""
         return [t.name for t in self.tables if t.has_column(column)]
-
-    def render_ddl(self) -> str:
-        """Render the full schema as DDL text."""
-        statements = [table.render_ddl() for table in self.tables]
-        statements.extend(fk.render_ddl() for fk in self.foreign_keys)
-        return "\n\n".join(statements)
 
     def __repr__(self) -> str:  # pragma: no cover - convenience
         return f"DatabaseSchema({self.name!r}, tables={list(self.table_names)})"

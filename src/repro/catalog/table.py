@@ -77,18 +77,6 @@ class TableSchema:
         """All columns except the surrogate ``RowID``."""
         return tuple(c for c in self.columns if c.name != "RowID")
 
-    def render_ddl(self) -> str:
-        """Render a CREATE TABLE statement for this schema."""
-        parts = [column.render_ddl() for column in self.columns]
-        if self.primary_key:
-            parts.append(f"PRIMARY KEY ({', '.join(self.primary_key)})")
-        for key in self.keys:
-            keyword = "UNIQUE KEY" if key.unique else "KEY"
-            key_name = key.name or "_".join(key.columns)
-            parts.append(f"{keyword} {key_name} ({', '.join(key.columns)})")
-        body = ",\n  ".join(parts)
-        return f"CREATE TABLE {self.name} (\n  {body}\n);"
-
     def __repr__(self) -> str:  # pragma: no cover - convenience
         return f"TableSchema({self.name!r}, columns={list(self.column_names)})"
 

@@ -4,18 +4,14 @@ The simulated campaigns verify engine results against the wide-table ground
 truth.  When the target is a *real* engine (SQLite today; DuckDB / MySQL /
 Postgres adapters later), the reference executor plays the role SQLancer's
 baselines give to a second implementation: every TQS-generated query runs on
-both sides, the result sets are normalized (column order ignored, rows compared
-as sets under canonical numeric forms, floats within tolerance), and any
-disagreement is filed through the existing :class:`~repro.core.bug_report.BugLog`.
-
-The normalization rules mirror the repo's own result-set semantics
-(:meth:`~repro.engine.resultset.ResultSet.normalized` /
-:meth:`~repro.engine.resultset.ResultSet.normalized_bag`): the comparison
-domain is selected per query shape by :func:`preserves_duplicates` — sets for
-DISTINCT projections and aggregates, multisets where duplicates are part of
-the answer (UNION ALL compounds) — and
-:func:`~repro.sqlvalue.comparison.values_close` absorbs representation drift
-such as the reference's exact ``Decimal`` vs a backend's ``REAL``.
+both sides and the two results are judged by
+:func:`~repro.engine.resultset.agree`.  :func:`preserves_duplicates` picks the
+relation per query shape: set equality for DISTINCT projections and
+aggregates, bag equality where duplicates are part of the answer (UNION ALL
+compounds).  The comparison is ``tolerant``, so representation drift such as
+the reference's exact ``Decimal`` against a backend's ``REAL`` is not a
+mismatch.  Any disagreement is filed through the existing
+:class:`~repro.core.bug_report.BugLog`.
 """
 
 from __future__ import annotations
@@ -29,30 +25,26 @@ from repro.backends.base import BackendAdapter, BackendExecution
 from repro.core.bug_report import BugIncident, BugLog
 from repro.dsg.pipeline import DSG
 from repro.engine.engine import Engine
-from repro.engine.resultset import ResultSet
+from repro.engine.resultset import Relation, ResultSet, agree
 from repro.errors import BackendError, GenerationError, RenderError
 from repro.kqe.explorer import KQE
 from repro.kqe.isomorphism import IsomorphicSetCounter
 from repro.kqe.query_graph import QueryGraphBuilder
 from repro.plan.logical import AnyQuerySpec, CompoundQuerySpec
 from repro.plan.sqlrender import SQLRenderer
-from repro.sqlvalue.comparison import values_close
-from repro.sqlvalue.values import row_sort_key
 
 
 @dataclass
 class DifferentialConfig:
-    """Knobs of the cross-engine comparison."""
+    """Knobs of a differential campaign."""
 
-    float_rel_tol: float = 1e-9
-    float_abs_tol: float = 1e-12
     use_kqe: bool = True
     max_generation_retries: int = 5
     seed: int = 97
 
 
 def preserves_duplicates(query: AnyQuerySpec) -> bool:
-    """Whether *query*'s result is a multiset, selecting the comparison mode.
+    """Whether *query*'s result is a multiset, selecting the compared relation.
 
     DISTINCT projections and aggregates produce sets; a compound with UNION
     ALL (or a plain non-DISTINCT, non-aggregated projection) can legitimately
@@ -62,45 +54,6 @@ def preserves_duplicates(query: AnyQuerySpec) -> bool:
     if isinstance(query, CompoundQuerySpec):
         return query.preserves_duplicates()
     return not query.distinct and not query.has_aggregates()
-
-
-def result_sets_match(reference: ResultSet, observed: ResultSet,
-                      rel_tol: float = 1e-9, abs_tol: float = 1e-12,
-                      bag: bool = False) -> bool:
-    """Order-insensitive, float-tolerant result equality.
-
-    With ``bag=False`` (the sound mode for DISTINCT projections) rows compare
-    as sets — duplicate-insensitive.  With ``bag=True`` rows compare as
-    multisets: each normalized row's multiplicity must agree, which is what
-    UNION ALL results require.
-    """
-    if bag:
-        if reference.normalized_bag() == observed.normalized_bag():
-            return True
-        ref_sorted = sorted(reference.normalized_bag().elements(),
-                            key=row_sort_key)
-        obs_sorted = sorted(observed.normalized_bag().elements(),
-                            key=row_sort_key)
-    else:
-        ref_rows = reference.normalized()
-        obs_rows = observed.normalized()
-        if ref_rows == obs_rows:
-            return True
-        ref_sorted = sorted(ref_rows, key=row_sort_key)
-        obs_sorted = sorted(obs_rows, key=row_sort_key)
-    # Tolerant fallback: compare the (de)duplicated rows pairwise in sorted
-    # order, allowing per-cell float drift.  Rows whose sort position shifts
-    # under drift larger than the tolerance are genuine mismatches anyway.
-    if len(ref_sorted) != len(obs_sorted):
-        return False
-    for ref_row, obs_row in zip(ref_sorted, obs_sorted):
-        if len(ref_row) != len(obs_row):
-            return False
-        for ref_value, obs_value in zip(ref_row, obs_row):
-            if not values_close(ref_value, obs_value, rel_tol=rel_tol,
-                                abs_tol=abs_tol):
-                return False
-    return True
 
 
 @dataclass
@@ -175,12 +128,10 @@ class DifferentialOracle:
         """Compare one (execution, reference result) pair into a verdict."""
         self.comparisons += 1
         with obs.span("judge"):
-            matched = result_sets_match(
-                reference_result, execution.result,
-                rel_tol=self.config.float_rel_tol,
-                abs_tol=self.config.float_abs_tol,
-                bag=preserves_duplicates(query),
-            )
+            relation = (Relation.BAG_EQUAL if preserves_duplicates(query)
+                        else Relation.SET_EQUAL)
+            matched = agree(reference_result, execution.result, relation,
+                            tolerant=True)
         outcome = DifferentialOutcome(
             query=query,
             canonical_label=label,

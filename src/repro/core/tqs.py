@@ -15,7 +15,6 @@ oracle), a target engine and (optionally) a KQE explorer, and repeatedly:
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -25,6 +24,7 @@ from repro.core.reduction import QueryReducer
 from repro.dsg.ground_truth import GroundTruth
 from repro.dsg.pipeline import DSG
 from repro.engine.engine import Engine, ExecutionReport
+from repro.engine.resultset import Relation, agree
 from repro.errors import GenerationError
 from repro.kqe.explorer import KQE
 from repro.kqe.isomorphism import IsomorphicSetCounter
@@ -121,23 +121,27 @@ class TQS:
         """The TQS!GT ablation: compare the plans against each other only."""
         if len(reports) < 2:
             return []
-        signatures = [report.result.normalized() for report in reports]
-        majority_signature, _count = Counter(signatures).most_common(1)[0]
-        majority_rows = next(
-            len(report.result) for report, signature in zip(reports, signatures)
-            if signature == majority_signature
-        )
+        # Group the plans into classes of agreeing results, in report order;
+        # the first largest class is the majority.
+        classes: List[List[ExecutionReport]] = []
+        for report in reports:
+            for members in classes:
+                if agree(members[0].result, report.result, Relation.SET_EQUAL):
+                    members.append(report)
+                    break
+            else:
+                classes.append([report])
+        majority = max(classes, key=len)
+        expected = majority[0].result
         # Faults that also fired in the majority plans cannot explain why the
         # deviating plan differs, so differential testing can only attribute a
         # mismatch to the faults unique to the deviating execution.  This is
         # exactly why plan-independent bugs are invisible to the TQS!GT variant.
-        majority_fired = set()
-        for report, signature in zip(reports, signatures):
-            if signature == majority_signature:
-                majority_fired.update(report.fired_bug_ids)
+        majority_fired = {bug for report in majority
+                          for bug in report.fired_bug_ids}
         incidents: List[BugIncident] = []
-        for report, signature in zip(reports, signatures):
-            if signature == majority_signature:
+        for report in reports:
+            if agree(expected, report.result, Relation.SET_EQUAL):
                 continue
             blamed = tuple(sorted(set(report.fired_bug_ids) - majority_fired))
             incidents.append(
@@ -149,7 +153,7 @@ class TQS:
                     detection_mode="differential",
                     query_canonical_label=label,
                     fired_bug_ids=blamed,
-                    expected_rows=majority_rows,
+                    expected_rows=len(expected),
                     observed_rows=len(report.result),
                 )
             )

@@ -3,7 +3,7 @@
 from repro.dsg.bitmap import Bitmap, JoinBitmapIndex, wah_decode, wah_encode
 from repro.dsg.datasets import DATASETS, DatasetSpec, build_dataset
 from repro.dsg.fd import FDDiscovery, FunctionalDependency, discover_fds, transitive_closure
-from repro.dsg.ground_truth import GroundTruth, GroundTruthOracle, VerificationMode
+from repro.dsg.ground_truth import GroundTruth, GroundTruthOracle
 from repro.dsg.hintgen import HintGenerator, TransformedQuery
 from repro.dsg.noise import NoiseEvent, NoiseInjector, NoiseReport, inject_noise
 from repro.dsg.normalization import (
@@ -50,7 +50,6 @@ __all__ = [
     "SchemaGraph",
     "SchemaNormalizer",
     "TransformedQuery",
-    "VerificationMode",
     "WideTable",
     "attribute_closure",
     "build_dataset",

@@ -10,24 +10,16 @@ join execution, not to divergent expression semantics.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
 from repro.dsg.bitmap import Bitmap
 from repro.dsg.normalization import NormalizedDatabase
-from repro.engine.resultset import ResultSet
+from repro.engine.resultset import Relation, ResultSet, agree
 from repro.plan.logical import QuerySpec
 from repro.plan.operators import Filter, Project
 from repro.plan.physical import ExecRow, PhysicalOperator
 from repro.sqlvalue.values import NULL
-
-
-class VerificationMode(enum.Enum):
-    """How the engine result must relate to the ground truth (Table 2)."""
-
-    FULL_SET = "full_set"
-    SUBSET = "subset"
 
 
 @dataclass
@@ -35,14 +27,13 @@ class GroundTruth:
     """The oracle's answer for one query."""
 
     result: ResultSet
-    mode: VerificationMode
+    #: How the engine result must relate to :attr:`result` (Table 2).
+    mode: Relation
     wide_row_ids: List[int]
 
     def matches(self, observed: ResultSet) -> bool:
         """Check an engine result set against the ground truth."""
-        if self.mode is VerificationMode.FULL_SET:
-            return observed.normalized() == self.result.normalized()
-        return self.result.normalized() <= observed.normalized()
+        return agree(self.result, observed, self.mode)
 
 
 class _StaticRows(PhysicalOperator):
@@ -130,9 +121,9 @@ class GroundTruthOracle:
         # A keyless join is a cartesian product, which the wide table holds
         # only in part.
         mode = (
-            VerificationMode.SUBSET
+            Relation.SUBSET
             if any(not step.join_type.keyed for step in query.joins)
-            else VerificationMode.FULL_SET
+            else Relation.SET_EQUAL
         )
         return GroundTruth(ResultSet(operator.output_columns(), result_rows), mode,
                            row_ids)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dsg.noise import NoiseReport
 from repro.dsg.normalization import NormalizedDatabase
@@ -112,6 +112,10 @@ class RandomWalkQueryGenerator:
         self.config = config or GenerationConfig()
         self.graph = SchemaGraph(ndb.schema)
         self._predicates = PredicateBuilder(self.rng)
+        # Each filter column's distinct values, read on first use.  The
+        # database is final by now: DSG builds its generator after noise
+        # injection, and nothing writes the database afterwards.
+        self._distinct_values: Dict[Tuple[str, str], List[Any]] = {}
         self.rejected_queries = 0
         if not self.graph.join_edges:
             raise GenerationError("schema graph has no join edges; nothing to generate")
@@ -190,7 +194,10 @@ class RandomWalkQueryGenerator:
             ):
                 continue
             column_def = self.ndb.schema.table(table).column(column)
-            observed = self.ndb.database.table(table).distinct_values(column)
+            observed = self._distinct_values.get((table, column))
+            if observed is None:
+                observed = self.ndb.database.table(table).distinct_values(column)
+                self._distinct_values[(table, column)] = observed
             predicates.append(self._predicates.build(table, column_def, observed))
             if len(predicates) >= 2:
                 break

@@ -11,7 +11,7 @@ from repro.engine.dialects import (
 )
 from repro.engine.engine import Engine, ExecutionReport, reference_engine
 from repro.engine.faults import ActiveFaults, BugSpec, FaultTrigger
-from repro.engine.resultset import ResultSet
+from repro.engine.resultset import Relation, ResultSet, agree
 
 __all__ = [
     "ALL_DIALECTS",
@@ -21,11 +21,13 @@ __all__ = [
     "Engine",
     "ExecutionReport",
     "FaultTrigger",
+    "Relation",
     "ResultSet",
     "SIM_MARIADB",
     "SIM_MYSQL",
     "SIM_TIDB",
     "SIM_XDB",
+    "agree",
     "dialect_by_name",
     "reference_engine",
 ]

@@ -3,11 +3,7 @@
 from repro.kqe.embedding import GraphEmbedder, cosine_similarity
 from repro.kqe.explorer import KQE, KQEConfig, alias_sample
 from repro.kqe.graph_index import GraphIndex, lsh_seed_material
-from repro.kqe.isomorphism import (
-    IsomorphicSetCounter,
-    are_isomorphic,
-    is_subgraph_isomorphic,
-)
+from repro.kqe.isomorphism import IsomorphicSetCounter
 from repro.kqe.lsh import SignRandomProjectionLSH
 from repro.kqe.query_graph import QueryGraph, QueryGraphBuilder
 from repro.kqe.snapshot import SnapshotBatch, SnapshotWriter, read_snapshot
@@ -27,9 +23,7 @@ __all__ = [
     "SnapshotWriter",
     "VectorStore",
     "alias_sample",
-    "are_isomorphic",
     "cosine_similarity",
-    "is_subgraph_isomorphic",
     "lsh_seed_material",
     "quantize_to_float32",
     "read_snapshot",

@@ -8,8 +8,7 @@ colours into a fixed-size vector — gives the same guarantee deterministically:
 isomorphic graphs produce identical vectors, and graphs differing in a few
 labels/edges produce vectors at small cosine distance.
 
-The refinement runs directly over :meth:`QueryGraph.adjacency` (networkx is
-used only for the VF2 checks of :mod:`repro.kqe.isomorphism`).  WL tokens carry
+The refinement runs directly over :meth:`QueryGraph.adjacency`.  WL tokens carry
 labels only, never vertex ids, so graphs equal up to vertex renaming embed to
 the same bytes with the same norm bits.  The embedder memoizes only WL token ->
 hash bucket; the adaptive walk scores the same few join skeletons over and over

@@ -1,9 +1,9 @@
-"""Exact (sub-)graph isomorphism utilities and isomorphic-set counting (paper §4).
+"""Isomorphic-set counting (paper §4).
 
-Exact label-preserving isomorphism checks are used in tests to validate that the
-canonical labels / embeddings respect isomorphism, and the isomorphic-set counter
-is the metric behind the "query graph diversity" axis of Figure 8.  The checks
-import networkx when called, so ``import repro`` does not load it.
+The isomorphic-set counter is the metric behind the "query graph diversity"
+axis of Figure 8.  The exact VF2 checks that tests compare its labels against
+live with the tests (``tests/graph_isomorphism.py``), so the runtime does not
+need networkx.
 """
 
 from __future__ import annotations
@@ -11,38 +11,6 @@ from __future__ import annotations
 from typing import Dict, Set
 
 from repro.kqe.query_graph import QueryGraph
-
-
-def _node_match(left: Dict, right: Dict) -> bool:
-    return left.get("label") == right.get("label")
-
-
-def _edge_match(left: Dict, right: Dict) -> bool:
-    return left.get("label") == right.get("label")
-
-
-def are_isomorphic(left: QueryGraph, right: QueryGraph) -> bool:
-    """Exact label-preserving isomorphism between two query graphs."""
-    from networkx.algorithms import isomorphism as nx_iso
-
-    if left.size() != right.size():
-        return False
-    matcher = nx_iso.GraphMatcher(
-        left.to_networkx(), right.to_networkx(),
-        node_match=_node_match, edge_match=_edge_match,
-    )
-    return matcher.is_isomorphic()
-
-
-def is_subgraph_isomorphic(small: QueryGraph, large: QueryGraph) -> bool:
-    """True when *small* appears as a label-preserving sub-graph of *large*."""
-    from networkx.algorithms import isomorphism as nx_iso
-
-    matcher = nx_iso.GraphMatcher(
-        large.to_networkx(), small.to_networkx(),
-        node_match=_node_match, edge_match=_edge_match,
-    )
-    return matcher.subgraph_is_isomorphic()
 
 
 class IsomorphicSetCounter:

@@ -7,21 +7,16 @@ edges labelled with the relational operation applied to the column (join column,
 filter, projection, group by, aggregate).
 
 Colour refinement (:meth:`QueryGraph.canonical_label`, and the embeddings of
-:mod:`repro.kqe.embedding`) runs directly over :meth:`QueryGraph.adjacency`;
-networkx is used only for the exact VF2 checks of :mod:`repro.kqe.isomorphism`,
-which import it when called.
+:mod:`repro.kqe.embedding`) runs directly over :meth:`QueryGraph.adjacency`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.catalog.schema import DatabaseSchema
 from repro.plan.logical import AnyQuerySpec, CompoundQuerySpec, QuerySpec
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 TABLE_LABEL = "table"
 
@@ -64,22 +59,6 @@ class QueryGraph:
             adjacency[left][right] = label
             adjacency.setdefault(right, {})[left] = label
         return adjacency
-
-    def to_networkx(self) -> nx.Graph:
-        """Convert to a networkx graph (used by exact isomorphism checks).
-
-        Parallel edges are merged as in :meth:`adjacency`.  networkx is
-        imported here, so ``import repro`` does not load it.
-        """
-        import networkx as nx
-
-        graph = nx.Graph()
-        for vertex, label in self.vertices:
-            graph.add_node(vertex, label=label)
-        for vertex, neighbours in self.adjacency().items():
-            for other, label in neighbours.items():
-                graph.add_edge(vertex, other, label=label)
-        return graph
 
     def size(self) -> Tuple[int, int]:
         """(vertex count, edge count)."""

@@ -18,9 +18,8 @@ import pytest
 from repro.backends import SQLiteBackend, SQLRenderer, SimulatedBackend
 from repro.catalog import Column, DatabaseSchema, ForeignKey, TableSchema
 from repro.core import TQS, TQSConfig
-from repro.core.differential import result_sets_match
 from repro.dsg import DSG, DSGConfig, TransformedQuery
-from repro.engine import Engine, reference_engine
+from repro.engine import Engine, Relation, ResultSet, agree, reference_engine
 from repro.engine.dialects import SIM_MYSQL
 from repro.errors import GenerationError
 from repro.optimizer import default_hints
@@ -129,7 +128,8 @@ def _assert_backend_matches_reference(db: Database, query: QuerySpec,
         else:
             sql = render(query)
             observed = backend.execute_sql(sql)
-        assert result_sets_match(reference.execute(query), observed), (
+        assert agree(reference.execute(query), observed, Relation.SET_EQUAL,
+                     tolerant=True), (
             f"SQLite diverges from the reference executor:\n{sql}\n"
             f"reference:\n{reference.execute(query).render()}\n"
             f"sqlite:\n{observed.render()}"
@@ -249,14 +249,13 @@ def test_export_script_recreates_database(typed_db: Database):
     with SQLiteBackend() as backend:
         backend.load_schema(typed_db.schema)
         backend.load_data(typed_db)
-        loaded = backend.execute_sql('SELECT * FROM "facts"').normalized()
-    exported = set()
+        loaded = backend.execute_sql('SELECT * FROM "facts"')
     cursor = connection.execute('SELECT * FROM "facts"')
-    from repro.sqlvalue.values import normalize_row, null_if_none
+    from repro.sqlvalue.values import null_if_none
 
-    for row in cursor.fetchall():
-        exported.add(normalize_row(tuple(null_if_none(v) for v in row)))
-    assert exported == loaded
+    exported = ResultSet(loaded.columns, (
+        tuple(null_if_none(v) for v in row) for row in cursor.fetchall()))
+    assert agree(exported, loaded, Relation.SET_EQUAL)
 
 
 @pytest.mark.parametrize("dataset,seed", [("shopping", 11), ("tpch", 13),
@@ -275,7 +274,8 @@ def test_dsg_generated_queries_round_trip(dataset: str, seed: int):
             except Exception:
                 continue
             execution = backend.execute(query)
-            assert result_sets_match(reference.execute(query), execution.result), (
+            assert agree(reference.execute(query), execution.result,
+                         Relation.SET_EQUAL, tolerant=True), (
                 f"divergence on {dataset}:\n{execution.sql}"
             )
             checked += 1
@@ -296,7 +296,8 @@ def test_simulated_backend_parity(typed_db: Database):
         select=[SelectItem(ColumnRef("facts", "tag"))],
     )
     reference = reference_engine(typed_db)
-    assert backend.execute(query).result.same_rows(reference.execute(query))
+    assert agree(reference.execute(query), backend.execute(query).result,
+                 Relation.SET_EQUAL)
     assert backend.explain(query)
 
 

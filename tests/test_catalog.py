@@ -4,6 +4,7 @@ import pytest
 
 from repro.catalog import Column, DatabaseSchema, ForeignKey, KeyConstraint, TableSchema, make_table
 from repro.errors import CatalogError, SchemaError
+from repro.plan.sqlrender import SQLRenderer
 from repro.sqlvalue import bigint, varchar
 
 
@@ -45,11 +46,12 @@ class TestTableSchema:
         names = [c.name for c in _users_table().data_columns()]
         assert names == ["userId", "userName"]
 
-    def test_render_ddl_mentions_keys(self):
-        ddl = _users_table().render_ddl()
-        assert "CREATE TABLE users" in ddl
-        assert "PRIMARY KEY (RowID)" in ddl
-        assert "UNIQUE KEY" in ddl
+    def test_rendered_ddl_mentions_keys(self):
+        ddl = SQLRenderer().create_table(_users_table())
+        assert 'CREATE TABLE "users"' in ddl
+        assert 'PRIMARY KEY ("RowID")' in ddl
+        indexes = SQLRenderer().create_indexes(_users_table())
+        assert 'CREATE INDEX "idx_users_0_userId" ON "users" ("userId")' in indexes
 
     def test_make_table_helper(self):
         table = make_table("t", [Column("a", varchar(5))], implicit_key=("a",))
@@ -70,10 +72,6 @@ class TestForeignKey:
     def test_mismatched_column_counts(self):
         with pytest.raises(SchemaError):
             ForeignKey("a", ("x", "y"), "b", ("x",))
-
-    def test_render_ddl(self):
-        fk = ForeignKey("orders", ("userId",), "users", ("userId",), name="fk1")
-        assert "ADD CONSTRAINT fk1" in fk.render_ddl()
 
 
 class TestDatabaseSchema:
@@ -104,7 +102,7 @@ class TestDatabaseSchema:
     def test_column_owner(self, orders_schema: DatabaseSchema):
         assert set(orders_schema.column_owner("userId")) == {"orders", "users"}
 
-    def test_render_ddl_contains_all_tables(self, orders_schema: DatabaseSchema):
-        ddl = orders_schema.render_ddl()
-        for name in orders_schema.table_names:
-            assert f"CREATE TABLE {name}" in ddl
+    def test_rendered_ddl_contains_all_tables(self, orders_schema: DatabaseSchema):
+        renderer = SQLRenderer()
+        for table in orders_schema.tables:
+            assert f'CREATE TABLE "{table.name}"' in renderer.create_table(table)

@@ -23,10 +23,9 @@ from repro.core.differential import (
     DifferentialConfig,
     DifferentialOracle,
     DifferentialTester,
-    result_sets_match,
 )
 from repro.dsg import DSG, DSGConfig
-from repro.engine import ResultSet, reference_engine
+from repro.engine import Relation, ResultSet, agree, reference_engine
 from repro.errors import BackendError, GenerationError
 from repro.plan.logical import QuerySpec, SelectItem, TableRef
 from repro.expr.ast import ColumnRef
@@ -36,52 +35,58 @@ from repro.sqlvalue.values import NULL
 # ------------------------------------------------------------ result matching
 
 
-def test_result_sets_match_ignores_order_and_duplicates():
+def tolerant_set_equal(expected: ResultSet, observed: ResultSet) -> bool:
+    """The differential oracle's relation for a DISTINCT projection."""
+    return agree(expected, observed, Relation.SET_EQUAL, tolerant=True)
+
+
+def test_tolerant_set_equal_ignores_order_and_duplicates():
     left = ResultSet(["a", "b"], [(1, "x"), (2, "y"), (2, "y")])
     right = ResultSet(["a", "b"], [(2, "y"), (1, "x")])
-    assert result_sets_match(left, right)
+    assert tolerant_set_equal(left, right)
 
 
-def test_result_sets_match_canonicalizes_numerics():
+def test_tolerant_set_equal_canonicalizes_numerics():
     left = ResultSet(["a"], [(1,), (2.0,)])
     right = ResultSet(["a"], [(1.0,), (2,)])
-    assert result_sets_match(left, right)
+    assert tolerant_set_equal(left, right)
 
 
-def test_result_sets_match_float_tolerance():
+def test_tolerant_set_equal_float_tolerance():
     left = ResultSet(["a", "b"], [(0.1 + 0.2, "x")])
     right = ResultSet(["a", "b"], [(0.3, "x")])
-    assert result_sets_match(left, right)
-    assert not result_sets_match(
+    assert tolerant_set_equal(left, right)
+    assert not tolerant_set_equal(
         ResultSet(["a"], [(0.3,)]), ResultSet(["a"], [(0.4,)])
     )
 
 
-def test_result_sets_match_null_only_matches_null():
-    assert not result_sets_match(
+def test_tolerant_set_equal_null_only_matches_null():
+    assert not tolerant_set_equal(
         ResultSet(["a"], [(NULL,)]), ResultSet(["a"], [(0,)])
     )
-    assert result_sets_match(
+    assert tolerant_set_equal(
         ResultSet(["a"], [(NULL,)]), ResultSet(["a"], [(NULL,)])
     )
 
 
-def test_result_sets_match_detects_genuine_mismatch():
-    assert not result_sets_match(
+def test_tolerant_set_equal_detects_genuine_mismatch():
+    assert not tolerant_set_equal(
         ResultSet(["a"], [(1,), (2,)]), ResultSet(["a"], [(1,)])
     )
 
 
 def test_normalized_is_cached_and_rows_immutable():
-    """normalized() runs once per result set (the differential hot path calls
-    it twice per comparison); rows are frozen so the cache cannot go stale."""
+    """normalized() runs once per result set (every agree() call on the
+    differential hot path reads it); rows are frozen so the cache cannot go
+    stale."""
     result = ResultSet(["a"], [(1,), (2,)])
     first = result.normalized()
     assert result.normalized() is first
     assert isinstance(result.rows, tuple)
     with pytest.raises((TypeError, AttributeError)):
         result.rows.append((3,))  # type: ignore[attr-defined]
-    assert result.same_rows(ResultSet(["a"], [(2,), (1,)]))
+    assert agree(result, ResultSet(["a"], [(2,), (1,)]), Relation.SET_EQUAL)
 
 
 # ----------------------------------------------------------------- the oracle

@@ -11,11 +11,13 @@ from repro.engine import (
     BugSpec,
     Engine,
     FaultTrigger,
+    Relation,
     ResultSet,
     SIM_MARIADB,
     SIM_MYSQL,
     SIM_TIDB,
     SIM_XDB,
+    agree,
     dialect_by_name,
     reference_engine,
 )
@@ -49,18 +51,18 @@ class TestResultSet:
     def test_set_comparison_ignores_order_and_duplicates(self):
         left = ResultSet(["a"], [(1,), (2,), (2,)])
         right = ResultSet(["a"], [(2,), (1,)])
-        assert left.same_rows(right)
+        assert agree(left, right, Relation.SET_EQUAL)
 
     def test_numeric_normalization_in_comparison(self):
         left = ResultSet(["a"], [(1,)])
         right = ResultSet(["a"], [(1.0,)])
-        assert left.same_rows(right)
+        assert agree(left, right, Relation.SET_EQUAL)
 
-    def test_contains_all(self):
+    def test_subset_relation(self):
         big = ResultSet(["a"], [(1,), (2,), (3,)])
         small = ResultSet(["a"], [(2,)])
-        assert big.contains_all(small)
-        assert not small.contains_all(big)
+        assert agree(small, big, Relation.SUBSET)
+        assert not agree(big, small, Relation.SUBSET)
 
     def test_render_handles_empty_and_nulls(self):
         empty = ResultSet(["a", "b"], [])
@@ -160,11 +162,9 @@ def left_join_query() -> QuerySpec:
 class TestEngineExecution:
     def test_reference_engine_is_hint_insensitive(self, orders_db):
         engine = reference_engine(orders_db)
-        results = {
-            engine.execute(left_join_query(), hints).normalized()
-            for hints in standard_hint_sets()
-        }
-        assert len(results) == 1
+        first, *rest = [engine.execute(left_join_query(), hints)
+                        for hints in standard_hint_sets()]
+        assert all(agree(first, result, Relation.SET_EQUAL) for result in rest)
         assert engine.queries_executed == len(standard_hint_sets())
 
     def test_engine_name(self, orders_db):
@@ -178,22 +178,23 @@ class TestEngineExecution:
 
     def test_xdb_left_join_bug_fires_on_every_plan(self, orders_db):
         engine = Engine(orders_db, SIM_XDB)
-        observed = set()
+        observed = []
         for hints in (hash_join_hints(), nested_loop_hints(), merge_join_hints()):
             report = engine.execute_with_report(left_join_query(), hints)
             assert 18 in report.fired_bug_ids
-            observed.add(report.result.normalized())
+            observed.append(report.result)
         # Plan-independent: every plan returns the same (wrong) result.
-        assert len(observed) == 1
+        first, *rest = observed
+        assert all(agree(first, result, Relation.SET_EQUAL) for result in rest)
         reference = reference_engine(orders_db).execute(left_join_query())
-        assert observed.pop() != reference.normalized()
+        assert not agree(reference, first, Relation.SET_EQUAL)
 
     def test_mariadb_join_cache_bug_changes_result(self, orders_db):
         engine = Engine(orders_db, SIM_MARIADB)
         good = engine.execute(left_join_query(), hash_join_hints())
         bad = engine.execute(left_join_query(),
                              join_cache_off_hints("outer_join_with_cache"))
-        assert good.normalized() != bad.normalized()
+        assert not agree(good, bad, Relation.SET_EQUAL)
 
     def test_clean_hooks_never_fire(self, orders_db):
         engine = reference_engine(orders_db)

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.dsg import DSG, DSGConfig, VerificationMode
+from repro.dsg import DSG, DSGConfig
 from repro.dsg.ground_truth import GroundTruth
-from repro.engine import ResultSet, reference_engine
+from repro.engine import Relation, ResultSet, reference_engine
 from repro.expr import ColumnRef, column, eq, lit
 from repro.plan import JoinStep, JoinType, QuerySpec, SelectItem, TableRef
 
@@ -67,18 +67,18 @@ class TestBitmapRules:
         query = two_table_query(dsg, JoinType.CROSS)
         query.joins[0] = JoinStep(query.joins[0].table, JoinType.CROSS)
         truth = dsg.oracle.compute(query)
-        assert truth.mode is VerificationMode.SUBSET
+        assert truth.mode is Relation.SUBSET
 
 
 class TestGroundTruthMatching:
     def test_full_set_match_semantics(self):
-        truth = GroundTruth(ResultSet(["a"], [(1,), (2,)]), VerificationMode.FULL_SET, [])
+        truth = GroundTruth(ResultSet(["a"], [(1,), (2,)]), Relation.SET_EQUAL, [])
         assert truth.matches(ResultSet(["a"], [(2,), (1,), (1,)]))
         assert not truth.matches(ResultSet(["a"], [(1,)]))
         assert not truth.matches(ResultSet(["a"], [(1,), (2,), (3,)]))
 
     def test_subset_match_semantics(self):
-        truth = GroundTruth(ResultSet(["a"], [(1,)]), VerificationMode.SUBSET, [])
+        truth = GroundTruth(ResultSet(["a"], [(1,)]), Relation.SUBSET, [])
         assert truth.matches(ResultSet(["a"], [(1,), (5,)]))
         assert not truth.matches(ResultSet(["a"], [(5,)]))
 

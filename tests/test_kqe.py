@@ -23,12 +23,12 @@ from repro.kqe import (
     QueryGraph,
     QueryGraphBuilder,
     alias_sample,
-    are_isomorphic,
     cosine_similarity,
-    is_subgraph_isomorphic,
 )
 from repro.kqe.store import quantize_to_float32
 from repro.plan import JoinStep, JoinType, QuerySpec, SelectItem, TableRef
+
+from graph_isomorphism import are_isomorphic, is_subgraph_isomorphic, to_networkx
 
 
 def make_query(dsg, join_type=JoinType.INNER, with_filter=False):
@@ -485,8 +485,7 @@ def guided_draws(dataset, kqe_seed):
 
 class TestRefinementWithoutNetworkx:
     def test_import_repro_leaves_networkx_unloaded(self):
-        """Only the exact isomorphism checks need networkx, and they import it
-        when called."""
+        """networkx is a test dependency only: the runtime never imports it."""
         source = Path(__file__).resolve().parent.parent / "src"
         probe = ("import sys, repro, repro.kqe, repro.dsg; print(sorted("
                  "m for m in sys.modules if m.split('.')[0] == 'networkx'))")
@@ -497,11 +496,11 @@ class TestRefinementWithoutNetworkx:
 
     def test_parallel_edges_merge_like_networkx(self, shopping_dsg):
         """A column both filtered and projected gives two plan-iterative edges
-        between one vertex pair; adjacency() merges them like to_networkx()."""
+        between one vertex pair; adjacency() merges them like networkx."""
         builder = QueryGraphBuilder(shopping_dsg.ndb.schema)
         graph = builder.build(make_query(shopping_dsg, with_filter=True))
         adjacency = graph.adjacency()
-        nx_graph = graph.to_networkx()
+        nx_graph = to_networkx(graph)
         merged = {
             frozenset((left, right)): data["label"]
             for left, right, data in nx_graph.edges(data=True)

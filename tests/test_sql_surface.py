@@ -26,14 +26,13 @@ from repro.core.campaign import CampaignConfig, CampaignSpec, run_campaign
 from repro.core.differential import (
     DifferentialOracle,
     preserves_duplicates,
-    result_sets_match,
 )
 from repro.distributed.wire import (
     decode_campaign_config,
     encode_campaign_config,
 )
 from repro.dsg.query_gen import GenerationConfig
-from repro.engine.resultset import ResultSet
+from repro.engine.resultset import Relation, ResultSet, agree
 from repro.errors import GenerationError, PlanError, ProtocolError
 from repro.expr.ast import ColumnRef, ScalarSubquery
 from repro.plan.logical import (
@@ -175,12 +174,12 @@ class TestBagComparison:
         doubled = ResultSet(["v"], [(1,), (1,)])
         single = ResultSet(["v"], [(1,)])
         # Set comparison silently equates them; bag comparison must not.
-        assert doubled.same_rows(single)
-        assert not doubled.same_bag(single)
-        assert result_sets_match(doubled, single, bag=False)
-        assert not result_sets_match(doubled, single, bag=True)
-        assert result_sets_match(doubled, ResultSet(["v"], [(1,), (1,)]),
-                                 bag=True)
+        assert agree(doubled, single, Relation.SET_EQUAL)
+        assert not agree(doubled, single, Relation.BAG_EQUAL)
+        assert agree(doubled, single, Relation.SET_EQUAL, tolerant=True)
+        assert not agree(doubled, single, Relation.BAG_EQUAL, tolerant=True)
+        assert agree(doubled, ResultSet(["v"], [(1,), (1,)]),
+                     Relation.BAG_EQUAL, tolerant=True)
 
     def test_oracle_selects_bag_for_union_all(self):
         assert preserves_duplicates(two_arm_compound(SetOperator.UNION_ALL))
@@ -196,9 +195,9 @@ class TestBagComparison:
     def test_bag_mode_float_tolerance(self):
         left = ResultSet(["v"], [(1.0,), (1.0,)])
         right = ResultSet(["v"], [(1.0 + 1e-12,), (1.0 + 1e-12,)])
-        assert result_sets_match(left, right, bag=True)
-        assert not result_sets_match(left, ResultSet(["v"], [(1.0,)]),
-                                     bag=True)
+        assert agree(left, right, Relation.BAG_EQUAL, tolerant=True)
+        assert not agree(left, ResultSet(["v"], [(1.0,)]), Relation.BAG_EQUAL,
+                         tolerant=True)
 
 
 # ------------------------------------------------- satellite 2: NULL ordering
@@ -366,8 +365,9 @@ def test_render_roundtrip_on_sqlite(dataset, seed, index):
     backend = _BACKEND_CACHE[key]
     execution = backend.execute(statement)
     reference = reference_engine(dsg.database).execute(statement)
-    assert result_sets_match(reference, execution.result,
-                             bag=preserves_duplicates(statement))
+    relation = (Relation.BAG_EQUAL if preserves_duplicates(statement)
+                else Relation.SET_EQUAL)
+    assert agree(reference, execution.result, relation, tolerant=True)
 
 
 _BACKEND_CACHE = {}
