@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bug_report import BugIncident, BugLog
 from repro.dsg.pipeline import DSG
@@ -39,6 +39,9 @@ class BaselineTester:
         self.queries_executed = 0
         self._diversity = IsomorphicSetCounter()
         self._graph_builder: Optional[QueryGraphBuilder] = None
+        # (table, column) -> its distinct values; the bound database does not
+        # change while the baseline runs, so each column is read once.
+        self._distinct_values: Dict[Tuple[str, str], List[Any]] = {}
 
     # ----------------------------------------------------------------- binding
 
@@ -52,6 +55,7 @@ class BaselineTester:
         offset = int.from_bytes(name_digest[:4], "big") % 1000
         self.rng = random.Random(seed + offset)
         self._graph_builder = QueryGraphBuilder(dsg.ndb.schema)
+        self._distinct_values = {}
 
     @property
     def explored_isomorphic_sets(self) -> int:
@@ -120,7 +124,10 @@ class BaselineTester:
         ref = item.expression
         if not isinstance(ref, ColumnRef) or ref.table is None:
             return None
-        values = self.dsg.ndb.database.table(ref.table).distinct_values(ref.column)
+        values = self._distinct_values.get((ref.table, ref.column))
+        if values is None:
+            values = self.dsg.ndb.database.table(ref.table).distinct_values(ref.column)
+            self._distinct_values[(ref.table, ref.column)] = values
         if not values:
             return None
         op = self.rng.choice(["=", "<>", "<", ">="])

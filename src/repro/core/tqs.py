@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.core.bug_report import BugIncident, BugLog
@@ -97,8 +97,15 @@ class TQS:
         ground_truth: GroundTruth,
     ) -> List[BugIncident]:
         incidents: List[BugIncident] = []
+        # Hint sets that share an execution share its ResultSet object, and
+        # the reports hold every result alive, so an id names one result.
+        verdicts: Dict[int, bool] = {}
         for report in reports:
-            if ground_truth.matches(report.result):
+            result = report.result
+            matches = verdicts.get(id(result))
+            if matches is None:
+                matches = verdicts[id(result)] = ground_truth.matches(result)
+            if matches:
                 continue
             incidents.append(
                 BugIncident(

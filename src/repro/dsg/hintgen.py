@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.optimizer.hints import (
     HintSet,
@@ -44,8 +44,42 @@ class TransformedQuery:
         return SQLRenderer().query(self.query, self.hints.render_comment())
 
 
+#: The hint sets of every query, in order: the default plan first, then each
+#: forced join algorithm and the minimal join-cache level.
+_ALWAYS: Tuple[HintSet, ...] = (
+    default_hints(),
+    hash_join_hints(),
+    block_nested_loop_hints(),
+    nested_loop_hints(),
+    merge_join_hints(),
+    bka_join_hints(),
+    bnlh_join_hints(),
+    index_join_hints(),
+    join_buffer_minimal_hints(1),
+)
+
+#: Added for a query with a SEMI or ANTI step.
+_SEMI_JOIN: Tuple[HintSet, ...] = (
+    no_materialization_hints(),
+    no_semijoin_hints(),
+    no_materialization_hints(hash_join_hints()),
+)
+
+#: Added for a query with an outer join step.
+_OUTER_JOIN: Tuple[HintSet, ...] = (
+    join_cache_off_hints("join_cache_hashed"),
+    join_cache_off_hints("join_cache_bka"),
+    join_cache_off_hints("outer_join_with_cache"),
+)
+
+
 class HintGenerator:
-    """Selects the hint sets relevant to a query and builds transformed queries."""
+    """Selects the hint sets relevant to a query and builds transformed queries.
+
+    Every hint set but JOIN_ORDER is a campaign constant, built once at
+    import and shared by every query; only the JOIN_ORDER set, a shuffle of
+    the query's own aliases, is built per query.
+    """
 
     def __init__(self, rng: Optional[random.Random] = None,
                  max_hint_sets: Optional[int] = None) -> None:
@@ -54,25 +88,12 @@ class HintGenerator:
 
     def hint_sets_for(self, query: QuerySpec) -> List[HintSet]:
         """Hint sets worth trying for *query* (always starting with the default)."""
-        hints: List[HintSet] = [
-            default_hints(),
-            hash_join_hints(),
-            block_nested_loop_hints(),
-            nested_loop_hints(),
-            merge_join_hints(),
-            bka_join_hints(),
-            bnlh_join_hints(),
-            index_join_hints(),
-            join_buffer_minimal_hints(1),
-        ]
-        if any(join_type.filters_by_existence for join_type in query.join_types):
-            hints.append(no_materialization_hints())
-            hints.append(no_semijoin_hints())
-            hints.append(no_materialization_hints(hash_join_hints()))
-        if any(join_type.is_outer for join_type in query.join_types):
-            hints.append(join_cache_off_hints("join_cache_hashed"))
-            hints.append(join_cache_off_hints("join_cache_bka"))
-            hints.append(join_cache_off_hints("outer_join_with_cache"))
+        hints = list(_ALWAYS)
+        join_types = query.join_types
+        if any(join_type.filters_by_existence for join_type in join_types):
+            hints.extend(_SEMI_JOIN)
+        if any(join_type.is_outer for join_type in join_types):
+            hints.extend(_OUTER_JOIN)
         if len(query.joins) >= 2:
             order = list(query.aliases)
             tail = order[1:]

@@ -114,9 +114,12 @@ class HintSet:
 
 # ------------------------------------------------------------------ factories
 
+_DEFAULT_HINTS = HintSet(name="default")
+
+
 def default_hints() -> HintSet:
-    """The cost-based default plan (no hints)."""
-    return HintSet(name="default")
+    """The cost-based default plan (no hints): one shared frozen instance."""
+    return _DEFAULT_HINTS
 
 
 def force_algorithm(algorithm: JoinAlgorithm, name: Optional[str] = None) -> HintSet:

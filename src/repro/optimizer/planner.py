@@ -79,7 +79,19 @@ class Planner:
         self.database = database
         self.schema: DatabaseSchema = database.schema
         self.hooks = hooks or ExecutionHooks()
-        # (join type, key domain) -> hint context -> algorithm -> behaviour key
+        # Campaign constants, each bounded by the schema rather than by the
+        # number of queries planned.  The database's rows may change, so
+        # nothing here depends on them: row counts are read per prepare.
+        # (table, alias) -> its stateless scan
+        self._scans: Dict[Tuple[str, str], TableScan] = {}
+        # (left alias, left table, left column, right alias, right table,
+        # right column) -> the join edge's key spec and indexed-key flag
+        self._edges: Dict[Tuple[str, ...], Tuple[JoinKeySpec, bool]] = {}
+        # (join type, key domain) -> switch context -> algorithm -> trigger,
+        # and likewise -> behaviour key; the switch context is the hint set's
+        # (switches, join-cache level), never the hint set, whose JOIN_ORDER
+        # sets differ per query.
+        self._triggers: Dict[Hashable, Dict[Hashable, Dict[Any, TriggerContext]]] = {}
         self._behaviour_keys: Dict[Hashable, Dict[Hashable, Dict[Any, Hashable]]] = {}
 
     # ------------------------------------------------------------------ public
@@ -91,6 +103,42 @@ class Planner:
     def plan(self, query: QuerySpec, hints: Optional[HintSet] = None) -> PhysicalOperator:
         """Build the physical plan for *query* under *hints*."""
         return self.prepare(query).plan(hints)
+
+    # ------------------------------------------------------- campaign constants
+
+    def _scan(self, table: str, alias: str) -> TableScan:
+        """The scan of *table* as *alias*; it reads the table's rows live."""
+        scan = self._scans.get((table, alias))
+        if scan is None:
+            scan = self._scans[(table, alias)] = TableScan(self.database, table, alias)
+        return scan
+
+    def _edge(self, step: JoinStep,
+              alias_to_table: Dict[str, str]) -> Tuple[JoinKeySpec, bool]:
+        """The key spec of keyed *step*'s edge, and whether its right column
+        is a key column of its table."""
+        left, right = step.left_key, step.right_key
+        left_table = alias_to_table[left.table]
+        right_table = alias_to_table[right.table]
+        edge = (left.table, left_table, left.column,
+                right.table, right_table, right.column)
+        facts = self._edges.get(edge)
+        if facts is None:
+            schema = self.schema
+            right_schema = schema.table(right_table)
+            key = JoinKeySpec(
+                left_column=f"{left.table}.{left.column}",
+                right_column=f"{right.table}.{right.column}",
+                domain=comparison_domain(
+                    schema.table(left_table).column(left.column).dtype,
+                    right_schema.column(right.column).dtype,
+                ),
+            )
+            key_columns = set(right_schema.primary_key) | set(right_schema.implicit_key)
+            for table_key in right_schema.keys:
+                key_columns.update(table_key.columns)
+            facts = self._edges[edge] = (key, right.column in key_columns)
+        return facts
 
 
 @dataclass(frozen=True)
@@ -137,7 +185,10 @@ class PreparedQuery:
     reach it: prepare again instead.  The first plan or key validates the
     query, then keeps the driving table's scan and estimated cardinality,
     the cost-based algorithms of the prepared join order and, per join step,
-    the key spec, indexed-key flag, row count and (stateless, shared) scan.
+    the key spec, indexed-key flag, row count and scan.  The scans, key specs
+    and indexed flags, and the trigger each step plans, are campaign
+    constants that the planner builds once for all its prepared queries; the
+    row counts are read from the database by each prepared query.
 
     It also places the WHERE clause, split into its conjuncts, once
     (selection pushdown).  When the planner's hooks are exactly
@@ -184,6 +235,7 @@ class PreparedQuery:
         self._cardinality = 0
         self._steps: Optional[List[_PreparedStep]] = None
         self._defaults: List[JoinAlgorithm] = []
+        self._step_triggers: List[Dict[Hashable, Dict[Any, TriggerContext]]] = []
         self._step_behaviour_keys: List[Dict[Hashable, Dict[Any, Hashable]]] = []
         self._closures: Dict[Tuple[Any, Tuple[str, ...]], Optional[Callable]] = {}
         self._has_subquery: Optional[bool] = None
@@ -205,7 +257,7 @@ class PreparedQuery:
                 cardinality = max(1, int(cardinality * 0.4))
         self._cardinality = cardinality
         scans: Dict[str, PhysicalOperator] = {
-            ref.alias: TableScan(database, ref.table, ref.alias)
+            ref.alias: self.planner._scan(ref.table, ref.alias)
             for ref in query.table_refs
         }
         pushed, self._where = self._place_where(scans)
@@ -248,22 +300,9 @@ class PreparedQuery:
         if not step.join_type.keyed:
             return _PreparedStep(step, position, scan, cardinality, key=None,
                                  key_is_indexed=False)
-        schema = self.planner.schema
-        left_table = alias_to_table[step.left_key.table]
-        right = schema.table(alias_to_table[step.right_key.table])
-        key = JoinKeySpec(
-            left_column=f"{step.left_key.table}.{step.left_key.column}",
-            right_column=f"{step.right_key.table}.{step.right_key.column}",
-            domain=comparison_domain(
-                schema.table(left_table).column(step.left_key.column).dtype,
-                right.column(step.right_key.column).dtype,
-            ),
-        )
-        key_columns = set(right.primary_key) | set(right.implicit_key)
-        for table_key in right.keys:
-            key_columns.update(table_key.columns)
+        key, key_is_indexed = self.planner._edge(step, alias_to_table)
         return _PreparedStep(step, position, scan, cardinality, key=key,
-                             key_is_indexed=step.right_key.column in key_columns)
+                             key_is_indexed=key_is_indexed)
 
     def plan(self, hints: Optional[HintSet] = None) -> PhysicalOperator:
         """Build the physical plan of the query under *hints*."""
@@ -277,8 +316,20 @@ class PreparedQuery:
         subqueries: the join order, and each join's algorithm,
         materialization and trigger context.  No operator is built.
         """
-        return [JoinDecision(step, algorithm, _planned_trigger(step, algorithm, hints))
+        context = _switch_context(hints)
+        return [JoinDecision(step, algorithm,
+                             self._trigger(step, algorithm, hints, context))
                 for step, algorithm in zip(*self._join_plan(hints))]
+
+    def _trigger(self, step: _PreparedStep, algorithm: JoinAlgorithm,
+                 hints: HintSet, context: Hashable) -> TriggerContext:
+        """The planner's trigger of *step* running *algorithm* under *hints*,
+        whose switch context is *context*."""
+        triggers = self._step_triggers[step.position].setdefault(context, {})
+        trigger = triggers.get(algorithm)
+        if trigger is None:
+            trigger = triggers[algorithm] = _planned_trigger(step, algorithm, hints)
+        return trigger
 
     def execution_key(self, hints: HintSet) -> Hashable:
         """What decides the rows and fired bug ids of the plan of *hints*.
@@ -300,15 +351,14 @@ class PreparedQuery:
         if self._has_subquery is None:
             self._has_subquery = any(
                 map(contains_subquery, _evaluated_expressions(self._query)))
-        context = (hints.switches, hints.join_cache_level)
+        context = _switch_context(hints)
         joins = []
         for step, algorithm in zip(steps, algorithms):
             keys = self._step_behaviour_keys[step.position].setdefault(context, {})
             key = keys.get(algorithm, _UNSEEN)
             if key is _UNSEEN:
-                key = self.planner.hooks.behaviour_key(
-                    _planned_trigger(step, algorithm, hints))
-                keys[algorithm] = key
+                key = keys[algorithm] = self.planner.hooks.behaviour_key(
+                    self._trigger(step, algorithm, hints, context))
             joins.append((step.position, key))
         return (tuple(joins), hints) if self._has_subquery else tuple(joins)
 
@@ -341,9 +391,14 @@ class PreparedQuery:
         if self._steps is None:
             self._steps = self._prepare()
             self._defaults = self._cost_defaults(self._steps)
-            self._step_behaviour_keys = [self.planner._behaviour_keys.setdefault(
-                (step.step.join_type, None if step.key is None else step.key.domain), {})
-                for step in self._steps]
+            planner = self.planner
+            kinds = [(prepared.step.join_type,
+                      None if prepared.key is None else prepared.key.domain)
+                     for prepared in self._steps]
+            self._step_triggers = [planner._triggers.setdefault(kind, {})
+                                   for kind in kinds]
+            self._step_behaviour_keys = [planner._behaviour_keys.setdefault(kind, {})
+                                         for kind in kinds]
         steps = self._ordered_steps(hints)
         defaults = (self._defaults if steps is self._steps
                     else self._cost_defaults(steps))
@@ -443,6 +498,11 @@ class PreparedQuery:
             return rows
 
         return run
+
+
+def _switch_context(hints: HintSet) -> Hashable:
+    """What of *hints* a planned trigger reads besides the algorithm."""
+    return hints.switches, hints.join_cache_level
 
 
 def _planned_trigger(prepared: _PreparedStep, algorithm: JoinAlgorithm,

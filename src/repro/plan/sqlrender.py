@@ -463,6 +463,9 @@ class SQLRenderer:
     def create_indexes(self, table: TableSchema) -> List[str]:
         """Render CREATE INDEX statements for the table's secondary keys.
 
+        The implicit key gets an index of its own only when neither the
+        primary key nor a declared key already covers the same columns.
+
         Indexes are deliberately non-unique: DSG's noise injection may corrupt
         key columns into duplicates, and the point of loading the database is to
         test join planning over these indexes, not to enforce integrity.
@@ -476,7 +479,8 @@ class SQLRenderer:
                 f"CREATE INDEX {index_name} ON {self.ident(table.name)} ({columns})"
             )
         implicit = tuple(table.implicit_key)
-        if implicit and implicit != table.primary_key:
+        indexed = {table.primary_key, *(tuple(key.columns) for key in table.keys)}
+        if implicit and implicit not in indexed:
             columns = ", ".join(self.ident(c) for c in implicit)
             index_name = self.ident(f"idx_{table.name}_implicit_key")
             statements.append(

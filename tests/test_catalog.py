@@ -51,7 +51,26 @@ class TestTableSchema:
         assert 'CREATE TABLE "users"' in ddl
         assert 'PRIMARY KEY ("RowID")' in ddl
         indexes = SQLRenderer().create_indexes(_users_table())
-        assert 'CREATE INDEX "idx_users_0_userId" ON "users" ("userId")' in indexes
+        # The declared key covers the implicit key's columns: one index.
+        assert indexes == ['CREATE INDEX "idx_users_0_userId" ON "users" ("userId")']
+
+    def test_implicit_key_indexed_only_when_no_key_covers_it(self):
+        table = TableSchema(
+            "orders",
+            [Column("RowID", bigint(nullable=False)), Column("orderId", varchar(8)),
+             Column("userId", varchar(16))],
+            primary_key=("RowID",),
+            implicit_key=("orderId", "userId"),
+            keys=(KeyConstraint(("userId",)),),
+        )
+        assert SQLRenderer().create_indexes(table) == [
+            'CREATE INDEX "idx_orders_0_userId" ON "orders" ("userId")',
+            'CREATE INDEX "idx_orders_implicit_key" ON "orders" ("orderId", "userId")',
+        ]
+        # Neither the primary key nor a key of the same columns is indexed twice.
+        keyed = TableSchema("t", [Column("a", varchar(5))], primary_key=("a",),
+                            implicit_key=("a",))
+        assert SQLRenderer().create_indexes(keyed) == []
 
     def test_make_table_helper(self):
         table = make_table("t", [Column("a", varchar(5))], implicit_key=("a",))
