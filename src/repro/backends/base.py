@@ -46,6 +46,12 @@ class BackendAdapter:
     """
 
     name = "backend"
+    #: Whether a forked copy of a deployed adapter can run its queries while
+    #: the original is left alone: a campaign may then check in a forked
+    #: process (:func:`~repro.core.differential.checker_can_fork`).  An
+    #: adapter whose database library runs native threads must not claim
+    #: it, since a fork copies their locks but not the threads.
+    survives_fork = False
 
     # ------------------------------------------------------------ lifecycle
 

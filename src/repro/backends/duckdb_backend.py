@@ -47,6 +47,8 @@ class DuckDBBackend(RenderedSQLBackend):
     """Backend adapter executing rendered SQL on a DuckDB connection."""
 
     name = "DuckDB"
+    # DuckDB executes on native worker threads, which a fork does not copy.
+    survives_fork = False
     # The narrow taxonomy applies whenever the driver is importable;
     # (Exception,) only stands in when it is not (those methods are then
     # unreachable anyway, since connect() refuses without the driver).

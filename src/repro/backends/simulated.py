@@ -27,6 +27,8 @@ from repro.storage.database import Database
 class SimulatedBackend(BackendAdapter):
     """Adapter around a simulated :class:`Engine` (clean or seeded with faults)."""
 
+    survives_fork = True  # plain Python objects, copied whole by a fork
+
     def __init__(self, dialect: Optional[DialectProfile] = None,
                  hints: Optional[HintSet] = None) -> None:
         self.dialect = dialect

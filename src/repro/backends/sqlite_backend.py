@@ -68,6 +68,9 @@ class SQLiteBackend(RenderedSQLBackend):
     name = "SQLite"
     driver_errors = (sqlite3.Error, OverflowError)
     explain_prefix = "EXPLAIN QUERY PLAN"
+    # The library runs no threads of its own, and a forked checker only
+    # reads the deployed database.
+    survives_fork = True
 
     def __init__(self, path: str = ":memory:",
                  renderer: Optional[SQLRenderer] = None) -> None:

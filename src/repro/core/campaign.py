@@ -320,6 +320,15 @@ def run_campaign_loop(tester, result: CampaignResult, hours: int,
     *queries_per_hour* may be a callable of the 1-based hour instead of a
     constant: the adaptive-budget worker uses that to apply the coordinator's
     per-round reallocations without forking the loop.
+
+    A :class:`DifferentialTester` checks in a forked process where
+    :func:`~repro.core.differential.checker_can_fork` allows it:
+    ``run_iteration()`` then only generates and sends, and each hour settles
+    its answers before its sample is taken, so every sample, incident and
+    ``on_hour`` record equals the in-process loop's.  The checker is told to
+    exit when the loop ends; the tester's ``close()`` reaps it.  Pool shards
+    check in-process: they run in daemonic processes beside a heartbeat
+    thread, both of which the fork rule refuses.
     """
     registry = obs.get_registry()
     rejected = 0
@@ -333,49 +342,56 @@ def run_campaign_loop(tester, result: CampaignResult, hours: int,
     prev_sets = tester.explored_isomorphic_sets
     prev_bugs = tester.bug_log.bug_count
     prev_rejected = 0
-    for hour in range(1, hours + 1):
-        budget = (queries_per_hour(hour) if callable(queries_per_hour)
-                  else queries_per_hour)
-        for _ in range(budget):
-            try:
-                tester.run_iteration()
-            except GenerationError:
-                # A failed generation must not abort the campaign, but it must
-                # not vanish either: it burned budget without a query.
-                rejected += 1
-        sample = HourlySample(
-            hour=hour,
-            queries_generated=tester.queries_generated,
-            queries_executed=tester.queries_executed,
-            isomorphic_sets=tester.explored_isomorphic_sets,
-            bug_count=tester.bug_log.bug_count,
-            bug_type_count=tester.bug_log.bug_type_count,
-            generations_rejected=rejected,
-        )
-        result.samples.append(sample)
-        registry.counter("campaign.hours").inc()
-        registry.counter("campaign.queries_generated").inc(
-            sample.queries_generated - prev_generated)
-        registry.counter("campaign.queries_executed").inc(
-            sample.queries_executed - prev_executed)
-        registry.counter("campaign.novel_labels").inc(
-            sample.isomorphic_sets - prev_sets)
-        registry.counter("campaign.bugs").inc(sample.bug_count - prev_bugs)
-        registry.counter("campaign.generations_rejected").inc(
-            rejected - prev_rejected)
-        prev_generated = sample.queries_generated
-        prev_executed = sample.queries_executed
-        prev_sets = sample.isomorphic_sets
-        prev_bugs = sample.bug_count
-        prev_rejected = rejected
-        if on_hour is not None:
-            current_labels = tester.diversity.labels
-            new_labels = sorted(current_labels - known_labels)
-            known_labels.update(new_labels)
-            new_incidents = list(tester.bug_log.incidents[incident_watermark:])
-            incident_watermark = len(tester.bug_log.incidents)
-            on_hour(HourRecord(hour=hour, sample=sample, new_labels=new_labels,
-                               new_incidents=new_incidents))
+    forked = isinstance(tester, DifferentialTester) and tester.start_checker()
+    try:
+        for hour in range(1, hours + 1):
+            budget = (queries_per_hour(hour) if callable(queries_per_hour)
+                      else queries_per_hour)
+            for _ in range(budget):
+                try:
+                    tester.run_iteration()
+                except GenerationError:
+                    # A failed generation must not abort the campaign, but it must
+                    # not vanish either: it burned budget without a query.
+                    rejected += 1
+            if forked:
+                tester.settle()
+            sample = HourlySample(
+                hour=hour,
+                queries_generated=tester.queries_generated,
+                queries_executed=tester.queries_executed,
+                isomorphic_sets=tester.explored_isomorphic_sets,
+                bug_count=tester.bug_log.bug_count,
+                bug_type_count=tester.bug_log.bug_type_count,
+                generations_rejected=rejected,
+            )
+            result.samples.append(sample)
+            registry.counter("campaign.hours").inc()
+            registry.counter("campaign.queries_generated").inc(
+                sample.queries_generated - prev_generated)
+            registry.counter("campaign.queries_executed").inc(
+                sample.queries_executed - prev_executed)
+            registry.counter("campaign.novel_labels").inc(
+                sample.isomorphic_sets - prev_sets)
+            registry.counter("campaign.bugs").inc(sample.bug_count - prev_bugs)
+            registry.counter("campaign.generations_rejected").inc(
+                rejected - prev_rejected)
+            prev_generated = sample.queries_generated
+            prev_executed = sample.queries_executed
+            prev_sets = sample.isomorphic_sets
+            prev_bugs = sample.bug_count
+            prev_rejected = rejected
+            if on_hour is not None:
+                current_labels = tester.diversity.labels
+                new_labels = sorted(current_labels - known_labels)
+                known_labels.update(new_labels)
+                new_incidents = list(tester.bug_log.incidents[incident_watermark:])
+                incident_watermark = len(tester.bug_log.incidents)
+                on_hour(HourRecord(hour=hour, sample=sample, new_labels=new_labels,
+                                   new_incidents=new_incidents))
+    finally:
+        if forked:
+            tester.stop_checker()
     result.bug_log = tester.bug_log
     return result
 

@@ -158,7 +158,6 @@ class Engine:
             query.executions[key] = (report.result, report.fired_bug_ids)
             return report
         result, fired = shared
-        obs.get_registry().counter("engine.shared_executions").inc()
         return ExecutionReport(
             result=result,
             hints=hints,
@@ -189,12 +188,17 @@ class Engine:
         A join query is prepared once, so hint sets whose plans execute alike
         share one execution (see :meth:`execute_with_report`); every hint
         set still gets its own report.  A compound query plans its arms per
-        hint set.
+        hint set.  The ``engine.shared_executions`` counter counts the hint
+        sets answered from an earlier hint set's execution.
         """
-        target: Union[AnyQuerySpec, PreparedQuery] = query
-        if isinstance(query, QuerySpec):
-            target = self.planner.prepare(query)
-        return [self.execute_with_report(target, hints) for hints in hint_sets]
+        if not isinstance(query, QuerySpec):
+            return [self.execute_with_report(query, hints) for hints in hint_sets]
+        prepared = self.planner.prepare(query)
+        reports = [self.execute_with_report(prepared, hints) for hints in hint_sets]
+        shared = len(reports) - len(prepared.executions)
+        if shared:
+            obs.get_registry().counter("engine.shared_executions").inc(shared)
+        return reports
 
 
 def reference_engine(database: Database) -> Engine:

@@ -235,10 +235,11 @@ class ActiveFaults(ExecutionHooks):
 
     Bit *i* of a mask stands for the *i*-th bug.  Per trigger condition, a
     dict maps each field value seen so far to the mask of the bugs accepting
-    it, and a trigger matches the AND of its fields' masks.  A join hands
-    one trigger to all its seams per execution, so the seams keep the last
-    trigger's mask by identity.  Entries are whole when assigned, so threads
-    sharing the object see a whole entry or none.
+    it, and a trigger matches the AND of its fields' masks.  Each trigger's
+    mask is kept, keyed by the trigger, and a join hands one trigger to all
+    its seams per execution, so the seams also keep the last trigger's mask
+    by identity.  Entries are whole when assigned, so threads sharing the
+    object see a whole entry or none.
     """
 
     def __init__(self, bugs: Sequence[BugSpec] = ()) -> None:
@@ -251,6 +252,7 @@ class ActiveFaults(ExecutionHooks):
         self._routine_mask = self._mask_where(_read_in_matching_routine)
         self._field_masks: Tuple[Dict[Any, int], ...] = tuple(
             {} for _ in _CONDITIONS)
+        self._trigger_masks: Dict[TriggerContext, int] = {}
         self._last: Tuple[Optional[TriggerContext], int] = (None, 0)
 
     # -------------------------------------------------------------- bookkeeping
@@ -286,8 +288,11 @@ class ActiveFaults(ExecutionHooks):
         """The mask of the matching bugs of a seam or (seam, behaviour) pair."""
         last = self._last
         if last[0] is not trigger:
-            mask = self._planned_mask(trigger) & self._field_mask(
-                _PLANNED_CONDITIONS, trigger.has_null_keys)
+            mask = self._trigger_masks.get(trigger)
+            if mask is None:
+                mask = self._trigger_masks[trigger] = self._planned_mask(
+                    trigger) & self._field_mask(
+                        _PLANNED_CONDITIONS, trigger.has_null_keys)
             last = self._last = (trigger, mask)
         return last[1] & self._seam_masks.get(seam, 0)
 

@@ -36,6 +36,7 @@ from repro.obs.registry import (
     MetricsRegistry,
     MetricsSnapshot,
     NullRegistry,
+    OVERLAPPED_LABEL,
     PHASE_HISTOGRAM,
     format_key,
     get_registry,
@@ -57,6 +58,7 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "NullRegistry",
+    "OVERLAPPED_LABEL",
     "PHASE_HISTOGRAM",
     "PROMETHEUS_CONTENT_TYPE",
     "error_breakdown",

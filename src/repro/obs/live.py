@@ -44,8 +44,10 @@ def phase_breakdown(
 
 def phase_total_seconds(snapshot: MetricsSnapshot) -> float:
     """Sum of all span time in the snapshot (across shards when merged),
-    sub-phases excluded."""
-    return _top_level_total(phase_breakdown(snapshot))
+    sub-phases and spans overlapped by another process's excluded."""
+    phases = snapshot.phase_seconds(overlapped=False)
+    return _top_level_total([(name, seconds, count)
+                             for name, (seconds, count) in phases.items()])
 
 
 def _top_level_total(rows: List[Tuple[str, float, int]]) -> float:
@@ -71,7 +73,9 @@ def render_phase_breakdown(
 
     When *wall_seconds* is given (or ``worker.run.seconds`` was recorded) a
     trailing line reports how much of the wall-clock the spans cover — the
-    acceptance gauge for "phase spans sum to >= 90% of wall-clock".
+    acceptance gauge for "phase spans sum to >= 90% of wall-clock".  Spans
+    absorbed from a process that ran beside the campaign's (a differential
+    checker's) are listed but cover none of it.
     """
     if snapshot is None:
         return "telemetry: no snapshot recorded"
@@ -89,7 +93,7 @@ def render_phase_breakdown(
     lines.append(f"{'total'.ljust(width)}  {total:>10.3f}")
     wall = wall_seconds if wall_seconds is not None else worker_run_seconds(snapshot)
     if wall > 0:
-        coverage = 100.0 * total / wall
+        coverage = 100.0 * phase_total_seconds(snapshot) / wall
         lines.append(f"span coverage: {coverage:.1f}% of {wall:.3f}s wall-clock")
     return "\n".join(lines)
 

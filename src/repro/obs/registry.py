@@ -51,6 +51,10 @@ GUARDED_BY = {
 #: labeled with ``phase=<name>``.
 PHASE_HISTOGRAM = "phase.seconds"
 
+#: Label :meth:`MetricsRegistry.absorb` puts on another process's phase
+#: spans: they ran beside this process's spans, not inside its wall-clock.
+OVERLAPPED_LABEL = "overlapped"
+
 #: Default latency buckets (seconds) — sub-millisecond through one minute,
 #: roughly log-spaced like Prometheus' defaults.
 DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
@@ -253,13 +257,21 @@ class MetricsSnapshot:
     def counter_value(self, name: str, **labels: object) -> int:
         return self.counters.get(format_key(name, labels), 0)
 
-    def phase_seconds(self) -> Dict[str, Tuple[float, int]]:
-        """``{phase: (total_seconds, span_count)}`` from the span histograms."""
+    def phase_seconds(self, overlapped: bool = True) -> Dict[str, Tuple[float, int]]:
+        """``{phase: (total_seconds, span_count)}`` from the span histograms.
+
+        Without *overlapped*, the spans absorbed from another process
+        (labelled :data:`OVERLAPPED_LABEL`) are left out.
+        """
         phases: Dict[str, Tuple[float, int]] = {}
         for key, state in self.histograms.items():
             name, labels = parse_key(key)
-            if name == PHASE_HISTOGRAM and "phase" in labels:
-                phases[labels["phase"]] = (state.sum, state.count)
+            if name != PHASE_HISTOGRAM or "phase" not in labels:
+                continue
+            if not overlapped and OVERLAPPED_LABEL in labels:
+                continue
+            seconds, count = phases.get(labels["phase"], (0.0, 0))
+            phases[labels["phase"]] = (seconds + state.sum, count + state.count)
         return phases
 
     def counters_by_name(self, name: str) -> Dict[str, int]:
@@ -368,6 +380,45 @@ class MetricsRegistry:
 
     # -------------------------------------------------------------- snapshot
 
+    def absorb(self, snapshot: MetricsSnapshot) -> None:
+        """Fold another process's *snapshot* into this live registry.
+
+        The same fold as :meth:`MetricsSnapshot.merge`: counters and
+        histograms add, gauges take the max.  The other process's phase
+        spans ran beside this one's, so they are labelled
+        :data:`OVERLAPPED_LABEL`: :meth:`MetricsSnapshot.phase_seconds`
+        counts them, span coverage of this process's wall-clock does not.
+        """
+        with self._lock:
+            for key, value in snapshot.counters.items():
+                counter = self._counters.get(key)
+                if counter is None:
+                    counter = self._counters[key] = Counter(self._lock)
+                counter.value += value
+            for key, level in snapshot.gauges.items():
+                gauge = self._gauges.get(key)
+                if gauge is None:
+                    gauge = self._gauges[key] = Gauge(self._lock)
+                    gauge.value = level
+                else:
+                    gauge.value = max(gauge.value, level)
+            for key, state in snapshot.histograms.items():
+                name, labels = parse_key(key)
+                if name == PHASE_HISTOGRAM:
+                    key = format_key(name, dict(labels, **{OVERLAPPED_LABEL: 1}))
+                histogram = self._histograms.get(key)
+                if histogram is None:
+                    histogram = self._histograms[key] = Histogram(
+                        self._lock, state.bounds)
+                elif histogram.bounds != state.bounds:
+                    raise TelemetryError(
+                        f"cannot absorb histogram {key!r} with different "
+                        f"buckets: {histogram.bounds!r} vs {state.bounds!r}")
+                histogram.counts = [a + b for a, b in
+                                    zip(histogram.counts, state.counts)]
+                histogram.sum += state.sum
+                histogram.count += state.count
+
     def snapshot(self) -> MetricsSnapshot:
         with self._lock:
             counters = {k: c.value for k, c in self._counters.items()}
@@ -434,6 +485,9 @@ class NullRegistry(MetricsRegistry):
         return self._NULL_SPAN
 
     def observe_phase(self, name: str, seconds: float) -> None:
+        pass
+
+    def absorb(self, snapshot: MetricsSnapshot) -> None:
         pass
 
 

@@ -87,11 +87,12 @@ class Planner:
         # (left alias, left table, left column, right alias, right table,
         # right column) -> the join edge's key spec and indexed-key flag
         self._edges: Dict[Tuple[str, ...], Tuple[JoinKeySpec, bool]] = {}
-        # (join type, key domain) -> switch context -> algorithm -> trigger,
-        # and likewise -> behaviour key; the switch context is the hint set's
-        # (switches, join-cache level), never the hint set, whose JOIN_ORDER
-        # sets differ per query.
-        self._triggers: Dict[Hashable, Dict[Hashable, Dict[Any, TriggerContext]]] = {}
+        # (join type, key domain) -> switch context -> algorithm -> the
+        # planned trigger and the join's two execution triggers, and likewise
+        # -> behaviour key; the switch context is the hint set's (switches,
+        # join-cache level), never the hint set, whose JOIN_ORDER sets differ
+        # per query.
+        self._triggers: Dict[Hashable, Dict[Hashable, Dict[Any, _Triggers]]] = {}
         self._behaviour_keys: Dict[Hashable, Dict[Hashable, Dict[Any, Hashable]]] = {}
 
     # ------------------------------------------------------------------ public
@@ -169,12 +170,18 @@ class _PreparedStep:
         return frozenset(aliases)
 
 
+#: A planned trigger and the triggers its join's executions hand the fault
+#: seams, without and with null keys.
+_Triggers = Tuple[TriggerContext, Tuple[TriggerContext, TriggerContext]]
+
+
 class JoinDecision(NamedTuple):
     """What one hint set decided for one join step of a prepared query."""
 
     step: _PreparedStep
     algorithm: JoinAlgorithm
     trigger: TriggerContext
+    execution_triggers: Tuple[TriggerContext, TriggerContext]
 
 
 class PreparedQuery:
@@ -235,7 +242,7 @@ class PreparedQuery:
         self._cardinality = 0
         self._steps: Optional[List[_PreparedStep]] = None
         self._defaults: List[JoinAlgorithm] = []
-        self._step_triggers: List[Dict[Hashable, Dict[Any, TriggerContext]]] = []
+        self._step_triggers: List[Dict[Hashable, Dict[Any, _Triggers]]] = []
         self._step_behaviour_keys: List[Dict[Hashable, Dict[Any, Hashable]]] = []
         self._closures: Dict[Tuple[Any, Tuple[str, ...]], Optional[Callable]] = {}
         self._has_subquery: Optional[bool] = None
@@ -318,18 +325,22 @@ class PreparedQuery:
         """
         context = _switch_context(hints)
         return [JoinDecision(step, algorithm,
-                             self._trigger(step, algorithm, hints, context))
+                             *self._triggers(step, algorithm, hints, context))
                 for step, algorithm in zip(*self._join_plan(hints))]
 
-    def _trigger(self, step: _PreparedStep, algorithm: JoinAlgorithm,
-                 hints: HintSet, context: Hashable) -> TriggerContext:
+    def _triggers(self, step: _PreparedStep, algorithm: JoinAlgorithm,
+                  hints: HintSet, context: Hashable) -> _Triggers:
         """The planner's trigger of *step* running *algorithm* under *hints*,
-        whose switch context is *context*."""
-        triggers = self._step_triggers[step.position].setdefault(context, {})
-        trigger = triggers.get(algorithm)
-        if trigger is None:
-            trigger = triggers[algorithm] = _planned_trigger(step, algorithm, hints)
-        return trigger
+        whose switch context is *context*, and its join's execution triggers."""
+        memo = self._step_triggers[step.position].setdefault(context, {})
+        triggers = memo.get(algorithm)
+        if triggers is None:
+            # The planned trigger already is the join's execution trigger
+            # without null keys: same algorithm, join type and key domain.
+            planned = _planned_trigger(step, algorithm, hints)
+            triggers = memo[algorithm] = (
+                planned, (planned, planned._replace(has_null_keys=True)))
+        return triggers
 
     def execution_key(self, hints: HintSet) -> Hashable:
         """What decides the rows and fired bug ids of the plan of *hints*.
@@ -358,7 +369,7 @@ class PreparedQuery:
             key = keys.get(algorithm, _UNSEEN)
             if key is _UNSEEN:
                 key = keys[algorithm] = self.planner.hooks.behaviour_key(
-                    self._trigger(step, algorithm, hints, context))
+                    self._triggers(step, algorithm, hints, context)[0])
             joins.append((step.position, key))
         return (tuple(joins), hints) if self._has_subquery else tuple(joins)
 
@@ -472,8 +483,8 @@ class PreparedQuery:
             key=prepared.key,
             hooks=self.planner.hooks,
             extra_condition=prepared.step.extra_condition,
-            trigger=decision.trigger,
             compiler=compiler,
+            triggers=decision.execution_triggers,
         )
 
     def _subquery_runner(self, hints: HintSet) -> Callable[[QuerySpec], List[ExecRow]]:

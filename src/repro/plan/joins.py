@@ -88,7 +88,12 @@ class JoinKeySpec:
 
 
 class Join(PhysicalOperator):
-    """Physical join of an accumulated left input with a scanned right input."""
+    """Physical join of an accumulated left input with a scanned right input.
+
+    *triggers* are the trigger contexts its executions hand the fault seams,
+    without and with null keys; the planner passes the ones it keeps, and
+    without them the join runs under the default switches.
+    """
 
     def __init__(
         self,
@@ -99,8 +104,8 @@ class Join(PhysicalOperator):
         key: Optional[JoinKeySpec],
         hooks: Optional[ExecutionHooks] = None,
         extra_condition: Optional[Expression] = None,
-        trigger: Optional[TriggerContext] = None,
         compiler: Compiler = PLAIN_COMPILER,
+        triggers: Optional[Tuple[TriggerContext, TriggerContext]] = None,
     ) -> None:
         if join_type.keyed and key is None:
             raise ExecutionError(f"{join_type.value} join requires an equi-join key")
@@ -111,7 +116,12 @@ class Join(PhysicalOperator):
         self.key = key
         self.hooks = hooks or ExecutionHooks()
         self.extra_condition = extra_condition
-        self._base_trigger = trigger or TriggerContext()
+        if triggers is None:
+            trigger = TriggerContext(
+                algorithm=algorithm, join_type=join_type,
+                key_domain=None if key is None else key.domain)
+            triggers = (trigger, trigger._replace(has_null_keys=True))
+        self._triggers = triggers
         left_columns = left.output_columns()
         right_columns = right.output_columns()
         self._columns = left_columns + (
@@ -138,20 +148,6 @@ class Join(PhysicalOperator):
     def describe(self) -> str:
         key = "" if self.key is None else f" on {self.key.left_column}={self.key.right_column}"
         return f"Join[{self.join_type.value}/{self.algorithm.value}]{key}"
-
-    def _trigger(self, has_null_keys: bool) -> TriggerContext:
-        base = self._base_trigger
-        return TriggerContext(
-            algorithm=self.algorithm,
-            join_type=self.join_type,
-            key_domain=None if self.key is None else self.key.domain,
-            materialization=base.materialization,
-            semijoin_transform=base.semijoin_transform,
-            join_cache_level=base.join_cache_level,
-            derived_from_subquery=base.derived_from_subquery,
-            has_null_keys=has_null_keys,
-            disabled_switches=base.disabled_switches,
-        )
 
     def _padding(self, side: PhysicalOperator, trigger: TriggerContext) -> ExecRow:
         """The padding row for *side*; built only when a padded row is emitted."""
@@ -338,7 +334,7 @@ class Join(PhysicalOperator):
             has_null_keys = any(
                 is_null(row[left_slot]) for row in left_rows
             ) or any(is_null(row[right_slot]) for row in right_rows)
-        trigger = self._trigger(has_null_keys)
+        trigger = self._triggers[has_null_keys]
 
         if not self.join_type.keyed:
             output = [left + right for left in left_rows for right in right_rows]

@@ -1,0 +1,411 @@
+"""A serial differential campaign that checks in a forked checker process.
+
+The loop's process generates, labels and registers queries; the checker runs
+``DifferentialOracle.check`` on each and the loop settles the answers at every
+hour's end.  These tests pin that the split changes nothing a campaign
+reports, that no checker outlives its tester, that failures surface as typed
+errors, and that every exclusion of the fork rule keeps checks in-process.
+
+Tests that need a checker skip on a host that allows this process a single
+CPU; there, ``test_the_host_affinity_picks_the_path`` asserts that the loop
+checks in-process.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+import os
+import signal
+import threading
+import time
+from dataclasses import replace
+from unittest import mock
+
+import pytest
+
+from repro import obs
+from repro.backends import SimulatedBackend, SQLiteBackend, backend_from_name
+from repro.core import differential, parallel
+from repro.core.campaign import (
+    CampaignConfig,
+    CampaignResult,
+    build_differential_tester,
+    run_campaign_loop,
+)
+from repro.engine.dialects import SIM_MYSQL
+from repro.errors import BackendError, CampaignError, GenerationError
+from test_executor_golden import CAMPAIGNS
+
+CLASSIC = CampaignConfig(dataset_rows=20, hours=4, queries_per_hour=12, seed=11)
+WIDENED = replace(CLASSIC, dataset_rows=10, seed=12, setop_probability=0.4,
+                  scalar_subquery_probability=0.3, cte_probability=0.25)
+#: More queries per hour than the checker's window, so the loop also
+#: receives answers mid-hour.
+LONG_HOURS = replace(CLASSIC, hours=2, queries_per_hour=3 * differential.CHECK_WINDOW)
+#: The differential campaign whose executions the golden verdict and plan
+#: digests pin (tests/test_executor_golden.py, tests/test_plan_constants.py);
+#: those record executions in this process, so they pin the in-process path.
+GOLDEN_WIDENED = CAMPAIGNS["diff-widened"].campaign_config()
+
+
+def _two_cpus() -> bool:
+    return len(os.sched_getaffinity(0)) >= 2
+
+
+needs_two_cpus = pytest.mark.skipif(
+    not _two_cpus(), reason="a checker needs two CPUs; see "
+    "test_the_host_affinity_picks_the_path")
+
+
+def _checkers():
+    return [child for child in multiprocessing.active_children()
+            if child.name == "differential-checker"]
+
+
+class FailingBackend(SimulatedBackend):
+    """Clean simulated engine whose every third execution is refused."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+
+    def execute(self, query):
+        self.calls += 1
+        if self.calls % 3 == 0:
+            raise BackendError(f"refused execution {self.calls}")
+        return super().execute(query)
+
+
+class UnforkableBackend(SimulatedBackend):
+    survives_fork = False
+
+
+def _with_limits(tester):
+    """Give every other generated statement a LIMIT, which the oracle skips."""
+    generate = tester.dsg.generate_statement
+    count = [0]
+
+    def limited(**kwargs):
+        query = generate(**kwargs)
+        count[0] += 1
+        if count[0] % 2 == 0:
+            query.limit = 3
+        return query
+
+    tester.dsg.generate_statement = limited
+
+
+def _with_rejections(tester):
+    """Make five generations in a row fail every twentieth call, so some
+    iterations are rejected."""
+    generate = tester.dsg.generate_statement
+    count = [0]
+
+    def flaky(**kwargs):
+        count[0] += 1
+        if count[0] % 20 < 5:
+            raise GenerationError(f"dead end {count[0]}")
+        return generate(**kwargs)
+
+    tester.dsg.generate_statement = flaky
+
+
+def in_process():
+    """Refuse every checker fork for the duration of a ``with`` block."""
+    return mock.patch.object(differential, "checker_can_fork",
+                             lambda backend: False)
+
+
+def run(config, backend="sqlite", fork=True, prepare=None):
+    """One campaign: (result, outcomes, on_hour records, checkers forked)."""
+    adapter = backend() if callable(backend) else backend_from_name(backend)
+    tester = build_differential_tester(adapter, config)
+    if prepare is not None:
+        prepare(tester)
+    result = CampaignResult(tool="t", dbms="d", dataset=config.dataset)
+    records = []
+    try:
+        if fork:
+            run_campaign_loop(tester, result, config.hours,
+                              config.queries_per_hour, on_hour=records.append)
+        else:
+            with in_process():
+                run_campaign_loop(tester, result, config.hours,
+                                  config.queries_per_hour,
+                                  on_hour=records.append)
+    finally:
+        tester.close()
+    return result, tester.outcomes, records, tester.checker_forks
+
+
+# ------------------------------------------------------------ equal results
+
+
+def _files_bugs(result, outcomes):
+    return result.final.bug_count > 0
+
+
+def _skips_refusals(result, outcomes):
+    return any(o.skip_reason.startswith("refused") for o in outcomes)
+
+
+def _skips_limits(result, outcomes):
+    return any(o.skip_reason.startswith("LIMIT") for o in outcomes)
+
+
+def _rejects(result, outcomes):
+    return result.generations_rejected > 0
+
+
+def _generates(result, outcomes):
+    return result.final.queries_executed > 0
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("config, backend, prepare, exercised", [
+    (CLASSIC, "sqlite", None, _generates),
+    (WIDENED, "sqlite", None, _generates),
+    (replace(CLASSIC, dataset_rows=30), "sim:SimMySQL", None, _files_bugs),
+    (CLASSIC, FailingBackend, None, _skips_refusals),
+    (CLASSIC, "sqlite", _with_limits, _skips_limits),
+    (CLASSIC, "sqlite", _with_rejections, _rejects),
+    (LONG_HOURS, "sim:SimMySQL", None, _files_bugs),
+    (GOLDEN_WIDENED, "sqlite", None, _generates),
+], ids=["sqlite", "widened", "sim-mysql", "backend-error", "limit-skips",
+        "generation-error", "long-hours", "golden-widened"])
+def test_forked_checks_equal_in_process_ones(config, backend, prepare,
+                                             exercised):
+    serial, serial_outcomes, serial_records, serial_forks = run(
+        config, backend, fork=False, prepare=prepare)
+    forked, forked_outcomes, forked_records, forks = run(
+        config, backend, prepare=prepare)
+    assert (serial_forks, forks) == (0, 1)
+    assert exercised(serial, serial_outcomes)
+    assert forked.samples == serial.samples
+    assert forked_outcomes == serial_outcomes
+    assert forked.bug_log.incidents == serial.bug_log.incidents
+    assert forked_records == serial_records
+
+
+# ------------------------------------------------------- lifecycle, failures
+
+
+@needs_two_cpus
+def test_close_reaps_the_checker():
+    tester = build_differential_tester(SQLiteBackend(), CLASSIC)
+    result = CampaignResult(tool="t", dbms="d", dataset=CLASSIC.dataset)
+    try:
+        run_campaign_loop(tester, result, 1, 4)
+        assert tester.checker_forks == 1
+    finally:
+        tester.close()
+    assert not multiprocessing.active_children()
+
+
+@needs_two_cpus
+def test_close_reaps_the_checker_after_a_loop_that_raised_mid_hour():
+    tester = build_differential_tester(SQLiteBackend(), CLASSIC)
+    generate = tester.dsg.generate_statement
+    calls = [0]
+
+    def breaking(**kwargs):
+        calls[0] += 1
+        if calls[0] == 18:
+            raise RuntimeError("generator broke")
+        return generate(**kwargs)
+
+    tester.dsg.generate_statement = breaking
+    result = CampaignResult(tool="t", dbms="d", dataset=CLASSIC.dataset)
+    try:
+        with pytest.raises(RuntimeError, match="generator broke"):
+            run_campaign_loop(tester, result, CLASSIC.hours,
+                              CLASSIC.queries_per_hour)
+        assert tester.checker_forks == 1
+    finally:
+        tester.close()
+    assert not multiprocessing.active_children()
+
+
+@needs_two_cpus
+def test_an_oracle_exception_reaches_the_loop_with_its_type():
+    tester = build_differential_tester(SQLiteBackend(), CLASSIC)
+    check = tester.oracle.check
+    calls = [0]
+
+    def exploding(query, label=""):
+        calls[0] += 1
+        if calls[0] == 5:
+            raise ValueError("the oracle broke")
+        return check(query, label)
+
+    tester.oracle.check = exploding
+    result = CampaignResult(tool="t", dbms="d", dataset=CLASSIC.dataset)
+    try:
+        with pytest.raises(ValueError, match="the oracle broke"):
+            run_campaign_loop(tester, result, CLASSIC.hours,
+                              CLASSIC.queries_per_hour)
+        assert tester.checker_forks == 1
+        # The checker's own call count stayed there: the loop never checked.
+        assert calls[0] == 0
+    finally:
+        tester.close()
+    assert not multiprocessing.active_children()
+
+
+@needs_two_cpus
+def test_a_killed_checker_is_a_campaign_error_within_a_second():
+    tester = build_differential_tester(SQLiteBackend(), CLASSIC)
+    killed = []
+
+    def kill_after_hour_one(record):
+        if record.hour == 1:
+            (checker,) = _checkers()
+            os.kill(checker.pid, signal.SIGKILL)
+            killed.append(time.monotonic())
+
+    result = CampaignResult(tool="t", dbms="d", dataset=CLASSIC.dataset)
+    try:
+        with pytest.raises(CampaignError, match="exit code -9"):
+            run_campaign_loop(tester, result, CLASSIC.hours,
+                              CLASSIC.queries_per_hour,
+                              on_hour=kill_after_hour_one)
+        assert time.monotonic() - killed[0] < 1.0
+        assert len(result.samples) == 1
+    finally:
+        tester.close()
+    assert not multiprocessing.active_children()
+
+
+# ---------------------------------------------------------------- telemetry
+
+
+def _traced(fork):
+    previous = obs.set_enabled(True)
+    obs.reset_registry()
+    try:
+        result, _, _, forks = run(CLASSIC, "sim:SimMySQL", fork=fork)
+        return result, obs.get_registry().snapshot(), forks
+    finally:
+        obs.reset_registry()
+        obs.set_enabled(previous)
+
+
+@needs_two_cpus
+def test_the_checkers_telemetry_reaches_the_live_registry():
+    serial, serial_snapshot, _ = _traced(fork=False)
+    forked, snapshot, forks = _traced(fork=True)
+    assert forks == 1
+    executed = forked.final.queries_executed
+    phases = snapshot.phase_seconds()
+    assert phases["execute.reference"][1] == executed
+    assert phases["execute.target"][1] == executed
+    assert phases["judge"][1] == executed
+    assert phases["generate"][1] == forked.final.queries_generated
+
+    def campaign(snap):
+        return {key: value for key, value in snap.counters.items()
+                if key.startswith("campaign.")}
+
+    assert campaign(snapshot) == campaign(serial_snapshot)
+    assert campaign(snapshot)["campaign.queries_executed"] == executed
+
+
+def test_absorb_folds_like_a_snapshot_merge():
+    donor = obs.MetricsRegistry()
+    donor.counter("c", kind="x").inc(3)
+    donor.gauge("g").set(2.5)
+    donor.histogram("h").observe(0.1)
+    target = obs.MetricsRegistry()
+    target.counter("c", kind="x").inc(4)
+    target.gauge("g").set(1.0)
+    target.histogram("h").observe(0.2)
+    expected = target.snapshot().merge(donor.snapshot())
+    target.absorb(donor.snapshot())
+    assert target.snapshot() == expected
+
+
+def test_absorbed_phases_count_but_cover_no_wall_clock():
+    donor = obs.MetricsRegistry()
+    donor.observe_phase("judge", 0.25)
+    donor.observe_phase("generate", 0.5)
+    target = obs.MetricsRegistry()
+    target.observe_phase("generate", 1.0)
+    target.absorb(donor.snapshot())
+    snapshot = target.snapshot()
+    assert snapshot.phase_seconds() == {"generate": (1.5, 2), "judge": (0.25, 1)}
+    assert snapshot.phase_seconds(overlapped=False) == {"generate": (1.0, 1)}
+    assert obs.phase_total_seconds(snapshot) == 1.0
+    assert "span coverage: 50.0% of 2.000s" in obs.render_phase_breakdown(
+        snapshot, wall_seconds=2.0)
+
+
+# --------------------------------------------------------------- exclusions
+
+
+@pytest.fixture
+def no_checker(monkeypatch):
+    """Fail the test if anything forks a checker."""
+    def forbidden(oracle):
+        raise AssertionError("a checker was forked")
+
+    monkeypatch.setattr(differential, "CheckerProcess", forbidden)
+
+
+def _in_process(config=CLASSIC, backend="sqlite"):
+    result, _, _, forks = run(config, backend)
+    assert forks == 0
+    return result
+
+
+def test_one_cpu_checks_in_process(monkeypatch, no_checker):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    _in_process()
+
+
+def test_a_live_thread_keeps_checks_in_process(no_checker):
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, name="bystander")
+    thread.start()
+    try:
+        _in_process()
+    finally:
+        stop.set()
+        thread.join()
+
+
+def test_a_backend_that_does_not_survive_a_fork_checks_in_process(no_checker):
+    _in_process(backend=UnforkableBackend)
+
+
+def test_pool_shards_check_in_process(no_checker):
+    """A shard runs in a daemonic process beside its heartbeat thread; the
+    forked workers inherit the fixture, so a checker fork fails the shard."""
+    shards = parallel.build_shard_specs("differential", replace(CLASSIC, hours=2),
+                                        2, backend="sqlite")
+    pool = parallel.ParallelCampaignConfig(workers=2, sync_interval=1,
+                                           worker_timeout=120.0,
+                                           start_method="fork")
+    result = parallel.run_parallel_shards(shards, pool)
+    assert result.merged.final.queries_executed > 0
+
+
+def test_a_daemonic_process_checks_in_process(monkeypatch, no_checker):
+    monkeypatch.setattr(multiprocessing.current_process(), "_config",
+                        dict(multiprocessing.current_process()._config,
+                             daemon=True))
+    _in_process()
+
+
+def test_which_backends_survive_a_fork():
+    assert SQLiteBackend.survives_fork
+    assert SimulatedBackend(SIM_MYSQL).survives_fork
+    assert not UnforkableBackend.survives_fork
+
+
+def test_the_host_affinity_picks_the_path():
+    """Forked with two CPUs or more; in-process with one (``taskset -c 0``)."""
+    assert threading.active_count() == 1, (
+        f"an earlier test left threads alive: {threading.enumerate()}")
+    _, _, _, forks = run(replace(CLASSIC, hours=1))
+    assert forks == (1 if _two_cpus() else 0)
+    assert not _checkers()

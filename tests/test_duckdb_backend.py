@@ -94,6 +94,26 @@ class TestDifferentialCampaign:
         )
 
 
+    def test_campaign_checks_in_process(self):
+        # DuckDB runs native threads, which a fork does not copy, so its
+        # campaigns never fork a checker process.
+        from repro.core.campaign import (
+            CampaignConfig, CampaignResult, build_differential_tester,
+            run_campaign_loop)
+
+        config = CampaignConfig(hours=2, queries_per_hour=6, seed=9)
+        tester = build_differential_tester(DuckDBBackend(), config)
+        result = CampaignResult(tool="t", dbms="d", dataset=config.dataset)
+        try:
+            run_campaign_loop(tester, result, config.hours,
+                              config.queries_per_hour)
+        finally:
+            tester.close()
+        assert not DuckDBBackend.survives_fork
+        assert tester.checker_forks == 0
+        assert result.final.queries_executed > 0
+
+
 class TestNullOrdering:
     def test_order_by_nullable_column_matches_reference(self):
         from repro.plan.sqlrender import DUCKDB_DIALECT

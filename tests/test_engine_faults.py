@@ -438,3 +438,40 @@ def test_masks_match_the_bugs_the_triggers_match(bugs, contexts):
 @settings(max_examples=150, deadline=None)
 def test_masks_match_generated_bugs_over_every_condition(bugs, contexts):
     check_masks(bugs, contexts)
+
+
+@pytest.mark.parametrize("dataset", ["shopping", "tpch", "kddcup"])
+def test_each_seam_mask_is_computed_once_per_campaign(dataset, monkeypatch):
+    """Joins hand their seams the planner's execution triggers, so a second
+    pass over the same queries computes no trigger's mask again, and the
+    masks kept are bounded by the planner's trigger memo."""
+    from repro.dsg import DSG, DSGConfig
+
+    dsg = DSG(DSGConfig(dataset=dataset, dataset_rows=20, seed=5))
+    engine = Engine(dsg.database, SIM_MYSQL)
+    stream = []
+    for _ in range(40):
+        query = dsg.generate_query()
+        stream.append((query, dsg.hint_generator.hint_sets_for(query)))
+    for query, hint_sets in stream:
+        engine.execute_all_hints(query, hint_sets)
+    computed = []
+    planned_mask = ActiveFaults._planned_mask
+
+    def counting(faults, trigger):
+        computed.append(trigger)
+        return planned_mask(faults, trigger)
+
+    monkeypatch.setattr(ActiveFaults, "_planned_mask", counting)
+    for query, hint_sets in stream:
+        engine.execute_all_hints(query, hint_sets)
+    assert computed == []
+    masks = engine.hooks._trigger_masks
+    assert masks
+    execution_triggers = {
+        trigger
+        for contexts in engine.planner._triggers.values()
+        for algorithms in contexts.values()
+        for _planned, pair in algorithms.values()
+        for trigger in pair}
+    assert set(masks) <= execution_triggers

@@ -18,6 +18,7 @@ import pytest
 
 from repro import CampaignSpec, run_campaign
 from repro.catalog import Column, DatabaseSchema, ForeignKey, TableSchema
+from repro.core import differential
 from repro.engine import Engine
 from repro.engine.dialects import SIM_MARIADB, SIM_MYSQL
 from repro.expr import ColumnRef, column
@@ -88,6 +89,10 @@ def executor_digest(spec: CampaignSpec, monkeypatch) -> tuple:
         return report
 
     monkeypatch.setattr(Engine, "execute_with_report", recording)
+    # The recording sees this process's executions only, so a differential
+    # campaign checks here; tests/test_check_process.py runs the golden
+    # diff-widened campaign forked too and compares its outcomes.
+    monkeypatch.setattr(differential, "checker_can_fork", lambda backend: False)
     run_campaign(spec)
     return len(calls), verdicts.hexdigest(), plans.hexdigest()
 

@@ -18,6 +18,7 @@ import pytest
 
 from repro import run_campaign
 from repro.catalog import Column, DatabaseSchema, ForeignKey, TableSchema
+from repro.core import differential
 from repro.dsg import DSG, DSGConfig, HintGenerator
 from repro.engine import Engine
 from repro.engine.dialects import SIM_MYSQL
@@ -52,6 +53,10 @@ def _campaign_queries(spec, monkeypatch):
 
     monkeypatch.setattr(Engine, "execute_all_hints", all_hints)
     monkeypatch.setattr(Engine, "execute_with_report", one)
+    # The recording sees this process's plans only, so a differential
+    # campaign checks here; tests/test_check_process.py runs the golden
+    # diff-widened campaign forked too and compares its outcomes.
+    monkeypatch.setattr(differential, "checker_can_fork", lambda backend: False)
     run_campaign(spec)
     monkeypatch.undo()
     return planned

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import CampaignSpec, run_campaign
+from repro import CampaignSpec, obs, run_campaign
+from repro.core import differential
 from repro.engine import Engine
 from repro.engine.dialects import ALL_DIALECTS, SIM_MARIADB, SIM_TIDB, SIM_XDB
 from repro.engine.faults import ActiveFaults, BugSpec, FaultTrigger
@@ -346,6 +347,10 @@ def test_execution_keys_split_hint_sets_as_the_decided_triggers_do(spec, monkeyp
         return original(engine, query, hints)
 
     monkeypatch.setattr(Engine, "execute_with_report", recording)
+    # The recording sees this process's executions only, so a differential
+    # campaign checks here; tests/test_check_process.py runs the golden
+    # diff-widened campaign forked too and compares its outcomes.
+    monkeypatch.setattr(differential, "checker_can_fork", lambda backend: False)
     run_campaign(spec)
     monkeypatch.undo()
     hint_sets = {}
@@ -508,3 +513,24 @@ def test_a_query_prepared_by_another_engine_is_refused(orders_db):
     prepared = Engine(orders_db).planner.prepare(query)
     with pytest.raises(PlanError):
         Engine(orders_db).execute_with_report(prepared, HINT_SETS[0])
+
+
+#: ``engine.shared_executions`` over two telemetry-on TQS campaigns, recorded
+#: when each shared execution incremented the counter on its own.
+SHARED_EXECUTIONS = {("shopping", 9): 149, ("tpch", 4): 151}
+
+
+@pytest.mark.parametrize("dataset, seed", sorted(SHARED_EXECUTIONS))
+def test_shared_execution_counter_total_is_unchanged(dataset, seed):
+    previous = obs.set_enabled(True)
+    obs.reset_registry()
+    try:
+        run_campaign(CampaignSpec(kind="tqs", dialect="SimMySQL",
+                                  dataset=dataset, dataset_rows=30, hours=2,
+                                  queries_per_hour=8, seed=seed))
+        snapshot = obs.get_registry().snapshot()
+    finally:
+        obs.reset_registry()
+        obs.set_enabled(previous)
+    assert (snapshot.counter_value("engine.shared_executions")
+            == SHARED_EXECUTIONS[(dataset, seed)])
