@@ -21,6 +21,7 @@ pool's workers build their testers through the same dispatch.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
@@ -321,14 +322,24 @@ def run_campaign_loop(tester, result: CampaignResult, hours: int,
     constant: the adaptive-budget worker uses that to apply the coordinator's
     per-round reallocations without forking the loop.
 
-    A :class:`DifferentialTester` checks in a forked process where
+    An hour is *finished* by one function: it takes the hour's
+    :class:`HourlySample`, adds the hour's ``campaign.*`` counter deltas and
+    calls ``on_hour``.  In-process each hour is finished when its budget is
+    spent.  A :class:`DifferentialTester` checks in a forked process where
     :func:`~repro.core.differential.checker_can_fork` allows it:
-    ``run_iteration()`` then only generates and sends, and each hour settles
-    its answers before its sample is taken, so every sample, incident and
-    ``on_hour`` record equals the in-process loop's.  The checker is told to
-    exit when the loop ends; the tester's ``close()`` reaps it.  Pool shards
-    check in-process: they run in daemonic processes beside a heartbeat
-    thread, both of which the fork rule refuses.
+    ``run_iteration()`` then only generates and sends.  At an hour's end the
+    loop records what it knows itself (queries generated, isomorphic sets,
+    rejected generations, the hour's new labels), sends the checker an hour
+    marker and goes on to the next hour; the hour is finished when the
+    marker's answer arrives, once every answer of the hour is applied and
+    the checker's telemetry absorbed.  So every sample, incident, ``on_hour``
+    record and ``campaign.*`` counter equals the in-process loop's.  An hour
+    with an ``on_hour`` hook, or with a callable *queries_per_hour*, settles
+    before the next hour starts, since both can feed the next hour's
+    generation; after the last hour the loop settles what is left.  The
+    checker is told to exit when the loop ends; the tester's ``close()``
+    reaps it.  Pool shards check in-process: they run in daemonic processes
+    beside a heartbeat thread, both of which the fork rule refuses.
     """
     registry = obs.get_registry()
     rejected = 0
@@ -337,12 +348,46 @@ def run_campaign_loop(tester, result: CampaignResult, hours: int,
     # Counter baselines: testers hand cumulative counts to the loop, telemetry
     # counters want per-hour deltas (and must stay correct for testers that
     # are resumed with non-zero counts).
-    prev_generated = tester.queries_generated
-    prev_executed = tester.queries_executed
-    prev_sets = tester.explored_isomorphic_sets
-    prev_bugs = tester.bug_log.bug_count
-    prev_rejected = 0
+    previous = HourlySample(
+        hour=0, queries_generated=tester.queries_generated,
+        queries_executed=tester.queries_executed,
+        isomorphic_sets=tester.explored_isomorphic_sets,
+        bug_count=tester.bug_log.bug_count,
+        bug_type_count=tester.bug_log.bug_type_count)
+
+    def finish_hour(hour: int, generated: int, sets: int, rejections: int,
+                    new_labels: List[str]) -> None:
+        nonlocal previous, incident_watermark
+        sample = HourlySample(
+            hour=hour,
+            queries_generated=generated,
+            queries_executed=tester.queries_executed,
+            isomorphic_sets=sets,
+            bug_count=tester.bug_log.bug_count,
+            bug_type_count=tester.bug_log.bug_type_count,
+            generations_rejected=rejections,
+        )
+        result.samples.append(sample)
+        registry.counter("campaign.hours").inc()
+        registry.counter("campaign.queries_generated").inc(
+            generated - previous.queries_generated)
+        registry.counter("campaign.queries_executed").inc(
+            sample.queries_executed - previous.queries_executed)
+        registry.counter("campaign.novel_labels").inc(
+            sets - previous.isomorphic_sets)
+        registry.counter("campaign.bugs").inc(
+            sample.bug_count - previous.bug_count)
+        registry.counter("campaign.generations_rejected").inc(
+            rejections - previous.generations_rejected)
+        previous = sample
+        if on_hour is not None:
+            new_incidents = list(tester.bug_log.incidents[incident_watermark:])
+            incident_watermark = len(tester.bug_log.incidents)
+            on_hour(HourRecord(hour=hour, sample=sample, new_labels=new_labels,
+                               new_incidents=new_incidents))
+
     forked = isinstance(tester, DifferentialTester) and tester.start_checker()
+    barrier = on_hour is not None or callable(queries_per_hour)
     try:
         for hour in range(1, hours + 1):
             budget = (queries_per_hour(hour) if callable(queries_per_hour)
@@ -354,41 +399,21 @@ def run_campaign_loop(tester, result: CampaignResult, hours: int,
                     # A failed generation must not abort the campaign, but it must
                     # not vanish either: it burned budget without a query.
                     rejected += 1
-            if forked:
-                tester.settle()
-            sample = HourlySample(
-                hour=hour,
-                queries_generated=tester.queries_generated,
-                queries_executed=tester.queries_executed,
-                isomorphic_sets=tester.explored_isomorphic_sets,
-                bug_count=tester.bug_log.bug_count,
-                bug_type_count=tester.bug_log.bug_type_count,
-                generations_rejected=rejected,
-            )
-            result.samples.append(sample)
-            registry.counter("campaign.hours").inc()
-            registry.counter("campaign.queries_generated").inc(
-                sample.queries_generated - prev_generated)
-            registry.counter("campaign.queries_executed").inc(
-                sample.queries_executed - prev_executed)
-            registry.counter("campaign.novel_labels").inc(
-                sample.isomorphic_sets - prev_sets)
-            registry.counter("campaign.bugs").inc(sample.bug_count - prev_bugs)
-            registry.counter("campaign.generations_rejected").inc(
-                rejected - prev_rejected)
-            prev_generated = sample.queries_generated
-            prev_executed = sample.queries_executed
-            prev_sets = sample.isomorphic_sets
-            prev_bugs = sample.bug_count
-            prev_rejected = rejected
+            new_labels: List[str] = []
             if on_hour is not None:
-                current_labels = tester.diversity.labels
-                new_labels = sorted(current_labels - known_labels)
+                new_labels = sorted(tester.diversity.labels - known_labels)
                 known_labels.update(new_labels)
-                new_incidents = list(tester.bug_log.incidents[incident_watermark:])
-                incident_watermark = len(tester.bug_log.incidents)
-                on_hour(HourRecord(hour=hour, sample=sample, new_labels=new_labels,
-                                   new_incidents=new_incidents))
+            finish = functools.partial(
+                finish_hour, hour, tester.queries_generated,
+                tester.explored_isomorphic_sets, rejected, new_labels)
+            if forked:
+                tester.finish_hour(finish)
+                if barrier:
+                    tester.settle()
+            else:
+                finish()
+        if forked:
+            tester.settle()
     finally:
         if forked:
             tester.stop_checker()

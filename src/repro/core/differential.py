@@ -16,8 +16,13 @@ mismatch.  Any disagreement is filed through the existing
 A campaign loop may move the checking into a :class:`CheckerProcess`, a
 forked copy of the tester's oracle (see :meth:`DifferentialTester.start_checker`):
 the loop's process then generates, labels and registers the next query while
-the checker runs the last one, and :meth:`DifferentialTester.settle` applies
-the checker's answers in the order the queries were sent.
+the checker runs the last one.  The answers are applied in the order the
+queries were sent, and an hour is finished when the checker answers the
+marker that follows its last query (:meth:`DifferentialTester.finish_hour`),
+not when the loop reaches the hour's end: up to :data:`CHECK_WINDOW` queries
+and markers may be in flight across hour boundaries, and the loop waits only
+when the window is full or when :meth:`DifferentialTester.settle` drains it,
+checking the queries the checker has not been sent yet itself.
 """
 
 from __future__ import annotations
@@ -26,11 +31,14 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import random
+import select
 import signal
+import socket
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, List, Optional, Set, Tuple
+from multiprocessing.reduction import ForkingPickler
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from repro import obs
 from repro.backends.base import BackendAdapter, BackendExecution
@@ -86,6 +94,11 @@ class DifferentialOutcome:
     def detected(self) -> bool:
         """True when the backend disagreed with the reference executor."""
         return not self.matched and not self.skipped
+
+    def answer(self) -> "CheckAnswer":
+        """What :meth:`DifferentialOracle.apply` needs to recount this outcome."""
+        return (self.skipped, self.skip_reason, self.sql, self.reference_rows,
+                self.observed_rows, self.incident)
 
 
 #: A checker process's answer for one query: skipped, skip reason, SQL,
@@ -191,14 +204,23 @@ class DifferentialOracle:
         )
 
 
-#: Queries the loop may send ahead of the checker's answers.  A window of
-#: answers fits the pipe's buffer many times over, so the checker never
-#: blocks writing an answer that the loop is not reading.
-CHECK_WINDOW = 16
+#: Queries and hour markers the loop may hold ahead of the checker's answers
+#: before it waits for one.  Pickled, a perfbench ``diff-sqlite`` query took
+#: 4.5 KB in the median and 10.6 KB at most, a ``diff-widened`` one 6.8 KB
+#: and 31.5 KB, and an incident-free answer 0.3 to 1.5 KB (960 queries of
+#: each).  So a whole 96-query campaign fits in the window but not in a
+#: 212,992-byte socket buffer: what does not fit waits in the
+#: :class:`CheckerProcess` outbox, and the loop never blocks on a send.
+CHECK_WINDOW = 128
+#: Bytes a message is charged in the pipe beyond its length.  The kernel
+#: charges a message at most about twice its length plus 1.3 KB (measured
+#: on Linux with 200 to 8,000-byte messages), so requests charged this much
+#: and kept to half the socket's send buffer never fill it.
+MESSAGE_OVERHEAD = 1536
 #: Seconds :meth:`CheckerProcess.close` waits for the checker to exit
 #: before it kills it.
 CHECKER_EXIT_TIMEOUT_S = 5.0
-_SETTLE = "settle"
+_MARK = "mark"
 
 
 def checker_can_fork(backend: BackendAdapter) -> bool:
@@ -234,7 +256,7 @@ def _serve_checks(oracle: DifferentialOracle,
                   cpu: int) -> None:
     """The checker's body: check each ``(query, label)`` received, in order.
 
-    A settle request is answered with the telemetry recorded since the last
+    An hour marker is answered with the telemetry recorded since the last
     one; ``None`` (or the loop's end of the pipe closing) ends the process.
     """
     parent_end.close()
@@ -249,7 +271,7 @@ def _serve_checks(oracle: DifferentialOracle,
             return
         if request is None:
             return
-        if request == _SETTLE:
+        if request == _MARK:
             connection.send(("telemetry", obs.get_registry().snapshot()))
             obs.reset_registry()
             continue
@@ -259,9 +281,14 @@ def _serve_checks(oracle: DifferentialOracle,
         except Exception as error:  # sent back, re-raised by the loop
             connection.send(("error", error))
             continue
-        connection.send(("checked", (
-            outcome.skipped, outcome.skip_reason, outcome.sql,
-            outcome.reference_rows, outcome.observed_rows, outcome.incident)))
+        connection.send(("checked", outcome.answer()))
+
+
+def _send_buffer_bytes(connection: multiprocessing.connection.Connection) -> int:
+    """The kernel send buffer of *connection*'s socket, in bytes."""
+    with socket.fromfd(connection.fileno(), socket.AF_UNIX,
+                       socket.SOCK_STREAM) as sock:
+        return int(sock.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF))
 
 
 class CheckerProcess:
@@ -272,6 +299,14 @@ class CheckerProcess:
     received.  The loop's process waits on the pipe and the process sentinel
     together, so a checker that dies is a :class:`CampaignError` naming its
     exit code, never a hang.
+
+    Requests go through an outbox.  Only as many are written to the pipe as
+    fit in half its send buffer, each charged :data:`MESSAGE_OVERHEAD` bytes
+    beyond its length; the rest are written as answers come back, unless
+    :meth:`take_back` takes one back first.  So a send never blocks, and the
+    two processes cannot both wait on a write: the checker may wait to write
+    an answer, but only ever while the loop is generating, checking or
+    reading.
 
     Until :meth:`release`, the checker runs on the highest CPU this process
     may use and this process on the others.  Left to the scheduler, a pipe's
@@ -284,6 +319,16 @@ class CheckerProcess:
         cpu = max(self._affinity)
         context = multiprocessing.get_context("fork")
         self._connection, child_end = context.Pipe()
+        self._capacity = _send_buffer_bytes(self._connection) // 2
+        # Requests not written yet, each next to its pickle, and the charge
+        # of each one written whose answer has not been received.
+        self._outbox: Deque[Tuple[memoryview, Any]] = deque()
+        self._charges: Deque[int] = deque()
+        self._charged = 0
+        # Connection.poll() builds a selector per call (6.2 us against 0.66);
+        # the loop polls once an iteration.
+        self._poller = select.poll()
+        self._poller.register(self._connection.fileno(), select.POLLIN)
         self._process = context.Process(
             target=_serve_checks,
             args=(oracle, child_end, self._connection, cpu),
@@ -299,20 +344,49 @@ class CheckerProcess:
         _pin(self._affinity - {cpu})
 
     def send(self, request: Any) -> None:
-        """Send one request: a ``(query, label)`` pair or a settle."""
-        try:
-            self._connection.send(request)
-        except OSError as error:
-            raise self._died() from error
+        """Queue one request, a ``(query, label)`` pair or an hour marker,
+        and write every queued request that fits in the pipe."""
+        self._outbox.append((ForkingPickler.dumps(request), request))
+        self._flush()
+
+    def take_back(self) -> Optional[Tuple[AnyQuerySpec, str]]:
+        """Remove the newest ``(query, label)`` request not written yet from
+        the outbox and return it; None when there is none."""
+        outbox = self._outbox
+        for index in range(len(outbox) - 1, -1, -1):
+            request = outbox[index][1]
+            if isinstance(request, tuple):
+                del outbox[index]
+                return request
+        return None
+
+    def _flush(self) -> None:
+        outbox = self._outbox
+        while outbox:
+            charge = len(outbox[0][0]) + MESSAGE_OVERHEAD
+            # One request always goes: with nothing else in the pipe, the
+            # checker is reading it.
+            if self._charges and self._charged + charge > self._capacity:
+                return
+            try:
+                self._connection.send_bytes(outbox.popleft()[0])
+            except OSError as error:
+                raise self._died() from error
+            self._charges.append(charge)
+            self._charged += charge
+
+    def ready(self) -> bool:
+        """Whether :meth:`receive` would return (or raise) without waiting."""
+        return bool(self._poller.poll(0))
 
     def receive(self) -> Any:
-        """The next answer's payload.
+        """The next answer's payload; the outbox then writes what now fits.
 
         An exception the check raised is re-raised here, with its type and
         message.
         """
         connection = self._connection
-        if not connection.poll():
+        if not self.ready():
             ready = multiprocessing.connection.wait(
                 [connection, self._process.sentinel])
             if connection not in ready:
@@ -321,6 +395,8 @@ class CheckerProcess:
             kind, payload = connection.recv()
         except (EOFError, OSError) as error:
             raise self._died() from error
+        self._charged -= self._charges.popleft()
+        self._flush()
         if kind == "error":
             raise payload
         return payload
@@ -332,15 +408,22 @@ class CheckerProcess:
             f"{self._process.exitcode})")
 
     def release(self) -> None:
-        """Tell the checker to exit once its queue is done; do not wait."""
+        """Tell the checker to exit once its queue is done; do not wait.
+
+        Requests still in the outbox are dropped.
+        """
         if self._released:
             return
         self._released = True
+        self._outbox.clear()
         _pin(self._affinity)
         try:
+            # A checker stuck writing an answer nobody reads may have left
+            # the pipe full; close() kills it then.
+            os.set_blocking(self._connection.fileno(), False)
             self._connection.send(None)
         except OSError:
-            pass  # it is gone already; close() reaps it
+            pass  # it is gone already, or the pipe is full; close() reaps it
 
     def close(self) -> None:
         """Release the checker, wait a bounded time for it, then kill it."""
@@ -351,6 +434,11 @@ class CheckerProcess:
             process.kill()
             process.join()
         self._connection.close()
+
+
+#: A request the loop awaits an answer to: a ``(query, label)`` check, or an
+#: hour marker's :meth:`DifferentialTester.finish_hour` callback.
+_InFlight = Union[Tuple[AnyQuerySpec, str], Callable[[], None]]
 
 
 class DifferentialTester:
@@ -371,6 +459,9 @@ class DifferentialTester:
         self.reference = reference or Engine(dsg.database)
         self.oracle = DifferentialOracle(self.reference, backend,
                                          config=self.config)
+        # Checks this process takes back from its checker (see settle()).
+        self._spare = DifferentialOracle(self.reference, backend,
+                                         config=self.config)
         self.kqe = (
             KQE(dsg.ndb.schema, rng=random.Random(self.config.seed + 1))
             if self.config.use_kqe else None
@@ -381,10 +472,11 @@ class DifferentialTester:
         self.outcomes: List[DifferentialOutcome] = []
         self._closed = False
         # The running checker, every checker forked (close() reaps them), and
-        # the queries sent to the running one whose answers are outstanding.
+        # the queries and hour markers sent to the running one whose answers
+        # are outstanding.
         self._checker: Optional[CheckerProcess] = None
         self._checkers: List[CheckerProcess] = []
-        self._in_flight: Deque[Tuple[AnyQuerySpec, str]] = deque()
+        self._in_flight: Deque[_InFlight] = deque()
 
     @property
     def bug_log(self) -> BugLog:
@@ -416,7 +508,7 @@ class DifferentialTester:
 
         With a checker process started (:meth:`start_checker`) the query is
         sent to it and None is returned; its outcome is applied by a later
-        receive, at the latest by :meth:`settle`.
+        call, at the latest by :meth:`settle`.
         """
         with obs.span("generate"):
             query = self._generate()
@@ -430,10 +522,7 @@ class DifferentialTester:
             outcome = self.oracle.check(query, label)
             self.outcomes.append(outcome)
             return outcome
-        if len(self._in_flight) >= CHECK_WINDOW:
-            self._apply(checker.receive())
-        checker.send((query, label))
-        self._in_flight.append((query, label))
+        self._submit(checker, (query, label))
         return None
 
     # ------------------------------------------------------- checker process
@@ -448,7 +537,7 @@ class DifferentialTester:
 
         Returns whether a checker now runs them; see :func:`checker_can_fork`
         for when one may.  Until :meth:`stop_checker`, :meth:`run_iteration`
-        only sends its query, and :meth:`settle` applies the answers.
+        only sends its query, and later calls apply the answers.
         """
         if self._checker is None and not self._closed and checker_can_fork(
                 self.backend):
@@ -456,21 +545,52 @@ class DifferentialTester:
             self._checkers.append(self._checker)
         return self._checker is not None
 
-    def settle(self) -> None:
-        """Apply every outstanding answer, in the order the queries were sent.
+    def finish_hour(self, finish: Callable[[], None]) -> None:
+        """Call *finish* once every query generated so far has its answer applied.
 
-        Each answer updates the oracle's counters, :attr:`bug_log` and
-        :attr:`outcomes` as the in-process check would have, and the
-        checker's telemetry since the last settle is folded into the live
-        registry.  A check's exception is re-raised here at the latest.
+        In-process that is now.  With a checker, an hour marker follows the
+        queries down the pipe and *finish* runs when its answer is applied,
+        after the checker's telemetry since the last marker is folded into
+        the live registry; the caller may go on generating meanwhile.
+        """
+        checker = self._checker
+        if checker is None:
+            finish()
+        else:
+            self._submit(checker, finish)
+
+    def settle(self) -> None:
+        """Apply every outstanding answer.
+
+        Answers are applied in the order the queries were sent; each updates
+        the oracle's counters, :attr:`bug_log` and :attr:`outcomes` as the
+        in-process check would have, and each hour marker runs its
+        :meth:`finish_hour` callback.  A check's exception is re-raised here
+        at the latest.  While no answer is waiting, this process checks the
+        newest query still in the checker's outbox itself, so both processes
+        work off the backlog; it waits for the checker, in the ``settle``
+        span, only when the outbox holds no query.
         """
         checker = self._checker
         if checker is None:
             return
-        checker.send(_SETTLE)
+        # Answers of the queries taken back, by the identity of their entry.
+        answered: Dict[int, CheckAnswer] = {}
         while self._in_flight:
-            self._apply(checker.receive())
-        obs.get_registry().absorb(checker.receive())
+            head = self._in_flight[0]
+            if id(head) in answered:
+                self._apply(answered.pop(id(head)))
+            elif checker.ready():
+                self._apply(checker.receive())
+            else:
+                request = checker.take_back()
+                if request is None:
+                    with obs.span("settle"):
+                        self._apply(checker.receive())
+                else:
+                    # The spare oracle's counts are dropped: the answer is
+                    # counted when it is applied, in order.
+                    answered[id(request)] = self._spare.check(*request).answer()
 
     def stop_checker(self) -> None:
         """Tell the checker to exit, without waiting; later checks run here.
@@ -483,9 +603,26 @@ class DifferentialTester:
         if checker is not None:
             checker.release()
 
-    def _apply(self, answer: CheckAnswer) -> None:
-        query, label = self._in_flight.popleft()
-        self.outcomes.append(self.oracle.apply(query, label, answer))
+    def _submit(self, checker: CheckerProcess, entry: _InFlight) -> None:
+        """Send *entry*'s request, its query and label or an hour marker,
+        after applying every answer already waiting; wait for one first (in
+        the ``settle`` span) if the window is full."""
+        while self._in_flight and checker.ready():
+            self._apply(checker.receive())
+        if len(self._in_flight) >= CHECK_WINDOW:
+            with obs.span("settle"):
+                self._apply(checker.receive())
+        checker.send(entry if isinstance(entry, tuple) else _MARK)
+        self._in_flight.append(entry)
+
+    def _apply(self, answer: Any) -> None:
+        entry = self._in_flight.popleft()
+        if isinstance(entry, tuple):
+            query, label = entry
+            self.outcomes.append(self.oracle.apply(query, label, answer))
+        else:
+            obs.get_registry().absorb(answer)
+            entry()
 
     def close(self) -> None:
         """Reap any checker process, then close the backend.

@@ -131,6 +131,10 @@ def _read_frame(sock: socket.socket) -> Optional[bytes]:
     return head + length_bytes + (rest or b"")
 
 
+#: Seconds :meth:`FaultyProxy.close` waits for each of its threads to end.
+CLOSE_JOIN_TIMEOUT_S = 5.0
+
+
 class FaultyProxy:
     """A TCP proxy that injects faults into client→server protocol frames.
 
@@ -155,6 +159,7 @@ class FaultyProxy:
         self.host, self.port = self._listener.getsockname()[:2]
         self._closing = False
         self._sockets: List[socket.socket] = []
+        self._pumps: List[threading.Thread] = []
         self._lock = threading.Lock()
         self._accept_thread = threading.Thread(
             target=self._accept_loop, daemon=True, name="faulty-proxy-accept"
@@ -178,20 +183,30 @@ class FaultyProxy:
             except OSError:
                 downstream.close()
                 continue
+            pumps = [
+                threading.Thread(
+                    target=self._pump_frames,
+                    args=(downstream, upstream),
+                    daemon=True,
+                    name="faulty-proxy-c2s",
+                ),
+                threading.Thread(
+                    target=self._pump_raw,
+                    args=(upstream, downstream),
+                    daemon=True,
+                    name="faulty-proxy-s2c",
+                ),
+            ]
             with self._lock:
+                if self._closing:
+                    self._shutdown_pair(downstream, upstream)
+                    return
                 self._sockets.extend((downstream, upstream))
-            threading.Thread(
-                target=self._pump_frames,
-                args=(downstream, upstream),
-                daemon=True,
-                name="faulty-proxy-c2s",
-            ).start()
-            threading.Thread(
-                target=self._pump_raw,
-                args=(upstream, downstream),
-                daemon=True,
-                name="faulty-proxy-s2c",
-            ).start()
+                self._pumps.extend(pumps)
+                # Started under the lock, so close() never joins a thread
+                # that has not started.
+                for pump in pumps:
+                    pump.start()
 
     def _pump_frames(self, source: socket.socket, sink: socket.socket) -> None:
         index = 0
@@ -250,14 +265,17 @@ class FaultyProxy:
                 pass
 
     def close(self) -> None:
-        self._closing = True
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        """Stop accepting, cut every proxied connection and join the proxy's
+        threads, waiting at most ``CLOSE_JOIN_TIMEOUT_S`` for each."""
         with self._lock:
+            self._closing = True
             sockets, self._sockets = self._sockets, []
-        self._shutdown_pair(*sockets)
+            pumps, self._pumps = self._pumps, []
+        # On Linux close() does not wake a thread blocked in accept();
+        # shutdown() does.
+        self._shutdown_pair(self._listener, *sockets)
+        for thread in (self._accept_thread, *pumps):
+            thread.join(CLOSE_JOIN_TIMEOUT_S)
 
 
 # ------------------------------------------------------------------- fuzzing

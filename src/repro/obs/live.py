@@ -19,6 +19,7 @@ _PHASE_ORDER = (
     "execute.target",
     "execute.reference",
     "judge",
+    "settle",
     "sync",
     "sync.wait",
 )

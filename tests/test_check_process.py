@@ -1,14 +1,17 @@
 """A serial differential campaign that checks in a forked checker process.
 
 The loop's process generates, labels and registers queries; the checker runs
-``DifferentialOracle.check`` on each and the loop settles the answers at every
-hour's end.  These tests pin that the split changes nothing a campaign
-reports, that no checker outlives its tester, that failures surface as typed
-errors, and that every exclusion of the fork rule keeps checks in-process.
+``DifferentialOracle.check`` on each, and an hour is finished when the checker
+answers the marker sent at its end.  These tests pin that the split changes
+nothing a campaign reports, with or without a barrier at each hour's end, that
+the loop waits for the checker only when it must, that no checker outlives its
+tester, that failures surface as typed errors, and that every exclusion of the
+fork rule keeps checks in-process.
 
 Tests that need a checker skip on a host that allows this process a single
 CPU; there, ``test_the_host_affinity_picks_the_path`` asserts that the loop
-checks in-process.
+checks in-process.  They fail, naming the threads, if another thread is alive
+when they start: the fork rule would then quietly check in-process.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import socket
 import threading
 import time
 from dataclasses import replace
@@ -33,6 +37,7 @@ from repro.core.campaign import (
     run_campaign_loop,
 )
 from repro.engine.dialects import SIM_MYSQL
+from repro.engine.resultset import ResultSet
 from repro.errors import BackendError, CampaignError, GenerationError
 from test_executor_golden import CAMPAIGNS
 
@@ -40,8 +45,9 @@ CLASSIC = CampaignConfig(dataset_rows=20, hours=4, queries_per_hour=12, seed=11)
 WIDENED = replace(CLASSIC, dataset_rows=10, seed=12, setop_probability=0.4,
                   scalar_subquery_probability=0.3, cte_probability=0.25)
 #: More queries per hour than the checker's window, so the loop also
-#: receives answers mid-hour.
-LONG_HOURS = replace(CLASSIC, hours=2, queries_per_hour=3 * differential.CHECK_WINDOW)
+#: waits for answers mid-hour.
+LONG_HOURS = replace(CLASSIC, hours=2,
+                     queries_per_hour=3 * differential.CHECK_WINDOW // 2)
 #: The differential campaign whose executions the golden verdict and plan
 #: digests pin (tests/test_executor_golden.py, tests/test_plan_constants.py);
 #: those record executions in this process, so they pin the in-process path.
@@ -52,9 +58,19 @@ def _two_cpus() -> bool:
     return len(os.sched_getaffinity(0)) >= 2
 
 
-needs_two_cpus = pytest.mark.skipif(
-    not _two_cpus(), reason="a checker needs two CPUs; see "
-    "test_the_host_affinity_picks_the_path")
+@pytest.fixture
+def alone():
+    """Fail a test that would fork a checker while another thread is alive."""
+    assert threading.active_count() == 1, (
+        f"an earlier test left threads alive: {threading.enumerate()}")
+
+
+def needs_two_cpus(test):
+    """Skip *test* on one CPU; fail it if another thread is alive."""
+    test = pytest.mark.usefixtures("alone")(test)
+    return pytest.mark.skipif(
+        not _two_cpus(), reason="a checker needs two CPUs; see "
+        "test_the_host_affinity_picks_the_path")(test)
 
 
 def _checkers():
@@ -78,6 +94,47 @@ class FailingBackend(SimulatedBackend):
 
 class UnforkableBackend(SimulatedBackend):
     survives_fork = False
+
+
+class SlowCheckerBackend(SimulatedBackend):
+    """Clean simulated engine that takes 10 ms longer per execution in any
+    process but the one that built it: the loop outruns its checker several
+    times over, and the checks the loop takes back stay fast."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.home = os.getpid()
+
+    def execute(self, query):
+        if os.getpid() != self.home:
+            time.sleep(0.01)
+        return super().execute(query)
+
+
+def _socket_buffer_bytes():
+    first, second = socket.socketpair()
+    with first, second:
+        return first.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+
+
+#: Characters of SQL each MismatchingBackend execution carries: more than a
+#: socket's send buffer, so the checker blocks writing each answer until the
+#: loop reads it.
+LONG_SQL = _socket_buffer_bytes()
+
+
+class MismatchingBackend(SimulatedBackend):
+    """Slow clean simulated engine that adds a row to every result and pads
+    its SQL, so every answer the checker writes carries an incident larger
+    than the pipe holds and the loop runs ahead of the checker."""
+
+    def execute(self, query):
+        time.sleep(0.002)
+        execution = super().execute(query)
+        result = execution.result
+        extra = ("extra",) * len(result.columns)
+        return replace(execution, sql="/* " + "x" * LONG_SQL + " */",
+                       result=ResultSet(result.columns, result.rows + (extra,)))
 
 
 def _with_limits(tester):
@@ -116,23 +173,27 @@ def in_process():
                              lambda backend: False)
 
 
-def run(config, backend="sqlite", fork=True, prepare=None):
-    """One campaign: (result, outcomes, on_hour records, checkers forked)."""
+def run(config, backend="sqlite", fork=True, prepare=None, hook=True):
+    """One campaign: (result, outcomes, on_hour records, checkers forked).
+
+    Without *hook* the loop gets no ``on_hour`` hook, and the records are
+    empty.
+    """
     adapter = backend() if callable(backend) else backend_from_name(backend)
     tester = build_differential_tester(adapter, config)
     if prepare is not None:
         prepare(tester)
     result = CampaignResult(tool="t", dbms="d", dataset=config.dataset)
     records = []
+    on_hour = records.append if hook else None
     try:
         if fork:
             run_campaign_loop(tester, result, config.hours,
-                              config.queries_per_hour, on_hour=records.append)
+                              config.queries_per_hour, on_hour=on_hour)
         else:
             with in_process():
                 run_campaign_loop(tester, result, config.hours,
-                                  config.queries_per_hour,
-                                  on_hour=records.append)
+                                  config.queries_per_hour, on_hour=on_hour)
     finally:
         tester.close()
     return result, tester.outcomes, records, tester.checker_forks
@@ -185,6 +246,214 @@ def test_forked_checks_equal_in_process_ones(config, backend, prepare,
     assert forked_outcomes == serial_outcomes
     assert forked.bug_log.incidents == serial.bug_log.incidents
     assert forked_records == serial_records
+
+
+def traced(config, backend="sqlite", fork=True, prepare=None, hook=True):
+    """:func:`run` with telemetry on: its tuple plus the live registry's
+    snapshot and the campaign's wall-clock seconds."""
+    previous = obs.set_enabled(True)
+    obs.reset_registry()
+    try:
+        start = time.perf_counter()
+        outcome = run(config, backend, fork=fork, prepare=prepare, hook=hook)
+        wall = time.perf_counter() - start
+        return outcome + (obs.get_registry().snapshot(), wall)
+    finally:
+        obs.reset_registry()
+        obs.set_enabled(previous)
+
+
+def _campaign_counters(snapshot):
+    return {key: value for key, value in snapshot.counters.items()
+            if key.startswith("campaign.")}
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("config, backend, prepare", [
+    (CLASSIC, "sqlite", None),
+    (WIDENED, "sqlite", None),
+    (LONG_HOURS, "sim:SimMySQL", None),
+    (GOLDEN_WIDENED, "sqlite", None),
+    (CLASSIC, "sqlite", _with_rejections),
+    (CLASSIC, SlowCheckerBackend, None),
+], ids=["classic", "widened", "long-hours", "golden-widened",
+        "generation-error", "slow-checker"])
+def test_hours_finished_without_a_barrier_equal_in_process_ones(
+        config, backend, prepare):
+    """Without a hook the loop does not wait at an hour's end; each hour is
+    finished when the checker answers its marker."""
+    serial, serial_outcomes, _, serial_forks, serial_snapshot, _ = traced(
+        config, backend, fork=False, prepare=prepare, hook=False)
+    forked, outcomes, _, forks, snapshot, _ = traced(
+        config, backend, prepare=prepare, hook=False)
+    assert (serial_forks, forks) == (0, 1)
+    assert serial.final.queries_executed > 0
+    assert forked.samples == serial.samples
+    assert _campaign_counters(snapshot) == _campaign_counters(serial_snapshot)
+    assert outcomes == serial_outcomes
+    assert forked.bug_log.incidents == serial.bug_log.incidents
+
+
+@needs_two_cpus
+def test_the_final_drain_checks_part_of_the_backlog_in_the_loop():
+    """The queries not yet sent to a slow checker are checked in the loop's
+    process; the checker's executions reach the registry as overlapped."""
+    forked, _, _, forks, snapshot, _ = traced(CLASSIC, SlowCheckerBackend,
+                                              hook=False)
+    assert forks == 1
+    executed = forked.final.queries_executed
+    assert snapshot.phase_seconds()["execute.target"][1] == executed
+    in_loop = snapshot.phase_seconds(overlapped=False).get(
+        "execute.target", (0.0, 0))[1]
+    assert 0 < in_loop < executed
+
+
+def _slow_generation(tester):
+    """Make every generation take 2 ms longer, so the loop trails the checker."""
+    generate = tester.dsg.generate_statement
+
+    def slow(**kwargs):
+        time.sleep(0.002)
+        return generate(**kwargs)
+
+    tester.dsg.generate_statement = slow
+
+
+@needs_two_cpus
+def test_answers_are_applied_while_the_loop_generates():
+    drained_at = []
+
+    def prepare(tester):
+        _slow_generation(tester)
+        settle = tester.settle
+
+        def recorded():
+            drained_at.append(len(tester.outcomes))
+            settle()
+
+        tester.settle = recorded
+
+    result, _, _, forks = run(CLASSIC, prepare=prepare, hook=False)
+    assert forks == 1
+    queries = result.final.queries_generated
+    assert drained_at[0] >= queries // 2
+
+
+def _waits_before_the_final_drain(waits):
+    """A *prepare* hook: append to *waits* the settle spans recorded when the
+    loop's only settle, the final drain, starts."""
+    def prepare(tester):
+        settle = tester.settle
+
+        def final_drain():
+            phases = obs.get_registry().snapshot().phase_seconds()
+            waits.append(phases.get("settle", (0.0, 0))[1])
+            settle()
+
+        tester.settle = final_drain
+
+    return prepare
+
+
+@needs_two_cpus
+def test_a_campaign_within_the_window_waits_only_in_its_final_drain():
+    queries = CLASSIC.hours * CLASSIC.queries_per_hour
+    assert queries + CLASSIC.hours <= differential.CHECK_WINDOW
+    waits = []
+    result, _, _, forks, snapshot, wall = traced(
+        CLASSIC, SlowCheckerBackend, prepare=_waits_before_the_final_drain(waits),
+        hook=False)
+    assert forks == 1 and result.final.queries_executed == queries
+    assert waits == [0]
+    assert snapshot.phase_seconds()["settle"][0] > 0
+    assert obs.phase_total_seconds(snapshot) <= wall
+
+
+@needs_two_cpus
+def test_a_full_window_waits_in_the_settle_span():
+    config = replace(CLASSIC, hours=1,
+                     queries_per_hour=differential.CHECK_WINDOW + 64)
+    waits = []
+    result, _, _, forks, snapshot, wall = traced(
+        config, SlowCheckerBackend, prepare=_waits_before_the_final_drain(waits),
+        hook=False)
+    assert forks == 1
+    assert result.final.queries_executed == config.queries_per_hour
+    assert waits[0] > 0
+    assert obs.phase_total_seconds(snapshot) <= wall
+
+
+@needs_two_cpus
+def test_a_hook_runs_before_the_next_hour_generates():
+    tester = build_differential_tester(SQLiteBackend(), CLASSIC)
+    seen = []
+
+    def hook(record):
+        seen.append((record.sample.queries_generated, tester.queries_generated,
+                     len(tester.outcomes)))
+
+    result = CampaignResult(tool="t", dbms="d", dataset=CLASSIC.dataset)
+    try:
+        run_campaign_loop(tester, result, CLASSIC.hours,
+                          CLASSIC.queries_per_hour, on_hour=hook)
+        assert tester.checker_forks == 1
+    finally:
+        tester.close()
+    assert seen == [(hour * CLASSIC.queries_per_hour,) * 3
+                    for hour in range(1, CLASSIC.hours + 1)]
+
+
+@needs_two_cpus
+def test_a_callable_budget_is_read_after_the_last_hour_is_finished():
+    tester = build_differential_tester(SQLiteBackend(), CLASSIC)
+    result = CampaignResult(tool="t", dbms="d", dataset=CLASSIC.dataset)
+    reads = []
+
+    def budget(hour):
+        reads.append((hour, len(result.samples), len(tester.outcomes)))
+        return CLASSIC.queries_per_hour
+
+    try:
+        run_campaign_loop(tester, result, CLASSIC.hours, budget)
+        assert tester.checker_forks == 1
+    finally:
+        tester.close()
+    assert reads == [(hour, hour - 1, (hour - 1) * CLASSIC.queries_per_hour)
+                     for hour in range(1, CLASSIC.hours + 1)]
+
+
+#: A campaign that fits in the checker's window, with far more query bytes
+#: than a socket buffer holds.
+FULL_WINDOW = replace(CLASSIC, hours=2,
+                      queries_per_hour=differential.CHECK_WINDOW // 2 - 4)
+
+
+@needs_two_cpus
+def test_answers_larger_than_the_pipe_do_not_deadlock():
+    """Each answer is larger than the pipe holds, and the loop sends a
+    window of queries faster than the checker reads them.  A loop whose sends could block
+    while the checker blocks writing such an answer would hang here."""
+
+    def deadlocked(signum, frame):
+        raise AssertionError("the forked campaign did not finish in 60 s")
+
+    previous = signal.signal(signal.SIGALRM, deadlocked)
+    signal.alarm(60)
+    try:
+        forked, outcomes, _, forks = run(FULL_WINDOW, MismatchingBackend,
+                                         hook=False)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    serial, serial_outcomes, _, _ = run(FULL_WINDOW, MismatchingBackend,
+                                        fork=False, hook=False)
+    assert forks == 1
+    assert forked.final.queries_executed == len(outcomes) > 0
+    assert all(len(outcome.incident.query_sql) > LONG_SQL
+               for outcome in outcomes)
+    assert forked.samples == serial.samples
+    assert outcomes == serial_outcomes
+    assert forked.bug_log.incidents == serial.bug_log.incidents
 
 
 # ------------------------------------------------------- lifecycle, failures
@@ -279,21 +548,11 @@ def test_a_killed_checker_is_a_campaign_error_within_a_second():
 # ---------------------------------------------------------------- telemetry
 
 
-def _traced(fork):
-    previous = obs.set_enabled(True)
-    obs.reset_registry()
-    try:
-        result, _, _, forks = run(CLASSIC, "sim:SimMySQL", fork=fork)
-        return result, obs.get_registry().snapshot(), forks
-    finally:
-        obs.reset_registry()
-        obs.set_enabled(previous)
-
-
 @needs_two_cpus
 def test_the_checkers_telemetry_reaches_the_live_registry():
-    serial, serial_snapshot, _ = _traced(fork=False)
-    forked, snapshot, forks = _traced(fork=True)
+    serial, _, _, _, serial_snapshot, _ = traced(CLASSIC, "sim:SimMySQL",
+                                                 fork=False)
+    forked, _, _, forks, snapshot, _ = traced(CLASSIC, "sim:SimMySQL")
     assert forks == 1
     executed = forked.final.queries_executed
     phases = snapshot.phase_seconds()
@@ -302,12 +561,8 @@ def test_the_checkers_telemetry_reaches_the_live_registry():
     assert phases["judge"][1] == executed
     assert phases["generate"][1] == forked.final.queries_generated
 
-    def campaign(snap):
-        return {key: value for key, value in snap.counters.items()
-                if key.startswith("campaign.")}
-
-    assert campaign(snapshot) == campaign(serial_snapshot)
-    assert campaign(snapshot)["campaign.queries_executed"] == executed
+    assert _campaign_counters(snapshot) == _campaign_counters(serial_snapshot)
+    assert _campaign_counters(snapshot)["campaign.queries_executed"] == executed
 
 
 def test_absorb_folds_like_a_snapshot_merge():
@@ -402,10 +657,9 @@ def test_which_backends_survive_a_fork():
     assert not UnforkableBackend.survives_fork
 
 
+@pytest.mark.usefixtures("alone")
 def test_the_host_affinity_picks_the_path():
     """Forked with two CPUs or more; in-process with one (``taskset -c 0``)."""
-    assert threading.active_count() == 1, (
-        f"an earlier test left threads alive: {threading.enumerate()}")
     _, _, _, forks = run(replace(CLASSIC, hours=1))
     assert forks == (1 if _two_cpus() else 0)
     assert not _checkers()

@@ -355,3 +355,33 @@ class TestDelayTolerance:
         finally:
             proxy.close()
             server.stop()
+
+
+def _proxy_threads():
+    return [thread for thread in threading.enumerate()
+            if thread.name.startswith("faulty-proxy-")]
+
+
+class TestProxyLifecycle:
+    def test_close_ends_every_proxy_thread(self):
+        """A thread blocked in accept() or in a pump's recv() would otherwise
+        outlive the proxy, and a later test would run beside it."""
+        server = make_server(workers=1)
+        proxy = FaultyProxy(server.host, server.port)
+        try:
+            transport = RemoteSyncTransport(proxy.host, proxy.port, auth_key=KEY)
+            assert transport.register(0) is None
+            names = {thread.name for thread in _proxy_threads()}
+            assert names == {"faulty-proxy-accept", "faulty-proxy-c2s",
+                             "faulty-proxy-s2c"}
+            proxy.close()
+            assert _proxy_threads() == []
+            transport.close()
+        finally:
+            proxy.close()
+            server.stop()
+
+    def test_close_of_an_idle_proxy_ends_its_accept_thread(self):
+        proxy = FaultyProxy("127.0.0.1", 9)
+        proxy.close()
+        assert _proxy_threads() == []

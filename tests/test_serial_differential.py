@@ -361,7 +361,7 @@ class TestPhaseSpans:
         _, _, snapshot, _ = self.run_traced()
         assert set(snapshot.phase_seconds()) <= {
             "setup", "generate", "render", "execute.target",
-            "execute.reference", "judge", "sync"}
+            "execute.reference", "judge", "settle", "sync"}
         names = {obs.parse_key(key)[0] for key in snapshot.histograms}
         assert "phase.overlapped.seconds" not in names
         order = [name for name, _, _ in obs.phase_breakdown(snapshot)]
