@@ -68,15 +68,20 @@ class SQLiteBackend(RenderedSQLBackend):
     name = "SQLite"
     driver_errors = (sqlite3.Error, OverflowError)
     explain_prefix = "EXPLAIN QUERY PLAN"
-    # The library runs no threads of its own, and a forked checker only
-    # reads the deployed database.
-    survives_fork = True
 
     def __init__(self, path: str = ":memory:",
                  renderer: Optional[SQLRenderer] = None) -> None:
         super().__init__(renderer or SQLRenderer(SQLITE_DIALECT))
         self.path = path
         self._connection: Optional[sqlite3.Connection] = None
+
+    @property
+    def survives_fork(self) -> bool:
+        """True only in memory, where a fork gives each process its own
+        database.  The library runs no threads of its own, but a connection
+        to a file must not cross a fork
+        (https://www.sqlite.org/howtocorrupt.html, section 2.6)."""
+        return self.path == ":memory:"
 
     # ------------------------------------------------------------ lifecycle
 

@@ -226,13 +226,18 @@ _MARK = "mark"
 def checker_can_fork(backend: BackendAdapter) -> bool:
     """Whether a campaign against *backend* may check in a forked process.
 
-    The backend must declare that it survives a fork, the ``fork`` start
-    method must exist, the process must be allowed at least two CPUs (on one
-    the two halves would only take turns), no other Python thread may be
-    alive (a fork copies the locks another thread holds) and the process
-    must not be daemonic (a daemon cannot have children).  A pool shard
-    fails the last two: it runs in a daemonic worker beside its heartbeat
-    thread, and its sibling shards already fill the CPUs.
+    Of what it inherits, the checker touches only the tester's oracle (the
+    deployed backend, the reference engine and the judge), its end of the
+    pipe and the telemetry registry, which it resets before its first check.
+    So the backend must declare that it survives a fork: an in-memory SQLite
+    database is copied whole into the checker, but a connection to a file
+    would be shared by two processes.  The ``fork`` start method must also
+    exist, the process must be allowed at least two CPUs (on one the two
+    halves would only take turns), no other Python thread may be alive (a
+    fork copies the locks another thread holds) and the process must not be
+    daemonic (a daemon cannot have children).  A pool shard fails the last
+    two: it runs in a daemonic worker beside its heartbeat thread, and its
+    sibling shards already fill the CPUs.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     return (backend.survives_fork

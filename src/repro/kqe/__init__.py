@@ -2,9 +2,8 @@
 
 from repro.kqe.embedding import GraphEmbedder, cosine_similarity
 from repro.kqe.explorer import KQE, KQEConfig, alias_sample
-from repro.kqe.graph_index import GraphIndex, lsh_seed_material
+from repro.kqe.graph_index import GraphIndex
 from repro.kqe.isomorphism import IsomorphicSetCounter
-from repro.kqe.lsh import SignRandomProjectionLSH
 from repro.kqe.query_graph import QueryGraph, QueryGraphBuilder
 from repro.kqe.snapshot import SnapshotBatch, SnapshotWriter, read_snapshot
 from repro.kqe.store import EntryBatch, VectorStore, quantize_to_float32
@@ -18,13 +17,11 @@ __all__ = [
     "KQEConfig",
     "QueryGraph",
     "QueryGraphBuilder",
-    "SignRandomProjectionLSH",
     "SnapshotBatch",
     "SnapshotWriter",
     "VectorStore",
     "alias_sample",
     "cosine_similarity",
-    "lsh_seed_material",
     "quantize_to_float32",
     "read_snapshot",
 ]

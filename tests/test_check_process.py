@@ -651,10 +651,35 @@ def test_a_daemonic_process_checks_in_process(monkeypatch, no_checker):
     _in_process()
 
 
-def test_which_backends_survive_a_fork():
-    assert SQLiteBackend.survives_fork
+def test_which_backends_survive_a_fork(tmp_path):
+    assert SQLiteBackend().survives_fork
+    assert not SQLiteBackend(str(tmp_path / "campaign.db")).survives_fork
     assert SimulatedBackend(SIM_MYSQL).survives_fork
     assert not UnforkableBackend.survives_fork
+
+
+@pytest.mark.usefixtures("alone")
+def test_a_database_file_is_never_offered_to_a_checker(monkeypatch, tmp_path):
+    """With every other condition met, an in-memory database may fork a
+    checker and a database file may not, on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert differential.checker_can_fork(SQLiteBackend())
+    assert not differential.checker_can_fork(
+        SQLiteBackend(str(tmp_path / "campaign.db")))
+
+
+@needs_two_cpus
+def test_a_file_backed_sqlite_campaign_checks_in_process(tmp_path):
+    """A connection to a database file never crosses a fork, so a
+    file-backed campaign checks in the loop's process, and reports what the
+    in-memory campaign (which forks) reports."""
+    path = str(tmp_path / "campaign.db")
+    in_memory, _, _, memory_forks = run(CLASSIC, "sqlite")
+    on_file, _, _, file_forks = run(CLASSIC, lambda: SQLiteBackend(path))
+    assert (memory_forks, file_forks) == (1, 0)
+    assert on_file.final.queries_executed > 0
+    assert on_file.samples == in_memory.samples
+    assert on_file.bug_log.incidents == in_memory.bug_log.incidents
 
 
 @pytest.mark.usefixtures("alone")

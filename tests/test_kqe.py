@@ -378,26 +378,6 @@ class TestBatchedStepScoring:
         assert any(probability < 1.0 for probability in scored)
 
 
-    def test_approximate_path_scores_like_nearest(self):
-        """Past lsh_min_size each pair takes the approximate nearest() path."""
-        dsg = DSG(DSGConfig(dataset="tpch", dataset_rows=30, seed=7))
-        kqe = KQE(dsg.ndb.schema, rng=random.Random(11))
-        kqe.index.lsh_min_size = 8
-        graphs = []
-        for _ in range(30):
-            try:
-                query = dsg.generate_query(extension_chooser=kqe.extension_chooser)
-            except GenerationError:
-                continue
-            kqe.register(query)
-            graphs.append(kqe.builder.build(query))
-        assert kqe.index._lsh is not None
-        batched = kqe.index.transition_probabilities(
-            [kqe.embedder.embed_with_norm(graph) for graph in graphs], k=5)
-        single = [1.0 / (kqe.coverage(graph) + 1.0) for graph in graphs]
-        assert [p.hex() for p in batched] == [p.hex() for p in single]
-
-
 #: Set operations, scalar subqueries and CTEs at the diff-widened campaign's
 #: probabilities, so the corpus holds compound and CTE graphs too.
 WIDENED_GRAMMAR = dict(

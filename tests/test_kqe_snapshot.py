@@ -6,13 +6,13 @@ import pytest
 
 from repro.errors import ReproError, SnapshotError
 from repro.kqe.graph_index import GraphIndex
-from repro.kqe.lsh import hyperplane_stream
 from repro.kqe.snapshot import (
     MAGIC,
     SnapshotWriter,
     read_header,
     read_snapshot,
 )
+from test_kqe_store import hashed_floats
 
 HEADER = {"kind": "test", "version": 1}
 
@@ -118,7 +118,7 @@ class TestCrashTolerance:
 class TestGraphIndexPersistence:
     def populate(self, index, count=40):
         dims = index.embedder.dimensions
-        flat = hyperplane_stream("index-snap", count * dims)
+        flat = hashed_floats("index-snap", count * dims)
         for position in range(count):
             index.add_embedding(
                 flat[position * dims : (position + 1) * dims], f"L{position % 7}"
@@ -133,10 +133,28 @@ class TestGraphIndexPersistence:
         assert len(restored) == len(index)
         assert restored.distinct_canonical_labels() == 7
         assert restored.entries_since(0) == index.entries_since(0)
-        query = hyperplane_stream("snap-query", index.embedder.dimensions)
+        query = hashed_floats("snap-query", index.embedder.dimensions)
         assert restored.nearest_by_vector(query, k=5) == index.nearest_by_vector(
             query, k=5
         )
+
+    def test_a_snapshot_records_one_vector_per_entry(self, tmp_path):
+        # Entries that share a stored row are still written one vector each,
+        # so the record format does not depend on how the store holds them.
+        index = GraphIndex()
+        dims = index.embedder.dimensions
+        distinct = [hashed_floats(f"shared-{row}", dims) for row in range(3)]
+        for position in range(12):
+            index.add_embedding(distinct[position % 3], f"L{position % 3}")
+        assert index._store.distinct_rows == 3
+        path = str(tmp_path / "shared.tqssnap")
+        index.save_snapshot(path)
+        _, batches, truncated = read_snapshot(path)
+        assert not truncated
+        (batch,) = batches
+        assert batch.meta == {"count": 12}
+        assert batch.vectors == [distinct[position % 3] for position in range(12)]
+        assert batch.labels == [f"L{position % 3}" for position in range(12)]
 
     def test_load_rejects_foreign_snapshots(self, tmp_path):
         path = tmp_path / "other.tqssnap"
@@ -165,14 +183,14 @@ class TestGraphIndexPersistence:
         for row in range(250):
             width = widths[row % len(widths)]
             index.add_embedding(
-                hyperplane_stream(f"mixed-{row}", width), f"L{row % 17}"
+                hashed_floats(f"mixed-{row}", width), f"L{row % 17}"
             )
         path = str(tmp_path / "mixed.tqssnap")
         index.save_snapshot(path)
         restored = GraphIndex.load_snapshot(path)
         count = len(index)
         assert len(restored) == count
-        assert (
-            restored._store._norms[:count].tobytes()
-            == index._store._norms[:count].tobytes()
-        )
+        def norms(store):
+            return store._norms[store._row_ids[:count]].tobytes()
+
+        assert norms(restored._store) == norms(index._store)
